@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-regression bench-baseline lint analyze fmt check cover-server fuzz-smoke serve serve-cluster
+.PHONY: build test race bench bench-smoke bench-e2e-smoke bench-regression bench-baseline lint analyze fmt check cover-server fuzz-smoke serve serve-cluster
 
 build:
 	$(GO) build ./...
@@ -16,13 +16,14 @@ test:
 # snapshot round-trip under concurrent writers and the permutation ID
 # scans with epoch restarts), snapshot format, the federation mesh
 # (parallel bind-join batches, circuit breakers, TTL cache), HTTP server,
-# the sharded response cache, and the metrics registry (sharded histograms
-# and vec instantiation under concurrent scrapes); plus a focused rerun of
-# the dictionary/permutation paths under writers and the multi-node
-# federation smoke (two httptest lodvizd instances answering one SERVICE
-# query).
+# the sharded response cache, the metrics registry (sharded histograms
+# and vec instantiation under concurrent scrapes), and the keyword index
+# (searches sharing the live index while refreshes follow a writer); plus
+# a focused rerun of the dictionary/permutation paths under writers and
+# the multi-node federation smoke (two httptest lodvizd instances
+# answering one SERVICE query).
 race:
-	$(GO) test -race ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/prefetch/... ./internal/obs/...
+	$(GO) test -race ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/prefetch/... ./internal/obs/... ./internal/keyword/...
 	$(GO) test -race -count=2 -run 'ScanIDs|IDJoin|StreamConcurrentWriters' ./internal/store ./internal/sparql
 	$(GO) test -race -run 'Federated|ServiceSilent' .
 
@@ -74,6 +75,16 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BindJoin -benchtime=1x ./internal/federation
 	$(GO) test -run='^$$' -bench=LimitPushdown -benchtime=1x .
 
+# The end-to-end benchmark (bench/e2e) is its own module, which the root
+# `go test ./...` does not see: vet it, run its unit tests, and play every
+# workload briefly against a real lodvizd on the small dataset, so a
+# signature change that breaks the harness fails here and not at the next
+# benchmark run.
+bench-e2e-smoke:
+	$(GO) vet -C bench/e2e ./...
+	$(GO) test -C bench/e2e ./...
+	bash bench/e2e/run.sh -smoke
+
 # Benchmark regression gate: replay the pinned scenarios best-of-3 and
 # fail on >25% regression against bench/baseline.json (override the ratio
 # with BENCH_GATE=1.50 etc.), or on a speedup scenario dropping below its
@@ -118,4 +129,4 @@ analyze:
 	$(GO) build -o bin/lodvizvet ./cmd/lodvizvet
 	$(GO) vet -vettool=$(CURDIR)/bin/lodvizvet ./...
 
-check: build lint analyze test race bench-smoke bench-regression cover-server
+check: build lint analyze test race bench-smoke bench-e2e-smoke bench-regression cover-server

@@ -73,8 +73,8 @@ type Explorer struct {
 	prefs Preferences
 
 	// Lazy indexes.
-	kwIndex *keyword.Index
-	trees   map[rdf.IRI]*hetree.Tree
+	kw    *keyword.Lazy
+	trees map[rdf.IRI]*hetree.Tree
 }
 
 // NewExplorer starts a session with the given preferences.
@@ -82,7 +82,7 @@ func NewExplorer(st *store.Store, prefs Preferences) *Explorer {
 	if prefs.PixelBudget.Pixels() == 0 {
 		prefs = DefaultPreferences()
 	}
-	return &Explorer{st: st, prefs: prefs, trees: map[rdf.IRI]*hetree.Tree{}}
+	return &Explorer{st: st, prefs: prefs, kw: keyword.NewLazy(st), trees: map[rdf.IRI]*hetree.Tree{}}
 }
 
 // Store exposes the underlying triple store.
@@ -146,12 +146,10 @@ func (e *Explorer) Query(q string) (*sparql.Results, error) {
 	return sparql.Exec(e.st, q)
 }
 
-// Search finds entities by keyword (index built on first use).
+// Search finds entities by keyword (index built on first use, then kept
+// current with the session's own writes).
 func (e *Explorer) Search(query string, limit int) []keyword.Hit {
-	if e.kwIndex == nil {
-		e.kwIndex = keyword.BuildIndex(e.st)
-	}
-	return e.kwIndex.Search(query, limit)
+	return e.kw.Search(query, limit)
 }
 
 // Facets starts a faceted-browsing session over the dataset.

@@ -70,6 +70,27 @@ func TestSearchAndDetails(t *testing.T) {
 	}
 }
 
+// A session that writes and then searches must find what it wrote: the
+// keyword index follows the store instead of freezing at first use.
+func TestSearchSeesSessionWrites(t *testing.T) {
+	e := miniExplorer()
+	if hits := e.Search("Atlantis", 5); len(hits) != 0 {
+		t.Fatalf("hits before the write: %v", hits)
+	}
+	city := rdf.IRI("http://lodviz.example.org/mini/atlantis")
+	label := rdf.T(city, rdf.IRI("http://www.w3.org/2000/01/rdf-schema#label"), rdf.NewLiteral("Atlantis"))
+	if err := e.Store().Add(label); err != nil {
+		t.Fatal(err)
+	}
+	if hits := e.Search("Atlantis", 5); len(hits) != 1 || hits[0].Entity != city {
+		t.Fatalf("hits after the write = %v, want %v", hits, city)
+	}
+	e.Store().Delete(label)
+	if hits := e.Search("Atlantis", 5); len(hits) != 0 {
+		t.Fatalf("hits after the delete: %v", hits)
+	}
+}
+
 func TestFacetsIntegration(t *testing.T) {
 	e := miniExplorer()
 	s := e.Facets()

@@ -98,6 +98,44 @@ func TestFacetsMatchReference(t *testing.T) {
 	}
 }
 
+// TestFacetsTopKAtCapBoundaries pins the bounded selection of a facet's
+// values against the sort-everything reference where an off-by-one would
+// show: a cap of 1, a cap equal to and beyond the number of values, and a
+// facet whose values all tie on count (one distinct integer per entity, so
+// the order is rdf.Compare's numeric one, not the lexical one).
+func TestFacetsTopKAtCapBoundaries(t *testing.T) {
+	st := entityStore(t)
+	const n = 120
+	for i := 0; i < n; i++ {
+		if err := st.Add(rdf.Triple{S: gen.Res("entity", i), P: gen.Prop("serial"), O: rdf.NewInteger(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := NewSession(st).BaseEntities()
+	for _, max := range []int{1, 2, 25, n - 1, n, n + 1, 0} {
+		sess := NewSession(st)
+		sess.MaxValuesPerFacet = max
+		got, err := sess.FacetsCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ReferenceFacets(st, base, nil, max); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cap %d: facets diverge from reference:\n got %+v\nwant %+v", max, got, want)
+		}
+		for _, f := range got {
+			if f.Predicate != gen.Prop("serial") {
+				continue
+			}
+			if want := min(max, n); max > 0 && len(f.Values) != want {
+				t.Errorf("cap %d: tied facet lists %d values, want %d", max, len(f.Values), want)
+			}
+			if first := f.Values[0].Term; first != rdf.NewInteger(0) {
+				t.Errorf("cap %d: tied facet starts at %v, want the numerically smallest", max, first)
+			}
+		}
+	}
+}
+
 // TestFacetsProbePathMatchesReference pins the small-match-set strategy: a
 // handful of explicit entities is far below probeThreshold relative to the
 // dataset, so this exercises aggregateProbe (the walk cases above exercise

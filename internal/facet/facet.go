@@ -18,6 +18,7 @@ import (
 
 	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/rdf"
+	"github.com/lodviz/lodviz/internal/sampling"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
@@ -393,7 +394,8 @@ func (s *Session) aggregateWalk(ctx context.Context, matches []store.ID, per dis
 // assemble decodes an ID-space distribution into the public Facet slice:
 // one batch Terms call for every predicate and value, then the pinned
 // deterministic ordering — values by count descending with rdf.Compare
-// tie-breaks, facets by coverage descending with predicate tie-breaks.
+// tie-breaks (the best MaxValuesPerFacet of them), facets by coverage
+// descending with predicate tie-breaks.
 func (s *Session) assemble(per distribution) []Facet {
 	ids := make([]store.ID, 0, len(per))
 	for pid, a := range per {
@@ -413,20 +415,20 @@ func (s *Session) assemble(per distribution) []Facet {
 		if !ok {
 			continue
 		}
-		f := Facet{Predicate: p, Total: a.total}
-		for oid, c := range a.counts {
-			f.Values = append(f.Values, Value{Term: decoded[oid], Count: c})
-		}
-		sort.Slice(f.Values, func(i, j int) bool {
-			if f.Values[i].Count != f.Values[j].Count {
-				return f.Values[i].Count > f.Values[j].Count
+		// A numeric facet can hold one value per entity, all tied on count;
+		// selecting the cap's worth with a bounded heap keeps the
+		// value-parsing rdf.Compare tie-breaks off everything that would be
+		// truncated anyway.
+		top := sampling.NewTopK(s.MaxValuesPerFacet, func(a, b Value) bool {
+			if a.Count != b.Count {
+				return a.Count > b.Count
 			}
-			return rdf.Compare(f.Values[i].Term, f.Values[j].Term) < 0
+			return rdf.Compare(a.Term, b.Term) < 0
 		})
-		if s.MaxValuesPerFacet > 0 && len(f.Values) > s.MaxValuesPerFacet {
-			f.Values = f.Values[:s.MaxValuesPerFacet]
+		for oid, c := range a.counts {
+			top.Offer(Value{Term: decoded[oid], Count: c})
 		}
-		out = append(out, f)
+		out = append(out, Facet{Predicate: p, Total: a.total, Values: top.Sorted()})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Total != out[j].Total {

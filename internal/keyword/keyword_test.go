@@ -113,24 +113,32 @@ func TestComplete(t *testing.T) {
 	}
 }
 
-func TestAddAccumulatesText(t *testing.T) {
-	idx := NewIndex()
-	idx.Add(ex("x"), "first")
-	idx.Add(ex("x"), "second")
+func TestDocumentTextOrder(t *testing.T) {
+	// Local name first, then literals by (predicate, object) dictionary ID
+	// — here the order of first mention — however the statements arrived.
+	st := store.New()
+	st.AddAll([]rdf.Triple{
+		rdf.T(ex("x"), ex("p"), rdf.NewLiteral("first")),
+		rdf.T(ex("x"), ex("q"), rdf.NewLiteral("second")),
+	})
+	st.Add(rdf.T(ex("x"), ex("p"), rdf.NewLiteral("third")))
+	idx := BuildIndex(st)
 	if idx.Len() != 1 {
 		t.Errorf("Len = %d, want 1", idx.Len())
 	}
 	hits := idx.Search("second", 5)
-	if len(hits) != 1 || hits[0].Snippet != "first second" {
+	if len(hits) != 1 || hits[0].Snippet != "x first third second" {
 		t.Errorf("hits = %+v", hits)
 	}
 }
 
 func TestDeterministicTieBreak(t *testing.T) {
-	idx := NewIndex()
-	idx.Add(ex("b"), "same text")
-	idx.Add(ex("a"), "same text")
-	hits := idx.Search("same", 5)
+	st := store.New()
+	st.AddAll([]rdf.Triple{
+		rdf.T(ex("b"), ex("label"), rdf.NewLiteral("same text")),
+		rdf.T(ex("a"), ex("label"), rdf.NewLiteral("same text")),
+	})
+	hits := BuildIndex(st).Search("same", 5)
 	if len(hits) != 2 || hits[0].Entity != ex("a") {
 		t.Errorf("tie-break not deterministic: %v", hits)
 	}

@@ -276,3 +276,68 @@ func PixelCoverage(points []Point, w, h int) float64 {
 	}
 	return float64(len(occupied)) / float64(w*h)
 }
+
+// TopK keeps the k best elements of a stream of unknown length under a
+// strict ordering — the ranked counterpart of Reservoir, for "show the k
+// heaviest values" views that would otherwise sort everything to keep a
+// handful. Offer costs one comparison for an element that does not make the
+// cut and O(log k) for one that does; nothing beyond the k survivors is
+// retained.
+type TopK[T any] struct {
+	k      int
+	before func(a, b T) bool
+	// heap is a binary heap with the worst kept element at the root, so a
+	// newcomer is compared against the one element it could displace.
+	heap []T
+}
+
+// NewTopK creates a selector keeping the k elements that sort first under
+// before, which must be a strict weak ordering. k <= 0 keeps everything.
+func NewTopK[T any](k int, before func(a, b T) bool) *TopK[T] {
+	return &TopK[T]{k: k, before: before}
+}
+
+// Offer presents one stream element to the selector.
+func (t *TopK[T]) Offer(v T) {
+	if t.k <= 0 {
+		t.heap = append(t.heap, v)
+		return
+	}
+	if len(t.heap) < t.k {
+		t.heap = append(t.heap, v)
+		// Sift up: a child that sorts after its parent becomes the new worst.
+		for i := len(t.heap) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !t.before(t.heap[parent], t.heap[i]) {
+				break
+			}
+			t.heap[parent], t.heap[i] = t.heap[i], t.heap[parent]
+			i = parent
+		}
+		return
+	}
+	if !t.before(v, t.heap[0]) {
+		return
+	}
+	t.heap[0] = v
+	for i := 0; ; {
+		worst := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(t.heap); c++ {
+			if t.before(t.heap[worst], t.heap[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		t.heap[i], t.heap[worst] = t.heap[worst], t.heap[i]
+		i = worst
+	}
+}
+
+// Sorted returns the kept elements best first. The selector must not be
+// offered to afterwards: the returned slice is its own storage, reordered.
+func (t *TopK[T]) Sorted() []T {
+	sort.Slice(t.heap, func(i, j int) bool { return t.before(t.heap[i], t.heap[j]) })
+	return t.heap
+}

@@ -2,6 +2,8 @@ package sampling
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -290,4 +292,42 @@ func max(a, b int) int {
 		return a
 	}
 	return b
+}
+
+func TestTopKMatchesSortAndTruncate(t *testing.T) {
+	type item struct{ weight, id int }
+	before := func(a, b item) bool {
+		if a.weight != b.weight {
+			return a.weight > b.weight
+		}
+		return a.id < b.id
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 5, 100} {
+		items := make([]item, n)
+		for i := range items {
+			items[i] = item{weight: rng.Intn(4), id: i} // heavy ties on weight
+		}
+		want := append([]item{}, items...)
+		sort.Slice(want, func(i, j int) bool { return before(want[i], want[j]) })
+		for _, k := range []int{-1, 0, 1, 2, n - 1, n, n + 1} {
+			top := NewTopK(k, before)
+			for _, it := range items {
+				top.Offer(it)
+			}
+			got := top.Sorted()
+			keep := n
+			if k > 0 && k < n {
+				keep = k
+			}
+			if len(got) != keep {
+				t.Fatalf("n=%d k=%d: kept %d, want %d", n, k, len(got), keep)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d k=%d: position %d = %v, want %v", n, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
 }

@@ -2,11 +2,15 @@
 // HTTP server. Keys are opaque strings that embed the store generation (see
 // store.Generation), so a write to the store changes every key and instantly
 // orphans all older entries — invalidation needs no coordination with
-// writers, and stale entries simply age out of the LRU.
+// writers. An orphan can never hit again, but left to the LRU it would hold
+// its body until a full cache of newer entries pushed it out; the server
+// instead calls Purge when it first builds a key at a new generation, which
+// is counted apart from capacity evictions.
 //
 // The cache is sharded to keep lock contention off the serving hot path: a
 // key is hashed to one of the shards and all list/map operations touch only
-// that shard's mutex. Hit/miss/eviction counters are process-wide atomics.
+// that shard's mutex. Hit/miss/eviction/purge counters are process-wide
+// atomics.
 package cache
 
 import (
@@ -40,9 +44,12 @@ type Entry struct {
 
 // Stats is a point-in-time snapshot of cache effectiveness.
 type Stats struct {
-	Hits      uint64
-	Misses    uint64
+	Hits   uint64
+	Misses uint64
+	// Evictions counts entries the LRU pushed out for lack of room, Purged
+	// the entries Purge dropped.
 	Evictions uint64
+	Purged    uint64
 	Entries   int
 	Capacity  int
 }
@@ -55,6 +62,7 @@ type Cache struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
+	purged    atomic.Uint64
 }
 
 type shard struct {
@@ -152,6 +160,7 @@ func (c *Cache) Purge() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
+		c.purged.Add(uint64(s.ll.Len()))
 		s.ll.Init()
 		s.items = make(map[string]*list.Element)
 		s.mu.Unlock()
@@ -164,6 +173,7 @@ func (c *Cache) Stats() Stats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
+		Purged:    c.purged.Load(),
 		Entries:   c.Len(),
 		Capacity:  c.capacity,
 	}

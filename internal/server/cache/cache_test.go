@@ -109,6 +109,10 @@ func TestPurge(t *testing.T) {
 	if _, ok := c.Get("k3"); ok {
 		t.Fatal("purged entry still readable")
 	}
+	// Purged entries are counted, and not as capacity evictions.
+	if cs := c.Stats(); cs.Purged != 10 || cs.Evictions != 0 {
+		t.Fatalf("Purged = %d, Evictions = %d; want 10, 0", cs.Purged, cs.Evictions)
+	}
 }
 
 func TestDefaultCapacity(t *testing.T) {

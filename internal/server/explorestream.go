@@ -88,7 +88,7 @@ func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	gen := s.st.Generation()
+	gen := s.generation()
 	line := streamLiner(w)
 
 	sess, err := facet.NewSessionCtx(ctx, s.exploreSrc())
@@ -139,9 +139,11 @@ func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := encodeFacetsResponse(count, fs)
+	// Publish before the trailer: a client that reads done and at once asks
+	// the buffered endpoint for the same view must find the entry.
+	s.fillCache(s.facetsKey(max, rawFilters, gen), gen, resp)
 	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: resp}) {
 		markStream(w, lines+1, true)
-		s.fillCache(s.facetsKey(max, rawFilters, gen), gen, resp)
 	} else {
 		markStream(w, lines, false)
 	}
@@ -174,7 +176,7 @@ type classEstimateJSON struct {
 func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	gen := s.st.Generation()
+	gen := s.generation()
 	line := streamLiner(w)
 
 	lines := 0
@@ -216,15 +218,15 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := encodeStatsResponse(stats)
+	s.fillCache(s.statsKey(gen), gen, resp) // before the trailer, as above
 	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: resp}) {
 		markStream(w, lines+1, true)
-		s.fillCache(s.statsKey(gen), gen, resp)
 	} else {
 		markStream(w, lines, false)
 	}
 }
 
-// fillCache publishes a completed stream's exact result under the buffered
+// fillCache publishes a completed scan's exact result under the buffered
 // endpoint's cache key, provided the generation is still current — a stream
 // that raced a write must not cache a stale answer under the new key's
 // generation namespace (the key embeds gen, so this is belt and braces).

@@ -91,7 +91,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		s.serveUncached(w, r, build)
 		return
 	}
-	key := fmt.Sprintf("sparql|%s|g%d", norm, s.st.Generation())
+	key := fmt.Sprintf("sparql|%s|g%d", norm, s.generation())
 	s.serveCached(w, r, key, build)
 }
 
@@ -375,7 +375,7 @@ func (s *Server) handleFacets(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus, errMsg)
 		return
 	}
-	s.serveCached(w, r, s.facetsKey(max, rawFilters, s.st.Generation()), func() ([]byte, string, int) {
+	s.serveCached(w, r, s.facetsKey(max, rawFilters, s.generation()), func() ([]byte, string, int) {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
 		resp, err := s.buildFacetsResponse(ctx, max, filters)
@@ -399,7 +399,7 @@ func (s *Server) warmFacetAncestors(max int, filters []facet.Filter, rawFilters 
 	if s.warmSeen == nil || len(filters) == 0 {
 		return
 	}
-	gen := s.st.Generation()
+	gen := s.generation()
 	for i := len(filters) - 1; i >= 0; i-- {
 		key := s.facetsKey(max, rawFilters[:i], gen)
 		if s.warmSeen.Contains(key) {
@@ -648,7 +648,7 @@ func encodeStatsResponse(stats store.Stats) statsResponse {
 
 // handleStats serves the dataset summary (LODeX-style source statistics).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, s.statsKey(s.st.Generation()), func() ([]byte, string, int) {
+	s.serveCached(w, r, s.statsKey(s.generation()), func() ([]byte, string, int) {
 		return mustJSON(encodeStatsResponse(s.st.ComputeStats()))
 	})
 }
@@ -737,7 +737,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.serveCached(w, r, s.cacheKey(r), func() ([]byte, string, int) {
 		resp := searchResponse{Query: q, Hits: []searchHitJSON{}}
-		for _, h := range s.kw.Index().Search(q, limit) {
+		for _, h := range s.kw.Search(q, limit) {
 			resp.Hits = append(resp.Hits, searchHitJSON{
 				Entity:  sparql.EncodeTerm(h.Entity),
 				Score:   h.Score,
@@ -768,7 +768,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, s.cacheKey(r), func() ([]byte, string, int) {
-		comps := s.kw.Index().Complete(prefix, limit)
+		comps := s.kw.Complete(prefix, limit)
 		if comps == nil {
 			comps = []string{}
 		}

@@ -46,8 +46,8 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 }
 
 // registerCollectors wires the obs-free subsystems (store, response cache,
-// ledger, WAL frontier, federation mesh) into the registry as func-backed
-// collectors sampled at scrape time.
+// keyword index, ledger, WAL frontier, federation mesh) into the registry
+// as func-backed collectors sampled at scrape time.
 func (s *Server) registerCollectors(r *obs.Registry) {
 	st := s.st
 	r.GaugeFunc("lodviz_store_triples", "Live triples in the store.",
@@ -72,11 +72,31 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 			func() float64 { return float64(c.Stats().Misses) })
 		r.CounterFunc("lodviz_cache_evictions_total", "Response-cache LRU evictions.",
 			func() float64 { return float64(c.Stats().Evictions) })
+		r.CounterFunc("lodviz_cache_purges_total", "Response-cache entries dropped because a write orphaned their generation.",
+			func() float64 { return float64(c.Stats().Purged) })
 		r.GaugeFunc("lodviz_cache_entries", "Response-cache entries resident.",
 			func() float64 { return float64(c.Stats().Entries) })
 		r.GaugeFunc("lodviz_cache_capacity", "Response-cache entry capacity.",
 			func() float64 { return float64(c.Stats().Capacity) })
 	}
+
+	kw := s.kw
+	r.CounterVecFunc("lodviz_keyword_refresh_total", "Keyword-index refreshes by mode: incremental re-indexes the entities written since the last one, rebuild scans the store.",
+		[]string{"mode"}, func() []obs.Sample {
+			ks := kw.Stats()
+			return []obs.Sample{
+				{Labels: []string{"incremental"}, Value: float64(ks.Incremental.Count)},
+				{Labels: []string{"rebuild"}, Value: float64(ks.Rebuild.Count)},
+			}
+		})
+	r.CounterVecFunc("lodviz_keyword_refresh_seconds", "Cumulative seconds spent refreshing the keyword index, by mode.",
+		[]string{"mode"}, func() []obs.Sample {
+			ks := kw.Stats()
+			return []obs.Sample{
+				{Labels: []string{"incremental"}, Value: ks.Incremental.Seconds},
+				{Labels: []string{"rebuild"}, Value: ks.Rebuild.Seconds},
+			}
+		})
 
 	if led := s.cfg.Ledger; led != nil {
 		r.GaugeFunc("lodviz_ledger_leaves", "Mutation-ledger leaves covered by the current root.",

@@ -15,7 +15,10 @@
 //     generation): repeated exploration requests are served straight from
 //     memory, and any store write bumps the generation, which orphans every
 //     cached entry at once — exploration workloads are read-heavy bursts
-//     over a slowly changing dataset, exactly the shape this favors;
+//     over a slowly changing dataset, exactly the shape this favors. The
+//     first request to build a key at a new generation purges the cache,
+//     so orphans give their memory back at once rather than waiting for a
+//     cache's worth of new entries to push them out;
 //   - strong ETags on cacheable responses with If-None-Match/304 handling,
 //     so clients and proxies revalidate for free;
 //   - per-request timeouts threaded as context cancellation into the SPARQL
@@ -36,6 +39,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"github.com/lodviz/lodviz/internal/explore"
@@ -146,9 +150,12 @@ type Server struct {
 	st    *store.Store
 	cfg   Config
 	cache *cache.Cache // nil when caching is disabled
-	mesh  *federation.Mesh
-	kw    *keyword.Lazy
-	mux   *http.ServeMux
+	// cacheGen is the newest store generation a cache key was built for;
+	// see generation.
+	cacheGen atomic.Uint64
+	mesh     *federation.Mesh
+	kw       *keyword.Lazy
+	mux      *http.ServeMux
 
 	// reg is the metrics registry /metrics serves; met and engineMet are
 	// the HTTP-layer and SPARQL-engine handles registered on it. started
@@ -179,6 +186,7 @@ func New(st *store.Store, cfg Config) *Server {
 	s := &Server{st: st, cfg: cfg.withDefaults(), started: time.Now()}
 	if cfg.CacheCapacity >= 0 {
 		s.cache = cache.New(cfg.CacheCapacity)
+		s.cacheGen.Store(st.Generation())
 	}
 	s.mesh = s.cfg.Mesh
 	if s.mesh == nil {
@@ -452,7 +460,23 @@ func (s *Server) cacheKey(r *http.Request) string {
 	for _, vals := range params {
 		sort.Strings(vals)
 	}
-	return fmt.Sprintf("%s?%s|g%d", r.URL.Path, params.Encode(), s.st.Generation())
+	return fmt.Sprintf("%s?%s|g%d", r.URL.Path, params.Encode(), s.generation())
+}
+
+// generation reads the store generation for a cache key. Keys embed it, so
+// once it has advanced no entry cached so far can hit again: the first
+// reader to see the advance purges them. Noticing costs one atomic load on
+// top of the read every key needs anyway, so the hit path takes no extra
+// lock. An entry a slower in-flight request files under the old generation
+// after the purge is an orphan until the next write.
+func (s *Server) generation() uint64 {
+	gen := s.st.Generation()
+	if s.cache != nil {
+		if seen := s.cacheGen.Load(); gen > seen && s.cacheGen.CompareAndSwap(seen, gen) {
+			s.cache.Purge()
+		}
+	}
+	return gen
 }
 
 // queryError maps a sparql error to an HTTP status: the caller's syntax

@@ -309,6 +309,77 @@ func TestWriteInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestWriteRefreshesSearchAndPurgesCache follows one write through the two
+// structures that used to pay for it in full: the keyword index picks the
+// written entity up by re-indexing it alone, and the response cache drops
+// the orphaned generation's entries at once instead of letting them age out.
+func TestWriteRefreshesSearchAndPurgesCache(t *testing.T) {
+	s, ts, st := newTestServer(t, Config{})
+	search := ts.URL + "/search?q=atlantis"
+	var hits searchResponse
+	getJSON(t, search, &hits)
+	if len(hits.Hits) != 0 {
+		t.Fatalf("hits before the write: %+v", hits.Hits)
+	}
+	// A few more entries of the old generation.
+	for _, u := range []string{"/stats", "/facets", "/complete?prefix=a"} {
+		getJSON(t, ts.URL+u, nil)
+	}
+	oldGen := st.Generation()
+	if s.cache.Len() != 4 {
+		t.Fatalf("cache holds %d entries before the write, want 4", s.cache.Len())
+	}
+	if ks := s.kw.Stats(); ks.Rebuild.Count != 1 || ks.Incremental.Count != 0 {
+		t.Fatalf("before the write: %d rebuilds, %d incremental refreshes; want the initial build only",
+			ks.Rebuild.Count, ks.Incremental.Count)
+	}
+
+	nt := "<" + exNS + "atlantis> <http://www.w3.org/2000/01/rdf-schema#label> \"Atlantis\" .\n"
+	ing, err := http.Post(ts.URL+"/triples", "application/n-triples", strings.NewReader(nt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing.Body.Close()
+	if ing.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d", ing.StatusCode)
+	}
+
+	resp := getJSON(t, search, &hits)
+	if got := resp.Header.Get("X-Cache"); got != "MISS" {
+		t.Fatalf("post-write X-Cache = %q, want MISS", got)
+	}
+	if len(hits.Hits) != 1 || hits.Hits[0].Entity.Value != exNS+"atlantis" {
+		t.Fatalf("hits after the write = %+v, want the written entity", hits.Hits)
+	}
+	if ks := s.kw.Stats(); ks.Rebuild.Count != 1 || ks.Incremental.Count != 1 {
+		t.Errorf("after the write: %d rebuilds, %d incremental refreshes; want the write followed incrementally",
+			ks.Rebuild.Count, ks.Incremental.Count)
+	}
+	// Only the response just built is resident: the four entries keyed by
+	// the old generation were purged, and counted as such.
+	if n := s.cache.Len(); n != 1 {
+		t.Errorf("cache holds %d entries after the write, want 1", n)
+	}
+	if _, ok := s.cache.Get(s.statsKey(oldGen)); ok {
+		t.Error("an entry of the old generation survived the write")
+	}
+	if cs := s.cache.Stats(); cs.Purged != 4 || cs.Evictions != 0 {
+		t.Errorf("purged %d, evicted %d; want 4 purged, none evicted", cs.Purged, cs.Evictions)
+	}
+
+	_, body := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`lodviz_keyword_refresh_total{mode="incremental"} 1`,
+		`lodviz_keyword_refresh_total{mode="rebuild"} 1`,
+		`lodviz_keyword_refresh_seconds{mode="incremental"} `,
+		"lodviz_cache_purges_total 4",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
 func TestIngestMalformed400(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	resp, err := http.Post(ts.URL+"/triples", "application/n-triples", strings.NewReader("this is not n-triples\n"))

@@ -158,7 +158,9 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	s.rebuildDerivedLocked()
 	s.size = len(s.spo)
 	if s.size > 0 {
+		// The image arrives whole: no logged batch leads up to it.
 		s.gen = 1
+		s.log.floor = 1
 	}
 	return s, nil
 }

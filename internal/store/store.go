@@ -9,6 +9,10 @@
 // ingestion: inserts land in an unsorted delta buffer that is merged into the
 // sorted base lazily, once it grows past a fraction of the base — the same
 // amortization idea as LSM-style stores, kept single-node and in-memory.
+// The same requirement extends to what is derived from the store: each
+// effective write is retained in a bounded change log (changelog.go) under
+// the generation it produced, so an index or view that remembers a
+// generation can catch up from ChangesSince instead of rescanning.
 package store
 
 import (
@@ -67,6 +71,11 @@ type Store struct {
 	// duplicate inserts. External caches key results by generation so a
 	// write observably invalidates everything derived from older state.
 	gen uint64
+
+	// log retains the newest effective batches with the generation each
+	// produced (see changelog.go), so derived structures can follow writes
+	// incrementally instead of rebuilding per generation.
+	log changeLog
 
 	// layout counts physical index reshuffles: delta compaction and bulk
 	// index rebuilds, the events that invalidate ForEachPage's positional
@@ -288,8 +297,7 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		st.size = len(batch)
 		st.layout++
 		if st.size > 0 {
-			st.gen++
-			st.cards = nil
+			st.commitLocked(false, batch)
 		}
 		return st.size, seq, nil
 	}
@@ -333,8 +341,7 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		st.delta = append(st.delta, e)
 		st.size++
 	}
-	st.gen++
-	st.cards = nil
+	st.commitLocked(false, effective)
 	if len(st.delta) > 1024 && len(st.delta) > len(st.spo)/8 {
 		st.mergeLocked()
 	}
@@ -406,8 +413,7 @@ func (st *Store) deleteBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		st.deleted[e] = struct{}{}
 		st.size--
 	}
-	st.gen++
-	st.cards = nil
+	st.commitLocked(true, present)
 	if len(st.deleted) > 1024 && len(st.deleted) > len(st.spo)/8 {
 		st.mergeLocked()
 	}

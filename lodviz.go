@@ -342,19 +342,17 @@ func (d *Dataset) FederationStatus() []FederationEndpoint {
 
 // Search ranks entities matching the keyword query by TF-IDF over the
 // dataset's literals and IRI local names, returning at most limit hits
-// (limit <= 0 selects 10). The underlying inverted index is built lazily
-// and rebuilt after writes.
+// (limit <= 0 selects 10). The underlying inverted index is built on first
+// use and then follows writes, re-indexing only the entities they touch.
 func (d *Dataset) Search(query string, limit int) []SearchHit {
-	return d.keywordIndex().Search(query, limit)
+	return d.lazyKeyword().Search(query, limit)
 }
 
 // Complete returns up to limit indexed tokens beginning with prefix — the
 // type-ahead primitive (limit <= 0 selects 10).
 func (d *Dataset) Complete(prefix string, limit int) []string {
-	return d.keywordIndex().Complete(prefix, limit)
+	return d.lazyKeyword().Complete(prefix, limit)
 }
-
-func (d *Dataset) keywordIndex() *keyword.Index { return d.lazyKeyword().Index() }
 
 // lazyKeyword returns the dataset's shared lazy keyword index, creating it
 // on first use. The HTTP server is handed the same instance (see
