@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-e2e-smoke bench-regression bench-baseline lint analyze fmt check cover-server fuzz-smoke serve serve-cluster
+.PHONY: build test race flake bench bench-smoke bench-e2e-smoke bench-regression bench-baseline lint analyze fmt check cover-server fuzz-smoke serve serve-cluster
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,12 @@ race:
 	$(GO) test -race ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/prefetch/... ./internal/obs/... ./internal/keyword/...
 	$(GO) test -race -count=2 -run 'ScanIDs|IDJoin|StreamConcurrentWriters' ./internal/store ./internal/sparql
 	$(GO) test -race -run 'Federated|ServiceSilent' .
+
+# Flake detection: twenty runs under the race detector of the packages
+# whose tests share state with background goroutines (about seven minutes
+# on two cores).
+flake:
+	$(GO) test -race -count=20 ./internal/server/... ./internal/store/... ./internal/keyword/... ./internal/explore/...
 
 # Coverage gate for the HTTP server subsystem and the metrics registry it
 # exposes (the CI threshold applies to the combined profile).

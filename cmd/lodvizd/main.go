@@ -74,9 +74,10 @@
 // peer is down.
 //
 // Repeated identical exploration requests are served from a sharded LRU
-// cache keyed by the normalized request and the store's content generation;
-// any write (POST /triples) advances the generation and thereby invalidates
-// every cached response at once.
+// cache keyed by the normalized request. Each entry remembers what its
+// computation read; after a write (POST /triples, a SPARQL update) an
+// entry is checked against the store's change log when it is next asked
+// for, and only the responses the write could have changed are rebuilt.
 //
 // With -snapshot, writes ingested over HTTP survive restarts: the server
 // persists a checksummed binary snapshot (dictionary + sorted SPO index)

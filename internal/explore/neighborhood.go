@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 
 	"github.com/lodviz/lodviz/internal/rdf"
@@ -42,6 +43,8 @@ type Neighborhood struct {
 	// Nodes holds the start term first, then every other reached node in
 	// ascending dictionary-ID order.
 	Nodes []rdf.Term
+	// IDs are the dictionary IDs of Nodes, index for index.
+	IDs   []store.ID
 	Edges []NeighborEdge
 	// Coverage is the minimum fraction of adjacent statements expanded at
 	// any visited node: 1 for exhaustive traversals, lower when sampling
@@ -50,6 +53,17 @@ type Neighborhood struct {
 	Coverage float64
 	// Sampled reports whether any node was expanded through a reservoir.
 	Sampled bool
+}
+
+// Footprint returns what finding the neighborhood read: statements whose
+// subject or object is a reached node. The traversal expands reached nodes
+// only, in both directions, and the edges it reports join two of them, so a
+// triple with neither end in the set was never looked at and would not be
+// if the traversal ran again.
+func (nb *Neighborhood) Footprint() store.Footprint {
+	nodes := slices.Clone(nb.IDs)
+	slices.Sort(nodes)
+	return store.Footprint{Nodes: nodes}
 }
 
 type edgeRec struct {
@@ -202,6 +216,7 @@ func FindNeighborhood(ctx context.Context, src Source, start rdf.Term, opt Neigh
 	terms := src.Terms(append(append([]store.ID{}, nodeIDs...), predIDs...))
 	nb := &Neighborhood{
 		Nodes:    terms[:len(nodeIDs)],
+		IDs:      nodeIDs,
 		Edges:    make([]NeighborEdge, 0, len(edges)),
 		Coverage: coverage,
 		Sampled:  sampled,

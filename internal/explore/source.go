@@ -19,7 +19,7 @@ import (
 // *store.Store satisfies it; tests wrap it to gate or instrument scans.
 type Source interface {
 	// Generation identifies the store content; any effective write advances
-	// it. Exploration caches key final answers by it.
+	// it. Exploration caches file final answers under it.
 	Generation() uint64
 	// LayoutEpoch identifies the physical index layout; compactions advance
 	// it and invalidate positional cursors held across pages.

@@ -56,6 +56,9 @@ type Session struct {
 	src explore.Source
 	// base is the sorted, distinct dictionary-ID entity set.
 	base []store.ID
+	// typeID is rdf:type's ID when base is exactly the typed subjects, 0
+	// when it is anything else (all subjects, an explicit set).
+	typeID store.ID
 	// extra holds base terms missing from the dictionary (an explicit
 	// NewSessionOver set may mention entities with no statements); they
 	// match only while no filter is active, like the old term-space
@@ -70,22 +73,44 @@ type Session struct {
 // the dataset declares no types, all subjects become the base set. The base
 // collection scan honors ctx; a cancelled context aborts with its error.
 func NewSessionCtx(ctx context.Context, src explore.Source) (*Session, error) {
-	var base []store.ID
 	if typeID, ok := src.LookupTermID(rdf.RDFType); ok {
-		b, err := distinctSubjects(ctx, src, typeID)
+		base, err := distinctSubjects(ctx, src, typeID)
 		if err != nil {
 			return nil, err
 		}
-		base = b
+		if len(base) > 0 {
+			return &Session{src: src, base: base, typeID: typeID}, nil
+		}
 	}
-	if len(base) == 0 {
-		b, err := distinctSubjects(ctx, src, 0)
-		if err != nil {
-			return nil, err
-		}
-		base = b
+	base, err := distinctSubjects(ctx, src, 0)
+	if err != nil {
+		return nil, err
 	}
 	return &Session{src: src, base: base}, nil
+}
+
+// Footprint returns what the session's counts and distributions read under
+// its current filters. The entity set is "typed subjects carrying every
+// filter pair", and the distributions are over all statements of those
+// subjects — store.Footprint's Entities rule, with rdf:type (any class) and
+// the filter pairs as masks. The whole store is returned when the base is
+// not the typed subjects, or when a filter names a term the dictionary does
+// not hold (nothing matches now; a write may change that, under an ID not
+// yet assigned).
+func (s *Session) Footprint() store.Footprint {
+	if s.typeID == 0 {
+		return store.Footprint{}
+	}
+	masks := []store.IDTriple{{P: s.typeID}}
+	for _, f := range s.filters {
+		pid, okP := s.src.LookupTermID(f.Predicate)
+		vid, okV := s.src.LookupTermID(f.Value)
+		if !okP || !okV {
+			return store.Footprint{}
+		}
+		masks = append(masks, store.IDTriple{P: pid, O: vid})
+	}
+	return store.Footprint{Entities: masks}
 }
 
 // NewSession is NewSessionCtx without cancellation, for callers with no

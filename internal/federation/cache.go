@@ -11,10 +11,10 @@ import (
 )
 
 // The remote-result cache differs from the server's response cache in one
-// fundamental way: local responses are keyed by the store generation, which
-// a write advances, so invalidation is exact. Remote data has no generation
-// we can observe — so entries instead carry a TTL and staleness is bounded
-// by time. Keys are (endpoint, subquery text); the bind-join executor
+// fundamental way: local responses are checked against the store's change
+// log, which records every write, so a stale body is never served. Remote
+// data has no log we can observe — so entries instead carry a TTL and
+// staleness is bounded by time. Keys are (endpoint, subquery text); the bind-join executor
 // generates canonical subquery text, so identical SERVICE work hits
 // identical keys.
 

@@ -1,16 +1,16 @@
 // Package cache implements the sharded LRU response cache behind the lodviz
-// HTTP server. Keys are opaque strings that embed the store generation (see
-// store.Generation), so a write to the store changes every key and instantly
-// orphans all older entries — invalidation needs no coordination with
-// writers. An orphan can never hit again, but left to the LRU it would hold
-// its body until a full cache of newer entries pushed it out; the server
-// instead calls Purge when it first builds a key at a new generation, which
-// is counted apart from capacity evictions.
+// HTTP server. Keys are opaque strings naming a request; an Entry is a view
+// of the store, carrying the store generation it was computed at and the
+// footprint of what computing it read. A write does nothing to the cache.
+// The next Lookup of an entry older than the store asks its caller whether
+// the changes since touched the footprint: untouched, the entry is carried
+// forward to the current generation and served; touched, it is dropped and
+// the lookup is a miss. An entry nobody asks for again is never examined,
+// and leaves by the LRU.
 //
 // The cache is sharded to keep lock contention off the serving hot path: a
 // key is hashed to one of the shards and all list/map operations touch only
-// that shard's mutex. Hit/miss/eviction/purge counters are process-wide
-// atomics.
+// that shard's mutex. Hit/miss/eviction counters are process-wide atomics.
 package cache
 
 import (
@@ -18,6 +18,8 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
+
+	"github.com/lodviz/lodviz/internal/store"
 )
 
 // numShards is the shard count. A modest power of two: enough to spread a
@@ -40,16 +42,21 @@ type Entry struct {
 	ContentType string
 	// Status is the HTTP status the entry was stored with.
 	Status int
+	// Gen is a store generation the body is known to be right for: the one
+	// read before it was computed, moved forward by each Lookup that found
+	// the footprint untouched.
+	Gen uint64
+	// Footprint is what computing the body read; the zero value is the
+	// whole store.
+	Footprint store.Footprint
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.
 type Stats struct {
 	Hits   uint64
 	Misses uint64
-	// Evictions counts entries the LRU pushed out for lack of room, Purged
-	// the entries Purge dropped.
+	// Evictions counts entries the LRU pushed out for lack of room.
 	Evictions uint64
-	Purged    uint64
 	Entries   int
 	Capacity  int
 }
@@ -62,7 +69,6 @@ type Cache struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-	purged    atomic.Uint64
 }
 
 type shard struct {
@@ -117,6 +123,68 @@ func (c *Cache) Get(key string) (Entry, bool) {
 	return e, true
 }
 
+// Lookup is Get for a reader at store generation gen. An entry computed at
+// gen or later is a hit. An older one is handed to unchanged — called with
+// no lock held — which reports whether the body is still what a fresh
+// computation would give at gen: if so the entry is carried forward to gen
+// and is a hit, if not it is dropped and the lookup is a miss.
+func (c *Cache) Lookup(key string, gen uint64, unchanged func(Entry, uint64) bool) (Entry, bool) {
+	e, ok := c.lookup(key, gen, unchanged, true)
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return e, ok
+}
+
+// Holds reports whether Lookup would hit, carrying the entry forward or
+// dropping it just the same, but counts nothing and leaves recency alone:
+// for asking about a view on nobody's behalf.
+func (c *Cache) Holds(key string, gen uint64, unchanged func(Entry, uint64) bool) bool {
+	_, ok := c.lookup(key, gen, unchanged, false)
+	return ok
+}
+
+func (c *Cache) lookup(key string, gen uint64, unchanged func(Entry, uint64) bool, use bool) (Entry, bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	el, ok := s.items[key]
+	if !ok {
+		s.mu.Unlock()
+		return Entry{}, false
+	}
+	e := el.Value.(*cacheItem).entry
+	if e.Gen >= gen {
+		if use {
+			s.ll.MoveToFront(el)
+		}
+		s.mu.Unlock()
+		return e, true
+	}
+	s.mu.Unlock()
+	valid := unchanged(e, gen)
+	s.mu.Lock()
+	// Act on the entry that was judged; one stored meanwhile is left alone.
+	if el, ok := s.items[key]; ok && el.Value.(*cacheItem).entry.Gen == e.Gen {
+		if !valid {
+			s.ll.Remove(el)
+			delete(s.items, key)
+		} else {
+			el.Value.(*cacheItem).entry.Gen = gen
+			if use {
+				s.ll.MoveToFront(el)
+			}
+		}
+	}
+	s.mu.Unlock()
+	if !valid {
+		return Entry{}, false
+	}
+	e.Gen = gen
+	return e, true
+}
+
 // Put stores the entry under key, evicting least-recently-used entries from
 // the key's shard as needed. Storing an existing key replaces its entry and
 // refreshes its recency.
@@ -155,25 +223,12 @@ func (c *Cache) Len() int {
 	return n
 }
 
-// Purge drops every entry, keeping the counters.
-func (c *Cache) Purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		c.purged.Add(uint64(s.ll.Len()))
-		s.ll.Init()
-		s.items = make(map[string]*list.Element)
-		s.mu.Unlock()
-	}
-}
-
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Purged:    c.purged.Load(),
 		Entries:   c.Len(),
 		Capacity:  c.capacity,
 	}

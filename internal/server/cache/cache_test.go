@@ -97,24 +97,6 @@ func TestLRURecency(t *testing.T) {
 	}
 }
 
-func TestPurge(t *testing.T) {
-	c := New(16)
-	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("k%d", i), Entry{})
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len = %d after Purge, want 0", c.Len())
-	}
-	if _, ok := c.Get("k3"); ok {
-		t.Fatal("purged entry still readable")
-	}
-	// Purged entries are counted, and not as capacity evictions.
-	if cs := c.Stats(); cs.Purged != 10 || cs.Evictions != 0 {
-		t.Fatalf("Purged = %d, Evictions = %d; want 10, 0", cs.Purged, cs.Evictions)
-	}
-}
-
 func TestDefaultCapacity(t *testing.T) {
 	c := New(0)
 	if c.Stats().Capacity < DefaultCapacity {
@@ -122,8 +104,8 @@ func TestDefaultCapacity(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccess hammers Get/Put/Len/Stats/Purge from many goroutines;
-// run under -race this pins the sharded locking discipline.
+// TestConcurrentAccess hammers Get/Put/Lookup/Holds/Len/Stats from many
+// goroutines; run under -race this pins the sharded locking discipline.
 func TestConcurrentAccess(t *testing.T) {
 	c := New(128)
 	const goroutines = 16
@@ -149,31 +131,88 @@ func TestConcurrentAccess(t *testing.T) {
 			}
 		}(g)
 	}
-	// One goroutine purging concurrently exercises the reset path.
+	// One goroutine looking every key up at ever newer generations
+	// exercises the carry-forward and drop paths against the writers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			c.Purge()
+		for i := 0; i < 2000; i++ {
+			key := fmt.Sprintf("key%d", i%257)
+			gen := uint64(i / 257)
+			keep := func(Entry, uint64) bool { return i%3 != 0 }
+			if i%2 == 0 {
+				c.Lookup(key, gen, keep)
+			} else {
+				c.Holds(key, gen, keep)
+			}
 		}
 	}()
 	wg.Wait()
 }
 
-// TestGenerationKeysDisjoint documents the invalidation contract the server
-// relies on: the same query at two store generations is two distinct keys,
-// so a store write can never serve a pre-write body.
-func TestGenerationKeysDisjoint(t *testing.T) {
+// TestLookupValidates pins the contract the server relies on: an entry as
+// new as the reader is a hit without being judged; an older one is judged
+// once, then either carried forward (a hit, and as new as the reader from
+// then on) or dropped (a miss, and gone).
+func TestLookupValidates(t *testing.T) {
 	c := New(16)
-	key := func(gen uint64) string { return fmt.Sprintf("sparql|SELECT ?s WHERE { ?s ?p ?o }|g%d", gen) }
-	c.Put(key(1), Entry{Body: []byte("old")})
-	if _, ok := c.Get(key(2)); ok {
-		t.Fatal("entry cached at generation 1 answered a generation-2 lookup")
+	judged := 0
+	verdict := true
+	judge := func(e Entry, gen uint64) bool {
+		judged++
+		if e.Gen != 1 || gen != 3 {
+			t.Errorf("judged entry of generation %d for a reader at %d, want 1 and 3", e.Gen, gen)
+		}
+		return verdict
 	}
-	c.Put(key(2), Entry{Body: []byte("new")})
-	got, ok := c.Get(key(2))
-	if !ok || string(got.Body) != "new" {
-		t.Fatalf("generation-2 entry = %q, %v", got.Body, ok)
+	c.Put("k", Entry{Body: []byte("v"), Gen: 1})
+	if e, ok := c.Lookup("k", 1, judge); !ok || judged != 0 || e.Gen != 1 {
+		t.Fatalf("same-generation lookup: ok=%v judged=%d gen=%d", ok, judged, e.Gen)
+	}
+	if e, ok := c.Lookup("k", 3, judge); !ok || judged != 1 || e.Gen != 3 || string(e.Body) != "v" {
+		t.Fatalf("carried-forward lookup: ok=%v judged=%d gen=%d body=%q", ok, judged, e.Gen, e.Body)
+	}
+	if _, ok := c.Lookup("k", 3, judge); !ok || judged != 1 {
+		t.Fatalf("lookup after carrying forward judged again (judged=%d, ok=%v)", judged, ok)
+	}
+	// A reader that loaded an older generation is served the newer entry.
+	if _, ok := c.Lookup("k", 2, judge); !ok || judged != 1 {
+		t.Fatalf("older reader: ok=%v judged=%d", ok, judged)
+	}
+
+	c.Put("d", Entry{Gen: 1})
+	verdict = false
+	if _, ok := c.Lookup("d", 3, judge); ok {
+		t.Fatal("entry judged changed was served")
+	}
+	if _, ok := c.Get("d"); ok {
+		t.Fatal("entry judged changed was kept")
+	}
+	if cs := c.Stats(); cs.Hits != 4 || cs.Misses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 4 and 2 (the failed validation and the Get after it)", cs.Hits, cs.Misses)
+	}
+}
+
+// TestHoldsCountsNothing: Holds judges like Lookup but leaves the counters
+// and the LRU order alone.
+func TestHoldsCountsNothing(t *testing.T) {
+	c := New(numShards) // one entry per shard
+	keep := func(Entry, uint64) bool { return true }
+	c.Put("a", Entry{Gen: 1})
+	if !c.Holds("a", 2, keep) {
+		t.Fatal("Holds rejected an unchanged entry")
+	}
+	if e, _ := c.Get("a"); e.Gen != 2 {
+		t.Fatalf("Holds left the entry at generation %d, want 2", e.Gen)
+	}
+	if c.Holds("a", 3, func(Entry, uint64) bool { return false }) {
+		t.Fatal("Holds accepted a changed entry")
+	}
+	if c.Holds("a", 3, keep) {
+		t.Fatal("the changed entry was kept")
+	}
+	if cs := c.Stats(); cs.Hits != 1 || cs.Misses != 0 {
+		t.Fatalf("hits=%d misses=%d; only the Get may count", cs.Hits, cs.Misses)
 	}
 }
 

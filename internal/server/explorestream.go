@@ -7,8 +7,8 @@ import (
 	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/facet"
 	"github.com/lodviz/lodviz/internal/progressive"
-	"github.com/lodviz/lodviz/internal/server/cache"
 	"github.com/lodviz/lodviz/internal/sparql"
+	"github.com/lodviz/lodviz/internal/store"
 )
 
 // exploreSrc is the ID-space source exploration endpoints scan: the store,
@@ -88,17 +88,13 @@ func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	gen := s.generation()
+	gen := s.st.Generation() // before the scan, as serveCached reads it
 	line := streamLiner(w)
 
-	sess, err := facet.NewSessionCtx(ctx, s.exploreSrc())
+	sess, err := s.facetSession(ctx, max, filters)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
-	}
-	sess.MaxValuesPerFacet = max
-	for _, f := range filters {
-		sess.Apply(f)
 	}
 	lines := 0
 	count, fs, err := sess.Stream(ctx, 0, 1, func(b facet.Batch) bool {
@@ -141,7 +137,7 @@ func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 	resp := encodeFacetsResponse(count, fs)
 	// Publish before the trailer: a client that reads done and at once asks
 	// the buffered endpoint for the same view must find the entry.
-	s.fillCache(s.facetsKey(max, rawFilters, gen), gen, resp)
+	s.fillCache(s.facetsKey(max, rawFilters), gen, sess.Footprint(), resp)
 	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: resp}) {
 		markStream(w, lines+1, true)
 	} else {
@@ -176,7 +172,7 @@ type classEstimateJSON struct {
 func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	gen := s.generation()
+	gen := s.st.Generation()
 	line := streamLiner(w)
 
 	lines := 0
@@ -218,7 +214,7 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := encodeStatsResponse(stats)
-	s.fillCache(s.statsKey(gen), gen, resp) // before the trailer, as above
+	s.fillCache(statsKey, gen, wholeStore, resp) // before the trailer, as above
 	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: resp}) {
 		markStream(w, lines+1, true)
 	} else {
@@ -227,16 +223,16 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // fillCache publishes a completed scan's exact result under the buffered
-// endpoint's cache key, provided the generation is still current — a stream
-// that raced a write must not cache a stale answer under the new key's
-// generation namespace (the key embeds gen, so this is belt and braces).
-func (s *Server) fillCache(key string, gen uint64, resp any) {
-	if s.cache == nil || s.st.Generation() != gen {
+// endpoint's cache key, as computed from generation gen on (read before the
+// scan): a stream that raced a write is found out like any other entry,
+// when it is next looked up. A result that read the whole store and has
+// been raced already is not worth encoding.
+func (s *Server) fillCache(key string, gen uint64, reads store.Footprint, resp any) {
+	if s.cache == nil || reads.Whole() && s.st.Generation() != gen {
 		return
 	}
-	body, ct, status := mustJSON(resp)
-	if status == http.StatusOK {
-		s.cache.Put(key, cache.Entry{Body: body, ETag: etagFor(body), ContentType: ct, Status: status})
+	if res := jsonResult(resp, reads); res.status == http.StatusOK {
+		s.cache.Put(key, res.entry(gen))
 		s.met.cacheFills.Inc()
 	}
 }

@@ -118,7 +118,7 @@ func TestSearchEndpoint(t *testing.T) {
 		t.Errorf("top hit score = %v", doc.Hits[0].Score)
 	}
 
-	// Repeat request is a cache hit (the index is generation-keyed).
+	// Repeat request is a cache hit (nothing was written in between).
 	resp = getJSON(t, ts.URL+"/search?q=athens", &doc)
 	if got := resp.Header.Get("X-Cache"); got != "HIT" {
 		t.Errorf("X-Cache on repeat = %q, want HIT", got)

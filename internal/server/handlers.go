@@ -20,7 +20,6 @@ import (
 	"github.com/lodviz/lodviz/internal/federation"
 	"github.com/lodviz/lodviz/internal/ntriples"
 	"github.com/lodviz/lodviz/internal/rdf"
-	"github.com/lodviz/lodviz/internal/server/cache"
 	"github.com/lodviz/lodviz/internal/sparql"
 	"github.com/lodviz/lodviz/internal/store"
 )
@@ -37,11 +36,11 @@ const maxIngestBytes = 64 << 20
 // application/sparql-query; results are SPARQL JSON. An update arrives only
 // by POST — as an `update` form field or a raw application/sparql-update
 // body — and is dispatched to handleUpdate. Query responses are cached
-// under the whitespace/comment-normalized query text plus the store
-// generation — except queries with a SERVICE clause, whose results depend
-// on remote data the local generation cannot see; those bypass the response
-// cache and rely on the federation layer's TTL-bounded remote-result cache
-// instead.
+// under the whitespace/comment-normalized query text, with the query's
+// triple patterns as their footprint — except queries with a SERVICE
+// clause, whose results depend on remote data no local change log can see;
+// those bypass the response cache and rely on the federation layer's
+// TTL-bounded remote-result cache instead.
 func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	q, isUpdate, errStatus, errMsg := sparqlRequestText(r)
 	if errStatus != 0 {
@@ -57,7 +56,9 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	// evaluation that just ran, and a cached body would carry none.
 	explainReq := r.URL.Query().Get("explain") == "1"
 	norm := NormalizeQuery(q)
-	build := func() ([]byte, string, int) {
+	// The query is parsed here, on a miss, rather than inside the engine:
+	// the syntax tree is also what names the entry's footprint.
+	build := func() result {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
 		var tr *explain.Trace
@@ -65,34 +66,39 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 			tr = explain.NewTrace()
 		}
 		start := time.Now()
-		res, err := sparql.ExecCtx(ctx, s.querySource(), q, sparql.Options{
-			Parallelism: s.cfg.Parallelism, Service: s.mesh,
-			Metrics: s.engineMet, Trace: tr,
-		})
+		parsed, err := sparql.Parse(q)
+		if tr != nil {
+			tr.Add(nil, "parse").Set("", "", 0, 0, start)
+		}
+		var res *sparql.Results
+		if err == nil {
+			res, err = sparql.EvalCtx(ctx, s.querySource(), parsed, sparql.Options{
+				Parallelism: s.cfg.Parallelism, Service: s.mesh,
+				Metrics: s.engineMet, Trace: tr,
+			})
+		}
 		tr.Finish()
 		if err != nil {
 			s.noteSlowQuery(q, time.Since(start), 0, tr)
-			status, msg := queryError(err)
-			return errorJSON(msg), "application/json", status
+			return errorResult(queryError(err))
 		}
 		s.noteSlowQuery(q, time.Since(start), len(res.Rows), tr)
 		body, err := res.JSON()
 		if err != nil {
-			return errorJSON("encoding results: " + err.Error()), "application/json", http.StatusInternalServerError
+			return errorResult(http.StatusInternalServerError, "encoding results: "+err.Error())
 		}
 		if explainReq {
 			if body, err = spliceExplain(body, tr); err != nil {
-				return errorJSON("encoding trace: " + err.Error()), "application/json", http.StatusInternalServerError
+				return errorResult(http.StatusInternalServerError, "encoding trace: "+err.Error())
 			}
 		}
-		return body, sparql.JSONContentType, http.StatusOK
+		return result{body: body, contentType: sparql.JSONContentType, status: http.StatusOK, reads: parsed.Footprint(s.st)}
 	}
 	if explainReq || queryUsesService(norm, q) {
 		s.serveUncached(w, r, build)
 		return
 	}
-	key := fmt.Sprintf("sparql|%s|g%d", norm, s.generation())
-	s.serveCached(w, r, key, build)
+	s.serveCached(w, r, "sparql|"+norm, build)
 }
 
 // spliceExplain adds an "explain" member carrying the trace to a SPARQL
@@ -218,8 +224,9 @@ type updateResponse struct {
 // unauthenticated server must not honor for writes. Mirroring writeRoute's
 // policy on POST /triples, any update bearing an Origin header is refused
 // before execution: browser UIs read cross-origin, writes stay same-origin
-// (or non-browser). Cache invalidation is free: every response cache key
-// embeds the store generation, which an effective update advances.
+// (or non-browser). Nothing is done about the response cache here: an
+// effective update advances the store generation and is logged, and each
+// cached entry is checked against the log when it is next asked for.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, text string) {
 	if r.Header.Get("Origin") != "" {
 		writeError(w, http.StatusForbidden, "cross-origin SPARQL updates are not allowed")
@@ -272,11 +279,6 @@ func (s *Server) handleLedgerProof(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, proof)
 }
 
-func errorJSON(msg string) []byte {
-	b, _ := json.Marshal(errorBody{Error: msg})
-	return b
-}
-
 // facetsResponse is the /facets JSON shape.
 type facetsResponse struct {
 	Count  int         `json:"count"`
@@ -326,31 +328,40 @@ func (s *Server) facetParams(r *http.Request) (max int, filters []facet.Filter, 
 // facetsKey is the canonical facet cache key: defaulted max and sorted
 // filters, so /facets, /facets?max=<default>, and a completed
 // /facets/stream all land on the same entry.
-func (s *Server) facetsKey(max int, rawFilters []string, gen uint64) string {
-	return fmt.Sprintf("facets|m%d|%s|g%d", max, strings.Join(rawFilters, "\x00"), gen)
+func (s *Server) facetsKey(max int, rawFilters []string) string {
+	return fmt.Sprintf("facets|m%d|%s", max, strings.Join(rawFilters, "\x00"))
 }
 
-// buildFacetsResponse runs the ID-space facet computation; shared by the
-// buffered handler, the streaming handler's exact final batch, and warm
-// jobs, so all three produce byte-identical JSON.
-func (s *Server) buildFacetsResponse(ctx context.Context, max int, filters []facet.Filter) (facetsResponse, error) {
+// facetSession opens a facet session with the request's cap and filters.
+func (s *Server) facetSession(ctx context.Context, max int, filters []facet.Filter) (*facet.Session, error) {
 	sess, err := facet.NewSessionCtx(ctx, s.exploreSrc())
 	if err != nil {
-		return facetsResponse{}, err
+		return nil, err
 	}
 	sess.MaxValuesPerFacet = max
 	for _, f := range filters {
 		sess.Apply(f)
 	}
+	return sess, nil
+}
+
+// buildFacets runs the ID-space facet computation; shared by the buffered
+// handler and warm jobs (the streaming handler's exact final batch goes
+// through the same encoder), so all three produce byte-identical JSON.
+func (s *Server) buildFacets(ctx context.Context, max int, filters []facet.Filter) result {
+	sess, err := s.facetSession(ctx, max, filters)
+	if err != nil {
+		return errorResult(queryError(err))
+	}
 	count, err := sess.CountCtx(ctx)
 	if err != nil {
-		return facetsResponse{}, err
+		return errorResult(queryError(err))
 	}
 	fs, err := sess.FacetsCtx(ctx)
 	if err != nil {
-		return facetsResponse{}, err
+		return errorResult(queryError(err))
 	}
-	return encodeFacetsResponse(count, fs), nil
+	return jsonResult(encodeFacetsResponse(count, fs), sess.Footprint())
 }
 
 func encodeFacetsResponse(count int, fs []facet.Facet) facetsResponse {
@@ -375,15 +386,10 @@ func (s *Server) handleFacets(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus, errMsg)
 		return
 	}
-	s.serveCached(w, r, s.facetsKey(max, rawFilters, s.generation()), func() ([]byte, string, int) {
+	s.serveCached(w, r, s.facetsKey(max, rawFilters), func() result {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
-		resp, err := s.buildFacetsResponse(ctx, max, filters)
-		if err != nil {
-			status, msg := queryError(err)
-			return errorJSON(msg), "application/json", status
-		}
-		return mustJSON(resp)
+		return s.buildFacets(ctx, max, filters)
 	})
 	s.warmFacetAncestors(max, filters, rawFilters)
 }
@@ -391,40 +397,48 @@ func (s *Server) handleFacets(w http.ResponseWriter, r *http.Request) {
 // warmFacetAncestors schedules background builds of the filter-prefix views
 // of a just-served facet request: a browsing session that drilled down is
 // one click from zooming back out, so those responses are built off the
-// request path and put in the response cache. Jobs are deduplicated by
-// target key (which embeds the generation), bounded by a small semaphore,
-// and re-check the generation before publishing so a stale answer is never
-// cached.
+// request path and put in the response cache. A view that is cached and
+// still valid is left alone — which, entries surviving unrelated writes, is
+// the usual case — as is one whose job is already queued or running. Jobs
+// are bounded by a small semaphore and take their turn on the key like any
+// request, so a view is never built twice at once.
 func (s *Server) warmFacetAncestors(max int, filters []facet.Filter, rawFilters []string) {
-	if s.warmSeen == nil || len(filters) == 0 {
+	if s.warmSem == nil || len(filters) == 0 {
 		return
 	}
-	gen := s.generation()
+	gen := s.st.Generation()
 	for i := len(filters) - 1; i >= 0; i-- {
-		key := s.facetsKey(max, rawFilters[:i], gen)
-		if s.warmSeen.Contains(key) {
+		key := s.facetsKey(max, rawFilters[:i])
+		if s.cache.Holds(key, gen, s.changes.unchanged) {
 			continue
 		}
-		s.warmSeen.Put(key, struct{}{})
+		if _, first := s.warming.join(key); !first {
+			continue
+		}
 		prefix := filters[:i]
-		go func(key string, prefix []facet.Filter) {
+		go func() {
+			defer s.warming.leave(key)
 			s.warmSem <- struct{}{}
 			defer func() { <-s.warmSem }()
-			// Warm jobs deliberately outlive the request that spawned
-			// them; their lifetime is the query timeout, not the request.
-			//lint:allow ctxflow detached cache-warm job: bounded by QueryTimeout, must survive the originating request
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.QueryTimeout)
-			defer cancel()
-			resp, err := s.buildFacetsResponse(ctx, max, prefix)
-			if err == nil && s.st.Generation() == gen {
-				if body, ct, status := mustJSON(resp); status == http.StatusOK {
-					s.cache.Put(key, cache.Entry{Body: body, ETag: etagFor(body), ContentType: ct, Status: status})
-				}
+			gen := s.st.Generation()
+			if s.cache.Holds(key, gen, s.changes.unchanged) {
+				return
 			}
-			if s.warmHook != nil {
+			if _, leader := s.builds.join(key); !leader {
+				return // a request is building it
+			}
+			e := s.buildAndCache(key, gen, func() result {
+				// Warm jobs deliberately outlive the request that spawned
+				// them; their lifetime is the query timeout, not the request.
+				//lint:allow ctxflow detached cache-warm job: bounded by QueryTimeout, must survive the originating request
+				ctx, cancel := context.WithTimeout(context.Background(), s.cfg.QueryTimeout)
+				defer cancel()
+				return s.buildFacets(ctx, max, prefix)
+			})
+			if e.Status == http.StatusOK && s.warmHook != nil {
 				s.warmHook(key)
 			}
-		}(key, prefix)
+		}()
 	}
 }
 
@@ -491,18 +505,17 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.serveCached(w, r, s.cacheKey(r), func() ([]byte, string, int) {
+	s.serveCached(w, r, s.cacheKey(r), func() result {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
 		nb, err := explore.FindNeighborhood(ctx, s.exploreSrc(), term, explore.NeighborhoodOptions{
 			Hops: hops, Sample: sample, Seed: seed,
 		})
 		if errors.Is(err, explore.ErrNodeNotFound) {
-			return errorJSON("node not found: " + term.String()), "application/json", http.StatusNotFound
+			return errorResult(http.StatusNotFound, "node not found: "+term.String())
 		}
 		if err != nil {
-			status, msg := queryError(err)
-			return errorJSON(msg), "application/json", status
+			return errorResult(queryError(err))
 		}
 		resp := neighborhoodResponse{
 			Node: term.String(), Hops: hops, Edges: []edgeJSON{},
@@ -517,7 +530,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		for _, e := range nb.Edges {
 			resp.Edges = append(resp.Edges, edgeJSON{From: e.From, To: e.To, Label: string(e.Pred)})
 		}
-		return mustJSON(resp)
+		return jsonResult(resp, nb.Footprint())
 	})
 }
 
@@ -544,6 +557,8 @@ type hetreeNodeJSON struct {
 
 // handleHETree serves the multilevel numeric overview (prop=<IRI>,
 // budget=<maxNodes>, default 64): the widest tree level that fits the budget.
+// The tree is built from the statements of prop and nothing else, which is
+// the entry's footprint.
 func (s *Server) handleHETree(w http.ResponseWriter, r *http.Request) {
 	propParam := r.URL.Query().Get("prop")
 	if propParam == "" {
@@ -560,16 +575,15 @@ func (s *Server) handleHETree(w http.ResponseWriter, r *http.Request) {
 		budget = n
 	}
 	prop := rdf.IRI(strings.Trim(propParam, "<>"))
-	s.serveCached(w, r, s.cacheKey(r), func() ([]byte, string, int) {
+	s.serveCached(w, r, s.cacheKey(r), func() result {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
 		tree, err := core.NewExplorer(s.st, core.DefaultPreferences()).NumericHierarchyCtx(ctx, prop)
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			status, msg := queryError(err)
-			return errorJSON(msg), "application/json", status
+			return errorResult(queryError(err))
 		}
 		if err != nil {
-			return errorJSON(err.Error()), "application/json", http.StatusNotFound
+			return errorResult(http.StatusNotFound, err.Error())
 		}
 		resp := hetreeResponse{
 			Property: string(prop),
@@ -584,7 +598,11 @@ func (s *Server) handleHETree(w http.ResponseWriter, r *http.Request) {
 				Min: n.Min, Max: n.Max, Depth: n.Depth, Leaf: n.IsLeaf(),
 			})
 		}
-		return mustJSON(resp)
+		var reads store.Footprint
+		if pid, ok := s.st.LookupTermID(prop); ok {
+			reads.Patterns = []store.IDTriple{{P: pid}}
+		}
+		return jsonResult(resp, reads)
 	})
 }
 
@@ -611,9 +629,12 @@ type classStatJSON struct {
 
 // statsKey is the canonical /stats cache key; the completed streaming
 // endpoint fills the same entry.
-func (s *Server) statsKey(gen uint64) string {
-	return fmt.Sprintf("stats|g%d", gen)
-}
+const statsKey = "stats"
+
+// wholeStore is the footprint of a response that any write may change: the
+// totals of /stats, and the rankings of /search and /complete, whose weights
+// move with every document. Such an entry lasts one generation.
+var wholeStore = store.Footprint{}
 
 // encodeStatsResponse converts store.Stats to the /stats JSON shape; shared
 // by the buffered handler and the streaming handler's exact final batch so
@@ -648,8 +669,8 @@ func encodeStatsResponse(stats store.Stats) statsResponse {
 
 // handleStats serves the dataset summary (LODeX-style source statistics).
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, s.statsKey(s.generation()), func() ([]byte, string, int) {
-		return mustJSON(encodeStatsResponse(s.st.ComputeStats()))
+	s.serveCached(w, r, statsKey, func() result {
+		return jsonResult(encodeStatsResponse(s.st.ComputeStats()), wholeStore)
 	})
 }
 
@@ -735,7 +756,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.serveCached(w, r, s.cacheKey(r), func() ([]byte, string, int) {
+	s.serveCached(w, r, s.cacheKey(r), func() result {
 		resp := searchResponse{Query: q, Hits: []searchHitJSON{}}
 		for _, h := range s.kw.Search(q, limit) {
 			resp.Hits = append(resp.Hits, searchHitJSON{
@@ -744,7 +765,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				Snippet: h.Snippet,
 			})
 		}
-		return mustJSON(resp)
+		return jsonResult(resp, wholeStore)
 	})
 }
 
@@ -767,12 +788,12 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.serveCached(w, r, s.cacheKey(r), func() ([]byte, string, int) {
+	s.serveCached(w, r, s.cacheKey(r), func() result {
 		comps := s.kw.Complete(prefix, limit)
 		if comps == nil {
 			comps = []string{}
 		}
-		return mustJSON(completeResponse{Prefix: prefix, Completions: comps})
+		return jsonResult(completeResponse{Prefix: prefix, Completions: comps}, wholeStore)
 	})
 }
 
@@ -922,12 +943,4 @@ func parseTermParam(s string) (rdf.Term, error) {
 	default:
 		return rdf.NewLiteral(s), nil
 	}
-}
-
-func mustJSON(v any) ([]byte, string, int) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return errorJSON("encoding response: " + err.Error()), "application/json", http.StatusInternalServerError
-	}
-	return b, "application/json", http.StatusOK
 }

@@ -29,19 +29,27 @@ type serverMetrics struct {
 	// queries over Config.SlowQueryThreshold.
 	cacheFills  *obs.Counter
 	slowQueries *obs.Counter
+	// cacheRevalidated counts cache entries carried across a store
+	// generation at lookup, cacheInvalidated those dropped there, by cause
+	// ("footprint": a write since touched what the entry read; "log": the
+	// change log no longer covers the span).
+	cacheRevalidated *obs.Counter
+	cacheInvalidated *obs.CounterVec
 }
 
 func newServerMetrics(r *obs.Registry) *serverMetrics {
 	return &serverMetrics{
-		requests:    r.CounterVec("lodviz_http_requests_total", "Finished HTTP requests.", "route", "method", "class"),
-		latency:     r.HistogramVec("lodviz_http_request_seconds", "HTTP request latency in seconds.", obs.DefBuckets, "route"),
-		bytes:       r.CounterVec("lodviz_http_response_bytes_total", "HTTP response body bytes written.", "route"),
-		inFlight:    r.Gauge("lodviz_http_in_flight_requests", "Requests currently holding a concurrency slot."),
-		shed:        r.CounterVec("lodviz_http_shed_total", "Requests shed with 429 at the concurrency limiter.", "route"),
-		streams:     r.CounterVec("lodviz_http_streams_total", "NDJSON streams by outcome (completed or aborted).", "route", "outcome"),
-		streamRows:  r.CounterVec("lodviz_http_stream_rows_total", "NDJSON lines delivered by streaming endpoints.", "route"),
-		cacheFills:  r.Counter("lodviz_cache_fill_from_stream_total", "Response-cache entries filled by completed streams."),
-		slowQueries: r.Counter("lodviz_slow_queries_total", "Queries slower than the slow-query threshold."),
+		requests:         r.CounterVec("lodviz_http_requests_total", "Finished HTTP requests.", "route", "method", "class"),
+		latency:          r.HistogramVec("lodviz_http_request_seconds", "HTTP request latency in seconds.", obs.DefBuckets, "route"),
+		bytes:            r.CounterVec("lodviz_http_response_bytes_total", "HTTP response body bytes written.", "route"),
+		inFlight:         r.Gauge("lodviz_http_in_flight_requests", "Requests currently holding a concurrency slot."),
+		shed:             r.CounterVec("lodviz_http_shed_total", "Requests shed with 429 at the concurrency limiter.", "route"),
+		streams:          r.CounterVec("lodviz_http_streams_total", "NDJSON streams by outcome (completed or aborted).", "route", "outcome"),
+		streamRows:       r.CounterVec("lodviz_http_stream_rows_total", "NDJSON lines delivered by streaming endpoints.", "route"),
+		cacheFills:       r.Counter("lodviz_cache_fill_from_stream_total", "Response-cache entries filled by completed streams."),
+		slowQueries:      r.Counter("lodviz_slow_queries_total", "Queries slower than the slow-query threshold."),
+		cacheRevalidated: r.Counter("lodviz_cache_revalidated_total", "Response-cache entries carried across a store generation: no write since touched their footprint."),
+		cacheInvalidated: r.CounterVec("lodviz_cache_invalidated_total", "Response-cache entries dropped at lookup: a write since touched their footprint, or the change log no longer covers the span.", "cause"),
 	}
 }
 
@@ -72,8 +80,6 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 			func() float64 { return float64(c.Stats().Misses) })
 		r.CounterFunc("lodviz_cache_evictions_total", "Response-cache LRU evictions.",
 			func() float64 { return float64(c.Stats().Evictions) })
-		r.CounterFunc("lodviz_cache_purges_total", "Response-cache entries dropped because a write orphaned their generation.",
-			func() float64 { return float64(c.Stats().Purged) })
 		r.GaugeFunc("lodviz_cache_entries", "Response-cache entries resident.",
 			func() float64 { return float64(c.Stats().Entries) })
 		r.GaugeFunc("lodviz_cache_capacity", "Response-cache entry capacity.",

@@ -95,7 +95,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lodviz_http_streams_total{route="/sparql/stream",outcome="completed"} 1`,
 		"lodviz_store_triples ",
 		"lodviz_cache_hits_total 1",
-		"lodviz_cache_purges_total 0",
+		"lodviz_cache_revalidated_total 0",
+		`lodviz_cache_invalidated_total{cause="footprint"} 0`,
+		`lodviz_cache_invalidated_total{cause="log"} 0`,
 		`lodviz_keyword_refresh_total{mode="incremental"} 0`,
 		`lodviz_keyword_refresh_seconds{mode="rebuild"} 0`,
 		"lodviz_engine_queries_materialized_total",

@@ -11,14 +11,21 @@
 //   - per-endpoint concurrency limits: each route has a fixed budget of
 //     in-flight requests and sheds the excess with 429 + Retry-After, so one
 //     expensive endpoint cannot starve the others;
-//   - a sharded LRU response cache keyed by (normalized request, store
-//     generation): repeated exploration requests are served straight from
-//     memory, and any store write bumps the generation, which orphans every
-//     cached entry at once — exploration workloads are read-heavy bursts
-//     over a slowly changing dataset, exactly the shape this favors. The
-//     first request to build a key at a new generation purges the cache,
-//     so orphans give their memory back at once rather than waiting for a
-//     cache's worth of new entries to push them out;
+//   - a sharded LRU response cache keyed by the normalized request, whose
+//     entries are validated views of the store: each records the store
+//     generation read before it was computed and the footprint of what the
+//     computation read (the query's triple patterns, a facet view's entity
+//     set, a hierarchy's property, a neighborhood's reached nodes). A write
+//     does not touch the cache. The next request for an entry older than
+//     the store checks the footprint against the store's change log
+//     (validate.go): untouched, the entry moves up to the current
+//     generation and is a HIT; touched, or the log no longer covers the
+//     span, it is dropped and rebuilt. So a write costs the readers only
+//     the views it could have changed — exploration is read-heavy bursts
+//     over a slowly changing dataset, and most writes are about something
+//     else than what is on screen. /stats, /search and /complete read the
+//     whole store and so last one generation. Concurrent requests for one
+//     uncached view share a single build;
 //   - strong ETags on cacheable responses with If-None-Match/304 handling,
 //     so clients and proxies revalidate for free;
 //   - per-request timeouts threaded as context cancellation into the SPARQL
@@ -39,7 +46,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/lodviz/lodviz/internal/explore"
@@ -48,7 +54,6 @@ import (
 	"github.com/lodviz/lodviz/internal/keyword"
 	"github.com/lodviz/lodviz/internal/ledger"
 	"github.com/lodviz/lodviz/internal/obs"
-	"github.com/lodviz/lodviz/internal/prefetch"
 	"github.com/lodviz/lodviz/internal/server/cache"
 	"github.com/lodviz/lodviz/internal/sparql"
 	"github.com/lodviz/lodviz/internal/store"
@@ -150,12 +155,14 @@ type Server struct {
 	st    *store.Store
 	cfg   Config
 	cache *cache.Cache // nil when caching is disabled
-	// cacheGen is the newest store generation a cache key was built for;
-	// see generation.
-	cacheGen atomic.Uint64
-	mesh     *federation.Mesh
-	kw       *keyword.Lazy
-	mux      *http.ServeMux
+	// changes tells whether a cached entry survived the writes since it was
+	// computed; builds admits one builder per cache key at a time. Both are
+	// unused when caching is disabled.
+	changes *changeDigests
+	builds  flights
+	mesh    *federation.Mesh
+	kw      *keyword.Lazy
+	mux     *http.ServeMux
 
 	// reg is the metrics registry /metrics serves; met and engineMet are
 	// the HTTP-layer and SPARQL-engine handles registered on it. started
@@ -165,10 +172,10 @@ type Server struct {
 	engineMet *sparql.Metrics
 	started   time.Time
 
-	// warmSeen dedupes facet warm jobs (keyed by target cache key, which
-	// embeds the generation); warmSem bounds concurrent warm builds.
-	warmSeen *prefetch.Cache[string, struct{}]
-	warmSem  chan struct{}
+	// warming holds the facet warm jobs queued or running, by target cache
+	// key; warmSem (nil when warming is off) bounds concurrent warm builds.
+	warming flights
+	warmSem chan struct{}
 
 	// limiterHook, when set by tests, runs while the request holds its
 	// concurrency slot — the deterministic way to saturate an endpoint.
@@ -176,8 +183,8 @@ type Server struct {
 	// streamRowHook, when set by tests, runs after each streamed row is
 	// written and flushed (the argument is the rows-so-far count).
 	streamRowHook func(rows int)
-	// warmHook, when set by tests, runs after a facet warm job finishes
-	// (argument: the cache key it built).
+	// warmHook, when set by tests, runs after a facet warm job has built
+	// and cached a view (argument: its cache key).
 	warmHook func(key string)
 }
 
@@ -186,7 +193,6 @@ func New(st *store.Store, cfg Config) *Server {
 	s := &Server{st: st, cfg: cfg.withDefaults(), started: time.Now()}
 	if cfg.CacheCapacity >= 0 {
 		s.cache = cache.New(cfg.CacheCapacity)
-		s.cacheGen.Store(st.Generation())
 	}
 	s.mesh = s.cfg.Mesh
 	if s.mesh == nil {
@@ -200,7 +206,6 @@ func New(st *store.Store, cfg Config) *Server {
 		s.kw = keyword.NewLazy(st)
 	}
 	if s.cfg.FacetWarming && s.cache != nil {
-		s.warmSeen = prefetch.NewCache[string, struct{}](256, prefetch.LRU)
 		s.warmSem = make(chan struct{}, 2)
 	}
 	s.reg = s.cfg.Metrics
@@ -208,6 +213,9 @@ func New(st *store.Store, cfg Config) *Server {
 		s.reg = obs.NewRegistry()
 	}
 	s.met = newServerMetrics(s.reg)
+	if s.cache != nil {
+		s.changes = newChangeDigests(st, s.met)
+	}
 	s.engineMet = sparql.NewMetrics(s.reg)
 	s.registerCollectors(s.reg)
 	s.mux = http.NewServeMux()
@@ -408,32 +416,87 @@ func etagFor(body []byte) string {
 	return fmt.Sprintf("%q", strconv.FormatUint(h.Sum64(), 16))
 }
 
+// result is what a handler's build step produces: the response, and what
+// computing it read from the store (the zero footprint is the whole store).
+type result struct {
+	body        []byte
+	contentType string
+	status      int
+	reads       store.Footprint
+}
+
+// jsonResult is the 200 response carrying v.
+func jsonResult(v any, reads store.Footprint) result {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return errorResult(http.StatusInternalServerError, "encoding response: "+err.Error())
+	}
+	return result{body: b, contentType: "application/json", status: http.StatusOK, reads: reads}
+}
+
+// errorResult is the JSON error envelope under the given status.
+func errorResult(status int, msg string) result {
+	b, _ := json.Marshal(errorBody{Error: msg})
+	return result{body: b, contentType: "application/json", status: status}
+}
+
+// entry files the result as computed from generation gen on.
+func (res result) entry(gen uint64) cache.Entry {
+	return cache.Entry{
+		Body: res.body, ETag: etagFor(res.body), ContentType: res.contentType, Status: res.status,
+		Gen: gen, Footprint: res.reads,
+	}
+}
+
 // serveCached answers from the response cache under key, or builds the
-// response, caches it if it is a 200, and serves it. ETag/If-None-Match
-// revalidation applies to hits and misses alike; X-Cache reports the
-// disposition.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, build func() (body []byte, contentType string, status int)) {
-	if s.cache != nil {
-		if e, ok := s.cache.Get(key); ok {
+// response, caches it if it is a 200, and serves it. The generation an
+// entry is filed under is read before its build starts, so a write that
+// lands during the build is among those the entry is later checked against.
+// While one request builds a key, others for the same key wait and are
+// served what it cached. ETag/If-None-Match revalidation applies to hits
+// and misses alike; X-Cache reports the disposition.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, build func() result) {
+	if s.cache == nil {
+		serveEntry(w, r, build().entry(0), "MISS")
+		return
+	}
+	for {
+		gen := s.st.Generation()
+		if e, ok := s.cache.Lookup(key, gen, s.changes.unchanged); ok {
 			serveEntry(w, r, e, "HIT")
 			return
 		}
+		wait, leader := s.builds.join(key)
+		if leader {
+			serveEntry(w, r, s.buildAndCache(key, gen, build), "MISS")
+			return
+		}
+		select {
+		case <-wait:
+		case <-r.Context().Done():
+			status, msg := queryError(r.Context().Err())
+			writeError(w, status, msg)
+			return
+		}
 	}
-	body, contentType, status := build()
-	e := cache.Entry{Body: body, ETag: etagFor(body), ContentType: contentType, Status: status}
-	if s.cache != nil && status == http.StatusOK {
+}
+
+// buildAndCache is the leader's turn on key: it builds the response, caches
+// it if it is a 200, and lets the waiters go — also when build panics.
+func (s *Server) buildAndCache(key string, gen uint64, build func() result) cache.Entry {
+	defer s.builds.leave(key)
+	e := build().entry(gen)
+	if e.Status == http.StatusOK {
 		s.cache.Put(key, e)
 	}
-	serveEntry(w, r, e, "MISS")
+	return e
 }
 
 // serveUncached builds and serves a response without consulting or filling
 // the response cache (ETag revalidation still applies). X-Cache reports
 // BYPASS so operators can see which traffic is deliberately uncacheable.
-func (s *Server) serveUncached(w http.ResponseWriter, r *http.Request, build func() (body []byte, contentType string, status int)) {
-	body, contentType, status := build()
-	e := cache.Entry{Body: body, ETag: etagFor(body), ContentType: contentType, Status: status}
-	serveEntry(w, r, e, "BYPASS")
+func (s *Server) serveUncached(w http.ResponseWriter, r *http.Request, build func() result) {
+	serveEntry(w, r, build().entry(0), "BYPASS")
 }
 
 func serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry, disposition string) {
@@ -452,31 +515,15 @@ func serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry, dispositi
 }
 
 // cacheKey builds the cache key for an exploration GET endpoint from its
-// path, its canonicalized query parameters, and the store generation.
-// url.Values.Encode percent-escapes names and values, so two requests whose
-// decoded parameters differ can never collide on a key.
+// path and its canonicalized query parameters. url.Values.Encode
+// percent-escapes names and values, so two requests whose decoded
+// parameters differ can never collide on a key.
 func (s *Server) cacheKey(r *http.Request) string {
 	params := r.URL.Query()
 	for _, vals := range params {
 		sort.Strings(vals)
 	}
-	return fmt.Sprintf("%s?%s|g%d", r.URL.Path, params.Encode(), s.generation())
-}
-
-// generation reads the store generation for a cache key. Keys embed it, so
-// once it has advanced no entry cached so far can hit again: the first
-// reader to see the advance purges them. Noticing costs one atomic load on
-// top of the read every key needs anyway, so the hit path takes no extra
-// lock. An entry a slower in-flight request files under the old generation
-// after the purge is an orphan until the next write.
-func (s *Server) generation() uint64 {
-	gen := s.st.Generation()
-	if s.cache != nil {
-		if seen := s.cacheGen.Load(); gen > seen && s.cacheGen.CompareAndSwap(seen, gen) {
-			s.cache.Purge()
-		}
-	}
-	return gen
+	return r.URL.Path + "?" + params.Encode()
 }
 
 // queryError maps a sparql error to an HTTP status: the caller's syntax

@@ -309,25 +309,41 @@ func TestWriteInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestWriteRefreshesSearchAndPurgesCache follows one write through the two
-// structures that used to pay for it in full: the keyword index picks the
-// written entity up by re-indexing it alone, and the response cache drops
-// the orphaned generation's entries at once instead of letting them age out.
-func TestWriteRefreshesSearchAndPurgesCache(t *testing.T) {
-	s, ts, st := newTestServer(t, Config{})
+// TestWriteRefreshesSearchAndSparesUnrelatedEntries follows one write
+// through the two structures that used to pay for it in full: the keyword
+// index picks the written entity up by re-indexing it alone, and the
+// response cache keeps every entry whose footprint the write did not touch
+// — here a label on an untyped, unlinked subject, which no facet view,
+// hierarchy, neighborhood or City query read. /stats, /search and /complete
+// read the whole store and are rebuilt.
+func TestWriteRefreshesSearchAndSparesUnrelatedEntries(t *testing.T) {
+	s, ts, _ := newTestServer(t, Config{})
 	search := ts.URL + "/search?q=atlantis"
 	var hits searchResponse
 	getJSON(t, search, &hits)
 	if len(hits.Hits) != 0 {
 		t.Fatalf("hits before the write: %+v", hits.Hits)
 	}
-	// A few more entries of the old generation.
-	for _, u := range []string{"/stats", "/facets", "/complete?prefix=a"} {
-		getJSON(t, ts.URL+u, nil)
+	cities := "/sparql?query=" + url.QueryEscape("SELECT ?s WHERE { ?s a <"+exNS+"City> }")
+	kept := []string{
+		"/facets",
+		"/facets?filter=" + url.QueryEscape(exNS+"country=<"+exNS+"greece>"),
+		"/hetree?prop=" + url.QueryEscape(exNS+"population"),
+		"/graph/neighborhood?node=" + url.QueryEscape("<"+exNS+"athens>"),
+		cities,
 	}
-	oldGen := st.Generation()
-	if s.cache.Len() != 4 {
-		t.Fatalf("cache holds %d entries before the write, want 4", s.cache.Len())
+	rebuilt := []string{"/stats", "/complete?prefix=a"}
+	bodies := map[string]string{}
+	for _, u := range append(append([]string{}, kept...), rebuilt...) {
+		resp, body := getBody(t, ts.URL+u)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", u, resp.StatusCode, body)
+		}
+		bodies[u] = string(body)
+	}
+	entries := 1 + len(kept) + len(rebuilt)
+	if s.cache.Len() != entries {
+		t.Fatalf("cache holds %d entries before the write, want %d", s.cache.Len(), entries)
 	}
 	if ks := s.kw.Stats(); ks.Rebuild.Count != 1 || ks.Incremental.Count != 0 {
 		t.Fatalf("before the write: %d rebuilds, %d incremental refreshes; want the initial build only",
@@ -346,7 +362,7 @@ func TestWriteRefreshesSearchAndPurgesCache(t *testing.T) {
 
 	resp := getJSON(t, search, &hits)
 	if got := resp.Header.Get("X-Cache"); got != "MISS" {
-		t.Fatalf("post-write X-Cache = %q, want MISS", got)
+		t.Fatalf("post-write search X-Cache = %q, want MISS", got)
 	}
 	if len(hits.Hits) != 1 || hits.Hits[0].Entity.Value != exNS+"atlantis" {
 		t.Fatalf("hits after the write = %+v, want the written entity", hits.Hits)
@@ -355,16 +371,48 @@ func TestWriteRefreshesSearchAndPurgesCache(t *testing.T) {
 		t.Errorf("after the write: %d rebuilds, %d incremental refreshes; want the write followed incrementally",
 			ks.Rebuild.Count, ks.Incremental.Count)
 	}
-	// Only the response just built is resident: the four entries keyed by
-	// the old generation were purged, and counted as such.
-	if n := s.cache.Len(); n != 1 {
-		t.Errorf("cache holds %d entries after the write, want 1", n)
+	for _, u := range kept {
+		resp, body := getBody(t, ts.URL+u)
+		if got := resp.Header.Get("X-Cache"); got != "HIT" {
+			t.Errorf("%s after an unrelated write: X-Cache = %q, want HIT", u, got)
+		}
+		if string(body) != bodies[u] {
+			t.Errorf("%s: body changed across an unrelated write", u)
+		}
 	}
-	if _, ok := s.cache.Get(s.statsKey(oldGen)); ok {
-		t.Error("an entry of the old generation survived the write")
+	for _, u := range rebuilt {
+		resp, _ := getBody(t, ts.URL+u)
+		if got := resp.Header.Get("X-Cache"); got != "MISS" {
+			t.Errorf("%s after a write: X-Cache = %q, want MISS", u, got)
+		}
 	}
-	if cs := s.cache.Stats(); cs.Purged != 4 || cs.Evictions != 0 {
-		t.Errorf("purged %d, evicted %d; want 4 purged, none evicted", cs.Purged, cs.Evictions)
+	// Nothing was added or lost: the rebuilt views replaced their entries.
+	if n := s.cache.Len(); n != entries {
+		t.Errorf("cache holds %d entries after the write, want %d", n, entries)
+	}
+	if cs := s.cache.Stats(); cs.Evictions != 0 {
+		t.Errorf("%d evictions, want none", cs.Evictions)
+	}
+
+	// A write the City query did read: typing the new subject.
+	nt = "<" + exNS + "atlantis> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <" + exNS + "City> .\n"
+	ing, err = http.Post(ts.URL+"/triples", "application/n-triples", strings.NewReader(nt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing.Body.Close()
+	for _, u := range []string{cities, "/facets"} {
+		resp, body := getBody(t, ts.URL+u)
+		if got := resp.Header.Get("X-Cache"); got != "MISS" {
+			t.Errorf("%s after a write it read: X-Cache = %q, want MISS", u, got)
+		}
+		if string(body) == bodies[u] {
+			t.Errorf("%s: body unchanged by a write it read", u)
+		}
+	}
+	// The hierarchy of another property is none the wiser.
+	if resp, _ := getBody(t, ts.URL+kept[2]); resp.Header.Get("X-Cache") != "HIT" {
+		t.Errorf("%s after a write to another property: X-Cache = %q, want HIT", kept[2], resp.Header.Get("X-Cache"))
 	}
 
 	_, body := getBody(t, ts.URL+"/metrics")
@@ -372,7 +420,12 @@ func TestWriteRefreshesSearchAndPurgesCache(t *testing.T) {
 		`lodviz_keyword_refresh_total{mode="incremental"} 1`,
 		`lodviz_keyword_refresh_total{mode="rebuild"} 1`,
 		`lodviz_keyword_refresh_seconds{mode="incremental"} `,
-		"lodviz_cache_purges_total 4",
+		// Carried across the first write: the five kept views; across the
+		// second: the hierarchy. Dropped: search, stats and complete after
+		// the first write, the City query and the facets after the second.
+		"lodviz_cache_revalidated_total 6",
+		`lodviz_cache_invalidated_total{cause="footprint"} 5`,
+		`lodviz_cache_invalidated_total{cause="log"} 0`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -109,7 +109,7 @@ func TestSPARQLUpdateInvalidatesCache(t *testing.T) {
 
 	resp := getJSON(t, q, &doc)
 	if resp.Header.Get("X-Cache") != "MISS" {
-		t.Fatalf("post-update X-Cache = %q, want MISS (generation must orphan the entry)", resp.Header.Get("X-Cache"))
+		t.Fatalf("post-update X-Cache = %q, want MISS (the insert matches the query's pattern)", resp.Header.Get("X-Cache"))
 	}
 	if len(doc.Results.Bindings) != 1 || doc.Results.Bindings[0]["o"].Value != "now" {
 		t.Fatalf("rows after insert: %+v", doc.Results)

@@ -271,7 +271,7 @@ func collectCertainVars(g *Group, set map[string]bool) {
 
 // HasService reports whether the group contains a SERVICE clause at any
 // nesting depth. The HTTP server uses it to route federated queries past
-// the generation-keyed response cache.
+// the response cache, whose entries answer to the local change log only.
 func HasService(g *Group) bool {
 	for _, el := range g.Elems {
 		switch el := el.(type) {

@@ -104,12 +104,19 @@ func (st *Store) ChangesSince(gen uint64) (changes []Change, now uint64, ok bool
 // hold of the read lock, by one index probe each and a single pass over the
 // delta; the sort happens after the lock is released.
 func (st *Store) Statements(subjects ...ID) []IDTriple {
+	out, _ := st.statementsAt(subjects)
+	return out
+}
+
+// statementsAt is Statements, with the generation the read was made at.
+func (st *Store) statementsAt(subjects []ID) ([]IDTriple, uint64) {
 	var out []IDTriple
 	keep := func(e enc) bool {
 		out = append(out, IDTriple{e.s, e.p, e.o})
 		return true
 	}
 	st.mu.RLock()
+	gen := st.gen
 	if len(subjects) == 0 {
 		out = make([]IDTriple, 0, st.size)
 		st.forEachIDLocked(0, 0, 0, keep)
@@ -140,5 +147,5 @@ func (st *Store) Statements(subjects ...ID) []IDTriple {
 	slices.SortFunc(out, func(a, b IDTriple) int {
 		return cmpSPO(enc{a.S, a.P, a.O}, enc{b.S, b.P, b.O})
 	})
-	return out
+	return out, gen
 }

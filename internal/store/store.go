@@ -204,9 +204,9 @@ func (st *Store) AddAll(triples []rdf.Triple) error {
 // The batch is applied atomically: every triple is validated before the
 // store is touched, so an error means the store — contents, size, and
 // generation — is exactly as it was. A batch that does change the live set
-// advances the generation exactly once, however large it is, so
-// generation-keyed caches are invalidated once per batch rather than once
-// per triple.
+// advances the generation exactly once, however large it is, so whatever
+// follows the generation or the change log sees one change per batch rather
+// than one per triple.
 //
 // Unlike a loop over Add (which pays a lock round-trip and an O(|delta|)
 // duplicate scan per triple), AddBatch interns all terms, sorts and
