@@ -31,7 +31,7 @@ race:
 # whose tests share state with background goroutines (about seven minutes
 # on two cores).
 flake:
-	$(GO) test -race -count=20 ./internal/server/... ./internal/store/... ./internal/keyword/... ./internal/explore/...
+	$(GO) test -race -count=20 ./internal/server/... ./internal/store/... ./internal/keyword/... ./internal/explore/... ./internal/hetree/...
 
 # Coverage gate for the HTTP server subsystem and the metrics registry it
 # exposes (the CI threshold applies to the combined profile).
@@ -71,8 +71,10 @@ bench:
 # One-iteration smoke of the BGP join benchmarks (hash and dictionary-ID
 # executors), the ingestion benchmarks (bulk AddBatch vs the per-triple
 # Add loop at 100k triples), the federation bind-join benchmarks (batched
-# VALUES dispatch vs one-request-per-binding at 1k bindings), and the
-# streaming LIMIT-pushdown pair: verifies the benchmark paths execute,
+# VALUES dispatch vs one-request-per-binding at 1k bindings), the
+# streaming LIMIT-pushdown pair, and the store→hierarchy path (a base
+# collected from scratch, and a cut over a kept one): verifies the
+# benchmark paths execute,
 # without timing noise gating CI. Timing regressions are gated separately
 # by bench-regression against the committed baseline.
 bench-smoke:
@@ -80,6 +82,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite' -benchtime=1x ./internal/store
 	$(GO) test -run='^$$' -bench=BindJoin -benchtime=1x ./internal/federation
 	$(GO) test -run='^$$' -bench=LimitPushdown -benchtime=1x .
+	$(GO) test -run='^$$' -bench='FromSource|LevelOverSharedBase' -benchtime=1x -benchmem ./internal/hetree
 
 # The end-to-end benchmark (bench/e2e) is its own module, which the root
 # `go test ./...` does not see: vet it, run its unit tests, and play every

@@ -73,6 +73,10 @@
 // back in), and SERVICE SILENT degrades to the local partial result when a
 // peer is down.
 //
+// Logs go to stderr as slog text lines, one msg=request line per request.
+// INFO lines are written out in batches (at most 250ms late, see
+// accesslog.go), WARN and ERROR lines at once.
+//
 // Repeated identical exploration requests are served from a sharded LRU
 // cache keyed by the normalized request. Each entry remembers what its
 // computation read; after a write (POST /triples, a SPARQL update) an
@@ -149,7 +153,8 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 0, "log /sparql queries at or over this duration with their execution plan (0 disables)")
 	flag.Parse()
 
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	logger, flushLog := newLogger(os.Stderr)
+	defer flushLog()
 	st, source, err := openStore(*snapshotPath, *data)
 	if err != nil {
 		logger.Error("loading dataset", "err", err)

@@ -36,10 +36,13 @@ func main() {
 	fmt.Println()
 	fmt.Println(lodviz.RenderText(spec))
 
+	// Each hierarchy is a cursor of its own over the property's sorted
+	// values, which the session keeps: the same cut again shows its cost.
 	tree, err := ex.NumericHierarchy(prop)
 	if err != nil {
 		log.Fatal(err)
 	}
+	tree.LevelFor(ex.Preferences().PixelBudget.Width / 4)
 	fmt.Printf("materialized %d tree nodes for 50000 values (incremental construction)\n",
 		tree.MaterializedNodes())
 
@@ -60,7 +63,7 @@ func main() {
 	}
 
 	// Adapt the hierarchy to a new task (coarser groups) — the sorted data
-	// is reused, only the skeleton resets.
+	// is reused, only the skeleton is new.
 	p := ex.Preferences()
 	p.TreeDegree = 8
 	p.LeafCapacity = 512

@@ -67,14 +67,25 @@ func DefaultPreferences() Preferences {
 	}
 }
 
+// HierarchyOptions is the shape of the numeric hierarchies a session with
+// these preferences explores, and the /hetree endpoint serves.
+func (p Preferences) HierarchyOptions() hetree.Options {
+	return hetree.Options{
+		Mode:         hetree.ContentBased,
+		Degree:       p.TreeDegree,
+		LeafCapacity: p.LeafCapacity,
+		Incremental:  true, // the dynamic setting forbids full preprocessing
+	}
+}
+
 // Explorer is a stateful exploration session over one dataset.
 type Explorer struct {
 	st    *store.Store
 	prefs Preferences
 
-	// Lazy indexes.
+	// Lazy indexes, both kept current with the session's own writes.
 	kw    *keyword.Lazy
-	trees map[rdf.IRI]*hetree.Tree
+	bases *hetree.Bases
 }
 
 // NewExplorer starts a session with the given preferences.
@@ -82,7 +93,7 @@ func NewExplorer(st *store.Store, prefs Preferences) *Explorer {
 	if prefs.PixelBudget.Pixels() == 0 {
 		prefs = DefaultPreferences()
 	}
-	return &Explorer{st: st, prefs: prefs, kw: keyword.NewLazy(st), trees: map[rdf.IRI]*hetree.Tree{}}
+	return &Explorer{st: st, prefs: prefs, kw: keyword.NewLazy(st), bases: hetree.NewBases(st, st)}
 }
 
 // Store exposes the underlying triple store.
@@ -91,15 +102,14 @@ func (e *Explorer) Store() *store.Store { return e.st }
 // Preferences returns the session preferences.
 func (e *Explorer) Preferences() Preferences { return e.prefs }
 
-// SetPreferences adapts the session to new preferences; hierarchical trees
-// adapt in place (keeping their sorted data) rather than rebuilding.
+// SetPreferences adapts the session to new preferences. Nothing is rebuilt:
+// a hierarchy is a cursor over its property's sorted values, which are kept,
+// and the next NumericHierarchy starts one of the new shape over them.
 func (e *Explorer) SetPreferences(p Preferences) error {
-	e.prefs = p
-	for _, t := range e.trees {
-		if err := t.Adapt(p.TreeDegree, p.LeafCapacity); err != nil {
-			return fmt.Errorf("core: adapt hierarchy: %w", err)
-		}
+	if err := hetree.CheckShape(p.TreeDegree, p.LeafCapacity); err != nil {
+		return fmt.Errorf("core: adapt hierarchy: %w", err)
 	}
+	e.prefs = p
 	return nil
 }
 
@@ -188,8 +198,11 @@ func (e *Explorer) Details(entity rdf.Term) Details {
 	return d
 }
 
-// NumericHierarchy returns (building on first use, incrementally) the HETree
-// over a numeric or temporal property — the SynopsViz-style multilevel view.
+// NumericHierarchy returns a fresh, incrementally constructed HETree over a
+// numeric or temporal property as the store holds it now — the
+// SynopsViz-style multilevel view. The property's sorted values are
+// collected on first use and kept across calls until a write touches the
+// property; the tree itself is the caller's own.
 func (e *Explorer) NumericHierarchy(prop rdf.IRI) (*hetree.Tree, error) {
 	//lint:allow ctxflow compat wrapper: NumericHierarchyCtx is the cancellable form
 	return e.NumericHierarchyCtx(context.Background(), prop)
@@ -198,22 +211,13 @@ func (e *Explorer) NumericHierarchy(prop rdf.IRI) (*hetree.Tree, error) {
 // NumericHierarchyCtx is NumericHierarchy with cancellation: the underlying
 // ID-space collection honors ctx while grouping large predicate runs.
 func (e *Explorer) NumericHierarchyCtx(ctx context.Context, prop rdf.IRI) (*hetree.Tree, error) {
-	if t, ok := e.trees[prop]; ok {
-		return t, nil
-	}
-	tree, err := hetree.FromSource(ctx, e.st, prop, hetree.Options{
-		Mode:         hetree.ContentBased,
-		Degree:       e.prefs.TreeDegree,
-		LeafCapacity: e.prefs.LeafCapacity,
-		Incremental:  true, // the dynamic setting forbids full preprocessing
-	})
+	tree, err := e.bases.Tree(ctx, prop, e.prefs.HierarchyOptions())
 	if errors.Is(err, hetree.ErrNoValues) {
 		return nil, fmt.Errorf("core: property %s has no numeric or temporal values", prop)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: build hierarchy for %s: %w", prop, err)
 	}
-	e.trees[prop] = tree
 	return tree, nil
 }
 

@@ -109,10 +109,12 @@ func TestNumericHierarchyAndOverview(t *testing.T) {
 	if tree.Len() != 8 { // 5 cities + 3 countries
 		t.Errorf("tree items = %d", tree.Len())
 	}
-	// Cached on second call.
+	// Each call hands out a cursor of its own: what one materializes, the
+	// next does not see.
+	tree.LevelFor(8)
 	tree2, _ := e.NumericHierarchy(prop)
-	if tree != tree2 {
-		t.Error("hierarchy not cached")
+	if tree == tree2 || tree2.MaterializedNodes() != 1 {
+		t.Errorf("second hierarchy is not a fresh cursor: %d nodes", tree2.MaterializedNodes())
 	}
 	spec, err := e.NumericOverview(prop)
 	if err != nil {
@@ -120,6 +122,57 @@ func TestNumericHierarchyAndOverview(t *testing.T) {
 	}
 	if spec.Type != vis.Histogram || spec.PointCount() == 0 {
 		t.Errorf("overview spec = %+v", spec)
+	}
+}
+
+// A session that writes to a numeric property and then asks for its
+// hierarchy, overview or a zoom must see what it wrote: the kept values
+// follow the store instead of freezing at first use.
+func TestNumericHierarchySeesSessionWrites(t *testing.T) {
+	e := miniExplorer()
+	prop := rdf.IRI("http://lodviz.example.org/mini/population")
+	count := func() (hierarchy, overview, zoom int) {
+		t.Helper()
+		tree, err := e.NumericHierarchy(prop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := e.NumericOverview(prop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range spec.Series[0].Points {
+			overview += int(p.Y)
+		}
+		nodes, err := e.ZoomNumeric(prop, 0, 1e12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes {
+			zoom += n.Count
+		}
+		return tree.Len(), overview, zoom
+	}
+	if h, o, z := count(); h != 8 || o != 8 || z != 8 {
+		t.Fatalf("before the write: hierarchy %d, overview %d, zoom %d values, want 8 each", h, o, z)
+	}
+	atlantis := rdf.T(rdf.IRI("http://lodviz.example.org/mini/atlantis"), prop, rdf.NewInteger(12))
+	if err := e.Store().Add(atlantis); err != nil {
+		t.Fatal(err)
+	}
+	if h, o, z := count(); h != 9 || o != 9 || z != 9 {
+		t.Fatalf("after the write: hierarchy %d, overview %d, zoom %d values, want 9 each", h, o, z)
+	}
+	// A write elsewhere leaves the property's values alone.
+	if err := e.Store().Add(rdf.T(atlantis.S, rdf.RDFSLabel, rdf.NewLiteral("Atlantis"))); err != nil {
+		t.Fatal(err)
+	}
+	if h, o, z := count(); h != 9 || o != 9 || z != 9 {
+		t.Fatalf("after an unrelated write: hierarchy %d, overview %d, zoom %d values, want 9 each", h, o, z)
+	}
+	e.Store().Delete(atlantis)
+	if h, o, z := count(); h != 8 || o != 8 || z != 8 {
+		t.Fatalf("after the delete: hierarchy %d, overview %d, zoom %d values, want 8 each", h, o, z)
 	}
 }
 
@@ -149,23 +202,37 @@ func TestZoomNumeric(t *testing.T) {
 func TestSetPreferencesAdaptsTrees(t *testing.T) {
 	e := miniExplorer()
 	prop := rdf.IRI("http://lodviz.example.org/mini/population")
-	if _, err := e.NumericHierarchy(prop); err != nil {
+	old, err := e.NumericHierarchy(prop)
+	if err != nil {
 		t.Fatal(err)
 	}
+	oldLeaves := len(old.LevelFor(100))
 	p := e.Preferences()
 	p.TreeDegree = 8
 	p.LeafCapacity = 2
 	if err := e.SetPreferences(p); err != nil {
 		t.Fatal(err)
 	}
+	// The next hierarchy has the new shape: 8 values in leaves of 2, all
+	// under one root of degree 8.
 	tree, _ := e.NumericHierarchy(prop)
 	if tree.MaterializedNodes() != 1 {
-		t.Errorf("tree not reset by adaptation: %d nodes", tree.MaterializedNodes())
+		t.Errorf("adapted tree starts with %d nodes, want the bare root", tree.MaterializedNodes())
 	}
-	// Invalid preference propagates an error.
+	if leaves := tree.LevelFor(100); len(leaves) != 4 || tree.Height() != 1 {
+		t.Errorf("adapted tree: %d leaves, height %d; want 4 leaves one level down", len(leaves), tree.Height())
+	}
+	// The one handed out before keeps its shape over the same values.
+	if got := len(old.LevelFor(100)); got != oldLeaves || old.Len() != tree.Len() {
+		t.Errorf("tree from before the adaptation: %d leaves over %d values, was %d over %d", got, old.Len(), oldLeaves, tree.Len())
+	}
+	// An invalid preference is refused and not adopted.
 	p.TreeDegree = 1
 	if err := e.SetPreferences(p); err == nil {
 		t.Error("invalid degree accepted")
+	}
+	if e.Preferences().TreeDegree != 8 {
+		t.Errorf("refused preferences were adopted: degree %d", e.Preferences().TreeDegree)
 	}
 }
 

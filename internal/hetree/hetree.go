@@ -21,12 +21,40 @@
 //
 // All aggregates are computed in O(1) per node from prefix sums over the
 // sorted values.
+//
+// # Base and Tree
+//
+// The expensive part — a property's values, sorted, with their prefix sums —
+// is a Base: immutable, and when collected from a store (FromSource, Bases)
+// pointer-free, 20 bytes a value: the value, the dictionary ID of the
+// subject carrying it, and one prefix sum. It holds no rdf.Term and no map,
+// so the garbage collector never walks it. A Tree is the cheap part: a mode,
+// a degree, a leaf capacity and the nodes materialized so far, a cursor over
+// a Base it never modifies. Any number of Trees, of any shape, in any number
+// of goroutines, can cut the same Base at once, and Adapt changes a Tree
+// without touching it.
+//
+// Subjects stay dictionary IDs until somebody looks: Items decodes those of
+// the node it is asked about, so what decoding costs is bounded by the leaf
+// and not by the dataset.
+//
+// Bases keeps one Base per property across requests and store generations,
+// asking the store's change log whether a write named the property. A base
+// a write did touch is collected again rather than patched from the log: at
+// 10 000 values that is about 2 ms (BenchmarkFromSource), on the rare write
+// to a numeric property, and a patch would have to move on average half of
+// three arrays to insert one value anyway.
 package hetree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+
+	"github.com/lodviz/lodviz/internal/explore"
+	"github.com/lodviz/lodviz/internal/store"
 )
 
 // Mode selects the partitioning strategy.
@@ -88,14 +116,42 @@ func (n *Node) Mean() float64 {
 // tree.
 func (n *Node) IsLeaf() bool { return n.leaf }
 
-// Tree is a HETree over a sorted copy of the input items.
+// Base is one attribute's values in ascending order with their prefix sums:
+// everything about a hierarchy that depends on the data and not on its
+// shape. It is immutable once built, so Trees share it freely.
+type Base struct {
+	values []float64
+	// subjects[i] is the resource carrying values[i]; ties in value are in
+	// ascending ID order. Nil for a base made by New, whose references are
+	// the caller's own.
+	subjects []store.ID
+	prefix   []float64 // prefix[i] = sum of values[:i]
+}
+
+// newBase takes ownership of the sorted values and their subjects.
+func newBase(values []float64, subjects []store.ID) *Base {
+	prefix := make([]float64, len(values)+1)
+	for i, v := range values {
+		prefix[i+1] = prefix[i] + v
+	}
+	return &Base{values: values, subjects: subjects, prefix: prefix}
+}
+
+// Len returns the number of values in the base.
+func (b *Base) Len() int { return len(b.values) }
+
+// Tree is a HETree: the nodes materialized so far over a Base, which it only
+// reads.
 type Tree struct {
 	mode    Mode
 	degree  int
 	leafCap int
-	data    []Item
-	prefix  []float64 // prefix[i] = sum of data[:i].Value
-	root    *Node
+	base    *Base
+	// What Items resolves a node's slice of the base with: the caller's
+	// items in base order (New), or the source that decodes base.subjects.
+	items []Item
+	src   explore.Source
+	root  *Node
 
 	// materialized counts nodes created so far — the cost metric for the
 	// full-vs-incremental experiment (E5).
@@ -133,29 +189,39 @@ func New(items []Item, opts Options) (*Tree, error) {
 	if len(items) == 0 {
 		return nil, ErrNoData
 	}
-	opts.normalize()
-	data := make([]Item, len(items))
-	copy(data, items)
-	sort.Slice(data, func(i, j int) bool { return data[i].Value < data[j].Value })
-	prefix := make([]float64, len(data)+1)
+	data := slices.Clone(items)
+	slices.SortFunc(data, func(a, b Item) int { return cmp.Compare(a.Value, b.Value) })
+	values := make([]float64, len(data))
 	for i, it := range data {
-		prefix[i+1] = prefix[i] + it.Value
+		values[i] = it.Value
 	}
+	t := newTree(newBase(values, nil), opts)
+	t.items = data
+	return t, nil
+}
+
+// newTree starts a tree of the given shape over a non-empty base.
+func newTree(base *Base, opts Options) *Tree {
+	opts.normalize()
 	t := &Tree{
 		mode:    opts.Mode,
 		degree:  opts.Degree,
 		leafCap: opts.LeafCapacity,
-		data:    data,
-		prefix:  prefix,
+		base:    base,
 	}
-	t.root = t.makeNode(0, len(data), data[0].Value, data[len(data)-1].Value, 0)
+	t.root = t.rootNode()
 	if !opts.Incremental {
 		t.expandAll(t.root)
 	}
-	return t, nil
+	return t
 }
 
-// makeNode materializes one node covering data[lo:hi].
+func (t *Tree) rootNode() *Node {
+	v := t.base.values
+	return t.makeNode(0, len(v), v[0], v[len(v)-1], 0)
+}
+
+// makeNode materializes one node covering the base's values[lo:hi].
 func (t *Tree) makeNode(lo, hi int, rLo, rHi float64, depth int) *Node {
 	t.materialized++
 	n := &Node{
@@ -165,9 +231,9 @@ func (t *Tree) makeNode(lo, hi int, rLo, rHi float64, depth int) *Node {
 	}
 	n.Count = hi - lo
 	if n.Count > 0 {
-		n.Sum = t.prefix[hi] - t.prefix[lo]
-		n.Min = t.data[lo].Value
-		n.Max = t.data[hi-1].Value
+		n.Sum = t.base.prefix[hi] - t.base.prefix[lo]
+		n.Min = t.base.values[lo]
+		n.Max = t.base.values[hi-1]
 	}
 	switch t.mode {
 	case ContentBased:
@@ -176,7 +242,7 @@ func (t *Tree) makeNode(lo, hi int, rLo, rHi float64, depth int) *Node {
 	default:
 		n.Lo, n.Hi = rLo, rHi
 		// A range node is a leaf when its width reaches the leaf width.
-		total := t.data[len(t.data)-1].Value - t.data[0].Value
+		total := t.base.values[t.base.Len()-1] - t.base.values[0]
 		if total <= 0 {
 			n.leaf = true
 		} else {
@@ -190,7 +256,7 @@ func (t *Tree) makeNode(lo, hi int, rLo, rHi float64, depth int) *Node {
 // numRangeLeaves derives the leaf count for HETree-R from the leaf capacity,
 // mirroring HETree-C's granularity.
 func (t *Tree) numRangeLeaves() int {
-	l := (len(t.data) + t.leafCap - 1) / t.leafCap
+	l := (t.base.Len() + t.leafCap - 1) / t.leafCap
 	if l < 1 {
 		l = 1
 	}
@@ -204,7 +270,7 @@ func (t *Tree) Root() *Node { return t.root }
 func (t *Tree) Mode() Mode { return t.mode }
 
 // Len returns the number of items in the tree.
-func (t *Tree) Len() int { return len(t.data) }
+func (t *Tree) Len() int { return t.base.Len() }
 
 // MaterializedNodes returns how many nodes have been created so far.
 func (t *Tree) MaterializedNodes() int { return t.materialized }
@@ -264,12 +330,13 @@ func (t *Tree) splitRange(n *Node) []*Node {
 		}
 		// Locate the data slice for [lo, hi) — [lo, hi] for the last child —
 		// by binary search on the sorted values.
-		loIdx := sort.Search(len(t.data), func(k int) bool { return t.data[k].Value >= lo })
+		values := t.base.values
+		loIdx := sort.Search(len(values), func(k int) bool { return values[k] >= lo })
 		var hiIdx int
 		if last {
-			hiIdx = sort.Search(len(t.data), func(k int) bool { return t.data[k].Value > hi })
+			hiIdx = sort.Search(len(values), func(k int) bool { return values[k] > hi })
 		} else {
-			hiIdx = sort.Search(len(t.data), func(k int) bool { return t.data[k].Value >= hi })
+			hiIdx = sort.Search(len(values), func(k int) bool { return values[k] >= hi })
 		}
 		if loIdx < n.loIdx {
 			loIdx = n.loIdx
@@ -289,10 +356,21 @@ func (t *Tree) expandAll(n *Node) {
 	}
 }
 
-// Items returns the node's items (slicing the shared sorted data; callers
-// must not mutate the result).
+// Items returns the node's items in ascending value order; callers must not
+// mutate the result. A tree made by New slices the sorted copy of its input.
+// A tree over a store's property decodes the subjects of this node, and of
+// no other, into rdf.Term references: the cost is the node's size, so ask
+// for a leaf, not for the root.
 func (t *Tree) Items(n *Node) []Item {
-	return t.data[n.loIdx:n.hiIdx]
+	if t.items != nil {
+		return t.items[n.loIdx:n.hiIdx]
+	}
+	terms := t.src.Terms(t.base.subjects[n.loIdx:n.hiIdx])
+	out := make([]Item, len(terms))
+	for i, term := range terms {
+		out[i] = Item{Value: t.base.values[n.loIdx+i], Ref: term}
+	}
+	return out
 }
 
 // LevelFor returns the shallowest frontier of the tree whose node count does
@@ -347,28 +425,38 @@ func (t *Tree) RangeQuery(lo, hi float64, maxNodes int) []*Node {
 	return out
 }
 
-// Adapt changes the tree's degree and leaf capacity, discarding materialized
-// structure but reusing the sorted data and prefix sums — the paper's
-// "dynamic and efficient adaptation of the hierarchy to the user's
-// preferences".
-func (t *Tree) Adapt(degree, leafCapacity int) error {
+// CheckShape reports whether a degree and a leaf capacity are ones a tree can
+// take: what Adapt checks, for callers that validate a shape before there is
+// a tree to adapt.
+func CheckShape(degree, leafCapacity int) error {
 	if degree < 2 {
 		return fmt.Errorf("hetree: degree %d < 2", degree)
 	}
 	if leafCapacity < 1 {
 		return fmt.Errorf("hetree: leaf capacity %d < 1", leafCapacity)
 	}
+	return nil
+}
+
+// Adapt changes the tree's degree and leaf capacity, discarding materialized
+// structure but reusing the base, which other trees may be reading and which
+// it does not touch — the paper's "dynamic and efficient adaptation of the
+// hierarchy to the user's preferences".
+func (t *Tree) Adapt(degree, leafCapacity int) error {
+	if err := CheckShape(degree, leafCapacity); err != nil {
+		return err
+	}
 	t.degree = degree
 	t.leafCap = leafCapacity
 	t.materialized = 0
-	t.root = t.makeNode(0, len(t.data), t.data[0].Value, t.data[len(t.data)-1].Value, 0)
+	t.root = t.rootNode()
 	return nil
 }
 
 // Height returns the height of the fully-expanded tree (computed without
 // materializing it, from the leaf count and degree).
 func (t *Tree) Height() int {
-	leaves := (len(t.data) + t.leafCap - 1) / t.leafCap
+	leaves := (t.base.Len() + t.leafCap - 1) / t.leafCap
 	h := 0
 	for span := 1; span < leaves; span *= t.degree {
 		h++

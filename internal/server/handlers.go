@@ -18,6 +18,7 @@ import (
 	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/facet"
 	"github.com/lodviz/lodviz/internal/federation"
+	"github.com/lodviz/lodviz/internal/hetree"
 	"github.com/lodviz/lodviz/internal/ntriples"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/sparql"
@@ -557,8 +558,9 @@ type hetreeNodeJSON struct {
 
 // handleHETree serves the multilevel numeric overview (prop=<IRI>,
 // budget=<maxNodes>, default 64): the widest tree level that fits the budget.
-// The tree is built from the statements of prop and nothing else, which is
-// the entry's footprint.
+// The tree is cut from the statements of prop and nothing else, which is
+// the entry's footprint — and that of the base kept under it (s.bases), so a
+// miss at a new budget materializes its nodes over values already sorted.
 func (s *Server) handleHETree(w http.ResponseWriter, r *http.Request) {
 	propParam := r.URL.Query().Get("prop")
 	if propParam == "" {
@@ -578,12 +580,12 @@ func (s *Server) handleHETree(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, r, s.cacheKey(r), func() result {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
-		tree, err := core.NewExplorer(s.st, core.DefaultPreferences()).NumericHierarchyCtx(ctx, prop)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return errorResult(queryError(err))
+		tree, err := s.bases.Tree(ctx, prop, core.DefaultPreferences().HierarchyOptions())
+		if errors.Is(err, hetree.ErrNoValues) {
+			return errorResult(http.StatusNotFound, fmt.Sprintf("property %s has no numeric or temporal values", prop))
 		}
 		if err != nil {
-			return errorResult(http.StatusNotFound, err.Error())
+			return errorResult(queryError(err))
 		}
 		resp := hetreeResponse{
 			Property: string(prop),

@@ -54,8 +54,8 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 }
 
 // registerCollectors wires the obs-free subsystems (store, response cache,
-// keyword index, ledger, WAL frontier, federation mesh) into the registry
-// as func-backed collectors sampled at scrape time.
+// keyword index, hetree bases, ledger, WAL frontier, federation mesh) into
+// the registry as func-backed collectors sampled at scrape time.
 func (s *Server) registerCollectors(r *obs.Registry) {
 	st := s.st
 	r.GaugeFunc("lodviz_store_triples", "Live triples in the store.",
@@ -103,6 +103,18 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 				{Labels: []string{"rebuild"}, Value: ks.Rebuild.Seconds},
 			}
 		})
+
+	bases := s.bases
+	r.CounterVecFunc("lodviz_hetree_base_total", "Sorted value runs under /hetree by outcome: built collects and sorts the property's values from the store, reused cuts the kept run.",
+		[]string{"outcome"}, func() []obs.Sample {
+			bs := bases.Stats()
+			return []obs.Sample{
+				{Labels: []string{"built"}, Value: float64(bs.Built)},
+				{Labels: []string{"reused"}, Value: float64(bs.Reused)},
+			}
+		})
+	r.CounterFunc("lodviz_hetree_base_build_seconds", "Cumulative seconds spent building /hetree value runs.",
+		func() float64 { return bases.Stats().BuildSeconds })
 
 	if led := s.cfg.Ledger; led != nil {
 		r.GaugeFunc("lodviz_ledger_leaves", "Mutation-ledger leaves covered by the current root.",

@@ -31,6 +31,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		ts.URL + "/sparql?query=" + q,
 		ts.URL + "/facets",
 		ts.URL + "/sparql/stream?query=" + q,
+		ts.URL + "/hetree?budget=2&prop=" + url.QueryEscape(exNS+"population"),
+		ts.URL + "/hetree?budget=4&prop=" + url.QueryEscape(exNS+"population"),
 		ts.URL + "/healthz",
 	} {
 		resp, err := http.Get(u)
@@ -100,6 +102,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lodviz_cache_invalidated_total{cause="log"} 0`,
 		`lodviz_keyword_refresh_total{mode="incremental"} 0`,
 		`lodviz_keyword_refresh_seconds{mode="rebuild"} 0`,
+		`lodviz_hetree_base_total{outcome="built"} 1`,
+		`lodviz_hetree_base_total{outcome="reused"} 1`,
+		"lodviz_hetree_base_build_seconds ",
 		"lodviz_engine_queries_materialized_total",
 		"lodviz_http_request_seconds_bucket",
 	} {

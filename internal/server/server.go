@@ -51,6 +51,7 @@ import (
 	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/facet"
 	"github.com/lodviz/lodviz/internal/federation"
+	"github.com/lodviz/lodviz/internal/hetree"
 	"github.com/lodviz/lodviz/internal/keyword"
 	"github.com/lodviz/lodviz/internal/ledger"
 	"github.com/lodviz/lodviz/internal/obs"
@@ -125,9 +126,9 @@ type Config struct {
 	// first-row-before-completion test gates the scan on a channel).
 	querySource sparql.Source
 	// exploreSource, when set by tests, replaces the store as the ID-space
-	// source the exploration endpoints (facets, stats, neighborhood) scan —
-	// the seam the progressive endpoints' first-batch-mid-scan tests use to
-	// gate paging.
+	// source the exploration endpoints (facets, stats, neighborhood, hetree)
+	// scan — the seam the progressive endpoints' first-batch-mid-scan tests
+	// use to gate paging.
 	exploreSource explore.Source
 }
 
@@ -162,7 +163,10 @@ type Server struct {
 	builds  flights
 	mesh    *federation.Mesh
 	kw      *keyword.Lazy
-	mux     *http.ServeMux
+	// bases keeps each numeric property's sorted values under the /hetree
+	// responses: a request at a budget not yet cached cuts the kept base.
+	bases *hetree.Bases
+	mux   *http.ServeMux
 
 	// reg is the metrics registry /metrics serves; met and engineMet are
 	// the HTTP-layer and SPARQL-engine handles registered on it. started
@@ -205,6 +209,7 @@ func New(st *store.Store, cfg Config) *Server {
 	if s.kw == nil {
 		s.kw = keyword.NewLazy(st)
 	}
+	s.bases = hetree.NewBases(s.exploreSrc(), st)
 	if s.cfg.FacetWarming && s.cache != nil {
 		s.warmSem = make(chan struct{}, 2)
 	}

@@ -675,6 +675,37 @@ func TestHETree(t *testing.T) {
 	}
 }
 
+// TestHETreeSkipsNonFiniteValues: "NaN"^^xsd:double and "INF" are floats as
+// far as parsing goes; one such statement used to turn every /hetree on the
+// property into a 500 (json: unsupported value). They are left off the axis.
+func TestHETreeSkipsNonFiniteValues(t *testing.T) {
+	_, ts, st := newTestServer(t, Config{})
+	height, broken := rdf.IRI(exNS+"height"), rdf.IRI(exNS+"broken")
+	var batch []rdf.Triple
+	for i, lex := range []string{"1.5", "2.5", "4", "NaN", "INF", "-INF"} {
+		o := rdf.NewTypedLiteral(lex, rdf.XSDDouble)
+		batch = append(batch, rdf.T(rdf.IRI(fmt.Sprint(exNS, "tower", i)), height, o))
+		if i >= 3 {
+			batch = append(batch, rdf.T(rdf.IRI(fmt.Sprint(exNS, "tower", i)), broken, o))
+		}
+	}
+	if _, err := st.AddBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	var resp hetreeResponse
+	r := getJSON(t, ts.URL+"/hetree?prop="+url.QueryEscape(string(height)), &resp)
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 over the finite values", r.StatusCode)
+	}
+	if resp.Items != 3 || len(resp.Nodes) != 1 || resp.Nodes[0].Min != 1.5 || resp.Nodes[0].Max != 4 || resp.Nodes[0].Mean != 8.0/3 {
+		t.Fatalf("hierarchy over 3 finite and 3 non-finite values = %+v", resp)
+	}
+	r = getJSON(t, ts.URL+"/hetree?prop="+url.QueryEscape(string(broken)), &errorBody{})
+	if r.StatusCode != http.StatusNotFound {
+		t.Fatalf("property with non-finite values only: status = %d, want 404", r.StatusCode)
+	}
+}
+
 func TestHETreeUnknownProp404(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	r := getJSON(t, ts.URL+"/hetree?prop="+url.QueryEscape("<http://nope.example/p>"), &errorBody{})

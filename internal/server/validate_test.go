@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/lodviz/lodviz/internal/gen"
+	"github.com/lodviz/lodviz/internal/hetree"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
@@ -86,6 +87,11 @@ func TestWriteDuringBuildIsFoundOut(t *testing.T) {
 			rdf.T(rdf.IRI(exNS+"athens"), rdf.IRI(exNS+"twin"), rdf.IRI(exNS+"paris"))},
 		{"neighborhood", "/graph/neighborhood?node=" + url.QueryEscape("<"+exNS+"athens>"),
 			rdf.T(rdf.IRI(exNS+"jean"), rdf.IRI(exNS+"visited"), rdf.IRI(exNS+"athens"))},
+		// The base kept under the responses is filed the same way: were its
+		// generation read after the build, the second request would rebuild
+		// the response over a base that passes for current without the write.
+		{"hetree", "/hetree?budget=4&prop=" + url.QueryEscape(exNS+"population"),
+			rdf.T(rdf.IRI(exNS+"sparta"), rdf.IRI(exNS+"population"), rdf.NewInteger(35259))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := gen.MiniLODStore()
@@ -253,7 +259,9 @@ func (d diffData) vocabulary() []diffRequest {
 		{name: "facets class", target: facets(classFilter)},
 		{name: "facets class+cat", target: facets(classFilter, string(dProp("cat0"))+"=v1")},
 		{name: "facets absent value", target: facets(string(dProp("cat0")) + "=nowhere")},
-		{name: "hetree", target: "/hetree?prop=" + url.QueryEscape(string(dProp("num0"))) + "&budget=8"},
+		{name: "hetree", target: hetreeTarget(8)},
+		// The same property at another budget: another response, the same base.
+		{name: "hetree wide", target: hetreeTarget(20)},
 		{name: "neighborhood sampled", target: "/graph/neighborhood?hops=2&sample=3&seed=7&node=" + url.QueryEscape(string(e5)),
 			sampleOf: "/graph/neighborhood?hops=2&node=" + url.QueryEscape(string(e5))},
 		{name: "neighborhood full", target: "/graph/neighborhood?hops=1&node=" + url.QueryEscape(string(e9))},
@@ -262,6 +270,10 @@ func (d diffData) vocabulary() []diffRequest {
 		{name: "search", target: "/search?q=" + url.QueryEscape("Entity 5"), perGeneration: true},
 		{name: "complete", target: "/complete?prefix=ent", perGeneration: true},
 	}
+}
+
+func hetreeTarget(budget int) string {
+	return fmt.Sprintf("/hetree?prop=%s&budget=%d", url.QueryEscape(string(dProp("num0"))), budget)
 }
 
 // rowSet decodes a SPARQL JSON body into its sorted rows.
@@ -317,13 +329,21 @@ func newDifferential(t *testing.T, st *store.Store, vocab []diffRequest) *differ
 	}
 }
 
+// reference serves target from the store as it is now: the non-caching
+// server, with the sorted values it keeps under /hetree thrown away too.
+func (d *differential) reference(target string) (int, string) {
+	d.off.bases = hetree.NewBases(d.st, d.st)
+	code, _, body := serve(d.off, target)
+	return code, body
+}
+
 // check replays the vocabulary on both servers and compares. It returns
 // the caching server's dispositions by request name.
 func (d *differential) check(step string) map[string]string {
 	d.t.Helper()
 	disp := map[string]string{}
 	for _, r := range d.vocab {
-		codeOff, _, want := serve(d.off, r.target)
+		codeOff, want := d.reference(r.target)
 		codeOn, xc, got := serve(d.on, r.target)
 		disp[r.name] = xc
 		if codeOn != http.StatusOK || codeOff != http.StatusOK {
@@ -403,6 +423,26 @@ func (d *differential) add(ts ...rdf.Triple) {
 	}
 }
 
+// bases asserts how often the caching server has collected a /hetree base
+// from the store and how often it has cut a kept one.
+func (d *differential) bases(step string, built, reused uint64) {
+	d.t.Helper()
+	if s := d.on.bases.Stats(); s.Built != built || s.Reused != reused {
+		d.t.Errorf("%s: hetree bases built %d, reused %d; want %d, %d", step, s.Built, s.Reused, built, reused)
+	}
+}
+
+// freshBudget asks the caching server for the hierarchy at a budget no
+// request has used, so that the response is a MISS and the base under it
+// is what answers, and compares it with the reference.
+func (d *differential) freshBudget(step string, budget int) {
+	d.t.Helper()
+	_, want := d.reference(hetreeTarget(budget))
+	if code, xc, got := serve(d.on, hetreeTarget(budget)); code != http.StatusOK || xc != "MISS" || got != want {
+		d.t.Fatalf("%s: budget %d: status %d, X-Cache %s, body\n%s\nwant a MISS with\n%s", step, budget, code, xc, got, want)
+	}
+}
+
 func (d *differential) del(ts ...rdf.Triple) {
 	d.t.Helper()
 	if n, err := d.st.DeleteBatch(ts); err != nil || n != len(ts) {
@@ -425,7 +465,9 @@ func TestCacheDifferentialScenarios(t *testing.T) {
 	}
 	d := newDifferential(t, st, data.vocabulary())
 	d.check("cold")
+	d.bases("cold", 1, 1) // two budgets, one base
 	d.expect("warm", d.check("warm"), false)
+	d.bases("warm", 1, 1)
 
 	// Two requests name a term the dictionary lacks and so read the whole
 	// store until it arrives.
@@ -438,6 +480,10 @@ func TestCacheDifferentialScenarios(t *testing.T) {
 	// of bench/e2e's mixed_rw are: nothing but the whole-store views moves.
 	d.add(rdf.T(loose, dProp("ingested"), rdf.NewLiteral("x")))
 	d.expect("fresh untyped subject", d.check("fresh untyped subject"), true, with()...)
+	// …the base under /hetree included: a new budget after the write cuts
+	// the run collected before it.
+	d.freshBudget("fresh untyped subject", 5)
+	d.bases("fresh untyped subject", 1, 2)
 
 	// …and taking it away again, which is its last triple.
 	d.del(rdf.T(loose, dProp("ingested"), rdf.NewLiteral("x")))
@@ -463,7 +509,8 @@ func TestCacheDifferentialScenarios(t *testing.T) {
 
 	// A value of the hierarchy's property.
 	d.add(rdf.T(loose, dProp("num0"), rdf.NewDouble(0.25)))
-	d.expect("hetree property value", d.check("hetree property value"), true, with("hetree", "filter order", "values")...)
+	d.expect("hetree property value", d.check("hetree property value"), true, with("hetree", "hetree wide", "filter order", "values")...)
+	d.bases("hetree property value", 2, 3) // collected again for the first budget, kept for the second
 
 	// A triple pointing at a reached node, from a subject nothing reached.
 	d.add(rdf.T(loose, dProp("seeAlso"), e9))
@@ -499,11 +546,61 @@ func TestCacheDifferentialScenarios(t *testing.T) {
 		all = append(all, r.name)
 	}
 	d.expect("log overrun", d.check("log overrun"), true, all...)
+	d.bases("log overrun", 3, 4) // no log to vouch for the base either
 	_, _, metrics := serve(d.on, "/metrics")
 	if strings.Contains(metrics, `lodviz_cache_invalidated_total{cause="log"} 0`) {
 		t.Error("no invalidation was attributed to the log after a batch it does not retain")
 	}
 	d.expect("after the overrun", d.check("after the overrun"), false)
+	d.freshBudget("after the overrun", 6)
+	d.bases("after the overrun", 3, 5)
+}
+
+// TestHETreeBudgetsShareOneBase: requests for one property at budgets that
+// never repeat are all response-cache misses, served side by side over one
+// base, while a writer that never names the property moves the store on
+// under them — the base is carried across every generation, not rebuilt.
+// Run under -race.
+func TestHETreeBudgetsShareOneBase(t *testing.T) {
+	data := diffData{n: 200}
+	st, err := store.Load(data.triples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(st, Config{Logger: discardLogger()})
+	const readers, each = 4, 40
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				code, xc, body := serve(s, hetreeTarget(1+r*each+i))
+				var resp hetreeResponse
+				if err := json.Unmarshal([]byte(body), &resp); code != http.StatusOK || xc != "MISS" || err != nil {
+					t.Errorf("budget %d: status %d, X-Cache %s, decoding: %v", 1+r*each+i, code, xc, err)
+					return
+				}
+				total := 0
+				for _, n := range resp.Nodes {
+					total += n.Count
+				}
+				if resp.Items != data.n || total != data.n || len(resp.Nodes) > 1+r*each+i {
+					t.Errorf("budget %d: %d nodes covering %d of %d items", 1+r*each+i, len(resp.Nodes), total, resp.Items)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 50; i++ {
+		if err := st.Add(rdf.T(rdf.IRI(fmt.Sprintf("%sloose/%d", diffNS, i)), dProp("ingested"), rdf.NewLiteral("x"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if bs := s.bases.Stats(); bs.Built != 1 || bs.Reused != readers*each-1 {
+		t.Fatalf("hetree bases built %d, reused %d; want 1, %d", bs.Built, bs.Reused, readers*each-1)
+	}
 }
 
 // TestCacheDifferentialNoTypedSubject: with no typed subject the facet
