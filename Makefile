@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race flake bench bench-smoke bench-e2e-smoke bench-regression bench-baseline lint analyze fmt check cover-server fuzz-smoke serve serve-cluster
+.PHONY: build test loc race flake bench bench-smoke bench-e2e-smoke bench-regression bench-baseline lint analyze fmt check cover-server fuzz-smoke serve serve-cluster
 
 build:
 	$(GO) build ./...
@@ -11,8 +11,16 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrent packages: query engine (both the
-# hash-join and dictionary-ID merge-join executors), store (including the
+# The tracked size of the code (ROADMAP, "quality of design"): lines of
+# non-test Go outside bench/ and testdata/, for the tree and for the three
+# packages between the store and what runs on it. CI puts the two numbers
+# into the job summary of every PR.
+loc:
+	@printf 'non-test Go lines, tree: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@printf 'non-test Go lines, internal/{sparql,store,explore}: %s\n' "$$(find internal/sparql internal/store internal/explore -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+
+# Race-detector pass over the concurrent packages: query engine (the
+# dictionary-ID executor and its worker pool), store (including the
 # snapshot round-trip under concurrent writers and the permutation ID
 # scans with epoch restarts), snapshot format, the federation mesh
 # (parallel bind-join batches, circuit breakers, TTL cache), HTTP server,
@@ -68,8 +76,7 @@ serve-cluster:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-# One-iteration smoke of the BGP join benchmarks (hash and dictionary-ID
-# executors), the ingestion benchmarks (bulk AddBatch vs the per-triple
+# One-iteration smoke of the BGP join benchmarks, the ingestion benchmarks (bulk AddBatch vs the per-triple
 # Add loop at 100k triples), the federation bind-join benchmarks (batched
 # VALUES dispatch vs one-request-per-binding at 1k bindings), the
 # streaming LIMIT-pushdown pair, and the store→hierarchy path (a base
@@ -96,8 +103,8 @@ bench-e2e-smoke:
 
 # Benchmark regression gate: replay the pinned scenarios best-of-3 and
 # fail on >25% regression against bench/baseline.json (override the ratio
-# with BENCH_GATE=1.50 etc.), or on a speedup scenario dropping below its
-# hard floor. Artifacts BENCH_store.json / BENCH_stream.json are what CI
+# with BENCH_GATE=1.50 etc.), or on a ratio scenario (explore, obs) leaving
+# its hard floor or ceiling. Artifacts BENCH_store.json / BENCH_stream.json are what CI
 # uploads per run.
 bench-regression:
 	$(GO) run ./cmd/benchharness -scenarios store -out BENCH_store.json -gate

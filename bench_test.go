@@ -424,11 +424,10 @@ func BenchmarkBGPJoinParallel(b *testing.B) { benchBGPJoin(b, 0) }
 // NumCPU is large enough that scheduling noise dominates.
 func BenchmarkBGPJoinParallel4(b *testing.B) { benchBGPJoin(b, 4) }
 
-// E13b — dictionary-ID execution vs the term-space hash path, isolated at
-// Parallelism 1 so the comparison measures the executor, not the pool. The
-// Hash variants force Options.NoIDJoin; the IDs variants run the default
-// merge-join path. cmd/benchharness -scenarios store records the ratio in
-// BENCH_store.json and the CI bench-regression job gates on it.
+// E13b — the pattern executor on two join shapes, isolated at Parallelism 1
+// so the numbers measure the executor, not the pool. cmd/benchharness
+// -scenarios store records the same shapes in BENCH_store.json and the CI
+// bench-regression job gates on them.
 
 func benchBGPJoinOpts(b *testing.B, query string, opt sparql.Options) {
 	st := bgpJoinStore(b)
@@ -451,9 +450,7 @@ func benchBGPJoinOpts(b *testing.B, query string, opt sparql.Options) {
 // boundPQuery is the bound-predicate case: both patterns scan a full
 // predicate range and equi-join on subject AND category value, so all 20k
 // entities flow through the join but only ~1/8 survive the value equality.
-// The term-space path materializes a Binding map per intermediate row; the
-// ID path keeps the intermediates as uint32 rows and only decodes the
-// survivors.
+// The intermediates stay uint32 rows; only the survivors are decoded.
 func boundPQuery() string {
 	return fmt.Sprintf(`SELECT ?e ?c WHERE { ?e <%s> ?c . ?e <%s> ?c . }`,
 		string(gen.Prop("cat0")), string(gen.Prop("cat1")))
@@ -467,16 +464,8 @@ func boundOQuery() string {
 		string(gen.Prop("cat0")), string(gen.Prop("rel0")), string(gen.Prop("cat0")))
 }
 
-func BenchmarkBGPJoinBoundPHash(b *testing.B) {
-	benchBGPJoinOpts(b, boundPQuery(), sparql.Options{Parallelism: 1, NoIDJoin: true})
-}
-
 func BenchmarkBGPJoinBoundPIDs(b *testing.B) {
 	benchBGPJoinOpts(b, boundPQuery(), sparql.Options{Parallelism: 1})
-}
-
-func BenchmarkBGPJoinBoundOHash(b *testing.B) {
-	benchBGPJoinOpts(b, boundOQuery(), sparql.Options{Parallelism: 1, NoIDJoin: true})
 }
 
 func BenchmarkBGPJoinBoundOIDs(b *testing.B) {
@@ -484,11 +473,10 @@ func BenchmarkBGPJoinBoundOIDs(b *testing.B) {
 }
 
 // E14 — streaming LIMIT pushdown: a first-page exploration query
-// (LIMIT 10) over a BGP with >100k solutions, evaluated by the
-// materializing pipeline (full scan, then slice) and by the streaming
-// fast path (scan stops after 10 solutions). The streamed variant's cost
-// scales with the limit, not the dataset — expect several orders of
-// magnitude, comfortably past the 10x bar.
+// (LIMIT 10) over a BGP with >100k solutions, which stops scanning after 10
+// solutions, beside the same query without its LIMIT, which materializes
+// them all. The first one's cost scales with the limit, not the dataset —
+// expect several orders of magnitude between the two.
 
 func limitPushdownStore(b *testing.B) *store.Store {
 	b.Helper()
@@ -510,35 +498,9 @@ func limitPushdownStore(b *testing.B) *store.Store {
 	return st
 }
 
-func benchLimitPushdown(b *testing.B, noStream bool) {
+func benchLimitPushdown(b *testing.B, modifiers string, want int) {
 	st := limitPushdownStore(b)
-	parsed, err := sparql.Parse(`SELECT ?s ?v WHERE { ?s <http://bench/value> ?v } LIMIT 10`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := sparql.Options{NoStream: noStream}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sparql.EvalOpts(st, parsed, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) != 10 {
-			b.Fatalf("got %d rows, want 10", len(res.Rows))
-		}
-	}
-}
-
-func BenchmarkLimitPushdownMaterialized(b *testing.B) { benchLimitPushdown(b, true) }
-
-func BenchmarkLimitPushdownStreamed(b *testing.B) { benchLimitPushdown(b, false) }
-
-// BenchmarkLimitPushdownOrderByTopK: ORDER BY ?v LIMIT 10 over the same
-// store — the full scan is unavoidable, but the bounded heap replaces the
-// 120k-row sort (O(n log k) comparisons, O(k) sort memory).
-func BenchmarkLimitPushdownOrderByTopK(b *testing.B) {
-	st := limitPushdownStore(b)
-	parsed, err := sparql.Parse(`SELECT ?s ?v WHERE { ?s <http://bench/value> ?v } ORDER BY DESC(?v) LIMIT 10`)
+	parsed, err := sparql.Parse(`SELECT ?s ?v WHERE { ?s <http://bench/value> ?v }` + modifiers)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -548,10 +510,21 @@ func BenchmarkLimitPushdownOrderByTopK(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Rows) != 10 {
-			b.Fatalf("got %d rows, want 10", len(res.Rows))
+		if len(res.Rows) != want {
+			b.Fatalf("got %d rows, want %d", len(res.Rows), want)
 		}
 	}
+}
+
+func BenchmarkLimitPushdownMaterialized(b *testing.B) { benchLimitPushdown(b, ``, 120000) }
+
+func BenchmarkLimitPushdownStreamed(b *testing.B) { benchLimitPushdown(b, ` LIMIT 10`, 10) }
+
+// BenchmarkLimitPushdownOrderByTopK: ORDER BY ?v LIMIT 10 over the same
+// store — the full scan is unavoidable, but the bounded heap replaces the
+// 120k-row sort (O(n log k) comparisons, O(k) sort memory).
+func BenchmarkLimitPushdownOrderByTopK(b *testing.B) {
+	benchLimitPushdown(b, ` ORDER BY DESC(?v) LIMIT 10`, 10)
 }
 
 func BenchmarkE12SPARQLJoin(b *testing.B) {

@@ -14,9 +14,9 @@
 //     context.Context in hand: a parameter, or a context field on its
 //     receiver. Paged scans honor cancellation *between* pages, but only
 //     if the loop around them can observe a context. Implementations of
-//     the scan methods themselves (wrappers satisfying sparql.Source /
-//     explore.Source) are exempt — the interface fixes their signature,
-//     and their callers hold the context.
+//     the scan methods themselves (wrappers satisfying store.Source) are
+//     exempt — the interface fixes their signature, and their callers
+//     hold the context.
 package ctxflow
 
 import (

@@ -7,17 +7,12 @@ import (
 	"github.com/lodviz/lodviz/internal/store"
 )
 
-type Source interface {
-	LayoutEpoch() uint64
-	ForEachIDPage(sub, pred, obj store.ID, limit, resume int, fn func(store.IDTriple) bool)
-}
-
 type WalkHandler struct {
 	Visit func(store.IDTriple) bool
 	Page  func(scanned int, done bool) bool
 	Reset func()
 }
 
-func Walk(ctx context.Context, src Source, sub, pred, obj store.ID, page int, h WalkHandler) error {
+func Walk(ctx context.Context, src store.Source, sub, pred, obj store.ID, page int, h WalkHandler) error {
 	return nil
 }

@@ -17,6 +17,11 @@ type Store struct {
 
 func New() *Store { return &Store{} }
 
+type Source interface {
+	LayoutEpoch() uint64
+	ForEachIDPage(sub, pred, obj ID, limit, resume int, fn func(IDTriple) bool)
+}
+
 func (s *Store) LayoutEpoch() uint64 { return 0 }
 func (s *Store) Generation() uint64  { return 0 }
 func (s *Store) Len() int            { return 0 }

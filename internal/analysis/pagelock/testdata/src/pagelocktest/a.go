@@ -31,7 +31,7 @@ func goroutineEscapesPage(st *store.Store) {
 	})
 }
 
-func walkVisitInsidePage(ctx context.Context, src explore.Source, st *store.Store) {
+func walkVisitInsidePage(ctx context.Context, src store.Source, st *store.Store) {
 	_ = explore.Walk(ctx, src, 0, 0, 0, 128, explore.WalkHandler{
 		Visit: func(t store.IDTriple) bool {
 			st.Delete(t) // want `store mutation Delete inside a explore.Walk Visit page callback`

@@ -90,10 +90,10 @@ func RecvType(f *types.Func) types.Type {
 }
 
 // IsStoreSource reports whether t is the concrete store (internal/store's
-// Store) or a store-shaped source interface. The source interfaces
-// (sparql.Source, explore.Source, and test doubles wrapping them) are
-// recognized structurally by the LayoutEpoch method — the epoch contract
-// is what makes a type a paged-scan source in this codebase.
+// Store) or a store-shaped source interface. The source interface
+// (store.Source, and test doubles wrapping it) is recognized structurally
+// by the LayoutEpoch method — the epoch contract is what makes a type a
+// paged-scan source in this codebase.
 func IsStoreSource(t types.Type) bool {
 	if t == nil {
 		return false

@@ -32,8 +32,8 @@ type Span struct {
 	// Detail is the stage's subject — for pattern spans, the triple pattern
 	// text; for plan spans, the join order chosen.
 	Detail string `json:"detail,omitempty"`
-	// Strategy is the executor a pattern span ran on: "id-merge",
-	// "id-probe", "id-cross", "hash", or "paged-scan".
+	// Strategy is how a pattern span was executed: "id-merge", "id-probe",
+	// "id-cross", "id-empty", or "paged-scan".
 	Strategy string `json:"strategy,omitempty"`
 	// RowsIn and RowsOut count the solution rows entering and leaving the
 	// stage.

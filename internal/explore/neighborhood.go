@@ -74,7 +74,7 @@ type edgeRec struct {
 // blank nodes), batch-decoding unknowns so literal objects can be filtered
 // without a per-triple Terms call.
 type kindCache struct {
-	src  Source
+	src  store.Source
 	kind map[store.ID]bool
 }
 
@@ -110,7 +110,7 @@ func nodeSeed(seed int64, n store.ID) int64 {
 // per-node seeded reservoirs and the returned Coverage reports the worst
 // truncation; with Sample == 0 the result is the exact induced subgraph over
 // the reached node set (every statement between two reached resources).
-func FindNeighborhood(ctx context.Context, src Source, start rdf.Term, opt NeighborhoodOptions) (*Neighborhood, error) {
+func FindNeighborhood(ctx context.Context, src store.Source, start rdf.Term, opt NeighborhoodOptions) (*Neighborhood, error) {
 	if start == nil || start.Kind() == rdf.KindLiteral {
 		return nil, ErrNodeNotFound
 	}
@@ -237,7 +237,7 @@ func FindNeighborhood(ctx context.Context, src Source, start rdf.Term, opt Neigh
 // which statements to follow; otherwise the expansion is exhaustive.
 // Cancelling ctx stops the underlying runs early; the caller's own ctx
 // check then discards the truncated result.
-func expandNode(ctx context.Context, src Source, kc *kindCache, n store.ID, opt NeighborhoodOptions) ([]edgeRec, float64) {
+func expandNode(ctx context.Context, src store.Source, kc *kindCache, n store.ID, opt NeighborhoodOptions) ([]edgeRec, float64) {
 	total := src.EstimateCountIDs(n, 0, 0) + src.EstimateCountIDs(0, 0, n)
 	if opt.Sample > 0 && total > opt.Sample {
 		res, _ := sampling.NewReservoir[edgeRec](opt.Sample, nodeSeed(opt.Seed, n))

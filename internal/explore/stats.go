@@ -48,81 +48,39 @@ type StatsBatch struct {
 	Classes []ClassEstimate
 }
 
-// statsAgg accumulates the ID-space aggregates one walk page at a time. It
-// is exactly the accumulator store.ComputeStats uses, factored out so the
-// streaming and exact paths cannot diverge.
-type statsAgg struct {
-	typeID   store.ID
-	perPred  map[store.ID]*predAgg
-	classIDs map[store.ID]int
-	scanned  int
-}
-
-type predAgg struct {
-	triples int
-	subj    map[store.ID]struct{}
-	// obj maps each distinct object to its occurrence count so the
-	// literal-object tally needs one kind check per distinct object.
-	obj map[store.ID]int
-}
-
-func newStatsAgg(typeID store.ID) *statsAgg {
-	return &statsAgg{
-		typeID:   typeID,
-		perPred:  map[store.ID]*predAgg{},
-		classIDs: map[store.ID]int{},
-	}
-}
-
-func (a *statsAgg) visit(t store.IDTriple) {
-	pa := a.perPred[t.P]
-	if pa == nil {
-		pa = &predAgg{subj: map[store.ID]struct{}{}, obj: map[store.ID]int{}}
-		a.perPred[t.P] = pa
-	}
-	pa.triples++
-	pa.subj[t.S] = struct{}{}
-	pa.obj[t.O]++
-	if a.typeID != 0 && t.P == a.typeID {
-		a.classIDs[t.O]++
-	}
-	a.scanned++
-}
-
-// batch freezes the current state into an approximate StatsBatch, decoding
-// only the predicate and class terms (a handful) via one batch Terms call.
-func (a *statsAgg) batch(src Source, population int) StatsBatch {
-	ids := make([]store.ID, 0, len(a.perPred)+len(a.classIDs))
-	for pid := range a.perPred {
-		ids = append(ids, pid)
-	}
-	for cid := range a.classIDs {
-		ids = append(ids, cid)
-	}
+// statsBatch freezes the tally into an approximate StatsBatch, decoding only
+// the predicate and class terms (a handful) via one batch Terms call.
+func statsBatch(a *store.StatsAccumulator, src store.Source, population int) StatsBatch {
+	var (
+		ids    []store.ID // predicates, then classes
+		cards  []store.PredCardinality
+		counts []int
+	)
+	a.Predicates(func(p store.ID, c store.PredCardinality) {
+		ids = append(ids, p)
+		cards = append(cards, c)
+	})
+	a.Classes(func(c store.ID, n int) {
+		ids = append(ids, c)
+		counts = append(counts, n)
+	})
 	terms := src.Terms(ids)
-	decoded := make(map[store.ID]rdf.Term, len(ids))
-	for i, id := range ids {
-		decoded[id] = terms[i]
-	}
-	b := StatsBatch{Scanned: a.scanned}
+
+	scanned := a.Scanned()
+	b := StatsBatch{Scanned: scanned, Fraction: 1}
 	if population > 0 {
-		b.Fraction = float64(a.scanned) / float64(population)
-		if b.Fraction > 1 {
-			b.Fraction = 1
-		}
-	} else {
-		b.Fraction = 1
+		b.Fraction = min(1, float64(scanned)/float64(population))
 	}
-	for pid, pa := range a.perPred {
-		iri, ok := decoded[pid].(rdf.IRI)
+	for i, c := range cards {
+		iri, ok := terms[i].(rdf.IRI)
 		if !ok {
 			continue
 		}
 		b.Predicates = append(b.Predicates, PredEstimate{
 			Predicate:        iri,
-			Triples:          progressive.CountEstimate(pa.triples, a.scanned, population),
-			DistinctSubjects: len(pa.subj),
-			DistinctObjects:  len(pa.obj),
+			Triples:          progressive.CountEstimate(c.Triples, scanned, population),
+			DistinctSubjects: c.DistinctSubjects,
+			DistinctObjects:  c.DistinctObjects,
 		})
 	}
 	sort.Slice(b.Predicates, func(i, j int) bool {
@@ -131,10 +89,10 @@ func (a *statsAgg) batch(src Source, population int) StatsBatch {
 		}
 		return b.Predicates[i].Predicate < b.Predicates[j].Predicate
 	})
-	for cid, n := range a.classIDs {
+	for i, n := range counts {
 		b.Classes = append(b.Classes, ClassEstimate{
-			Class: decoded[cid],
-			Count: progressive.CountEstimate(n, a.scanned, population),
+			Class: terms[len(cards)+i],
+			Count: progressive.CountEstimate(n, scanned, population),
 		})
 	}
 	sort.Slice(b.Classes, func(i, j int) bool {
@@ -146,89 +104,27 @@ func (a *statsAgg) batch(src Source, population int) StatsBatch {
 	return b
 }
 
-// finalize decodes the accumulated ID aggregates into the exact store.Stats,
-// producing precisely what store.ComputeStats would for the same content —
-// the streaming endpoint's last answer must be byte-identical to the
-// buffered one.
-func (a *statsAgg) finalize(src Source) store.Stats {
-	ids := make([]store.ID, 0, len(a.perPred)+len(a.classIDs))
-	seen := map[store.ID]struct{}{}
-	add := func(id store.ID) {
-		if _, ok := seen[id]; !ok {
-			seen[id] = struct{}{}
-			ids = append(ids, id)
-		}
-	}
-	for pid, pa := range a.perPred {
-		add(pid)
-		for oid := range pa.obj {
-			add(oid)
-		}
-	}
-	for cid := range a.classIDs {
-		add(cid)
-	}
-	terms := src.Terms(ids)
-	decoded := make(map[store.ID]rdf.Term, len(ids))
-	for i, id := range ids {
-		decoded[id] = terms[i]
-	}
-	s := store.Stats{
-		Triples: a.scanned,
-		Terms:   src.NumTerms(),
-		Classes: make(map[rdf.Term]int, len(a.classIDs)),
-	}
-	for cid, n := range a.classIDs {
-		s.Classes[decoded[cid]] = n
-	}
-	for pid, pa := range a.perPred {
-		iri, ok := decoded[pid].(rdf.IRI)
-		if !ok {
-			continue
-		}
-		lits := 0
-		for oid, n := range pa.obj {
-			if decoded[oid].Kind() == rdf.KindLiteral {
-				lits += n
-			}
-		}
-		s.Predicates = append(s.Predicates, store.PredicateStat{
-			Predicate:        iri,
-			Triples:          pa.triples,
-			DistinctSubjects: len(pa.subj),
-			DistinctObjects:  len(pa.obj),
-			LiteralObjects:   lits,
-		})
-	}
-	sort.Slice(s.Predicates, func(i, j int) bool {
-		if s.Predicates[i].Triples != s.Predicates[j].Triples {
-			return s.Predicates[i].Triples > s.Predicates[j].Triples
-		}
-		return s.Predicates[i].Predicate < s.Predicates[j].Predicate
-	})
-	return s
-}
-
 // StreamStats computes dataset statistics progressively: it drives one paged
 // ID-space walk over the whole store and, every batchPages pages, emits an
 // approximate StatsBatch whose counts are CLT-scaled population estimates.
 // When the scan completes it returns the exact store.Stats assembled from
-// the same accumulator. emit returning false aborts with ErrStopped; ctx
+// the same store.StatsAccumulator ComputeStats fills, so the streaming
+// endpoint's last answer is the buffered one's, byte for byte. emit returning false aborts with ErrStopped; ctx
 // cancellation aborts with the context error; a layout-epoch restart resets
 // the accumulator (consumers see Fraction drop back, then re-grow).
 // pageSize <= 0 selects DefaultPageSize; batchPages < 1 is treated as 1.
-func StreamStats(ctx context.Context, src Source, pageSize, batchPages int, emit func(StatsBatch) bool) (store.Stats, error) {
+func StreamStats(ctx context.Context, src store.Source, pageSize, batchPages int, emit func(StatsBatch) bool) (store.Stats, error) {
 	if batchPages < 1 {
 		batchPages = 1
 	}
 	typeID, _ := src.LookupTermID(rdf.RDFType)
 	population := src.EstimateCountIDs(0, 0, 0)
-	agg := newStatsAgg(typeID)
+	agg := store.NewStatsAccumulator(typeID)
 	pages := 0
 	var stopped bool
 	err := Walk(ctx, src, 0, 0, 0, pageSize, WalkHandler{
 		Visit: func(t store.IDTriple) bool {
-			agg.visit(t)
+			agg.Visit(t)
 			return true
 		},
 		Page: func(scanned int, done bool) bool {
@@ -239,14 +135,14 @@ func StreamStats(ctx context.Context, src Source, pageSize, batchPages int, emit
 			if pages%batchPages != 0 {
 				return true
 			}
-			if !emit(agg.batch(src, population)) {
+			if !emit(statsBatch(agg, src, population)) {
 				stopped = true
 				return false
 			}
 			return true
 		},
 		Reset: func() {
-			agg = newStatsAgg(typeID)
+			agg = store.NewStatsAccumulator(typeID)
 			pages = 0
 		},
 	})
@@ -256,5 +152,10 @@ func StreamStats(ctx context.Context, src Source, pageSize, batchPages int, emit
 	if stopped {
 		return store.Stats{}, ErrStopped
 	}
-	return agg.finalize(src), nil
+	ids := agg.TermIDs()
+	decoded := make(map[store.ID]rdf.Term, len(ids))
+	for i, t := range src.Terms(ids) {
+		decoded[ids[i]] = t
+	}
+	return agg.Stats(src.NumTerms(), func(id store.ID) rdf.Term { return decoded[id] }), nil
 }

@@ -36,7 +36,7 @@ type WalkHandler struct {
 // after walkRestartAttempts restarts it falls back to one materialized
 // sorted scan, which cannot be invalidated. pageSize <= 0 selects
 // DefaultPageSize.
-func Walk(ctx context.Context, src Source, s, p, o store.ID, pageSize int, h WalkHandler) error {
+func Walk(ctx context.Context, src store.Source, s, p, o store.ID, pageSize int, h WalkHandler) error {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
@@ -87,7 +87,7 @@ func Walk(ctx context.Context, src Source, s, p, o store.ID, pageSize int, h Wal
 // walkPaged runs one paged attempt. ok=false reports a layout-epoch change
 // that invalidated the cursor (the caller restarts); a non-nil error is
 // context cancellation.
-func walkPaged(ctx context.Context, src Source, s, p, o store.ID, pageSize int, h WalkHandler) (ok bool, err error) {
+func walkPaged(ctx context.Context, src store.Source, s, p, o store.ID, pageSize int, h WalkHandler) (ok bool, err error) {
 	epoch := src.LayoutEpoch()
 	pos, scanned := 0, 0
 	for {

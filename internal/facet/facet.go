@@ -5,7 +5,7 @@
 // re-roots the browsing session on a related entity set.
 //
 // Since the progressive-exploration refactor the whole computation runs in
-// dictionary-ID space over an explore.Source: the entity set is a sorted
+// dictionary-ID space over an store.Source: the entity set is a sorted
 // []store.ID, filters intersect sorted permutation runs, and distributions
 // come from either per-entity ID probes or one merged SPO walk — terms are
 // decoded once, at emission. The previous per-entity term-space algorithm is
@@ -16,7 +16,6 @@ import (
 	"context"
 	"sort"
 
-	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/sampling"
 	"github.com/lodviz/lodviz/internal/store"
@@ -53,7 +52,7 @@ type Filter struct {
 // Session is a faceted-browsing session over a source: a current entity set
 // (initially all subjects of rdf:type, or all subjects) plus active filters.
 type Session struct {
-	src explore.Source
+	src store.Source
 	// base is the sorted, distinct dictionary-ID entity set.
 	base []store.ID
 	// typeID is rdf:type's ID when base is exactly the typed subjects, 0
@@ -72,7 +71,7 @@ type Session struct {
 // NewSessionCtx starts a session over all entities with an rdf:type; when
 // the dataset declares no types, all subjects become the base set. The base
 // collection scan honors ctx; a cancelled context aborts with its error.
-func NewSessionCtx(ctx context.Context, src explore.Source) (*Session, error) {
+func NewSessionCtx(ctx context.Context, src store.Source) (*Session, error) {
 	if typeID, ok := src.LookupTermID(rdf.RDFType); ok {
 		base, err := distinctSubjects(ctx, src, typeID)
 		if err != nil {
@@ -115,7 +114,7 @@ func (s *Session) Footprint() store.Footprint {
 
 // NewSession is NewSessionCtx without cancellation, for callers with no
 // request scope (CLI, tests).
-func NewSession(src explore.Source) *Session {
+func NewSession(src store.Source) *Session {
 	//lint:allow ctxflow compat wrapper: NewSessionCtx is the cancellable form
 	s, _ := NewSessionCtx(context.Background(), src)
 	return s
@@ -123,7 +122,7 @@ func NewSession(src explore.Source) *Session {
 
 // NewSessionOver starts a session over an explicit entity set (the pivot
 // path). Duplicate entities are collapsed.
-func NewSessionOver(src explore.Source, entities []rdf.Term) *Session {
+func NewSessionOver(src store.Source, entities []rdf.Term) *Session {
 	s := &Session{src: src}
 	seen := map[store.ID]struct{}{}
 	extraSeen := map[rdf.Term]struct{}{}
@@ -149,7 +148,7 @@ func NewSessionOver(src explore.Source, entities []rdf.Term) *Session {
 // with predicate pid (0 = any). Both the PSO run (pid bound) and the SPO run
 // (unbound) yield subjects in ascending order, so deduplication is one
 // consecutive comparison per statement.
-func distinctSubjects(ctx context.Context, src explore.Source, pid store.ID) ([]store.ID, error) {
+func distinctSubjects(ctx context.Context, src store.Source, pid store.ID) ([]store.ID, error) {
 	lead := store.PosS
 	if pid == 0 {
 		lead = store.PosAny

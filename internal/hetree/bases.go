@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
@@ -26,7 +25,7 @@ type ChangeLog interface {
 // package comment). It needs no capacity: all bases together hold at most
 // one entry per triple in the store, 20 bytes each. Safe for concurrent use.
 type Bases struct {
-	src explore.Source
+	src store.Source
 	log ChangeLog
 
 	mu   sync.Mutex
@@ -56,7 +55,7 @@ type BasesStats struct {
 
 // NewBases returns a holder of bases collected from src, which log speaks
 // for; normally both are the one store. Nothing is built until first use.
-func NewBases(src explore.Source, log ChangeLog) *Bases {
+func NewBases(src store.Source, log ChangeLog) *Bases {
 	return &Bases{src: src, log: log, held: map[store.ID]*heldBase{}}
 }
 

@@ -53,7 +53,6 @@ import (
 	"slices"
 	"sort"
 
-	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
@@ -150,7 +149,7 @@ type Tree struct {
 	// What Items resolves a node's slice of the base with: the caller's
 	// items in base order (New), or the source that decodes base.subjects.
 	items []Item
-	src   explore.Source
+	src   store.Source
 	root  *Node
 
 	// materialized counts nodes created so far — the cost metric for the

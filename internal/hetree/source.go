@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
@@ -25,7 +24,7 @@ var ErrNoValues = errors.New("hetree: property has no numeric or temporal values
 // parse as NaN or ±Inf have no place on an axis and are left out. No subject
 // is decoded here; Items decodes the ones of the node it is given, through
 // src, which the tree therefore keeps.
-func FromSource(ctx context.Context, src explore.Source, prop rdf.IRI, opts Options) (*Tree, error) {
+func FromSource(ctx context.Context, src store.Source, prop rdf.IRI, opts Options) (*Tree, error) {
 	pid, ok := src.LookupTermID(prop)
 	if !ok {
 		return nil, ErrNoValues
@@ -39,7 +38,7 @@ func FromSource(ctx context.Context, src explore.Source, prop rdf.IRI, opts Opti
 
 // tree starts a tree of the given shape over the base; src decodes the
 // subjects Items is asked for.
-func (b *Base) tree(src explore.Source, opts Options) (*Tree, error) {
+func (b *Base) tree(src store.Source, opts Options) (*Tree, error) {
 	if b.Len() == 0 {
 		return nil, ErrNoValues
 	}
@@ -57,7 +56,7 @@ func (b *Base) tree(src explore.Source, opts Options) (*Tree, error) {
 // pairs are sorted by (value, subject ID) — one order whatever the split
 // between base index and delta buffer — and laid out as parallel arrays.
 // ctx is honored while walking large runs.
-func collect(ctx context.Context, src explore.Source, pid store.ID) (*Base, error) {
+func collect(ctx context.Context, src store.Source, pid store.ID) (*Base, error) {
 	run, ok := src.ScanIDs(0, pid, 0, store.PosAny)
 	if !ok {
 		return &Base{}, nil

@@ -11,16 +11,6 @@ import (
 	"github.com/lodviz/lodviz/internal/store"
 )
 
-// exploreSrc is the ID-space source exploration endpoints scan: the store,
-// unless a test wrapped it (Config.exploreSource) to gate or instrument
-// paging.
-func (s *Server) exploreSrc() explore.Source {
-	if s.cfg.exploreSource != nil {
-		return s.cfg.exploreSource
-	}
-	return s.st
-}
-
 // estimateJSON carries one CLT-bounded progressive estimate on the wire:
 // value ± ci95 covers the exact answer with 95% confidence, fraction is the
 // share of the dataset scanned when it was taken.
@@ -89,13 +79,15 @@ func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	gen := s.st.Generation() // before the scan, as serveCached reads it
-	line := streamLiner(w)
-
+	// The session first: while nothing is written its failure is still a
+	// status, the one the buffered route answers with.
 	sess, err := s.facetSession(ctx, max, filters)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		status, msg := queryError(err)
+		writeError(w, status, msg)
 		return
 	}
+	line := streamLiner(w)
 	lines := 0
 	count, fs, err := sess.Stream(ctx, 0, 1, func(b facet.Batch) bool {
 		out := facetsStreamBatch{
@@ -126,12 +118,12 @@ func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 	})
 	if errors.Is(err, explore.ErrStopped) {
 		// Client gone mid-stream: the batches delivered so far still count.
-		markStream(w, lines, false)
+		markStream(w, lines, streamAborted)
 		return
 	}
 	if err != nil {
 		_, msg := queryError(err)
-		markStream(w, lines, line(exploreStreamFinal{Error: msg}))
+		markStream(w, lines, trailerOutcome(streamFailed, line(exploreStreamFinal{Error: msg})))
 		return
 	}
 	resp := encodeFacetsResponse(count, fs)
@@ -139,9 +131,9 @@ func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 	// the buffered endpoint for the same view must find the entry.
 	s.fillCache(s.facetsKey(max, rawFilters), gen, sess.Footprint(), resp)
 	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: resp}) {
-		markStream(w, lines+1, true)
+		markStream(w, lines+1, streamCompleted)
 	} else {
-		markStream(w, lines, false)
+		markStream(w, lines, streamAborted)
 	}
 }
 
@@ -176,7 +168,7 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 	line := streamLiner(w)
 
 	lines := 0
-	stats, err := explore.StreamStats(ctx, s.exploreSrc(), 0, 1, func(b explore.StatsBatch) bool {
+	stats, err := explore.StreamStats(ctx, s.source(), 0, 1, func(b explore.StatsBatch) bool {
 		out := statsStreamBatch{
 			Fraction:   b.Fraction,
 			Scanned:    b.Scanned,
@@ -205,20 +197,20 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 	})
 	if errors.Is(err, explore.ErrStopped) {
 		// Client gone mid-stream: the batches delivered so far still count.
-		markStream(w, lines, false)
+		markStream(w, lines, streamAborted)
 		return
 	}
 	if err != nil {
 		_, msg := queryError(err)
-		markStream(w, lines, line(exploreStreamFinal{Error: msg}))
+		markStream(w, lines, trailerOutcome(streamFailed, line(exploreStreamFinal{Error: msg})))
 		return
 	}
 	resp := encodeStatsResponse(stats)
 	s.fillCache(statsKey, gen, wholeStore, resp) // before the trailer, as above
 	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: resp}) {
-		markStream(w, lines+1, true)
+		markStream(w, lines+1, streamCompleted)
 	} else {
-		markStream(w, lines, false)
+		markStream(w, lines, streamAborted)
 	}
 }
 

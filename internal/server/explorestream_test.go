@@ -188,7 +188,7 @@ func (g *pageGatedSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(
 func TestFacetsStreamFirstBatchArrivesMidScan(t *testing.T) {
 	st := gen.MiniLODStore()
 	gated := &pageGatedSource{Store: st, release: make(chan struct{})}
-	s := New(st, Config{Logger: discardLogger(), CacheCapacity: -1, exploreSource: gated})
+	s := New(st, Config{Logger: discardLogger(), CacheCapacity: -1, source: gated})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	defer func() {

@@ -73,7 +73,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		}
 		var res *sparql.Results
 		if err == nil {
-			res, err = sparql.EvalCtx(ctx, s.querySource(), parsed, sparql.Options{
+			res, err = sparql.EvalCtx(ctx, s.source(), parsed, sparql.Options{
 				Parallelism: s.cfg.Parallelism, Service: s.mesh,
 				Metrics: s.engineMet, Trace: tr,
 			})
@@ -335,7 +335,7 @@ func (s *Server) facetsKey(max int, rawFilters []string) string {
 
 // facetSession opens a facet session with the request's cap and filters.
 func (s *Server) facetSession(ctx context.Context, max int, filters []facet.Filter) (*facet.Session, error) {
-	sess, err := facet.NewSessionCtx(ctx, s.exploreSrc())
+	sess, err := facet.NewSessionCtx(ctx, s.source())
 	if err != nil {
 		return nil, err
 	}
@@ -509,7 +509,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, r, s.cacheKey(r), func() result {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
-		nb, err := explore.FindNeighborhood(ctx, s.exploreSrc(), term, explore.NeighborhoodOptions{
+		nb, err := explore.FindNeighborhood(ctx, s.source(), term, explore.NeighborhoodOptions{
 			Hops: hops, Sample: sample, Seed: seed,
 		})
 		if errors.Is(err, explore.ErrNodeNotFound) {

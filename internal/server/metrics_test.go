@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"github.com/lodviz/lodviz/internal/explain"
+	"github.com/lodviz/lodviz/internal/gen"
+	"github.com/lodviz/lodviz/internal/store"
 )
 
 // TestMetricsEndpoint drives traffic through several layers, then asserts
@@ -306,5 +308,61 @@ func TestHealthzEnriched(t *testing.T) {
 	}
 	if resp.WAL != nil || resp.Snapshot != nil || resp.Ledger != nil {
 		t.Errorf("sections for unconfigured subsystems must be omitted: %+v", resp)
+	}
+}
+
+// TestStreamFailedOutcome: a stream that ends in an error trailer is neither
+// completed nor aborted. With a 1ns query timeout every streaming route
+// commits its 200, fails at its first context check and says so in the
+// trailer; the access log and lodviz_http_streams_total must call that
+// "failed" — they used to call it "completed", because the error line was
+// written.
+func TestStreamFailedOutcome(t *testing.T) {
+	load := func(entities int) *store.Store {
+		st, err := store.Load(gen.EntityDataset(gen.EntityOptions{Entities: entities, CategoryProps: 1, Seed: 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	var logBuf bytes.Buffer
+	cfg := Config{QueryTimeout: time.Nanosecond, Logger: slog.New(slog.NewTextHandler(&logBuf, nil))}
+	s := New(load(3000), cfg)
+	for _, route := range []string{"/facets/stream", "/stats/stream", "/sparql/stream"} {
+		target := route
+		if route == "/sparql/stream" {
+			target += "?query=" + url.QueryEscape(`SELECT ?s WHERE { ?s ?p ?o }`)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"error":"query timed out"`) {
+			t.Fatalf("%s: status %d body %q, want 200 and a timed-out trailer", route, rec.Code, rec.Body.String())
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, route := range []string{"/facets/stream", "/stats/stream", "/sparql/stream"} {
+		if want := `lodviz_http_streams_total{route="` + route + `",outcome="failed"} 1`; !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
+		if bad := `lodviz_http_streams_total{route="` + route + `",outcome="completed"}`; strings.Contains(rec.Body.String(), bad) {
+			t.Errorf("/metrics counts the failed %s stream as completed", route)
+		}
+	}
+	if got := strings.Count(logBuf.String(), "stream=failed"); got != 3 {
+		t.Errorf("access log has %d stream=failed lines, want 3:\n%s", got, logBuf.String())
+	}
+
+	// Over 4096 typed entities the facet session itself notices the
+	// deadline. Nothing has been written by then, so that is a status (the
+	// buffered route's), not a 200 with a trailer — and not a stream.
+	big := httptest.NewRecorder()
+	New(load(5000), cfg).Handler().ServeHTTP(big, httptest.NewRequest(http.MethodGet, "/facets/stream", nil))
+	if big.Code != http.StatusGatewayTimeout || !strings.Contains(big.Body.String(), `{"error":"query timed out"}`) {
+		t.Fatalf("session failure: status %d body %q, want 504 and the error envelope", big.Code, big.Body.String())
+	}
+	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+	if last := lines[len(lines)-1]; !strings.Contains(last, "status=504") || strings.Contains(last, "stream=") {
+		t.Errorf("access log line of the session failure = %q, want status=504 and no stream outcome", last)
 	}
 }

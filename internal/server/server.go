@@ -48,7 +48,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/facet"
 	"github.com/lodviz/lodviz/internal/federation"
 	"github.com/lodviz/lodviz/internal/hetree"
@@ -120,16 +119,12 @@ type Config struct {
 	// lodvizd enables it unless -facet-warming=false.
 	FacetWarming bool
 
-	// querySource, when set by tests, replaces the store as the triple
-	// source SPARQL evaluation scans — the seam for wrapping the store
-	// with throttled or instrumented variants (the streaming endpoint's
-	// first-row-before-completion test gates the scan on a channel).
-	querySource sparql.Source
-	// exploreSource, when set by tests, replaces the store as the ID-space
-	// source the exploration endpoints (facets, stats, neighborhood, hetree)
-	// scan — the seam the progressive endpoints' first-batch-mid-scan tests
-	// use to gate paging.
-	exploreSource explore.Source
+	// source, when set by tests, replaces the store as what every read
+	// endpoint scans (SPARQL evaluation, facets, stats, neighborhood,
+	// hetree) — the seam for wrapping the store to gate, throttle or
+	// instrument scans (the streaming endpoints' first-row-before-completion
+	// tests gate a scan on a channel).
+	source store.Source
 }
 
 func (c Config) withDefaults() Config {
@@ -209,7 +204,7 @@ func New(st *store.Store, cfg Config) *Server {
 	if s.kw == nil {
 		s.kw = keyword.NewLazy(st)
 	}
-	s.bases = hetree.NewBases(s.exploreSrc(), st)
+	s.bases = hetree.NewBases(s.source(), st)
 	if s.cfg.FacetWarming && s.cache != nil {
 		s.warmSem = make(chan struct{}, 2)
 	}
@@ -357,19 +352,29 @@ type statusRecorder struct {
 	streamOutcome string // "" for non-streamed responses
 }
 
+// How a streamed response ended, as the access log and
+// lodviz_http_streams_total{outcome} tell it.
+const (
+	streamCompleted = "completed" // the done trailer reached the client
+	streamFailed    = "failed"    // evaluation failed; the error trailer reached the client
+	streamAborted   = "aborted"   // the client was gone before the trailer
+)
+
+// trailerOutcome is the outcome of a stream whose last line was meant to
+// end it as outcome: that, if the line was written, else streamAborted.
+func trailerOutcome(outcome string, written bool) string {
+	if written {
+		return outcome
+	}
+	return streamAborted
+}
+
 // markStream records a streaming handler's delivered rows and outcome on
 // the request's recorder; a no-op when w is not the middleware's recorder
 // (direct handler tests).
-func markStream(w http.ResponseWriter, rows int, completed bool) {
-	rec, ok := w.(*statusRecorder)
-	if !ok {
-		return
-	}
-	rec.streamRows = rows
-	if completed {
-		rec.streamOutcome = "completed"
-	} else {
-		rec.streamOutcome = "aborted"
+func markStream(w http.ResponseWriter, rows int, outcome string) {
+	if rec, ok := w.(*statusRecorder); ok {
+		rec.streamRows, rec.streamOutcome = rows, outcome
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"github.com/lodviz/lodviz/internal/sparql"
+	"github.com/lodviz/lodviz/internal/store"
 )
 
 // streamContentType is the media type of the chunked streaming results
@@ -52,7 +53,7 @@ func (s *Server) handleSPARQLStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
-	stm, err := sparql.PrepareStream(ctx, s.querySource(), q, sparql.Options{Parallelism: s.cfg.Parallelism, Service: s.mesh, Metrics: s.engineMet})
+	stm, err := sparql.PrepareStream(ctx, s.source(), q, sparql.Options{Parallelism: s.cfg.Parallelism, Service: s.mesh, Metrics: s.engineMet})
 	if err != nil {
 		status, msg := queryError(err)
 		writeError(w, status, msg)
@@ -70,19 +71,19 @@ func (s *Server) handleSPARQLStream(w http.ResponseWriter, r *http.Request) {
 		ans, err := stm.Ask()
 		if err != nil {
 			_, msg := queryError(err)
-			markStream(w, 0, line(streamTrailer{Error: msg}))
+			markStream(w, 0, trailerOutcome(streamFailed, line(streamTrailer{Error: msg})))
 			return
 		}
 		if line(streamAsk{Boolean: ans}) {
-			markStream(w, 1, line(streamTrailer{Done: true}))
+			markStream(w, 1, trailerOutcome(streamCompleted, line(streamTrailer{Done: true})))
 		} else {
-			markStream(w, 0, false)
+			markStream(w, 0, streamAborted)
 		}
 		return
 	}
 
 	if !line(streamHead{Vars: stm.Vars()}) {
-		markStream(w, 0, false)
+		markStream(w, 0, streamAborted)
 		return
 	}
 	rows := 0
@@ -100,16 +101,16 @@ func (s *Server) handleSPARQLStream(w http.ResponseWriter, r *http.Request) {
 	})
 	if runErr != nil {
 		_, msg := queryError(runErr)
-		markStream(w, rows, line(streamTrailer{Rows: rows, Error: msg}))
+		markStream(w, rows, trailerOutcome(streamFailed, line(streamTrailer{Rows: rows, Error: msg})))
 		return
 	}
 	if clientGone {
 		// The rows delivered before the disconnect still count — the
 		// access log and metrics must not lose them.
-		markStream(w, rows, false)
+		markStream(w, rows, streamAborted)
 		return
 	}
-	markStream(w, rows, line(streamTrailer{Done: true, Rows: rows}))
+	markStream(w, rows, trailerOutcome(streamCompleted, line(streamTrailer{Done: true, Rows: rows})))
 }
 
 // ndjsonLiner returns the per-line NDJSON writer over w: encode, newline,
@@ -134,12 +135,11 @@ func (s *Server) queryCtx(r *http.Request) (ctx context.Context, cancel context.
 	return context.WithTimeout(r.Context(), s.cfg.QueryTimeout)
 }
 
-// querySource is the triple source queries evaluate against: the store,
-// unless a test wrapped it (Config.querySource) to observe or throttle
-// scans.
-func (s *Server) querySource() sparql.Source {
-	if s.cfg.querySource != nil {
-		return s.cfg.querySource
+// source is what the read endpoints scan: the store, unless a test wrapped
+// it (Config.source) to observe, gate or throttle scans.
+func (s *Server) source() store.Source {
+	if s.cfg.source != nil {
+		return s.cfg.source
 	}
 	return s.st
 }

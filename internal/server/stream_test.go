@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/lodviz/lodviz/internal/gen"
-	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
@@ -147,15 +146,15 @@ func (g *gatedSource) step() {
 	}
 }
 
-func (g *gatedSource) ForEach(p store.Pattern, fn func(rdf.Triple) bool) {
-	g.Store.ForEach(p, func(t rdf.Triple) bool {
+func (g *gatedSource) ForEachID(s, p, o store.ID, fn func(store.IDTriple) bool) {
+	g.Store.ForEachID(s, p, o, func(t store.IDTriple) bool {
 		g.step()
 		return fn(t)
 	})
 }
 
-func (g *gatedSource) ForEachPage(p store.Pattern, pos, max int, fn func(rdf.Triple) bool) (int, bool) {
-	return g.Store.ForEachPage(p, pos, max, func(t rdf.Triple) bool {
+func (g *gatedSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(store.IDTriple) bool) (int, bool) {
+	return g.Store.ForEachIDPage(s, p, o, pos, max, func(t store.IDTriple) bool {
 		g.step()
 		return fn(t)
 	})
@@ -172,7 +171,7 @@ func TestStreamFirstRowBeforeEvaluationCompletes(t *testing.T) {
 	// nothing more: the scan blocks mid-second-page while the client must
 	// already hold the first rows.
 	src := &gatedSource{Store: st, free: 6, gate: gate}
-	s := New(st, Config{Logger: discardLogger(), querySource: src})
+	s := New(st, Config{Logger: discardLogger(), source: src})
 	ts := newHTTPTestServer(t, s)
 
 	resp, err := http.Get(ts + "/sparql/stream?query=" + url.QueryEscape(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`))

@@ -30,7 +30,7 @@ func serve(s *Server, target string) (int, string, string) {
 
 func sparqlTarget(q string) string { return "/sparql?query=" + url.QueryEscape(q) }
 
-// midBuildSource wraps the store on both source seams and, when armed, runs
+// midBuildSource wraps the store on the source seam and, when armed, runs
 // a hook right after the next scan a build makes has returned — while the
 // build is still going, with no store lock held.
 type midBuildSource struct {
@@ -55,13 +55,8 @@ func (m *midBuildSource) ForEachID(s, p, o store.ID, fn func(store.IDTriple) boo
 	m.fire()
 }
 
-func (m *midBuildSource) ForEach(p store.Pattern, fn func(rdf.Triple) bool) {
-	m.Store.ForEach(p, fn)
-	m.fire()
-}
-
-func (m *midBuildSource) ForEachPage(p store.Pattern, pos, max int, fn func(rdf.Triple) bool) (int, bool) {
-	next, done := m.Store.ForEachPage(p, pos, max, fn)
+func (m *midBuildSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(store.IDTriple) bool) (int, bool) {
+	next, done := m.Store.ForEachIDPage(s, p, o, pos, max, fn)
 	m.fire()
 	return next, done
 }
@@ -96,7 +91,7 @@ func TestWriteDuringBuildIsFoundOut(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			st := gen.MiniLODStore()
 			src := &midBuildSource{Store: st}
-			on := New(st, Config{Logger: discardLogger(), querySource: src, exploreSource: src})
+			on := New(st, Config{Logger: discardLogger(), source: src})
 			off := New(st, Config{Logger: discardLogger(), CacheCapacity: -1})
 
 			wrote := false
@@ -133,7 +128,7 @@ func TestWriteDuringBuildIsFoundOut(t *testing.T) {
 func TestConcurrentRequestsShareOneBuild(t *testing.T) {
 	st := gen.MiniLODStore()
 	src := &midBuildSource{Store: st}
-	s := New(st, Config{Logger: discardLogger(), exploreSource: src})
+	s := New(st, Config{Logger: discardLogger(), source: src})
 	started, release := make(chan struct{}), make(chan struct{})
 	hold := func() { close(started); <-release }
 	src.hook.Store(&hold)

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -22,19 +23,21 @@ type engine struct {
 	// ctx bounds the evaluation; the probe loops poll it so a cancelled or
 	// timed-out query stops mid-scan instead of running to completion.
 	ctx context.Context
-	st  Source
+	st  store.Source
 	// par is the BGP worker count; <=1 evaluates sequentially.
 	par int
 	// sem is the engine-wide budget of extra worker slots (par-1 tokens),
-	// shared by nested parMap calls so total fan-out stays bounded.
+	// shared by nested parChunks calls so total fan-out stays bounded.
 	sem chan struct{}
 	// noReorder disables cost-based join reordering (tests compare the
 	// naive textual order against the planned order).
 	noReorder bool
-	// noIDJoin forces the term-space hash path for triple-pattern runs even
-	// when the source is an IDSource (differential tests compare it against
-	// the dictionary-ID path).
-	noIDJoin bool
+	// noStream keeps a query off the early-termination paths of stream.go,
+	// and runOracle, when set, evaluates triple-pattern runs in place of the
+	// ID executor: the differential tests' reference is the materializing
+	// pipeline over a term-space oracle that lives in their own files.
+	noStream  bool
+	runOracle func(run []TriplePattern, input []Binding) ([]Binding, error)
 	// svc evaluates SERVICE clauses; nil means federation is not wired.
 	svc ServiceEvaluator
 	// met receives aggregate counters; nil (the common case) costs one
@@ -49,6 +52,42 @@ type engine struct {
 	// concurrent worker goroutines.
 	cards     map[rdf.IRI]store.PredCardinality
 	cardsOnce sync.Once
+	// ids memoizes term→ID lookups for the query (0 = absent): constants
+	// repeat across patterns and between planner and executor, input
+	// columns repeat across rows. idsMu guards it against the pool's
+	// workers.
+	ids   map[rdf.Term]store.ID
+	idsMu sync.Mutex
+}
+
+// termID resolves a term to its dictionary ID; ok=false means no triple
+// mentions it.
+func (e *engine) termID(t rdf.Term) (store.ID, bool) {
+	e.idsMu.Lock()
+	id, seen := e.ids[t]
+	e.idsMu.Unlock()
+	if !seen {
+		id, _ = e.st.LookupTermID(t)
+		e.idsMu.Lock()
+		e.ids[t] = id
+		e.idsMu.Unlock()
+	}
+	return id, id != 0
+}
+
+// constIDs encodes a pattern's constant positions (0 for a variable);
+// ok=false means a constant is absent from the dictionary and nothing can
+// match.
+func (e *engine) constIDs(tp TriplePattern) (ids [3]store.ID, ok bool) {
+	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
+		if n.IsVar() {
+			continue
+		}
+		if ids[i], ok = e.termID(n.Term); !ok {
+			return ids, false
+		}
+	}
+	return ids, true
 }
 
 // evalGroup evaluates a group graph pattern, extending each input binding.
@@ -111,9 +150,9 @@ func (e *engine) evalElems(elems []GroupElem, filters []Expr, input []Binding) (
 		switch el := elems[i].(type) {
 		case TriplePattern:
 			// Gather the maximal run of consecutive triple patterns: the run
-			// evaluates as one unit so the ID-space executor (idjoin.go) can
-			// keep intermediate rows dictionary-encoded across the joins and
-			// decode terms once at the end.
+			// evaluates as one unit so the executor (idjoin.go) keeps
+			// intermediate rows dictionary-encoded across the joins and
+			// decodes terms once at the end.
 			run := []TriplePattern{el}
 			for i+1 < len(elems) {
 				next, ok := elems[i+1].(TriplePattern)
@@ -193,10 +232,12 @@ func (e *engine) reorderTriplePatterns(elems []GroupElem) []GroupElem {
 		}
 		// Base estimates over the constant positions are independent of
 		// the bound set; compute them once per run, not once per greedy
-		// step.
+		// step — and not at all for a lone pattern, which has no order.
 		bases := make([]float64, len(run))
-		for k, cand := range run {
-			bases[k] = float64(e.estimate(cand))
+		if len(run) > 1 {
+			for k, cand := range run {
+				bases[k] = float64(e.estimate(cand))
+			}
 		}
 		// Greedy selection: repeatedly pick the cheapest pattern given
 		// the variables bound so far. Ties go to the more-bound pattern,
@@ -230,32 +271,21 @@ func (e *engine) reorderTriplePatterns(elems []GroupElem) []GroupElem {
 // estimate returns the store's cardinality estimate for the pattern's
 // constant positions.
 func (e *engine) estimate(tp TriplePattern) int {
-	var pat store.Pattern
-	if !tp.S.IsVar() {
-		pat.S = tp.S.Term
+	ids, ok := e.constIDs(tp)
+	if !ok {
+		return 0
 	}
-	if !tp.P.IsVar() {
-		pat.P = tp.P.Term
-	}
-	if !tp.O.IsVar() {
-		pat.O = tp.O.Term
-	}
-	return e.st.EstimateCount(pat)
+	return e.st.EstimateCountIDs(ids[0], ids[1], ids[2])
 }
 
-// estimateFanout estimates how many solutions evaluating tp produces per
-// input binding, given the variables bound by earlier elements. The base is
-// the exact index-range count over the constant positions; each variable
-// position that is already bound by a join divides the base by that
-// position's distinct-value count (per-predicate when the predicate is
-// constant, the dictionary size as an optimistic fallback otherwise), since a
-// concrete join value selects ~1/distinct of the range.
-func (e *engine) estimateFanout(tp TriplePattern, bound map[string]bool) float64 {
-	return e.fanoutWithBase(tp, float64(e.estimate(tp)), bound)
-}
-
-// fanoutWithBase is estimateFanout with the constant-position base estimate
-// supplied by the caller (the reorder loop caches it per run).
+// fanoutWithBase estimates how many solutions evaluating tp produces per
+// input binding, given the variables bound by earlier elements. base is the
+// exact index-range count over the constant positions (estimate; the
+// reorder loop caches it per run); each variable position that is already
+// bound by a join divides it by that position's distinct-value count
+// (per-predicate when the predicate is constant, the dictionary size as an
+// optimistic fallback otherwise), since a concrete join value selects
+// ~1/distinct of the range.
 func (e *engine) fanoutWithBase(tp TriplePattern, base float64, bound map[string]bool) float64 {
 	if base == 0 {
 		return 0
@@ -336,122 +366,13 @@ func (e *engine) cancelled() error {
 	return e.ctx.Err()
 }
 
-// evalTriplePattern extends each binding with matches from the store. Large
-// binding sets are partitioned into chunks and probed concurrently by the
-// engine's worker pool; the index-sequenced merge keeps the output order
-// identical to the sequential loop.
-func (e *engine) evalTriplePattern(tp TriplePattern, input []Binding) ([]Binding, error) {
-	return e.evalTriplePatternCap(tp, input, -1)
-}
-
-// evalTriplePatternCap is evalTriplePattern with a row budget: when the
-// pattern is the query's final join stage, only the first cap rows of its
-// output can reach the client, so chunks stop probing once they hold cap
-// rows and the parallel merge skips chunks the committed prefix has already
-// made unreachable. cap < 0 means unlimited.
-func (e *engine) evalTriplePatternCap(tp TriplePattern, input []Binding, cap int) ([]Binding, error) {
-	return e.parMapCap(input, cap, func(chunk []Binding, chunkCap int) ([]Binding, error) {
-		return e.evalTriplePatternChunk(tp, chunk, chunkCap)
-	})
-}
-
-// evalTriplePatternChunk is the sequential probe loop over one chunk,
-// producing at most cap rows (cap < 0 = unlimited). It polls the engine
-// context every cancelCheckInterval bindings, and inside a single large
-// index scan every cancelCheckInterval matches, so even a one-pattern full
-// scan honors cancellation.
-func (e *engine) evalTriplePatternChunk(tp TriplePattern, input []Binding, cap int) ([]Binding, error) {
-	var out []Binding
-	var scanned int
-	var stop error
-	for i, b := range input {
-		if cap >= 0 && len(out) >= cap {
-			break
-		}
-		if i%cancelCheckInterval == 0 {
-			if err := e.cancelled(); err != nil {
-				return nil, err
-			}
-		}
-		pat, vars := concretize(tp, b)
-		e.st.ForEach(pat, func(t rdf.Triple) bool {
-			scanned++
-			if scanned%cancelCheckInterval == 0 {
-				if err := e.cancelled(); err != nil {
-					stop = err
-					return false
-				}
-			}
-			nb, ok := unify(b, vars, t)
-			if ok {
-				out = append(out, nb)
-				if cap >= 0 && len(out) >= cap {
-					return false
-				}
-			}
-			return true
-		})
-		if stop != nil {
-			return nil, stop
-		}
-	}
-	e.met.addScan(scanned, len(out))
-	return out, nil
-}
-
-// concretize substitutes bound variables into the pattern, returning the
-// store pattern and the residual variable names per position (empty = bound).
-func concretize(tp TriplePattern, b Binding) (store.Pattern, [3]string) {
-	var pat store.Pattern
-	var vars [3]string
-	resolve := func(n Node) (rdf.Term, string) {
-		if !n.IsVar() {
-			return n.Term, ""
-		}
-		if t, ok := b[n.Var]; ok {
-			return t, ""
-		}
-		return nil, n.Var
-	}
-	pat.S, vars[0] = resolve(tp.S)
-	pat.P, vars[1] = resolve(tp.P)
-	pat.O, vars[2] = resolve(tp.O)
-	return pat, vars
-}
-
-// unify binds residual variables to the matched triple, handling repeated
-// variables (?x ?p ?x) by requiring equal terms.
-func unify(b Binding, vars [3]string, t rdf.Triple) (Binding, bool) {
-	nb := b.clone()
-	assign := func(name string, val rdf.Term) bool {
-		if name == "" {
-			return true
-		}
-		if prev, ok := nb[name]; ok {
-			return prev == val
-		}
-		nb[name] = val
-		return true
-	}
-	if !assign(vars[0], t.S) {
-		return nil, false
-	}
-	if !assign(vars[1], rdf.Term(t.P)) {
-		return nil, false
-	}
-	if !assign(vars[2], t.O) {
-		return nil, false
-	}
-	return nb, true
-}
-
 // evalOptional implements left join: bindings that match the inner group are
 // extended; the rest pass through unchanged. Each input binding's inner
 // evaluation is independent, so large inputs fan out to the worker pool.
 func (e *engine) evalOptional(opt Optional, input []Binding) ([]Binding, error) {
-	return e.parMap(input, func(chunk []Binding) ([]Binding, error) {
+	parts, err := parChunks(e, len(input), -1, nil, func(lo, hi int) ([]Binding, error) {
 		var out []Binding
-		for _, b := range chunk {
+		for _, b := range input[lo:hi] {
 			matched, err := e.evalGroup(opt.Inner, []Binding{b})
 			if err != nil {
 				return nil, err
@@ -464,6 +385,10 @@ func (e *engine) evalOptional(opt Optional, input []Binding) ([]Binding, error) 
 		}
 		return out, nil
 	})
+	if len(parts) == 1 {
+		return parts[0], err // evaluated inline: nothing to join
+	}
+	return slices.Concat(parts...), err
 }
 
 func (e *engine) evalUnion(u Union, input []Binding) ([]Binding, error) {

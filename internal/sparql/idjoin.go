@@ -4,20 +4,20 @@ import (
 	"slices"
 	"time"
 
-	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
-// ID-space evaluation of basic graph patterns. When the engine's source is an
-// IDSource, a run of triple patterns is executed entirely over dictionary
-// IDs: input bindings are encoded once into a flat uint32 arena, each pattern
-// either merge-joins a sorted permutation run (equal-prefix joins), probes
-// the indexes per row, or cross-joins one shared scan, and terms are decoded
-// in one batch only when the run's survivors become Bindings. The output —
-// rows and row order — is byte-identical to the term-space hash path
-// (Options.NoIDJoin; differential tests compare the two): every strategy
-// below emits, for each input row in input order, that row's matches in
-// exactly the permutation order the per-row term-space scan would use.
+// The executor. A run of consecutive triple patterns is evaluated entirely
+// over dictionary IDs, whoever asks — the materializing pipeline, the paged
+// stream driver (stream.go) or DELETE WHERE: input bindings are encoded once
+// into a flat uint32 arena, each pattern either merge-joins a sorted
+// permutation run (equal-prefix joins), probes the indexes per row, or
+// cross-joins one shared scan, and terms are decoded in one batch only when
+// the run's survivors become Bindings. Every strategy below emits, for each
+// input row in input order, that row's matches in exactly the order a
+// per-row scan of the PosAny permutation would give, so which strategy ran
+// never shows in the output; the differential tests hold all of them to a
+// sequential term-space evaluator kept in their own files.
 
 const (
 	// mergeScanFactor bounds when a merge join pays: scanning an index range
@@ -51,123 +51,103 @@ type idPos struct {
 	id   store.ID
 }
 
+// patternRun is what the patterns of one run share while they execute: the
+// slot of every variable the run mentions, and the input bindings its rows
+// descend from.
+type patternRun struct {
+	e        *engine
+	slotOf   map[string]int
+	slotVars []string
+	input    []Binding
+}
+
 // evalPatternRun evaluates a maximal run of consecutive triple patterns.
-// Non-ID sources and Options.NoIDJoin take the per-pattern term-space path;
-// everything else runs the dictionary-ID pipeline.
 func (e *engine) evalPatternRun(run []TriplePattern, input []Binding) ([]Binding, error) {
-	src, ok := e.st.(IDSource)
-	if !ok || e.noIDJoin {
-		if e.met != nil {
-			e.met.RunsHash.Inc()
-		}
-		return e.evalPatternRunHash(run, input)
+	if e.runOracle != nil {
+		return e.runOracle(run, input)
 	}
+	r, rows := e.newPatternRun(run, input)
+	rows, err := r.extend(rows, run, -1)
+	if err != nil {
+		return nil, err
+	}
+	return r.decode(rows), nil
+}
+
+// newPatternRun lays out the run's slots and encodes the input bindings as
+// its first rows. A binding whose slot term is absent from the dictionary
+// can never survive the pattern mentioning that slot (every slot is
+// mentioned by some pattern in the run), so its row is dropped here.
+func (e *engine) newPatternRun(run []TriplePattern, input []Binding) (*patternRun, idRows) {
 	if e.met != nil {
 		e.met.RunsIDJoin.Inc()
 	}
-	return e.evalPatternRunIDs(src, run, input)
-}
-
-// evalPatternRunHash is the pre-existing term-space pipeline: one hash-probe
-// stage per pattern.
-func (e *engine) evalPatternRunHash(run []TriplePattern, input []Binding) ([]Binding, error) {
-	cur := input
-	for _, tp := range run {
-		if err := e.cancelled(); err != nil {
-			return nil, err
-		}
-		var start time.Time
-		if e.trace != nil {
-			start = time.Now()
-		}
-		before := len(cur)
-		var err error
-		cur, err = e.evalTriplePattern(tp, cur)
-		if err != nil {
-			return nil, err
-		}
-		if e.trace != nil {
-			e.trace.Add(e.exec, "pattern").Set(patternString(tp), "hash", before, len(cur), start)
-		}
-		if len(cur) == 0 {
-			break
-		}
-	}
-	return cur, nil
-}
-
-func (e *engine) evalPatternRunIDs(src IDSource, run []TriplePattern, input []Binding) ([]Binding, error) {
-	// Slot table: every variable any pattern in the run mentions.
-	slotOf := map[string]int{}
-	var slotVars []string
+	r := &patternRun{e: e, slotOf: map[string]int{}, input: input}
 	for _, tp := range run {
 		for _, n := range [3]Node{tp.S, tp.P, tp.O} {
 			if n.IsVar() {
-				if _, ok := slotOf[n.Var]; !ok {
-					slotOf[n.Var] = len(slotVars)
-					slotVars = append(slotVars, n.Var)
+				if _, ok := r.slotOf[n.Var]; !ok {
+					r.slotOf[n.Var] = len(r.slotVars)
+					r.slotVars = append(r.slotVars, n.Var)
 				}
 			}
 		}
 	}
-	stride := len(slotVars)
-
-	// Term→ID memo shared by the run (constants repeat across patterns,
-	// input columns repeat across rows). 0 records a known-absent term.
-	memo := map[rdf.Term]store.ID{}
-	lookup := func(t rdf.Term) (store.ID, bool) {
-		if id, ok := memo[t]; ok {
-			return id, id != 0
-		}
-		id, ok := src.LookupTermID(t)
-		if !ok {
-			id = 0
-		}
-		memo[t] = id
-		return id, ok
-	}
-
-	// Encode the input. A binding whose slot term is absent from the
-	// dictionary can never survive the pattern mentioning that slot (every
-	// slot is mentioned by some pattern in the run), so the row is dropped —
-	// exactly when the term-space path would probe it to zero matches.
+	stride := len(r.slotVars)
 	rows := idRows{stride: stride, parents: make([]int32, 0, len(input))}
 	if stride > 0 {
 		rows.ids = make([]store.ID, 0, stride*len(input))
 	}
 	scratch := make([]store.ID, stride)
+next:
 	for i, b := range input {
 		clear(scratch)
-		dead := false
-		for s, v := range slotVars {
-			t, bound := b[v]
-			if !bound {
-				continue
+		for s, v := range r.slotVars {
+			if t, bound := b[v]; bound {
+				id, inDict := e.termID(t)
+				if !inDict {
+					continue next
+				}
+				scratch[s] = id
 			}
-			id, inDict := lookup(t)
-			if !inDict {
-				dead = true
-				break
-			}
-			scratch[s] = id
-		}
-		if dead {
-			continue
 		}
 		rows.ids = append(rows.ids, scratch...)
 		rows.parents = append(rows.parents, int32(i))
 	}
+	return r, rows
+}
 
-	// Per-slot binding state across the surviving rows: boundAll slots join
-	// (their value keys a merge), fresh (!boundAny) slots are pure outputs,
-	// mixed slots force the generic probe.
-	boundAll := make([]bool, stride)
-	boundAny := make([]bool, stride)
+// positions classifies a pattern's positions against the run's slots;
+// ok=false means a constant is absent from the dictionary, so no triple
+// matches.
+func (r *patternRun) positions(tp TriplePattern) (ps [3]idPos, ok bool) {
+	ids, ok := r.e.constIDs(tp)
+	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
+		if n.IsVar() {
+			ps[i] = idPos{slot: r.slotOf[n.Var]}
+		} else {
+			ps[i] = idPos{slot: -1, id: ids[i]}
+		}
+	}
+	return ps, ok
+}
+
+// extend joins rows through pats in order. limit >= 0 says only the first
+// limit rows of the last pattern's output are needed (the stream driver
+// passes it when that output is final solutions); the probe strategy then
+// stops early, the others may return more.
+func (r *patternRun) extend(rows idRows, pats []TriplePattern, limit int) (idRows, error) {
+	e := r.e
+	// Per-slot binding state across the rows: boundAll slots join (their
+	// value keys a merge), fresh (!boundAny) slots are pure outputs, mixed
+	// slots force the generic probe.
+	boundAll := make([]bool, rows.stride)
+	boundAny := make([]bool, rows.stride)
 	for s := range boundAll {
 		boundAll[s] = rows.n() > 0
 	}
-	for r := 0; r < rows.n(); r++ {
-		for s, id := range rows.row(r) {
+	for i := 0; i < rows.n(); i++ {
+		for s, id := range rows.row(i) {
 			if id == 0 {
 				boundAll[s] = false
 			} else {
@@ -175,10 +155,9 @@ func (e *engine) evalPatternRunIDs(src IDSource, run []TriplePattern, input []Bi
 			}
 		}
 	}
-
-	for _, tp := range run {
+	for i, tp := range pats {
 		if err := e.cancelled(); err != nil {
-			return nil, err
+			return idRows{}, err
 		}
 		if rows.n() == 0 {
 			break
@@ -188,11 +167,15 @@ func (e *engine) evalPatternRunIDs(src IDSource, run []TriplePattern, input []Bi
 			start = time.Now()
 		}
 		before := rows.n()
+		patLimit := -1
+		if i == len(pats)-1 {
+			patLimit = limit
+		}
 		var strat string
 		var err error
-		rows, strat, err = e.evalOnePatternIDs(src, tp, rows, slotOf, boundAll, boundAny, lookup)
+		rows, strat, err = r.extendOne(tp, rows, boundAll, boundAny, patLimit)
 		if err != nil {
-			return nil, err
+			return idRows{}, err
 		}
 		if e.trace != nil {
 			e.trace.Add(e.exec, "pattern").Set(patternString(tp), strat, before, rows.n(), start)
@@ -202,30 +185,23 @@ func (e *engine) evalPatternRunIDs(src IDSource, run []TriplePattern, input []Bi
 		}
 		for _, n := range [3]Node{tp.S, tp.P, tp.O} {
 			if n.IsVar() && rows.n() > 0 {
-				s := slotOf[n.Var]
+				s := r.slotOf[n.Var]
 				boundAll[s], boundAny[s] = true, true
 			}
 		}
 	}
-	return decodeIDRows(src, rows, slotVars, input), nil
+	return rows, nil
 }
 
-// evalOnePatternIDs extends rows by one pattern, picking the cheapest
+// extendOne extends rows by one pattern, picking the cheapest
 // order-preserving strategy; the strategy chosen is returned for traces
 // ("id-merge", "id-cross", "id-probe", or "id-empty" when a constant is
 // absent from the dictionary).
-func (e *engine) evalOnePatternIDs(src IDSource, tp TriplePattern, rows idRows, slotOf map[string]int, boundAll, boundAny []bool, lookup func(rdf.Term) (store.ID, bool)) (idRows, string, error) {
-	var ps [3]idPos
-	for i, n := range [3]Node{tp.S, tp.P, tp.O} {
-		if n.IsVar() {
-			ps[i] = idPos{slot: slotOf[n.Var]}
-		} else {
-			id, ok := lookup(n.Term)
-			if !ok {
-				return idRows{stride: rows.stride}, "id-empty", nil // constant not in dictionary: no triple matches
-			}
-			ps[i] = idPos{slot: -1, id: id}
-		}
+func (r *patternRun) extendOne(tp TriplePattern, rows idRows, boundAll, boundAny []bool, limit int) (idRows, string, error) {
+	e, src := r.e, r.e.st
+	ps, ok := r.positions(tp)
+	if !ok {
+		return idRows{stride: rows.stride}, "id-empty", nil
 	}
 
 	// Classify the pattern's variable slots against the current rows.
@@ -276,7 +252,7 @@ func (e *engine) evalOnePatternIDs(src IDSource, tp TriplePattern, rows idRows, 
 	if allFresh {
 		// No position constrains the rows: one shared scan crossed with
 		// every row (repeated fresh variables filter inside idUnify).
-		out, err := e.idScanCross(src, ps, cs, cp, co, rows)
+		out, err := e.idScanCross(ps, cs, cp, co, rows)
 		return out, "id-cross", err
 	}
 	if !mixed && !repeated && nBound >= 1 && freshPositions == 0 {
@@ -291,7 +267,7 @@ func (e *engine) evalOnePatternIDs(src IDSource, tp TriplePattern, rows idRows, 
 				if p.slot < 0 || !boundAll[p.slot] {
 					continue
 				}
-				out, ok, err := e.idMergeJoin(src, ps, cs, cp, co, p.slot, positionOf[i], rows)
+				out, ok, err := e.idMergeJoin(ps, cs, cp, co, p.slot, positionOf[i], rows)
 				if err != nil || ok {
 					return out, "id-merge", err
 				}
@@ -301,17 +277,17 @@ func (e *engine) evalOnePatternIDs(src IDSource, tp TriplePattern, rows idRows, 
 	if nBound == 1 && !mixed && !repeated && freshPositions > 0 &&
 		// Ordering caveat: a bound predicate variable over an otherwise
 		// unconstrained pattern would merge through PSO (sorted s,o) while
-		// the term-space scan uses POS (sorted o,s) — the one lead/mask
+		// the per-row scan uses POS (sorted o,s) — the one lead/mask
 		// combination whose per-key order differs. Probe keeps parity.
 		!(lead == store.PosP && cs == 0 && co == 0) {
 		if est := src.EstimateCountIDs(cs, cp, co); est <= rows.n()*mergeScanFactor {
-			out, ok, err := e.idMergeJoin(src, ps, cs, cp, co, boundSlot, lead, rows)
+			out, ok, err := e.idMergeJoin(ps, cs, cp, co, boundSlot, lead, rows)
 			if err != nil || ok {
 				return out, "id-merge", err
 			}
 		}
 	}
-	out, err := e.idProbe(src, ps, rows)
+	out, err := e.idProbe(ps, rows, limit)
 	return out, "id-probe", err
 }
 
@@ -321,8 +297,8 @@ func (e *engine) evalOnePatternIDs(src IDSource, tp TriplePattern, rows idRows, 
 // emits its key's span (plus delta-tail matches) — the same matches, in the
 // same order, the per-row probe would produce. ok=false (no permutation for
 // the lead, or an outsized delta tail) sends the caller to the probe path.
-func (e *engine) idMergeJoin(src IDSource, ps [3]idPos, cs, cp, co store.ID, boundSlot int, lead store.Position, rows idRows) (idRows, bool, error) {
-	scan, ok := src.ScanIDs(cs, cp, co, lead)
+func (e *engine) idMergeJoin(ps [3]idPos, cs, cp, co store.ID, boundSlot int, lead store.Position, rows idRows) (idRows, bool, error) {
+	scan, ok := e.st.ScanIDs(cs, cp, co, lead)
 	if !ok {
 		return idRows{}, false, nil
 	}
@@ -403,9 +379,7 @@ func (e *engine) idMergeJoin(src IDSource, ps [3]idPos, cs, cp, co store.ID, bou
 			}
 		}
 	}
-	if e.met != nil {
-		e.met.MatchesScanned.Add(uint64(steps))
-	}
+	e.met.addScanned(steps)
 	return out, true, nil
 }
 
@@ -413,11 +387,11 @@ func (e *engine) idMergeJoin(src IDSource, ps [3]idPos, cs, cp, co store.ID, bou
 // the constant mask once, then cross the matches with every row. Identical to
 // probing each row — every row's probe would walk the same range in the same
 // order — at 1/rows the scan cost.
-func (e *engine) idScanCross(src IDSource, ps [3]idPos, cs, cp, co store.ID, rows idRows) (idRows, error) {
+func (e *engine) idScanCross(ps [3]idPos, cs, cp, co store.ID, rows idRows) (idRows, error) {
 	var matches []store.IDTriple
 	scanned := 0
 	var stop error
-	src.ForEachID(cs, cp, co, func(t store.IDTriple) bool {
+	e.st.ForEachID(cs, cp, co, func(t store.IDTriple) bool {
 		scanned++
 		if scanned%cancelCheckInterval == 0 {
 			if err := e.cancelled(); err != nil {
@@ -431,9 +405,7 @@ func (e *engine) idScanCross(src IDSource, ps [3]idPos, cs, cp, co store.ID, row
 	if stop != nil {
 		return idRows{}, stop
 	}
-	if e.met != nil {
-		e.met.MatchesScanned.Add(uint64(scanned))
-	}
+	e.met.addScanned(scanned)
 	out := idRows{stride: rows.stride}
 	scratch := make([]store.ID, rows.stride)
 	steps := 0
@@ -457,47 +429,58 @@ func (e *engine) idScanCross(src IDSource, ps [3]idPos, cs, cp, co store.ID, row
 }
 
 // idProbe is the general per-row strategy: concretize the mask from the
-// row's slots and scan the matching range, exactly like the term-space path
-// but without cloning a map per match. Large row sets fan out to the
-// engine's worker pool with an index-sequenced merge preserving order.
-func (e *engine) idProbe(src IDSource, ps [3]idPos, rows idRows) (idRows, error) {
-	return e.parProbe(rows.n(), rows.stride, func(lo, hi int) (idRows, error) {
-		out := idRows{stride: rows.stride}
+// row's slots and scan the matching range. Large row sets fan out to the
+// engine's worker pool, which joins the chunks in row order. limit >= 0
+// stops the probing once that many rows are out and cuts the output to it.
+func (e *engine) idProbe(ps [3]idPos, rows idRows, limit int) (idRows, error) {
+	parts, err := parChunks(e, rows.n(), limit, (*idRows).n, func(lo, hi int) (*idRows, error) {
+		out := &idRows{stride: rows.stride}
 		scratch := make([]store.ID, rows.stride)
 		scanned := 0
-		for r := lo; r < hi; r++ {
-			if (r-lo)%cancelCheckInterval == 0 {
+		var stop error
+		for i := lo; i < hi && (limit < 0 || out.n() < limit); i++ {
+			if (i-lo)%cancelCheckInterval == 0 {
 				if err := e.cancelled(); err != nil {
-					return idRows{}, err
+					return nil, err
 				}
 			}
-			row := rows.row(r)
+			row := rows.row(i)
 			s, p, o := maskFor(ps, row)
-			var stop error
-			src.ForEachID(s, p, o, func(m store.IDTriple) bool {
+			e.st.ForEachID(s, p, o, func(m store.IDTriple) bool {
 				scanned++
 				if scanned%cancelCheckInterval == 0 {
-					if err := e.cancelled(); err != nil {
-						stop = err
+					if stop = e.cancelled(); stop != nil {
 						return false
 					}
 				}
 				copy(scratch, row)
 				if idUnify(ps, scratch, m) {
 					out.ids = append(out.ids, scratch...)
-					out.parents = append(out.parents, rows.parents[r])
+					out.parents = append(out.parents, rows.parents[i])
 				}
-				return true
+				return limit < 0 || out.n() < limit
 			})
 			if stop != nil {
-				return idRows{}, stop
+				return nil, stop
 			}
 		}
-		if e.met != nil {
-			e.met.MatchesScanned.Add(uint64(scanned))
-		}
+		e.met.addScanned(scanned)
 		return out, nil
 	})
+	if err != nil {
+		return idRows{}, err
+	}
+	out := *parts[0]
+	for _, part := range parts[1:] {
+		if part != nil { // nil: a chunk skipped past the limit
+			out.ids = append(out.ids, part.ids...)
+			out.parents = append(out.parents, part.parents...)
+		}
+	}
+	if limit >= 0 && out.n() > limit {
+		out.ids, out.parents = out.ids[:limit*out.stride], out.parents[:limit]
+	}
+	return out, nil
 }
 
 // maskFor concretizes the pattern for one row: constants keep their IDs,
@@ -514,8 +497,7 @@ func maskFor(ps [3]idPos, row []store.ID) (s, p, o store.ID) {
 
 // idUnify folds a match into a row copy: bound slots must agree with the
 // match (repeated variables included — the second occurrence sees the
-// first's assignment), unbound slots take the match's value. Mirrors the
-// term-space unify.
+// first's assignment), unbound slots take the match's value.
 func idUnify(ps [3]idPos, row []store.ID, m store.IDTriple) bool {
 	vals := [3]store.ID{m.S, m.P, m.O}
 	for i, p := range ps {
@@ -533,18 +515,18 @@ func idUnify(ps [3]idPos, row []store.ID, m store.IDTriple) bool {
 	return true
 }
 
-// decodeIDRows materializes the run's survivors: one batch ID→term decode,
-// then one parent clone plus the run's new columns per row.
-func decodeIDRows(src IDSource, rows idRows, slotVars []string, input []Binding) []Binding {
+// decode materializes rows as Bindings: one batch ID→term decode, then one
+// parent clone plus the run's new columns per row.
+func (r *patternRun) decode(rows idRows) []Binding {
 	if rows.n() == 0 {
 		return nil
 	}
-	terms := src.Terms(rows.ids)
+	terms := r.e.st.Terms(rows.ids)
 	out := make([]Binding, 0, rows.n())
-	for r := 0; r < rows.n(); r++ {
-		nb := input[rows.parents[r]].clone()
-		base := r * rows.stride
-		for s, v := range slotVars {
+	for i := 0; i < rows.n(); i++ {
+		nb := r.input[rows.parents[i]].clone()
+		base := i * rows.stride
+		for s, v := range r.slotVars {
 			if rows.ids[base+s] == 0 {
 				continue
 			}
@@ -556,113 +538,4 @@ func decodeIDRows(src IDSource, rows idRows, slotVars []string, input []Binding)
 		out = append(out, nb)
 	}
 	return out
-}
-
-// idProbeResult carries one probe chunk's output to the merger.
-type idProbeResult struct {
-	idx  int
-	rows idRows
-	err  error
-}
-
-// parProbe runs fn over contiguous [lo,hi) chunks of n rows on the engine's
-// worker budget and concatenates the chunk outputs in index order — the
-// idRows sibling of parMap, with the same non-blocking token borrowing so
-// nested fan-out degrades to inline evaluation.
-func (e *engine) parProbe(n, stride int, fn func(lo, hi int) (idRows, error)) (idRows, error) {
-	if e.par <= 1 || n < parallelThreshold {
-		return fn(0, n)
-	}
-	workers := e.par
-	if workers > n {
-		workers = n
-	}
-	extra := 0
-acquire:
-	for extra < workers-1 {
-		select {
-		case e.sem <- struct{}{}:
-			extra++
-		default:
-			break acquire
-		}
-	}
-	if extra == 0 {
-		return fn(0, n)
-	}
-	nchunks := (extra + 1) * chunksPerWorker
-	chunkSize := (n + nchunks - 1) / nchunks
-	nchunks = (n + chunkSize - 1) / chunkSize
-
-	work := make(chan int, nchunks)
-	for i := 0; i < nchunks; i++ {
-		work <- i
-	}
-	close(work)
-	results := make(chan idProbeResult, nchunks)
-	worker := func(drain func()) {
-		for idx := range work {
-			lo := idx * chunkSize
-			hi := lo + chunkSize
-			if hi > n {
-				hi = n
-			}
-			rows, err := fn(lo, hi)
-			results <- idProbeResult{idx: idx, rows: rows, err: err}
-			if drain != nil {
-				drain()
-			}
-		}
-	}
-	for i := 0; i < extra; i++ {
-		go func() {
-			defer func() { <-e.sem }() // return the token as soon as this worker drains
-			worker(nil)
-		}()
-	}
-
-	// Index-sequenced merge, as in parMapCap: the caller is worker zero and
-	// the merger.
-	pending := make(map[int]idProbeResult, nchunks)
-	next, received := 0, 0
-	out := idRows{stride: stride}
-	var firstErr error
-	commit := func(r idProbeResult) {
-		received++
-		pending[r.idx] = r
-		for {
-			c, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if firstErr != nil {
-				continue
-			}
-			if c.err != nil {
-				firstErr = c.err
-				continue
-			}
-			out.ids = append(out.ids, c.rows.ids...)
-			out.parents = append(out.parents, c.rows.parents...)
-		}
-	}
-	worker(func() {
-		for {
-			select {
-			case r := <-results:
-				commit(r)
-			default:
-				return
-			}
-		}
-	})
-	for received < nchunks {
-		commit(<-results)
-	}
-	if firstErr != nil {
-		return idRows{}, firstErr
-	}
-	return out, nil
 }

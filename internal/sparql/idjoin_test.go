@@ -3,7 +3,6 @@ package sparql
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -11,34 +10,39 @@ import (
 	"github.com/lodviz/lodviz/internal/store"
 )
 
-// idJoinStore builds a dataset shaped to exercise every ID-executor strategy:
+// idJoinTriples is a dataset shaped to exercise every executor strategy:
 // categorical triples (bound-object merge joins), a link chain (equal-prefix
 // subject merges), numeric literals, a hub every entity points at (duplicate
-// merge keys), a few self-loops (repeated variables), plus uncompacted delta
-// triples and a tombstone so ScanIDs runs carry a tail.
-func idJoinStore(t testing.TB) *store.Store {
-	t.Helper()
+// merge keys) and a few self-loops (repeated variables).
+func idJoinTriples() []rdf.Triple {
 	const n = 300
-	ent := func(i int) rdf.IRI { return rdf.IRI(fmt.Sprintf("http://x/e%d", i)) }
 	var triples []rdf.Triple
 	for i := 0; i < n; i++ {
 		triples = append(triples,
-			rdf.Triple{S: ent(i), P: "http://x/cat", O: rdf.NewLiteral(fmt.Sprintf("c%d", i%3))},
-			rdf.Triple{S: ent(i), P: "http://x/num", O: rdf.NewInteger(int64(i % 50))},
-			rdf.Triple{S: ent(i), P: "http://x/link", O: ent((i + 7) % n)},
-			rdf.Triple{S: ent(i), P: "http://x/rel", O: ent(0)}, // shared hub
+			rdf.Triple{S: idJoinEnt(i), P: "http://x/cat", O: rdf.NewLiteral(fmt.Sprintf("c%d", i%3))},
+			rdf.Triple{S: idJoinEnt(i), P: "http://x/num", O: rdf.NewInteger(int64(i % 50))},
+			rdf.Triple{S: idJoinEnt(i), P: "http://x/link", O: idJoinEnt((i + 7) % n)},
+			rdf.Triple{S: idJoinEnt(i), P: "http://x/rel", O: idJoinEnt(0)}, // shared hub
 		)
 		if i%37 == 0 {
-			triples = append(triples, rdf.Triple{S: ent(i), P: "http://x/link", O: ent(i)})
+			triples = append(triples, rdf.Triple{S: idJoinEnt(i), P: "http://x/link", O: idJoinEnt(i)})
 		}
 	}
-	st, err := store.Load(triples)
+	return triples
+}
+
+func idJoinEnt(i int) rdf.IRI { return rdf.IRI(fmt.Sprintf("http://x/e%d", i)) }
+
+// idJoinStore is idJoinTriples compacted, plus uncompacted delta triples and
+// a tombstone so ScanIDs runs carry a tail.
+func idJoinStore(t testing.TB) *store.Store {
+	t.Helper()
+	const n = 300
+	ent := idJoinEnt
+	st, err := store.Load(idJoinTriples())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Compact()
-	// Leave delta entries and a tombstone behind so the ID scans see an
-	// uncompacted tail.
 	for i := 0; i < 20; i++ {
 		if err := st.Add(rdf.Triple{S: ent(n + i), P: "http://x/cat", O: rdf.NewLiteral("c1")}); err != nil {
 			t.Fatal(err)
@@ -75,64 +79,19 @@ var idJoinQueries = []struct {
 	{"order by limit", `SELECT ?e ?v WHERE { ?e <http://x/cat> "c1" . ?e <http://x/num> ?v } ORDER BY ?v ?e LIMIT 25`},
 }
 
-// TestIDJoinDifferential is the ID-executor contract: for every query shape,
-// every parallelism setting, and both pipelines (streaming and
-// materializing), the dictionary-ID path returns exactly the rows — values
-// and order — of the term-space hash path.
+// TestIDJoinDifferential is the executor's contract: for every query shape,
+// every store state, both parallelism settings and both entry points
+// (EvalCtx and Stream.Run), the rows — values and order — are the term-space
+// oracle's.
 func TestIDJoinDifferential(t *testing.T) {
-	st := idJoinStore(t)
-	for _, tc := range idJoinQueries {
-		for _, par := range []int{1, 8} {
-			for _, noStream := range []bool{false, true} {
-				ref := execOpts(t, st, tc.q, Options{Parallelism: par, NoStream: noStream, NoIDJoin: true})
-				got := execOpts(t, st, tc.q, Options{Parallelism: par, NoStream: noStream})
-				if !reflect.DeepEqual(ref.Rows, got.Rows) {
-					t.Errorf("%s (par=%d noStream=%v): ID path returned %d rows, hash path %d; first divergence: %v",
-						tc.name, par, noStream, len(got.Rows), len(ref.Rows), firstDiff(ref.Rows, got.Rows))
-				}
-			}
+	states := append(storeStates(t, idJoinTriples()), storeState{"delta+tombstone", idJoinStore(t)})
+	for _, state := range states {
+		for _, tc := range idJoinQueries {
+			t.Run(state.name+"/"+tc.name, func(t *testing.T) {
+				checkAgainstOracle(t, state.st, tc.q)
+			})
 		}
 	}
-}
-
-func firstDiff(a, b []Binding) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if !reflect.DeepEqual(a[i], b[i]) {
-			return fmt.Sprintf("row %d: hash=%v id=%v", i, a[i], b[i])
-		}
-	}
-	return fmt.Sprintf("length %d vs %d", len(a), len(b))
-}
-
-// TestIDJoinFallsBackForPlainSource pins the compatibility contract: a
-// Source that is not an IDSource (test wrappers, instrumentation) still
-// evaluates correctly through the term-space path.
-func TestIDJoinFallsBackForPlainSource(t *testing.T) {
-	st := idJoinStore(t)
-	q := `SELECT ?e ?v WHERE { ?e <http://x/cat> "c1" . ?e <http://x/num> ?v }`
-	ref := execOpts(t, st, q, Options{Parallelism: 1})
-	got := execOpts(t, plainSource{st}, q, Options{Parallelism: 1})
-	if !reflect.DeepEqual(ref.Rows, got.Rows) {
-		t.Fatalf("plain-Source evaluation diverged: %v", firstDiff(ref.Rows, got.Rows))
-	}
-}
-
-// plainSource hides the store's ID methods, leaving only the Source surface.
-type plainSource struct{ src Source }
-
-func (p plainSource) ForEach(pt store.Pattern, fn func(rdf.Triple) bool) { p.src.ForEach(pt, fn) }
-func (p plainSource) ForEachPage(pt store.Pattern, pos, max int, fn func(rdf.Triple) bool) (int, bool) {
-	return p.src.ForEachPage(pt, pos, max, fn)
-}
-func (p plainSource) LayoutEpoch() uint64                { return p.src.LayoutEpoch() }
-func (p plainSource) EstimateCount(pt store.Pattern) int { return p.src.EstimateCount(pt) }
-func (p plainSource) NumTerms() int                      { return p.src.NumTerms() }
-func (p plainSource) Cardinalities() map[rdf.IRI]store.PredCardinality {
-	return p.src.Cardinalities()
 }
 
 // TestIDJoinUnderConcurrentWrites runs the differential grid's join queries
@@ -184,8 +143,8 @@ func TestIDJoinUnderConcurrentWrites(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d query %d: %v", round, i, err)
 			}
-			if !reflect.DeepEqual(res.Rows, want[i]) {
-				t.Fatalf("round %d query %d diverged under writes: %v", round, i, firstDiff(want[i], res.Rows))
+			if d := firstDiff(want[i], res.Rows); d != "" {
+				t.Fatalf("round %d query %d diverged under writes: %s", round, i, d)
 			}
 		}
 	}
@@ -216,21 +175,19 @@ func TestIDJoinMergeEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.noIDJoin = true
-	want, err := e.evalPatternRun(run, seed)
-	e.noIDJoin = false
+	want, err := termSpaceRun(st)(run, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("merge edges diverged: %v", firstDiff(want, got))
+	if d := firstDiff(want, got); d != "" {
+		t.Fatalf("merge edges diverged: %s", d)
 	}
 	if len(got) != 3 {
 		t.Fatalf("expected 3 rows (dup key ×2 + delta tail), got %d", len(got))
 	}
 
-	// Empty scan run: a constant mask matching nothing returns no rows from
-	// both paths without error.
+	// Empty scan run: a constant mask matching nothing returns no rows,
+	// without error.
 	none := []TriplePattern{{S: v("e"), P: c(rdf.IRI("http://x/cat")), O: c(rdf.NewLiteral("missing"))}}
 	got, err = e.evalPatternRun(none, seed)
 	if err != nil || len(got) != 0 {

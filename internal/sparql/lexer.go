@@ -8,11 +8,19 @@
 // access path the "dynamic data" challenge assumes), so the engine is the
 // substrate every exploration feature in lodviz queries through.
 //
+// Execution is one pipeline over dictionary IDs. Everything the engine asks
+// of the store is store.Source. A run of triple patterns has one executor
+// (idjoin.go), whoever calls it — the materializing pipeline (query.go), the
+// early-termination paths that page the first pattern's scan (stream.go:
+// LIMIT pushdown, top-k, ASK, Stream.Run) and DELETE WHERE (update.go) — and
+// one ordered worker pool (parallel.go). Which path answers a query follows
+// from the query's shape; Options selects none of it.
+//
 // Observability: Options.Metrics attaches engine-wide counters (see
 // Metrics), and Options.Trace attaches a per-query execution trace — an
 // explain.Trace span tree with one span per plan stage recording the
-// chosen strategy (idjoin/hash/stream), rows in/out, matches scanned, and
-// wall time. Both are nil-safe and amortized per chunk/page, so the
+// chosen strategy (id-merge/id-probe/id-cross/paged-scan), rows in/out,
+// pages, and wall time. Both are nil-safe and amortized per chunk/page, so the
 // uninstrumented path pays nothing; internal/explain documents the trace
 // format.
 package sparql

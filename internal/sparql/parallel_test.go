@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/lodviz/lodviz/internal/gen"
-	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
@@ -135,26 +135,57 @@ func TestParallelGroupByStable(t *testing.T) {
 	}
 }
 
-// parMap plumbing: chunk boundaries must tile the input exactly once, in
+// The three shapes above in every store state, against the term-space
+// oracle, through EvalCtx and Stream.Run.
+func TestParallelShapesAgainstOracle(t *testing.T) {
+	triples := gen.EntityDataset(gen.EntityOptions{
+		Entities: 600, NumericProps: 2, CategoryProps: 2, LinkProps: 1, Seed: 41,
+	})
+	queries := []string{
+		parallelJoinQuery(),
+		fmt.Sprintf(`SELECT ?e ?v WHERE { ?e <%s> ?c . OPTIONAL { ?e <%s> ?v . } }`,
+			string(gen.Prop("cat0")), string(gen.Prop("num1"))),
+		fmt.Sprintf(`SELECT ?c (COUNT(?e) AS ?n) WHERE { ?e <%s> ?c . ?e <%s> ?v . } GROUP BY ?c ORDER BY ?c`,
+			string(gen.Prop("cat0")), string(gen.Prop("num0"))),
+	}
+	for _, state := range storeStates(t, triples) {
+		for i, q := range queries {
+			t.Run(fmt.Sprintf("%s/%d", state.name, i), func(t *testing.T) {
+				checkAgainstOracle(t, state.st, q)
+			})
+		}
+	}
+}
+
+// identityChunks runs the pool over n integers with the identity function
+// and returns them joined: the pool's tiling made visible.
+func identityChunks(e *engine, n int, fn func(lo, hi int) ([]int, error)) ([]int, error) {
+	parts, err := parChunks(e, n, -1, nil, fn)
+	return slices.Concat(parts...), err
+}
+
+func span(lo, hi int) ([]int, error) {
+	out := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out, nil
+}
+
+// Pool plumbing: chunk boundaries must tile the input exactly once, in
 // order, for sizes around the threshold and chunking arithmetic edges.
-func TestParMapTilesInput(t *testing.T) {
+func TestParChunksTilesInput(t *testing.T) {
 	for _, n := range []int{0, 1, parallelThreshold - 1, parallelThreshold, 33, 100, 257, 1024} {
 		e := newEngine(nil, nil, Options{Parallelism: 4})
-		input := make([]Binding, n)
-		for i := range input {
-			input[i] = Binding{"i": rdf.NewInteger(int64(i))}
-		}
-		out, err := e.parMap(input, func(chunk []Binding) ([]Binding, error) {
-			return chunk, nil
-		})
+		out, err := identityChunks(e, n, span)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if len(out) != n {
 			t.Fatalf("n=%d: got %d outputs", n, len(out))
 		}
-		for i, b := range out {
-			if !reflect.DeepEqual(b, input[i]) {
+		for i, v := range out {
+			if v != i {
 				t.Fatalf("n=%d: output %d out of order", n, i)
 			}
 		}
@@ -163,16 +194,12 @@ func TestParMapTilesInput(t *testing.T) {
 
 // Errors from any chunk must surface, and the lowest-indexed chunk's error
 // wins so error identity is deterministic.
-func TestParMapPropagatesFirstError(t *testing.T) {
+func TestParChunksPropagatesFirstError(t *testing.T) {
 	e := newEngine(nil, nil, Options{Parallelism: 4})
-	input := make([]Binding, 256)
-	for i := range input {
-		input[i] = Binding{"i": rdf.NewInteger(int64(i))}
-	}
 	errBoom := errors.New("boom")
-	_, err := e.parMap(input, func(chunk []Binding) ([]Binding, error) {
-		if v, _ := chunk[0]["i"].(rdf.Literal); v.Lexical != "0" {
-			return nil, fmt.Errorf("late error %s", v.Lexical)
+	_, err := identityChunks(e, 256, func(lo, hi int) ([]int, error) {
+		if lo != 0 {
+			return nil, fmt.Errorf("late error %d", lo)
 		}
 		return nil, errBoom
 	})
@@ -181,27 +208,25 @@ func TestParMapPropagatesFirstError(t *testing.T) {
 	}
 }
 
-// Nested parMap (OPTIONAL chunks whose inner groups fan out again) must not
+// Nested fan-out (OPTIONAL chunks whose inner groups fan out again) must not
 // deadlock on the shared worker budget, and must preserve order.
-func TestParMapNestedBudget(t *testing.T) {
+func TestParChunksNestedBudget(t *testing.T) {
 	e := newEngine(nil, nil, Options{Parallelism: 4})
-	input := make([]Binding, 512)
-	for i := range input {
-		input[i] = Binding{"i": rdf.NewInteger(int64(i))}
-	}
-	out, err := e.parMap(input, func(chunk []Binding) ([]Binding, error) {
-		return e.parMap(chunk, func(inner []Binding) ([]Binding, error) {
-			return inner, nil
-		})
+	out, err := identityChunks(e, 512, func(lo, hi int) ([]int, error) {
+		inner, err := identityChunks(e, hi-lo, span)
+		for i := range inner {
+			inner[i] += lo
+		}
+		return inner, err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(input) {
-		t.Fatalf("got %d outputs, want %d", len(out), len(input))
+	if len(out) != 512 {
+		t.Fatalf("got %d outputs, want 512", len(out))
 	}
-	for i := range out {
-		if !reflect.DeepEqual(out[i], input[i]) {
+	for i, v := range out {
+		if v != i {
 			t.Fatalf("output %d out of order", i)
 		}
 	}

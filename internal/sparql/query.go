@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/lodviz/lodviz/internal/rdf"
+	"github.com/lodviz/lodviz/internal/store"
 )
 
 // Results holds the outcome of a query.
@@ -25,12 +26,12 @@ type Results struct {
 
 // Exec parses and evaluates a SPARQL query against the store with default
 // options (parallel BGP evaluation across runtime.NumCPU() workers).
-func Exec(st Source, query string) (*Results, error) {
+func Exec(st store.Source, query string) (*Results, error) {
 	return ExecOpts(st, query, Options{})
 }
 
 // ExecOpts parses and evaluates a SPARQL query with explicit options.
-func ExecOpts(st Source, query string, opt Options) (*Results, error) {
+func ExecOpts(st store.Source, query string, opt Options) (*Results, error) {
 	//lint:allow ctxflow compat wrapper: ExecCtx is the cancellable form
 	return ExecCtx(context.Background(), st, query, opt)
 }
@@ -39,7 +40,7 @@ func ExecOpts(st Source, query string, opt Options) (*Results, error) {
 // stops promptly (returning an error matching both ErrEval and ctx.Err())
 // when the context is cancelled or its deadline expires. Parse failures match
 // ErrParse; every other failure matches ErrEval.
-func ExecCtx(ctx context.Context, st Source, query string, opt Options) (*Results, error) {
+func ExecCtx(ctx context.Context, st store.Source, query string, opt Options) (*Results, error) {
 	var start time.Time
 	if opt.Trace != nil {
 		start = time.Now()
@@ -55,32 +56,28 @@ func ExecCtx(ctx context.Context, st Source, query string, opt Options) (*Result
 }
 
 // Eval evaluates a parsed query against the store with default options.
-func Eval(st Source, q *Query) (*Results, error) {
+func Eval(st store.Source, q *Query) (*Results, error) {
 	return EvalOpts(st, q, Options{})
 }
 
 // EvalOpts evaluates a parsed query against the store. Evaluation order and
 // results are identical at every parallelism setting; see Options.
-func EvalOpts(st Source, q *Query, opt Options) (*Results, error) {
+func EvalOpts(st store.Source, q *Query, opt Options) (*Results, error) {
 	//lint:allow ctxflow compat wrapper: EvalCtx is the cancellable form
 	return EvalCtx(context.Background(), st, q, opt)
 }
 
 // EvalCtx evaluates a parsed query under a context; see ExecCtx for the
 // cancellation and error-classification contract.
-func EvalCtx(ctx context.Context, st Source, q *Query, opt Options) (*Results, error) {
-	res, err := evalCtx(ctx, st, q, opt)
+func EvalCtx(ctx context.Context, st store.Source, q *Query, opt Options) (*Results, error) {
+	res, err := evalWithEngine(newEngine(ctx, st, opt), q)
 	if err != nil {
 		return nil, wrapEval(err)
 	}
 	return res, nil
 }
 
-func evalCtx(ctx context.Context, st Source, q *Query, opt Options) (*Results, error) {
-	return evalWithEngine(newEngine(ctx, st, opt), q, opt)
-}
-
-func evalWithEngine(e *engine, q *Query, opt Options) (res *Results, err error) {
+func evalWithEngine(e *engine, q *Query) (res *Results, err error) {
 	execStrategy := "materialized"
 	if e.trace != nil {
 		execStart := time.Now()
@@ -92,7 +89,7 @@ func evalWithEngine(e *engine, q *Query, opt Options) (res *Results, err error) 
 	// Early-termination fast paths: LIMIT-pushdown scans, the bounded
 	// ORDER BY top-k heap, and first-solution ASK. They return exactly the
 	// rows the materializing pipeline below would; see stream.go.
-	if !opt.NoStream {
+	if !e.noStream {
 		if r, ok, ferr := e.evalStreamFast(q); ok {
 			if e.met != nil {
 				e.met.QueriesStreamed.Inc()

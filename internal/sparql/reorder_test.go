@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -44,7 +45,7 @@ func patterns(elems []GroupElem) []TriplePattern {
 // The estimator must run the 1-triple `?s :special "yes"` pattern before the
 // 1000-triple `?s rdf:type :Item` pattern, whatever order the author wrote.
 func TestReorderSelectiveBeforeBroad(t *testing.T) {
-	e := &engine{st: reorderStore(t), par: 1}
+	e := newEngine(context.Background(), reorderStore(t), Options{Parallelism: 1})
 	broad := TriplePattern{S: tpVar("s"), P: tpTerm(rdf.RDFType), O: tpIRI("http://r/Item")}
 	selective := TriplePattern{S: tpVar("s"), P: tpIRI("http://r/special"), O: tpTerm(rdf.NewLiteral("yes"))}
 	for _, order := range [][]GroupElem{
@@ -61,7 +62,7 @@ func TestReorderSelectiveBeforeBroad(t *testing.T) {
 // A pattern with no bound position sorts after one constrained by a constant
 // or an already-bound join variable.
 func TestReorderUnboundLast(t *testing.T) {
-	e := &engine{st: reorderStore(t), par: 1}
+	e := newEngine(context.Background(), reorderStore(t), Options{Parallelism: 1})
 	unbound := TriplePattern{S: tpVar("a"), P: tpVar("b"), O: tpVar("c")}
 	typed := TriplePattern{S: tpVar("s"), P: tpTerm(rdf.RDFType), O: tpIRI("http://r/Item")}
 	got := patterns(e.reorderTriplePatterns([]GroupElem{unbound, typed}))
@@ -85,7 +86,7 @@ func TestReorderPrefersJoinBoundPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &engine{st: st, par: 1}
+	e := newEngine(context.Background(), st, Options{Parallelism: 1})
 	seed := TriplePattern{S: tpVar("s"), P: tpIRI(ns + "name"), O: tpTerm(rdf.NewLiteral("n7"))}
 	joined := TriplePattern{S: tpVar("s"), P: tpIRI(ns + "age"), O: tpVar("v")}
 	other := TriplePattern{S: tpVar("x"), P: tpIRI(ns + "name"), O: tpVar("y")}
@@ -101,7 +102,7 @@ func TestReorderPrefersJoinBoundPattern(t *testing.T) {
 // Non-pattern elements (FILTER-bearing subgroups, BIND, VALUES) must keep
 // their positions; only contiguous pattern runs are permuted.
 func TestReorderKeepsNonPatternPositions(t *testing.T) {
-	e := &engine{st: reorderStore(t), par: 1}
+	e := newEngine(context.Background(), reorderStore(t), Options{Parallelism: 1})
 	broad := TriplePattern{S: tpVar("s"), P: tpTerm(rdf.RDFType), O: tpIRI("http://r/Item")}
 	selective := TriplePattern{S: tpVar("s"), P: tpIRI("http://r/special"), O: tpTerm(rdf.NewLiteral("yes"))}
 	bind := Bind{Var: "b", Expr: ExTerm{Term: rdf.NewInteger(1)}}
@@ -178,7 +179,8 @@ func TestReorderEquivalentToNaiveOrder(t *testing.T) {
 // evalNoReorder runs the full pipeline with the planner disabled.
 func evalNoReorder(t *testing.T, st *store.Store, q *Query) *Results {
 	t.Helper()
-	e := &engine{st: st, par: 1, noReorder: true}
+	e := newEngine(context.Background(), st, Options{Parallelism: 1})
+	e.noReorder = true
 	sols, err := e.evalGroup(q.Where, []Binding{{}})
 	if err != nil {
 		t.Fatal(err)
@@ -191,13 +193,13 @@ func evalNoReorder(t *testing.T, st *store.Store, q *Query) *Results {
 	return &Results{Form: FormSelect, Vars: vars, Rows: rows}
 }
 
-// estimateFanout sanity: a dead pattern (constant absent from the store)
+// fanoutWithBase sanity: a dead pattern (constant absent from the store)
 // estimates zero and therefore runs first, short-circuiting the group.
 func TestEstimateFanoutDeadPatternFirst(t *testing.T) {
-	e := &engine{st: reorderStore(t), par: 1}
+	e := newEngine(context.Background(), reorderStore(t), Options{Parallelism: 1})
 	dead := TriplePattern{S: tpVar("s"), P: tpIRI("http://r/nosuch"), O: tpVar("o")}
-	if est := e.estimateFanout(dead, map[string]bool{}); est != 0 {
-		t.Fatalf("estimateFanout(dead) = %v, want 0", est)
+	if est := e.fanoutWithBase(dead, float64(e.estimate(dead)), map[string]bool{}); est != 0 {
+		t.Fatalf("fanoutWithBase(dead) = %v, want 0", est)
 	}
 	broad := TriplePattern{S: tpVar("s"), P: tpTerm(rdf.RDFType), O: tpIRI("http://r/Item")}
 	got := patterns(e.reorderTriplePatterns([]GroupElem{broad, dead}))

@@ -6,17 +6,19 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"github.com/lodviz/lodviz/internal/rdf"
+	"github.com/lodviz/lodviz/internal/store"
 )
 
 // errScanShifted reports that the store compacted its indexes between two
-// pages of a streamed scan, invalidating the positional cursor. The
-// materialized fast paths react by restarting (and ultimately falling back
-// to the snapshot-consistent materializing pipeline); an incremental
-// stream that has already delivered rows surfaces it to the consumer.
+// pages of a streamed scan, invalidating the positional cursor. Callers
+// restart through retryShifted (and ultimately fall back to the
+// snapshot-consistent materializing pipeline); an incremental stream that
+// has already delivered rows surfaces it to the consumer.
 var errScanShifted = errors.New("sparql: store layout changed during streamed scan")
 
 // Streaming query evaluation. The materializing pipeline in query.go
@@ -32,11 +34,13 @@ var errScanShifted = errors.New("sparql: store layout changed during streamed sc
 //     offset+k best solutions while scanning, replacing the full
 //     sort-then-slice: O(k) memory and O(n log k) comparisons.
 //
-// Both paths produce byte-identical rows in identical order to the
-// materializing pipeline (Options.NoStream forces the latter; differential
-// tests compare the two). Queries whose modifiers need the whole solution
-// set — DISTINCT, GROUP BY, aggregates — and shapes whose evaluation is not
-// row-local (UNION, SERVICE) stay on the materializing path.
+// Both produce byte-identical rows in identical order to the materializing
+// pipeline (the differential tests compare them), and both are the same
+// driver, streamSolutions: it pages the first pattern's scan in ID space and
+// hands each page, still as ID rows, to the one pattern executor of
+// idjoin.go. Queries whose modifiers need the whole solution set — DISTINCT,
+// GROUP BY, aggregates — and shapes whose evaluation is not row-local
+// (UNION, SERVICE) stay on the materializing path.
 
 // streamMode selects the evaluation strategy for a parsed query.
 type streamMode int
@@ -173,18 +177,19 @@ const (
 // streamSolutions evaluates g, delivering every complete solution (after
 // the group's filters) to emit in exactly the order the materializing
 // pipeline produces, until emit returns false. budget >= 0 is the caller's
-// expected row need; it rides into the capped parallel executor as a probe
-// bound but emit alone decides when delivery stops. budget < 0 streams the
-// full solution set.
+// expected row need; it rides into the executor as a probe bound but emit
+// alone decides when delivery stops. budget < 0 streams the full solution
+// set.
 //
-// The driver pages the suspended scan: each ForEachPage call does nothing
-// under the store's read lock but unify-and-collect, and the page's rows
-// are then joined through the tail pipeline and handed to emit with the
-// lock released — a nested scan inside the outer one would deadlock behind
-// a queued writer, and a slow network consumer must not stall the store's
-// writers. The flip side is isolation: a write landing between two pages
-// is visible to the remainder of the scan (the materializing path keeps
-// its one-snapshot-per-scan semantics).
+// The driver pages the suspended scan of the group's first pattern: each
+// ForEachIDPage call does nothing under the store's read lock but
+// unify-and-collect ID rows, and the page is then joined through the rest
+// of its pattern run, decoded, put through whatever follows the run and
+// handed to emit with the lock released — a nested scan inside the outer
+// one would deadlock behind a queued writer, and a slow network consumer
+// must not stall the store's writers. The flip side is isolation: a write
+// landing between two pages is visible to the remainder of the scan (the
+// materializing path keeps its one-snapshot-per-scan semantics).
 func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) error {
 	g = unwrapGroup(g)
 	elems := g.Elems
@@ -192,44 +197,38 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 		elems = e.reorderTriplePatterns(elems)
 		e.tracePlan(elems)
 	}
-	first := -1
-	for i, el := range elems {
-		if _, ok := el.(TriplePattern); ok {
-			first = i
-			break
-		}
-	}
-	if first == -1 {
-		// Defensive fallback — planStream requires a top-level pattern, so
-		// driven paths never land here: evaluate outright and replay.
-		sols, err := e.evalElems(elems, g.Filters, []Binding{{}})
-		if err != nil {
-			return err
-		}
-		for _, s := range sols {
-			if !emit(s) {
-				return nil
-			}
-		}
-		return nil
-	}
-
-	// The prefix before the first pattern (BIND/VALUES seeds only, per
-	// streamablePrefix) is tiny; the scan of the first pattern over its
-	// output is the loop we suspend.
+	// planStream guarantees a top-level pattern; the prefix before it
+	// (BIND/VALUES seeds only, per streamablePrefix) is tiny.
+	first := slices.IndexFunc(elems, func(el GroupElem) bool { _, ok := el.(TriplePattern); return ok })
 	input, err := e.evalElems(elems[:first], nil, []Binding{{}})
 	if err != nil {
 		return err
 	}
-	tp := elems[first].(TriplePattern)
-	rest := elems[first+1:]
-	// With no tail and no filters every scan match is a final solution.
-	direct := len(rest) == 0 && len(g.Filters) == 0
+	var run []TriplePattern
+	for _, el := range elems[first:] {
+		tp, ok := el.(TriplePattern)
+		if !ok {
+			break
+		}
+		run = append(run, tp)
+	}
+	rest := elems[first+len(run):]
+	// When nothing follows the run its output rows are final solutions: the
+	// budget then bounds the scan itself (a lone pattern) or the probes of
+	// the run's last pattern.
+	final := len(rest) == 0 && len(g.Filters) == 0
+	direct := final && len(run) == 1
+
+	r, seeds := e.newPatternRun(run, input)
+	ps, ok := r.positions(run[0])
+	if !ok {
+		seeds = idRows{} // a constant of the scanned pattern occurs nowhere
+	}
 
 	// Driver accounting: pages pulled and scan matches produced, flushed
 	// once on the way out (every return path) to metrics and — as one
 	// "paged-scan" pattern span — to the trace.
-	var pages, driverRows int
+	var pages, scanned int
 	var driverStart time.Time
 	if e.trace != nil {
 		driverStart = time.Now()
@@ -237,81 +236,74 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 	defer func() {
 		if e.met != nil {
 			e.met.PagesScanned.Add(uint64(pages))
-			e.met.RowsOut.Add(uint64(driverRows))
+			e.met.MatchesScanned.Add(uint64(scanned))
+			e.met.RowsOut.Add(uint64(scanned))
 		}
 		if e.trace != nil {
 			sp := e.trace.Add(e.exec, "pattern")
-			sp.Set(patternString(tp), "paged-scan", len(input), driverRows, driverStart)
+			sp.Set(patternString(run[0]), "paged-scan", len(input), scanned, driverStart)
 			sp.SetPages(pages)
 		}
 	}()
 
 	emitted := 0
-	deliver := func(rows []Binding) bool {
-		for _, r := range rows {
-			emitted++
-			if !emit(r) {
-				return false
-			}
-		}
-		return true
-	}
-
 	epoch := e.st.LayoutEpoch()
 	batchCap := streamBatchInit
-	var batch []Binding
-	for _, b := range input {
-		pat, vars := concretize(tp, b)
+	scratch := make([]store.ID, seeds.stride)
+	for i := 0; i < seeds.n(); i++ {
+		seed := seeds.row(i)
+		ms, mp, mo := maskFor(ps, seed)
 		pos := 0
-		for {
+		for done := false; !done; {
 			if err := e.cancelled(); err != nil {
 				return err
 			}
 			// Page size: the geometrically growing batch, clamped in
 			// direct mode to the rows still owed (each match there is a
 			// final solution, so scanning further is pure waste).
-			max := batchCap
+			pageMax := batchCap
 			if direct && budget >= 0 {
-				rem := remainingBudget(budget, emitted)
-				if rem == 0 {
+				pageMax = min(pageMax, remainingBudget(budget, emitted))
+				if pageMax == 0 {
 					return nil
 				}
-				if rem < max {
-					max = rem
-				}
 			}
-			batch = batch[:0]
-			next, done := e.st.ForEachPage(pat, pos, max, func(t rdf.Triple) bool {
-				if nb, ok := unify(b, vars, t); ok {
-					batch = append(batch, nb)
+			rows := idRows{stride: seeds.stride}
+			pos, done = e.st.ForEachIDPage(ms, mp, mo, pos, pageMax, func(m store.IDTriple) bool {
+				copy(scratch, seed)
+				if idUnify(ps, scratch, m) {
+					rows.ids = append(rows.ids, scratch...)
+					rows.parents = append(rows.parents, seeds.parents[i])
 				}
 				return true
 			})
-			pos = next
 			pages++
-			driverRows += len(batch)
+			scanned += rows.n()
 			// A compaction between pages reshuffles positions: the page
 			// just read may duplicate or skip triples, so discard it and
 			// let the caller restart or abort.
 			if e.st.LayoutEpoch() != epoch {
 				return errScanShifted
 			}
-			// Lock released: join and deliver this page's matches.
-			if direct {
-				if !deliver(batch) {
-					return nil
-				}
-			} else if len(batch) > 0 {
-				rows, err := e.flushTail(rest, g.Filters, batch, remainingBudget(budget, emitted))
-				if err != nil {
+			// Lock released: join, decode and deliver this page's matches.
+			limit := -1
+			if final {
+				limit = remainingBudget(budget, emitted)
+			}
+			if rows, err = r.extend(rows, run[1:], limit); err != nil {
+				return err
+			}
+			sols := r.decode(rows)
+			if !final && len(sols) > 0 {
+				if sols, err = e.evalElems(rest, g.Filters, sols); err != nil {
 					return err
 				}
-				if !deliver(rows) {
+			}
+			for _, sol := range sols {
+				emitted++
+				if !emit(sol) {
 					return nil
 				}
-			}
-			if done {
-				break
 			}
 			if batchCap < streamBatchMax {
 				batchCap *= 2
@@ -325,23 +317,7 @@ func remainingBudget(budget, emitted int) int {
 	if budget < 0 {
 		return -1
 	}
-	if r := budget - emitted; r > 0 {
-		return r
-	}
-	return 0
-}
-
-// flushTail evaluates the planned tail pipeline over one batch of scan
-// matches. When the tail is a single final triple pattern its output rows
-// are final solutions, so the row budget rides into the capped parallel
-// executor and the join probes stop early.
-func (e *engine) flushTail(rest []GroupElem, filters []Expr, batch []Binding, cap int) ([]Binding, error) {
-	if cap >= 0 && len(rest) == 1 && len(filters) == 0 {
-		if tp, ok := rest[0].(TriplePattern); ok {
-			return e.evalTriplePatternCap(tp, batch, cap)
-		}
-	}
-	return e.evalElems(rest, filters, batch)
+	return max(budget-emitted, 0)
 }
 
 // topkEntry is one candidate in the bounded ORDER BY heap: the solution,
@@ -450,11 +426,24 @@ func (e *engine) runDirect(q *Query, vars []string, emit func(Binding) bool) err
 	})
 }
 
-// scanRestartAttempts bounds how often a materialized fast path restarts a
-// scan the store compacted under; past it, the snapshot-consistent
-// materializing pipeline takes over (correct at any write rate, just not
+// scanRestartAttempts bounds how often a paged scan the store compacted
+// under is restarted; past it, the snapshot-consistent materializing
+// pipeline takes over (correct at any write rate, just not
 // early-terminating).
 const scanRestartAttempts = 3
+
+// retryShifted runs attempt until one ends without the store having
+// compacted under its paged scan, scanRestartAttempts times at most.
+// done=false means every attempt was shifted; whatever an attempt
+// accumulated must be reset at its start.
+func retryShifted(attempt func() error) (done bool, err error) {
+	for i := 0; i < scanRestartAttempts; i++ {
+		if err = attempt(); !errors.Is(err, errScanShifted) {
+			return true, err
+		}
+	}
+	return false, nil
+}
 
 // evalStreamFast is the engine's early-termination entry: it handles the
 // query shapes whose solution modifiers let evaluation stop before the full
@@ -463,79 +452,57 @@ const scanRestartAttempts = 3
 // from under it. Results are always exactly what the materializing
 // pipeline would return.
 func (e *engine) evalStreamFast(q *Query) (res *Results, ok bool, err error) {
-	switch planStream(q) {
-	case streamDirect:
-		if q.Form == FormAsk {
-			for attempt := 0; attempt < scanRestartAttempts; attempt++ {
-				found := false
-				err := e.streamSolutions(q.Where, 1, func(Binding) bool {
-					found = true
-					return false
-				})
-				if errors.Is(err, errScanShifted) {
-					continue
-				}
-				if err != nil {
-					return nil, true, err
-				}
-				return &Results{Form: FormAsk, Ask: found}, true, nil
-			}
-			return nil, false, nil
+	mode := planStream(q)
+	k := addBudget(q.Offset, q.Limit)
+	var attempt func() error
+	switch {
+	case mode == streamDirect && q.Form == FormAsk:
+		attempt = func() error {
+			res = &Results{Form: FormAsk}
+			return e.streamSolutions(q.Where, 1, func(Binding) bool {
+				res.Ask = true
+				return false
+			})
 		}
-		if q.Limit < 0 {
-			// Without a LIMIT the whole set is needed anyway; the
-			// materializing pipeline is no slower and shares more code.
-			return nil, false, nil
-		}
-		vars := streamVars(q)
-		for attempt := 0; attempt < scanRestartAttempts; attempt++ {
-			var rows []Binding
-			err := e.runDirect(q, vars, func(r Binding) bool {
-				rows = append(rows, r)
+	case mode == streamDirect && q.Limit >= 0:
+		// (Without a LIMIT the whole set is needed anyway; the
+		// materializing pipeline is no slower and shares more code.)
+		attempt = func() error {
+			res = &Results{Form: FormSelect, Vars: streamVars(q)}
+			return e.runDirect(q, res.Vars, func(r Binding) bool {
+				res.Rows = append(res.Rows, r)
 				return true
 			})
-			if errors.Is(err, errScanShifted) {
-				continue
-			}
-			if err != nil {
-				return nil, true, err
-			}
-			return &Results{Form: FormSelect, Vars: vars, Rows: rows}, true, nil
 		}
-		return nil, false, nil
-
-	case streamTopK:
-		k := addBudget(q.Offset, q.Limit)
-		if k < 0 {
-			// offset+limit overflows: no meaningful heap bound exists, and
-			// a window that large is a full materialization anyway.
-			return nil, false, nil
-		}
-		vars := streamVars(q)
-		for attempt := 0; attempt < scanRestartAttempts; attempt++ {
+	case mode == streamTopK && k >= 0:
+		// (k < 0: offset+limit overflows, no meaningful heap bound exists,
+		// and a window that large is a full materialization anyway.)
+		attempt = func() error {
+			res = &Results{Form: FormSelect, Vars: streamVars(q)}
 			var sols []Binding
 			if k > 0 {
 				var err error
-				sols, err = e.streamTopK(q, k)
-				if errors.Is(err, errScanShifted) {
-					continue
-				}
-				if err != nil {
-					return nil, true, err
+				if sols, err = e.streamTopK(q, k); err != nil {
+					return err
 				}
 			}
 			hidden := hiddenOrdNames(len(q.OrderBy))
 			rows := make([]Binding, 0, len(sols))
 			for _, s := range sols {
-				rows = append(rows, projectSolution(q, vars, s, hidden))
+				rows = append(rows, projectSolution(q, res.Vars, s, hidden))
 			}
 			sortRows(rows, q.OrderBy, hidden)
 			stripHidden(rows, hidden)
-			return &Results{Form: FormSelect, Vars: vars, Rows: sliceOffsetLimit(rows, q.Offset, q.Limit)}, true, nil
+			res.Rows = sliceOffsetLimit(rows, q.Offset, q.Limit)
+			return nil
 		}
+	default:
 		return nil, false, nil
 	}
-	return nil, false, nil
+	if ok, err = retryShifted(attempt); !ok || err != nil {
+		return nil, ok, err
+	}
+	return res, true, nil
 }
 
 // streamVars resolves the projected column names without evaluating: the
@@ -572,14 +539,13 @@ func streamVars(q *Query) []string {
 type Stream struct {
 	e    *engine
 	q    *Query
-	opt  Options
 	mode streamMode
 	vars []string
 }
 
 // PrepareStream parses and plans query for streaming delivery against src.
 // Parse failures match ErrParse.
-func PrepareStream(ctx context.Context, src Source, query string, opt Options) (*Stream, error) {
+func PrepareStream(ctx context.Context, src store.Source, query string, opt Options) (*Stream, error) {
 	q, err := Parse(query)
 	if err != nil {
 		return nil, err
@@ -588,12 +554,8 @@ func PrepareStream(ctx context.Context, src Source, query string, opt Options) (
 }
 
 // PrepareStreamQuery is PrepareStream over an already-parsed query.
-func PrepareStreamQuery(ctx context.Context, src Source, q *Query, opt Options) *Stream {
-	mode := planStream(q)
-	if opt.NoStream {
-		mode = streamNone
-	}
-	s := &Stream{e: newEngine(ctx, src, opt), q: q, opt: opt, mode: mode}
+func PrepareStreamQuery(ctx context.Context, src store.Source, q *Query, opt Options) *Stream {
+	s := &Stream{e: newEngine(ctx, src, opt), q: q, mode: planStream(q)}
 	if q.Form == FormSelect {
 		s.vars = streamVars(q)
 	}
@@ -622,44 +584,41 @@ func (s *Stream) Run(emit func(Binding) bool) error {
 	if s.q.Form != FormSelect {
 		return wrapEval(fmt.Errorf("sparql: Run on an ASK query; use Ask"))
 	}
-	switch s.mode {
-	case streamDirect:
-		if s.e.met != nil {
-			s.e.met.QueriesStreamed.Inc()
-		}
-		for attempt := 0; attempt < scanRestartAttempts; attempt++ {
-			delivered := false
+	if s.mode == streamDirect {
+		delivered := false
+		done, err := retryShifted(func() error {
 			err := s.e.runDirect(s.q, s.vars, func(r Binding) bool {
 				delivered = true
 				return emit(r)
 			})
-			if errors.Is(err, errScanShifted) {
-				if delivered {
-					// Rows already reached the consumer; a restart would
-					// duplicate them. Surface the conflict instead.
-					return wrapEval(fmt.Errorf("%w; re-run the query", err))
-				}
-				continue // nothing delivered yet: restart transparently
+			if delivered && errors.Is(err, errScanShifted) {
+				// Rows already reached the consumer; a restart would
+				// duplicate them. Surface the conflict instead.
+				return fmt.Errorf("%v; re-run the query", err)
+			}
+			return err
+		})
+		if done {
+			if s.e.met != nil {
+				s.e.met.QueriesStreamed.Inc()
 			}
 			return wrapEval(err)
 		}
-		// Compaction churn with nothing delivered: fall through to the
-		// materialized replay below, which is snapshot-consistent.
-		fallthrough
-	default:
-		// Materializing modes (top-k included) share the Results pipeline
-		// and replay the finished rows.
-		res, err := evalWithEngine(s.e, s.q, s.opt)
-		if err != nil {
-			return wrapEval(err)
-		}
-		for _, row := range res.Rows {
-			if !emit(row) {
-				return nil
-			}
-		}
-		return nil
+		// Compaction churn with nothing delivered: the materialized replay
+		// below is snapshot-consistent.
 	}
+	// Materializing modes (top-k included) share the Results pipeline and
+	// replay the finished rows.
+	res, err := evalWithEngine(s.e, s.q)
+	if err != nil {
+		return wrapEval(err)
+	}
+	for _, row := range res.Rows {
+		if !emit(row) {
+			return nil
+		}
+	}
+	return nil
 }
 
 // Ask answers an ASK stream, stopping at the first matching solution when
@@ -668,7 +627,7 @@ func (s *Stream) Ask() (bool, error) {
 	if s.q.Form != FormAsk {
 		return false, wrapEval(fmt.Errorf("sparql: Ask on a SELECT query; use Run"))
 	}
-	res, err := evalWithEngine(s.e, s.q, s.opt)
+	res, err := evalWithEngine(s.e, s.q)
 	if err != nil {
 		return false, wrapEval(err)
 	}

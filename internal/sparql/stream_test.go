@@ -10,37 +10,29 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lodviz/lodviz/internal/obs"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
 // countingSource wraps a store and counts every triple the engine's scans
-// visit — on both the snapshot and the paged scan paths — the observable
-// that proves LIMIT pushdown actually stops scanning instead of just
-// truncating a full result.
+// visit — the snapshot scan, the paged scan and the materialized sorted run
+// — the observable that proves LIMIT pushdown actually stops scanning
+// instead of just truncating a full result.
 type countingSource struct {
 	*store.Store
 	visited atomic.Int64
 }
 
-func (c *countingSource) ForEach(p store.Pattern, fn func(rdf.Triple) bool) {
-	c.Store.ForEach(p, func(t rdf.Triple) bool {
-		c.visited.Add(1)
-		return fn(t)
-	})
-}
-
-func (c *countingSource) ForEachPage(p store.Pattern, pos, max int, fn func(rdf.Triple) bool) (int, bool) {
-	return c.Store.ForEachPage(p, pos, max, func(t rdf.Triple) bool {
-		c.visited.Add(1)
-		return fn(t)
-	})
-}
-
-// The embedded store promotes the IDSource methods, so the dictionary-ID
-// executor's scans must be counted too or they would bypass the wrapper.
 func (c *countingSource) ForEachID(s, p, o store.ID, fn func(store.IDTriple) bool) {
 	c.Store.ForEachID(s, p, o, func(t store.IDTriple) bool {
+		c.visited.Add(1)
+		return fn(t)
+	})
+}
+
+func (c *countingSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(store.IDTriple) bool) (int, bool) {
+	return c.Store.ForEachIDPage(s, p, o, pos, max, func(t store.IDTriple) bool {
 		c.visited.Add(1)
 		return fn(t)
 	})
@@ -75,7 +67,7 @@ func streamStore(t testing.TB, n int) *store.Store {
 }
 
 // execOpts evaluates and fails the test on error.
-func execOpts(t *testing.T, src Source, q string, opt Options) *Results {
+func execOpts(t *testing.T, src store.Source, q string, opt Options) *Results {
 	t.Helper()
 	res, err := ExecOpts(src, q, opt)
 	if err != nil {
@@ -84,11 +76,12 @@ func execOpts(t *testing.T, src Source, q string, opt Options) *Results {
 	return res
 }
 
-// TestSolutionModifierMatrix is the differential grid: every query shape
-// must return identical rows in identical order across parallelism settings
-// and across the streaming fast paths vs. the materializing pipeline.
+// TestSolutionModifierMatrix is the differential grid over solution
+// modifiers: every query shape, in every store state, must return the
+// oracle's rows in the oracle's order at parallelism 1 and 4, from EvalCtx
+// (early-termination paths included) and from Stream.Run.
 func TestSolutionModifierMatrix(t *testing.T) {
-	st := testStore(t)
+	states := storeStates(t, testStore(t).Triples())
 	queries := []struct {
 		name, q string
 	}{
@@ -100,6 +93,7 @@ func TestSolutionModifierMatrix(t *testing.T) {
 		{"offset-no-limit", `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?p foaf:name ?n } OFFSET 1`},
 		{"limit-offset", `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?p foaf:name ?n } LIMIT 1 OFFSET 1`},
 		{"orderby-limit", `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?p foaf:name ?n } ORDER BY ?n LIMIT 2`},
+		{"orderby-desc-limit", `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?p foaf:name ?n } ORDER BY DESC(?n) LIMIT 2`},
 		{"orderby-desc-limit-offset", `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?p foaf:name ?n } ORDER BY DESC(?n) LIMIT 2 OFFSET 1`},
 		{"orderby-expr-limit", `PREFIX ex: <http://example.org/> SELECT ?c WHERE { ?c ex:population ?pop } ORDER BY DESC(?pop) LIMIT 1`},
 		{"distinct-orderby-limit", `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT DISTINCT ?q WHERE { ?p foaf:knows ?q } ORDER BY ?q LIMIT 2`},
@@ -114,68 +108,13 @@ func TestSolutionModifierMatrix(t *testing.T) {
 		{"expr-projection-limit", `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT (?a + 1 AS ?next) WHERE { ?p foaf:age ?a } ORDER BY ?a LIMIT 2`},
 		{"ask", `PREFIX foaf: <http://xmlns.com/foaf/0.1/> ASK { ?p foaf:name "Carol" }`},
 		{"ask-no-match", `PREFIX foaf: <http://xmlns.com/foaf/0.1/> ASK { ?p foaf:name "Nobody" }`},
+		{"join-no-limit", `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n ?m WHERE { ?p foaf:knows ?q . ?p foaf:name ?n . ?q foaf:name ?m }`},
 	}
-	for _, tc := range queries {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := execOpts(t, st, tc.q, Options{Parallelism: 1, NoStream: true})
-			for _, par := range []int{1, 4} {
-				for _, noStream := range []bool{false, true} {
-					got := execOpts(t, st, tc.q, Options{Parallelism: par, NoStream: noStream})
-					label := fmt.Sprintf("par=%d noStream=%v", par, noStream)
-					if !reflect.DeepEqual(got.Vars, ref.Vars) {
-						t.Errorf("%s: vars = %v, want %v", label, got.Vars, ref.Vars)
-					}
-					if got.Ask != ref.Ask {
-						t.Errorf("%s: ask = %v, want %v", label, got.Ask, ref.Ask)
-					}
-					if len(got.Rows) != len(ref.Rows) {
-						t.Fatalf("%s: %d rows, want %d", label, len(got.Rows), len(ref.Rows))
-					}
-					for i := range got.Rows {
-						if !reflect.DeepEqual(got.Rows[i], ref.Rows[i]) {
-							t.Errorf("%s: row %d = %v, want %v", label, i, got.Rows[i], ref.Rows[i])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestStreamedEqualsMaterialized runs the same queries through the Stream
-// API and asserts row-for-row equality with the materializing pipeline.
-func TestStreamedEqualsMaterialized(t *testing.T) {
-	st := testStore(t)
-	queries := []string{
-		`PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?p foaf:name ?n } LIMIT 2`,
-		`PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?p foaf:name ?n } OFFSET 1`,
-		`PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?p foaf:name ?n } ORDER BY DESC(?n) LIMIT 2`,
-		`PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT DISTINCT ?q WHERE { ?p foaf:knows ?q } ORDER BY ?q LIMIT 2`,
-		`PREFIX ex: <http://example.org/> PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?x WHERE { { ?x a foaf:Person } UNION { ?x a ex:City } } LIMIT 3`,
-		`PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n ?m WHERE { ?p foaf:knows ?q . ?p foaf:name ?n . ?q foaf:name ?m }`,
-	}
-	for _, par := range []int{1, 4} {
-		for _, q := range queries {
-			ref := execOpts(t, st, q, Options{Parallelism: par, NoStream: true})
-			stm, err := PrepareStream(context.Background(), st, q, Options{Parallelism: par})
-			if err != nil {
-				t.Fatalf("PrepareStream(%q): %v", q, err)
-			}
-			var rows []Binding
-			if err := stm.Run(func(r Binding) bool {
-				rows = append(rows, r)
-				return true
-			}); err != nil {
-				t.Fatalf("Run(%q): %v", q, err)
-			}
-			if len(rows) != len(ref.Rows) {
-				t.Fatalf("par=%d %q: streamed %d rows, materialized %d", par, q, len(rows), len(ref.Rows))
-			}
-			for i := range rows {
-				if !reflect.DeepEqual(rows[i], ref.Rows[i]) {
-					t.Errorf("par=%d %q: row %d = %v, want %v", par, q, i, rows[i], ref.Rows[i])
-				}
-			}
+	for _, state := range states {
+		for _, tc := range queries {
+			t.Run(state.name+"/"+tc.name, func(t *testing.T) {
+				checkAgainstOracle(t, state.st, tc.q)
+			})
 		}
 	}
 }
@@ -195,7 +134,7 @@ func TestLimitPushdownStopsScanning(t *testing.T) {
 		pushed := src.visited.Load()
 
 		src2 := &countingSource{Store: st}
-		ref := execOpts(t, src2, q, Options{Parallelism: par, NoStream: true})
+		ref := execMaterialized(t, src2, q, Options{Parallelism: par})
 		full := src2.visited.Load()
 		if !reflect.DeepEqual(res.Rows, ref.Rows) {
 			t.Fatalf("par=%d: pushdown rows differ from materialized", par)
@@ -218,7 +157,7 @@ func TestLimitPushdownJoinCapped(t *testing.T) {
 			t.Fatalf("par=%d: got %d rows, want 7", par, len(res.Rows))
 		}
 		pushed := src.visited.Load()
-		ref := execOpts(t, st, q, Options{Parallelism: par, NoStream: true})
+		ref := execMaterialized(t, st, q, Options{Parallelism: par})
 		if !reflect.DeepEqual(res.Rows, ref.Rows) {
 			t.Fatalf("par=%d: capped join rows differ from materialized", par)
 		}
@@ -246,7 +185,7 @@ func TestNestedGroupPushdown(t *testing.T) {
 		if v := src.visited.Load(); v > 1000 {
 			t.Errorf("%s: visited %d triples, want early termination", q, v)
 		}
-		ref := execOpts(t, st, q, Options{Parallelism: 1, NoStream: true})
+		ref := execMaterialized(t, st, q, Options{Parallelism: 1})
 		if !reflect.DeepEqual(res.Rows, ref.Rows) {
 			t.Errorf("%s: nested pushdown rows differ from materialized", q)
 		}
@@ -273,7 +212,7 @@ func TestHugeLimitNoOverflow(t *testing.T) {
 		fmt.Sprintf(`PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?n WHERE { ?p foaf:name ?n } ORDER BY ?n LIMIT %d OFFSET 1`, int64(^uint(0)>>1)),
 	} {
 		got := execOpts(t, st, q, Options{Parallelism: 1})
-		ref := execOpts(t, st, q, Options{Parallelism: 1, NoStream: true})
+		ref := execMaterialized(t, st, q, Options{Parallelism: 1})
 		if len(got.Rows) != len(ref.Rows) || len(got.Rows) == 0 {
 			t.Errorf("%s: streamed %d rows, materialized %d (want equal, non-zero)", q, len(got.Rows), len(ref.Rows))
 		}
@@ -295,7 +234,7 @@ func TestSubgroupPrefixNotIncremental(t *testing.T) {
 		t.Error("subgroup prefix forces full evaluation; Incremental must be false")
 	}
 	got := execOpts(t, st, q, Options{Parallelism: 1})
-	ref := execOpts(t, st, q, Options{Parallelism: 1, NoStream: true})
+	ref := execMaterialized(t, st, q, Options{Parallelism: 1})
 	if !reflect.DeepEqual(got.Rows, ref.Rows) {
 		t.Errorf("rows differ: %v vs %v", got.Rows, ref.Rows)
 	}
@@ -314,10 +253,10 @@ func TestAskShortCircuits(t *testing.T) {
 	}
 }
 
-// TestTopKHeapBoundsWork: ORDER BY + LIMIT must not materialize the full
-// sorted set; the heap keeps offset+limit candidates. (Scanning is still
-// complete — ORDER BY needs every solution — so we check only result
-// equality here; memory behavior is exercised by the 100k benchmark.)
+// TestTopKOrderByLimit: ORDER BY + LIMIT keeps offset+limit candidates in a
+// heap in place of the full sorted set; the rows must be the oracle's.
+// (Scanning is still complete — ORDER BY needs every solution; memory
+// behavior is exercised by the 100k benchmark.)
 func TestTopKOrderByLimit(t *testing.T) {
 	st := streamStore(t, 5000)
 	for _, q := range []string{
@@ -326,13 +265,7 @@ func TestTopKOrderByLimit(t *testing.T) {
 		// Ties everywhere (o cycles mod 1000): the stable tiebreak must match.
 		`SELECT ?s WHERE { ?s <http://s/value> ?o } ORDER BY ?o LIMIT 20`,
 	} {
-		for _, par := range []int{1, 4} {
-			got := execOpts(t, st, q, Options{Parallelism: par})
-			ref := execOpts(t, st, q, Options{Parallelism: par, NoStream: true})
-			if !reflect.DeepEqual(got.Rows, ref.Rows) {
-				t.Errorf("par=%d %q: top-k rows differ from materialized", par, q)
-			}
-		}
+		checkAgainstOracle(t, st, q)
 	}
 }
 
@@ -344,9 +277,11 @@ func TestUnboundOrderBy(t *testing.T) {
 	base := `PREFIX ex: <http://example.org/>
 SELECT ?s ?pop WHERE { ?s a ?t . OPTIONAL { ?s ex:population ?pop } } ORDER BY %s LIMIT 20`
 	for _, par := range []int{1, 4} {
-		for _, noStream := range []bool{false, true} {
-			opt := Options{Parallelism: par, NoStream: noStream}
-			asc := execOpts(t, st, fmt.Sprintf(base, "?pop ?s"), opt)
+		for name, exec := range map[string]func(*testing.T, store.Source, string, Options) *Results{
+			"streamed": execOpts, "materialized": execMaterialized,
+		} {
+			opt := Options{Parallelism: par}
+			asc := exec(t, st, fmt.Sprintf(base, "?pop ?s"), opt)
 			if len(asc.Rows) == 0 {
 				t.Fatal("no rows")
 			}
@@ -362,14 +297,14 @@ SELECT ?s ?pop WHERE { ?s a ?t . OPTIONAL { ?s ex:population ?pop } } ORDER BY %
 					}
 					prev = pop
 				} else if seenBound {
-					t.Errorf("asc row %d: unbound after bound (par=%d noStream=%v)", i, par, noStream)
+					t.Errorf("asc row %d: unbound after bound (par=%d %s)", i, par, name)
 				}
 			}
 			if !seenBound {
 				t.Fatal("expected some bound pop values")
 			}
 			// DESC: bound descending first, unbound rows last.
-			desc := execOpts(t, st, fmt.Sprintf(base, "DESC(?pop) ?s"), opt)
+			desc := exec(t, st, fmt.Sprintf(base, "DESC(?pop) ?s"), opt)
 			seenUnbound := false
 			prev = nil
 			for i, r := range desc.Rows {
@@ -378,7 +313,7 @@ SELECT ?s ?pop WHERE { ?s a ?t . OPTIONAL { ?s ex:population ?pop } } ORDER BY %
 					seenUnbound = true
 				} else {
 					if seenUnbound {
-						t.Errorf("desc row %d: bound after unbound (par=%d noStream=%v)", i, par, noStream)
+						t.Errorf("desc row %d: bound after unbound (par=%d %s)", i, par, name)
 					}
 					if prev != nil && rdf.Compare(prev, pop) < 0 {
 						t.Errorf("desc row %d: %v after %v", i, pop, prev)
@@ -572,13 +507,13 @@ func TestStreamConcurrentWriters(t *testing.T) {
 // stream, which reshuffles every positional cursor.
 type compactingSource struct {
 	*store.Store
-	afterPages int // compact after this many ForEachPage calls
+	afterPages int // compact after this many ForEachIDPage calls
 	pages      int
 	compacted  bool
 }
 
-func (c *compactingSource) ForEachPage(p store.Pattern, pos, max int, fn func(rdf.Triple) bool) (int, bool) {
-	next, done := c.Store.ForEachPage(p, pos, max, fn)
+func (c *compactingSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(store.IDTriple) bool) (int, bool) {
+	next, done := c.Store.ForEachIDPage(s, p, o, pos, max, fn)
 	c.pages++
 	if !c.compacted && c.pages >= c.afterPages {
 		c.compacted = true
@@ -602,7 +537,7 @@ func TestStreamRestartsOnCompaction(t *testing.T) {
 	if !src.compacted {
 		t.Fatal("test did not exercise mid-scan compaction")
 	}
-	ref := execOpts(t, st, q, Options{Parallelism: 1, NoStream: true})
+	ref := execMaterialized(t, st, q, Options{Parallelism: 1})
 	if !reflect.DeepEqual(res.Rows, ref.Rows) {
 		t.Fatalf("restarted scan rows differ from materialized: %d vs %d rows", len(res.Rows), len(ref.Rows))
 	}
@@ -678,42 +613,72 @@ func TestStreamAPIForms(t *testing.T) {
 	}
 }
 
-// TestParMapCapMatchesSequential: the capped parallel executor returns
-// exactly the first cap rows of the sequential evaluation.
-func TestParMapCapMatchesSequential(t *testing.T) {
+// TestProbeLimitMatchesSequential: the probe strategy under a row limit
+// returns exactly the first limit rows of the unlimited sequential
+// evaluation, inline and through the pool.
+func TestProbeLimitMatchesSequential(t *testing.T) {
 	st := streamStore(t, 2000)
 	// One input binding per entity, joined to its value triple.
 	var input []Binding
 	for i := 0; i < 2000; i++ {
 		input = append(input, Binding{"s": rdf.IRI(fmt.Sprintf("http://s/e%d", i))})
 	}
-	tp := TriplePattern{
+	run := []TriplePattern{{
 		S: Node{Var: "s"},
 		P: Node{Term: rdf.IRI("http://s/value")},
 		O: Node{Var: "o"},
-	}
-	seq := newEngine(context.Background(), st, Options{Parallelism: 1})
-	want, err := seq.evalTriplePatternChunk(tp, input, -1)
+	}}
+	want, err := termSpaceRun(st)(run, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cap := range []int{0, 1, 17, 500, 5000} {
+	for _, limit := range []int{0, 1, 17, 500, 5000} {
 		for _, par := range []int{1, 8} {
 			e := newEngine(context.Background(), st, Options{Parallelism: par})
-			got, err := e.evalTriplePatternCap(tp, input, cap)
+			r, rows := e.newPatternRun(run, input)
+			ps, _ := r.positions(run[0])
+			out, err := e.idProbe(ps, rows, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
-			expect := want
-			if cap < len(expect) {
-				expect = expect[:cap]
+			if d := firstDiff(want[:min(limit, len(want))], r.decode(out)); d != "" {
+				t.Errorf("limit=%d par=%d: %s", limit, par, d)
 			}
-			if len(got) == 0 && len(expect) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, expect) {
-				t.Errorf("cap=%d par=%d: got %d rows, want first %d of sequential", cap, par, len(got), len(expect))
-			}
+		}
+	}
+}
+
+// TestJoinLimitBoundsTailScan: `{ A . B } LIMIT k` whose tail pattern fans
+// out by thousands per head row visits O(k) index entries, not the fan-out:
+// the limit rides into the probes of the run's last pattern. The first 60
+// head rows have no tail match, so the pages grow past parallelThreshold and
+// the limited probe also runs through the pool (there every chunk may probe
+// up to k rows before the merger has seen enough).
+func TestJoinLimitBoundsTailScan(t *testing.T) {
+	const heads, barren, fanout, k = 200, 60, 2000, 5
+	var triples []rdf.Triple
+	for h := 0; h < heads; h++ {
+		head := rdf.IRI(fmt.Sprintf("http://f/h%03d", h))
+		triples = append(triples, rdf.Triple{S: head, P: "http://f/a", O: rdf.NewLiteral("x")})
+		for j := 0; h >= barren && j < fanout; j++ {
+			triples = append(triples, rdf.Triple{S: head, P: "http://f/b", O: rdf.NewInteger(int64(j))})
+		}
+	}
+	st, err := store.Load(triples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := fmt.Sprintf(`SELECT ?h ?v WHERE { ?h <http://f/a> "x" . ?h <http://f/b> ?v } LIMIT %d`, k)
+	want := oracleExec(t, st, q)
+	for _, par := range []int{1, 4} {
+		met := NewMetrics(obs.NewRegistry())
+		got := execOpts(t, st, q, Options{Parallelism: par, Metrics: met})
+		if d := firstDiff(want.Rows, got.Rows); d != "" {
+			t.Fatalf("par=%d: %s", par, d)
+		}
+		// Head rows paged (4+8+16+32+64) plus at most k per probe chunk.
+		if scanned := met.MatchesScanned.Value(); scanned > 124+4*chunksPerWorker*k {
+			t.Errorf("par=%d: scanned %d index entries for LIMIT %d, want O(k), not the tail's fan-out of %d", par, scanned, k, fanout)
 		}
 	}
 }
@@ -725,7 +690,7 @@ func TestStreamSelectStarVars(t *testing.T) {
 	st := testStore(t)
 	q := `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT * WHERE { ?p foaf:knows ?q } LIMIT 2`
 	got := execOpts(t, st, q, Options{Parallelism: 1})
-	ref := execOpts(t, st, q, Options{Parallelism: 1, NoStream: true})
+	ref := execMaterialized(t, st, q, Options{Parallelism: 1})
 	if !reflect.DeepEqual(got.Vars, []string{"p", "q"}) {
 		t.Fatalf("vars = %v, want [p q]", got.Vars)
 	}

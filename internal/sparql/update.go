@@ -10,14 +10,14 @@ import (
 
 // This file is the SPARQL 1.1 Update subset: INSERT DATA, DELETE DATA, and
 // DELETE WHERE, parsed by the same lexer/parser machinery as queries and
-// executed against an UpdateStore. The WHERE scan of DELETE WHERE reuses the
-// BGP engine (ID-space merge joins and all), so a pattern delete plans like
-// the equivalent SELECT.
+// executed against an UpdateStore. The WHERE scan of DELETE WHERE runs
+// through the engine's one pattern executor (idjoin.go), so a pattern delete
+// plans like the equivalent SELECT.
 
-// UpdateStore is the mutable extension of Source that updates execute
-// against. *store.Store satisfies it.
+// UpdateStore is what updates execute against: the source plus the two
+// batch writes. *store.Store satisfies it.
 type UpdateStore interface {
-	Source
+	store.Source
 	// AddBatch atomically inserts a batch, returning how many triples
 	// changed the live set.
 	AddBatch(triples []rdf.Triple) (int, error)

@@ -328,17 +328,17 @@ func TestEstimateCountFiltersDelta(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		st.Add(tr(fmt.Sprintf("b%d", i), "burst", fmt.Sprintf("x%d", i)))
 	}
-	got := st.EstimateCount(Pattern{P: iri("base")})
+	got := estimateCount(st, Pattern{P: iri("base")})
 	if got != 200 {
 		t.Fatalf("EstimateCount(base) = %d after unrelated burst, want 200", got)
 	}
-	if got := st.EstimateCount(Pattern{P: iri("burst")}); got != 500 {
+	if got := estimateCount(st, Pattern{P: iri("burst")}); got != 500 {
 		t.Fatalf("EstimateCount(burst) = %d, want 500", got)
 	}
-	if got := st.EstimateCount(Pattern{}); got != 700 {
+	if got := estimateCount(st, Pattern{}); got != 700 {
 		t.Fatalf("EstimateCount(all) = %d, want 700", got)
 	}
-	if got := st.EstimateCount(Pattern{S: iri("b7"), P: iri("burst")}); got != 1 {
+	if got := estimateCount(st, Pattern{S: iri("b7"), P: iri("burst")}); got != 1 {
 		t.Fatalf("EstimateCount(b7,burst) = %d, want 1", got)
 	}
 }

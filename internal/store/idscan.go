@@ -210,19 +210,19 @@ func (st *Store) ForEachID(s, p, o ID, fn func(IDTriple) bool) {
 	})
 }
 
-// EstimateCountIDs is EstimateCount for an already-encoded pattern: the base
-// range size plus matching delta entries, minus matching tombstones. The
-// engine uses it to choose between merge-joining a range and probing per
-// binding.
+// EstimateCountIDs sizes a mask (0 = wildcard) without scanning it: the
+// base-index range (one O(log n) binary search) plus the delta entries that
+// match, minus the tombstones that do. Delta and tombstone sets are both
+// compaction-bounded, so the two linear passes are O(1) in practice. The
+// planner orders joins by it and the executor chooses between merge-joining
+// a range and probing per row.
 func (st *Store) EstimateCountIDs(s, p, o ID) int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	ord, _ := PermutationFor(s != 0, p != 0, o != 0, PosAny)
-	idx := st.indexFor(ord)
-	lo, hi := rangeIn(ord, idx, s, p, o)
+	_, lo, hi := st.scanRangeLocked(s, p, o)
 	n := hi - lo
 	for _, e := range st.delta {
-		if (s == 0 || e.s == s) && (p == 0 || e.p == p) && (o == 0 || e.o == o) {
+		if e.matches(s, p, o) {
 			n++
 		}
 	}
@@ -245,7 +245,7 @@ func (st *Store) EstimateCountIDs(s, p, o ID) int {
 func (st *Store) countTombstonedLocked(s, p, o ID) int {
 	dead := 0
 	for e := range st.deleted {
-		if (s == 0 || e.s == s) && (p == 0 || e.p == p) && (o == 0 || e.o == o) {
+		if e.matches(s, p, o) {
 			dead++
 		}
 	}
@@ -338,7 +338,7 @@ func (st *Store) scanIDsPaged(s, p, o ID, ord ScanOrder) (IDRun, bool) {
 			// The delta is captured under the same view as the final page,
 			// exactly where ForEachID switches from base to delta.
 			for _, e := range st.delta {
-				if (s == 0 || e.s == s) && (p == 0 || e.p == p) && (o == 0 || e.o == o) {
+				if e.matches(s, p, o) {
 					if _, dead := st.deleted[e]; dead {
 						continue
 					}
@@ -358,14 +358,16 @@ func (st *Store) scanIDsPaged(s, p, o ID, ord ScanOrder) (IDRun, bool) {
 // ForEachIDPage streams up to max matching triples in ID space to fn,
 // starting at scan position pos (0 starts a new scan), and returns the
 // position the next page should resume from plus whether the scan is
-// exhausted — the ID-space twin of ForEachPage. The read lock is held only
-// for one page, so callers may do arbitrary work between pages. The cursor
-// is positional over the PosAny permutation for the bound mask: positions in
-// the base index are stable until a compaction, so callers must watch
-// LayoutEpoch between pages and restart when it moves (delta appends don't
-// shift the base, and the delta itself is append-only between compactions).
-// fn returning false ends the scan (done=true). max < 1 returns immediately
-// with done=false.
+// exhausted. The read lock is held only for one page, so callers may do
+// arbitrary work between pages — evaluate joins, write to the network, even
+// mutate the store — without holding up writers. The cursor is positional
+// over the PosAny permutation for the bound mask: positions in the base
+// index are stable until a compaction, so callers must watch LayoutEpoch
+// between pages and restart when it moves (delta appends don't shift the
+// base, and the delta itself is append-only between compactions); a paged
+// scan observes the live store rather than one snapshot (ForEachID gives
+// that). fn returning false ends the scan (done=true). max < 1 returns
+// immediately with done=false.
 func (st *Store) ForEachIDPage(s, p, o ID, pos, max int, fn func(IDTriple) bool) (next int, done bool) {
 	if max < 1 {
 		return pos, false
@@ -373,17 +375,24 @@ func (st *Store) ForEachIDPage(s, p, o ID, pos, max int, fn func(IDTriple) bool)
 	st.scanPages.Add(1)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	ord, _ := PermutationFor(s != 0, p != 0, o != 0, PosAny)
-	idx := st.indexFor(ord)
-	lo, hi := rangeIn(ord, idx, s, p, o)
+	return st.forEachIDPageLocked(s, p, o, pos, max, func(e enc) bool {
+		return fn(IDTriple{e.s, e.p, e.o})
+	})
+}
+
+// forEachIDPageLocked is one page of the positional scan: base-index
+// matches from pos on, then the delta entries past it. Caller holds mu and
+// has checked max >= 1.
+func (st *Store) forEachIDPageLocked(s, p, o ID, pos, max int, fn func(enc) bool) (next int, done bool) {
+	base, lo, hi := st.scanRangeLocked(s, p, o)
 	n := hi - lo
 	emitted := 0
 	for i := lo + pos; i < hi; i++ {
-		e := idx[i]
+		e := base[i]
 		if _, dead := st.deleted[e]; dead {
 			continue
 		}
-		if !fn(IDTriple{e.s, e.p, e.o}) {
+		if !fn(e) {
 			return i - lo + 1, true
 		}
 		emitted++
@@ -397,13 +406,13 @@ func (st *Store) ForEachIDPage(s, p, o ID, pos, max int, fn func(IDTriple) bool)
 	}
 	for j := dpos; j < len(st.delta); j++ {
 		e := st.delta[j]
-		if (s != 0 && e.s != s) || (p != 0 && e.p != p) || (o != 0 && e.o != o) {
+		if !e.matches(s, p, o) {
 			continue
 		}
 		if _, dead := st.deleted[e]; dead {
 			continue
 		}
-		if !fn(IDTriple{e.s, e.p, e.o}) {
+		if !fn(e) {
 			return n + j + 1, true
 		}
 		emitted++
@@ -412,6 +421,11 @@ func (st *Store) ForEachIDPage(s, p, o ID, pos, max int, fn func(IDTriple) bool)
 		}
 	}
 	return n + len(st.delta), true
+}
+
+// matches reports whether the entry satisfies the mask (0 = wildcard).
+func (e enc) matches(s, p, o ID) bool {
+	return (s == 0 || e.s == s) && (p == 0 || e.p == p) && (o == 0 || e.o == o)
 }
 
 // Less reports whether a sorts before b in the order's (first, second,
@@ -496,7 +510,7 @@ func (st *Store) scanIDsLocked(s, p, o ID, ord ScanOrder) IDRun {
 		run.Sorted = append(run.Sorted, IDTriple{e.s, e.p, e.o})
 	}
 	for _, e := range st.delta {
-		if (s == 0 || e.s == s) && (p == 0 || e.p == p) && (o == 0 || e.o == o) {
+		if e.matches(s, p, o) {
 			if _, dead := st.deleted[e]; dead {
 				continue
 			}

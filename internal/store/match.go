@@ -43,25 +43,14 @@ func (st *Store) ForEach(p Pattern, fn func(rdf.Triple) bool) {
 	if !ok {
 		return
 	}
-	st.forEachIDLocked(sid, pid, oid, func(e enc) bool {
-		return fn(rdf.Triple{
-			S: st.terms[e.s],
-			P: st.terms[e.p].(rdf.IRI),
-			O: st.terms[e.o],
-		})
-	})
+	st.forEachIDLocked(sid, pid, oid, func(e enc) bool { return fn(st.decodeLocked(e)) })
 }
 
-// ForEachPage streams up to max matching triples to fn, starting at scan
-// position pos (0 starts a new scan), and returns the position the next
-// page should resume from plus whether the scan is exhausted. The read
-// lock is held only for the duration of one page, so callers may do
-// arbitrary work between pages — evaluate joins, write to the network,
-// even mutate the store — without holding up writers. The cursor is
-// positional: a mutation between pages may shift positions, so a paged
-// scan observes the live store rather than one snapshot (callers needing
-// snapshot isolation use ForEach). fn returning false ends the scan
-// (done=true). max < 1 returns immediately with done=false.
+// ForEachPage is ForEachIDPage for a term pattern: the constants are
+// resolved and every match decoded under the page's one lock hold, so a
+// caller gets terms without a second lock round trip per page. The cursor,
+// the page contract and the epoch caveat are ForEachIDPage's; a constant
+// absent from the dictionary ends the scan at once (done=true).
 func (st *Store) ForEachPage(p Pattern, pos, max int, fn func(rdf.Triple) bool) (next int, done bool) {
 	if max < 1 {
 		return pos, false
@@ -69,54 +58,18 @@ func (st *Store) ForEachPage(p Pattern, pos, max int, fn func(rdf.Triple) bool) 
 	st.scanPages.Add(1)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-
 	sid, pid, oid, ok := st.resolvePatternLocked(p)
 	if !ok {
 		return pos, true
 	}
-	base, lo, hi := st.scanRangeLocked(sid, pid, oid)
-	n := hi - lo
-	emitted := 0
-	for i := lo + pos; i < hi; i++ {
-		e := base[i]
-		if _, dead := st.deleted[e]; dead {
-			continue
-		}
-		if !fn(rdf.Triple{S: st.terms[e.s], P: st.terms[e.p].(rdf.IRI), O: st.terms[e.o]}) {
-			return i - lo + 1, true
-		}
-		emitted++
-		if emitted >= max {
-			return i - lo + 1, false
-		}
-	}
-	dpos := pos - n
-	if dpos < 0 {
-		dpos = 0
-	}
-	for j := dpos; j < len(st.delta); j++ {
-		e := st.delta[j]
-		if sid != 0 && e.s != sid {
-			continue
-		}
-		if pid != 0 && e.p != pid {
-			continue
-		}
-		if oid != 0 && e.o != oid {
-			continue
-		}
-		if _, dead := st.deleted[e]; dead {
-			continue
-		}
-		if !fn(rdf.Triple{S: st.terms[e.s], P: st.terms[e.p].(rdf.IRI), O: st.terms[e.o]}) {
-			return n + j + 1, true
-		}
-		emitted++
-		if emitted >= max {
-			return n + j + 1, false
-		}
-	}
-	return n + len(st.delta), true
+	return st.forEachIDPageLocked(sid, pid, oid, pos, max, func(e enc) bool {
+		return fn(st.decodeLocked(e))
+	})
+}
+
+// decodeLocked is the term-space form of one index entry. Caller holds mu.
+func (st *Store) decodeLocked(e enc) rdf.Triple {
+	return rdf.Triple{S: st.terms[e.s], P: st.terms[e.p].(rdf.IRI), O: st.terms[e.o]}
 }
 
 // resolvePatternLocked interns the pattern's constant terms to IDs;
@@ -164,13 +117,7 @@ func (st *Store) forEachIDLocked(s, p, o ID, fn func(enc) bool) {
 		}
 	}
 	for _, e := range st.delta {
-		if s != 0 && e.s != s {
-			continue
-		}
-		if p != 0 && e.p != p {
-			continue
-		}
-		if o != 0 && e.o != o {
+		if !e.matches(s, p, o) {
 			continue
 		}
 		if _, dead := st.deleted[e]; dead {
@@ -229,52 +176,4 @@ func (st *Store) Predicates() []rdf.IRI {
 // Triples returns every live triple (mainly for tests and export).
 func (st *Store) Triples() []rdf.Triple {
 	return st.Match(Pattern{})
-}
-
-// EstimateCount returns an estimate of the triples matching the pattern:
-// the base-index range size (one O(log n) binary search) plus the delta
-// entries that actually match the bound positions, minus the tombstones
-// that match them. Delta and tombstone sets are both compaction-bounded, so
-// the two linear passes are O(1) in practice. Subtracting tombstones
-// matters for the same reason counting the delta does: join ordering
-// tolerates being a few triples off but not 1000× off, and a delete burst
-// that tombstones most of a predicate would otherwise leave the planner
-// ordering joins — and choosing merge-vs-probe strategies — against
-// pre-delete sizes until the next compaction.
-func (st *Store) EstimateCount(p Pattern) int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var sid, pid, oid ID
-	var ok bool
-	if p.S != nil {
-		if sid, ok = st.lookup(p.S); !ok {
-			return 0
-		}
-	}
-	if p.P != nil {
-		if pid, ok = st.lookup(p.P); !ok {
-			return 0
-		}
-	}
-	if p.O != nil {
-		if oid, ok = st.lookup(p.O); !ok {
-			return 0
-		}
-	}
-	// Same permutation-selection table as the scans: a bound-object pattern
-	// counts its exact OSP range, never the whole store.
-	ord, _ := PermutationFor(sid != 0, pid != 0, oid != 0, PosAny)
-	idx := st.indexFor(ord)
-	lo, hi := rangeIn(ord, idx, sid, pid, oid)
-	n := hi - lo
-	for _, e := range st.delta {
-		if (sid == 0 || e.s == sid) && (pid == 0 || e.p == pid) && (oid == 0 || e.o == oid) {
-			n++
-		}
-	}
-	n -= st.countTombstonedLocked(sid, pid, oid)
-	if n < 0 {
-		n = 0
-	}
-	return n
 }

@@ -36,44 +36,74 @@ func pageStore(t *testing.T) *Store {
 	return st
 }
 
+// idPage is one ForEachIDPage page decoded through Terms: what ForEachPage
+// is sugar for. A constant absent from the dictionary matches nothing.
+func idPage(st *Store, pat Pattern, pos, max int) (page []rdf.Triple, next int, done bool) {
+	ms, mp, mo, ok := resolvePattern(st, pat)
+	if !ok {
+		return nil, pos, true
+	}
+	var ids []ID
+	next, done = st.ForEachIDPage(ms, mp, mo, pos, max, func(t IDTriple) bool {
+		ids = append(ids, t.S, t.P, t.O)
+		return true
+	})
+	terms := st.Terms(ids)
+	for i := 0; i < len(terms); i += 3 {
+		page = append(page, rdf.Triple{S: terms[i], P: terms[i+1].(rdf.IRI), O: terms[i+2]})
+	}
+	return page, next, done
+}
+
 // TestForEachPageEquivalence: paging through a pattern at any page size
-// yields exactly ForEach's triples in ForEach's order, including the delta
-// overlay.
+// yields exactly ForEach's triples in ForEach's order, and every single page
+// — for every mask, from every resume position, in every store state — is
+// ForEachIDPage's page decoded through Terms, cursor and done flag included.
 func TestForEachPageEquivalence(t *testing.T) {
-	st := pageStore(t)
-	for _, pat := range []Pattern{
-		{},
-		{P: rdf.IRI("http://p/v")},
-		{S: rdf.IRI("http://p/e55")},
+	compacted := pageStore(t)
+	compacted.Compact()
+	tombstoned := pageStore(t)
+	for i := 0; i < 60; i += 4 { // base and delta entries alike
+		tombstoned.Delete(rdf.Triple{S: rdf.IRI(fmt.Sprintf("http://p/e%d", i)), P: "http://p/v", O: rdf.NewInteger(int64(i))})
+	}
+	s, p, o := rdf.IRI("http://p/e55"), rdf.IRI("http://p/v"), rdf.NewInteger(55)
+	patterns := []Pattern{
+		{}, {S: s}, {P: p}, {O: o}, {S: s, P: p}, {S: s, O: o}, {P: p, O: o}, {S: s, P: p, O: o},
+		{S: rdf.IRI("http://p/e7"), P: p}, // in the base, where e55 is in the delta
 		{S: rdf.IRI("http://p/nosuch")},
-	} {
-		var want []rdf.Triple
-		st.ForEach(pat, func(tr rdf.Triple) bool {
-			want = append(want, tr)
-			return true
-		})
-		for _, pageSize := range []int{1, 3, 7, 1000} {
-			var got []rdf.Triple
-			pos := 0
-			for {
-				next, done := st.ForEachPage(pat, pos, pageSize, func(tr rdf.Triple) bool {
-					got = append(got, tr)
-					return true
-				})
-				if !done && next <= pos {
-					t.Fatalf("page made no progress: pos %d -> %d", pos, next)
+	}
+	for name, st := range map[string]*Store{"delta": pageStore(t), "compacted": compacted, "tombstoned": tombstoned} {
+		for _, pat := range patterns {
+			var want []rdf.Triple
+			st.ForEach(pat, func(tr rdf.Triple) bool {
+				want = append(want, tr)
+				return true
+			})
+			for _, pageSize := range []int{1, 3, 7, 1000} {
+				var got []rdf.Triple
+				pos := 0
+				for {
+					var page []rdf.Triple
+					next, done := st.ForEachPage(pat, pos, pageSize, func(tr rdf.Triple) bool {
+						page = append(page, tr)
+						return true
+					})
+					idp, idNext, idDone := idPage(st, pat, pos, pageSize)
+					if fmt.Sprint(page) != fmt.Sprint(idp) || next != idNext || done != idDone {
+						t.Fatalf("%s %+v page %d at %d: ForEachPage = %v, %d, %v; ForEachIDPage+Terms = %v, %d, %v",
+							name, pat, pageSize, pos, page, next, done, idp, idNext, idDone)
+					}
+					got = append(got, page...)
+					if !done && next <= pos {
+						t.Fatalf("page made no progress: pos %d -> %d", pos, next)
+					}
+					pos = next
+					if done {
+						break
+					}
 				}
-				pos = next
-				if done {
-					break
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("pattern %+v page %d: got %d triples, want %d", pat, pageSize, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("pattern %+v page %d: triple %d = %v, want %v", pat, pageSize, i, got[i], want[i])
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s %+v page %d: got %v, want %v", name, pat, pageSize, got, want)
 				}
 			}
 		}

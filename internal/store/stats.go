@@ -29,65 +29,112 @@ type Stats struct {
 	Classes map[rdf.Term]int
 }
 
-// ComputeStats scans the store once and produces summary statistics,
-// the kind of source summary LODeX-style tools generate (Section 3.4).
-// The aggregation runs entirely in dictionary-ID space — per-predicate
-// counters keyed by uint32 IDs instead of interface-valued terms — and
-// decodes each distinct predicate and object exactly once at the end, so
-// the scan never hashes a term it has already seen.
-func (st *Store) ComputeStats() Stats {
-	type agg struct {
-		triples int
-		subj    map[ID]struct{}
-		// obj maps each distinct object to its occurrence count, so the
-		// literal-object tally can be recovered with one kind check per
-		// distinct object rather than one per triple.
-		obj map[ID]int
+// StatsAccumulator tallies, in dictionary-ID space, what every dataset
+// summary is made of: per predicate the statement count and the distinct
+// subjects and objects, and per rdf:type object the instance count. It is
+// the one accumulator behind ComputeStats, Cardinalities and the streaming
+// explore.StreamStats, so the three cannot drift apart; it hashes IDs only
+// and decodes nothing until a result is asked for.
+type StatsAccumulator struct {
+	typeID  ID
+	preds   map[ID]*predTally
+	classes map[ID]int
+	scanned int
+}
+
+type predTally struct {
+	triples int
+	subj    map[ID]struct{}
+	// obj maps each distinct object to its occurrence count, so the
+	// literal-object tally needs one kind check per distinct object rather
+	// than one per triple. A count is one per distinct subject, of which
+	// there are fewer than 2^32, and the narrow value keeps the map at the
+	// size of a set.
+	obj map[ID]uint32
+}
+
+// NewStatsAccumulator starts an empty tally; typeID is rdf:type's
+// dictionary ID (0 when the store has none: no classes are counted).
+func NewStatsAccumulator(typeID ID) *StatsAccumulator {
+	return &StatsAccumulator{typeID: typeID, preds: map[ID]*predTally{}, classes: map[ID]int{}}
+}
+
+// Visit counts one live triple.
+func (a *StatsAccumulator) Visit(t IDTriple) {
+	pt := a.preds[t.P]
+	if pt == nil {
+		pt = &predTally{subj: map[ID]struct{}{}, obj: map[ID]uint32{}}
+		a.preds[t.P] = pt
 	}
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	perPred := map[ID]*agg{}
-	classIDs := map[ID]int{}
-	typeID, _ := st.lookup(rdf.RDFType)
-	visit := func(e enc) {
-		if _, dead := st.deleted[e]; dead {
-			return
+	pt.triples++
+	pt.subj[t.S] = struct{}{}
+	pt.obj[t.O]++
+	if a.typeID != 0 && t.P == a.typeID {
+		a.classes[t.O]++
+	}
+	a.scanned++
+}
+
+// Scanned returns how many triples have been visited.
+func (a *StatsAccumulator) Scanned() int { return a.scanned }
+
+// Predicates calls fn with each predicate seen so far and its counts.
+func (a *StatsAccumulator) Predicates(fn func(p ID, c PredCardinality)) {
+	for pid, pt := range a.preds {
+		fn(pid, PredCardinality{Triples: pt.triples, DistinctSubjects: len(pt.subj), DistinctObjects: len(pt.obj)})
+	}
+}
+
+// Classes calls fn with each rdf:type object seen so far and its instance
+// count.
+func (a *StatsAccumulator) Classes(fn func(class ID, n int)) {
+	for cid, n := range a.classes {
+		fn(cid, n)
+	}
+}
+
+// TermIDs lists every ID Stats will ask its term function for (an object
+// two predicates share is listed twice): what a caller without the
+// dictionary at hand decodes in one batch first.
+func (a *StatsAccumulator) TermIDs() []ID {
+	var ids []ID
+	for pid, pt := range a.preds {
+		ids = append(ids, pid)
+		for oid := range pt.obj {
+			ids = append(ids, oid)
 		}
-		a := perPred[e.p]
-		if a == nil {
-			a = &agg{subj: map[ID]struct{}{}, obj: map[ID]int{}}
-			perPred[e.p] = a
+	}
+	for cid := range a.classes {
+		ids = append(ids, cid)
+	}
+	return ids
+}
+
+// Stats decodes the tally into the exact summary of what was visited; term
+// resolves a dictionary ID and numTerms is the dictionary size. Each
+// predicate and class is resolved once, each distinct object once per
+// predicate carrying it.
+func (a *StatsAccumulator) Stats(numTerms int, term func(ID) rdf.Term) Stats {
+	s := Stats{Triples: a.scanned, Terms: numTerms, Classes: make(map[rdf.Term]int, len(a.classes))}
+	for cid, n := range a.classes {
+		s.Classes[term(cid)] = n
+	}
+	for pid, pt := range a.preds {
+		iri, ok := term(pid).(rdf.IRI)
+		if !ok {
+			continue
 		}
-		a.triples++
-		a.subj[e.s] = struct{}{}
-		a.obj[e.o]++
-		if typeID != 0 && e.p == typeID {
-			classIDs[e.o]++
-		}
-	}
-	for _, e := range st.pos {
-		visit(e)
-	}
-	for _, e := range st.delta {
-		visit(e)
-	}
-	classes := make(map[rdf.Term]int, len(classIDs))
-	for oid, n := range classIDs {
-		classes[st.terms[oid]] = n
-	}
-	s := Stats{Triples: st.size, Terms: len(st.terms) - 1, Classes: classes}
-	for pid, a := range perPred {
 		lits := 0
-		for oid, n := range a.obj {
-			if st.terms[oid].Kind() == rdf.KindLiteral {
-				lits += n
+		for oid, n := range pt.obj {
+			if term(oid).Kind() == rdf.KindLiteral {
+				lits += int(n)
 			}
 		}
 		s.Predicates = append(s.Predicates, PredicateStat{
-			Predicate:        st.terms[pid].(rdf.IRI),
-			Triples:          a.triples,
-			DistinctSubjects: len(a.subj),
-			DistinctObjects:  len(a.obj),
+			Predicate:        iri,
+			Triples:          pt.triples,
+			DistinctSubjects: len(pt.subj),
+			DistinctObjects:  len(pt.obj),
 			LiteralObjects:   lits,
 		})
 	}
@@ -98,6 +145,32 @@ func (st *Store) ComputeStats() Stats {
 		return s.Predicates[i].Predicate < s.Predicates[j].Predicate
 	})
 	return s
+}
+
+// accumulateLocked visits every live triple: the base through POS, where a
+// predicate's statements and an object's repeats sit next to each other
+// (the tally's maps are then hit where they were just hit), then the delta.
+// Caller holds mu.
+func (st *Store) accumulateLocked() *StatsAccumulator {
+	typeID, _ := st.lookup(rdf.RDFType)
+	a := NewStatsAccumulator(typeID)
+	for _, part := range [2][]enc{st.pos, st.delta} {
+		for _, e := range part {
+			if _, dead := st.deleted[e]; !dead {
+				a.Visit(IDTriple{e.s, e.p, e.o})
+			}
+		}
+	}
+	return a
+}
+
+// ComputeStats scans the store once and produces summary statistics,
+// the kind of source summary LODeX-style tools generate (Section 3.4),
+// under one consistent read view.
+func (st *Store) ComputeStats() Stats {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.accumulateLocked().Stats(len(st.terms)-1, func(id ID) rdf.Term { return st.terms[id] })
 }
 
 // PredCardinality holds the per-predicate cardinalities the SPARQL planner
@@ -140,43 +213,12 @@ func (st *Store) PredicateCardinality(p rdf.IRI) (PredCardinality, bool) {
 // computeCardinalitiesLocked scans base + delta once, in ID space, skipping
 // tombstones. Caller holds mu.
 func (st *Store) computeCardinalitiesLocked() map[rdf.IRI]PredCardinality {
-	type acc struct {
-		triples int
-		subj    map[ID]struct{}
-		obj     map[ID]struct{}
-	}
-	per := map[ID]*acc{}
-	visit := func(e enc) {
-		if _, dead := st.deleted[e]; dead {
-			return
+	out := map[rdf.IRI]PredCardinality{}
+	st.accumulateLocked().Predicates(func(pid ID, c PredCardinality) {
+		if p, ok := st.terms[pid].(rdf.IRI); ok {
+			out[p] = c
 		}
-		a := per[e.p]
-		if a == nil {
-			a = &acc{subj: map[ID]struct{}{}, obj: map[ID]struct{}{}}
-			per[e.p] = a
-		}
-		a.triples++
-		a.subj[e.s] = struct{}{}
-		a.obj[e.o] = struct{}{}
-	}
-	for _, e := range st.pos {
-		visit(e)
-	}
-	for _, e := range st.delta {
-		visit(e)
-	}
-	out := make(map[rdf.IRI]PredCardinality, len(per))
-	for pid, a := range per {
-		p, ok := st.terms[pid].(rdf.IRI)
-		if !ok {
-			continue
-		}
-		out[p] = PredCardinality{
-			Triples:          a.triples,
-			DistinctSubjects: len(a.subj),
-			DistinctObjects:  len(a.obj),
-		}
-	}
+	})
 	return out
 }
 

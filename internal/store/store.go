@@ -4,6 +4,15 @@
 // scan, and — through the ID-space scan API in idscan.go — serving sorted
 // uint32 runs the SPARQL engine merge-joins without decoding terms.
 //
+// What runs on the store sees it as Source (source.go): ten ID-space
+// methods. Those are the primitives — LookupTermID and Terms between terms
+// and IDs; ForEachID (one read view), ForEachIDPage (resumable, one lock hold
+// a page) and ScanIDs (a sorted run) to scan; EstimateCountIDs and
+// Cardinalities to plan; Generation and LayoutEpoch to know what moved. The
+// term-space calls (ForEach, ForEachPage, Match, Count, Subjects, Objects,
+// Predicates, Triples) are sugar: each resolves its pattern's constants,
+// runs the ID scan and decodes, under the same single lock hold.
+//
 // The survey's "large & dynamic data" challenge (Section 2) rules out a
 // heavyweight preprocessing phase, so the store is built for incremental
 // ingestion: inserts land in an unsorted delta buffer that is merged into the
