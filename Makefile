@@ -12,12 +12,15 @@ test:
 	$(GO) test ./...
 
 # The tracked size of the code (ROADMAP, "quality of design"): lines of
-# non-test Go outside bench/ and testdata/, for the tree and for the three
-# packages between the store and what runs on it. CI puts the two numbers
-# into the job summary of every PR.
+# non-test Go outside bench/ and testdata/, for the tree, for the three
+# packages between the store and what runs on it, and for the store alone.
+# CI puts the numbers, and their difference against the merge base, into the
+# job summary of every PR (it runs this recipe in a checkout of the base with
+# `make -f <this file> -C <that tree> loc`, so the paths stay relative).
 loc:
 	@printf 'non-test Go lines, tree: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, internal/{sparql,store,explore}: %s\n' "$$(find internal/sparql internal/store internal/explore -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@printf 'non-test Go lines, internal/store: %s\n' "$$(find internal/store -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 
 # Race-detector pass over the concurrent packages: query engine (the
 # dictionary-ID executor and its worker pool), store (including the

@@ -116,6 +116,19 @@ func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 		lines++
 		return true
 	})
+	finishExploreStream(w, line, lines, err, func() any {
+		resp := encodeFacetsResponse(count, fs)
+		s.fillCache(s.facetsKey(max, rawFilters), gen, sess.Footprint(), resp)
+		return resp
+	})
+}
+
+// finishExploreStream ends a progressive exploration stream whose scan
+// returned err after lines batches were written. publish encodes the exact
+// result and fills the buffered endpoint's cache entry with it; it runs
+// before the done trailer is written, because a client that reads done and
+// at once asks the buffered endpoint for the same view must find the entry.
+func finishExploreStream(w http.ResponseWriter, line func(v any) bool, lines int, err error, publish func() any) {
 	if errors.Is(err, explore.ErrStopped) {
 		// Client gone mid-stream: the batches delivered so far still count.
 		markStream(w, lines, streamAborted)
@@ -126,11 +139,7 @@ func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 		markStream(w, lines, trailerOutcome(streamFailed, line(exploreStreamFinal{Error: msg})))
 		return
 	}
-	resp := encodeFacetsResponse(count, fs)
-	// Publish before the trailer: a client that reads done and at once asks
-	// the buffered endpoint for the same view must find the entry.
-	s.fillCache(s.facetsKey(max, rawFilters), gen, sess.Footprint(), resp)
-	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: resp}) {
+	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: publish()}) {
 		markStream(w, lines+1, streamCompleted)
 	} else {
 		markStream(w, lines, streamAborted)
@@ -195,23 +204,11 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 		lines++
 		return true
 	})
-	if errors.Is(err, explore.ErrStopped) {
-		// Client gone mid-stream: the batches delivered so far still count.
-		markStream(w, lines, streamAborted)
-		return
-	}
-	if err != nil {
-		_, msg := queryError(err)
-		markStream(w, lines, trailerOutcome(streamFailed, line(exploreStreamFinal{Error: msg})))
-		return
-	}
-	resp := encodeStatsResponse(stats)
-	s.fillCache(statsKey, gen, wholeStore, resp) // before the trailer, as above
-	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: resp}) {
-		markStream(w, lines+1, streamCompleted)
-	} else {
-		markStream(w, lines, streamAborted)
-	}
+	finishExploreStream(w, line, lines, err, func() any {
+		resp := encodeStatsResponse(stats)
+		s.fillCache(statsKey, gen, wholeStore, resp)
+		return resp
+	})
 }
 
 // fillCache publishes a completed scan's exact result under the buffered

@@ -313,7 +313,13 @@ func (s *Server) facetParams(r *http.Request) (max int, filters []facet.Filter, 
 	rawFilters = append(rawFilters, r.URL.Query()["filter"]...)
 	sort.Strings(rawFilters)
 	for _, f := range rawFilters {
-		pred, val, ok := strings.Cut(f, "=")
+		// A bracketed predicate IRI may itself hold '=' (a query string):
+		// it ends at the '>' before the separator, not at the first '='.
+		sep := "="
+		if strings.HasPrefix(f, "<") {
+			sep = ">="
+		}
+		pred, val, ok := strings.Cut(f, sep)
 		if !ok {
 			return 0, nil, nil, http.StatusBadRequest, "filter must be <predicate>=<value>: " + f
 		}

@@ -590,7 +590,16 @@ func Test429UnderSaturation(t *testing.T) {
 }
 
 func TestFacets(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
+	_, ts, st := newTestServer(t, Config{})
+	// The same restriction under a predicate whose IRI holds '=', which only
+	// the bracketed spelling can name.
+	var copies []rdf.Triple
+	for _, c := range st.Match(store.Pattern{P: rdf.IRI(exNS + "country")}) {
+		copies = append(copies, rdf.T(c.S, rdf.IRI(exNS+"country?v=1"), c.O))
+	}
+	if err := st.AddAll(copies); err != nil {
+		t.Fatal(err)
+	}
 	var resp facetsResponse
 	r := getJSON(t, ts.URL+"/facets", &resp)
 	if r.StatusCode != http.StatusOK {
@@ -605,6 +614,13 @@ func TestFacets(t *testing.T) {
 	getJSON(t, fu, &filtered)
 	if filtered.Count >= resp.Count || filtered.Count == 0 {
 		t.Fatalf("filtered count = %d, want 0 < n < %d", filtered.Count, resp.Count)
+	}
+	for _, pred := range []string{"<" + exNS + "country>", "<" + exNS + "country?v=1>"} {
+		var bracketed facetsResponse
+		getJSON(t, ts.URL+"/facets?filter="+url.QueryEscape(pred+"=<"+exNS+"greece>"), &bracketed)
+		if bracketed.Count != filtered.Count {
+			t.Errorf("filter on %s: count = %d, want the bare spelling's %d", pred, bracketed.Count, filtered.Count)
+		}
 	}
 }
 

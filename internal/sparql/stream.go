@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"github.com/lodviz/lodviz/internal/rdf"
+	"github.com/lodviz/lodviz/internal/sampling"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
@@ -329,42 +329,28 @@ type topkEntry struct {
 	seq  int
 }
 
-// orderCmp orders entries exactly as the materializing path's stable sort
+// before orders entries exactly as the materializing path's stable sort
 // does: key by key (unbound before bound per rdf.Compare, DESC negated),
-// arrival order breaking ties. It never returns 0 — seq is unique.
-func orderCmp(a, b topkEntry, keys []OrderKey) int {
+// arrival order breaking ties — a strict order, seq being unique.
+func (a topkEntry) before(b topkEntry, keys []OrderKey) bool {
 	for k := range keys {
 		c := rdf.Compare(a.keys[k], b.keys[k])
 		if keys[k].Desc {
 			c = -c
 		}
 		if c != 0 {
-			return c
+			return c < 0
 		}
 	}
-	return a.seq - b.seq
+	return a.seq < b.seq
 }
 
-// topkHeap is a max-heap under orderCmp: the root is the worst survivor,
-// the one a better-sorting newcomer evicts.
-type topkHeap struct {
-	entries []topkEntry
-	keys    []OrderKey
-}
-
-func (h *topkHeap) Len() int           { return len(h.entries) }
-func (h *topkHeap) Less(i, j int) bool { return orderCmp(h.entries[i], h.entries[j], h.keys) > 0 }
-func (h *topkHeap) Swap(i, j int)      { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
-func (h *topkHeap) Push(x any)         { h.entries = append(h.entries, x.(topkEntry)) }
-func (h *topkHeap) Pop() any           { panic("topkHeap: never popped") }
-
-// streamTopK streams the full solution set through a k-bounded heap and
-// returns, in arrival order, exactly the k solutions the materializing
-// path's stable sort would rank first. The shared modifier tail then
-// re-sorts this reduced set, so the final rows are identical — but memory
-// is O(k) and sorting costs O(n log k) instead of O(n log n).
+// streamTopK streams the full solution set through a k-bounded selection
+// and returns, in final order, exactly the k solutions the materializing
+// path's stable sort would rank first — but memory is O(k) and sorting
+// costs O(n log k) instead of O(n log n).
 func (e *engine) streamTopK(q *Query, k int) ([]Binding, error) {
-	h := &topkHeap{keys: q.OrderBy, entries: make([]topkEntry, 0, min(k, 1024))}
+	top := sampling.NewTopK(k, func(a, b topkEntry) bool { return a.before(b, q.OrderBy) })
 	seq := 0
 	err := e.streamSolutions(q.Where, -1, func(s Binding) bool {
 		keys := make([]rdf.Term, len(q.OrderBy))
@@ -373,22 +359,16 @@ func (e *engine) streamTopK(q *Query, k int) ([]Binding, error) {
 				keys[i] = t
 			}
 		}
-		ent := topkEntry{sol: s, keys: keys, seq: seq}
+		top.Offer(topkEntry{sol: s, keys: keys, seq: seq})
 		seq++
-		if h.Len() < k {
-			heap.Push(h, ent)
-		} else if orderCmp(ent, h.entries[0], q.OrderBy) < 0 {
-			h.entries[0] = ent
-			heap.Fix(h, 0)
-		}
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(h.entries, func(i, j int) bool { return h.entries[i].seq < h.entries[j].seq })
-	sols := make([]Binding, len(h.entries))
-	for i, ent := range h.entries {
+	kept := top.Sorted()
+	sols := make([]Binding, len(kept))
+	for i, ent := range kept {
 		sols[i] = ent.sol
 	}
 	return sols, nil
@@ -486,13 +466,10 @@ func (e *engine) evalStreamFast(q *Query) (res *Results, ok bool, err error) {
 					return err
 				}
 			}
-			hidden := hiddenOrdNames(len(q.OrderBy))
 			rows := make([]Binding, 0, len(sols))
 			for _, s := range sols {
-				rows = append(rows, projectSolution(q, res.Vars, s, hidden))
+				rows = append(rows, projectSolution(q, res.Vars, s, nil))
 			}
-			sortRows(rows, q.OrderBy, hidden)
-			stripHidden(rows, hidden)
 			res.Rows = sliceOffsetLimit(rows, q.Offset, q.Limit)
 			return nil
 		}

@@ -27,20 +27,14 @@ type Change struct {
 }
 
 // changeLog retains the newest effective batches, oldest first. Generations
-// are consecutive: entries[i].gen == floor+1+i.
+// are consecutive: entries[i].Gen == floor+1+i.
 type changeLog struct {
-	entries []logEntry
-	triples int // sum of len(entries[i].triples)
+	entries []Change
+	triples int // sum of len(entries[i].Triples)
 	// floor is the newest generation the log no longer (or never) covered:
 	// the batches that led up to it were dropped, or predate the log (a
 	// store restored from a snapshot starts mid-history).
 	floor uint64
-}
-
-type logEntry struct {
-	gen     uint64
-	del     bool
-	triples []enc
 }
 
 // commitLocked publishes an applied, effective batch: it advances the
@@ -48,17 +42,17 @@ type logEntry struct {
 // and logs the batch under the new generation — log order is apply order.
 // The log keeps the slice, so the caller must not modify it afterwards.
 // Caller holds mu.
-func (st *Store) commitLocked(del bool, triples []enc) {
+func (st *Store) commitLocked(del bool, triples []IDTriple) {
 	st.gen++
 	st.cards = nil
 	l := &st.log
-	l.entries = append(l.entries, logEntry{st.gen, del, triples})
+	l.entries = append(l.entries, Change{st.gen, del, triples})
 	l.triples += len(triples)
 	drop := 0
 	for l.triples > changeLogBudget {
-		l.triples -= len(l.entries[drop].triples)
-		l.floor = l.entries[drop].gen
-		l.entries[drop] = logEntry{} // release the batch
+		l.triples -= len(l.entries[drop].Triples)
+		l.floor = l.entries[drop].Gen
+		l.entries[drop] = Change{} // release the batch
 		drop++
 	}
 	l.entries = l.entries[drop:]
@@ -71,6 +65,10 @@ func (st *Store) commitLocked(del bool, triples []enc) {
 // the store was restored from a snapshot taken after gen, or gen is not a
 // generation this store has reached — and the caller must rebuild from a
 // scan. With ok true and no changes, the caller is up to date.
+//
+// The returned Triples are copies, one per batch: the log's own slices are
+// what a follower recovers from (and the first batch of a bulk load is the
+// SPO index itself), so nothing a caller does to a Change can reach them.
 func (st *Store) ChangesSince(gen uint64) (changes []Change, now uint64, ok bool) {
 	st.mu.RLock()
 	now = st.gen
@@ -79,19 +77,11 @@ func (st *Store) ChangesSince(gen uint64) (changes []Change, now uint64, ok bool
 		return nil, now, false
 	}
 	// Logged batches are immutable but the entry slots are reused, so the
-	// headers are copied under the lock and the triples converted outside it.
-	pending := slices.Clone(st.log.entries[gen-st.log.floor:])
+	// headers are copied under the lock and the triples outside it.
+	changes = slices.Clone(st.log.entries[gen-st.log.floor:])
 	st.mu.RUnlock()
-	if len(pending) == 0 {
-		return nil, now, true
-	}
-	changes = make([]Change, len(pending))
-	for i, e := range pending {
-		ts := make([]IDTriple, len(e.triples))
-		for j, t := range e.triples {
-			ts[j] = IDTriple{t.s, t.p, t.o}
-		}
-		changes[i] = Change{Gen: e.gen, Delete: e.del, Triples: ts}
+	for i := range changes {
+		changes[i].Triples = slices.Clone(changes[i].Triples)
 	}
 	return changes, now, true
 }
@@ -111,15 +101,11 @@ func (st *Store) Statements(subjects ...ID) []IDTriple {
 // statementsAt is Statements, with the generation the read was made at.
 func (st *Store) statementsAt(subjects []ID) ([]IDTriple, uint64) {
 	var out []IDTriple
-	keep := func(e enc) bool {
-		out = append(out, IDTriple{e.s, e.p, e.o})
-		return true
-	}
 	st.mu.RLock()
 	gen := st.gen
 	if len(subjects) == 0 {
 		out = make([]IDTriple, 0, st.size)
-		st.forEachIDLocked(0, 0, 0, keep)
+		st.walkLocked(st.index[OrderSPO], st.delta, IDTriple{}, 0, 0, appendTo(&out))
 	} else {
 		want := make(map[ID]struct{}, len(subjects))
 		for _, s := range subjects {
@@ -127,25 +113,17 @@ func (st *Store) statementsAt(subjects []ID) ([]IDTriple, uint64) {
 				continue
 			}
 			want[s] = struct{}{}
-			lo, hi := rangeSPO(st.spo, s, 0, 0)
-			for _, e := range st.spo[lo:hi] {
-				if _, dead := st.deleted[e]; !dead {
-					keep(e)
-				}
-			}
+			m := IDTriple{S: s}
+			st.walkLocked(OrderSPO.find(st.index[OrderSPO], m), nil, m, 0, 0, appendTo(&out))
 		}
-		for _, e := range st.delta {
-			if _, ok := want[e.s]; !ok {
-				continue
+		st.walkLocked(nil, st.delta, IDTriple{}, 0, 0, func(e IDTriple) bool {
+			if _, ok := want[e.S]; ok {
+				out = append(out, e)
 			}
-			if _, dead := st.deleted[e]; !dead {
-				keep(e)
-			}
-		}
+			return true
+		})
 	}
 	st.mu.RUnlock()
-	slices.SortFunc(out, func(a, b IDTriple) int {
-		return cmpSPO(enc{a.S, a.P, a.O}, enc{b.S, b.P, b.O})
-	})
+	slices.SortFunc(out, OrderSPO.compare)
 	return out, gen
 }

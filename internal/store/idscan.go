@@ -12,8 +12,20 @@ import (
 // batch ID→term decoding — so terms are only materialized once per emitted
 // solution instead of once per probe.
 
-// IDTriple is one triple in dictionary-ID space.
+// IDTriple is one triple in dictionary-ID space: what the indexes, the delta
+// buffer, the tombstone set and the change log hold and what every ID scan
+// emits. With zero fields read as wildcards it is also a mask.
 type IDTriple struct{ S, P, O ID }
+
+// at returns the term at position pos.
+func (t IDTriple) at(pos Position) ID {
+	return [...]ID{PosS: t.S, PosP: t.P, PosO: t.O}[pos]
+}
+
+// matches reports whether the triple satisfies the mask (0 = wildcard).
+func (t IDTriple) matches(m IDTriple) bool {
+	return (m.S == 0 || t.S == m.S) && (m.P == 0 || t.P == m.P) && (m.O == 0 || t.O == m.O)
+}
 
 // Position names one position of a triple pattern. PosAny means "no
 // preference": permutation selection then only has to cover the bound
@@ -51,19 +63,76 @@ const (
 	OrderPSO
 )
 
+// permutations is the one place a permutation is written down: its key
+// sequence, most significant first — the order its index (Store.index[ord])
+// is sorted in and scans through it emit — and, for all but SPO, the stable
+// counting pass that derives that index: SPO is ordered (s,p,o), so stably
+// reordering it by o leaves ties ordered (s,p) — exactly OSP — stably
+// reordering OSP by p leaves ties ordered (o,s) — exactly POS — and stably
+// reordering SPO by p leaves ties ordered (s,o) — exactly PSO. compare, find
+// and Less read the key; rebuildDerivedLocked reads the pass.
+var permutations = [...]struct {
+	name string
+	key  [3]Position
+	from ScanOrder // the index the pass reorders
+	by   Position  // the key it reorders it by
+}{
+	OrderSPO: {name: "SPO", key: [3]Position{PosS, PosP, PosO}},
+	OrderPOS: {name: "POS", key: [3]Position{PosP, PosO, PosS}, from: OrderOSP, by: PosP},
+	OrderOSP: {name: "OSP", key: [3]Position{PosO, PosS, PosP}, from: OrderSPO, by: PosO},
+	OrderPSO: {name: "PSO", key: [3]Position{PosP, PosS, PosO}, from: OrderSPO, by: PosP},
+}
+
+// derivedOrders lists the permutations derived from SPO, each after the one
+// its pass reads.
+var derivedOrders = [...]ScanOrder{OrderOSP, OrderPOS, OrderPSO}
+
 func (o ScanOrder) String() string {
-	switch o {
-	case OrderSPO:
-		return "SPO"
-	case OrderPOS:
-		return "POS"
-	case OrderOSP:
-		return "OSP"
-	case OrderPSO:
-		return "PSO"
-	default:
+	if o < 0 || int(o) >= len(permutations) {
 		return "?"
 	}
+	return permutations[o].name
+}
+
+// compare is the order's (first, second, third) key sequence as a three-way
+// comparison, for slices.SortFunc (merges are on the bulk-write path).
+func (o ScanOrder) compare(a, b IDTriple) int {
+	for _, pos := range permutations[o].key {
+		if x, y := a.at(pos), b.at(pos); x != y {
+			if x < y {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// Less reports whether a sorts before b in the order's (first, second,
+// third) key sequence.
+func (o ScanOrder) Less(a, b IDTriple) bool { return o.compare(a, b) < 0 }
+
+// find binary-searches idx (sorted in o) for the contiguous run of entries
+// matching the mask m. The mask must be one PermutationFor can map to o —
+// i.e. its bound positions are a prefix of o's key sequence: the run then
+// lies between the mask itself, whose wildcards are zero and sort before
+// every ID, and the mask with its wildcards raised to the largest ID.
+func (o ScanOrder) find(idx []IDTriple, m IDTriple) []IDTriple {
+	top := m
+	for _, id := range [...]*ID{&top.S, &top.P, &top.O} {
+		if *id == 0 {
+			*id = ^ID(0)
+		}
+	}
+	idx = idx[sort.Search(len(idx), func(i int) bool { return o.compare(idx[i], m) >= 0 }):]
+	// A run is short next to the index it lies in (a probe's is a handful of
+	// entries), so its end is looked for by doubling from its start before
+	// bisecting what that brackets.
+	n := 1
+	for n < len(idx) && o.compare(idx[n-1], top) <= 0 {
+		n *= 2
+	}
+	return idx[:sort.Search(min(n, len(idx)), func(i int) bool { return o.compare(idx[i], top) > 0 })]
 }
 
 // PermutationFor picks the permutation that answers a pattern with the given
@@ -133,48 +202,6 @@ func PermutationFor(sBound, pBound, oBound bool, lead Position) (ScanOrder, bool
 	}
 }
 
-// indexFor returns the base index for a scan order. Caller holds mu.
-func (st *Store) indexFor(ord ScanOrder) []enc {
-	switch ord {
-	case OrderPOS:
-		return st.pos
-	case OrderOSP:
-		return st.osp
-	case OrderPSO:
-		return st.pso
-	default:
-		return st.spo
-	}
-}
-
-// rangeIn binary-searches idx (sorted in ord) for the contiguous range
-// covering the bound positions (0 = wildcard). The mask must be one
-// PermutationFor can map to ord — i.e. prefix-closed in ord's key order.
-func rangeIn(ord ScanOrder, idx []enc, s, p, o ID) (int, int) {
-	switch ord {
-	case OrderPOS:
-		if p == 0 {
-			return 0, len(idx)
-		}
-		return rangePOS(idx, p, o)
-	case OrderOSP:
-		if o == 0 {
-			return 0, len(idx)
-		}
-		return rangeOSP(idx, o, s)
-	case OrderPSO:
-		if p == 0 {
-			return 0, len(idx)
-		}
-		return rangePSO(idx, p, s)
-	default:
-		if s == 0 {
-			return 0, len(idx)
-		}
-		return rangeSPO(idx, s, p, o)
-	}
-}
-
 // LookupTermID returns the dictionary ID for a term; ok=false means the term
 // does not occur in the store, so no pattern mentioning it can match.
 func (st *Store) LookupTermID(t rdf.Term) (ID, bool) {
@@ -197,17 +224,70 @@ func (st *Store) Terms(ids []ID) []rdf.Term {
 	return out
 }
 
+// rangeLocked returns the contiguous run of base-index entries covering the
+// mask's bound positions, in the permutation PermutationFor picks when no
+// result order is asked for — the one every ForEach* scan walks. Caller
+// holds mu.
+func (st *Store) rangeLocked(m IDTriple) []IDTriple {
+	ord, _ := PermutationFor(m.S != 0, m.P != 0, m.O != 0, PosAny)
+	return ord.find(st.index[ord], m)
+}
+
+// walkLocked is the one walk over live entries every scan is made of: it
+// calls fn with the entries of base, from position pos on, and then of delta
+// that match m and are not tombstoned, until fn returns false or, with
+// limit > 0, limit entries have been handed over. A base found for m matches
+// throughout; the delta is where the mask filters. Positions count entries
+// looked at, not entries emitted: i < len(base) is base[i], anything past it
+// delta[i-len(base)], which is what keeps them stable until a compaction. It
+// returns the position to resume from and whether the walk is over (fn
+// stopped it, or nothing is left). Caller holds mu.
+func (st *Store) walkLocked(base, delta []IDTriple, m IDTriple, pos, limit int, fn func(IDTriple) bool) (next int, done bool) {
+	// An empty tombstone set is the common case, and probing even an empty
+	// map costs a scan of a compacted index a fifth of its time.
+	tombstones := len(st.deleted) > 0
+	off := 0
+	for _, part := range [2][]IDTriple{base, delta} {
+		for i := max(pos-off, 0); i < len(part); i++ {
+			e := part[i]
+			if !e.matches(m) {
+				continue
+			}
+			if tombstones {
+				if _, dead := st.deleted[e]; dead {
+					continue
+				}
+			}
+			if !fn(e) {
+				return off + i + 1, true
+			}
+			if limit--; limit == 0 {
+				return off + i + 1, false
+			}
+		}
+		off += len(part)
+	}
+	return off, true
+}
+
+// appendTo returns a walkLocked callback that collects every entry in *dst.
+func appendTo(dst *[]IDTriple) func(IDTriple) bool {
+	return func(t IDTriple) bool {
+		*dst = append(*dst, t)
+		return true
+	}
+}
+
 // ForEachID streams matches in ID space under one consistent read view:
 // base-index matches in the default permutation's sort order first, then
 // not-yet-compacted delta matches in insertion order (the same sequence
 // ForEach decodes). 0 = wildcard. fn must not touch the store (the read
 // lock is held throughout, see ForEach).
 func (st *Store) ForEachID(s, p, o ID, fn func(IDTriple) bool) {
+	m := IDTriple{s, p, o}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	st.forEachIDLocked(s, p, o, func(e enc) bool {
-		return fn(IDTriple{e.s, e.p, e.o})
-	})
+	st.walkLocked(st.rangeLocked(m), st.delta, m, 0, 0, fn)
 }
 
 // EstimateCountIDs sizes a mask (0 = wildcard) without scanning it: the
@@ -216,40 +296,30 @@ func (st *Store) ForEachID(s, p, o ID, fn func(IDTriple) bool) {
 // compaction-bounded, so the two linear passes are O(1) in practice. The
 // planner orders joins by it and the executor chooses between merge-joining
 // a range and probing per row.
+//
+// Every tombstone shadows exactly one entry counted by the base range or the
+// delta pass (Delete only tombstones live triples, and a triple is never in
+// both base and delta), so subtracting the matching tombstones makes the
+// estimate exact up to in-flight mutations — without it, a delete-churned
+// predicate looks as big as it was before the churn until the next
+// compaction, and the planner picks probe joins and join orders sized for
+// data that is no longer there.
 func (st *Store) EstimateCountIDs(s, p, o ID) int {
+	m := IDTriple{s, p, o}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	_, lo, hi := st.scanRangeLocked(s, p, o)
-	n := hi - lo
+	n := len(st.rangeLocked(m))
 	for _, e := range st.delta {
-		if e.matches(s, p, o) {
+		if e.matches(m) {
 			n++
 		}
 	}
-	n -= st.countTombstonedLocked(s, p, o)
-	if n < 0 {
-		n = 0
-	}
-	return n
-}
-
-// countTombstonedLocked counts tombstones matching the bound positions
-// (0 = wildcard). Every tombstone shadows exactly one entry counted by the
-// base range or the delta pass (Delete only tombstones live triples, and a
-// triple is never in both base and delta), so subtracting the matching
-// tombstones makes the estimate exact up to in-flight mutations — without
-// it, a delete-churned predicate looks as big as it was before the churn
-// until the next compaction, and the planner picks probe joins and join
-// orders sized for data that is no longer there. O(|deleted|), symmetric to
-// the existing delta pass; both sets are compaction-bounded.
-func (st *Store) countTombstonedLocked(s, p, o ID) int {
-	dead := 0
 	for e := range st.deleted {
-		if e.matches(s, p, o) {
-			dead++
+		if e.matches(m) {
+			n--
 		}
 	}
-	return dead
+	return max(n, 0)
 }
 
 // IDRun is one materialized ID-space scan: the base-index matches sorted in
@@ -287,64 +357,42 @@ func (st *Store) ScanIDs(s, p, o ID, lead Position) (IDRun, bool) {
 	if !ok {
 		return IDRun{}, false
 	}
+	m := IDTriple{s, p, o}
 	for attempt := 0; attempt < scanIDsRestartAttempts; attempt++ {
-		if run, ok := st.scanIDsPaged(s, p, o, ord); ok {
+		if run, ok := st.scanIDsPaged(m, ord, scanIDsPageSize); ok {
 			return run, true
 		}
 	}
 	// Writers keep compacting underneath the paged scan; take one read lock
-	// for the whole range instead of restarting forever.
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.scanIDsLocked(s, p, o, ord), true
+	// for the whole range — a single unbounded page — instead of restarting
+	// forever.
+	run, _ := st.scanIDsPaged(m, ord, 0)
+	return run, true
 }
 
-// scanIDsPaged copies the matching range page by page, dropping the lock
-// between pages. ok=false reports a layout-epoch change invalidating the
-// positional cursor.
-func (st *Store) scanIDsPaged(s, p, o ID, ord ScanOrder) (IDRun, bool) {
+// scanIDsPaged copies the matching range in pages of at most page live
+// entries (0: all in one), dropping the lock between pages. ok=false reports
+// a layout-epoch change invalidating the positional cursor.
+func (st *Store) scanIDsPaged(m IDTriple, ord ScanOrder, page int) (IDRun, bool) {
 	run := IDRun{Order: ord}
-	pos := 0
 	var epoch uint64
-	first := true
-	for {
+	for pos := 0; ; {
 		st.mu.RLock()
-		if first {
+		if pos == 0 {
 			epoch = st.layout
-			first = false
 		} else if st.layout != epoch {
 			st.mu.RUnlock()
 			return IDRun{}, false
 		}
-		idx := st.indexFor(ord)
-		lo, hi := rangeIn(ord, idx, s, p, o)
-		n := hi - lo
-		end := pos + scanIDsPageSize
-		if end > n {
-			end = n
+		base := ord.find(st.index[ord], m)
+		if run.Sorted == nil && len(base) > 0 {
+			run.Sorted = make([]IDTriple, 0, len(base))
 		}
-		if run.Sorted == nil && n > 0 {
-			run.Sorted = make([]IDTriple, 0, n)
-		}
-		for i := lo + pos; i < lo+end; i++ {
-			e := idx[i]
-			if _, dead := st.deleted[e]; dead {
-				continue
-			}
-			run.Sorted = append(run.Sorted, IDTriple{e.s, e.p, e.o})
-		}
-		pos = end
-		if pos >= n {
+		pos, _ = st.walkLocked(base, nil, m, pos, page, appendTo(&run.Sorted))
+		if pos >= len(base) {
 			// The delta is captured under the same view as the final page,
 			// exactly where ForEachID switches from base to delta.
-			for _, e := range st.delta {
-				if e.matches(s, p, o) {
-					if _, dead := st.deleted[e]; dead {
-						continue
-					}
-					run.Tail = append(run.Tail, IDTriple{e.s, e.p, e.o})
-				}
-			}
+			st.walkLocked(nil, st.delta, m, 0, 0, appendTo(&run.Tail))
 			st.mu.RUnlock()
 			return run, true
 		}
@@ -372,87 +420,11 @@ func (st *Store) ForEachIDPage(s, p, o ID, pos, max int, fn func(IDTriple) bool)
 	if max < 1 {
 		return pos, false
 	}
+	m := IDTriple{s, p, o}
 	st.scanPages.Add(1)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.forEachIDPageLocked(s, p, o, pos, max, func(e enc) bool {
-		return fn(IDTriple{e.s, e.p, e.o})
-	})
-}
-
-// forEachIDPageLocked is one page of the positional scan: base-index
-// matches from pos on, then the delta entries past it. Caller holds mu and
-// has checked max >= 1.
-func (st *Store) forEachIDPageLocked(s, p, o ID, pos, max int, fn func(enc) bool) (next int, done bool) {
-	base, lo, hi := st.scanRangeLocked(s, p, o)
-	n := hi - lo
-	emitted := 0
-	for i := lo + pos; i < hi; i++ {
-		e := base[i]
-		if _, dead := st.deleted[e]; dead {
-			continue
-		}
-		if !fn(e) {
-			return i - lo + 1, true
-		}
-		emitted++
-		if emitted >= max {
-			return i - lo + 1, false
-		}
-	}
-	dpos := pos - n
-	if dpos < 0 {
-		dpos = 0
-	}
-	for j := dpos; j < len(st.delta); j++ {
-		e := st.delta[j]
-		if !e.matches(s, p, o) {
-			continue
-		}
-		if _, dead := st.deleted[e]; dead {
-			continue
-		}
-		if !fn(e) {
-			return n + j + 1, true
-		}
-		emitted++
-		if emitted >= max {
-			return n + j + 1, false
-		}
-	}
-	return n + len(st.delta), true
-}
-
-// matches reports whether the entry satisfies the mask (0 = wildcard).
-func (e enc) matches(s, p, o ID) bool {
-	return (s == 0 || e.s == s) && (p == 0 || e.p == p) && (o == 0 || e.o == o)
-}
-
-// Less reports whether a sorts before b in the order's (first, second,
-// third) key sequence.
-func (o ScanOrder) Less(a, b IDTriple) bool {
-	ka0, ka1, ka2 := o.key(a)
-	kb0, kb1, kb2 := o.key(b)
-	if ka0 != kb0 {
-		return ka0 < kb0
-	}
-	if ka1 != kb1 {
-		return ka1 < kb1
-	}
-	return ka2 < kb2
-}
-
-func (o ScanOrder) key(t IDTriple) (ID, ID, ID) {
-	switch o {
-	case OrderPOS:
-		return t.P, t.O, t.S
-	case OrderOSP:
-		return t.O, t.S, t.P
-	case OrderPSO:
-		return t.P, t.S, t.O
-	default:
-		return t.S, t.P, t.O
-	}
+	return st.walkLocked(st.rangeLocked(m), st.delta, m, pos, max, fn)
 }
 
 // ForEachSorted streams the run in full Order-sorted sequence: the delta
@@ -492,30 +464,4 @@ func (r IDRun) ForEachSorted(fn func(IDTriple) bool) bool {
 		}
 	}
 	return true
-}
-
-// scanIDsLocked is the single-lock fallback. Caller holds mu.
-func (st *Store) scanIDsLocked(s, p, o ID, ord ScanOrder) IDRun {
-	run := IDRun{Order: ord}
-	idx := st.indexFor(ord)
-	lo, hi := rangeIn(ord, idx, s, p, o)
-	if hi > lo {
-		run.Sorted = make([]IDTriple, 0, hi-lo)
-	}
-	for i := lo; i < hi; i++ {
-		e := idx[i]
-		if _, dead := st.deleted[e]; dead {
-			continue
-		}
-		run.Sorted = append(run.Sorted, IDTriple{e.s, e.p, e.o})
-	}
-	for _, e := range st.delta {
-		if e.matches(s, p, o) {
-			if _, dead := st.deleted[e]; dead {
-				continue
-			}
-			run.Tail = append(run.Tail, IDTriple{e.s, e.p, e.o})
-		}
-	}
-	return run
 }

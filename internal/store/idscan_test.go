@@ -59,11 +59,13 @@ func TestPermutationFor(t *testing.T) {
 	}
 }
 
-// TestScanIDsMatchesForEachID checks that Sorted+Tail reproduces exactly the
-// ForEachID sequence for every mask shape, across a store with both a sorted
-// base and a pending delta.
+// TestScanIDsMatchesForEachID runs the differential of every scan entry
+// point (checkScansAgainstModel: Sorted+Tail reproducing the ForEachID
+// sequence is one of its checks) on a store with a sorted base, a pending
+// delta and tombstones in both, before and after compaction.
 func TestScanIDsMatchesForEachID(t *testing.T) {
 	st := New()
+	model := map[rdf.Triple]struct{}{}
 	var batch []rdf.Triple
 	for i := 0; i < 50; i++ {
 		batch = append(batch, tr(fmt.Sprint("s", i%10), fmt.Sprint("p", i%3), fmt.Sprint("o", i%7)))
@@ -74,91 +76,33 @@ func TestScanIDsMatchesForEachID(t *testing.T) {
 	st.Compact()
 	// Leave some triples in the delta.
 	for i := 0; i < 9; i++ {
-		if err := st.Add(tr(fmt.Sprint("s", i%4), "p1", fmt.Sprint("d", i))); err != nil {
+		d := tr(fmt.Sprint("s", i%4), "p1", fmt.Sprint("d", i))
+		batch = append(batch, d)
+		if err := st.Add(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// And a tombstone.
-	st.Delete(tr("s0", "p0", "o0"))
+	for _, tr := range batch {
+		model[tr] = struct{}{}
+	}
+	// And tombstones: one over the base, one over the delta, one revived.
+	for _, dead := range []rdf.Triple{tr("s0", "p0", "o0"), tr("s1", "p1", "d1"), tr("s5", "p2", "o5")} {
+		if !st.Delete(dead) {
+			t.Fatalf("Delete(%v) = false", dead)
+		}
+		delete(model, dead)
+	}
+	if err := st.Add(tr("s5", "p2", "o5")); err != nil {
+		t.Fatal(err)
+	}
+	model[tr("s5", "p2", "o5")] = struct{}{}
+	if obs := st.Observe(); obs.Delta == 0 || obs.Tombstones == 0 {
+		t.Fatalf("store holds no delta or no tombstones: %+v", obs)
+	}
 
-	pid, _ := st.LookupTermID(iri("p1"))
-	sid, _ := st.LookupTermID(iri("s1"))
-	oid, _ := st.LookupTermID(iri("o1"))
-	masks := []struct {
-		s, p, o ID
-		lead    Position
-	}{
-		{0, 0, 0, PosAny},
-		{0, 0, 0, PosS},
-		{0, 0, 0, PosP},
-		{0, 0, 0, PosO},
-		{sid, 0, 0, PosAny},
-		{sid, 0, 0, PosP},
-		{0, pid, 0, PosAny},
-		{0, pid, 0, PosS},
-		{0, 0, oid, PosAny},
-		{0, 0, oid, PosS},
-		{sid, pid, 0, PosO},
-		{0, pid, oid, PosS},
-		{sid, 0, oid, PosP},
-		{sid, pid, oid, PosAny},
-	}
-	for _, m := range masks {
-		run, ok := st.ScanIDs(m.s, m.p, m.o, m.lead)
-		if !ok {
-			t.Fatalf("ScanIDs(%d,%d,%d,%v) declined", m.s, m.p, m.o, m.lead)
-		}
-		got := append(append([]IDTriple{}, run.Sorted...), run.Tail...)
-		// ForEachID follows the PosAny permutation, so orders differ when
-		// the lead forces another index; compare as sets plus verify the
-		// sorted half is actually sorted in run.Order.
-		want := map[IDTriple]int{}
-		st.ForEachID(m.s, m.p, m.o, func(tr IDTriple) bool {
-			want[tr]++
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("mask %+v: got %d triples, want %d", m, len(got), len(want))
-		}
-		for _, tr := range got {
-			if want[tr] == 0 {
-				t.Fatalf("mask %+v: unexpected triple %v", m, tr)
-			}
-			want[tr]--
-		}
-		for i := 1; i < len(run.Sorted); i++ {
-			if !lessInOrder(run.Order, run.Sorted[i-1], run.Sorted[i]) {
-				t.Fatalf("mask %+v: Sorted not strictly %v-ordered at %d", m, run.Order, i)
-			}
-		}
-		if m.lead == PosAny {
-			// PosAny must additionally reproduce ForEachID's exact order.
-			var seq []IDTriple
-			st.ForEachID(m.s, m.p, m.o, func(tr IDTriple) bool {
-				seq = append(seq, tr)
-				return true
-			})
-			for i := range seq {
-				if got[i] != seq[i] {
-					t.Fatalf("mask %+v: order diverges at %d: %v vs %v", m, i, got[i], seq[i])
-				}
-			}
-		}
-	}
-}
-
-func lessInOrder(ord ScanOrder, a, b IDTriple) bool {
-	ea, eb := enc{a.S, a.P, a.O}, enc{b.S, b.P, b.O}
-	switch ord {
-	case OrderPOS:
-		return lessPOS(ea, eb)
-	case OrderOSP:
-		return lessOSP(ea, eb)
-	case OrderPSO:
-		return cmpPSO(ea, eb) < 0
-	default:
-		return lessSPO(ea, eb)
-	}
+	checkScansAgainstModel(t, st, model)
+	st.Compact()
+	checkScansAgainstModel(t, st, model)
 }
 
 // TestScanIDsEpochRestart forces a compaction between pages: the scan must
@@ -217,7 +161,7 @@ func TestScanIDsEpochRestart(t *testing.T) {
 		t.Fatalf("fallback scan lost triples: got %d, want >= 301", got)
 	}
 	for i := 1; i < len(run.Sorted); i++ {
-		if !lessInOrder(run.Order, run.Sorted[i-1], run.Sorted[i]) {
+		if compareByName(run.Order, run.Sorted[i-1], run.Sorted[i]) >= 0 {
 			t.Fatalf("fallback Sorted not ordered at %d", i)
 		}
 	}
@@ -276,7 +220,7 @@ func TestScanIDsConcurrentWriters(t *testing.T) {
 					return
 				}
 				for j := 1; j < len(run.Sorted); j++ {
-					if !lessInOrder(run.Order, run.Sorted[j-1], run.Sorted[j]) {
+					if compareByName(run.Order, run.Sorted[j-1], run.Sorted[j]) >= 0 {
 						t.Error("unsorted page result")
 						return
 					}

@@ -39,11 +39,11 @@ func (st *Store) ForEach(p Pattern, fn func(rdf.Triple) bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 
-	sid, pid, oid, ok := st.resolvePatternLocked(p)
+	m, ok := st.resolvePatternLocked(p)
 	if !ok {
 		return
 	}
-	st.forEachIDLocked(sid, pid, oid, func(e enc) bool { return fn(st.decodeLocked(e)) })
+	st.walkLocked(st.rangeLocked(m), st.delta, m, 0, 0, func(e IDTriple) bool { return fn(st.decodeLocked(e)) })
 }
 
 // ForEachPage is ForEachIDPage for a term pattern: the constants are
@@ -58,75 +58,38 @@ func (st *Store) ForEachPage(p Pattern, pos, max int, fn func(rdf.Triple) bool) 
 	st.scanPages.Add(1)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	sid, pid, oid, ok := st.resolvePatternLocked(p)
+	m, ok := st.resolvePatternLocked(p)
 	if !ok {
 		return pos, true
 	}
-	return st.forEachIDPageLocked(sid, pid, oid, pos, max, func(e enc) bool {
-		return fn(st.decodeLocked(e))
-	})
+	return st.walkLocked(st.rangeLocked(m), st.delta, m, pos, max, func(e IDTriple) bool { return fn(st.decodeLocked(e)) })
 }
 
 // decodeLocked is the term-space form of one index entry. Caller holds mu.
-func (st *Store) decodeLocked(e enc) rdf.Triple {
-	return rdf.Triple{S: st.terms[e.s], P: st.terms[e.p].(rdf.IRI), O: st.terms[e.o]}
+func (st *Store) decodeLocked(e IDTriple) rdf.Triple {
+	return rdf.Triple{S: st.terms[e.S], P: st.terms[e.P].(rdf.IRI), O: st.terms[e.O]}
 }
 
-// resolvePatternLocked interns the pattern's constant terms to IDs;
+// resolvePatternLocked looks the pattern's constant terms up as a mask;
 // ok=false means a constant is absent from the dictionary and nothing can
 // match. Caller holds mu.
-func (st *Store) resolvePatternLocked(p Pattern) (s, pr, o ID, ok bool) {
+func (st *Store) resolvePatternLocked(p Pattern) (m IDTriple, ok bool) {
 	if p.S != nil {
-		if s, ok = st.lookup(p.S); !ok {
-			return 0, 0, 0, false
+		if m.S, ok = st.lookup(p.S); !ok {
+			return IDTriple{}, false
 		}
 	}
 	if p.P != nil {
-		if pr, ok = st.lookup(p.P); !ok {
-			return 0, 0, 0, false
+		if m.P, ok = st.lookup(p.P); !ok {
+			return IDTriple{}, false
 		}
 	}
 	if p.O != nil {
-		if o, ok = st.lookup(p.O); !ok {
-			return 0, 0, 0, false
+		if m.O, ok = st.lookup(p.O); !ok {
+			return IDTriple{}, false
 		}
 	}
-	return s, pr, o, true
-}
-
-// scanRangeLocked picks the permutation index and the contiguous range
-// covering the bound positions (0 = wildcard), via the same selection table
-// (PermutationFor) the ID-space scan API exposes. Caller holds mu.
-func (st *Store) scanRangeLocked(s, p, o ID) (base []enc, lo, hi int) {
-	ord, _ := PermutationFor(s != 0, p != 0, o != 0, PosAny)
-	base = st.indexFor(ord)
-	lo, hi = rangeIn(ord, base, s, p, o)
-	return base, lo, hi
-}
-
-// forEachIDLocked drives the index scan in ID space (0 = wildcard).
-func (st *Store) forEachIDLocked(s, p, o ID, fn func(enc) bool) {
-	base, lo, hi := st.scanRangeLocked(s, p, o)
-	for i := lo; i < hi; i++ {
-		e := base[i]
-		if _, dead := st.deleted[e]; dead {
-			continue
-		}
-		if !fn(e) {
-			return
-		}
-	}
-	for _, e := range st.delta {
-		if !e.matches(s, p, o) {
-			continue
-		}
-		if _, dead := st.deleted[e]; dead {
-			continue
-		}
-		if !fn(e) {
-			return
-		}
-	}
+	return m, true
 }
 
 // Subjects returns the distinct subjects matching a (p, o) restriction

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"github.com/lodviz/lodviz/internal/rdf"
@@ -25,7 +26,7 @@ func (st *Store) WriteSnapshot(w io.Writer) error {
 	st.mu.Lock()
 	st.mergeLocked()
 	terms := st.terms[:len(st.terms):len(st.terms)]
-	spo := st.spo[:len(st.spo):len(st.spo)]
+	spo := slices.Clip(st.index[OrderSPO])
 	if st.cards == nil {
 		st.cards = st.computeCardinalitiesLocked()
 	}
@@ -55,7 +56,7 @@ func (st *Store) WriteSnapshot(w io.Writer) error {
 		}
 	}
 	for _, e := range spo {
-		if err := sw.Triple(uint32(e.s), uint32(e.p), uint32(e.o)); err != nil {
+		if err := sw.Triple(uint32(e.S), uint32(e.P), uint32(e.O)); err != nil {
 			return err
 		}
 	}
@@ -101,28 +102,29 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		s.dict[t] = ID(len(s.terms))
 		s.terms = append(s.terms, t)
 	}
-	s.spo = make([]enc, 0, min(numTriples, maxHint))
-	var prev enc
+	spo := make([]IDTriple, 0, min(numTriples, maxHint))
+	var prev IDTriple
 	for i := uint64(0); i < numTriples; i++ {
 		sv, pv, ov, err := sr.Triple()
 		if err != nil {
 			return nil, err
 		}
-		e := enc{ID(sv), ID(pv), ID(ov)}
-		if e.s == 0 || uint64(e.s) > numTerms ||
-			e.p == 0 || uint64(e.p) > numTerms ||
-			e.o == 0 || uint64(e.o) > numTerms {
+		e := IDTriple{ID(sv), ID(pv), ID(ov)}
+		if e.S == 0 || uint64(e.S) > numTerms ||
+			e.P == 0 || uint64(e.P) > numTerms ||
+			e.O == 0 || uint64(e.O) > numTerms {
 			return nil, fmt.Errorf("%w: triple %d references term outside dictionary", snapshot.ErrCorrupt, i)
 		}
-		if _, ok := s.terms[e.p].(rdf.IRI); !ok {
+		if _, ok := s.terms[e.P].(rdf.IRI); !ok {
 			return nil, fmt.Errorf("%w: triple %d predicate is not an IRI", snapshot.ErrCorrupt, i)
 		}
-		if i > 0 && !lessSPO(prev, e) {
+		if i > 0 && !OrderSPO.Less(prev, e) {
 			return nil, fmt.Errorf("%w: SPO index not strictly sorted at triple %d", snapshot.ErrCorrupt, i)
 		}
 		prev = e
-		s.spo = append(s.spo, e)
+		spo = append(spo, e)
 	}
+	s.index[OrderSPO] = spo
 	// A v2 snapshot carries the per-predicate cardinality table; restoring
 	// it pre-warms the planner cache that would otherwise be recomputed by
 	// an O(n) scan on the first query. v1 snapshots restore with a cold
@@ -156,7 +158,7 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	}
 
 	s.rebuildDerivedLocked()
-	s.size = len(s.spo)
+	s.size = len(spo)
 	if s.size > 0 {
 		// The image arrives whole: no logged batch leads up to it.
 		s.gen = 1

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -233,7 +234,7 @@ func TestSnapshotV1Restore(t *testing.T) {
 	// ID order, then the sorted SPO index.
 	st.mu.Lock()
 	terms := st.terms[:len(st.terms):len(st.terms)]
-	spo := st.spo[:len(st.spo):len(st.spo)]
+	spo := slices.Clip(st.index[OrderSPO])
 	st.mu.Unlock()
 	var buf bytes.Buffer
 	sw, err := snapshot.NewWriterVersion(&buf, snapshot.VersionV1, len(terms)-1, len(spo))
@@ -246,7 +247,7 @@ func TestSnapshotV1Restore(t *testing.T) {
 		}
 	}
 	for _, e := range spo {
-		if err := sw.Triple(uint32(e.s), uint32(e.p), uint32(e.o)); err != nil {
+		if err := sw.Triple(uint32(e.S), uint32(e.P), uint32(e.O)); err != nil {
 			t.Fatal(err)
 		}
 	}

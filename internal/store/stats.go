@@ -154,13 +154,10 @@ func (a *StatsAccumulator) Stats(numTerms int, term func(ID) rdf.Term) Stats {
 func (st *Store) accumulateLocked() *StatsAccumulator {
 	typeID, _ := st.lookup(rdf.RDFType)
 	a := NewStatsAccumulator(typeID)
-	for _, part := range [2][]enc{st.pos, st.delta} {
-		for _, e := range part {
-			if _, dead := st.deleted[e]; !dead {
-				a.Visit(IDTriple{e.s, e.p, e.o})
-			}
-		}
-	}
+	st.walkLocked(st.index[OrderPOS], st.delta, IDTriple{}, 0, 0, func(t IDTriple) bool {
+		a.Visit(t)
+		return true
+	})
 	return a
 }
 

@@ -13,6 +13,19 @@
 // Predicates, Triples) are sugar: each resolves its pattern's constants,
 // runs the ID scan and decodes, under the same single lock hold.
 //
+// Inside, each thing is said once. One type, IDTriple, is what the indexes,
+// the delta buffer, the tombstone set and the change log hold and what the
+// ID scans emit (with zero fields read as wildcards it is also every mask).
+// One table, permutations (idscan.go), writes down each permutation's key
+// sequence and the counting pass that derives its index from another; the
+// one comparator (ScanOrder.compare, exported as Less), the one range finder
+// (ScanOrder.find) and the index rebuild read it, and nothing else switches
+// on a ScanOrder. One walk, walkLocked, is "the live entries of a base range
+// from a position on, then the matching live entries of the delta, at most
+// so many": every scan entry point, Statements, the statistics pass and the
+// compaction copy are calls of it, so the tombstone check and the positional
+// cursor exist in one place.
+//
 // The survey's "large & dynamic data" challenge (Section 2) rules out a
 // heavyweight preprocessing phase, so the store is built for incremental
 // ingestion: inserts land in an unsorted delta buffer that is merged into the
@@ -28,7 +41,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -52,8 +64,6 @@ func (id ID) Bits() uint64 { return uint64(id) }
 // must not unpack or compare packed values for order.
 func PackPair(a, b ID) uint64 { return uint64(a)<<32 | uint64(b) }
 
-type enc struct{ s, p, o ID }
-
 // Store is an in-memory, concurrency-safe triple store.
 //
 // The zero value is not usable; call New.
@@ -62,16 +72,17 @@ type Store struct {
 	dict  map[rdf.Term]ID
 	terms []rdf.Term // index = ID (terms[0] unused)
 
-	// base indexes, each sorted in its permutation order. PSO exists for
-	// merge joins: a bound-predicate pattern scanned through it yields
+	// index holds the base indexes, one per ScanOrder, each sorted in its
+	// permutation's key order (see permutations in idscan.go). PSO exists
+	// for merge joins: a bound-predicate pattern scanned through it yields
 	// subjects in sorted order, so a join on the subject variable against
 	// an already-sorted binding column is a linear merge instead of
 	// per-binding probes — the star-join shape of faceted exploration.
-	spo, pos, osp, pso []enc
+	index [len(permutations)][]IDTriple
 	// delta holds recently inserted triples not yet merged, unsorted.
-	delta []enc
+	delta []IDTriple
 	// deleted tombstones triples awaiting physical removal on merge.
-	deleted map[enc]struct{}
+	deleted map[IDTriple]struct{}
 
 	size int // live triple count
 
@@ -111,7 +122,7 @@ func New() *Store {
 	return &Store{
 		dict:    make(map[rdf.Term]ID),
 		terms:   make([]rdf.Term, 1),
-		deleted: make(map[enc]struct{}),
+		deleted: make(map[IDTriple]struct{}),
 	}
 }
 
@@ -269,7 +280,7 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		st.terms = slices.Grow(st.terms, 2*len(triples))
 	}
 
-	batch := make([]enc, 0, len(triples))
+	batch := make([]IDTriple, 0, len(triples))
 	// Predicates repeat heavily within a batch; caching their IDs by the
 	// concrete IRI type avoids boxing each one into an interface per triple.
 	pids := make(map[rdf.IRI]ID, 16)
@@ -288,20 +299,20 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 			sid = st.intern(t.S)
 			lastS, lastSID = t.S, sid
 		}
-		batch = append(batch, enc{sid, pid, st.intern(t.O)})
+		batch = append(batch, IDTriple{sid, pid, st.intern(t.O)})
 	}
 	batch = st.sortSPOLocked(batch)
-	batch = dedupe(batch)
+	batch = slices.Compact(batch)
 
 	// Bulk load into an empty store: the sorted, deduplicated batch IS the
 	// final SPO index — skip the per-element membership checks and the
 	// rebuild-everything merge.
-	if len(st.spo) == 0 && len(st.delta) == 0 && len(st.deleted) == 0 {
+	if len(st.index[OrderSPO]) == 0 && len(st.delta) == 0 && len(st.deleted) == 0 {
 		seq, err := st.walAppendLocked(false, batch)
 		if err != nil {
 			return 0, 0, err
 		}
-		st.spo = batch
+		st.index[OrderSPO] = batch
 		st.rebuildDerivedLocked()
 		st.size = len(batch)
 		st.layout++
@@ -311,7 +322,7 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		return st.size, seq, nil
 	}
 
-	inDelta := make(map[enc]struct{}, len(st.delta))
+	inDelta := make(map[IDTriple]struct{}, len(st.delta))
 	for _, e := range st.delta {
 		inDelta[e] = struct{}{}
 	}
@@ -319,7 +330,7 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 	// Plan first, mutate after: the WAL record must hold exactly the
 	// effective subset, and a failed append must leave the live set as it
 	// was — so nothing is touched until the record is in the log.
-	effective := make([]enc, 0, len(batch))
+	effective := make([]IDTriple, 0, len(batch))
 	for _, e := range batch {
 		if _, dead := st.deleted[e]; dead {
 			effective = append(effective, e)
@@ -328,7 +339,7 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		if _, pending := inDelta[e]; pending {
 			continue
 		}
-		if lo, hi := rangeSPO(st.spo, e.s, e.p, e.o); lo < hi {
+		if len(OrderSPO.find(st.index[OrderSPO], e)) > 0 {
 			continue
 		}
 		effective = append(effective, e)
@@ -351,7 +362,7 @@ func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		st.size++
 	}
 	st.commitLocked(false, effective)
-	if len(st.delta) > 1024 && len(st.delta) > len(st.spo)/8 {
+	if len(st.delta) > 1024 && len(st.delta) > len(st.index[OrderSPO])/8 {
 		st.mergeLocked()
 	}
 	return len(effective), seq, nil
@@ -392,8 +403,8 @@ func (st *Store) DeleteBatch(triples []rdf.Triple) (int, error) {
 // deleteBatchLocked plans, logs, and applies one delete batch; the
 // plan/log/apply split mirrors addBatchLocked. Caller holds mu.
 func (st *Store) deleteBatchLocked(triples []rdf.Triple) (int, uint64, error) {
-	seen := make(map[enc]struct{}, len(triples))
-	present := make([]enc, 0, len(triples))
+	seen := make(map[IDTriple]struct{}, len(triples))
+	present := make([]IDTriple, 0, len(triples))
 	for _, t := range triples {
 		sid, ok1 := st.lookup(t.S)
 		pid, ok2 := st.lookup(rdf.Term(t.P))
@@ -401,7 +412,7 @@ func (st *Store) deleteBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		if !ok1 || !ok2 || !ok3 {
 			continue
 		}
-		e := enc{sid, pid, oid}
+		e := IDTriple{sid, pid, oid}
 		if _, dup := seen[e]; dup {
 			continue
 		}
@@ -423,27 +434,18 @@ func (st *Store) deleteBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 		st.size--
 	}
 	st.commitLocked(true, present)
-	if len(st.deleted) > 1024 && len(st.deleted) > len(st.spo)/8 {
+	if len(st.deleted) > 1024 && len(st.deleted) > len(st.index[OrderSPO])/8 {
 		st.mergeLocked()
 	}
 	return len(present), seq, nil
 }
 
 // containsLocked reports whether e is live in base or delta.
-func (st *Store) containsLocked(e enc) bool {
+func (st *Store) containsLocked(e IDTriple) bool {
 	if _, dead := st.deleted[e]; dead {
 		return false
 	}
-	lo, hi := rangeSPO(st.spo, e.s, e.p, e.o)
-	if lo < hi {
-		return true
-	}
-	for _, d := range st.delta {
-		if d == e {
-			return true
-		}
-	}
-	return false
+	return len(OrderSPO.find(st.index[OrderSPO], e)) > 0 || slices.Contains(st.delta, e)
 }
 
 // Contains reports whether the store holds the given triple.
@@ -456,7 +458,7 @@ func (st *Store) Contains(t rdf.Triple) bool {
 	if !ok1 || !ok2 || !ok3 {
 		return false
 	}
-	return st.containsLocked(enc{sid, pid, oid})
+	return st.containsLocked(IDTriple{sid, pid, oid})
 }
 
 // Len returns the number of live triples.
@@ -481,91 +483,73 @@ func (st *Store) Compact() {
 	st.mu.Unlock()
 }
 
-// mergeLocked folds delta into the three base indexes and drops tombstones.
+// mergeLocked folds delta into the base indexes and drops tombstones.
 func (st *Store) mergeLocked() {
 	if len(st.delta) == 0 && len(st.deleted) == 0 {
 		return
 	}
-	live := make([]enc, 0, len(st.spo)+len(st.delta))
-	for _, e := range st.spo {
-		if _, dead := st.deleted[e]; !dead {
-			live = append(live, e)
-		}
-	}
-	for _, e := range st.delta {
-		if _, dead := st.deleted[e]; !dead {
-			live = append(live, e)
-		}
-	}
+	live := make([]IDTriple, 0, len(st.index[OrderSPO])+len(st.delta))
+	st.walkLocked(st.index[OrderSPO], st.delta, IDTriple{}, 0, 0, appendTo(&live))
 	st.delta = nil
-	st.deleted = make(map[enc]struct{})
+	st.deleted = make(map[IDTriple]struct{})
 
-	live = st.sortSPOLocked(live)
-	st.spo = dedupe(live)
+	st.index[OrderSPO] = slices.Compact(st.sortSPOLocked(live))
 	st.rebuildDerivedLocked()
-	st.size = len(st.spo)
+	st.size = len(st.index[OrderSPO])
 	st.layout++
 }
 
 // sortSPOLocked sorts entries into (s,p,o) order. Large inputs go through
-// three stable counting passes — O(n + |dict|), no comparisons — which is
-// what makes bulk ingestion cheap; small inputs fall back to a comparison
-// sort so a trickle insert into a huge dictionary doesn't pay for
-// dictionary-sized counting arrays. The returned slice may use different
-// backing storage than the input.
-func (st *Store) sortSPOLocked(in []enc) []enc {
+// three stable counting passes, least significant key first — O(n + |dict|),
+// no comparisons — which is what makes bulk ingestion cheap; small inputs
+// fall back to a comparison sort so a trickle insert into a huge dictionary
+// doesn't pay for dictionary-sized counting arrays. The returned slice may
+// use different backing storage than the input.
+func (st *Store) sortSPOLocked(in []IDTriple) []IDTriple {
 	if len(in) < len(st.terms)/4 {
-		slices.SortFunc(in, cmpSPO)
+		slices.SortFunc(in, OrderSPO.compare)
 		return in
 	}
-	tmp := make([]enc, len(in))
+	src, dst := in, make([]IDTriple, len(in))
 	counts := make([]uint32, len(st.terms))
-	countingPass(in, tmp, counts, byO) // least significant key first
-	clear(counts)
-	countingPass(tmp, in, counts, byP)
-	clear(counts)
-	countingPass(in, tmp, counts, byS)
-	return tmp
-}
-
-// rebuildDerivedLocked derives the OSP, POS and PSO indexes from a sorted,
-// deduplicated SPO index. Three stable counting passes do it without a
-// single comparison: spo is ordered (s,p,o), so stably reordering it by o
-// leaves ties ordered (s,p) — exactly OSP — stably reordering OSP by p
-// leaves ties ordered (o,s) — exactly POS — and stably reordering SPO by p
-// leaves ties ordered (s,o) — exactly PSO. Small indexes with outsized
-// dictionaries fall back to comparison sorts.
-func (st *Store) rebuildDerivedLocked() {
-	n := len(st.spo)
-	st.osp = make([]enc, n)
-	st.pos = make([]enc, n)
-	st.pso = make([]enc, n)
-	if n < len(st.terms)/4 {
-		copy(st.osp, st.spo)
-		slices.SortFunc(st.osp, cmpOSP)
-		copy(st.pos, st.spo)
-		slices.SortFunc(st.pos, cmpPOS)
-		copy(st.pso, st.spo)
-		slices.SortFunc(st.pso, cmpPSO)
-		return
+	key := permutations[OrderSPO].key
+	for i := len(key) - 1; i >= 0; i-- {
+		clear(counts)
+		countingPass(src, dst, counts, key[i])
+		src, dst = dst, src
 	}
-	counts := make([]uint32, len(st.terms))
-	countingPass(st.spo, st.osp, counts, byO)
-	clear(counts)
-	countingPass(st.osp, st.pos, counts, byP)
-	clear(counts)
-	countingPass(st.spo, st.pso, counts, byP)
+	return src
 }
 
-func byS(e enc) ID { return e.s }
-func byP(e enc) ID { return e.p }
-func byO(e enc) ID { return e.o }
+// rebuildDerivedLocked derives the other indexes from a sorted, deduplicated
+// SPO index, each by the one stable counting pass its permutations entry
+// names — no comparisons. Small indexes with outsized dictionaries fall back
+// to comparison sorts.
+func (st *Store) rebuildDerivedLocked() {
+	spo := st.index[OrderSPO]
+	small := len(spo) < len(st.terms)/4
+	var counts []uint32
+	if !small {
+		counts = make([]uint32, len(st.terms))
+	}
+	for _, ord := range derivedOrders {
+		idx := make([]IDTriple, len(spo))
+		if small {
+			copy(idx, spo)
+			slices.SortFunc(idx, ord.compare)
+		} else {
+			clear(counts)
+			countingPass(st.index[permutations[ord].from], idx, counts, permutations[ord].by)
+		}
+		st.index[ord] = idx
+	}
+}
 
-// countingPass stably reorders src into dst by key. counts must be zeroed
-// and sized past the largest ID; it is left dirty.
-func countingPass(src, dst []enc, counts []uint32, key func(enc) ID) {
+// countingPass stably reorders src into dst by the term at position key.
+// counts must be zeroed and sized past the largest ID; it is left dirty.
+func countingPass(src, dst []IDTriple, counts []uint32, key Position) {
 	for _, e := range src {
-		counts[key(e)]++
+		counts[e.at(key)]++
 	}
 	sum := uint32(0)
 	for i, c := range counts {
@@ -573,247 +557,8 @@ func countingPass(src, dst []enc, counts []uint32, key func(enc) ID) {
 		sum += c
 	}
 	for _, e := range src {
-		k := key(e)
+		k := e.at(key)
 		dst[counts[k]] = e
 		counts[k]++
 	}
-}
-
-func dedupe(s []enc) []enc {
-	if len(s) < 2 {
-		return s
-	}
-	w := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[i-1] {
-			s[w] = s[i]
-			w++
-		}
-	}
-	return s[:w]
-}
-
-// cmpSPO/cmpPOS/cmpOSP are the three permutation orders as three-way
-// comparisons for slices.SortFunc (which sorts concrete []enc without the
-// reflection overhead of sort.Slice — merges are on the bulk-write path).
-func cmpSPO(a, b enc) int {
-	if a.s != b.s {
-		if a.s < b.s {
-			return -1
-		}
-		return 1
-	}
-	if a.p != b.p {
-		if a.p < b.p {
-			return -1
-		}
-		return 1
-	}
-	if a.o != b.o {
-		if a.o < b.o {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-func cmpPOS(a, b enc) int {
-	if a.p != b.p {
-		if a.p < b.p {
-			return -1
-		}
-		return 1
-	}
-	if a.o != b.o {
-		if a.o < b.o {
-			return -1
-		}
-		return 1
-	}
-	if a.s != b.s {
-		if a.s < b.s {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-func cmpPSO(a, b enc) int {
-	if a.p != b.p {
-		if a.p < b.p {
-			return -1
-		}
-		return 1
-	}
-	if a.s != b.s {
-		if a.s < b.s {
-			return -1
-		}
-		return 1
-	}
-	if a.o != b.o {
-		if a.o < b.o {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-func cmpOSP(a, b enc) int {
-	if a.o != b.o {
-		if a.o < b.o {
-			return -1
-		}
-		return 1
-	}
-	if a.s != b.s {
-		if a.s < b.s {
-			return -1
-		}
-		return 1
-	}
-	if a.p != b.p {
-		if a.p < b.p {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-func lessSPO(a, b enc) bool {
-	if a.s != b.s {
-		return a.s < b.s
-	}
-	if a.p != b.p {
-		return a.p < b.p
-	}
-	return a.o < b.o
-}
-
-func lessPOS(a, b enc) bool {
-	if a.p != b.p {
-		return a.p < b.p
-	}
-	if a.o != b.o {
-		return a.o < b.o
-	}
-	return a.s < b.s
-}
-
-func lessOSP(a, b enc) bool {
-	if a.o != b.o {
-		return a.o < b.o
-	}
-	if a.s != b.s {
-		return a.s < b.s
-	}
-	return a.p < b.p
-}
-
-// rangeSPO binary-searches the SPO index for the sub-slice matching the
-// bound prefix (0 = unbound; bindings must be prefix-closed in SPO order).
-func rangeSPO(idx []enc, s, p, o ID) (int, int) {
-	switch {
-	case p == 0: // s only
-		lo := sort.Search(len(idx), func(i int) bool { return idx[i].s >= s })
-		hi := sort.Search(len(idx), func(i int) bool { return idx[i].s > s })
-		return lo, hi
-	case o == 0: // s, p
-		lo := sort.Search(len(idx), func(i int) bool {
-			e := idx[i]
-			if e.s != s {
-				return e.s >= s
-			}
-			return e.p >= p
-		})
-		hi := sort.Search(len(idx), func(i int) bool {
-			e := idx[i]
-			if e.s != s {
-				return e.s > s
-			}
-			return e.p > p
-		})
-		return lo, hi
-	default: // s, p, o fully bound
-		lo := sort.Search(len(idx), func(i int) bool {
-			return !lessSPO(idx[i], enc{s, p, o})
-		})
-		hi := sort.Search(len(idx), func(i int) bool {
-			return lessSPO(enc{s, p, o}, idx[i])
-		})
-		return lo, hi
-	}
-}
-
-func rangePOS(idx []enc, p, o ID) (int, int) {
-	if o == 0 {
-		lo := sort.Search(len(idx), func(i int) bool { return idx[i].p >= p })
-		hi := sort.Search(len(idx), func(i int) bool { return idx[i].p > p })
-		return lo, hi
-	}
-	lo := sort.Search(len(idx), func(i int) bool {
-		e := idx[i]
-		if e.p != p {
-			return e.p >= p
-		}
-		return e.o >= o
-	})
-	hi := sort.Search(len(idx), func(i int) bool {
-		e := idx[i]
-		if e.p != p {
-			return e.p > p
-		}
-		return e.o > o
-	})
-	return lo, hi
-}
-
-func rangePSO(idx []enc, p, s ID) (int, int) {
-	if s == 0 {
-		lo := sort.Search(len(idx), func(i int) bool { return idx[i].p >= p })
-		hi := sort.Search(len(idx), func(i int) bool { return idx[i].p > p })
-		return lo, hi
-	}
-	lo := sort.Search(len(idx), func(i int) bool {
-		e := idx[i]
-		if e.p != p {
-			return e.p >= p
-		}
-		return e.s >= s
-	})
-	hi := sort.Search(len(idx), func(i int) bool {
-		e := idx[i]
-		if e.p != p {
-			return e.p > p
-		}
-		return e.s > s
-	})
-	return lo, hi
-}
-
-func rangeOSP(idx []enc, o, s ID) (int, int) {
-	if s == 0 {
-		lo := sort.Search(len(idx), func(i int) bool { return idx[i].o >= o })
-		hi := sort.Search(len(idx), func(i int) bool { return idx[i].o > o })
-		return lo, hi
-	}
-	lo := sort.Search(len(idx), func(i int) bool {
-		e := idx[i]
-		if e.o != o {
-			return e.o >= o
-		}
-		return e.s >= s
-	})
-	hi := sort.Search(len(idx), func(i int) bool {
-		e := idx[i]
-		if e.o != o {
-			return e.o > o
-		}
-		return e.s > s
-	})
-	return lo, hi
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -249,57 +248,42 @@ func TestStoreMatchesReferenceProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Spot-check pattern access paths against the reference.
-		for i := 0; i < 20; i++ {
-			s := iri(fmt.Sprintf("s%d", i%20))
-			want := 0
-			for r := range ref {
-				if r.S == s {
-					want++
-				}
-			}
-			if st.Count(Pattern{S: s}) != want {
-				return false
-			}
-		}
-		return true
+		// Every scan entry point, every mask, as the interleaving left the
+		// store and again compacted.
+		checkScansAgainstModel(t, st, ref)
+		st.Compact()
+		checkScansAgainstModel(t, st, ref)
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: all three permutation indexes agree after compaction.
+// Property: every permutation index in the table holds the same triples
+// after compaction, each strictly sorted in the order its name spells.
 func TestIndexCoherenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		st, _ := buildRandom(seed, 300)
 		st.Compact()
 		st.mu.RLock()
 		defer st.mu.RUnlock()
-		if len(st.spo) != len(st.pos) || len(st.spo) != len(st.osp) {
-			return false
-		}
-		if !sort.SliceIsSorted(st.spo, func(i, j int) bool { return lessSPO(st.spo[i], st.spo[j]) }) {
-			return false
-		}
-		if !sort.SliceIsSorted(st.pos, func(i, j int) bool { return lessPOS(st.pos[i], st.pos[j]) }) {
-			return false
-		}
-		if !sort.SliceIsSorted(st.osp, func(i, j int) bool { return lessOSP(st.osp[i], st.osp[j]) }) {
-			return false
-		}
-		set := map[enc]struct{}{}
-		for _, e := range st.spo {
+		set := map[IDTriple]struct{}{}
+		for _, e := range st.index[OrderSPO] {
 			set[e] = struct{}{}
 		}
-		for _, e := range st.pos {
-			if _, ok := set[e]; !ok {
+		for i := range permutations {
+			ord, idx := ScanOrder(i), st.index[i]
+			if len(idx) != len(set) {
 				return false
 			}
-		}
-		for _, e := range st.osp {
-			if _, ok := set[e]; !ok {
-				return false
+			for j, e := range idx {
+				if _, ok := set[e]; !ok {
+					return false
+				}
+				if j > 0 && compareByName(ord, idx[j-1], e) >= 0 {
+					return false
+				}
 			}
 		}
 		return true
@@ -360,7 +344,8 @@ func estimateCount(st *Store, p Pattern) int {
 func resolvePattern(st *Store, p Pattern) (s, pr, o ID, ok bool) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.resolvePatternLocked(p)
+	m, ok := st.resolvePatternLocked(p)
+	return m.S, m.P, m.O, ok
 }
 
 func TestEstimateCount(t *testing.T) {

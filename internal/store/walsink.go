@@ -38,17 +38,17 @@ func (st *Store) SetWAL(w WALSink) {
 // op), decoding the encoded triples back through the dictionary. It returns
 // the record's sequence, or 0 with no error when no WAL is attached. Caller
 // holds mu.
-func (st *Store) walAppendLocked(del bool, encs []enc) (uint64, error) {
+func (st *Store) walAppendLocked(del bool, batch []IDTriple) (uint64, error) {
 	if st.wal == nil {
 		return 0, nil
 	}
-	ts := make([]rdf.Triple, len(encs))
-	for i, e := range encs {
-		p, ok := st.terms[e.p].(rdf.IRI)
+	ts := make([]rdf.Triple, len(batch))
+	for i, e := range batch {
+		p, ok := st.terms[e.P].(rdf.IRI)
 		if !ok {
-			return 0, fmt.Errorf("store: predicate ID %d is not an IRI", e.p)
+			return 0, fmt.Errorf("store: predicate ID %d is not an IRI", e.P)
 		}
-		ts[i] = rdf.Triple{S: st.terms[e.s], P: p, O: st.terms[e.o]}
+		ts[i] = rdf.Triple{S: st.terms[e.S], P: p, O: st.terms[e.O]}
 	}
 	var seq uint64
 	var err error
