@@ -13,7 +13,8 @@ test:
 
 # The tracked size of the code (ROADMAP, "quality of design"): lines of
 # non-test Go outside bench/ and testdata/, for the tree, for the three
-# packages between the store and what runs on it, and for the store alone.
+# packages between the store and what runs on it, for the store alone, and
+# for everything that reads or writes RDF terms as text.
 # CI puts the numbers, and their difference against the merge base, into the
 # job summary of every PR (it runs this recipe in a checkout of the base with
 # `make -f <this file> -C <that tree> loc`, so the paths stay relative).
@@ -21,6 +22,7 @@ loc:
 	@printf 'non-test Go lines, tree: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, internal/{sparql,store,explore}: %s\n' "$$(find internal/sparql internal/store internal/explore -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, internal/store: %s\n' "$$(find internal/store -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@printf 'non-test Go lines, internal/{rdf,ntriples,turtle} + sparql/lexer.go: %s\n' "$$(find internal/rdf internal/ntriples internal/turtle internal/sparql/lexer.go -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 
 # Race-detector pass over the concurrent packages: query engine (the
 # dictionary-ID executor and its worker pool), store (including the
@@ -52,11 +54,14 @@ cover-server:
 	echo "internal/server+internal/obs coverage: $$total%"; \
 	awk "BEGIN { exit !($$total >= 80) }" || { echo "FAIL: coverage $$total% < 80%"; exit 1; }
 
-# Short coverage-guided fuzz smoke over the text-format parsers and the
-# federation results decoder (it consumes untrusted remote bytes).
+# Short coverage-guided fuzz smoke over the text-format parsers, the term
+# syntax they share (FuzzTermText: every reader reads back what Term.String
+# wrote) and the federation results decoder (it consumes untrusted remote
+# bytes).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzNTriples -fuzztime=10s ./internal/ntriples
+	$(GO) test -fuzz=FuzzTermText -fuzztime=10s ./internal/rdf
 	$(GO) test -fuzz=FuzzDecodeResults -fuzztime=10s ./internal/federation
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 
@@ -82,8 +87,10 @@ bench:
 # One-iteration smoke of the BGP join benchmarks, the ingestion benchmarks (bulk AddBatch vs the per-triple
 # Add loop at 100k triples), the federation bind-join benchmarks (batched
 # VALUES dispatch vs one-request-per-binding at 1k bindings), the
-# streaming LIMIT-pushdown pair, and the store→hierarchy path (a base
-# collected from scratch, and a cut over a kept one): verifies the
+# streaming LIMIT-pushdown pair, the store→hierarchy path (a base
+# collected from scratch, and a cut over a kept one), and the two text
+# decoders a request body goes through (a bulk_ingest-sized N-Triples body,
+# the session_cold query shapes and an INSERT DATA): verifies the
 # benchmark paths execute,
 # without timing noise gating CI. Timing regressions are gated separately
 # by bench-regression against the committed baseline.
@@ -93,6 +100,8 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BindJoin -benchtime=1x ./internal/federation
 	$(GO) test -run='^$$' -bench=LimitPushdown -benchtime=1x .
 	$(GO) test -run='^$$' -bench='FromSource|LevelOverSharedBase' -benchtime=1x -benchmem ./internal/hetree
+	$(GO) test -run='^$$' -bench=ReadAll -benchtime=1x -benchmem ./internal/ntriples
+	$(GO) test -run='^$$' -bench=ParseQuery -benchtime=1x -benchmem ./internal/sparql
 
 # The end-to-end benchmark (bench/e2e) is its own module, which the root
 # `go test ./...` does not see: vet it, run its unit tests, and play every

@@ -2,10 +2,17 @@
 // (RDF 1.1 N-Triples). It is the streaming ingestion format for lodviz: the
 // reader processes one line at a time so arbitrarily large dumps can be
 // loaded without materializing the file.
+//
+// The package owns the line structure — one statement per line, subject,
+// predicate, object, '.', comments — and the line and column of an error.
+// The terms themselves (IRI references, blank node labels, literals with
+// their escapes, language tags and datatypes) are read by internal/rdf's
+// scanners and written by Term.String, as in every other format.
 package ntriples
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -143,257 +150,39 @@ func (d *Decoder) DecodeAll(fn func([]rdf.Triple) error) error {
 	}
 }
 
-type lineParser struct {
-	s    string
-	pos  int
-	line int
-}
-
+// parseLine reads one trimmed, non-empty statement line. The terms are read
+// by the scanners of internal/rdf; what is N-Triples here is their order and
+// the closing '.'.
 func parseLine(s string, line int) (rdf.Triple, error) {
-	p := &lineParser{s: s, line: line}
-	subj, err := p.parseSubject()
+	fail := func(at int, err error) (rdf.Triple, error) {
+		return rdf.Triple{}, &ParseError{Line: line, Msg: fmt.Sprintf("%v (col %d)", err, at+1)}
+	}
+	subj, i, err := rdf.ScanTerm(s, 0)
 	if err != nil {
-		return rdf.Triple{}, err
+		return fail(i, err)
 	}
-	p.skipWS()
-	pred, err := p.parseIRI()
+	if subj.Kind() == rdf.KindLiteral {
+		return fail(0, errors.New("literal in subject position"))
+	}
+	pred, i, err := rdf.ScanIRIRef(s, rdf.SkipSpace(s, i))
 	if err != nil {
-		return rdf.Triple{}, err
+		return fail(i, err)
 	}
-	p.skipWS()
-	obj, err := p.parseObject()
+	if pred == "" {
+		return fail(i, errors.New("empty IRI"))
+	}
+	obj, i, err := rdf.ScanTerm(s, rdf.SkipSpace(s, i))
 	if err != nil {
-		return rdf.Triple{}, err
+		return fail(i, err)
 	}
-	p.skipWS()
-	if p.pos >= len(p.s) || p.s[p.pos] != '.' {
-		return rdf.Triple{}, p.errf("expected '.' terminator")
+	i = rdf.SkipSpace(s, i)
+	if i >= len(s) || s[i] != '.' {
+		return fail(i, errors.New("expected '.' terminator"))
 	}
-	p.pos++
-	p.skipWS()
-	if p.pos < len(p.s) && !strings.HasPrefix(p.s[p.pos:], "#") {
-		return rdf.Triple{}, p.errf("trailing content after '.'")
+	if i = rdf.SkipSpace(s, i+1); i < len(s) {
+		return fail(i, errors.New("trailing content after '.'"))
 	}
 	return rdf.Triple{S: subj, P: pred, O: obj}, nil
-}
-
-func (p *lineParser) errf(format string, args ...any) error {
-	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...) + fmt.Sprintf(" (col %d)", p.pos+1)}
-}
-
-func (p *lineParser) skipWS() {
-	for p.pos < len(p.s) && (p.s[p.pos] == ' ' || p.s[p.pos] == '\t') {
-		p.pos++
-	}
-}
-
-func (p *lineParser) parseSubject() (rdf.Term, error) {
-	if p.pos < len(p.s) && p.s[p.pos] == '_' {
-		return p.parseBlank()
-	}
-	return p.parseIRI()
-}
-
-func (p *lineParser) parseObject() (rdf.Term, error) {
-	if p.pos >= len(p.s) {
-		return nil, p.errf("unexpected end of line, expected object")
-	}
-	switch p.s[p.pos] {
-	case '<':
-		return p.parseIRI()
-	case '_':
-		return p.parseBlank()
-	case '"':
-		return p.parseLiteral()
-	default:
-		return nil, p.errf("unexpected character %q for object", p.s[p.pos])
-	}
-}
-
-func (p *lineParser) parseIRI() (rdf.IRI, error) {
-	if p.pos >= len(p.s) || p.s[p.pos] != '<' {
-		return "", p.errf("expected '<'")
-	}
-	end := strings.IndexByte(p.s[p.pos:], '>')
-	if end < 0 {
-		return "", p.errf("unterminated IRI")
-	}
-	iri := p.s[p.pos+1 : p.pos+end]
-	p.pos += end + 1
-	if iri == "" {
-		return "", p.errf("empty IRI")
-	}
-	unescaped, err := unescape(iri, p)
-	if err != nil {
-		return "", err
-	}
-	return rdf.IRI(unescaped), nil
-}
-
-func (p *lineParser) parseBlank() (rdf.BlankNode, error) {
-	if !strings.HasPrefix(p.s[p.pos:], "_:") {
-		return "", p.errf("expected '_:'")
-	}
-	p.pos += 2
-	start := p.pos
-	for p.pos < len(p.s) && isBlankLabelChar(p.s[p.pos]) {
-		p.pos++
-	}
-	if p.pos == start {
-		return "", p.errf("empty blank node label")
-	}
-	return rdf.BlankNode(p.s[start:p.pos]), nil
-}
-
-func isBlankLabelChar(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-		c == '_' || c == '-' || c == '.'
-}
-
-func (p *lineParser) parseLiteral() (rdf.Literal, error) {
-	if p.s[p.pos] != '"' {
-		return rdf.Literal{}, p.errf("expected '\"'")
-	}
-	p.pos++
-	var b strings.Builder
-	for {
-		if p.pos >= len(p.s) {
-			return rdf.Literal{}, p.errf("unterminated string literal")
-		}
-		c := p.s[p.pos]
-		if c == '"' {
-			p.pos++
-			break
-		}
-		if c == '\\' {
-			if p.pos+1 >= len(p.s) {
-				return rdf.Literal{}, p.errf("dangling escape")
-			}
-			esc, n, err := decodeEscape(p.s[p.pos:])
-			if err != nil {
-				return rdf.Literal{}, p.errf("%v", err)
-			}
-			b.WriteString(esc)
-			p.pos += n
-			continue
-		}
-		b.WriteByte(c)
-		p.pos++
-	}
-	lex := b.String()
-	// Optional language tag or datatype.
-	if p.pos < len(p.s) && p.s[p.pos] == '@' {
-		p.pos++
-		start := p.pos
-		for p.pos < len(p.s) && (isAlnum(p.s[p.pos]) || p.s[p.pos] == '-') {
-			p.pos++
-		}
-		if p.pos == start {
-			return rdf.Literal{}, p.errf("empty language tag")
-		}
-		return rdf.NewLangLiteral(lex, p.s[start:p.pos]), nil
-	}
-	if strings.HasPrefix(p.s[p.pos:], "^^") {
-		p.pos += 2
-		dt, err := p.parseIRI()
-		if err != nil {
-			return rdf.Literal{}, err
-		}
-		return rdf.NewTypedLiteral(lex, dt), nil
-	}
-	return rdf.NewLiteral(lex), nil
-}
-
-func isAlnum(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-}
-
-// decodeEscape decodes one escape sequence beginning at s[0] == '\\',
-// returning the decoded text and how many input bytes were consumed.
-func decodeEscape(s string) (string, int, error) {
-	switch s[1] {
-	case 't':
-		return "\t", 2, nil
-	case 'n':
-		return "\n", 2, nil
-	case 'r':
-		return "\r", 2, nil
-	case 'b':
-		return "\b", 2, nil
-	case 'f':
-		return "\f", 2, nil
-	case '"':
-		return `"`, 2, nil
-	case '\'':
-		return "'", 2, nil
-	case '\\':
-		return `\`, 2, nil
-	case 'u':
-		if len(s) < 6 {
-			return "", 0, fmt.Errorf("short \\u escape")
-		}
-		r, err := hexRune(s[2:6])
-		if err != nil {
-			return "", 0, err
-		}
-		return string(r), 6, nil
-	case 'U':
-		if len(s) < 10 {
-			return "", 0, fmt.Errorf("short \\U escape")
-		}
-		r, err := hexRune(s[2:10])
-		if err != nil {
-			return "", 0, err
-		}
-		return string(r), 10, nil
-	default:
-		return "", 0, fmt.Errorf("invalid escape \\%c", s[1])
-	}
-}
-
-func hexRune(s string) (rune, error) {
-	var v rune
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		var d rune
-		switch {
-		case c >= '0' && c <= '9':
-			d = rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = rune(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = rune(c-'A') + 10
-		default:
-			return 0, fmt.Errorf("invalid hex digit %q", c)
-		}
-		v = v<<4 | d
-	}
-	return v, nil
-}
-
-// unescape resolves \u/\U escapes inside IRIs.
-func unescape(s string, p *lineParser) (string, error) {
-	if !strings.ContainsRune(s, '\\') {
-		return s, nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] != '\\' {
-			b.WriteByte(s[i])
-			i++
-			continue
-		}
-		if i+1 >= len(s) {
-			return "", p.errf("dangling escape in IRI")
-		}
-		esc, n, err := decodeEscape(s[i:])
-		if err != nil {
-			return "", p.errf("%v", err)
-		}
-		b.WriteString(esc)
-		i += n
-	}
-	return b.String(), nil
 }
 
 // Write serializes triples to w in N-Triples syntax, one statement per line.

@@ -93,6 +93,20 @@ func TestParseErrorHasLineNumber(t *testing.T) {
 	if pe.Line != 2 {
 		t.Errorf("Line = %d, want 2", pe.Line)
 	}
+	// The column is that of the byte the shared scanners stopped at.
+	for doc, col := range map[string]string{
+		`<http://e/s> <http://e/p> "x\q" .`:        "(col 29)",
+		`<http://e/s> <http://e/p\u00zz> "x" .`:    "(col 25)",
+		`<http://e/s> <http://e/ p> "x" .`:         "(col 24)",
+		`<http://e/s> <http://e/p> "x"^^<a b> .`:   "(col 34)",
+		`<http://e/s> <http://e/p> <http://e/o> ;`: "(col 40)",
+	} {
+		_, err := ParseString("# comment\n" + doc)
+		pe, ok := err.(*ParseError)
+		if !ok || pe.Line != 2 || !strings.HasSuffix(pe.Msg, col) {
+			t.Errorf("ParseString(%s) = %v, want a *ParseError on line 2 ending %s", doc, err, col)
+		}
+	}
 }
 
 func TestStreamingReader(t *testing.T) {

@@ -1,11 +1,6 @@
 package progressive
 
-import (
-	"context"
-	"math"
-
-	"github.com/lodviz/lodviz/internal/stats"
-)
+import "math"
 
 // CountEstimate scales a count observed over the first n items of a
 // population of known size into a population-level estimate with a CLT 95%
@@ -42,33 +37,4 @@ func CountEstimate(count, n, population int) Estimate {
 	se := math.Sqrt(p * (1 - p) / float64(n) * fpc)
 	est.CI95 = z95 * se * float64(population)
 	return est
-}
-
-// Scan is the context-aware paged driver: it pulls successive pages of
-// values from next (done=true marks the last page), folds them into the
-// accumulator, and emits a refined CLT-bounded estimate after every page —
-// the push counterpart of Sampler for consumers fed by paged ID scans
-// rather than in-memory slices. Cancellation is checked between pages, so a
-// client that goes away stops the underlying scan; emit returning false
-// ends the run early. The final emitted estimate (Final=true once the last
-// page lands and the whole population was seen) is also returned.
-func Scan(ctx context.Context, agg Agg, population int, next func() (page []float64, done bool, err error), emit func(Estimate) bool) (Estimate, error) {
-	var acc stats.Online
-	for {
-		if err := ctx.Err(); err != nil {
-			return Estimate{}, err
-		}
-		page, done, err := next()
-		if err != nil {
-			return Estimate{}, err
-		}
-		for _, v := range page {
-			acc.Add(v)
-		}
-		est := estimate(&acc, agg, population)
-		est.Final = done && acc.N() >= population
-		if !emit(est) || done {
-			return est, nil
-		}
-	}
 }

@@ -1,8 +1,6 @@
 package progressive
 
 import (
-	"context"
-	"errors"
 	"math"
 	"testing"
 )
@@ -68,69 +66,5 @@ func TestCountEstimateEdgeCases(t *testing.T) {
 	// n beyond population clamps to exact.
 	if e := CountEstimate(5, 150, 100); !e.Final || e.Value != 5 {
 		t.Fatalf("n > population: %+v, want final exact", e)
-	}
-}
-
-func TestScanEmitsPerPageAndFinishes(t *testing.T) {
-	// A 0/1 indicator stream: 4 of the 6 population items match.
-	pages := [][]float64{{1, 0, 1}, {1, 1}, {0}}
-	i := 0
-	next := func() ([]float64, bool, error) {
-		p := pages[i]
-		i++
-		return p, i == len(pages), nil
-	}
-	var emitted []Estimate
-	final, err := Scan(context.Background(), Count, 6, next, func(e Estimate) bool {
-		emitted = append(emitted, e)
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(emitted) != 3 {
-		t.Fatalf("emitted %d estimates, want one per page", len(emitted))
-	}
-	if !final.Final || math.Abs(final.Value-4) > 1e-9 {
-		t.Fatalf("final = %+v, want final count 4", final)
-	}
-	for i := 1; i < len(emitted); i++ {
-		if emitted[i].SampleSize <= emitted[i-1].SampleSize {
-			t.Fatal("sample size must grow per page")
-		}
-	}
-}
-
-func TestScanStopsOnEmitFalse(t *testing.T) {
-	calls := 0
-	next := func() ([]float64, bool, error) {
-		calls++
-		return []float64{1}, false, nil
-	}
-	_, err := Scan(context.Background(), Count, 100, next, func(Estimate) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("next called %d times after emit false, want 1", calls)
-	}
-}
-
-func TestScanPropagatesErrors(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := Scan(context.Background(), Count, 10,
-		func() ([]float64, bool, error) { return nil, false, boom },
-		func(Estimate) bool { return true })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = Scan(ctx, Count, 10,
-		func() ([]float64, bool, error) { return []float64{1}, false, nil },
-		func(Estimate) bool { return true })
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -5,6 +5,14 @@
 // The model follows RDF 1.1 Concepts. Terms are small immutable values that
 // are comparable with == (literals are normalized on construction), so they
 // can be used directly as map keys.
+//
+// The package also owns how a term is spelled in text. Term.String writes
+// N-Triples form, and syntax.go reads the terminals of the Turtle family —
+// IRI references, quoted strings and their escapes, language tags, blank node
+// labels, numeric shorthands, prefixed names, white space and comments — for
+// every consumer: internal/ntriples, internal/turtle, internal/sparql and the
+// server's URL parameters scan no terminal of their own, so a term loaded one
+// way is spelled the same way, and found, through the others.
 package rdf
 
 import (
@@ -131,7 +139,8 @@ func (l Literal) String() string {
 
 func (l Literal) value() Term { return l }
 
-// quoteLiteral escapes a lexical form for N-Triples output.
+// quoteLiteral writes a lexical form as a quoted string that every reader of
+// syntax.go takes back: the one place lodviz escapes a string literal.
 func quoteLiteral(s string) string {
 	var b strings.Builder
 	b.Grow(len(s) + 2)

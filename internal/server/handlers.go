@@ -315,11 +315,11 @@ func (s *Server) facetParams(r *http.Request) (max int, filters []facet.Filter, 
 	for _, f := range rawFilters {
 		// A bracketed predicate IRI may itself hold '=' (a query string):
 		// it ends at the '>' before the separator, not at the first '='.
-		sep := "="
+		pred, val, ok := strings.Cut(f, "=")
 		if strings.HasPrefix(f, "<") {
-			sep = ">="
+			pred, val, ok = strings.Cut(f, ">=")
+			pred += ">"
 		}
-		pred, val, ok := strings.Cut(f, sep)
 		if !ok {
 			return 0, nil, nil, http.StatusBadRequest, "filter must be <predicate>=<value>: " + f
 		}
@@ -327,7 +327,11 @@ func (s *Server) facetParams(r *http.Request) (max int, filters []facet.Filter, 
 		if err != nil {
 			return 0, nil, nil, http.StatusBadRequest, "filter value: " + err.Error()
 		}
-		filters = append(filters, facet.Filter{Predicate: rdf.IRI(strings.Trim(pred, "<>")), Value: term})
+		predicate, err := parseIRIParam(pred)
+		if err != nil {
+			return 0, nil, nil, http.StatusBadRequest, "filter predicate: " + err.Error()
+		}
+		filters = append(filters, facet.Filter{Predicate: predicate, Value: term})
 	}
 	return max, filters, rawFilters, 0, ""
 }
@@ -582,7 +586,11 @@ func (s *Server) handleHETree(w http.ResponseWriter, r *http.Request) {
 		}
 		budget = n
 	}
-	prop := rdf.IRI(strings.Trim(propParam, "<>"))
+	prop, err := parseIRIParam(propParam)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "prop: "+err.Error())
+		return
+	}
 	s.serveCached(w, r, s.cacheKey(r), func() result {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
@@ -907,48 +915,35 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// parseTermParam reads an RDF term from a query parameter: <iri> or a bare
-// curie-less IRI, _:label blank nodes, and "literal" with optional @lang or
-// ^^<datatype>. A value that is neither is taken as a plain string literal.
+// parseTermParam reads an RDF term from a query parameter, in the syntax
+// data files and queries use (rdf.ParseTerm): <iri>, _:label, or "lexical"
+// with its escapes and an optional @lang or ^^<datatype>. Two bare spellings
+// stay for URLs typed by hand: a value holding ':' is an IRI, any other a
+// plain string literal.
 func parseTermParam(s string) (rdf.Term, error) {
 	s = strings.TrimSpace(s)
 	switch {
 	case s == "":
-		return nil, fmt.Errorf("empty term")
-	case strings.HasPrefix(s, "<") && strings.HasSuffix(s, ">"):
-		return rdf.IRI(s[1 : len(s)-1]), nil
-	case strings.HasPrefix(s, "_:"):
-		return rdf.BlankNode(s[2:]), nil
-	case strings.HasPrefix(s, `"`):
-		end := -1
-		for i := 1; i < len(s); i++ {
-			if s[i] == '\\' {
-				i++
-				continue
-			}
-			if s[i] == '"' {
-				end = i
-				break
-			}
-		}
-		if end < 0 {
-			return nil, fmt.Errorf("unterminated literal %q", s)
-		}
-		lexical := s[1:end]
-		rest := s[end+1:]
-		switch {
-		case rest == "":
-			return rdf.NewLiteral(lexical), nil
-		case strings.HasPrefix(rest, "@"):
-			return rdf.NewLangLiteral(lexical, rest[1:]), nil
-		case strings.HasPrefix(rest, "^^<") && strings.HasSuffix(rest, ">"):
-			return rdf.NewTypedLiteral(lexical, rdf.IRI(rest[3:len(rest)-1])), nil
-		default:
-			return nil, fmt.Errorf("malformed literal suffix %q", rest)
-		}
+		return nil, errors.New("empty term")
+	case s[0] == '<' || s[0] == '"' || strings.HasPrefix(s, "_:"):
+		return rdf.ParseTerm(s)
 	case strings.Contains(s, ":"):
 		return rdf.IRI(s), nil
 	default:
 		return rdf.NewLiteral(s), nil
 	}
+}
+
+// parseIRIParam reads a parameter that names a property: <iri> or the bare
+// IRI.
+func parseIRIParam(s string) (rdf.IRI, error) {
+	t, err := parseTermParam(s)
+	if err != nil {
+		return "", err
+	}
+	iri, ok := t.(rdf.IRI)
+	if !ok {
+		return "", fmt.Errorf("%s is not an IRI", t)
+	}
+	return iri, nil
 }

@@ -624,6 +624,43 @@ func TestFacets(t *testing.T) {
 	}
 }
 
+// TestTermParamsDecodeEscapes: a URL parameter names a term the way
+// Term.String writes it, escapes included, so what a dump loaded is what the
+// parameter finds. (The readers used to take the text between the quotes as
+// it stood and looked up a lexical form no data held.)
+func TestTermParamsDecodeEscapes(t *testing.T) {
+	_, ts, st := newTestServer(t, Config{})
+	entity, note := rdf.IRI(exNS+"café"), rdf.IRI(exNS+"note")
+	awkward := rdf.NewLiteral("a\"b \\ tab\there")
+	if err := st.AddAll([]rdf.Triple{rdf.T(entity, rdf.RDFType, rdf.IRI(exNS+"City")), rdf.T(entity, note, awkward)}); err != nil {
+		t.Fatal(err)
+	}
+	var facets facetsResponse
+	r := getJSON(t, ts.URL+"/facets?filter="+url.QueryEscape(note.String()+"="+awkward.String()), &facets)
+	if r.StatusCode != http.StatusOK || facets.Count != 1 {
+		t.Fatalf("/facets filtered on %s: status %d, count %d, want the one entity", awkward, r.StatusCode, facets.Count)
+	}
+	// Literals are never graph nodes, so node= shows the same decoding on an
+	// IRI: the entity, spelled with a \u escape as a dump might spell it.
+	var hood neighborhoodResponse
+	r = getJSON(t, ts.URL+"/graph/neighborhood?node="+url.QueryEscape(`<`+exNS+`caf\u00e9>`), &hood)
+	if r.StatusCode != http.StatusOK || len(hood.Nodes) == 0 || hood.Nodes[0].Value != string(entity) {
+		t.Fatalf("/graph/neighborhood of the escaped spelling: status %d, nodes %+v, want %s first", r.StatusCode, hood.Nodes, entity)
+	}
+	for _, bad := range []string{
+		"/graph/neighborhood?node=" + url.QueryEscape("_:"),
+		"/graph/neighborhood?node=" + url.QueryEscape(`"a\qb"`),
+		"/facets?filter=" + url.QueryEscape("<<"+string(note)+">=x"),
+		"/facets?filter=" + url.QueryEscape(note.String()+`="open`),
+		"/hetree?prop=" + url.QueryEscape("<<"+exNS+"population>"),
+		"/hetree?prop=" + url.QueryEscape(`"`+exNS+`population"`),
+	} {
+		if r := getJSON(t, ts.URL+bad, &errorBody{}); r.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s: status = %d, want 400", bad, r.StatusCode)
+		}
+	}
+}
+
 func TestFacetsBadFilter400(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	var e errorBody
@@ -850,6 +887,9 @@ func TestParseTermParam(t *testing.T) {
 		{`"bonjour"@fr`, rdf.NewLangLiteral("bonjour", "fr")},
 		{`"5"^^<http://www.w3.org/2001/XMLSchema#integer>`, rdf.NewTypedLiteral("5", rdf.IRI("http://www.w3.org/2001/XMLSchema#integer"))},
 		{"plainword", rdf.NewLiteral("plainword")},
+		{`"a\"b\ttab"`, rdf.NewLiteral("a\"b\ttab")},
+		{`"caf\u00e9"@FR`, rdf.NewLangLiteral("café", "fr")},
+		{" _:a-b ", rdf.BlankNode("a-b")},
 	}
 	for _, c := range cases {
 		got, err := parseTermParam(c.in)
@@ -860,7 +900,7 @@ func TestParseTermParam(t *testing.T) {
 			t.Fatalf("parseTermParam(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", `"unterminated`, `"x"^^bad`} {
+	for _, bad := range []string{"", `"unterminated`, `"x"^^bad`, "_:", "<<x>", "<x", `"x"junk`, `"x\q"`} {
 		if _, err := parseTermParam(bad); err == nil {
 			t.Fatalf("parseTermParam(%q) succeeded, want error", bad)
 		}

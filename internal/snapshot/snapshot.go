@@ -35,7 +35,7 @@
 //
 // This package owns only the wire format; the store package layers
 // Store.WriteSnapshot / ReadSnapshot on top of it. Readers accept both
-// versions; writers default to the current one.
+// versions; the writer produces the current one only.
 package snapshot
 
 import (
@@ -57,8 +57,8 @@ const Magic = "LODVSNAP"
 const Version = 2
 
 // VersionV1 is the legacy format: subject-only delta coding, no stats
-// section. Readers still accept it; NewWriterVersion can still produce it
-// (migration tests pin that old snapshots restore).
+// section. Readers still accept it (the tests restore committed images of
+// it); nothing writes it any more.
 const VersionV1 = 1
 
 // maxStringLen bounds one decoded string field; longer lengths are treated
@@ -94,7 +94,6 @@ type Writer struct {
 	bw       *bufio.Writer
 	crc      hash.Hash32
 	out      io.Writer // bw and crc
-	version  uint32
 	prevS    uint32
 	prevP    uint32
 	prevO    uint32
@@ -106,21 +105,12 @@ type Writer struct {
 // NewWriter starts a current-version snapshot on w and writes the header,
 // declaring the dictionary and triple counts up front.
 func NewWriter(w io.Writer, numTerms, numTriples int) (*Writer, error) {
-	return NewWriterVersion(w, Version, numTerms, numTriples)
-}
-
-// NewWriterVersion is NewWriter for an explicit format version (VersionV1 or
-// Version); tests use it to produce legacy snapshots.
-func NewWriterVersion(w io.Writer, version, numTerms, numTriples int) (*Writer, error) {
-	if version != VersionV1 && version != Version {
-		return nil, fmt.Errorf("%w: cannot write version %d", ErrVersion, version)
-	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	sw := &Writer{bw: bw, crc: crc32.NewIEEE(), version: uint32(version)}
+	sw := &Writer{bw: bw, crc: crc32.NewIEEE()}
 	sw.out = io.MultiWriter(bw, sw.crc)
 	var hdr [28]byte
 	copy(hdr[:8], Magic)
-	binary.LittleEndian.PutUint32(hdr[8:12], sw.version)
+	binary.LittleEndian.PutUint32(hdr[8:12], Version)
 	binary.LittleEndian.PutUint64(hdr[12:20], uint64(numTerms))
 	binary.LittleEndian.PutUint64(hdr[20:28], uint64(numTriples))
 	if _, err := sw.out.Write(hdr[:]); err != nil {
@@ -170,23 +160,12 @@ func (sw *Writer) Term(t rdf.Term) error {
 	}
 }
 
-// Triple appends one SPO entry. Triples must arrive in SPO-sorted order
-// (version 1: non-decreasing subjects; version 2: strictly increasing
-// (s,p,o) — what a deduplicated sorted index always satisfies); positions
-// are delta-coded against the previous call as the format allows.
+// Triple appends one SPO entry. Triples must arrive in SPO-sorted order,
+// strictly increasing (s,p,o) — what a deduplicated sorted index always
+// satisfies; positions are delta-coded against the previous call.
 func (sw *Writer) Triple(s, p, o uint32) error {
 	if s < sw.prevS {
 		return fmt.Errorf("snapshot: triples out of SPO order (subject %d after %d)", s, sw.prevS)
-	}
-	if sw.version == VersionV1 {
-		if err := sw.writeUvarint(uint64(s - sw.prevS)); err != nil {
-			return err
-		}
-		sw.prevS = s
-		if err := sw.writeUvarint(uint64(p)); err != nil {
-			return err
-		}
-		return sw.writeUvarint(uint64(o))
 	}
 	ds := s - sw.prevS
 	if ds == 0 && sw.anyT {
@@ -230,12 +209,9 @@ func (sw *Writer) Triple(s, p, o uint32) error {
 	return nil
 }
 
-// Stats appends the per-predicate cardinality table (version 2 only; at most
-// once, after the triples). Entries must arrive sorted by ascending Pred.
+// Stats appends the per-predicate cardinality table (at most once, after the
+// triples). Entries must arrive sorted by ascending Pred.
 func (sw *Writer) Stats(stats []PredStat) error {
-	if sw.version == VersionV1 {
-		return fmt.Errorf("snapshot: stats section requires format version %d", Version)
-	}
 	if sw.statsSet {
 		return fmt.Errorf("snapshot: stats written twice")
 	}
@@ -265,11 +241,11 @@ func (sw *Writer) Stats(stats []PredStat) error {
 	return nil
 }
 
-// Close seals the snapshot: version 2 streams an empty stats section if none
-// was written, then the checksum trailer is appended and flushed. It does
-// not close the underlying writer.
+// Close seals the snapshot: an empty stats section is streamed if none was
+// written, then the checksum trailer is appended and flushed. It does not
+// close the underlying writer.
 func (sw *Writer) Close() error {
-	if sw.version != VersionV1 && !sw.statsSet {
+	if !sw.statsSet {
 		if err := sw.Stats(nil); err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"testing"
 
 	"github.com/lodviz/lodviz/internal/rdf"
@@ -172,34 +173,14 @@ func TestCorruptStringLength(t *testing.T) {
 	}
 }
 
-// encodeV1 writes the shared fixture in the legacy format.
-func encodeV1(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, VersionV1, len(testTerms), len(testTriples))
+// TestV1RoundTrip pins backward compatibility: a legacy-format stream decodes
+// to the same terms and triples through the same Reader. The image is the
+// shared fixture as the last commit that could write version 1 wrote it.
+func TestV1RoundTrip(t *testing.T) {
+	data, err := os.ReadFile("testdata/fixture-v1.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tm := range testTerms {
-		if err := w.Term(tm); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tr := range testTriples {
-		if err := w.Triple(tr.s, tr.p, tr.o); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestV1RoundTrip pins backward compatibility: a legacy-format stream decodes
-// to the same terms and triples through the same Reader.
-func TestV1RoundTrip(t *testing.T) {
-	data := encodeV1(t)
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -343,33 +324,5 @@ func TestV2RejectsUnsortedInput(t *testing.T) {
 	w = newW()
 	if err := w.Stats([]PredStat{{Pred: 2}, {Pred: 2}}); err == nil {
 		t.Fatal("unsorted stats accepted")
-	}
-}
-
-// TestV2SmallerOnHubs sanity-checks the point of the tighter coding: a hub
-// subject with one multi-valued predicate costs ~1 byte per triple in v2.
-func TestV2SmallerOnHubs(t *testing.T) {
-	write := func(version int) int {
-		var buf bytes.Buffer
-		w, err := NewWriterVersion(&buf, version, 1, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Term(rdf.IRI("http://e/hub")); err != nil {
-			t.Fatal(err)
-		}
-		for o := uint32(2); o < 1002; o++ {
-			if err := w.Triple(1, 1, o); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Len()
-	}
-	v1, v2 := write(VersionV1), write(Version)
-	if v2 >= v1 {
-		t.Fatalf("v2 hub encoding (%d bytes) not smaller than v1 (%d bytes)", v2, v1)
 	}
 }

@@ -44,6 +44,24 @@ func TestParseErrorClassified(t *testing.T) {
 	}
 }
 
+// TestTermErrorsClassifiedWithOffset: an error the shared term scanners
+// report inside a query is a parse error like any other, and says where.
+func TestTermErrorsClassifiedWithOffset(t *testing.T) {
+	for q, offset := range map[string]string{
+		`SELECT ?s WHERE { ?s ?p "bad \q" }`:           "offset 29",
+		`SELECT ?s WHERE { ?s ?p "x"^^nope:dt }`:       "offset 29",
+		`INSERT DATA { <http://e/s> <http://e/p> _: }`: "offset 42",
+	} {
+		_, err := Parse(q)
+		if strings.HasPrefix(q, "INSERT") {
+			_, err = ParseUpdate(q)
+		}
+		if !errors.Is(err, ErrParse) || !strings.Contains(err.Error(), offset) {
+			t.Errorf("%s: error %v, want an ErrParse naming %s", q, err, offset)
+		}
+	}
+}
+
 func TestExecParseErrorClassified(t *testing.T) {
 	st := errTestStore(t, 4)
 	_, err := Exec(st, "not sparql at all")

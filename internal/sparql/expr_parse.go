@@ -181,37 +181,12 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case tVar:
 		e := ExVar{Name: p.tok.text}
 		return e, p.advance()
-	case tIRI:
-		e := ExTerm{Term: rdf.IRI(p.tok.text)}
-		return e, p.advance()
-	case tPName:
-		iri, err := p.expandPName(p.tok.text)
-		if err != nil {
-			return nil, err
-		}
-		return ExTerm{Term: iri}, p.advance()
-	case tString:
-		l, err := p.parseLiteralTail(p.tok.text)
-		if err != nil {
-			return nil, err
-		}
-		return ExTerm{Term: l}, nil
-	case tInteger:
-		e := ExTerm{Term: rdf.NewTypedLiteral(p.tok.text, rdf.XSDInteger)}
-		return e, p.advance()
-	case tDecimal:
-		e := ExTerm{Term: rdf.NewTypedLiteral(p.tok.text, rdf.XSDDecimal)}
-		return e, p.advance()
-	case tDouble:
-		e := ExTerm{Term: rdf.NewTypedLiteral(p.tok.text, rdf.XSDDouble)}
+	case tTerm:
+		e := ExTerm{Term: p.tok.term}
 		return e, p.advance()
 	case tKeyword:
 		kw := p.tok.text
 		switch {
-		case kw == "TRUE":
-			return ExTerm{Term: rdf.NewBoolean(true)}, p.advance()
-		case kw == "FALSE":
-			return ExTerm{Term: rdf.NewBoolean(false)}, p.advance()
 		case isAggregateName(kw):
 			return p.parseAggregate(kw)
 		default:
@@ -295,10 +270,11 @@ func (p *parser) parseAggregate(name string) (Expr, error) {
 		if err := p.expect(tEq); err != nil {
 			return nil, err
 		}
-		if p.tok.kind != tString {
+		sep, ok := p.tok.term.(rdf.Literal)
+		if !ok || sep.Datatype != rdf.XSDString {
 			return nil, p.errf("SEPARATOR requires a string")
 		}
-		agg.Separator = p.tok.text
+		agg.Separator = sep.Lexical
 		if err := p.advance(); err != nil {
 			return nil, err
 		}

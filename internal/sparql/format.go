@@ -2,6 +2,8 @@ package sparql
 
 import (
 	"strings"
+
+	"github.com/lodviz/lodviz/internal/rdf"
 )
 
 // This file renders parsed query fragments back to SPARQL text. The
@@ -140,34 +142,10 @@ func writeExpr(b *strings.Builder, e Expr) {
 			writeExpr(b, e.Arg)
 		}
 		if e.Name == "GROUP_CONCAT" && e.Separator != " " {
-			b.WriteString("; SEPARATOR = " + quoteString(e.Separator))
+			b.WriteString("; SEPARATOR = " + rdf.NewLiteral(e.Separator).String())
 		}
 		b.WriteString(")")
 	}
-}
-
-// quoteString renders a SPARQL string literal with escapes.
-func quoteString(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
 }
 
 // BindableVars collects the variables a group pattern can bind (triple

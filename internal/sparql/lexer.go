@@ -23,13 +23,21 @@
 // pages, and wall time. Both are nil-safe and amortized per chunk/page, so the
 // uninstrumented path pays nothing; internal/explain documents the trace
 // format.
+//
+// The terminals a query shares with the data formats — IRI references,
+// strings and their escapes, language tags, blank node labels, numbers,
+// prefixed names, white space and comments — are read by the scanners of
+// internal/rdf, the same ones N-Triples, Turtle and the server's URL
+// parameters use, so a term spelled as Term.String writes it reads back as
+// that term here too. The lexer below keeps what is SPARQL's own: keywords,
+// variables, operators, and telling the '<' of an IRI from less-than.
 package sparql
 
 import (
 	"fmt"
 	"strings"
-	"unicode"
-	"unicode/utf8"
+
+	"github.com/lodviz/lodviz/internal/rdf"
 )
 
 type tokKind int
@@ -38,14 +46,7 @@ const (
 	tEOF tokKind = iota
 	tKeyword
 	tVar       // ?x or $x (text holds bare name)
-	tIRI       // <...> (text holds IRI)
-	tPName     // prefixed name pfx:local
-	tString    // string literal body
-	tLangTag   // @en
-	tDTMarker  // ^^
-	tInteger   // 42
-	tDecimal   // 4.2
-	tDouble    // 4e2
+	tTerm      // <iri>, pfx:local, _:label, "literal"@en, 42, true (term holds it)
 	tLBrace    // {
 	tRBrace    // }
 	tLParen    // (
@@ -66,21 +67,18 @@ const (
 	tPlus      // +
 	tMinus     // -
 	tSlash     // /
-	tBlank     // _:label
 	tAnon      // []
 )
 
 func (k tokKind) String() string {
 	names := map[tokKind]string{
 		tEOF: "end of query", tKeyword: "keyword", tVar: "variable",
-		tIRI: "IRI", tPName: "prefixed name", tString: "string",
-		tLangTag: "language tag", tDTMarker: "'^^'", tInteger: "integer",
-		tDecimal: "decimal", tDouble: "double", tLBrace: "'{'", tRBrace: "'}'",
+		tTerm: "term", tLBrace: "'{'", tRBrace: "'}'",
 		tLParen: "'('", tRParen: "')'", tDot: "'.'", tSemicolon: "';'",
 		tComma: "','", tStar: "'*'", tEq: "'='", tNeq: "'!='", tLt: "'<'",
 		tGt: "'>'", tLe: "'<='", tGe: "'>='", tAndAnd: "'&&'", tOrOr: "'||'",
 		tBang: "'!'", tPlus: "'+'", tMinus: "'-'", tSlash: "'/'",
-		tBlank: "blank node", tAnon: "'[]'",
+		tAnon: "'[]'",
 	}
 	if s, ok := names[k]; ok {
 		return s
@@ -91,33 +89,42 @@ func (k tokKind) String() string {
 type tok struct {
 	kind tokKind
 	text string
+	term rdf.Term
 	pos  int
 }
 
 type lexer struct {
 	src string
 	pos int
+	// prefixes is the parser's map: prefixed names are expanded as they are
+	// read, under the declarations made before them.
+	prefixes map[string]string
 }
 
 func (lx *lexer) errf(format string, args ...any) error {
 	return fmt.Errorf("sparql: offset %d: %s", lx.pos, fmt.Sprintf(format, args...))
 }
 
-func (lx *lexer) skip() {
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			lx.pos++
-			continue
-		}
-		if c == '#' {
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.pos++
-			}
-			continue
-		}
-		return
+// term makes the token of a term that starts at lx.pos out of what a scanner
+// of internal/rdf returned for it.
+func (lx *lexer) term(t rdf.Term, end int, err error) (tok, error) {
+	if err != nil {
+		return tok{}, fmt.Errorf("sparql: offset %d: %v", end, err)
 	}
+	tk := tok{kind: tTerm, term: t, pos: lx.pos}
+	lx.pos = end
+	return tk, nil
+}
+
+// prefixLabel reads the "label:" that follows PREFIX.
+func (lx *lexer) prefixLabel() (string, error) {
+	lx.pos = rdf.SkipSpace(lx.src, lx.pos)
+	label, end, err := rdf.ScanPrefixLabel(lx.src, lx.pos)
+	if err != nil {
+		return "", lx.errf("%v", err)
+	}
+	lx.pos = end
+	return label, nil
 }
 
 // keywords recognized case-insensitively.
@@ -127,7 +134,7 @@ var keywords = map[string]bool{
 	"DISTINCT": true, "REDUCED": true, "ORDER": true, "BY": true,
 	"ASC": true, "DESC": true, "LIMIT": true, "OFFSET": true,
 	"GROUP": true, "HAVING": true, "AS": true, "VALUES": true,
-	"BIND": true, "UNDEF": true, "A": true, "TRUE": true, "FALSE": true,
+	"BIND": true, "UNDEF": true, "A": true,
 	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
 	"SAMPLE": true, "GROUP_CONCAT": true, "SEPARATOR": true,
 	"REGEX": true, "BOUND": true, "STR": true, "LANG": true,
@@ -143,7 +150,7 @@ var keywords = map[string]bool{
 }
 
 func (lx *lexer) next() (tok, error) {
-	lx.skip()
+	lx.pos = rdf.SkipSpace(lx.src, lx.pos)
 	start := lx.pos
 	if lx.pos >= len(lx.src) {
 		return tok{kind: tEOF, pos: start}, nil
@@ -164,7 +171,7 @@ func (lx *lexer) next() (tok, error) {
 		return tok{kind: tRParen, pos: start}, nil
 	case '.':
 		if lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1]) {
-			return lx.lexNumber()
+			return lx.term(rdf.ScanNumber(lx.src, start))
 		}
 		lx.pos++
 		return tok{kind: tDot, pos: start}, nil
@@ -182,13 +189,13 @@ func (lx *lexer) next() (tok, error) {
 		return tok{kind: tSlash, pos: start}, nil
 	case '+':
 		if lx.pos+1 < len(lx.src) && (isDigit(lx.src[lx.pos+1]) || lx.src[lx.pos+1] == '.') {
-			return lx.lexNumber()
+			return lx.term(rdf.ScanNumber(lx.src, start))
 		}
 		lx.pos++
 		return tok{kind: tPlus, pos: start}, nil
 	case '-':
 		if lx.pos+1 < len(lx.src) && (isDigit(lx.src[lx.pos+1]) || lx.src[lx.pos+1] == '.') {
-			return lx.lexNumber()
+			return lx.term(rdf.ScanNumber(lx.src, start))
 		}
 		lx.pos++
 		return tok{kind: tMinus, pos: start}, nil
@@ -203,12 +210,10 @@ func (lx *lexer) next() (tok, error) {
 		lx.pos++
 		return tok{kind: tBang, pos: start}, nil
 	case '<':
-		// '<' may open an IRI or be a comparison. An IRI ref contains no
-		// spaces and closes with '>': decide by scanning.
-		if iriEnd := lx.iriRefEnd(); iriEnd > 0 {
-			raw := lx.src[lx.pos+1 : iriEnd]
-			lx.pos = iriEnd + 1
-			return tok{kind: tIRI, text: raw, pos: start}, nil
+		// '<' may open an IRI or be a comparison. An IRI reference holds no
+		// space and closes with '>': what does not scan as one is the operator.
+		if iri, end, err := rdf.ScanIRIRef(lx.src, start); err == nil {
+			return lx.term(iri, end, nil)
 		}
 		if strings.HasPrefix(lx.src[lx.pos:], "<=") {
 			lx.pos += 2
@@ -246,33 +251,9 @@ func (lx *lexer) next() (tok, error) {
 		}
 		return tok{kind: tVar, text: lx.src[begin:lx.pos], pos: start}, nil
 	case '"', '\'':
-		return lx.lexString(c)
-	case '@':
-		lx.pos++
-		begin := lx.pos
-		for lx.pos < len(lx.src) && (isAlpha(lx.src[lx.pos]) || lx.src[lx.pos] == '-') {
-			lx.pos++
-		}
-		if lx.pos == begin {
-			return tok{}, lx.errf("empty language tag")
-		}
-		return tok{kind: tLangTag, text: lx.src[begin:lx.pos], pos: start}, nil
-	case '^':
-		if strings.HasPrefix(lx.src[lx.pos:], "^^") {
-			lx.pos += 2
-			return tok{kind: tDTMarker, pos: start}, nil
-		}
-		return tok{}, lx.errf("stray '^'")
+		return lx.term(rdf.ScanLiteral(lx.src, start, lx.prefixes))
 	case '_':
-		if strings.HasPrefix(lx.src[lx.pos:], "_:") {
-			lx.pos += 2
-			begin := lx.pos
-			for lx.pos < len(lx.src) && isVarChar(lx.src[lx.pos]) {
-				lx.pos++
-			}
-			return tok{kind: tBlank, text: lx.src[begin:lx.pos], pos: start}, nil
-		}
-		return tok{}, lx.errf("stray '_'")
+		return lx.term(rdf.ScanBlankLabel(lx.src, start))
 	case '[':
 		j := lx.pos + 1
 		for j < len(lx.src) && (lx.src[j] == ' ' || lx.src[j] == '\t') {
@@ -285,140 +266,28 @@ func (lx *lexer) next() (tok, error) {
 		return tok{}, lx.errf("blank node property lists are not supported in queries")
 	}
 	if isDigit(c) {
-		return lx.lexNumber()
+		return lx.term(rdf.ScanNumber(lx.src, start))
 	}
-	return lx.lexWord()
-}
-
-// iriRefEnd returns the index of the closing '>' if the text at pos opens a
-// well-formed IRI reference, else -1.
-func (lx *lexer) iriRefEnd() int {
-	for i := lx.pos + 1; i < len(lx.src); i++ {
-		switch lx.src[i] {
-		case '>':
-			return i
-		case ' ', '\t', '\n', '\r', '<', '"', '{', '}':
-			return -1
-		}
-	}
-	return -1
-}
-
-func (lx *lexer) lexString(quote byte) (tok, error) {
-	start := lx.pos
-	lx.pos++
-	var b strings.Builder
-	for {
-		if lx.pos >= len(lx.src) {
-			return tok{}, lx.errf("unterminated string")
-		}
-		c := lx.src[lx.pos]
-		if c == quote {
-			lx.pos++
-			return tok{kind: tString, text: b.String(), pos: start}, nil
-		}
-		if c == '\\' {
-			if lx.pos+1 >= len(lx.src) {
-				return tok{}, lx.errf("dangling escape")
-			}
-			switch e := lx.src[lx.pos+1]; e {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"', '\'', '\\':
-				b.WriteByte(e)
-			default:
-				return tok{}, lx.errf("invalid escape \\%c", e)
-			}
-			lx.pos += 2
-			continue
-		}
-		b.WriteByte(c)
-		lx.pos++
-	}
-}
-
-func (lx *lexer) lexNumber() (tok, error) {
-	start := lx.pos
-	if c := lx.src[lx.pos]; c == '+' || c == '-' {
-		lx.pos++
-	}
-	digits := 0
-	for lx.pos < len(lx.src) && isDigit(lx.src[lx.pos]) {
-		lx.pos++
-		digits++
-	}
-	kind := tInteger
-	if lx.pos < len(lx.src) && lx.src[lx.pos] == '.' {
-		if lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1]) {
-			kind = tDecimal
-			lx.pos++
-			for lx.pos < len(lx.src) && isDigit(lx.src[lx.pos]) {
-				lx.pos++
-				digits++
-			}
-		}
-	}
-	if lx.pos < len(lx.src) && (lx.src[lx.pos] == 'e' || lx.src[lx.pos] == 'E') {
-		kind = tDouble
-		lx.pos++
-		if lx.pos < len(lx.src) && (lx.src[lx.pos] == '+' || lx.src[lx.pos] == '-') {
-			lx.pos++
-		}
-		expDigits := 0
-		for lx.pos < len(lx.src) && isDigit(lx.src[lx.pos]) {
-			lx.pos++
-			expDigits++
-		}
-		if expDigits == 0 {
-			return tok{}, lx.errf("malformed exponent")
-		}
-	}
-	if digits == 0 {
-		return tok{}, lx.errf("malformed number")
-	}
-	return tok{kind: kind, text: lx.src[start:lx.pos], pos: start}, nil
-}
-
-// lexWord scans keywords and prefixed names.
-func (lx *lexer) lexWord() (tok, error) {
-	start := lx.pos
-	for lx.pos < len(lx.src) {
-		r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
-		if !isPNRune(r) && r != ':' {
-			break
-		}
-		lx.pos += size
-	}
-	// Names may not end with '.' (it terminates the pattern).
-	for lx.pos > start && lx.src[lx.pos-1] == '.' {
-		lx.pos--
-	}
-	word := lx.src[start:lx.pos]
+	// Keywords and prefixed names.
+	word, end := rdf.ScanName(lx.src, start)
 	if word == "" {
-		return tok{}, lx.errf("unexpected character %q", lx.src[start])
+		return tok{}, lx.errf("unexpected character %q", c)
 	}
 	if strings.Contains(word, ":") {
-		return tok{kind: tPName, text: word, pos: start}, nil
+		iri, err := rdf.ExpandName(lx.prefixes, word)
+		return lx.term(iri, end, err)
 	}
-	up := strings.ToUpper(word)
-	if keywords[up] {
+	switch up := strings.ToUpper(word); {
+	case up == "TRUE" || up == "FALSE":
+		return lx.term(rdf.NewBoolean(up == "TRUE"), end, nil)
+	case keywords[up]:
+		lx.pos = end
 		return tok{kind: tKeyword, text: up, pos: start}, nil
 	}
 	return tok{}, lx.errf("unknown keyword %q", word)
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-func isAlpha(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
 func isVarChar(c byte) bool {
-	return isAlpha(c) || isDigit(c) || c == '_'
-}
-func isPNRune(r rune) bool {
-	return r == '_' || r == '-' || r == '.' ||
-		r >= '0' && r <= '9' ||
-		r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' ||
-		r > 127 && (unicode.IsLetter(r) || unicode.IsDigit(r))
+	return isDigit(c) || c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }

@@ -3,7 +3,6 @@ package sparql
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"github.com/lodviz/lodviz/internal/rdf"
 )
@@ -11,7 +10,7 @@ import (
 // Parse parses a SPARQL query string. Errors returned here (and only here)
 // match ErrParse under errors.Is.
 func Parse(src string) (*Query, error) {
-	p := &parser{lx: &lexer{src: src}, prefixes: map[string]string{}}
+	p := newParser(src)
 	if err := p.advance(); err != nil {
 		return nil, wrapParse(err)
 	}
@@ -24,6 +23,11 @@ func Parse(src string) (*Query, error) {
 	}
 	q.prefixes = p.prefixes
 	return q, nil
+}
+
+func newParser(src string) *parser {
+	prefixes := map[string]string{}
+	return &parser{lx: &lexer{src: src, prefixes: prefixes}, prefixes: prefixes}
 }
 
 type parser struct {
@@ -79,20 +83,19 @@ func (p *parser) parsePrologue() error {
 	for {
 		switch {
 		case p.isKeyword("PREFIX"):
+			label, err := p.lx.prefixLabel()
+			if err != nil {
+				return err
+			}
 			if err := p.advance(); err != nil {
 				return err
 			}
-			if p.tok.kind != tPName {
-				return p.errf("expected prefix label")
-			}
-			label := strings.TrimSuffix(p.tok.text, ":")
-			if err := p.advance(); err != nil {
-				return err
-			}
-			if p.tok.kind != tIRI {
+			ns, ok := p.tok.term.(rdf.IRI)
+			if !ok {
 				return p.errf("expected namespace IRI")
 			}
-			p.prefixes[label] = p.tok.text
+			// Declared before the next token is read: it may use the prefix.
+			p.prefixes[label] = string(ns)
 			if err := p.advance(); err != nil {
 				return err
 			}
@@ -100,7 +103,7 @@ func (p *parser) parsePrologue() error {
 			if err := p.advance(); err != nil {
 				return err
 			}
-			if p.tok.kind != tIRI {
+			if _, ok := p.tok.term.(rdf.IRI); !ok {
 				return p.errf("expected base IRI")
 			}
 			if err := p.advance(); err != nil {
@@ -307,12 +310,13 @@ func (p *parser) parseModifiers(q *Query) error {
 }
 
 func (p *parser) parseInt() (int, error) {
-	if p.tok.kind != tInteger {
+	l, _ := p.tok.term.(rdf.Literal)
+	if l.Datatype != rdf.XSDInteger {
 		return 0, p.errf("expected integer")
 	}
-	n, err := strconv.Atoi(p.tok.text)
+	n, err := strconv.Atoi(l.Lexical)
 	if err != nil || n < 0 {
-		return 0, p.errf("bad integer %q", p.tok.text)
+		return 0, p.errf("bad integer %q", l.Lexical)
 	}
 	return n, p.advance()
 }
@@ -567,18 +571,11 @@ func (p *parser) parseService() (Service, error) {
 			return Service{}, err
 		}
 	}
-	switch p.tok.kind {
-	case tIRI:
-		svc.Endpoint = p.tok.text
-	case tPName:
-		iri, err := p.expandPName(p.tok.text)
-		if err != nil {
-			return Service{}, err
-		}
-		svc.Endpoint = string(iri)
-	default:
+	endpoint, ok := p.tok.term.(rdf.IRI)
+	if !ok {
 		return Service{}, p.errf("SERVICE requires a constant endpoint IRI")
 	}
+	svc.Endpoint = string(endpoint)
 	if err := p.advance(); err != nil {
 		return Service{}, err
 	}
@@ -669,18 +666,8 @@ func (p *parser) parseNode(allowVar bool) (Node, error) {
 		}
 		n := Node{Var: p.tok.text}
 		return n, p.advance()
-	case tIRI:
-		n := Node{Term: rdf.IRI(p.tok.text)}
-		return n, p.advance()
-	case tPName:
-		iri, err := p.expandPName(p.tok.text)
-		if err != nil {
-			return Node{}, err
-		}
-		n := Node{Term: iri}
-		return n, p.advance()
-	case tBlank:
-		n := Node{Term: rdf.BlankNode(p.tok.text)}
+	case tTerm:
+		n := Node{Term: p.tok.term}
 		return n, p.advance()
 	case tAnon:
 		if p.groundOnly {
@@ -689,76 +676,9 @@ func (p *parser) parseNode(allowVar bool) (Node, error) {
 		p.bnodeSeq++
 		n := Node{Var: fmt.Sprintf("_anon%d", p.bnodeSeq)}
 		return n, p.advance()
-	case tString:
-		l, err := p.parseLiteralTail(p.tok.text)
-		if err != nil {
-			return Node{}, err
-		}
-		return Node{Term: l}, nil
-	case tInteger:
-		n := Node{Term: rdf.NewTypedLiteral(p.tok.text, rdf.XSDInteger)}
-		return n, p.advance()
-	case tDecimal:
-		n := Node{Term: rdf.NewTypedLiteral(p.tok.text, rdf.XSDDecimal)}
-		return n, p.advance()
-	case tDouble:
-		n := Node{Term: rdf.NewTypedLiteral(p.tok.text, rdf.XSDDouble)}
-		return n, p.advance()
 	case tKeyword:
-		switch p.tok.text {
-		case "TRUE":
-			n := Node{Term: rdf.NewBoolean(true)}
-			return n, p.advance()
-		case "FALSE":
-			n := Node{Term: rdf.NewBoolean(false)}
-			return n, p.advance()
-		}
 		return Node{}, p.errf("unexpected keyword %s in pattern", p.tok.text)
 	default:
 		return Node{}, p.errf("expected term or variable, found %v", p.tok.kind)
 	}
-}
-
-// parseLiteralTail consumes the string token and any @lang / ^^dt suffix.
-func (p *parser) parseLiteralTail(lex string) (rdf.Literal, error) {
-	if err := p.advance(); err != nil {
-		return rdf.Literal{}, err
-	}
-	switch p.tok.kind {
-	case tLangTag:
-		l := rdf.NewLangLiteral(lex, p.tok.text)
-		return l, p.advance()
-	case tDTMarker:
-		if err := p.advance(); err != nil {
-			return rdf.Literal{}, err
-		}
-		var dt rdf.IRI
-		switch p.tok.kind {
-		case tIRI:
-			dt = rdf.IRI(p.tok.text)
-		case tPName:
-			var err error
-			dt, err = p.expandPName(p.tok.text)
-			if err != nil {
-				return rdf.Literal{}, err
-			}
-		default:
-			return rdf.Literal{}, p.errf("expected datatype IRI")
-		}
-		return rdf.NewTypedLiteral(lex, dt), p.advance()
-	default:
-		return rdf.NewLiteral(lex), nil
-	}
-}
-
-func (p *parser) expandPName(name string) (rdf.IRI, error) {
-	idx := strings.Index(name, ":")
-	if idx < 0 {
-		return "", p.errf("not a prefixed name: %q", name)
-	}
-	ns, ok := p.prefixes[name[:idx]]
-	if !ok {
-		return "", p.errf("undeclared prefix %q", name[:idx])
-	}
-	return rdf.IRI(ns + name[idx+1:]), nil
 }

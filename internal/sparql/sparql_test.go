@@ -518,6 +518,65 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestConstantSpellings holds query constants to the spellings the data
+// formats accept: each of these failed to parse, or parsed to another term,
+// while the SPARQL lexer scanned its own terminals.
+func TestConstantSpellings(t *testing.T) {
+	cases := []struct {
+		constant string
+		want     rdf.Term
+	}{
+		{`"caf\u00e9"`, rdf.NewLiteral("café")},
+		{`"\U0001F600"`, rdf.NewLiteral("😀")},
+		{`"bell\b feed\f"`, rdf.NewLiteral("bell\b feed\f")},
+		{`"""long "quoted"
+string"""`, rdf.NewLiteral("long \"quoted\"\nstring")},
+		{`'''it's'''`, rdf.NewLiteral("it's")},
+		{`_:a-b`, rdf.BlankNode("a-b")},
+		{`_:a.b`, rdf.BlankNode("a.b")},
+		{`ex:a%20b`, rdf.IRI("http://ex/a%20b")},
+		{`ex:a\~b`, rdf.IRI("http://ex/a~b")},
+		{`<http://ex/caf\u00e9>`, rdf.IRI("http://ex/café")},
+		{`"1996"@de-1996`, rdf.NewLangLiteral("1996", "de-1996")},
+		{`"5"^^ex:int`, rdf.NewTypedLiteral("5", "http://ex/int")},
+	}
+	for _, c := range cases {
+		q, err := Parse("PREFIX ex: <http://ex/> SELECT ?s WHERE { ?s ex:p " + c.constant + " . FILTER(?s != " + c.constant + ") }")
+		if err != nil {
+			t.Errorf("%s: %v", c.constant, err)
+			continue
+		}
+		if got := q.Where.Elems[0].(TriplePattern).O.Term; got != c.want {
+			t.Errorf("%s in a pattern = %#v, want %#v", c.constant, got, c.want)
+		}
+		if got := q.Where.Filters[0].(ExBinary).Right.(ExTerm).Term; got != c.want {
+			t.Errorf("%s in a FILTER = %#v, want %#v", c.constant, got, c.want)
+		}
+	}
+	for _, bad := range []string{`_:`, `"x\q"`, `<http://ex/\u00zz>`, `"open`} {
+		if _, err := Parse("SELECT ?s WHERE { ?s ?p " + bad + " }"); err == nil {
+			t.Errorf("Parse accepted the constant %s", bad)
+		}
+	}
+}
+
+// TestEscapedIRIMatchesLoadedData is the end of the same drift: a query
+// spelling an IRI with \uXXXX finds what Turtle loaded from that spelling.
+func TestEscapedIRIMatchesLoadedData(t *testing.T) {
+	triples, err := turtle.ParseString(`<http://ex/caf\u00e9> <http://ex/serves> "espresso" .`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Load(triples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := exec(t, st, `SELECT ?what WHERE { <http://ex/caf\u00e9> <http://ex/serves> ?what }`)
+	if len(res.Rows) != 1 || res.Rows[0]["what"] != rdf.NewLiteral("espresso") {
+		t.Fatalf("rows = %v, want the one espresso", res.Rows)
+	}
+}
+
 func TestBindErrorLeavesUnbound(t *testing.T) {
 	st := testStore(t)
 	res := exec(t, st, `

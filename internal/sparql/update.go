@@ -67,7 +67,7 @@ type UpdateResult struct {
 // ';'-separated INSERT DATA / DELETE DATA / DELETE WHERE operations).
 // Errors match ErrParse under errors.Is.
 func ParseUpdate(src string) (*Update, error) {
-	p := &parser{lx: &lexer{src: src}, prefixes: map[string]string{}}
+	p := newParser(src)
 	if err := p.advance(); err != nil {
 		return nil, wrapParse(err)
 	}

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
 
 	"github.com/lodviz/lodviz/internal/rdf"
-	"github.com/lodviz/lodviz/internal/snapshot"
 )
 
 // buildMixedStore returns a store exercising every term kind plus pending
@@ -230,32 +228,15 @@ func TestSnapshotV1Restore(t *testing.T) {
 	st := buildMixedStore(t)
 	st.Compact()
 
-	// Write the v1 stream the way the old WriteSnapshot did: dictionary in
-	// ID order, then the sorted SPO index.
-	st.mu.Lock()
-	terms := st.terms[:len(st.terms):len(st.terms)]
-	spo := slices.Clip(st.index[OrderSPO])
-	st.mu.Unlock()
-	var buf bytes.Buffer
-	sw, err := snapshot.NewWriterVersion(&buf, snapshot.VersionV1, len(terms)-1, len(spo))
+	// testdata/mixed-v1.snap is this store as the last commit with a v1
+	// writer wrote it: dictionary in ID order, then the sorted SPO index.
+	image, err := os.Open("testdata/mixed-v1.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tm := range terms[1:] {
-		if err := sw.Term(tm); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, e := range spo {
-		if err := sw.Triple(uint32(e.S), uint32(e.P), uint32(e.O)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	defer image.Close()
 
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	got, err := ReadSnapshot(image)
 	if err != nil {
 		t.Fatalf("restoring v1 snapshot: %v", err)
 	}

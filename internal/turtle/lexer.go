@@ -3,30 +3,31 @@
 // base directives, prefixed names, the 'a' keyword, predicate and object
 // lists, blank node property lists, collections, and the numeric / boolean /
 // string literal shorthands.
+//
+// The terminals — IRI references, strings and their escapes, language tags,
+// blank node labels, numbers, prefixed names, white space and comments — are
+// read by the scanners of internal/rdf, the same ones N-Triples, SPARQL and
+// the server's URL parameters use. What is Turtle's own is here: directives,
+// punctuation, the 'a' keyword, and the prefixes and base a document
+// declares, applied as its names are read.
 package turtle
 
 import (
+	"errors"
 	"fmt"
 	"strings"
-	"unicode"
-	"unicode/utf8"
+
+	"github.com/lodviz/lodviz/internal/rdf"
 )
 
 type tokenKind int
 
 const (
-	tokEOF tokenKind = iota
-	tokIRIRef
-	tokPrefixedName // ex:foo or ex: or :foo
-	tokBlankLabel   // _:b1
-	tokString       // string literal body (already unescaped)
-	tokInteger
-	tokDecimal
-	tokDouble
-	tokBoolean
-	tokA          // keyword a
-	tokPrefixDecl // @prefix or PREFIX
-	tokBaseDecl   // @base or BASE
+	tokEOF        tokenKind = iota
+	tokTerm                 // an IRI, blank node label or literal, resolved: token.term
+	tokA                    // keyword a
+	tokPrefixDecl           // @prefix or PREFIX
+	tokBaseDecl             // @base or BASE
 	tokDot
 	tokSemicolon
 	tokComma
@@ -34,21 +35,16 @@ const (
 	tokRBracket
 	tokLParen
 	tokRParen
-	tokLangTag    // @en
-	tokDatatypeMk // ^^
-	tokAnon       // []
+	tokAnon // []
 )
 
 func (k tokenKind) String() string {
 	names := map[tokenKind]string{
-		tokEOF: "EOF", tokIRIRef: "IRI", tokPrefixedName: "prefixed name",
-		tokBlankLabel: "blank node", tokString: "string", tokInteger: "integer",
-		tokDecimal: "decimal", tokDouble: "double", tokBoolean: "boolean",
+		tokEOF: "EOF", tokTerm: "term",
 		tokA: "'a'", tokPrefixDecl: "@prefix", tokBaseDecl: "@base",
 		tokDot: "'.'", tokSemicolon: "';'", tokComma: "','",
 		tokLBracket: "'['", tokRBracket: "']'", tokLParen: "'('",
-		tokRParen: "')'", tokLangTag: "language tag", tokDatatypeMk: "'^^'",
-		tokAnon: "'[]'",
+		tokRParen: "')'", tokAnon: "'[]'",
 	}
 	if s, ok := names[k]; ok {
 		return s
@@ -58,383 +54,122 @@ func (k tokenKind) String() string {
 
 type token struct {
 	kind tokenKind
-	text string
+	term rdf.Term
 	line int
 }
 
 type lexer struct {
-	src  string
-	pos  int
-	line int
+	src string
+	pos int
+	// line is the line of src[counted]; lineAt moves both forward.
+	line, counted int
+	// What the document has declared so far. Names are resolved as they are
+	// read, so a token never outlives the declarations it was read under.
+	prefixes map[string]string
+	base     string
 }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1}
+	return &lexer{src: src, line: 1, prefixes: map[string]string{}}
 }
 
-func (lx *lexer) errf(format string, args ...any) error {
-	return fmt.Errorf("turtle: line %d: %s", lx.line, fmt.Sprintf(format, args...))
-}
-
-func (lx *lexer) peekByte() byte {
-	if lx.pos >= len(lx.src) {
-		return 0
+// lineAt returns the line of offset pos. Offsets are asked about in
+// increasing order, so each newline is counted once.
+func (lx *lexer) lineAt(pos int) int {
+	if pos > lx.counted {
+		lx.line += strings.Count(lx.src[lx.counted:pos], "\n")
+		lx.counted = pos
 	}
-	return lx.src[lx.pos]
+	return lx.line
 }
 
-func (lx *lexer) skipSpaceAndComments() {
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		switch {
-		case c == '\n':
-			lx.line++
-			lx.pos++
-		case c == ' ' || c == '\t' || c == '\r':
-			lx.pos++
-		case c == '#':
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.pos++
-			}
-		default:
-			return
-		}
-	}
+func (lx *lexer) errAt(pos int, err error) error {
+	return fmt.Errorf("turtle: line %d: %v", lx.lineAt(pos), err)
+}
+
+var punctuation = map[byte]tokenKind{
+	';': tokSemicolon, ',': tokComma, '(': tokLParen, ')': tokRParen,
+	'[': tokLBracket, ']': tokRBracket, '.': tokDot,
 }
 
 // next returns the next token.
 func (lx *lexer) next() (token, error) {
-	lx.skipSpaceAndComments()
-	if lx.pos >= len(lx.src) {
-		return token{kind: tokEOF, line: lx.line}, nil
+	src := lx.src
+	start := rdf.SkipSpace(src, lx.pos)
+	lx.pos = start
+	if start >= len(src) {
+		return lx.emit(tokEOF, nil, start), nil
 	}
-	start := lx.line
-	c := lx.src[lx.pos]
-	switch c {
-	case '<':
-		return lx.lexIRIRef()
-	case '"', '\'':
-		return lx.lexString(c)
-	case '.':
-		// Distinguish statement dot from leading decimal point: a dot
-		// followed by a digit is numeric.
-		if lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1]) {
-			return lx.lexNumber()
+	digitAt := func(i int) bool { return i < len(src) && src[i] >= '0' && src[i] <= '9' }
+	switch c := src[start]; {
+	case c == '<':
+		iri, end, err := rdf.ScanIRIRef(src, start)
+		return lx.term(rdf.IRI(lx.resolveIRI(string(iri))), end, err)
+	case c == '"' || c == '\'':
+		l, end, err := rdf.ScanLiteral(src, start, lx.prefixes)
+		l.Datatype = rdf.IRI(lx.resolveIRI(string(l.Datatype)))
+		return lx.term(l, end, err)
+	case c == '_':
+		return lx.term(rdf.ScanBlankLabel(src, start))
+	case c == '+' || c == '-' || digitAt(start) || c == '.' && digitAt(start+1):
+		return lx.term(rdf.ScanNumber(src, start))
+	case c == '[':
+		// ANON: '[' ws* ']'
+		if end := rdf.SkipSpace(src, start+1); end < len(src) && src[end] == ']' {
+			return lx.emit(tokAnon, nil, end+1), nil
 		}
-		lx.pos++
-		return token{kind: tokDot, line: start}, nil
-	case ';':
-		lx.pos++
-		return token{kind: tokSemicolon, line: start}, nil
-	case ',':
-		lx.pos++
-		return token{kind: tokComma, line: start}, nil
-	case '(':
-		lx.pos++
-		return token{kind: tokLParen, line: start}, nil
-	case ')':
-		lx.pos++
-		return token{kind: tokRParen, line: start}, nil
-	case '[':
-		// Look ahead for ANON: '[' ws* ']'
-		j := lx.pos + 1
-		for j < len(lx.src) && (lx.src[j] == ' ' || lx.src[j] == '\t') {
-			j++
+	case c == '@':
+		// A language tag is read with its string; what is left is a directive.
+		switch word, end := rdf.ScanName(src, start+1); word {
+		case "prefix":
+			return lx.emit(tokPrefixDecl, nil, end), nil
+		case "base":
+			return lx.emit(tokBaseDecl, nil, end), nil
 		}
-		if j < len(lx.src) && lx.src[j] == ']' {
-			lx.pos = j + 1
-			return token{kind: tokAnon, line: start}, nil
-		}
-		lx.pos++
-		return token{kind: tokLBracket, line: start}, nil
-	case ']':
-		lx.pos++
-		return token{kind: tokRBracket, line: start}, nil
-	case '@':
-		return lx.lexAtKeywordOrLang()
-	case '^':
-		if strings.HasPrefix(lx.src[lx.pos:], "^^") {
-			lx.pos += 2
-			return token{kind: tokDatatypeMk, line: start}, nil
-		}
-		return token{}, lx.errf("unexpected '^'")
-	case '_':
-		return lx.lexBlankLabel()
-	case '+', '-':
-		return lx.lexNumber()
+		return token{}, lx.errAt(start, errors.New("expected @prefix or @base"))
 	}
-	if isDigit(c) {
-		return lx.lexNumber()
+	if kind, ok := punctuation[src[start]]; ok {
+		return lx.emit(kind, nil, start+1), nil
 	}
 	// Keywords, booleans, prefixed names.
-	return lx.lexNameOrKeyword()
-}
-
-func (lx *lexer) lexIRIRef() (token, error) {
-	start := lx.line
-	end := strings.IndexByte(lx.src[lx.pos:], '>')
-	if end < 0 {
-		return token{}, lx.errf("unterminated IRI reference")
-	}
-	raw := lx.src[lx.pos+1 : lx.pos+end]
-	lx.pos += end + 1
-	if strings.ContainsAny(raw, " \n\t") {
-		return token{}, lx.errf("whitespace in IRI reference %q", raw)
-	}
-	unescaped, err := unescapeTurtle(raw, false)
-	if err != nil {
-		return token{}, lx.errf("%v", err)
-	}
-	return token{kind: tokIRIRef, text: unescaped, line: start}, nil
-}
-
-// lexString handles "...", '...', """...""" and ”'...”'.
-func (lx *lexer) lexString(quote byte) (token, error) {
-	start := lx.line
-	long := strings.HasPrefix(lx.src[lx.pos:], strings.Repeat(string(quote), 3))
-	var body string
-	if long {
-		lx.pos += 3
-		end := strings.Index(lx.src[lx.pos:], strings.Repeat(string(quote), 3))
-		if end < 0 {
-			return token{}, lx.errf("unterminated long string")
-		}
-		body = lx.src[lx.pos : lx.pos+end]
-		lx.line += strings.Count(body, "\n")
-		lx.pos += end + 3
-	} else {
-		lx.pos++
-		var b strings.Builder
-		for {
-			if lx.pos >= len(lx.src) {
-				return token{}, lx.errf("unterminated string")
-			}
-			c := lx.src[lx.pos]
-			if c == quote {
-				lx.pos++
-				break
-			}
-			if c == '\n' {
-				return token{}, lx.errf("newline in short string")
-			}
-			if c == '\\' {
-				if lx.pos+1 >= len(lx.src) {
-					return token{}, lx.errf("dangling escape")
-				}
-				b.WriteByte(c)
-				b.WriteByte(lx.src[lx.pos+1])
-				lx.pos += 2
-				continue
-			}
-			b.WriteByte(c)
-			lx.pos++
-		}
-		body = b.String()
-	}
-	unescaped, err := unescapeTurtle(body, true)
-	if err != nil {
-		return token{}, lx.errf("%v", err)
-	}
-	return token{kind: tokString, text: unescaped, line: start}, nil
-}
-
-func (lx *lexer) lexAtKeywordOrLang() (token, error) {
-	start := lx.line
-	lx.pos++ // consume '@'
-	begin := lx.pos
-	for lx.pos < len(lx.src) && (isAlpha(lx.src[lx.pos]) || lx.src[lx.pos] == '-') {
-		lx.pos++
-	}
-	word := lx.src[begin:lx.pos]
-	switch word {
-	case "prefix":
-		return token{kind: tokPrefixDecl, line: start}, nil
-	case "base":
-		return token{kind: tokBaseDecl, line: start}, nil
-	case "":
-		return token{}, lx.errf("empty language tag")
-	}
-	return token{kind: tokLangTag, text: word, line: start}, nil
-}
-
-func (lx *lexer) lexBlankLabel() (token, error) {
-	start := lx.line
-	if !strings.HasPrefix(lx.src[lx.pos:], "_:") {
-		return token{}, lx.errf("expected blank node label")
-	}
-	lx.pos += 2
-	begin := lx.pos
-	for lx.pos < len(lx.src) && isPNChar(rune(lx.src[lx.pos])) {
-		lx.pos++
-	}
-	// A label may not end with '.': trailing dots are statement terminators.
-	for lx.pos > begin && lx.src[lx.pos-1] == '.' {
-		lx.pos--
-	}
-	if lx.pos == begin {
-		return token{}, lx.errf("empty blank node label")
-	}
-	return token{kind: tokBlankLabel, text: lx.src[begin:lx.pos], line: start}, nil
-}
-
-func (lx *lexer) lexNumber() (token, error) {
-	start := lx.line
-	begin := lx.pos
-	if lx.peekByte() == '+' || lx.peekByte() == '-' {
-		lx.pos++
-	}
-	digits := 0
-	for lx.pos < len(lx.src) && isDigit(lx.src[lx.pos]) {
-		lx.pos++
-		digits++
-	}
-	kind := tokInteger
-	if lx.peekByte() == '.' && lx.pos+1 < len(lx.src) && isDigit(lx.src[lx.pos+1]) {
-		kind = tokDecimal
-		lx.pos++
-		for lx.pos < len(lx.src) && isDigit(lx.src[lx.pos]) {
-			lx.pos++
-			digits++
-		}
-	}
-	if c := lx.peekByte(); c == 'e' || c == 'E' {
-		kind = tokDouble
-		lx.pos++
-		if c := lx.peekByte(); c == '+' || c == '-' {
-			lx.pos++
-		}
-		expDigits := 0
-		for lx.pos < len(lx.src) && isDigit(lx.src[lx.pos]) {
-			lx.pos++
-			expDigits++
-		}
-		if expDigits == 0 {
-			return token{}, lx.errf("malformed double exponent")
-		}
-	}
-	if digits == 0 {
-		return token{}, lx.errf("malformed numeric literal")
-	}
-	return token{kind: kind, text: lx.src[begin:lx.pos], line: start}, nil
-}
-
-// lexNameOrKeyword scans prefixed names (pfx:local, :local, pfx:), the 'a'
-// keyword, booleans, and SPARQL-style PREFIX/BASE directives.
-func (lx *lexer) lexNameOrKeyword() (token, error) {
-	start := lx.line
-	begin := lx.pos
-	for lx.pos < len(lx.src) {
-		r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
-		if !isPNChar(r) && r != ':' && r != '%' && r != '\\' {
-			break
-		}
-		if r == '\\' && lx.pos+1 < len(lx.src) {
-			// local-name escape like \~ — keep both bytes.
-			lx.pos += 2
-			continue
-		}
-		lx.pos += size
-	}
-	// A name may not end with '.': trailing dots terminate the statement.
-	for lx.pos > begin && lx.src[lx.pos-1] == '.' {
-		lx.pos--
-	}
-	word := lx.src[begin:lx.pos]
-	if word == "" {
-		return token{}, lx.errf("unexpected character %q", lx.src[begin])
-	}
-	switch word {
-	case "a":
-		return token{kind: tokA, line: start}, nil
-	case "true", "false":
-		return token{kind: tokBoolean, text: word, line: start}, nil
-	}
-	switch strings.ToUpper(word) {
-	case "PREFIX":
-		return token{kind: tokPrefixDecl, line: start}, nil
-	case "BASE":
-		return token{kind: tokBaseDecl, line: start}, nil
-	}
-	if !strings.Contains(word, ":") {
-		return token{}, lx.errf("unknown keyword or missing colon in %q", word)
-	}
-	return token{kind: tokPrefixedName, text: word, line: start}, nil
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-func isAlpha(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
-
-// isPNChar approximates Turtle's PN_CHARS production, accepting letters,
-// digits, underscore, hyphen, dot and any non-ASCII letter.
-func isPNChar(r rune) bool {
-	return r == '_' || r == '-' || r == '.' ||
-		r >= '0' && r <= '9' ||
-		r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' ||
-		r > 127 && (unicode.IsLetter(r) || unicode.IsDigit(r))
-}
-
-// unescapeTurtle resolves string escapes (\n, \t, \uXXXX, \UXXXXXXXX, ...).
-// When inString is false only \u escapes are allowed (IRI references).
-func unescapeTurtle(s string, inString bool) (string, error) {
-	if !strings.ContainsRune(s, '\\') {
-		return s, nil
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		if s[i] != '\\' {
-			b.WriteByte(s[i])
-			i++
-			continue
-		}
-		if i+1 >= len(s) {
-			return "", fmt.Errorf("dangling escape")
-		}
-		c := s[i+1]
-		switch c {
-		case 'u', 'U':
-			n := 4
-			if c == 'U' {
-				n = 8
-			}
-			if i+2+n > len(s) {
-				return "", fmt.Errorf("short unicode escape")
-			}
-			var v rune
-			for _, h := range s[i+2 : i+2+n] {
-				d, ok := hexVal(byte(h))
-				if !ok {
-					return "", fmt.Errorf("invalid hex digit %q", h)
-				}
-				v = v<<4 | d
-			}
-			b.WriteRune(v)
-			i += 2 + n
-		case 't', 'n', 'r', 'b', 'f', '"', '\'', '\\':
-			if !inString && c != '\\' {
-				return "", fmt.Errorf("escape \\%c not allowed in IRI", c)
-			}
-			b.WriteByte(map[byte]byte{'t': '\t', 'n': '\n', 'r': '\r', 'b': '\b', 'f': '\f', '"': '"', '\'': '\'', '\\': '\\'}[c])
-			i += 2
-		default:
-			if inString {
-				return "", fmt.Errorf("invalid escape \\%c", c)
-			}
-			// Local-name escapes outside strings: keep the character.
-			b.WriteByte(c)
-			i += 2
-		}
-	}
-	return b.String(), nil
-}
-
-func hexVal(c byte) (rune, bool) {
+	word, end := rdf.ScanName(src, start)
 	switch {
-	case c >= '0' && c <= '9':
-		return rune(c - '0'), true
-	case c >= 'a' && c <= 'f':
-		return rune(c-'a') + 10, true
-	case c >= 'A' && c <= 'F':
-		return rune(c-'A') + 10, true
+	case word == "":
+		return token{}, lx.errAt(start, fmt.Errorf("unexpected character %q", src[start]))
+	case word == "a":
+		return lx.emit(tokA, nil, end), nil
+	case word == "true" || word == "false":
+		return lx.term(rdf.NewTypedLiteral(word, rdf.XSDBoolean), end, nil)
+	case strings.EqualFold(word, "PREFIX"):
+		return lx.emit(tokPrefixDecl, nil, end), nil
+	case strings.EqualFold(word, "BASE"):
+		return lx.emit(tokBaseDecl, nil, end), nil
 	}
-	return 0, false
+	iri, err := rdf.ExpandName(lx.prefixes, word)
+	return lx.term(iri, end, err)
+}
+
+// emit returns the token that starts at lx.pos and ends before end.
+func (lx *lexer) emit(kind tokenKind, t rdf.Term, end int) token {
+	tk := token{kind: kind, term: t, line: lx.lineAt(lx.pos)}
+	lx.pos = end
+	return tk
+}
+
+// term is emit for what a scanner of internal/rdf returned.
+func (lx *lexer) term(t rdf.Term, end int, err error) (token, error) {
+	if err != nil {
+		return token{}, lx.errAt(end, err)
+	}
+	return lx.emit(tokTerm, t, end), nil
+}
+
+// prefixLabel reads the "label:" that follows @prefix or PREFIX.
+func (lx *lexer) prefixLabel() (string, error) {
+	label, end, err := rdf.ScanPrefixLabel(lx.src, rdf.SkipSpace(lx.src, lx.pos))
+	if err != nil {
+		return "", lx.errAt(end, err)
+	}
+	lx.pos = end
+	return label, nil
 }

@@ -12,8 +12,6 @@ type Parser struct {
 	lx       *lexer
 	tok      token
 	peeked   *token
-	prefixes map[string]string
-	base     string
 	out      []rdf.Triple
 	bnodeSeq int
 }
@@ -22,9 +20,9 @@ type Parser struct {
 // declarations inside the document are honored; extraPrefixes (may be nil)
 // provides out-of-band prefixes, as SPARQL endpoints commonly do.
 func Parse(src string, extraPrefixes map[string]string) ([]rdf.Triple, error) {
-	p := &Parser{lx: newLexer(src), prefixes: map[string]string{}}
+	p := &Parser{lx: newLexer(src)}
 	for k, v := range extraPrefixes {
-		p.prefixes[k] = v
+		p.lx.prefixes[k] = v
 	}
 	if err := p.advance(); err != nil {
 		return nil, err
@@ -88,42 +86,39 @@ func (p *Parser) parseStatement() error {
 	}
 }
 
+// A declaration takes effect before the token after it is read: that token
+// may already be a name the declaration resolves.
 func (p *Parser) parsePrefix() error {
-	if err := p.advance(); err != nil {
+	label, err := p.lx.prefixLabel()
+	if err != nil {
 		return err
-	}
-	if p.tok.kind != tokPrefixedName {
-		return p.errf("expected prefix label, found %v", p.tok.kind)
-	}
-	label := strings.TrimSuffix(p.tok.text, ":")
-	if strings.Contains(label, ":") {
-		return p.errf("malformed prefix label %q", p.tok.text)
 	}
 	if err := p.advance(); err != nil {
 		return err
 	}
-	if p.tok.kind != tokIRIRef {
-		return p.errf("expected namespace IRI, found %v", p.tok.kind)
-	}
-	p.prefixes[label] = p.resolveIRI(p.tok.text)
-	if err := p.advance(); err != nil {
+	ns, err := p.iri()
+	if err != nil {
 		return err
 	}
-	// '@prefix' requires a terminating dot; SPARQL-style 'PREFIX' forbids it.
-	if p.tok.kind == tokDot {
-		return p.advance()
-	}
-	return nil
+	p.lx.prefixes[label] = string(ns)
+	return p.endDirective()
 }
 
 func (p *Parser) parseBase() error {
 	if err := p.advance(); err != nil {
 		return err
 	}
-	if p.tok.kind != tokIRIRef {
-		return p.errf("expected base IRI, found %v", p.tok.kind)
+	base, err := p.iri()
+	if err != nil {
+		return err
 	}
-	p.base = p.resolveIRI(p.tok.text)
+	p.lx.base = string(base)
+	return p.endDirective()
+}
+
+// endDirective steps over the directive's IRI and the dot that '@prefix' and
+// '@base' require and SPARQL-style 'PREFIX' and 'BASE' forbid.
+func (p *Parser) endDirective() error {
 	if err := p.advance(); err != nil {
 		return err
 	}
@@ -156,49 +151,30 @@ func (p *Parser) parseTriples() error {
 }
 
 func (p *Parser) parseSubject() (rdf.Term, error) {
-	switch p.tok.kind {
-	case tokIRIRef, tokPrefixedName:
-		return p.parseIRITerm()
-	case tokBlankLabel:
-		b := rdf.BlankNode(p.tok.text)
-		return b, p.advance()
-	case tokAnon:
-		b := p.freshBlank()
-		return b, p.advance()
-	case tokLParen:
-		return p.parseCollection()
+	switch {
+	case p.tok.kind == tokTerm && p.tok.term.Kind() != rdf.KindLiteral,
+		p.tok.kind == tokAnon, p.tok.kind == tokLParen:
+		return p.parseObject()
 	default:
 		return nil, p.errf("expected subject, found %v", p.tok.kind)
 	}
 }
 
-func (p *Parser) parseIRITerm() (rdf.IRI, error) {
-	switch p.tok.kind {
-	case tokIRIRef:
-		iri := rdf.IRI(p.resolveIRI(p.tok.text))
-		return iri, p.advance()
-	case tokPrefixedName:
-		iri, err := p.expandPrefixed(p.tok.text)
-		if err != nil {
-			return "", err
-		}
-		return iri, p.advance()
-	default:
+// iri returns the IRI the current token must be.
+func (p *Parser) iri() (rdf.IRI, error) {
+	iri, ok := p.tok.term.(rdf.IRI)
+	if !ok {
 		return "", p.errf("expected IRI, found %v", p.tok.kind)
 	}
+	return iri, nil
 }
 
-func (p *Parser) expandPrefixed(name string) (rdf.IRI, error) {
-	idx := strings.Index(name, ":")
-	if idx < 0 {
-		return "", p.errf("not a prefixed name: %q", name)
+func (p *Parser) parseIRITerm() (rdf.IRI, error) {
+	iri, err := p.iri()
+	if err != nil {
+		return "", err
 	}
-	prefix, local := name[:idx], name[idx+1:]
-	ns, ok := p.prefixes[prefix]
-	if !ok {
-		return "", p.errf("undeclared prefix %q", prefix)
-	}
-	return rdf.IRI(ns + local), nil
+	return iri, p.advance()
 }
 
 func (p *Parser) parsePredicateObjectList(subj rdf.Term) error {
@@ -252,11 +228,9 @@ func (p *Parser) parseObjectList(subj rdf.Term, pred rdf.IRI) error {
 
 func (p *Parser) parseObject() (rdf.Term, error) {
 	switch p.tok.kind {
-	case tokIRIRef, tokPrefixedName:
-		return p.parseIRITerm()
-	case tokBlankLabel:
-		b := rdf.BlankNode(p.tok.text)
-		return b, p.advance()
+	case tokTerm:
+		t := p.tok.term
+		return t, p.advance()
 	case tokAnon:
 		b := p.freshBlank()
 		return b, p.advance()
@@ -264,45 +238,8 @@ func (p *Parser) parseObject() (rdf.Term, error) {
 		return p.parseBlankNodePropertyList()
 	case tokLParen:
 		return p.parseCollection()
-	case tokString:
-		return p.parseLiteralFromString()
-	case tokInteger:
-		l := rdf.NewTypedLiteral(p.tok.text, rdf.XSDInteger)
-		return l, p.advance()
-	case tokDecimal:
-		l := rdf.NewTypedLiteral(p.tok.text, rdf.XSDDecimal)
-		return l, p.advance()
-	case tokDouble:
-		l := rdf.NewTypedLiteral(p.tok.text, rdf.XSDDouble)
-		return l, p.advance()
-	case tokBoolean:
-		l := rdf.NewTypedLiteral(p.tok.text, rdf.XSDBoolean)
-		return l, p.advance()
 	default:
 		return nil, p.errf("expected object, found %v", p.tok.kind)
-	}
-}
-
-func (p *Parser) parseLiteralFromString() (rdf.Term, error) {
-	lex := p.tok.text
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	switch p.tok.kind {
-	case tokLangTag:
-		l := rdf.NewLangLiteral(lex, p.tok.text)
-		return l, p.advance()
-	case tokDatatypeMk:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		dt, err := p.parseIRITerm()
-		if err != nil {
-			return nil, err
-		}
-		return rdf.NewTypedLiteral(lex, dt), nil
-	default:
-		return rdf.NewLiteral(lex), nil
 	}
 }
 
@@ -356,33 +293,33 @@ func (p *Parser) parseCollection() (rdf.Term, error) {
 // resolveIRI resolves iri against the current @base using a pragmatic subset
 // of RFC 3986: absolute IRIs (with a scheme) pass through; fragment-only,
 // absolute-path and relative-path references are joined to the base.
-func (p *Parser) resolveIRI(iri string) string {
-	if p.base == "" || hasScheme(iri) {
+func (lx *lexer) resolveIRI(iri string) string {
+	if lx.base == "" || hasScheme(iri) {
 		return iri
 	}
 	switch {
 	case iri == "":
-		return p.base
+		return lx.base
 	case strings.HasPrefix(iri, "#"):
-		if i := strings.IndexByte(p.base, '#'); i >= 0 {
-			return p.base[:i] + iri
+		if i := strings.IndexByte(lx.base, '#'); i >= 0 {
+			return lx.base[:i] + iri
 		}
-		return p.base + iri
+		return lx.base + iri
 	case strings.HasPrefix(iri, "/"):
 		// Keep scheme://authority of base.
-		if i := strings.Index(p.base, "://"); i >= 0 {
-			rest := p.base[i+3:]
+		if i := strings.Index(lx.base, "://"); i >= 0 {
+			rest := lx.base[i+3:]
 			if j := strings.IndexByte(rest, '/'); j >= 0 {
-				return p.base[:i+3+j] + iri
+				return lx.base[:i+3+j] + iri
 			}
 		}
-		return strings.TrimSuffix(p.base, "/") + iri
+		return strings.TrimSuffix(lx.base, "/") + iri
 	default:
 		// Relative path: replace everything after the last '/'.
-		if i := strings.LastIndexByte(p.base, '/'); i >= 0 {
-			return p.base[:i+1] + iri
+		if i := strings.LastIndexByte(lx.base, '/'); i >= 0 {
+			return lx.base[:i+1] + iri
 		}
-		return p.base + iri
+		return lx.base + iri
 	}
 }
 

@@ -213,6 +213,52 @@ func TestLongStrings(t *testing.T) {
 	}
 }
 
+// TestLongStringEscapedQuote: the closing delimiter is the first three quotes
+// no backslash escapes, which a search for `"""` alone gets wrong.
+func TestLongStringEscapedQuote(t *testing.T) {
+	for src, want := range map[string]string{
+		`<http://e/s> <http://e/p> """x\"""" .`:           `x"`,
+		`<http://e/s> <http://e/p> """a\"""b""" .`:        `a"""b`,
+		`<http://e/s> <http://e/p> '''it's \'''' .`:       `it's '`,
+		`<http://e/s> <http://e/p> """two "" inside""" .`: `two "" inside`,
+	} {
+		ts := mustParse(t, src)
+		if got := ts[0].O.(rdf.Literal).Lexical; got != want {
+			t.Errorf("%s: lexical = %q, want %q", src, got, want)
+		}
+	}
+}
+
+// TestSharedTerminals pins what Turtle gained from reading its terminals
+// through internal/rdf: local-name escapes are resolved, a language subtag
+// may hold digits, and an IRI escape cannot smuggle in a delimiter.
+func TestSharedTerminals(t *testing.T) {
+	ts := mustParse(t, `
+@prefix ex: <http://example.org/> .
+ex:a\~b ex:p%20q "1996"@de-1996 , "5" ^^ ex:int , 'single' .
+`)
+	if ts[0].S != rdf.IRI("http://example.org/a~b") || ts[0].P != rdf.IRI("http://example.org/p%20q") {
+		t.Errorf("escaped names = %v %v", ts[0].S, ts[0].P)
+	}
+	want := []rdf.Term{rdf.NewLangLiteral("1996", "de-1996"), rdf.NewTypedLiteral("5", "http://example.org/int"), rdf.NewLiteral("single")}
+	for i, w := range want {
+		if ts[i].O != w {
+			t.Errorf("object %d = %#v, want %#v", i, ts[i].O, w)
+		}
+	}
+	for _, bad := range []string{
+		`<http://e/s\u003e> <http://e/p> "x" .`,
+		`<http://e/s\\t> <http://e/p> "x" .`,
+		`<http://e/s> <http://e/p> "x"@ .`,
+		`<http://e/s> <http://e/p> _: .`,
+		`<http://e/s> <http://e/p> @en .`,
+	} {
+		if _, err := ParseString(bad); err == nil {
+			t.Errorf("ParseString(%s) succeeded, want error", bad)
+		}
+	}
+}
+
 func TestCommentsIgnored(t *testing.T) {
 	src := `
 # full line comment
@@ -252,6 +298,21 @@ func TestSyntaxErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := ParseString(src); err == nil {
 			t.Errorf("ParseString(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestErrorLine: errors name the line of the offending text, also after a
+// token that spans lines and for errors the term scanners report.
+func TestErrorLine(t *testing.T) {
+	for src, line := range map[string]string{
+		"@prefix ex: <http://e/> .\nex:s ex:p \"\"\"one\ntwo\nthree\"\"\" ;\n  ex:q \"bad \\q\" .": "line 5:",
+		"<http://e/s>\n<http://e/p>\nnope:o .":                                                     "line 3:",
+		"<http://e/s> # comment\n\n  <http://e/p> <http://e/o> ;\n;\n<x> .":                        "line 5:",
+		"<http://e/s> <http://e/p>\n\"never closed":                                                "line 2:",
+	} {
+		if _, err := ParseString(src); err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("ParseString(%q) = %v, want an error on %s", src, err, line)
 		}
 	}
 }

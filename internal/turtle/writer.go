@@ -56,7 +56,7 @@ func Write(w io.Writer, triples []rdf.Triple, prefixes map[string]string) error 
 			if tt.Lang == "" && tt.Datatype != "" && tt.Datatype != rdf.XSDString {
 				if short, ok := shorten(tt.Datatype); ok {
 					used[strings.SplitN(short, ":", 2)[0]] = true
-					return quoteLiteralTurtle(tt.Lexical) + "^^" + short
+					return rdf.NewLiteral(tt.Lexical).String() + "^^" + short
 				}
 			}
 			return tt.String()
@@ -162,32 +162,9 @@ func isSafeLocal(s string) bool {
 		return false
 	}
 	for _, r := range s {
-		if !isPNChar(r) {
+		if !rdf.IsPNChar(r) {
 			return false
 		}
 	}
 	return true
-}
-
-func quoteLiteralTurtle(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
 }

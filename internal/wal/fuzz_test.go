@@ -21,6 +21,7 @@ func FuzzWALDecode(f *testing.F) {
 	}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte("00000000\x02\x80\x00")) // a triple count of zero padded to two bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodePayload(data)
 		if err != nil {

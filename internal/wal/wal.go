@@ -569,7 +569,9 @@ type payloadDecoder struct {
 
 func (d *payloadDecoder) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	// A final zero byte after others pads the value: the encoder never
+	// writes that, and the ledger hashes payloads, so there is one spelling.
+	if n <= 0 || n > 1 && d.buf[d.off+n-1] == 0 {
 		return 0, fmt.Errorf("%w: bad uvarint at offset %d", ErrCorrupt, d.off)
 	}
 	d.off += n
