@@ -317,8 +317,9 @@ func (s *Server) facetParams(r *http.Request) (max int, filters []facet.Filter, 
 		// it ends at the '>' before the separator, not at the first '='.
 		pred, val, ok := strings.Cut(f, "=")
 		if strings.HasPrefix(f, "<") {
-			pred, val, ok = strings.Cut(f, ">=")
-			pred += ">"
+			if _, val, ok = strings.Cut(f, ">="); ok {
+				pred = f[:len(f)-len(val)-1]
+			}
 		}
 		if !ok {
 			return 0, nil, nil, http.StatusBadRequest, "filter must be <predicate>=<value>: " + f
