@@ -90,13 +90,16 @@ bench:
 # streaming LIMIT-pushdown pair, the store→hierarchy path (a base
 # collected from scratch, and a cut over a kept one), and the two text
 # decoders a request body goes through (a bulk_ingest-sized N-Triples body,
-# the session_cold query shapes and an INSERT DATA): verifies the
+# the session_cold query shapes and an INSERT DATA), and the store's
+# statistics tally (a summary read at 110k triples; a 2000-triple add+delete
+# with the tally not built and built): verifies the
 # benchmark paths execute,
 # without timing noise gating CI. Timing regressions are gated separately
 # by bench-regression against the committed baseline.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BGP -benchtime=1x .
 	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite' -benchtime=1x ./internal/store
+	$(GO) test -run='^$$' -bench='ComputeStats|AddDeleteBatch2000' -benchtime=1x -benchmem ./internal/store
 	$(GO) test -run='^$$' -bench=BindJoin -benchtime=1x ./internal/federation
 	$(GO) test -run='^$$' -bench=LimitPushdown -benchtime=1x .
 	$(GO) test -run='^$$' -bench='FromSource|LevelOverSharedBase' -benchtime=1x -benchmem ./internal/hetree

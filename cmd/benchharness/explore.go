@@ -37,8 +37,9 @@ func exploreFacetStore() *store.Store {
 // exploreScenarios measures the progressive exploration layer against the
 // paths it replaced: the ID-space facet distribution vs the old per-entity
 // term-space aggregation (the PR's ≥3x acceptance bar), the progressive
-// stats first-estimate latency vs the exact one-pass scan, and the direct
-// ID-space neighborhood expansion vs rebuilding the whole graph per request.
+// stats first-estimate latency vs the exact answer (a read of the store's
+// maintained tally), and the direct ID-space neighborhood expansion vs
+// rebuilding the whole graph per request.
 func exploreScenarios() []benchResult {
 	st := benchStore()
 	ctx := context.Background()
@@ -69,8 +70,10 @@ func exploreScenarios() []benchResult {
 		}
 	})
 
-	// Stats: time to the first CLT-bounded estimate (stop after the first
-	// emitted batch) vs the exact single-pass computation.
+	// Stats: time to the first CLT-bounded estimate of a walk (stop after
+	// the first emitted batch) vs the exact answer, which is a read of the
+	// store's maintained tally (the first call builds it; the timed calls
+	// after it do not walk).
 	statsFirstMS := msPerOp(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, err := explore.StreamStats(ctx, st, 0, 1, func(explore.StatsBatch) bool { return false })

@@ -3,9 +3,10 @@
 // (/sparql/stream, NDJSON — rows are flushed as the engine finds them, so
 // the first row of a LIMIT query arrives while the scan is still running
 // and the scan stops once the limit is filled), plus the exploration
-// endpoints /facets, /graph/neighborhood, /hetree, /stats — with progressive
-// NDJSON twins /facets/stream and /stats/stream that emit CLT-bounded
-// approximate batches mid-scan before converging to the exact answer, and
+// endpoints /facets, /graph/neighborhood, /hetree, /stats — with NDJSON
+// twins: /facets/stream emits CLT-bounded approximate batches mid-scan
+// before converging to the exact answer, /stats/stream answers exactly in
+// one line from the statistics the store maintains as writes arrive — and
 // sample=/seed= parameters on /graph/neighborhood for bounded
 // reservoir-sampled expansions — an N-Triples ingestion endpoint
 // (POST /triples), and /healthz.

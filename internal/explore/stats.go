@@ -66,7 +66,7 @@ func statsBatch(a *store.StatsAccumulator, src store.Source, population int) Sta
 	})
 	terms := src.Terms(ids)
 
-	scanned := a.Scanned()
+	scanned := a.Triples()
 	b := StatsBatch{Scanned: scanned, Fraction: 1}
 	if population > 0 {
 		b.Fraction = min(1, float64(scanned)/float64(population))
@@ -107,12 +107,13 @@ func statsBatch(a *store.StatsAccumulator, src store.Source, population int) Sta
 // StreamStats computes dataset statistics progressively: it drives one paged
 // ID-space walk over the whole store and, every batchPages pages, emits an
 // approximate StatsBatch whose counts are CLT-scaled population estimates.
-// When the scan completes it returns the exact store.Stats assembled from
-// the same store.StatsAccumulator ComputeStats fills, so the streaming
-// endpoint's last answer is the buffered one's, byte for byte. emit returning false aborts with ErrStopped; ctx
-// cancellation aborts with the context error; a layout-epoch restart resets
-// the accumulator (consumers see Fraction drop back, then re-grow).
-// pageSize <= 0 selects DefaultPageSize; batchPages < 1 is treated as 1.
+// When the scan completes it returns the exact store.Stats assembled from a
+// store.StatsAccumulator, the type the store keeps its own tally in, so on
+// a store nobody writes to it equals ComputeStats. emit returning false
+// aborts with ErrStopped; ctx cancellation aborts with the context error; a
+// layout-epoch restart resets the accumulator (consumers see Fraction drop
+// back, then re-grow). pageSize <= 0 selects DefaultPageSize; batchPages < 1
+// is treated as 1.
 func StreamStats(ctx context.Context, src store.Source, pageSize, batchPages int, emit func(StatsBatch) bool) (store.Stats, error) {
 	if batchPages < 1 {
 		batchPages = 1
@@ -120,14 +121,26 @@ func StreamStats(ctx context.Context, src store.Source, pageSize, batchPages int
 	typeID, _ := src.LookupTermID(rdf.RDFType)
 	population := src.EstimateCountIDs(0, 0, 0)
 	agg := store.NewStatsAccumulator(typeID)
+	var page []store.IDTriple
 	pages := 0
 	var stopped bool
 	err := Walk(ctx, src, 0, 0, 0, pageSize, WalkHandler{
 		Visit: func(t store.IDTriple) bool {
-			agg.Visit(t)
+			page = append(page, t)
 			return true
 		},
 		Page: func(scanned int, done bool) bool {
+			// Whether an object is a literal needs its term, so a page is
+			// counted here, outside the page's read lock, with its objects
+			// decoded in one batch.
+			objs := make([]store.ID, len(page))
+			for i, t := range page {
+				objs[i] = t.O
+			}
+			for i, o := range src.Terms(objs) {
+				agg.Add(page[i], o.Kind() == rdf.KindLiteral)
+			}
+			page = page[:0]
 			if done {
 				return true
 			}
@@ -143,6 +156,7 @@ func StreamStats(ctx context.Context, src store.Source, pageSize, batchPages int
 		},
 		Reset: func() {
 			agg = store.NewStatsAccumulator(typeID)
+			page = page[:0]
 			pages = 0
 		},
 	})
@@ -152,10 +166,6 @@ func StreamStats(ctx context.Context, src store.Source, pageSize, batchPages int
 	if stopped {
 		return store.Stats{}, ErrStopped
 	}
-	ids := agg.TermIDs()
-	decoded := make(map[store.ID]rdf.Term, len(ids))
-	for i, t := range src.Terms(ids) {
-		decoded[ids[i]] = t
-	}
-	return agg.Stats(src.NumTerms(), func(id store.ID) rdf.Term { return decoded[id] }), nil
+	// Stats resolves only the predicates and classes, a handful of IDs.
+	return agg.Stats(src.NumTerms(), func(id store.ID) rdf.Term { return src.Terms([]store.ID{id})[0] }), nil
 }

@@ -146,66 +146,17 @@ func finishExploreStream(w http.ResponseWriter, line func(v any) bool, lines int
 	}
 }
 
-// statsStreamBatch is one approximate NDJSON line of /stats/stream.
-type statsStreamBatch struct {
-	Fraction   float64             `json:"fraction"`
-	Scanned    int                 `json:"scanned"`
-	Predicates []predEstimateJSON  `json:"predicates"`
-	Classes    []classEstimateJSON `json:"classes"`
-}
-
-type predEstimateJSON struct {
-	Predicate        string       `json:"predicate"`
-	Triples          estimateJSON `json:"triples"`
-	DistinctSubjects int          `json:"distinctSubjects"`
-	DistinctObjects  int          `json:"distinctObjects"`
-}
-
-type classEstimateJSON struct {
-	Class sparql.JSONTerm `json:"class"`
-	Count estimateJSON    `json:"count"`
-}
-
-// handleStatsStream serves the dataset summary progressively as NDJSON:
-// approximate batches with CLT-scaled per-predicate and per-class counts
-// while the scan runs, then a final done line whose result field is
-// byte-equivalent to /stats (and fills its cache entry).
+// handleStatsStream serves the dataset summary as NDJSON: one done line
+// whose result field is byte-equivalent to /stats (and fills its cache
+// entry). The store keeps its statistics, so the exact answer is a read
+// cheaper than any estimate of a walk, and nothing is approximated; a
+// request out of time before it starts still ends with the error trailer.
 func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	gen := s.st.Generation()
-	line := streamLiner(w)
-
-	lines := 0
-	stats, err := explore.StreamStats(ctx, s.source(), 0, 1, func(b explore.StatsBatch) bool {
-		out := statsStreamBatch{
-			Fraction:   b.Fraction,
-			Scanned:    b.Scanned,
-			Predicates: []predEstimateJSON{},
-			Classes:    []classEstimateJSON{},
-		}
-		for _, p := range b.Predicates {
-			out.Predicates = append(out.Predicates, predEstimateJSON{
-				Predicate:        string(p.Predicate),
-				Triples:          encodeEstimate(p.Triples),
-				DistinctSubjects: p.DistinctSubjects,
-				DistinctObjects:  p.DistinctObjects,
-			})
-		}
-		for _, c := range b.Classes {
-			out.Classes = append(out.Classes, classEstimateJSON{
-				Class: sparql.EncodeTerm(c.Class),
-				Count: encodeEstimate(c.Count),
-			})
-		}
-		if !line(out) {
-			return false
-		}
-		lines++
-		return true
-	})
-	finishExploreStream(w, line, lines, err, func() any {
-		resp := encodeStatsResponse(stats)
+	finishExploreStream(w, streamLiner(w), 0, ctx.Err(), func() any {
+		resp := encodeStatsResponse(s.st.ComputeStats())
 		s.fillCache(statsKey, gen, wholeStore, resp)
 		return resp
 	})

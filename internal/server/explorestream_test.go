@@ -352,3 +352,74 @@ func TestFacetWarming(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 }
+
+// TestStatsStreamAfterWrite: the store keeps its statistics, so after a
+// write /stats/stream answers with its done line alone, and that line's
+// result is the body of /stats on the same server and on a cache-off server
+// over the same store.
+func TestStatsStreamAfterWrite(t *testing.T) {
+	st := gen.MiniLODStore()
+	cached := httptest.NewServer(New(st, Config{Logger: discardLogger()}).Handler())
+	t.Cleanup(cached.Close)
+	uncached := httptest.NewServer(New(st, Config{Logger: discardLogger(), CacheCapacity: -1}).Handler())
+	t.Cleanup(uncached.Close)
+
+	getBody(t, cached.URL+"/stats")
+	resp, err := http.Post(cached.URL+"/triples", "application/n-triples",
+		strings.NewReader(`<http://x/new> <`+string(rdf.RDFType)+`> <http://x/NewClass> .`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /triples: status %d", resp.StatusCode)
+	}
+
+	_, stream := getBody(t, cached.URL+"/stats/stream")
+	lines := strings.Split(strings.TrimSpace(string(stream)), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("/stats/stream after a write has %d lines, want 1:\n%s", len(lines), stream)
+	}
+	var final streamFinalLine
+	if err := json.Unmarshal([]byte(lines[0]), &final); err != nil {
+		t.Fatal(err)
+	}
+	if !final.Done || final.Fraction != 1 || final.Error != "" {
+		t.Fatalf("line = %+v, want done at fraction 1", final)
+	}
+	if !strings.Contains(string(final.Result), "http://x/NewClass") {
+		t.Fatalf("result does not count the write: %s", final.Result)
+	}
+	for _, u := range []string{cached.URL, uncached.URL} {
+		if _, body := getBody(t, u+"/stats"); string(final.Result) != strings.TrimSpace(string(body)) {
+			t.Fatalf("%s/stats differs from the stream:\nstream: %s\nstats:  %s", u, final.Result, body)
+		}
+	}
+}
+
+// TestStatsClassOrderDeterministic: classes with the same count and the
+// same lexical form ("a"@en and "a"@de; an IRI and a literal spelled alike)
+// are ordered by term, so every request gets the same bytes and ETag.
+func TestStatsClassOrderDeterministic(t *testing.T) {
+	var triples []rdf.Triple
+	for i, cls := range []rdf.Term{
+		rdf.NewLangLiteral("a", "en"), rdf.NewLangLiteral("a", "de"),
+		rdf.IRI("http://x/a"), rdf.NewLiteral("http://x/a"),
+	} {
+		triples = append(triples, rdf.T(rdf.IRI(fmt.Sprintf("http://x/e%d", i)), rdf.RDFType, cls))
+	}
+	st, err := store.Load(triples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(st, Config{Logger: discardLogger(), CacheCapacity: -1}).Handler())
+	t.Cleanup(ts.Close)
+	first, body := getBody(t, ts.URL+"/stats")
+	for i := 0; i < 50; i++ {
+		resp, again := getBody(t, ts.URL+"/stats")
+		if string(again) != string(body) || resp.Header.Get("ETag") != first.Header.Get("ETag") {
+			t.Fatalf("request %d: body or ETag differs:\n%s\n%s", i, body, again)
+		}
+	}
+}

@@ -672,15 +672,22 @@ func encodeStatsResponse(stats store.Stats) statsResponse {
 			LiteralObjects:   p.LiteralObjects,
 		})
 	}
-	for cls, n := range stats.Classes {
-		resp.Classes = append(resp.Classes, classStatJSON{Class: sparql.EncodeTerm(cls), Count: n})
+	// Classes by count, then in term order: two classes may share a count
+	// and a lexical form ("a"@en and "a"@de, an IRI and a literal), and the
+	// body and its ETag must not depend on map order.
+	classes := make([]rdf.Term, 0, len(stats.Classes))
+	for cls := range stats.Classes {
+		classes = append(classes, cls)
 	}
-	sort.Slice(resp.Classes, func(i, j int) bool {
-		if resp.Classes[i].Count != resp.Classes[j].Count {
-			return resp.Classes[i].Count > resp.Classes[j].Count
+	sort.Slice(classes, func(i, j int) bool {
+		if ni, nj := stats.Classes[classes[i]], stats.Classes[classes[j]]; ni != nj {
+			return ni > nj
 		}
-		return resp.Classes[i].Class.Value < resp.Classes[j].Class.Value
+		return rdf.Compare(classes[i], classes[j]) < 0
 	})
+	for _, cls := range classes {
+		resp.Classes = append(resp.Classes, classStatJSON{Class: sparql.EncodeTerm(cls), Count: stats.Classes[cls]})
+	}
 	return resp
 }
 

@@ -72,6 +72,10 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 		func() float64 { return float64(st.Observe().LayoutEpoch) })
 	r.CounterFunc("lodviz_store_scan_pages_total", "Paged-scan pages served by the store.",
 		func() float64 { return float64(st.Observe().ScanPages) })
+	r.GaugeFunc("lodviz_store_stats_tally_entries", "Map entries of the store's statistics tally (0 before it is built).",
+		func() float64 { return float64(st.Observe().TallyEntries) })
+	r.CounterFunc("lodviz_store_stats_tally_builds_total", "Whole-store walks that built the statistics tally (1 once anything asked for statistics).",
+		func() float64 { return float64(st.Observe().TallyBuilds) })
 
 	if c := s.cache; c != nil {
 		r.CounterFunc("lodviz_cache_hits_total", "Response-cache hits.",

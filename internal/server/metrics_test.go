@@ -36,6 +36,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		ts.URL + "/hetree?budget=2&prop=" + url.QueryEscape(exNS+"population"),
 		ts.URL + "/hetree?budget=4&prop=" + url.QueryEscape(exNS+"population"),
 		ts.URL + "/healthz",
+		ts.URL + "/stats",
+		ts.URL + "/stats/stream",
 	} {
 		resp, err := http.Get(u)
 		if err != nil {
@@ -98,6 +100,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lodviz_http_requests_total{route="/sparql",method="GET",class="2xx"} 2`,
 		`lodviz_http_streams_total{route="/sparql/stream",outcome="completed"} 1`,
 		"lodviz_store_triples ",
+		"lodviz_store_stats_tally_entries ",
+		"lodviz_store_stats_tally_builds_total 1\n",
 		"lodviz_cache_hits_total 1",
 		"lodviz_cache_revalidated_total 0",
 		`lodviz_cache_invalidated_total{cause="footprint"} 0`,

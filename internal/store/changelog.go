@@ -38,13 +38,12 @@ type changeLog struct {
 }
 
 // commitLocked publishes an applied, effective batch: it advances the
-// generation, invalidates what is cached per generation inside the store,
-// and logs the batch under the new generation — log order is apply order.
-// The log keeps the slice, so the caller must not modify it afterwards.
-// Caller holds mu.
+// generation, counts the batch into the statistics tally, and logs it under
+// the new generation — log order is apply order. The log keeps the slice,
+// so the caller must not modify it afterwards. Caller holds mu.
 func (st *Store) commitLocked(del bool, triples []IDTriple) {
 	st.gen++
-	st.cards = nil
+	st.countLocked(del, triples)
 	l := &st.log
 	l.entries = append(l.entries, Change{st.gen, del, triples})
 	l.triples += len(triples)

@@ -204,9 +204,8 @@ func TestIDRunForEachSortedMergesUnsortedTail(t *testing.T) {
 	}
 }
 
-// TestComputeStatsDifferential replays the stats aggregation in term space —
-// the pre-refactor algorithm — and requires the ID-space ComputeStats to
-// produce the identical result over a store with base, delta, and tombstones.
+// TestComputeStatsDifferential requires ComputeStats to equal a term-space
+// recount (recountStats) over a store with base, delta, and tombstones.
 func TestComputeStatsDifferential(t *testing.T) {
 	// Inline entity dataset (internal/gen would be an import cycle here):
 	// classes, labels, two categorical properties, numerics, and links.
@@ -243,52 +242,7 @@ func TestComputeStatsDifferential(t *testing.T) {
 		t.Fatal("delta delete failed")
 	}
 
-	type agg struct {
-		triples int
-		subj    map[rdf.Term]struct{}
-		obj     map[rdf.Term]int
-	}
-	per := map[rdf.IRI]*agg{}
-	classes := map[rdf.Term]int{}
-	total := 0
-	st.ForEach(Pattern{}, func(tr rdf.Triple) bool {
-		total++
-		a := per[tr.P]
-		if a == nil {
-			a = &agg{subj: map[rdf.Term]struct{}{}, obj: map[rdf.Term]int{}}
-			per[tr.P] = a
-		}
-		a.triples++
-		a.subj[tr.S] = struct{}{}
-		a.obj[tr.O]++
-		if tr.P == rdf.RDFType {
-			classes[tr.O]++
-		}
-		return true
-	})
-	want := Stats{Triples: total, Terms: st.NumTerms(), Classes: classes}
-	for p, a := range per {
-		lits := 0
-		for o, n := range a.obj {
-			if o.Kind() == rdf.KindLiteral {
-				lits += n
-			}
-		}
-		want.Predicates = append(want.Predicates, PredicateStat{
-			Predicate:        p,
-			Triples:          a.triples,
-			DistinctSubjects: len(a.subj),
-			DistinctObjects:  len(a.obj),
-			LiteralObjects:   lits,
-		})
-	}
-	sort.Slice(want.Predicates, func(i, j int) bool {
-		if want.Predicates[i].Triples != want.Predicates[j].Triples {
-			return want.Predicates[i].Triples > want.Predicates[j].Triples
-		}
-		return want.Predicates[i].Predicate < want.Predicates[j].Predicate
-	})
-
+	want := recountStats(st)
 	got := st.ComputeStats()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ComputeStats diverges from term-space oracle:\n got %+v\nwant %+v", got, want)

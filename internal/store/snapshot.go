@@ -14,8 +14,8 @@ import (
 
 // WriteSnapshot serializes the store to w in the versioned, checksummed
 // snapshot format (see internal/snapshot): the full term dictionary, the
-// sorted SPO index, and (format v2) the per-predicate cardinality table so a
-// restored store starts with a warm query planner.
+// sorted SPO index, and (format v2) the per-predicate cardinality table,
+// read from the store's statistics tally.
 //
 // The snapshot is a consistent point-in-time image: pending deltas and
 // tombstones are compacted first, then the dictionary, index, and
@@ -27,22 +27,15 @@ func (st *Store) WriteSnapshot(w io.Writer) error {
 	st.mergeLocked()
 	terms := st.terms[:len(st.terms):len(st.terms)]
 	spo := slices.Clip(st.index[OrderSPO])
-	if st.cards == nil {
-		st.cards = st.computeCardinalitiesLocked()
-	}
-	stats := make([]snapshot.PredStat, 0, len(st.cards))
-	for p, c := range st.cards {
-		pid, ok := st.dict[rdf.Term(p)]
-		if !ok {
-			continue
-		}
+	var stats []snapshot.PredStat
+	st.tallyLocked().Predicates(func(pid ID, c PredCardinality) {
 		stats = append(stats, snapshot.PredStat{
 			Pred:             uint32(pid),
 			Triples:          uint64(c.Triples),
 			DistinctSubjects: uint64(c.DistinctSubjects),
 			DistinctObjects:  uint64(c.DistinctObjects),
 		})
-	}
+	})
 	st.mu.Unlock()
 	sort.Slice(stats, func(i, j int) bool { return stats[i].Pred < stats[j].Pred })
 
@@ -125,11 +118,10 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		spo = append(spo, e)
 	}
 	s.index[OrderSPO] = spo
-	// A v2 snapshot carries the per-predicate cardinality table; restoring
-	// it pre-warms the planner cache that would otherwise be recomputed by
-	// an O(n) scan on the first query. v1 snapshots restore with a cold
-	// cache, exactly as before. Close verifies the checksum over the whole
-	// stream (stats included), so the table is only trusted after it.
+	// A v2 snapshot carries the per-predicate cardinality table. It is
+	// checked, not used: the restored store builds its statistics tally on
+	// first use like any other store. Close verifies the checksum over the
+	// whole stream, stats included.
 	stats, err := sr.Stats()
 	if err != nil {
 		return nil, err
@@ -137,24 +129,13 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	if err := sr.Close(); err != nil {
 		return nil, err
 	}
-	if len(stats) > 0 {
-		cards := make(map[rdf.IRI]PredCardinality, len(stats))
-		for _, ps := range stats {
-			p, ok := s.terms[ps.Pred].(rdf.IRI)
-			if !ok {
-				return nil, fmt.Errorf("%w: stats predicate %d is not an IRI", snapshot.ErrCorrupt, ps.Pred)
-			}
-			const maxInt = int(^uint(0) >> 1)
-			if ps.Triples > uint64(maxInt) || ps.DistinctSubjects > uint64(maxInt) || ps.DistinctObjects > uint64(maxInt) {
-				return nil, fmt.Errorf("%w: stats entry for predicate %d overflows", snapshot.ErrCorrupt, ps.Pred)
-			}
-			cards[p] = PredCardinality{
-				Triples:          int(ps.Triples),
-				DistinctSubjects: int(ps.DistinctSubjects),
-				DistinctObjects:  int(ps.DistinctObjects),
-			}
+	for _, ps := range stats {
+		if _, ok := s.terms[ps.Pred].(rdf.IRI); !ok {
+			return nil, fmt.Errorf("%w: stats predicate %d is not an IRI", snapshot.ErrCorrupt, ps.Pred)
 		}
-		s.cards = cards
+		if ps.Triples > numTriples || ps.DistinctSubjects > ps.Triples || ps.DistinctObjects > ps.Triples {
+			return nil, fmt.Errorf("%w: stats entry for predicate %d exceeds its triples", snapshot.ErrCorrupt, ps.Pred)
+		}
 	}
 
 	s.rebuildDerivedLocked()

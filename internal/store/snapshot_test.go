@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/lodviz/lodviz/internal/rdf"
+	"github.com/lodviz/lodviz/internal/snapshot"
 )
 
 // buildMixedStore returns a store exercising every term kind plus pending
@@ -241,22 +243,19 @@ func TestSnapshotV1Restore(t *testing.T) {
 		t.Fatalf("restoring v1 snapshot: %v", err)
 	}
 	snapshotEqual(t, st, got)
-	// v1 carries no stats: the cardinality cache must start cold and be
-	// recomputed on demand with correct values.
-	got.mu.RLock()
-	cold := got.cards == nil
-	got.mu.RUnlock()
-	if !cold {
-		t.Fatal("v1 restore pre-populated the cardinality cache from nothing")
+	// v1 carries no stats, and a restore builds no tally: the restored store
+	// counts on first use, like any other store.
+	if got.Observe().TallyBuilds != 0 {
+		t.Fatal("v1 restore built a statistics tally nobody asked for")
 	}
-	if len(got.Cardinalities()) == 0 {
-		t.Fatal("restored store computed no cardinalities")
+	if !reflect.DeepEqual(got.Cardinalities(), recountCardinalities(got)) {
+		t.Fatal("restored store's cardinalities differ from a recount")
 	}
 }
 
-// TestSnapshotV2WarmStats pins that a v2 snapshot restores with the
-// cardinality table pre-populated and numerically identical to a from-scratch
-// recomputation.
+// TestSnapshotV2WarmStats pins that the stats section a v2 snapshot carries
+// equals a from-scratch recount of the store that wrote it, and that the
+// restored store, which does not use the section, agrees with it.
 func TestSnapshotV2WarmStats(t *testing.T) {
 	st := buildMixedStore(t)
 	var buf bytes.Buffer
@@ -269,21 +268,41 @@ func TestSnapshotV2WarmStats(t *testing.T) {
 	}
 	snapshotEqual(t, st, got)
 
-	got.mu.RLock()
-	warm := got.cards
-	got.mu.RUnlock()
-	if warm == nil {
-		t.Fatal("v2 restore left the cardinality cache cold")
+	section := snapshotStats(t, buf.Bytes(), got)
+	if want := recountCardinalities(st); !reflect.DeepEqual(section, want) {
+		t.Fatalf("stats section %+v, recount %+v", section, want)
 	}
-	got.mu.Lock()
-	fresh := got.computeCardinalitiesLocked()
-	got.mu.Unlock()
-	if len(warm) != len(fresh) {
-		t.Fatalf("warm stats cover %d predicates, recomputation %d", len(warm), len(fresh))
+	if !reflect.DeepEqual(got.Cardinalities(), section) {
+		t.Fatalf("restored store's cardinalities %+v, section %+v", got.Cardinalities(), section)
 	}
-	for p, w := range warm {
-		if f, ok := fresh[p]; !ok || f != w {
-			t.Fatalf("predicate %v: warm %+v vs recomputed %+v", p, w, fresh[p])
+}
+
+// snapshotStats reads the stats section of a snapshot image, naming its
+// predicates through st's dictionary.
+func snapshotStats(t *testing.T, image []byte, st *Store) map[rdf.IRI]PredCardinality {
+	t.Helper()
+	sr, err := snapshot.NewReader(bytes.NewReader(image))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < sr.NumTerms(); i++ {
+		if _, err := sr.Term(); err != nil {
+			t.Fatal(err)
 		}
 	}
+	for i := uint64(0); i < sr.NumTriples(); i++ {
+		if _, _, _, err := sr.Triple(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := sr.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[rdf.IRI]PredCardinality{}
+	for _, ps := range stats {
+		p, _ := st.Term(ID(ps.Pred))
+		out[p.(rdf.IRI)] = PredCardinality{int(ps.Triples), int(ps.DistinctSubjects), int(ps.DistinctObjects)}
+	}
+	return out
 }

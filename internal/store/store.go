@@ -22,9 +22,9 @@
 // (ScanOrder.find) and the index rebuild read it, and nothing else switches
 // on a ScanOrder. One walk, walkLocked, is "the live entries of a base range
 // from a position on, then the matching live entries of the delta, at most
-// so many": every scan entry point, Statements, the statistics pass and the
-// compaction copy are calls of it, so the tombstone check and the positional
-// cursor exist in one place.
+// so many": every scan entry point, Statements, the statistics tally's one
+// build and the compaction copy are calls of it, so the tombstone check and
+// the positional cursor exist in one place.
 //
 // The survey's "large & dynamic data" challenge (Section 2) rules out a
 // heavyweight preprocessing phase, so the store is built for incremental
@@ -34,7 +34,9 @@
 // The same requirement extends to what is derived from the store: each
 // effective write is retained in a bounded change log (changelog.go) under
 // the generation it produced, so an index or view that remembers a
-// generation can catch up from ChangesSince instead of rescanning.
+// generation can catch up from ChangesSince instead of rescanning; the
+// dataset statistics are counted from the same batches by the store itself
+// (stats.go), so no summary read costs a scan after a write.
 package store
 
 import (
@@ -103,9 +105,10 @@ type Store struct {
 	// positions intact and do not advance it.
 	layout uint64
 
-	// cards caches per-predicate cardinalities for the query planner;
-	// nil means stale. Guarded by mu, invalidated on every mutation.
-	cards map[rdf.IRI]PredCardinality
+	// tally is the statistics tally (stats.go), nil until first asked for;
+	// tallyBuilds counts the walks that built it.
+	tally       *StatsAccumulator
+	tallyBuilds uint64
 
 	// wal, when set via SetWAL, receives every effective mutation before it
 	// is applied (see walsink.go for the ordering contract).

@@ -406,14 +406,16 @@ func (d *Dataset) Neighborhood(ctx context.Context, start Term, opt Neighborhood
 	return explore.FindNeighborhood(ctx, d.st, start, opt)
 }
 
-// Stats computes the exact dataset summary (per-predicate triple counts and
-// distinct-subject/object counts, class histogram) in one ID-space pass.
+// Stats returns the exact dataset summary (per-predicate triple counts and
+// distinct-subject/object counts, class histogram), read from the
+// statistics the store maintains as writes arrive; the first call builds
+// them in one ID-space pass.
 func (d *Dataset) Stats() DatasetStats { return d.st.ComputeStats() }
 
-// StreamStats computes the dataset summary progressively: fn receives
-// CLT-bounded approximate batches while the scan runs (return false to
-// stop), and the returned stats are exact — identical to Stats — when the
-// scan completes.
+// StreamStats computes the dataset summary progressively, by a walk of the
+// store: fn receives CLT-bounded approximate batches while the scan runs
+// (return false to stop), and the returned stats are exact — identical to
+// Stats when no write lands during the scan — when it completes.
 func (d *Dataset) StreamStats(ctx context.Context, fn func(StatsBatch) bool) (DatasetStats, error) {
 	return explore.StreamStats(ctx, d.st, 0, 1, fn)
 }
@@ -429,9 +431,10 @@ type ServerConfig = server.Config
 // Handler returns an http.Handler serving this dataset: the SPARQL Protocol
 // endpoint (/sparql, SERVICE clauses included), its chunked NDJSON twin
 // (/sparql/stream, first rows before evaluation finishes), the exploration
-// endpoints (/facets, /graph/neighborhood, /hetree, /stats) with progressive
-// NDJSON twins (/facets/stream, /stats/stream — approximate batches that
-// converge to the exact answer), keyword search
+// endpoints (/facets, /graph/neighborhood, /hetree, /stats) with NDJSON
+// twins (/facets/stream: approximate batches that converge to the exact
+// answer; /stats/stream: the exact answer in one line, read from the
+// statistics the store maintains), keyword search
 // (/search, /complete), federation health (/federation), N-Triples
 // ingestion (POST /triples), and /healthz. Responses are cached in a sharded LRU keyed by
 // the normalized request and the dataset generation, so writes invalidate
