@@ -13,8 +13,9 @@ test:
 
 # The tracked size of the code (ROADMAP, "quality of design"): lines of
 # non-test Go outside bench/ and testdata/, for the tree, for the three
-# packages between the store and what runs on it, for the store alone, and
-# for everything that reads or writes RDF terms as text.
+# packages between the store and what runs on it, for the store alone, for
+# everything that reads or writes RDF terms as text, and for this module's
+# packages in the server's import closure (`go list -deps ./cmd/lodvizd`).
 # CI puts the numbers, and their difference against the merge base, into the
 # job summary of every PR (it runs this recipe in a checkout of the base with
 # `make -f <this file> -C <that tree> loc`, so the paths stay relative).
@@ -23,6 +24,7 @@ loc:
 	@printf 'non-test Go lines, internal/{sparql,store,explore}: %s\n' "$$(find internal/sparql internal/store internal/explore -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, internal/store: %s\n' "$$(find internal/store -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, internal/{rdf,ntriples,turtle} + sparql/lexer.go: %s\n' "$$(find internal/rdf internal/ntriples internal/turtle internal/sparql/lexer.go -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@printf 'non-test Go lines, reachable from lodvizd: %s\n' "$$($(GO) list -deps -f '{{if and .Module .Module.Main}}{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}{{end}}' ./cmd/lodvizd | xargs cat | wc -l)"
 
 # Race-detector pass over the concurrent packages: query engine (the
 # dictionary-ID executor and its worker pool), store (including the

@@ -57,25 +57,25 @@ type Preferences struct {
 }
 
 // DefaultPreferences returns the survey's laptop-scale defaults: a
-// one-megapixel display budget.
+// one-megapixel display budget, and the hierarchy shape the /hetree
+// endpoint serves (hetree.DefaultOptions).
 func DefaultPreferences() Preferences {
+	tree := hetree.DefaultOptions()
 	return Preferences{
 		PixelBudget:  vis.PixelBudget{Width: 1280, Height: 800},
-		TreeDegree:   4,
-		LeafCapacity: 64,
+		TreeDegree:   tree.Degree,
+		LeafCapacity: tree.LeafCapacity,
 		Seed:         1,
 	}
 }
 
 // HierarchyOptions is the shape of the numeric hierarchies a session with
-// these preferences explores, and the /hetree endpoint serves.
+// these preferences explores: hetree.DefaultOptions at the preferred degree
+// and leaf capacity.
 func (p Preferences) HierarchyOptions() hetree.Options {
-	return hetree.Options{
-		Mode:         hetree.ContentBased,
-		Degree:       p.TreeDegree,
-		LeafCapacity: p.LeafCapacity,
-		Incremental:  true, // the dynamic setting forbids full preprocessing
-	}
+	o := hetree.DefaultOptions()
+	o.Degree, o.LeafCapacity = p.TreeDegree, p.LeafCapacity
+	return o
 }
 
 // Explorer is a stateful exploration session over one dataset.

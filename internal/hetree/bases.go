@@ -10,23 +10,19 @@ import (
 	"github.com/lodviz/lodviz/internal/store"
 )
 
-// ChangeLog is the part of the store a Bases asks whether a kept base is
-// still current (store.Store.ChangesSince).
-type ChangeLog interface {
-	ChangesSince(gen uint64) (changes []store.Change, now uint64, ok bool)
-}
-
 // Bases keeps the Base of every property asked for, across requests and
 // across store generations, the way keyword.Lazy keeps its index: a tree at
 // any budget and of any shape then costs the nodes it materializes, over a
-// base that is already there. When the store has moved on, a base is carried
-// forward if no logged change names its predicate, and collected again if
-// one does or the log no longer covers the span — never patched (see the
-// package comment). It needs no capacity: all bases together hold at most
-// one entry per triple in the store, 20 bytes each. Safe for concurrent use.
+// base that is already there. When the store has moved on, a base is
+// validated as the /hetree response over it is, against the footprint
+// (*, prop, *) in the store's change log: carried forward if no write since
+// names the predicate, collected again if one does or the log no longer
+// covers the span — never patched (see the package comment). It needs no
+// capacity: all bases together hold at most one entry per triple in the
+// store, 20 bytes each. Safe for concurrent use.
 type Bases struct {
 	src store.Source
-	log ChangeLog
+	st  *store.Store
 
 	mu   sync.Mutex
 	held map[store.ID]*heldBase // by predicate ID, which the store never reassigns
@@ -53,10 +49,11 @@ type BasesStats struct {
 	BuildSeconds  float64
 }
 
-// NewBases returns a holder of bases collected from src, which log speaks
-// for; normally both are the one store. Nothing is built until first use.
-func NewBases(src store.Source, log ChangeLog) *Bases {
-	return &Bases{src: src, log: log, held: map[store.ID]*heldBase{}}
+// NewBases returns a holder of bases collected from src, whose writes st's
+// change log records; normally both are the one store. Nothing is built
+// until first use.
+func NewBases(src store.Source, st *store.Store) *Bases {
+	return &Bases{src: src, st: st, held: map[store.ID]*heldBase{}}
 }
 
 // Stats returns the counters.
@@ -121,16 +118,9 @@ func (b *Bases) current(ctx context.Context, pid store.ID) (*Base, error) {
 // the predicate — such changes cannot have altered its run — and reports
 // whether it did. The caller holds h.mu.
 func (b *Bases) carry(h *heldBase, pid store.ID) bool {
-	changes, now, ok := b.log.ChangesSince(h.gen)
-	if !ok {
+	span, now, ok := b.st.DigestsSince(h.gen)
+	if !ok || b.st.TouchedBy(&store.Footprint{Patterns: []store.IDTriple{{P: pid}}}, span) {
 		return false
-	}
-	for _, c := range changes {
-		for _, t := range c.Triples {
-			if t.P == pid {
-				return false
-			}
-		}
 	}
 	h.gen = now
 	return true

@@ -39,7 +39,9 @@
 // and not by the dataset.
 //
 // Bases keeps one Base per property across requests and store generations,
-// asking the store's change log whether a write named the property. A base
+// validating it the way the response cache validates the /hetree entry cut
+// from it: against the footprint (*, prop, *), in the digests of the store's
+// change log (store.DigestsSince, store.TouchedBy). A base
 // a write did touch is collected again rather than patched from the log: at
 // 10 000 values that is about 2 ms (BenchmarkFromSource), on the rare write
 // to a numeric property, and a patch would have to move on average half of
@@ -169,6 +171,15 @@ type Options struct {
 	// Incremental, when true, defers all materialization below the root
 	// (the paper's ICO strategy). When false the whole tree is built.
 	Incremental bool
+}
+
+// DefaultOptions is the shape of the hierarchies lodviz serves when nobody
+// asks for another — the /hetree endpoint's, and the one core's default
+// preferences start a session with: content-based, degree 4, 64 values a
+// leaf, materialized on demand (the dynamic setting forbids full
+// preprocessing).
+func DefaultOptions() Options {
+	return Options{Mode: ContentBased, Degree: 4, LeafCapacity: 64, Incremental: true}
 }
 
 func (o *Options) normalize() {

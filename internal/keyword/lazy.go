@@ -1,6 +1,7 @@
 package keyword
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,9 +12,11 @@ import (
 // Lazy is the one live Index over a store, kept current by following the
 // store's change log. The index is built by a full scan on first use; after
 // that a write costs the next reader only the re-indexing of the subjects
-// the write touched (store.ChangesSince names them). A full rebuild happens
-// only when the log cannot cover the gap, or when so much changed that
-// scanning everything is cheaper than revisiting subjects one by one.
+// the write touched (the digests store.DigestsSince hands out name them,
+// the same ones the response cache and the hierarchy bases read). A full
+// rebuild happens only when the log cannot cover the gap, or when so much
+// changed that scanning everything is cheaper than revisiting subjects one
+// by one.
 //
 // One Lazy can back several consumers (the HTTP server and the façade share
 // one), which keeps a dataset to a single index: searches read it under a
@@ -98,7 +101,7 @@ func (l *Lazy) refresh() {
 	}
 	start := time.Now()
 	if l.idx != nil {
-		if changes, now, ok := l.st.ChangesSince(l.gen); ok && l.follow(changes) {
+		if span, now, ok := l.st.DigestsSince(l.gen); ok && l.follow(span) {
 			l.gen = now
 			l.incremental.since(start)
 			return
@@ -113,23 +116,19 @@ func (l *Lazy) refresh() {
 	l.rebuild.since(start)
 }
 
-// follow re-indexes the subjects the changes touched, or reports false when
+// follow re-indexes the subjects the span touched, or reports false when
 // a rebuild is the cheaper way to catch up. Re-indexing a subject edits the
 // posting list of each of its tokens, some of them as long as the dataset
 // (measured at 10 000 entities: ~60µs a subject); a rebuild appends its way
 // through one sorted pass (~1µs a triple). Past one touched subject per 64
 // triples in the store, the pass wins.
-func (l *Lazy) follow(changes []store.Change) bool {
-	seen := map[store.ID]struct{}{}
+func (l *Lazy) follow(span []*store.Digest) bool {
 	var touched []store.ID
-	for _, c := range changes {
-		for _, t := range c.Triples {
-			if _, dup := seen[t.S]; !dup {
-				seen[t.S] = struct{}{}
-				touched = append(touched, t.S)
-			}
-		}
+	for _, d := range span {
+		touched = append(touched, d.Subjects()...)
 	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
 	if len(touched)*64 > l.st.Len() {
 		return false
 	}

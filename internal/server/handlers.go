@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/lodviz/lodviz/internal/core"
 	"github.com/lodviz/lodviz/internal/explain"
 	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/facet"
@@ -421,7 +420,7 @@ func (s *Server) warmFacetAncestors(max int, filters []facet.Filter, rawFilters 
 	gen := s.st.Generation()
 	for i := len(filters) - 1; i >= 0; i-- {
 		key := s.facetsKey(max, rawFilters[:i])
-		if s.cache.Holds(key, gen, s.changes.unchanged) {
+		if s.cache.Holds(key, gen, s.unchanged) {
 			continue
 		}
 		if _, first := s.warming.join(key); !first {
@@ -433,7 +432,7 @@ func (s *Server) warmFacetAncestors(max int, filters []facet.Filter, rawFilters 
 			s.warmSem <- struct{}{}
 			defer func() { <-s.warmSem }()
 			gen := s.st.Generation()
-			if s.cache.Holds(key, gen, s.changes.unchanged) {
+			if s.cache.Holds(key, gen, s.unchanged) {
 				return
 			}
 			if _, leader := s.builds.join(key); !leader {
@@ -595,7 +594,7 @@ func (s *Server) handleHETree(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, r, s.cacheKey(r), func() result {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
-		tree, err := s.bases.Tree(ctx, prop, core.DefaultPreferences().HierarchyOptions())
+		tree, err := s.bases.Tree(ctx, prop, hetree.DefaultOptions())
 		if errors.Is(err, hetree.ErrNoValues) {
 			return errorResult(http.StatusNotFound, fmt.Sprintf("property %s has no numeric or temporal values", prop))
 		}

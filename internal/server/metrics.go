@@ -30,14 +30,16 @@ type serverMetrics struct {
 	cacheFills  *obs.Counter
 	slowQueries *obs.Counter
 	// cacheRevalidated counts cache entries carried across a store
-	// generation at lookup, cacheInvalidated those dropped there, by cause
-	// ("footprint": a write since touched what the entry read; "log": the
-	// change log no longer covers the span).
-	cacheRevalidated *obs.Counter
-	cacheInvalidated *obs.CounterVec
+	// generation at lookup; cacheByFootprint and cacheByLog, those dropped
+	// there because a write since touched what the entry read, or because
+	// the change log no longer covers the span (the two causes of
+	// lodviz_cache_invalidated_total).
+	cacheRevalidated             *obs.Counter
+	cacheByFootprint, cacheByLog *obs.Counter
 }
 
 func newServerMetrics(r *obs.Registry) *serverMetrics {
+	invalidated := r.CounterVec("lodviz_cache_invalidated_total", "Response-cache entries dropped at lookup: a write since touched their footprint, or the change log no longer covers the span.", "cause")
 	return &serverMetrics{
 		requests:         r.CounterVec("lodviz_http_requests_total", "Finished HTTP requests.", "route", "method", "class"),
 		latency:          r.HistogramVec("lodviz_http_request_seconds", "HTTP request latency in seconds.", obs.DefBuckets, "route"),
@@ -49,7 +51,8 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		cacheFills:       r.Counter("lodviz_cache_fill_from_stream_total", "Response-cache entries filled by completed streams."),
 		slowQueries:      r.Counter("lodviz_slow_queries_total", "Queries slower than the slow-query threshold."),
 		cacheRevalidated: r.Counter("lodviz_cache_revalidated_total", "Response-cache entries carried across a store generation: no write since touched their footprint."),
-		cacheInvalidated: r.CounterVec("lodviz_cache_invalidated_total", "Response-cache entries dropped at lookup: a write since touched their footprint, or the change log no longer covers the span.", "cause"),
+		cacheByFootprint: invalidated.With("footprint"),
+		cacheByLog:       invalidated.With("log"),
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -151,13 +150,11 @@ type Server struct {
 	st    *store.Store
 	cfg   Config
 	cache *cache.Cache // nil when caching is disabled
-	// changes tells whether a cached entry survived the writes since it was
-	// computed; builds admits one builder per cache key at a time. Both are
-	// unused when caching is disabled.
-	changes *changeDigests
-	builds  flights
-	mesh    *federation.Mesh
-	kw      *keyword.Lazy
+	// builds admits one builder per cache key at a time (unused when caching
+	// is disabled).
+	builds flights
+	mesh   *federation.Mesh
+	kw     *keyword.Lazy
 	// bases keeps each numeric property's sorted values under the /hetree
 	// responses: a request at a budget not yet cached cuts the kept base.
 	bases *hetree.Bases
@@ -213,9 +210,6 @@ func New(st *store.Store, cfg Config) *Server {
 		s.reg = obs.NewRegistry()
 	}
 	s.met = newServerMetrics(s.reg)
-	if s.cache != nil {
-		s.changes = newChangeDigests(st, s.met)
-	}
 	s.engineMet = sparql.NewMetrics(s.reg)
 	s.registerCollectors(s.reg)
 	s.mux = http.NewServeMux()
@@ -472,7 +466,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	}
 	for {
 		gen := s.st.Generation()
-		if e, ok := s.cache.Lookup(key, gen, s.changes.unchanged); ok {
+		if e, ok := s.cache.Lookup(key, gen, s.unchanged); ok {
 			serveEntry(w, r, e, "HIT")
 			return
 		}
@@ -527,13 +521,11 @@ func serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry, dispositi
 // cacheKey builds the cache key for an exploration GET endpoint from its
 // path and its canonicalized query parameters. url.Values.Encode
 // percent-escapes names and values, so two requests whose decoded
-// parameters differ can never collide on a key.
+// parameters differ can never collide on a key, and orders the names; it
+// keeps each name's values in request order, because the handlers read the
+// first of them.
 func (s *Server) cacheKey(r *http.Request) string {
-	params := r.URL.Query()
-	for _, vals := range params {
-		sort.Strings(vals)
-	}
-	return r.URL.Path + "?" + params.Encode()
+	return r.URL.Path + "?" + r.URL.Query().Encode()
 }
 
 // queryError maps a sparql error to an HTTP status: the caller's syntax

@@ -947,6 +947,32 @@ func TestCacheKeyNoCollision(t *testing.T) {
 	}
 }
 
+// TestRepeatedParametersKeepTheirOrder: the handlers read the first value of
+// a repeated parameter, so two requests that repeat one in different orders
+// ask different questions and must not share a cache entry. Each is answered
+// as a server without a cache answers it.
+func TestRepeatedParametersKeepTheirOrder(t *testing.T) {
+	st := gen.MiniLODStore()
+	on := New(st, Config{Logger: discardLogger()})
+	off := New(st, Config{Logger: discardLogger(), CacheCapacity: -1})
+	pop, lat := url.QueryEscape(exNS+"population"), url.QueryEscape(string(rdf.GeoLat))
+	for _, pair := range [][2]string{
+		{"/search?q=Athens&q=Berlin", "/search?q=Berlin&q=Athens"},
+		{"/hetree?prop=" + pop + "&prop=" + lat, "/hetree?prop=" + lat + "&prop=" + pop},
+	} {
+		_, _, first := serve(off, pair[0])
+		if _, _, second := serve(off, pair[1]); first == second {
+			t.Fatalf("%s and %s have one answer; the test needs two", pair[0], pair[1])
+		}
+		for _, target := range []string{pair[0], pair[1], pair[0], pair[1]} {
+			_, _, want := serve(off, target)
+			if code, xc, got := serve(on, target); code != http.StatusOK || got != want {
+				t.Fatalf("%s: status %d, X-Cache %s, body\n%s\nwant\n%s", target, code, xc, got, want)
+			}
+		}
+	}
+}
+
 // TestNegativeConfigDefaults pins that negative knobs fall back to defaults
 // instead of panicking (make(chan, -1)) or insta-expiring every query.
 func TestNegativeConfigDefaults(t *testing.T) {

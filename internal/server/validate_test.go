@@ -735,3 +735,40 @@ func TestCacheDifferentialRandomSchedules(t *testing.T) {
 		})
 	}
 }
+
+// TestHETreeFollowsItsProperty: the /hetree entry and the base under it are
+// validated against one footprint, (*, prop, *). A write under another
+// property leaves both — the entry is a HIT, the base is not collected again;
+// a write under the property drops the entry (cause "footprint") and
+// collects the base again, once.
+func TestHETreeFollowsItsProperty(t *testing.T) {
+	data := diffData{n: 48}
+	st, err := store.Load(data.triples())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(st, Config{Logger: discardLogger()})
+	off := New(st, Config{Logger: discardLogger(), CacheCapacity: -1})
+	step := func(name, wantXC string, built, byFootprint uint64) {
+		t.Helper()
+		_, _, want := serve(off, hetreeTarget(8))
+		if code, xc, got := serve(s, hetreeTarget(8)); code != http.StatusOK || xc != wantXC || got != want {
+			t.Fatalf("%s: status %d, X-Cache %s (want %s), body\n%s\nwant\n%s", name, code, xc, wantXC, got, want)
+		}
+		if b, f := s.bases.Stats().Built, s.met.cacheByFootprint.Value(); b != built || f != byFootprint {
+			t.Fatalf("%s: bases built %d, entries dropped by footprint %d; want %d, %d", name, b, f, built, byFootprint)
+		}
+	}
+	step("cold", "MISS", 1, 0)
+	for i, p := range []string{"cat0", "rel0", "ingested"} {
+		if err := st.Add(rdf.T(data.entity(i), dProp(p), rdf.NewLiteral("x"))); err != nil {
+			t.Fatal(err)
+		}
+		step("write under "+p, "HIT", 1, 0)
+	}
+	if err := st.Add(rdf.T(data.entity(3), dProp("num0"), rdf.NewDouble(-1))); err != nil {
+		t.Fatal(err)
+	}
+	step("write under num0", "MISS", 2, 1)
+	step("again", "HIT", 2, 1)
+}

@@ -2,35 +2,31 @@ package store
 
 import "slices"
 
-// Change log. Everything derived from the store — a keyword index, a cached
-// view, a feed to a follower — used to learn of a write only as "the
-// generation moved" and rebuild from a full scan. The store already computes
-// exactly what each write changed (the effective sub-batch it hands the
-// WAL), so it keeps the most recent of those in memory: a consumer that
-// remembers the generation it last saw asks ChangesSince for the batches in
-// between and touches only what they name. The log is bounded, always on,
-// and costs a write one slice header: the batches are the ones the write
-// path allocated anyway.
+// Change log. Everything derived from the store — a cached response, the
+// sorted values under a hierarchy, the keyword index — asks one question when
+// the generation has moved: did a write since touch what I read? The store
+// already computes exactly what each write changed (the effective sub-batch
+// it hands the WAL), so it keeps the most recent of those in memory, each
+// under the generation it produced, and that is the one place the question
+// is answered. A follower that remembers a generation asks DigestsSince for
+// the batches in between, as Digests: the sorted sets a Footprint is tested
+// against (TouchedBy) and the subjects to revisit (Digest.Subjects). A digest
+// is built once, by the first follower that reaches it and outside the store
+// lock, and every follower after shares it. The log is bounded and always on,
+// and costs a write one small struct and no digest work: the batches are the
+// ones the write path allocated anyway.
 
 // changeLogBudget bounds the triples the change log retains (12 bytes each,
-// so under a megabyte). A consumer further behind than this does a full
-// rebuild, which by then is the cheaper way to catch up.
+// so under a megabyte, plus the digests built from them). A follower further
+// behind than this does a full rebuild, which by then is the cheaper way to
+// catch up.
 const changeLogBudget = 1 << 16
-
-// Change is one effective mutation batch: the triples that actually entered
-// (or, with Delete, left) the live set, and the generation that doing so
-// produced. No-op batches produce neither a generation nor a Change.
-type Change struct {
-	Gen     uint64
-	Delete  bool
-	Triples []IDTriple
-}
 
 // changeLog retains the newest effective batches, oldest first. Generations
 // are consecutive: entries[i].Gen == floor+1+i.
 type changeLog struct {
-	entries []Change
-	triples int // sum of len(entries[i].Triples)
+	entries []*Digest
+	triples int // sum of len(entries[i].triples)
 	// floor is the newest generation the log no longer (or never) covered:
 	// the batches that led up to it were dropped, or predate the log (a
 	// store restored from a snapshot starts mid-history).
@@ -45,49 +41,49 @@ func (st *Store) commitLocked(del bool, triples []IDTriple) {
 	st.gen++
 	st.countLocked(del, triples)
 	l := &st.log
-	l.entries = append(l.entries, Change{st.gen, del, triples})
+	l.entries = append(l.entries, &Digest{Gen: st.gen, del: del, triples: triples})
 	l.triples += len(triples)
 	drop := 0
 	for l.triples > changeLogBudget {
-		l.triples -= len(l.entries[drop].Triples)
+		l.triples -= len(l.entries[drop].triples)
 		l.floor = l.entries[drop].Gen
-		l.entries[drop] = Change{} // release the batch
+		l.entries[drop] = nil // release the batch
 		drop++
 	}
 	l.entries = l.entries[drop:]
 }
 
-// ChangesSince returns, in apply order, the effective batches that took the
-// store from generation gen to its current one, which it also returns. ok is
-// false when the log cannot vouch for that span — it was overrun (more than
-// changeLogBudget triples changed since gen, or one batch alone exceeds it),
-// the store was restored from a snapshot taken after gen, or gen is not a
-// generation this store has reached — and the caller must rebuild from a
-// scan. With ok true and no changes, the caller is up to date.
+// DigestsSince returns, in apply order, the digests of the effective batches
+// that took the store from generation gen to its current one, which it also
+// returns. ok is false when the log cannot vouch for that span — it was
+// overrun (more than changeLogBudget triples changed since gen, or one batch
+// alone exceeds it), the store was restored from a snapshot taken after gen,
+// or gen is not a generation this store has reached — and the caller must
+// rebuild from a scan. With ok true and an empty span, the caller is up to
+// date.
 //
-// The returned Triples are copies, one per batch: the log's own slices are
-// what a follower recovers from (and the first batch of a bulk load is the
-// SPO index itself), so nothing a caller does to a Change can reach them.
-func (st *Store) ChangesSince(gen uint64) (changes []Change, now uint64, ok bool) {
+// The digests are the log's own, shared with every other caller, and built
+// by the first caller to reach each one: read them, never modify them.
+func (st *Store) DigestsSince(gen uint64) (span []*Digest, now uint64, ok bool) {
 	st.mu.RLock()
 	now = st.gen
 	if gen < st.log.floor || gen > now {
 		st.mu.RUnlock()
 		return nil, now, false
 	}
-	// Logged batches are immutable but the entry slots are reused, so the
-	// headers are copied under the lock and the triples outside it.
-	changes = slices.Clone(st.log.entries[gen-st.log.floor:])
+	// The entry slots are reused as the log moves on, so the pointers are
+	// copied under the lock; the digests are built outside it.
+	span = slices.Clone(st.log.entries[gen-st.log.floor:])
 	st.mu.RUnlock()
-	for i := range changes {
-		changes[i].Triples = slices.Clone(changes[i].Triples)
+	for _, d := range span {
+		d.build()
 	}
-	return changes, now, true
+	return span, now, true
 }
 
 // Statements returns the live triples of the given subjects — of every
 // subject when none is given — sorted by (S, P, O): the read a follower of
-// ChangesSince makes to see the subjects a change named as they are now.
+// DigestsSince makes to see the subjects a change named as they are now.
 // The order depends only on the triples, not on how they are spread over
 // the base index and the delta buffer. All subjects are served under one
 // hold of the read lock, by one index probe each and a single pass over the

@@ -8,7 +8,7 @@ import (
 // Footprint is what a result derived from the store read, in dictionary-ID
 // space: the rules by which a later change can be cleared of having altered
 // it. Whoever keeps such a result remembers the generation it was computed
-// at and asks, change by change (ChangesSince, one Digest each), whether the
+// at and asks, change by change (DigestsSince, one Digest each), whether the
 // footprint was touched; untouched means the result is exactly what a fresh
 // computation would give. IDs are only ever appended and never reassigned,
 // so a footprint stays meaningful for as long as the log covers the span.
@@ -38,15 +38,21 @@ func (f *Footprint) Whole() bool {
 	return len(f.Patterns) == 0 && len(f.Nodes) == 0 && len(f.Entities) == 0
 }
 
-// Digest is one Change reduced to the sets a Footprint is tested against:
-// the distinct subjects, predicates, objects and (predicate, object) pairs
-// of its triples, each ascending. One digest serves every result kept
-// across that change, from any goroutine.
+// Digest is one logged batch — the triples that entered (or, with del, left)
+// the live set, and the generation that doing so produced — reduced to the
+// sets a Footprint is tested against: the distinct subjects, predicates,
+// objects and (predicate, object) pairs of its triples, each ascending. The
+// change log holds one per batch (changelog.go); the sets are built the
+// first time DigestsSince hands it out, and one digest then serves every
+// follower of that change, from any goroutine.
 type Digest struct {
-	Gen        uint64
-	s, p, o    []ID
-	po         []uint64
-	statements int
+	Gen     uint64
+	del     bool
+	triples []IDTriple // the batch as logged, shared with the write path
+
+	sets    sync.Once
+	s, p, o []ID
+	po      []uint64
 
 	// named is every statement of the change's subjects as the store held
 	// them at generation namedAt >= Gen, grouped by subject: what the
@@ -58,22 +64,21 @@ type Digest struct {
 	namedAt uint64
 }
 
-// NewDigest digests one change.
-func NewDigest(c Change) *Digest {
-	d := &Digest{Gen: c.Gen, statements: len(c.Triples)}
-	d.s = make([]ID, len(c.Triples))
-	d.p = make([]ID, len(c.Triples))
-	d.o = make([]ID, len(c.Triples))
-	d.po = make([]uint64, len(c.Triples))
-	for i, t := range c.Triples {
-		d.s[i], d.p[i], d.o[i], d.po[i] = t.S, t.P, t.O, PackPair(t.P, t.O)
-	}
-	d.s, d.p, d.o, d.po = sortedSet(d.s), sortedSet(d.p), sortedSet(d.o), sortedSet(d.po)
-	return d
+// build computes the sets, once.
+func (d *Digest) build() {
+	d.sets.Do(func() {
+		n := len(d.triples)
+		s, p, o, po := make([]ID, n), make([]ID, n), make([]ID, n), make([]uint64, n)
+		for i, t := range d.triples {
+			s[i], p[i], o[i], po[i] = t.S, t.P, t.O, PackPair(t.P, t.O)
+		}
+		d.s, d.p, d.o, d.po = sortedSet(s), sortedSet(p), sortedSet(o), sortedSet(po)
+	})
 }
 
-// Len returns the number of triples the digested change held.
-func (d *Digest) Len() int { return d.statements }
+// Subjects returns the distinct subjects of the change, ascending. The slice
+// is shared by every follower: read it, never modify it.
+func (d *Digest) Subjects() []ID { return d.s }
 
 func sortedSet[T ID | uint64](s []T) []T {
 	slices.Sort(s)

@@ -38,18 +38,14 @@ func footprintStore(t *testing.T) (*Store, func(string) ID) {
 	return st, id
 }
 
-// digestsSince digests every change after gen.
+// digestsSince returns the digest of every change after gen.
 func digestsSince(t *testing.T, st *Store, gen uint64) []*Digest {
 	t.Helper()
-	changes, _, ok := st.ChangesSince(gen)
+	span, _, ok := st.DigestsSince(gen)
 	if !ok {
 		t.Fatalf("log does not cover the span since %d", gen)
 	}
-	var ds []*Digest
-	for _, c := range changes {
-		ds = append(ds, NewDigest(c))
-	}
-	return ds
+	return span
 }
 
 func TestFootprintRules(t *testing.T) {
@@ -213,12 +209,10 @@ func TestFootprintEntitiesReadingAfterTheSpan(t *testing.T) {
 }
 
 func TestDigestSets(t *testing.T) {
-	d := NewDigest(Change{Gen: 7, Triples: []IDTriple{{1, 2, 3}, {1, 2, 4}, {5, 2, 3}, {1, 2, 3}}})
-	if d.Gen != 7 || d.Len() != 4 {
-		t.Fatalf("Gen = %d, Len = %d", d.Gen, d.Len())
-	}
-	if fmt.Sprint(d.s, d.p, d.o) != "[1 5] [2] [3 4]" || len(d.po) != 2 {
-		t.Fatalf("sets = %v %v %v %v", d.s, d.p, d.o, d.po)
+	d := &Digest{Gen: 7, triples: []IDTriple{{1, 2, 3}, {1, 2, 4}, {5, 2, 3}, {1, 2, 3}}}
+	d.build()
+	if fmt.Sprint(d.Subjects(), d.p, d.o) != "[1 5] [2] [3 4]" || len(d.po) != 2 {
+		t.Fatalf("sets = %v %v %v %v", d.Subjects(), d.p, d.o, d.po)
 	}
 	for _, tc := range []struct {
 		m    IDTriple

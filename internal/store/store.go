@@ -34,9 +34,11 @@
 // The same requirement extends to what is derived from the store: each
 // effective write is retained in a bounded change log (changelog.go) under
 // the generation it produced, so an index or view that remembers a
-// generation can catch up from ChangesSince instead of rescanning; the
-// dataset statistics are counted from the same batches by the store itself
-// (stats.go), so no summary read costs a scan after a write.
+// generation asks DigestsSince whether a write since touched what it read,
+// and which subjects to revisit, instead of rescanning — the response cache,
+// the hierarchy bases and the keyword index all share the one digest of each
+// batch; the dataset statistics are counted from the same batches by the
+// store itself (stats.go), so no summary read costs a scan after a write.
 package store
 
 import (
