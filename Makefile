@@ -43,10 +43,10 @@ race:
 	$(GO) test -race -run 'Federated|ServiceSilent' .
 
 # Flake detection: twenty runs under the race detector of the packages
-# whose tests share state with background goroutines (about seven minutes
-# on two cores).
+# whose tests share state with background goroutines or concurrent writers
+# (about ten minutes on two cores).
 flake:
-	$(GO) test -race -count=20 ./internal/server/... ./internal/store/... ./internal/keyword/... ./internal/explore/... ./internal/hetree/...
+	$(GO) test -race -count=20 ./internal/server/... ./internal/store/... ./internal/keyword/... ./internal/explore/... ./internal/hetree/... ./internal/sparql/...
 
 # Coverage gate for the HTTP server subsystem and the metrics registry it
 # exposes (the CI threshold applies to the combined profile).

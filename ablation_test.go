@@ -4,6 +4,7 @@
 package lodviz
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -125,7 +126,7 @@ func joinBench(b *testing.B, q string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sparql.Eval(st, parsed)
+		res, err := sparql.EvalCtx(context.Background(), st, parsed, sparql.Options{})
 		if err != nil || len(res.Rows) != 20 {
 			b.Fatalf("rows=%d err=%v", len(res.Rows), err)
 		}

@@ -4,6 +4,7 @@
 package lodviz
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -406,7 +407,7 @@ func benchBGPJoin(b *testing.B, parallelism int) {
 	parsed := bgpJoinQuery(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sparql.EvalOpts(st, parsed, sparql.Options{Parallelism: parallelism})
+		res, err := sparql.EvalCtx(context.Background(), st, parsed, sparql.Options{Parallelism: parallelism})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -437,7 +438,7 @@ func benchBGPJoinOpts(b *testing.B, query string, opt sparql.Options) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sparql.EvalOpts(st, parsed, opt)
+		res, err := sparql.EvalCtx(context.Background(), st, parsed, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -506,7 +507,7 @@ func benchLimitPushdown(b *testing.B, modifiers string, want int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sparql.EvalOpts(st, parsed, sparql.Options{})
+		res, err := sparql.EvalCtx(context.Background(), st, parsed, sparql.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -539,7 +540,7 @@ func BenchmarkE12SPARQLJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sparql.Eval(st, parsed); err != nil {
+		if _, err := sparql.EvalCtx(context.Background(), st, parsed, sparql.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -561,7 +562,7 @@ func e12() {
 	q := fmt.Sprintf(`SELECT ?e ?v WHERE { ?e <%s> ?o . ?e <%s> ?v . }`,
 		string(gen.Prop("rel0")), string(gen.Prop("num0")))
 	t0 = time.Now()
-	res, err := sparql.Exec(st, q)
+	res, err := sparql.ExecCtx(context.Background(), st, q, sparql.Options{})
 	if err != nil {
 		fmt.Println("sparql:", err)
 		return
@@ -574,7 +575,7 @@ func e12() {
 WHERE { ?e <%s> ?c . ?e <%s> ?v . } GROUP BY ?c ORDER BY DESC(?n)`,
 		string(gen.Prop("cat0")), string(gen.Prop("num0")))
 	t0 = time.Now()
-	res, err = sparql.Exec(st, q)
+	res, err = sparql.ExecCtx(context.Background(), st, q, sparql.Options{})
 	if err != nil {
 		fmt.Println("sparql:", err)
 		return

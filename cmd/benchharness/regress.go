@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -82,7 +83,7 @@ func benchQuery(st *store.Store, query string, opt sparql.Options) func(b *testi
 	}
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sparql.EvalOpts(st, parsed, opt); err != nil {
+			if _, err := sparql.EvalCtx(context.Background(), st, parsed, opt); err != nil {
 				b.Fatal(err)
 			}
 		}

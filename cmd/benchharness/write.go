@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -112,7 +113,7 @@ func writeScenarios() []benchResult {
 				go func() {
 					defer wg.Done()
 					for q := 0; q < readerQueries; q++ {
-						if _, err := sparql.EvalOpts(st, query, sparql.Options{Parallelism: 1}); err != nil {
+						if _, err := sparql.EvalCtx(context.Background(), st, query, sparql.Options{Parallelism: 1}); err != nil {
 							b.Error(err)
 							return
 						}

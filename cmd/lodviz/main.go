@@ -50,6 +50,7 @@ func main() {
 		fail(err)
 	}
 	ex := ds.Explore(lodviz.DefaultPreferences())
+	ctx := context.Background()
 
 	switch cmd {
 	case "overview":
@@ -73,7 +74,7 @@ func main() {
 			streamQuery(ds, args[1], *limit)
 			return
 		}
-		res, err := ds.Query(args[1])
+		res, err := ds.QueryCtx(ctx, args[1], lodviz.QueryOptions{})
 		if err != nil {
 			fail(err)
 		}
@@ -119,7 +120,7 @@ func main() {
 		if len(args) < 2 {
 			fail(fmt.Errorf("visualize: missing SPARQL string"))
 		}
-		spec, svg, err := ex.Visualize(args[1])
+		spec, svg, err := ex.Visualize(ctx, args[1])
 		if err != nil {
 			fail(err)
 		}

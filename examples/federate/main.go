@@ -65,11 +65,11 @@ func main() {
 
 	// One query, two datasets: the city patterns run locally, the country
 	// names come from node B through a batched bind join.
-	res, err := cities.Query(fmt.Sprintf(`PREFIX ex: <http://example.org/>
+	res, err := cities.QueryCtx(ctx, fmt.Sprintf(`PREFIX ex: <http://example.org/>
 		SELECT ?city ?name ?pop WHERE {
 			?city ex:locatedIn ?country ; ex:population ?pop .
 			SERVICE <%s> { ?country ex:name ?name }
-		} ORDER BY DESC(?pop)`, peerB))
+		} ORDER BY DESC(?pop)`, peerB), lodviz.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func main() {
 
 	// SERVICE SILENT against an endpoint nobody runs: the query degrades
 	// to its local partial result instead of failing.
-	res, err = cities.Query(`PREFIX ex: <http://example.org/>
+	res, err = cities.QueryCtx(ctx, `PREFIX ex: <http://example.org/>
 		SELECT ?city ?name WHERE {
 			?city ex:locatedIn ?country .
 			SERVICE SILENT <http://127.0.0.1:1/sparql> { ?country ex:name ?name }
-		}`)
+		}`, lodviz.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

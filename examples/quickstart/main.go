@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,18 +12,20 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// 1. Load a dataset. MiniLOD is embedded; LoadTurtle/LoadNTriples load
 	// your own data.
 	ds := lodviz.MiniLOD()
 	fmt.Printf("loaded %d triples\n\n", ds.Len())
 
 	// 2. Query it with SPARQL.
-	res, err := ds.Query(`
+	res, err := ds.QueryCtx(ctx, `
 PREFIX ex: <http://lodviz.example.org/mini/>
 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
 SELECT ?label ?population WHERE {
   ?city a ex:City ; rdfs:label ?label ; ex:population ?population .
-} ORDER BY DESC(?population)`)
+} ORDER BY DESC(?population)`, lodviz.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +55,7 @@ SELECT ?label ?population WHERE {
 
 	// 4. Ask for a visualization: the recommender profiles the result
 	// columns and the LDVM pipeline binds + renders the best match.
-	recs, _, err := ex.RecommendFor(`
+	recs, _, err := ex.RecommendFor(ctx, `
 PREFIX ex: <http://lodviz.example.org/mini/>
 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
 SELECT ?label ?population WHERE { ?c a ex:City ; rdfs:label ?label ; ex:population ?population . }`)
@@ -67,7 +70,7 @@ SELECT ?label ?population WHERE { ?c a ex:City ; rdfs:label ?label ; ex:populati
 		fmt.Printf("  %.2f %-12v %s\n", r.Score, r.Type, r.Reason)
 	}
 
-	spec, svg, err := ex.Visualize(`
+	spec, svg, err := ex.Visualize(ctx, `
 PREFIX ex: <http://lodviz.example.org/mini/>
 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
 SELECT ?label ?population WHERE { ?c a ex:City ; rdfs:label ?label ; ex:population ?population . }`)

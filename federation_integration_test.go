@@ -1,6 +1,7 @@
 package lodviz
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -79,7 +80,7 @@ func TestFederatedQueryEqualsMergedStore(t *testing.T) {
 			?city ex:locatedIn ?country ; ex:population ?pop .
 			SERVICE <%s> { ?country ex:name ?name }
 		}`, peerURL)
-	got, err := cities.Query(federated)
+	got, err := cities.QueryCtx(context.Background(), federated, QueryOptions{})
 	if err != nil {
 		t.Fatalf("federated query: %v", err)
 	}
@@ -88,11 +89,11 @@ func TestFederatedQueryEqualsMergedStore(t *testing.T) {
 	}
 
 	merged := fedDataset(t, fedCitiesTTL+fedCountriesTTL)
-	want, err := merged.Query(`PREFIX ex: <http://example.org/>
+	want, err := merged.QueryCtx(context.Background(), `PREFIX ex: <http://example.org/>
 		SELECT ?city ?name ?pop WHERE {
 			?city ex:locatedIn ?country ; ex:population ?pop .
 			?country ex:name ?name
-		}`)
+		}`, QueryOptions{})
 	if err != nil {
 		t.Fatalf("merged query: %v", err)
 	}
@@ -160,7 +161,7 @@ func TestServiceSilentDegradesToLocalPartialResult(t *testing.T) {
 			?city ex:locatedIn ?country .
 			SERVICE SILENT <%s> { ?country ex:name ?name }
 		}`, deadURL)
-	got, err := cities.Query(q)
+	got, err := cities.QueryCtx(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatalf("SERVICE SILENT against dead endpoint errored: %v", err)
 	}
@@ -177,7 +178,7 @@ func TestServiceSilentDegradesToLocalPartialResult(t *testing.T) {
 
 	// Without SILENT the same query must fail loudly.
 	qLoud := strings.Replace(q, "SERVICE SILENT", "SERVICE", 1)
-	if _, err := cities.Query(qLoud); err == nil {
+	if _, err := cities.QueryCtx(context.Background(), qLoud, QueryOptions{}); err == nil {
 		t.Fatal("plain SERVICE against dead endpoint should error")
 	}
 }

@@ -1,6 +1,7 @@
 package lodviz
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestIntegrationTurtleToVisualization(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := ds.Explore(DefaultPreferences())
-	spec, svg, err := ex.Visualize(`
+	spec, svg, err := ex.Visualize(context.Background(), `
 PREFIX ex: <http://lodviz.example.org/mini/>
 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
 SELECT ?label ?population WHERE { ?c a ex:City ; rdfs:label ?label ; ex:population ?population . }`)
@@ -49,11 +50,11 @@ func TestIntegrationNTriplesRoundTripThroughStore(t *testing.T) {
 		t.Fatalf("round trip: %d != %d triples", re.Len(), orig.Len())
 	}
 	q := `SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o }`
-	r1, err := orig.Query(q)
+	r1, err := orig.QueryCtx(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := re.Query(q)
+	r2, err := re.QueryCtx(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +71,8 @@ func TestIntegrationDynamicUpdatesVisibleEverywhere(t *testing.T) {
 	ds := MiniLOD()
 	ex := ds.Explore(DefaultPreferences())
 
-	before, _ := ds.Query(`PREFIX ex: <http://lodviz.example.org/mini/>
-SELECT ?c WHERE { ?c a ex:City }`)
+	before, _ := ds.QueryCtx(context.Background(), `PREFIX ex: <http://lodviz.example.org/mini/>
+SELECT ?c WHERE { ?c a ex:City }`, QueryOptions{})
 
 	ds.Add(Triple{
 		S: IRI("http://lodviz.example.org/mini/heraklion"),
@@ -84,8 +85,8 @@ SELECT ?c WHERE { ?c a ex:City }`)
 		O: NewLiteral("Heraklion"),
 	})
 
-	after, _ := ds.Query(`PREFIX ex: <http://lodviz.example.org/mini/>
-SELECT ?c WHERE { ?c a ex:City }`)
+	after, _ := ds.QueryCtx(context.Background(), `PREFIX ex: <http://lodviz.example.org/mini/>
+SELECT ?c WHERE { ?c a ex:City }`, QueryOptions{})
 	if len(after.Rows) != len(before.Rows)+1 {
 		t.Errorf("SPARQL sees %d cities, want %d", len(after.Rows), len(before.Rows)+1)
 	}
@@ -150,9 +151,9 @@ func TestIntegrationSPARQLOverParsedOntology(t *testing.T) {
 	// Ontology extraction agrees with a SPARQL count over the same store.
 	ds := MiniLOD()
 	h := ds.ClassHierarchy()
-	res, err := ds.Query(`
+	res, err := ds.QueryCtx(context.Background(), `
 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-SELECT (COUNT(?c) AS ?n) WHERE { ?c rdfs:subClassOf ?p }`)
+SELECT (COUNT(?c) AS ?n) WHERE { ?c rdfs:subClassOf ?p }`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

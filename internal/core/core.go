@@ -151,9 +151,9 @@ func (e *Explorer) Overview() Overview {
 	}
 }
 
-// Query runs a SPARQL query against the dataset.
-func (e *Explorer) Query(q string) (*sparql.Results, error) {
-	return sparql.Exec(e.st, q)
+// Query runs a SPARQL query against the dataset under ctx.
+func (e *Explorer) Query(ctx context.Context, q string) (*sparql.Results, error) {
+	return sparql.ExecCtx(ctx, e.st, q, sparql.Options{})
 }
 
 // Search finds entities by keyword (index built on first use, then kept
@@ -311,8 +311,8 @@ func (e *Explorer) binPoints(pts []sampling.Point, budget int) []sampling.Point 
 
 // RecommendFor profiles the results of a SPARQL query and ranks
 // visualizations for them — the LDVM pipeline driven from a query.
-func (e *Explorer) RecommendFor(query string) ([]recommend.Recommendation, *ldvm.Analytical, error) {
-	abs, err := ldvm.SPARQLAnalyzer{Label: "adhoc", Query: query}.Analyze(e.st)
+func (e *Explorer) RecommendFor(ctx context.Context, query string) ([]recommend.Recommendation, *ldvm.Analytical, error) {
+	abs, err := ldvm.SPARQLAnalyzer{Label: "adhoc", Query: query}.Analyze(ctx, e.st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -321,10 +321,10 @@ func (e *Explorer) RecommendFor(query string) ([]recommend.Recommendation, *ldvm
 
 // Visualize runs the full LDVM pipeline for a query: analyze, recommend,
 // bind, render.
-func (e *Explorer) Visualize(query string) (*vis.Spec, string, error) {
+func (e *Explorer) Visualize(ctx context.Context, query string) (*vis.Spec, string, error) {
 	p := &ldvm.Pipeline{
 		Source:   e.st,
 		Analyzer: ldvm.SPARQLAnalyzer{Label: "adhoc", Query: query},
 	}
-	return p.Run()
+	return p.Run(ctx)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestOverview(t *testing.T) {
 
 func TestQueryThroughExplorer(t *testing.T) {
 	e := miniExplorer()
-	res, err := e.Query(`
+	res, err := e.Query(context.Background(), `
 PREFIX ex: <http://lodviz.example.org/mini/>
 SELECT ?c WHERE { ?c a ex:City }`)
 	if err != nil {
@@ -285,14 +286,14 @@ func TestRecommendForAndVisualize(t *testing.T) {
 PREFIX ex: <http://lodviz.example.org/mini/>
 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
 SELECT ?label ?population WHERE { ?c a ex:City ; rdfs:label ?label ; ex:population ?population . }`
-	recs, abs, err := e.RecommendFor(q)
+	recs, abs, err := e.RecommendFor(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) == 0 || len(abs.Rows) != 5 {
 		t.Fatalf("recs=%d rows=%d", len(recs), len(abs.Rows))
 	}
-	spec, svg, err := e.Visualize(q)
+	spec, svg, err := e.Visualize(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

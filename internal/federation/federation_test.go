@@ -60,7 +60,7 @@ func sparqlEndpoint(t testing.TB, st *store.Store, hits *atomic.Int64) *httptest
 			return
 		}
 		q := r.Form.Get("query")
-		res, err := sparql.Exec(st, q)
+		res, err := sparql.ExecCtx(context.Background(), st, q, sparql.Options{})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -99,7 +99,7 @@ func canon(rows []sparql.Binding) string {
 // bind-join unit testing without HTTP in the way.
 func localFetch(st *store.Store) fetchFunc {
 	return func(_ context.Context, query string) ([]sparql.Binding, error) {
-		res, err := sparql.Exec(st, query)
+		res, err := sparql.ExecCtx(context.Background(), st, query, sparql.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("remote eval of %q: %w", query, err)
 		}
@@ -131,7 +131,7 @@ func TestBindJoinMatchesDirectJoin(t *testing.T) {
 	}
 
 	// Expected: remote pattern evaluated in full, nested-loop joined.
-	remoteAll, err := sparql.Exec(remote, "SELECT * WHERE { ?country <http://example.org/name> ?name }")
+	remoteAll, err := sparql.ExecCtx(context.Background(), remote, "SELECT * WHERE { ?country <http://example.org/name> ?name }", sparql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestBindJoinOptionalPatternKeepsSpecSemantics(t *testing.T) {
 	}
 
 	// Spec semantics: eval the pattern remotely in isolation, join locally.
-	remoteAll, err := sparql.Exec(remote, "SELECT * WHERE { OPTIONAL { ?country <http://example.org/name> ?name } }")
+	remoteAll, err := sparql.ExecCtx(context.Background(), remote, "SELECT * WHERE { OPTIONAL { ?country <http://example.org/name> ?name } }", sparql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,17 +268,17 @@ func TestServiceQueryEqualsMergedStore(t *testing.T) {
 			?city ex:locatedIn ?country .
 			SERVICE <%s> { ?country ex:name ?name }
 		}`, peer.URL)
-	got, err := sparql.ExecOpts(local, federated, sparql.Options{Service: mesh})
+	got, err := sparql.ExecCtx(context.Background(), local, federated, sparql.Options{Service: mesh})
 	if err != nil {
 		t.Fatalf("federated query: %v", err)
 	}
 
 	merged := mustStore(t, citiesTTL+countriesTTL)
-	want, err := sparql.Exec(merged, `PREFIX ex: <http://example.org/>
+	want, err := sparql.ExecCtx(context.Background(), merged, `PREFIX ex: <http://example.org/>
 		SELECT ?city ?name WHERE {
 			?city ex:locatedIn ?country .
 			?country ex:name ?name
-		}`)
+		}`, sparql.Options{})
 	if err != nil {
 		t.Fatalf("merged query: %v", err)
 	}
@@ -304,7 +304,7 @@ func TestMeshResultCacheDeduplicatesRequests(t *testing.T) {
 		}`, peer.URL)
 	var first string
 	for i := 0; i < 3; i++ {
-		res, err := sparql.ExecOpts(local, q, sparql.Options{Service: mesh})
+		res, err := sparql.ExecCtx(context.Background(), local, q, sparql.Options{Service: mesh})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
@@ -422,12 +422,12 @@ func TestMeshRestrictToPeers(t *testing.T) {
 		}`, peer.URL)
 
 	// Unregistered endpoint: refused without any network dispatch.
-	if _, err := sparql.ExecOpts(local, q, sparql.Options{Service: mesh}); err == nil {
+	if _, err := sparql.ExecCtx(context.Background(), local, q, sparql.Options{Service: mesh}); err == nil {
 		t.Fatal("restricted mesh dispatched to an unregistered endpoint")
 	}
 	// After registration the same query works.
 	mesh.AddPeer(peer.URL)
-	res, err := sparql.ExecOpts(local, q, sparql.Options{Service: mesh})
+	res, err := sparql.ExecCtx(context.Background(), local, q, sparql.Options{Service: mesh})
 	if err != nil {
 		t.Fatalf("registered peer refused: %v", err)
 	}
@@ -479,7 +479,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 			return
 		}
 		r.ParseForm()
-		res, err := sparql.Exec(remote, r.Form.Get("query"))
+		res, err := sparql.ExecCtx(context.Background(), remote, r.Form.Get("query"), sparql.Options{})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

@@ -9,6 +9,7 @@
 package ldvm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -32,8 +33,8 @@ type Analytical struct {
 type Analyzer interface {
 	// Name identifies the analyzer.
 	Name() string
-	// Analyze extracts the abstraction.
-	Analyze(st *store.Store) (*Analytical, error)
+	// Analyze extracts the abstraction; ctx bounds the extraction.
+	Analyze(ctx context.Context, st *store.Store) (*Analytical, error)
 }
 
 // SPARQLAnalyzer extracts the abstraction with a SELECT query.
@@ -48,8 +49,8 @@ type SPARQLAnalyzer struct {
 func (a SPARQLAnalyzer) Name() string { return a.Label }
 
 // Analyze implements Analyzer.
-func (a SPARQLAnalyzer) Analyze(st *store.Store) (*Analytical, error) {
-	res, err := sparql.Exec(st, a.Query)
+func (a SPARQLAnalyzer) Analyze(ctx context.Context, st *store.Store) (*Analytical, error) {
+	res, err := sparql.ExecCtx(ctx, st, a.Query, sparql.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("ldvm: analyzer %q: %w", a.Label, err)
 	}
@@ -89,12 +90,12 @@ type Pipeline struct {
 var ErrNoVisualization = errors.New("ldvm: no applicable visualization")
 
 // Run executes the four stages and returns the final view (an SVG string)
-// along with the spec that produced it.
-func (p *Pipeline) Run() (*vis.Spec, string, error) {
+// along with the spec that produced it; ctx bounds the analysis stage.
+func (p *Pipeline) Run(ctx context.Context) (*vis.Spec, string, error) {
 	if p.Source == nil || p.Analyzer == nil {
 		return nil, "", errors.New("ldvm: pipeline needs a source and an analyzer")
 	}
-	abs, err := p.Analyzer.Analyze(p.Source)
+	abs, err := p.Analyzer.Analyze(ctx, p.Source)
 	if err != nil {
 		return nil, "", err
 	}

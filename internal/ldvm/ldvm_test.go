@@ -1,6 +1,7 @@
 package ldvm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ PREFIX ex: <http://example.org/>
 SELECT ?name ?population ?founded WHERE {
   ?c ex:name ?name ; ex:population ?population ; ex:founded ?founded .
 }`}
-	abs, err := a.Analyze(st)
+	abs, err := a.Analyze(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,10 +57,10 @@ SELECT ?name ?population ?founded WHERE {
 
 func TestSPARQLAnalyzerErrors(t *testing.T) {
 	st := cityStore(t)
-	if _, err := (SPARQLAnalyzer{Label: "bad", Query: "NOT SPARQL"}).Analyze(st); err == nil {
+	if _, err := (SPARQLAnalyzer{Label: "bad", Query: "NOT SPARQL"}).Analyze(context.Background(), st); err == nil {
 		t.Error("bad query accepted")
 	}
-	if _, err := (SPARQLAnalyzer{Label: "ask", Query: "ASK { ?s ?p ?o }"}).Analyze(st); err == nil {
+	if _, err := (SPARQLAnalyzer{Label: "ask", Query: "ASK { ?s ?p ?o }"}).Analyze(context.Background(), st); err == nil {
 		t.Error("ASK accepted as analyzer")
 	}
 }
@@ -72,7 +73,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 PREFIX ex: <http://example.org/>
 SELECT ?founded ?population WHERE { ?c ex:population ?population ; ex:founded ?founded . }`},
 	}
-	spec, svg, err := p.Run()
+	spec, svg, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ SELECT ?founded ?population WHERE { ?c ex:population ?population ; ex:founded ?f
 }
 
 func TestPipelineMissingParts(t *testing.T) {
-	if _, _, err := (&Pipeline{}).Run(); err == nil {
+	if _, _, err := (&Pipeline{}).Run(context.Background()); err == nil {
 		t.Error("empty pipeline accepted")
 	}
 }
@@ -101,7 +102,7 @@ SELECT ?name WHERE { ?c ex:name ?name }`},
 			return &vis.Spec{Type: vis.Table, Title: "custom"}, nil
 		},
 	}
-	spec, _, err := p.Run()
+	spec, _, err := p.Run(context.Background())
 	if err != nil || spec.Title != "custom" {
 		t.Errorf("custom visualizer not used: %v %v", spec, err)
 	}
@@ -125,7 +126,7 @@ func TestBindSpecBarAggregates(t *testing.T) {
 	a := SPARQLAnalyzer{Label: "x", Query: `
 PREFIX ex: <http://example.org/>
 SELECT ?name ?population WHERE { ?c ex:name ?name ; ex:population ?population . }`}
-	abs, err := a.Analyze(st)
+	abs, err := a.Analyze(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestBindSpecHistogram(t *testing.T) {
 	st := cityStore(t)
 	abs, err := SPARQLAnalyzer{Label: "x", Query: `
 PREFIX ex: <http://example.org/>
-SELECT ?population WHERE { ?c ex:population ?population }`}.Analyze(st)
+SELECT ?population WHERE { ?c ex:population ?population }`}.Analyze(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}

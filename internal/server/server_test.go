@@ -908,7 +908,7 @@ func TestParseTermParam(t *testing.T) {
 }
 
 func TestQueryErrorMapping(t *testing.T) {
-	_, parseErr := sparql.Exec(gen.MiniLODStore(), "SELECT {{{")
+	_, parseErr := sparql.ExecCtx(context.Background(), gen.MiniLODStore(), "SELECT {{{", sparql.Options{})
 	status, _ := queryError(parseErr)
 	if status != http.StatusBadRequest {
 		t.Fatalf("parse error mapped to %d, want 400", status)

@@ -64,7 +64,7 @@ func TestTermErrorsClassifiedWithOffset(t *testing.T) {
 
 func TestExecParseErrorClassified(t *testing.T) {
 	st := errTestStore(t, 4)
-	_, err := Exec(st, "not sparql at all")
+	_, err := ExecCtx(context.Background(), st, "not sparql at all", Options{})
 	if !errors.Is(err, ErrParse) {
 		t.Fatalf("Exec error %v does not match ErrParse", err)
 	}
@@ -74,7 +74,7 @@ func TestEvalErrorClassified(t *testing.T) {
 	st := errTestStore(t, 4)
 	// A bare projected variable that is not a GROUP BY key is an
 	// evaluation-time failure on a syntactically valid query.
-	_, err := Exec(st, "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p")
+	_, err := ExecCtx(context.Background(), st, "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p", Options{})
 	if err == nil {
 		t.Skip("engine tolerates non-key projection; no eval error available here")
 	}

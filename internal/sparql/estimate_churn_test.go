@@ -118,7 +118,7 @@ func TestIDJoinDeleteChurnFlipsStrategy(t *testing.T) {
 	const q = `SELECT ?e ?v WHERE { ?e <http://x/pick> "yes" . ?e <http://x/val> ?v }`
 
 	fixed := &countingIDSource{Store: st}
-	res, err := ExecOpts(fixed, q, Options{Parallelism: 1})
+	res, err := ExecCtx(context.Background(), fixed, q, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestIDJoinDeleteChurnFlipsStrategy(t *testing.T) {
 	// Same query, same store, pre-fix estimate: the planner overcounts the
 	// churned predicate 100× and falls back to probing per binding.
 	inflated := &inflatingIDSource{countingIDSource: &countingIDSource{Store: st}, inflate: 9900}
-	if _, err := ExecOpts(inflated, q, Options{Parallelism: 1}); err != nil {
+	if _, err := ExecCtx(context.Background(), inflated, q, Options{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got, base := inflated.probes.Load(), fixed.probes.Load(); got < base+4 {

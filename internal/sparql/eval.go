@@ -32,11 +32,10 @@ type engine struct {
 	// noReorder disables cost-based join reordering (tests compare the
 	// naive textual order against the planned order).
 	noReorder bool
-	// noStream keeps a query off the early-termination paths of stream.go,
-	// and runOracle, when set, evaluates triple-pattern runs in place of the
-	// ID executor: the differential tests' reference is the materializing
-	// pipeline over a term-space oracle that lives in their own files.
-	noStream  bool
+	// runOracle, when set, evaluates triple-pattern runs in place of the ID
+	// executor and keeps the query on the materialized source: the
+	// differential tests' reference is a term-space oracle that lives in
+	// their own files.
 	runOracle func(run []TriplePattern, input []Binding) ([]Binding, error)
 	// svc evaluates SERVICE clauses; nil means federation is not wired.
 	svc ServiceEvaluator
@@ -136,9 +135,9 @@ func patternString(tp TriplePattern) string {
 }
 
 // evalElems evaluates an already-planned element sequence plus the group's
-// filters. The streaming driver calls it directly with the tail of a
+// filters. The paged source calls it directly with the tail of a
 // reordered group so batched evaluation follows the exact plan the
-// materializing path would use (re-planning the tail in isolation could
+// materialized source would use (re-planning the tail in isolation could
 // pick a different join order and therefore a different row order).
 func (e *engine) evalElems(elems []GroupElem, filters []Expr, input []Binding) ([]Binding, error) {
 	cur := input
@@ -358,11 +357,8 @@ func patternScore(tp TriplePattern, bound map[string]bool) int {
 }
 
 // cancelled returns the context's error once the context is done, nil
-// otherwise (and always nil for the background context).
+// otherwise.
 func (e *engine) cancelled() error {
-	if e.ctx == nil {
-		return nil
-	}
 	return e.ctx.Err()
 }
 

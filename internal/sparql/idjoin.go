@@ -8,8 +8,8 @@ import (
 )
 
 // The executor. A run of consecutive triple patterns is evaluated entirely
-// over dictionary IDs, whoever asks — the materializing pipeline, the paged
-// stream driver (stream.go) or DELETE WHERE: input bindings are encoded once
+// over dictionary IDs, whoever asks — the materialized or the paged solution
+// source (stream.go) or DELETE WHERE: input bindings are encoded once
 // into a flat uint32 arena, each pattern either merge-joins a sorted
 // permutation run (equal-prefix joins), probes the indexes per row, or
 // cross-joins one shared scan, and terms are decoded in one batch only when

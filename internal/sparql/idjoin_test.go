@@ -139,7 +139,7 @@ func TestIDJoinUnderConcurrentWrites(t *testing.T) {
 	}
 	for round := 0; round < 30; round++ {
 		for i, q := range queries {
-			res, err := ExecOpts(st, q, Options{Parallelism: 4})
+			res, err := ExecCtx(context.Background(), st, q, Options{Parallelism: 4})
 			if err != nil {
 				t.Fatalf("round %d query %d: %v", round, i, err)
 			}

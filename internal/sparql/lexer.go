@@ -10,11 +10,10 @@
 //
 // Execution is one pipeline over dictionary IDs. Everything the engine asks
 // of the store is store.Source. A run of triple patterns has one executor
-// (idjoin.go), whoever calls it — the materializing pipeline (query.go), the
-// early-termination paths that page the first pattern's scan (stream.go:
-// LIMIT pushdown, top-k, ASK, Stream.Run) and DELETE WHERE (update.go) — and
-// one ordered worker pool (parallel.go). Which path answers a query follows
-// from the query's shape; Options selects none of it.
+// (idjoin.go), whoever calls it — the query driver's materialized or paged
+// solution source (stream.go) and DELETE WHERE (update.go) — and one ordered
+// worker pool (parallel.go). Which source answers a query follows from the
+// query's shape; Options selects none of it.
 //
 // Observability: Options.Metrics attaches engine-wide counters (see
 // Metrics), and Options.Trace attaches a per-query execution trace — an

@@ -34,8 +34,8 @@ type Metrics struct {
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		RunsIDJoin:          r.Counter("lodviz_engine_runs_idjoin_total", "Triple-pattern runs executed over dictionary IDs."),
-		QueriesStreamed:     r.Counter("lodviz_engine_queries_streamed_total", "Query evaluations served by a streaming fast path."),
-		QueriesMaterialized: r.Counter("lodviz_engine_queries_materialized_total", "Query evaluations served by the materializing pipeline."),
+		QueriesStreamed:     r.Counter("lodviz_engine_queries_streamed_total", "Query evaluations served by the paged solution source."),
+		QueriesMaterialized: r.Counter("lodviz_engine_queries_materialized_total", "Query evaluations served by the materialized solution source."),
 		PushdownHits:        r.Counter("lodviz_engine_limit_pushdown_total", "Evaluations whose LIMIT bounded the scan (early termination)."),
 		RowsOut:             r.Counter("lodviz_engine_rows_total", "Solution rows emitted by pattern stages."),
 		MatchesScanned:      r.Counter("lodviz_engine_matches_scanned_total", "Index entries visited by pattern executors."),

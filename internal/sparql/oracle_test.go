@@ -11,12 +11,13 @@ import (
 )
 
 // The differential tests' reference. The engine has one executor for a run
-// of triple patterns (idjoin.go, over dictionary IDs) and one set of
-// early-termination paths (stream.go); what they are held to is the plainest
-// evaluator there is, kept here and reached through two unexported engine
-// fields: the materializing pipeline (noStream) over a sequential term-space
-// probe loop on Store.ForEach (runOracle) — no IDs, no pool, no row limit,
-// no paging. The plan is the engine's own, so the row order is comparable.
+// of triple patterns (idjoin.go, over dictionary IDs) and one driver
+// (stream.go) that may page it; what they are held to is the plainest
+// evaluator there is, kept here and reached through one unexported engine
+// field: a sequential term-space probe loop on Store.ForEach (runOracle),
+// which also keeps the driver on its materialized source — no IDs, no pool,
+// no row limit, no paging. The plan and the modifier chain are the
+// engine's own, so the row order is comparable.
 
 // termSpaceRun evaluates a run one pattern at a time, one binding at a time:
 // substitute the bound variables, scan the store for the resulting term
@@ -85,22 +86,7 @@ func unify(b Binding, vars [3]string, t rdf.Triple) (Binding, bool) {
 func oracleExec(t testing.TB, st *store.Store, q string) *Results {
 	t.Helper()
 	e := newEngine(context.Background(), st, Options{Parallelism: 1})
-	e.noStream = true
 	e.runOracle = termSpaceRun(st)
-	return evalOn(t, e, q)
-}
-
-// execMaterialized answers q with the engine's executor but without the
-// early-termination paths: the full-scan comparator of the pushdown tests.
-func execMaterialized(t *testing.T, src store.Source, q string, opt Options) *Results {
-	t.Helper()
-	e := newEngine(context.Background(), src, opt)
-	e.noStream = true
-	return evalOn(t, e, q)
-}
-
-func evalOn(t testing.TB, e *engine, q string) *Results {
-	t.Helper()
 	parsed, err := Parse(q)
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", q, err)

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -50,7 +51,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := EvalOpts(st, parsed, Options{Parallelism: 1})
+	seq, err := EvalCtx(context.Background(), st, parsed, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("only %d rows; dataset too small to engage the pool", len(seq.Rows))
 	}
 	for _, workers := range []int{0, 2, 3, 8, 64} {
-		par, err := EvalOpts(st, parsed, Options{Parallelism: workers})
+		par, err := EvalCtx(context.Background(), st, parsed, Options{Parallelism: workers})
 		if err != nil {
 			t.Fatalf("Parallelism=%d: %v", workers, err)
 		}
@@ -78,12 +79,12 @@ func TestParallelDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := EvalOpts(st, parsed, Options{Parallelism: 8})
+	first, err := EvalCtx(context.Background(), st, parsed, Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 1; run < 5; run++ {
-		again, err := EvalOpts(st, parsed, Options{Parallelism: 8})
+		again, err := EvalCtx(context.Background(), st, parsed, Options{Parallelism: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,11 +104,11 @@ func TestParallelOptionalMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := EvalOpts(st, parsed, Options{Parallelism: 1})
+	seq, err := EvalCtx(context.Background(), st, parsed, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := EvalOpts(st, parsed, Options{Parallelism: 8})
+	par, err := EvalCtx(context.Background(), st, parsed, Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +123,11 @@ func TestParallelGroupByStable(t *testing.T) {
 	st := parallelStore(t, 2000)
 	q := fmt.Sprintf(`SELECT ?c (COUNT(?e) AS ?n) WHERE { ?e <%s> ?c . ?e <%s> ?v . } GROUP BY ?c ORDER BY ?c`,
 		string(gen.Prop("cat0")), string(gen.Prop("num0")))
-	seq, err := ExecOpts(st, q, Options{Parallelism: 1})
+	seq, err := ExecCtx(context.Background(), st, q, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ExecOpts(st, q, Options{Parallelism: 0})
+	par, err := ExecCtx(context.Background(), st, q, Options{Parallelism: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

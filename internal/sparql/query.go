@@ -3,7 +3,6 @@ package sparql
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -22,18 +21,6 @@ type Results struct {
 	Rows []Binding
 	// Ask is the answer of an ASK query.
 	Ask bool
-}
-
-// Exec parses and evaluates a SPARQL query against the store with default
-// options (parallel BGP evaluation across runtime.NumCPU() workers).
-func Exec(st store.Source, query string) (*Results, error) {
-	return ExecOpts(st, query, Options{})
-}
-
-// ExecOpts parses and evaluates a SPARQL query with explicit options.
-func ExecOpts(st store.Source, query string, opt Options) (*Results, error) {
-	//lint:allow ctxflow compat wrapper: ExecCtx is the cancellable form
-	return ExecCtx(context.Background(), st, query, opt)
 }
 
 // ExecCtx parses and evaluates a SPARQL query under a context: evaluation
@@ -55,18 +42,6 @@ func ExecCtx(ctx context.Context, st store.Source, query string, opt Options) (*
 	return EvalCtx(ctx, st, q, opt)
 }
 
-// Eval evaluates a parsed query against the store with default options.
-func Eval(st store.Source, q *Query) (*Results, error) {
-	return EvalOpts(st, q, Options{})
-}
-
-// EvalOpts evaluates a parsed query against the store. Evaluation order and
-// results are identical at every parallelism setting; see Options.
-func EvalOpts(st store.Source, q *Query, opt Options) (*Results, error) {
-	//lint:allow ctxflow compat wrapper: EvalCtx is the cancellable form
-	return EvalCtx(context.Background(), st, q, opt)
-}
-
 // EvalCtx evaluates a parsed query under a context; see ExecCtx for the
 // cancellation and error-classification contract.
 func EvalCtx(ctx context.Context, st store.Source, q *Query, opt Options) (*Results, error) {
@@ -77,97 +52,30 @@ func EvalCtx(ctx context.Context, st store.Source, q *Query, opt Options) (*Resu
 	return res, nil
 }
 
-func evalWithEngine(e *engine, q *Query) (res *Results, err error) {
-	execStrategy := "materialized"
-	if e.trace != nil {
-		execStart := time.Now()
-		e.exec = e.trace.Add(nil, "execute")
-		defer func() {
-			e.exec.Set("", execStrategy, 0, resultRows(res), execStart)
-		}()
+// evalWithEngine is the query driver (stream.go) with its rows collected
+// into Results. A restart discards what was collected, so no collected row
+// is ever irrevocable; ASK's answer is whether the chain emitted its one row.
+func evalWithEngine(e *engine, q *Query) (*Results, error) {
+	var rows []Binding
+	collect := func(r Binding) bool {
+		rows = append(rows, r)
+		return true
 	}
-	// Early-termination fast paths: LIMIT-pushdown scans, the bounded
-	// ORDER BY top-k heap, and first-solution ASK. They return exactly the
-	// rows the materializing pipeline below would; see stream.go.
-	if !e.noStream {
-		if r, ok, ferr := e.evalStreamFast(q); ok {
-			if e.met != nil {
-				e.met.QueriesStreamed.Inc()
-			}
-			execStrategy = "streamed"
-			return r, ferr
-		}
-	}
-	if e.met != nil {
-		e.met.QueriesMaterialized.Inc()
-	}
-	sols, err := e.evalGroup(q.Where, []Binding{{}})
-	if err != nil {
+	if err := e.execute(q, collect, func() { rows = nil }); err != nil {
 		return nil, err
 	}
 	if q.Form == FormAsk {
-		return &Results{Form: FormAsk, Ask: len(sols) > 0}, nil
+		return &Results{Form: FormAsk, Ask: len(rows) > 0}, nil
 	}
-
-	grouped := len(q.GroupBy) > 0 || projectionHasAggregates(q)
-	var rows []Binding
-	var vars []string
-	if grouped {
-		rows, vars, err = evalGrouped(q, sols)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		rows, vars, err = evalUngrouped(q, sols)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// ORDER BY; the hidden key columns are dropped after sorting.
-	hidden := hiddenOrdNames(len(q.OrderBy))
-	sortRows(rows, q.OrderBy, hidden)
-	stripHidden(rows, hidden)
-
-	// DISTINCT.
-	if q.Distinct {
-		rows = distinctRows(rows, vars)
-	}
-	rows = sliceOffsetLimit(rows, q.Offset, q.Limit)
-	return &Results{Form: FormSelect, Vars: vars, Rows: rows}, nil
+	return &Results{Form: FormSelect, Vars: streamVars(q), Rows: rows}, nil
 }
 
-// resultRows counts a result's rows for the execute span (ASK counts its
-// answer as 0/1).
-func resultRows(r *Results) int {
-	if r == nil {
-		return 0
+// grouped reports whether q's solutions pass through the group stage:
+// GROUP BY, or aggregates in the projection (one implicit group).
+func grouped(q *Query) bool {
+	if len(q.GroupBy) > 0 {
+		return true
 	}
-	if r.Form == FormAsk {
-		if r.Ask {
-			return 1
-		}
-		return 0
-	}
-	return len(r.Rows)
-}
-
-// sliceOffsetLimit applies the OFFSET/LIMIT window (limit < 0 = no limit).
-func sliceOffsetLimit(rows []Binding, offset, limit int) []Binding {
-	if offset > 0 {
-		if offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[offset:]
-		}
-	}
-	if limit >= 0 && limit < len(rows) {
-		rows = rows[:limit]
-	}
-	return rows
-}
-
-func projectionHasAggregates(q *Query) bool {
 	for _, item := range q.Projection {
 		if item.Expr != nil && exprHasAggregate(item.Expr) {
 			return true
@@ -194,25 +102,9 @@ func exprHasAggregate(e Expr) bool {
 	return false
 }
 
-// evalUngrouped projects plain (non-aggregate) SELECT results. SELECT *
-// columns are resolved statically (every variable the pattern can bind,
-// sorted — see streamVars), so the header does not depend on which
-// evaluation path ran or which rows a LIMIT happened to keep.
-func evalUngrouped(q *Query, sols []Binding) ([]Binding, []string, error) {
-	vars := streamVars(q)
-	hidden := hiddenOrdNames(len(q.OrderBy))
-	rows := make([]Binding, 0, len(sols))
-	for _, s := range sols {
-		rows = append(rows, projectSolution(q, vars, s, hidden))
-	}
-	return rows, vars, nil
-}
-
 // projectSolution builds one projected result row from a solution: the
-// star or explicit projection, plus — when hidden names are supplied — the
-// ORDER BY key values evaluated on the original solution and stashed under
-// those names for sortRows.
-func projectSolution(q *Query, vars []string, s Binding, hidden []string) Binding {
+// star columns (vars) or the explicit projection.
+func projectSolution(q *Query, vars []string, s Binding) Binding {
 	row := Binding{}
 	if q.Star {
 		for _, v := range vars {
@@ -220,49 +112,40 @@ func projectSolution(q *Query, vars []string, s Binding, hidden []string) Bindin
 				row[v] = t
 			}
 		}
-	} else {
-		for _, item := range q.Projection {
-			if item.Expr == nil {
-				if t, ok := s[item.Var]; ok {
-					row[item.Var] = t
-				}
-			} else if t, err := evalExpr(item.Expr, s); err == nil {
+		return row
+	}
+	for _, item := range q.Projection {
+		if item.Expr == nil {
+			if t, ok := s[item.Var]; ok {
 				row[item.Var] = t
 			}
-		}
-	}
-	for i := range hidden {
-		if t, err := evalExpr(q.OrderBy[i].Expr, s); err == nil {
-			row[hidden[i]] = t
+		} else if t, err := evalExpr(item.Expr, s); err == nil {
+			row[item.Var] = t
 		}
 	}
 	return row
 }
 
-// evalGrouped implements GROUP BY + aggregates + HAVING.
-func evalGrouped(q *Query, sols []Binding) ([]Binding, []string, error) {
+// evalGrouped is the chain's group stage: it partitions the solutions by
+// their GROUP BY key (one implicit group for aggregates without GROUP BY)
+// and hands next, in first-seen group order, one projected row per group
+// that passes HAVING, with its ORDER BY keys evaluated over the group.
+func evalGrouped(q *Query, sols []Binding, next func(entry) bool) {
 	type grp struct {
 		key  []rdf.Term
 		rows []Binding
 	}
 	groups := map[string]*grp{}
 	var order []string
+	var sig strings.Builder
 	for _, s := range sols {
 		key := make([]rdf.Term, len(q.GroupBy))
-		var sig strings.Builder
+		sig.Reset()
 		for i, ge := range q.GroupBy {
-			// Length-prefixed key components, for the same reason as
-			// distinctRows: a bare joiner would let ("x|","y") and
-			// ("x","|y") collide and merge two distinct groups.
 			if t, err := evalExpr(ge, s); err == nil {
 				key[i] = t
-				ks := t.String()
-				sig.WriteString(strconv.Itoa(len(ks)))
-				sig.WriteByte(':')
-				sig.WriteString(ks)
-			} else {
-				sig.WriteByte('~')
 			}
+			writeSig(&sig, key[i])
 		}
 		g, ok := groups[sig.String()]
 		if !ok {
@@ -280,13 +163,6 @@ func evalGrouped(q *Query, sols []Binding) ([]Binding, []string, error) {
 		order = append(order, "")
 	}
 
-	var vars []string
-	for _, item := range q.Projection {
-		vars = append(vars, item.Var)
-	}
-
-	hidden := hiddenOrdNames(len(q.OrderBy))
-	var rows []Binding
 	for _, sig := range order {
 		g := groups[sig]
 		// Representative binding carries the group key values.
@@ -296,21 +172,7 @@ func evalGrouped(q *Query, sols []Binding) ([]Binding, []string, error) {
 				rep[v.Name] = g.key[i]
 			}
 		}
-		// HAVING.
-		keep := true
-		for _, h := range q.Having {
-			t, err := evalAggExpr(h, g.rows, rep)
-			if err != nil {
-				keep = false
-				break
-			}
-			v, ok := rdf.EffectiveBoolean(t)
-			if !ok || !v {
-				keep = false
-				break
-			}
-		}
-		if !keep {
+		if !having(q, g.rows, rep) {
 			continue
 		}
 		row := Binding{}
@@ -331,95 +193,38 @@ func evalGrouped(q *Query, sols []Binding) ([]Binding, []string, error) {
 				row[item.Var] = t
 			}
 		}
-		for i, key := range q.OrderBy {
-			if t, err := evalAggExpr(key.Expr, g.rows, rep); err == nil {
-				row[hidden[i]] = t
-			}
+		keys := sortKeys(q.OrderBy, func(e Expr) (rdf.Term, error) { return evalAggExpr(e, g.rows, rep) })
+		if !next(entry{sol: row, keys: keys}) {
+			return
 		}
-		rows = append(rows, row)
 	}
-	return rows, vars, nil
 }
 
-// hiddenOrdNames returns the engine-generated column names that carry ORDER
-// BY key values through sorting, one per sort key. The NUL prefix cannot
-// appear in a parsed variable name (the lexer accepts only [A-Za-z0-9_]),
-// so a legal user variable like ?_ord0 can never collide with — nor be
-// clobbered or deleted alongside — a hidden column.
-func hiddenOrdNames(n int) []string {
-	if n == 0 {
-		return nil
+// having reports whether a group passes every HAVING condition.
+func having(q *Query, rows []Binding, rep Binding) bool {
+	for _, h := range q.Having {
+		t, err := evalAggExpr(h, rows, rep)
+		if err != nil {
+			return false
+		}
+		if v, ok := rdf.EffectiveBoolean(t); !ok || !v {
+			return false
+		}
 	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = "\x00ord" + strconv.Itoa(i)
-	}
-	return out
+	return true
 }
 
-// sortRows stable-sorts rows by the hidden key columns (hidden[i] holds the
-// value of keys[i]). Per SPARQL's ordering, an unbound key sorts before any
-// bound term (rdf.Compare treats nil as least); DESC reverses, putting
-// unbound rows last.
-func sortRows(rows []Binding, keys []OrderKey, hidden []string) {
-	if len(keys) == 0 {
+// writeSig appends one length-prefixed signature component ("<len>:<term>",
+// "~" for unbound) for GROUP BY keys and DISTINCT rows: with a bare joiner
+// a term whose lexical form contains the separator could alias a column
+// boundary — ("a|b","c") and ("a","b|c") would collide.
+func writeSig(sig *strings.Builder, t rdf.Term) {
+	if t == nil {
+		sig.WriteByte('~')
 		return
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for k, key := range keys {
-			ti := rows[i][hidden[k]]
-			tj := rows[j][hidden[k]]
-			c := rdf.Compare(ti, tj)
-			if key.Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-}
-
-// stripHidden deletes exactly the engine-generated hidden sort columns from
-// every row; user bindings — including names like ?_ord0 that a prefix
-// match would catch — are untouched.
-func stripHidden(rows []Binding, hidden []string) {
-	if len(hidden) == 0 {
-		return
-	}
-	for _, r := range rows {
-		for _, h := range hidden {
-			delete(r, h)
-		}
-	}
-}
-
-// distinctRows removes duplicate rows, keeping first occurrences. Dedup
-// signatures are length-prefixed per column ("<len>:<term>", "~" for an
-// unbound column), so a term whose lexical form contains a would-be
-// separator can no longer alias a column boundary (with a bare "|" joiner,
-// ("a|b","c") and ("a","b|c") collided and a distinct row was dropped).
-func distinctRows(rows []Binding, vars []string) []Binding {
-	seen := map[string]struct{}{}
-	out := rows[:0:0]
-	var sig strings.Builder
-	for _, r := range rows {
-		sig.Reset()
-		for _, v := range vars {
-			if t, ok := r[v]; ok {
-				s := t.String()
-				sig.WriteString(strconv.Itoa(len(s)))
-				sig.WriteByte(':')
-				sig.WriteString(s)
-			} else {
-				sig.WriteByte('~')
-			}
-		}
-		if _, dup := seen[sig.String()]; !dup {
-			seen[sig.String()] = struct{}{}
-			out = append(out, r)
-		}
-	}
-	return out
+	s := t.String()
+	sig.WriteString(strconv.Itoa(len(s)))
+	sig.WriteByte(':')
+	sig.WriteString(s)
 }

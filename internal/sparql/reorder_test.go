@@ -156,7 +156,7 @@ func TestReorderEquivalentToNaiveOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", q, err)
 		}
-		planned, err := EvalOpts(st, parsed, Options{Parallelism: 1})
+		planned, err := EvalCtx(context.Background(), st, parsed, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,16 +181,11 @@ func evalNoReorder(t *testing.T, st *store.Store, q *Query) *Results {
 	t.Helper()
 	e := newEngine(context.Background(), st, Options{Parallelism: 1})
 	e.noReorder = true
-	sols, err := e.evalGroup(q.Where, []Binding{{}})
+	res, err := evalWithEngine(e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, vars, err := evalUngrouped(q, sols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripHidden(rows, hiddenOrdNames(len(q.OrderBy)))
-	return &Results{Form: FormSelect, Vars: vars, Rows: rows}
+	return res
 }
 
 // fanoutWithBase sanity: a dead pattern (constant absent from the store)

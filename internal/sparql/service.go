@@ -45,12 +45,7 @@ func (e *engine) evalService(svc Service, input []Binding) ([]Binding, error) {
 		}
 		return nil, fmt.Errorf("sparql: SERVICE <%s>: no federation evaluator configured", svc.Endpoint)
 	}
-	ctx := e.ctx
-	if ctx == nil {
-		//lint:allow ctxflow fallback for engines built via Eval (no caller ctx); EvalCtx threads one
-		ctx = context.Background()
-	}
-	out, err := e.svc.EvalService(ctx, &ServiceCall{
+	out, err := e.svc.EvalService(e.ctx, &ServiceCall{
 		Endpoint: svc.Endpoint,
 		Silent:   svc.Silent,
 		Pattern:  svc.Inner,

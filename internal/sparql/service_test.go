@@ -104,7 +104,7 @@ func TestFormatGroupRoundTrip(t *testing.T) {
 			t.Fatalf("re-Parse of %q (from %q): %v", text, src, err)
 		}
 		want := exec(t, st, src)
-		got, err := Eval(st, re)
+		got, err := EvalCtx(context.Background(), st, re, Options{})
 		if err != nil {
 			t.Fatalf("Eval of reparse %q: %v", text, err)
 		}
@@ -233,13 +233,13 @@ func TestServiceEvaluatorDispatch(t *testing.T) {
 	stub := &stubService{rows: []Binding{
 		{"s": rdf.IRI("http://example.org/alice"), "mail": rdf.NewLiteral("alice@example.org")},
 	}}
-	res, err := ExecOpts(st, `PREFIX foaf: <http://xmlns.com/foaf/0.1/>
+	res, err := ExecCtx(context.Background(), st, `PREFIX foaf: <http://xmlns.com/foaf/0.1/>
 		SELECT ?s ?mail WHERE {
 			?s foaf:name "Alice" .
 			SERVICE <http://remote/sparql> { ?s <http://example.org/mail> ?mail }
 		}`, Options{Service: stub})
 	if err != nil {
-		t.Fatalf("ExecOpts: %v", err)
+		t.Fatalf("ExecCtx: %v", err)
 	}
 	if len(stub.calls) != 1 {
 		t.Fatalf("evaluator called %d times, want 1", len(stub.calls))
@@ -258,7 +258,7 @@ func TestServiceEvaluatorDispatch(t *testing.T) {
 
 func TestServiceWithoutEvaluatorFails(t *testing.T) {
 	st := testStore(t)
-	_, err := Exec(st, `SELECT * WHERE { SERVICE <http://remote/sparql> { ?s ?p ?o } }`)
+	_, err := ExecCtx(context.Background(), st, `SELECT * WHERE { SERVICE <http://remote/sparql> { ?s ?p ?o } }`, Options{})
 	if err == nil {
 		t.Fatal("expected error for SERVICE without evaluator")
 	}
@@ -276,7 +276,7 @@ func TestServiceSilentDegrades(t *testing.T) {
 		}`
 
 	// No evaluator at all: the local partial result comes back.
-	res, err := Exec(st, q)
+	res, err := ExecCtx(context.Background(), st, q, Options{})
 	if err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
@@ -286,9 +286,9 @@ func TestServiceSilentDegrades(t *testing.T) {
 
 	// A failing evaluator: same degradation.
 	stub := &stubService{err: errors.New("endpoint unreachable")}
-	res, err = ExecOpts(st, q, Options{Service: stub})
+	res, err = ExecCtx(context.Background(), st, q, Options{Service: stub})
 	if err != nil {
-		t.Fatalf("ExecOpts with failing evaluator: %v", err)
+		t.Fatalf("ExecCtx with failing evaluator: %v", err)
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1 (degraded partial result)", len(res.Rows))

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -51,9 +52,9 @@ func testStore(t *testing.T) *store.Store {
 
 func exec(t *testing.T, st *store.Store, q string) *Results {
 	t.Helper()
-	res, err := Exec(st, q)
+	res, err := ExecCtx(context.Background(), st, q, Options{})
 	if err != nil {
-		t.Fatalf("Exec(%q): %v", q, err)
+		t.Fatalf("ExecCtx(%q): %v", q, err)
 	}
 	return res
 }
@@ -614,12 +615,12 @@ func TestLargerJoinOrdering(t *testing.T) {
 			st.Add(rdf.T(s, "http://e/special", rdf.NewBoolean(true)))
 		}
 	}
-	res, err := Exec(st, `
+	res, err := ExecCtx(context.Background(), st, `
 SELECT ?s ?v WHERE {
   ?s <http://e/type> <http://e/Item> .
   ?s <http://e/special> true .
   ?s <http://e/val> ?v .
-}`)
+}`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -631,7 +632,7 @@ SELECT ?s ?v WHERE {
 func TestNumericLiteralForms(t *testing.T) {
 	st := store.New()
 	st.Add(rdf.T(rdf.IRI("http://e/x"), "http://e/v", rdf.NewDecimal(2.5)))
-	res, err := Exec(st, `SELECT ?s WHERE { ?s <http://e/v> ?v . FILTER(?v = 2.5) }`)
+	res, err := ExecCtx(context.Background(), st, `SELECT ?s WHERE { ?s <http://e/v> ?v . FILTER(?v = 2.5) }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

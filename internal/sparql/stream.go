@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/lodviz/lodviz/internal/rdf"
@@ -14,75 +15,61 @@ import (
 	"github.com/lodviz/lodviz/internal/store"
 )
 
+// The query driver. Every query form runs the same way: one solution source
+// followed by one fixed chain of solution modifiers. EvalCtx collects the
+// chain's rows into Results, Stream.Run hands them to a live consumer, and
+// ASK is the chain stopped at its first solution.
+//
+// The source is one of two:
+//
+//   - paged (streamSolutions): the first pattern's scan is suspended and
+//     read page by page, each page joined through the rest of the group and
+//     handed on before the next is read, so delivery can start — and
+//     evaluation stop — before the scan is done. planStream admits a query
+//     to it: a top-level pattern with only BIND/VALUES ahead of it, no
+//     UNION or SERVICE, and no DISTINCT or grouping.
+//   - materialized (evalGroup): every solution first, under one read view
+//     per scan. Everything planStream refuses takes it, and so does a
+//     buffered SELECT without LIMIT, which needs every solution anyway.
+//
+// The chain runs in SPARQL order: group/aggregate + HAVING when present,
+// ORDER BY, project, DISTINCT, the OFFSET/LIMIT window, emit. ORDER BY is
+// one keyed selection (sampling.TopK) bounded at offset+limit when a LIMIT
+// caps the window and no DISTINCT can drop rows after it, so a top-k query
+// keeps k candidates, not the result set; ties keep arrival order.
+// Every solution enters the chain with its own sort keys (the group stage
+// evaluates them over the group), so projection never has to carry them.
+// Without ORDER BY, the window's LIMIT rides into the paged source as a
+// budget: work then scales with k, not with the dataset.
+//
+// The restart rule: a compaction between two pages invalidates the paged
+// scan's cursor (errScanShifted). The attempt restarts when nothing
+// irrevocable has left the driver — rows collected for Results never are,
+// rows handed to a live consumer always are, and then the conflict surfaces
+// as an ErrEval. After scanRestartAttempts shifted attempts the
+// materialized source answers.
+
 // errScanShifted reports that the store compacted its indexes between two
-// pages of a streamed scan, invalidating the positional cursor. Callers
-// restart through retryShifted (and ultimately fall back to the
-// snapshot-consistent materializing pipeline); an incremental stream that
-// has already delivered rows surfaces it to the consumer.
+// pages of a paged scan, invalidating the positional cursor.
 var errScanShifted = errors.New("sparql: store layout changed during streamed scan")
 
-// Streaming query evaluation. The materializing pipeline in query.go
-// computes every solution, sorts and deduplicates the full set, and only
-// then slices LIMIT/OFFSET — so an exploration query asking for the first
-// screenful pays the full scan. The paths in this file make top-k the fast
-// path instead:
-//
-//   - streamDirect: plain SELECT ... LIMIT k (+OFFSET) without ORDER BY,
-//     DISTINCT, or grouping stops scanning after offset+k solutions, and
-//     ASK stops at the first. Work scales with k, not with dataset size.
-//   - streamTopK: ORDER BY ... LIMIT k keeps a bounded heap of the
-//     offset+k best solutions while scanning, replacing the full
-//     sort-then-slice: O(k) memory and O(n log k) comparisons.
-//
-// Both produce byte-identical rows in identical order to the materializing
-// pipeline (the differential tests compare them), and both are the same
-// driver, streamSolutions: it pages the first pattern's scan in ID space and
-// hands each page, still as ID rows, to the one pattern executor of
-// idjoin.go. Queries whose modifiers need the whole solution set — DISTINCT,
-// GROUP BY, aggregates — and shapes whose evaluation is not row-local
-// (UNION, SERVICE) stay on the materializing path.
-
-// streamMode selects the evaluation strategy for a parsed query.
-type streamMode int
-
-const (
-	// streamNone: the query must materialize every solution first.
-	streamNone streamMode = iota
-	// streamDirect: complete solutions can be delivered — and evaluation
-	// stopped — as they are found.
-	streamDirect
-	// streamTopK: ORDER BY needs every solution, but LIMIT bounds how many
-	// survive; a bounded heap replaces the full sort.
-	streamTopK
-)
-
-// planStream classifies a query. streamDirect/streamTopK are only returned
-// when the streamed rows are provably identical, in order, to the
-// materializing pipeline's output, AND the driver can actually suspend a
-// scan — a top-level triple pattern (after unwrapping redundant nesting).
-// Without one, streaming would be a full evaluation wearing a streaming
-// hat, so such queries honestly report the materializing path.
-func planStream(q *Query) streamMode {
+// planStream reports whether the paged source can serve q with exactly the
+// rows, in order, the materialized source gives: the group must be row-local
+// (streamableElems) and have a scan to suspend (streamablePrefix), and no
+// modifier may need the whole solution set before its first output — ORDER
+// BY only under a LIMIT, whose top-k selection still beats the full sort.
+func planStream(q *Query) bool {
 	if q.Where == nil {
-		return streamNone
+		return false
 	}
 	g := unwrapGroup(q.Where)
 	if !streamableElems(g.Elems) || !streamablePrefix(g.Elems) {
-		return streamNone
+		return false
 	}
 	if q.Form == FormAsk {
-		return streamDirect
+		return true
 	}
-	if q.Distinct || len(q.GroupBy) > 0 || len(q.Having) > 0 || projectionHasAggregates(q) {
-		return streamNone
-	}
-	if len(q.OrderBy) == 0 {
-		return streamDirect
-	}
-	if q.Limit >= 0 {
-		return streamTopK
-	}
-	return streamNone
+	return !q.Distinct && !grouped(q) && len(q.Having) == 0 && (len(q.OrderBy) == 0 || q.Limit >= 0)
 }
 
 // unwrapGroup peels redundant nesting: a group consisting solely of one
@@ -139,7 +126,7 @@ func addBudget(offset, limit int) int {
 // streamableElems reports whether an element sequence is row-local: the
 // output attributable to one input binding is contiguous, in input order,
 // and independent of which other bindings share its evaluation batch. Only
-// then does batched tail evaluation preserve the materializing row order.
+// then does batched tail evaluation preserve the materialized row order.
 // UNION is not row-local (it emits all left-branch rows before any
 // right-branch row); SERVICE is remote and batch-shaped. Both are fine
 // inside OPTIONAL's inner group, which is evaluated per binding anyway —
@@ -175,8 +162,8 @@ const (
 )
 
 // streamSolutions evaluates g, delivering every complete solution (after
-// the group's filters) to emit in exactly the order the materializing
-// pipeline produces, until emit returns false. budget >= 0 is the caller's
+// the group's filters) to emit in exactly the order the materialized
+// source produces, until emit returns false. budget >= 0 is the caller's
 // expected row need; it rides into the executor as a probe bound but emit
 // alone decides when delivery stops. budget < 0 streams the full solution
 // set.
@@ -189,7 +176,7 @@ const (
 // one would deadlock behind a queued writer, and a slow network consumer
 // must not stall the store's writers. The flip side is isolation: a write
 // landing between two pages is visible to the remainder of the scan (the
-// materializing path keeps its one-snapshot-per-scan semantics).
+// materialized source keeps its one-snapshot-per-scan semantics).
 func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) error {
 	g = unwrapGroup(g)
 	elems := g.Elems
@@ -320,19 +307,19 @@ func remainingBudget(budget, emitted int) int {
 	return max(budget-emitted, 0)
 }
 
-// topkEntry is one candidate in the bounded ORDER BY heap: the solution,
-// its precomputed sort-key terms, and its arrival sequence (the stable-sort
-// tiebreaker).
-type topkEntry struct {
+// entry is one solution in the modifier chain: the solution (for a
+// grouped query, its projected group row), its ORDER BY key values and its
+// arrival sequence, the stable-sort tiebreaker.
+type entry struct {
 	sol  Binding
 	keys []rdf.Term
 	seq  int
 }
 
-// before orders entries exactly as the materializing path's stable sort
-// does: key by key (unbound before bound per rdf.Compare, DESC negated),
-// arrival order breaking ties — a strict order, seq being unique.
-func (a topkEntry) before(b topkEntry, keys []OrderKey) bool {
+// before orders entries key by key (unbound before bound per rdf.Compare,
+// DESC negated), arrival order breaking ties — a strict order, seq being
+// unique, so the selection is a stable sort.
+func (a entry) before(b entry, keys []OrderKey) bool {
 	for k := range keys {
 		c := rdf.Compare(a.keys[k], b.keys[k])
 		if keys[k].Desc {
@@ -345,77 +332,29 @@ func (a topkEntry) before(b topkEntry, keys []OrderKey) bool {
 	return a.seq < b.seq
 }
 
-// streamTopK streams the full solution set through a k-bounded selection
-// and returns, in final order, exactly the k solutions the materializing
-// path's stable sort would rank first — but memory is O(k) and sorting
-// costs O(n log k) instead of O(n log n).
-func (e *engine) streamTopK(q *Query, k int) ([]Binding, error) {
-	top := sampling.NewTopK(k, func(a, b topkEntry) bool { return a.before(b, q.OrderBy) })
-	seq := 0
-	err := e.streamSolutions(q.Where, -1, func(s Binding) bool {
-		keys := make([]rdf.Term, len(q.OrderBy))
-		for i, key := range q.OrderBy {
-			if t, err := evalExpr(key.Expr, s); err == nil {
-				keys[i] = t
-			}
-		}
-		top.Offer(topkEntry{sol: s, keys: keys, seq: seq})
-		seq++
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	kept := top.Sorted()
-	sols := make([]Binding, len(kept))
-	for i, ent := range kept {
-		sols[i] = ent.sol
-	}
-	return sols, nil
-}
-
-// runDirect streams the OFFSET/LIMIT-windowed projected rows of a
-// streamDirect-planned SELECT to emit, in materializing order, stopping
-// the scan as soon as the window is filled (or emit declines). The window
-// is enforced on the emit side; the scan budget is a hint the capped
-// parallel executor also honors. Both evaluation entry points — the
-// materialized fast path and the incremental Stream.Run — are this one
-// loop, so modifier semantics cannot diverge between them.
-func (e *engine) runDirect(q *Query, vars []string, emit func(Binding) bool) error {
-	if q.Limit == 0 {
+// sortKeys evaluates the ORDER BY keys with eval; a key that errors stays
+// unbound and sorts first.
+func sortKeys(keys []OrderKey, eval func(Expr) (rdf.Term, error)) []rdf.Term {
+	if len(keys) == 0 {
 		return nil
 	}
-	budget := -1
-	if q.Limit > 0 {
-		budget = addBudget(q.Offset, q.Limit)
-		if budget >= 0 && e.met != nil {
-			e.met.PushdownHits.Inc()
+	out := make([]rdf.Term, len(keys))
+	for i, key := range keys {
+		if t, err := eval(key.Expr); err == nil {
+			out[i] = t
 		}
 	}
-	skipped, emitted := 0, 0
-	return e.streamSolutions(q.Where, budget, func(sol Binding) bool {
-		if skipped < q.Offset {
-			skipped++
-			return true
-		}
-		emitted++
-		if !emit(projectSolution(q, vars, sol, nil)) {
-			return false
-		}
-		return q.Limit < 0 || emitted < q.Limit
-	})
+	return out
 }
 
 // scanRestartAttempts bounds how often a paged scan the store compacted
-// under is restarted; past it, the snapshot-consistent materializing
-// pipeline takes over (correct at any write rate, just not
-// early-terminating).
+// under is restarted; past it, the snapshot-consistent materialized source
+// takes over (correct at any write rate, just not early-terminating).
 const scanRestartAttempts = 3
 
 // retryShifted runs attempt until one ends without the store having
 // compacted under its paged scan, scanRestartAttempts times at most.
-// done=false means every attempt was shifted; whatever an attempt
-// accumulated must be reset at its start.
+// done=false means every attempt was shifted.
 func retryShifted(attempt func() error) (done bool, err error) {
 	for i := 0; i < scanRestartAttempts; i++ {
 		if err = attempt(); !errors.Is(err, errScanShifted) {
@@ -425,67 +364,177 @@ func retryShifted(attempt func() error) (done bool, err error) {
 	return false, nil
 }
 
-// evalStreamFast is the engine's early-termination entry: it handles the
-// query shapes whose solution modifiers let evaluation stop before the full
-// scan (ok=true), and declines (ok=false) when the query must materialize —
-// including when concurrent compaction keeps shifting the paged scan out
-// from under it. Results are always exactly what the materializing
-// pipeline would return.
-func (e *engine) evalStreamFast(q *Query) (res *Results, ok bool, err error) {
-	mode := planStream(q)
-	k := addBudget(q.Offset, q.Limit)
-	var attempt func() error
-	switch {
-	case mode == streamDirect && q.Form == FormAsk:
-		attempt = func() error {
-			res = &Results{Form: FormAsk}
-			return e.streamSolutions(q.Where, 1, func(Binding) bool {
-				res.Ask = true
-				return false
-			})
+// execute is the driver's root: it picks the source, runs the chain and
+// hands the windowed rows to emit in order until emit declines. restart
+// discards everything emit has received; nil means a delivered row is
+// irrevocable (a live consumer).
+func (e *engine) execute(q *Query, emit func(Binding) bool, restart func()) error {
+	strategy, rows := "materialized", 0
+	if e.trace != nil {
+		start := time.Now()
+		e.exec = e.trace.Add(nil, "execute")
+		defer func() { e.exec.Set("", strategy, 0, rows, start) }()
+	}
+	count := func(r Binding) bool {
+		rows++
+		return emit(r)
+	}
+	reset := func() {
+		rows = 0
+		if restart != nil {
+			restart()
 		}
-	case mode == streamDirect && q.Limit >= 0:
-		// (Without a LIMIT the whole set is needed anyway; the
-		// materializing pipeline is no slower and shares more code.)
-		attempt = func() error {
-			res = &Results{Form: FormSelect, Vars: streamVars(q)}
-			return e.runDirect(q, res.Vars, func(r Binding) bool {
-				res.Rows = append(res.Rows, r)
+	}
+	if e.pages(q, restart == nil) {
+		done, err := retryShifted(func() error {
+			reset()
+			err := e.chain(q, true, count)
+			if restart == nil && rows > 0 && errors.Is(err, errScanShifted) {
+				// A restart would deliver these rows twice.
+				return fmt.Errorf("%v; re-run the query", err)
+			}
+			return err
+		})
+		if done {
+			if e.met != nil {
+				e.met.QueriesStreamed.Inc()
+			}
+			strategy = "streamed"
+			return err
+		}
+		reset()
+	}
+	if e.met != nil {
+		e.met.QueriesMaterialized.Inc()
+	}
+	return e.chain(q, false, count)
+}
+
+// pages is the source-choice rule: the paged source serves what planStream
+// admits, except a buffered SELECT without LIMIT, which needs every
+// solution anyway. The differential tests' oracle (runOracle) always
+// materializes.
+func (e *engine) pages(q *Query, live bool) bool {
+	return e.runOracle == nil && planStream(q) && (live || q.Limit >= 0 || q.Form == FormAsk)
+}
+
+// chain runs one attempt: the source, then the modifier stages in SPARQL
+// order into emit.
+func (e *engine) chain(q *Query, paged bool, emit func(Binding) bool) error {
+	limit := q.Limit
+	if q.Form == FormAsk {
+		limit = 1
+	}
+	if limit == 0 {
+		return nil // ahead of the order stage: a TopK bound of 0 keeps everything
+	}
+
+	// The stages after ORDER BY, built back to front: window, DISTINCT,
+	// project.
+	skipped, taken := 0, 0
+	out := func(row Binding) bool {
+		if skipped < q.Offset {
+			skipped++
+			return true
+		}
+		taken++
+		return emit(row) && (limit < 0 || taken < limit)
+	}
+	vars := streamVars(q)
+	if q.Distinct {
+		window, seen := out, map[string]struct{}{}
+		var sig strings.Builder
+		out = func(row Binding) bool {
+			sig.Reset()
+			for _, v := range vars {
+				writeSig(&sig, row[v])
+			}
+			if _, dup := seen[sig.String()]; dup {
 				return true
-			})
-		}
-	case mode == streamTopK && k >= 0:
-		// (k < 0: offset+limit overflows, no meaningful heap bound exists,
-		// and a window that large is a full materialization anyway.)
-		attempt = func() error {
-			res = &Results{Form: FormSelect, Vars: streamVars(q)}
-			var sols []Binding
-			if k > 0 {
-				var err error
-				if sols, err = e.streamTopK(q, k); err != nil {
-					return err
-				}
 			}
-			rows := make([]Binding, 0, len(sols))
-			for _, s := range sols {
-				rows = append(rows, projectSolution(q, res.Vars, s, nil))
-			}
-			res.Rows = sliceOffsetLimit(rows, q.Offset, q.Limit)
-			return nil
+			seen[sig.String()] = struct{}{}
+			return window(row)
 		}
-	default:
-		return nil, false, nil
 	}
-	if ok, err = retryShifted(attempt); !ok || err != nil {
-		return nil, ok, err
+	group := grouped(q)
+	project := func(ent entry) bool {
+		if group {
+			return out(ent.sol) // the group stage projects
+		}
+		return out(projectSolution(q, vars, ent.sol))
 	}
-	return res, true, nil
+
+	// ORDER BY: bounded at offset+limit unless DISTINCT may still drop rows
+	// after it (an overflowing bound means unbounded too).
+	next := project
+	var top *sampling.TopK[entry]
+	if len(q.OrderBy) > 0 {
+		k := 0
+		if limit > 0 && !q.Distinct {
+			k = max(addBudget(q.Offset, limit), 0)
+		}
+		top = sampling.NewTopK(k, func(a, b entry) bool { return a.before(b, q.OrderBy) })
+		seq := 0
+		next = func(ent entry) bool {
+			ent.seq = seq
+			seq++
+			top.Offer(ent)
+			return true
+		}
+	}
+
+	// The source, through the group stage when there is one.
+	var sols []Binding
+	feed := func(s Binding) bool {
+		if group {
+			sols = append(sols, s)
+			return true
+		}
+		keys := sortKeys(q.OrderBy, func(ex Expr) (rdf.Term, error) { return evalExpr(ex, s) })
+		return next(entry{sol: s, keys: keys})
+	}
+	if paged {
+		// planStream keeps DISTINCT and grouping off this source, so without
+		// ORDER BY each solution is one window row and the window bounds the
+		// scan.
+		budget := -1
+		if len(q.OrderBy) == 0 && limit > 0 {
+			budget = addBudget(q.Offset, limit)
+			if q.Form == FormSelect && budget >= 0 && e.met != nil {
+				e.met.PushdownHits.Inc()
+			}
+		}
+		if err := e.streamSolutions(q.Where, budget, feed); err != nil {
+			return err
+		}
+	} else {
+		all, err := e.evalGroup(q.Where, []Binding{{}})
+		if err != nil {
+			return err
+		}
+		for _, s := range all {
+			if !feed(s) {
+				break
+			}
+		}
+	}
+	if group {
+		evalGrouped(q, sols, next)
+	}
+	if top != nil {
+		for _, ent := range top.Sorted() {
+			if !project(ent) {
+				break
+			}
+		}
+	}
+	return nil
 }
 
 // streamVars resolves the projected column names without evaluating: the
 // explicit projection list in order, or for SELECT * every variable the
-// pattern can bind, sorted. Both evaluation paths use this, so the header
-// never depends on which rows a LIMIT kept. _-prefixed names are excluded
+// pattern can bind, sorted. The header therefore never depends on which
+// source ran or which rows a LIMIT kept. _-prefixed names are excluded
 // to hide the parser's _anonN bnode variables — which also hides, as a
 // documented side effect, user variables starting with '_' under SELECT *
 // (explicit projection always works).
@@ -511,12 +560,11 @@ func streamVars(q *Query) []string {
 
 // Stream is a prepared streaming query evaluation: parsing and planning
 // happen at construction, so the column header is known before the first
-// row, and Run delivers rows through a callback as they are found. The
-// HTTP /sparql/stream endpoint and Dataset.QueryStream are built on it.
+// row, and Run delivers rows through a callback as the driver emits them.
+// The HTTP /sparql/stream endpoint and Dataset.QueryStream are built on it.
 type Stream struct {
 	e    *engine
 	q    *Query
-	mode streamMode
 	vars []string
 }
 
@@ -532,7 +580,7 @@ func PrepareStream(ctx context.Context, src store.Source, query string, opt Opti
 
 // PrepareStreamQuery is PrepareStream over an already-parsed query.
 func PrepareStreamQuery(ctx context.Context, src store.Source, q *Query, opt Options) *Stream {
-	s := &Stream{e: newEngine(ctx, src, opt), q: q, mode: planStream(q)}
+	s := &Stream{e: newEngine(ctx, src, opt), q: q}
 	if q.Form == FormSelect {
 		s.vars = streamVars(q)
 	}
@@ -552,54 +600,22 @@ func (s *Stream) Form() QueryForm { return s.q.Form }
 // evaluation first (ORDER BY, DISTINCT, grouping, UNION or SERVICE
 // patterns); rows still arrive through the same callback, just only after
 // the result set is complete.
-func (s *Stream) Incremental() bool { return s.mode == streamDirect && s.q.Form == FormSelect }
+func (s *Stream) Incremental() bool {
+	return s.q.Form == FormSelect && len(s.q.OrderBy) == 0 && s.e.pages(s.q, true)
+}
 
 // Run evaluates a SELECT stream, calling emit for every result row in
-// order — the same rows the materializing pipeline returns — until emit
-// returns false. Errors match ErrEval.
+// order — the rows EvalCtx returns — until emit returns false. Errors match
+// ErrEval.
 func (s *Stream) Run(emit func(Binding) bool) error {
 	if s.q.Form != FormSelect {
 		return wrapEval(fmt.Errorf("sparql: Run on an ASK query; use Ask"))
 	}
-	if s.mode == streamDirect {
-		delivered := false
-		done, err := retryShifted(func() error {
-			err := s.e.runDirect(s.q, s.vars, func(r Binding) bool {
-				delivered = true
-				return emit(r)
-			})
-			if delivered && errors.Is(err, errScanShifted) {
-				// Rows already reached the consumer; a restart would
-				// duplicate them. Surface the conflict instead.
-				return fmt.Errorf("%v; re-run the query", err)
-			}
-			return err
-		})
-		if done {
-			if s.e.met != nil {
-				s.e.met.QueriesStreamed.Inc()
-			}
-			return wrapEval(err)
-		}
-		// Compaction churn with nothing delivered: the materialized replay
-		// below is snapshot-consistent.
-	}
-	// Materializing modes (top-k included) share the Results pipeline and
-	// replay the finished rows.
-	res, err := evalWithEngine(s.e, s.q)
-	if err != nil {
-		return wrapEval(err)
-	}
-	for _, row := range res.Rows {
-		if !emit(row) {
-			return nil
-		}
-	}
-	return nil
+	return wrapEval(s.e.execute(s.q, emit, nil))
 }
 
 // Ask answers an ASK stream, stopping at the first matching solution when
-// the pattern qualifies for streaming. Errors match ErrEval.
+// the pattern qualifies for the paged source. Errors match ErrEval.
 func (s *Stream) Ask() (bool, error) {
 	if s.q.Form != FormAsk {
 		return false, wrapEval(fmt.Errorf("sparql: Ask on a SELECT query; use Run"))

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ func TestTraceGolden(t *testing.T) {
 		`{"name":"pattern","detail":"?a <http://x/link> ?b","strategy":"id-merge","rowsIn":2,"rowsOut":2,"durationMicros":0},` +
 		`{"name":"pattern","detail":"?b <http://x/num> ?v","strategy":"id-merge","rowsIn":2,"rowsOut":2,"durationMicros":0}]}]}}`
 	tr := explain.NewTrace()
-	res, err := ExecOpts(st, traceQuery, Options{Parallelism: 1, Trace: tr})
+	res, err := ExecCtx(context.Background(), st, traceQuery, Options{Parallelism: 1, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestTraceRowCountsMatchResults(t *testing.T) {
 	st := idJoinStore(t)
 	q := `SELECT ?e ?o ?v WHERE { ?e <http://x/cat> "c2" . ?e <http://x/link> ?o . ?o <http://x/num> ?v }`
 	tr := explain.NewTrace()
-	res, err := ExecOpts(st, q, Options{Parallelism: 1, Trace: tr})
+	res, err := ExecCtx(context.Background(), st, q, Options{Parallelism: 1, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestEngineMetrics(t *testing.T) {
 	st := traceStore(t)
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg)
-	if _, err := ExecOpts(st, traceQuery, Options{Parallelism: 1, Metrics: met}); err != nil {
+	if _, err := ExecCtx(context.Background(), st, traceQuery, Options{Parallelism: 1, Metrics: met}); err != nil {
 		t.Fatal(err)
 	}
 	if met.RunsIDJoin.Value() == 0 {
@@ -127,7 +128,7 @@ func TestEngineMetrics(t *testing.T) {
 	if met.RowsOut.Value() == 0 || met.MatchesScanned.Value() == 0 {
 		t.Errorf("RowsOut=%d MatchesScanned=%d, want > 0", met.RowsOut.Value(), met.MatchesScanned.Value())
 	}
-	if _, err := ExecOpts(st, `SELECT ?s WHERE { ?s <http://x/cat> "c1" } LIMIT 1`, Options{Parallelism: 1, Metrics: met}); err != nil {
+	if _, err := ExecCtx(context.Background(), st, `SELECT ?s WHERE { ?s <http://x/cat> "c1" } LIMIT 1`, Options{Parallelism: 1, Metrics: met}); err != nil {
 		t.Fatal(err)
 	}
 	if met.QueriesStreamed.Value() != 1 {
@@ -139,7 +140,7 @@ func TestEngineMetrics(t *testing.T) {
 	if met.PagesScanned.Value() == 0 {
 		t.Error("PagesScanned did not move")
 	}
-	if _, err := ExecUpdate(st, `INSERT DATA { <http://x/e9> <http://x/cat> "c9" }`); err != nil {
+	if _, err := ExecUpdateCtx(context.Background(), st, `INSERT DATA { <http://x/e9> <http://x/cat> "c9" }`, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ExecUpdateCtx(t.Context(), st, `INSERT DATA { <http://x/e8> <http://x/cat> "c8" }`, Options{Metrics: met}); err != nil {

@@ -216,12 +216,6 @@ func (p *parser) parseGroundData(allowBlank bool) ([]rdf.Triple, error) {
 	return ts, nil
 }
 
-// ExecUpdate parses and executes an update with default options.
-func ExecUpdate(st UpdateStore, src string) (*UpdateResult, error) {
-	//lint:allow ctxflow compat wrapper: ExecUpdateCtx is the cancellable form
-	return ExecUpdateCtx(context.Background(), st, src, Options{})
-}
-
 // ExecUpdateCtx parses and executes an update. Parse errors match ErrParse;
 // execution errors match ErrEval.
 func ExecUpdateCtx(ctx context.Context, st UpdateStore, src string, opt Options) (*UpdateResult, error) {

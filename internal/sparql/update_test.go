@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -20,13 +21,13 @@ func updStore(t *testing.T, triples ...rdf.Triple) *store.Store {
 
 func TestInsertData(t *testing.T) {
 	st := updStore(t)
-	res, err := ExecUpdate(st, `
+	res, err := ExecUpdateCtx(context.Background(), st, `
 		PREFIX ex: <http://ex/>
 		INSERT DATA {
 			ex:a ex:p ex:b ;
 			     ex:q "v"@en , 42 .
 			_:b1 a ex:Thing .
-		}`)
+		}`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +51,8 @@ func TestInsertData(t *testing.T) {
 	// Idempotent: re-inserting the same data changes nothing, and the
 	// generation stays put so caches survive.
 	gen := st.Generation()
-	res, err = ExecUpdate(st, `PREFIX ex: <http://ex/>
-		INSERT DATA { ex:a ex:p ex:b }`)
+	res, err = ExecUpdateCtx(context.Background(), st, `PREFIX ex: <http://ex/>
+		INSERT DATA { ex:a ex:p ex:b }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +68,8 @@ func TestDeleteData(t *testing.T) {
 	a := rdf.Triple{S: rdf.IRI("http://ex/a"), P: "http://ex/p", O: rdf.IRI("http://ex/b")}
 	b := rdf.Triple{S: rdf.IRI("http://ex/c"), P: "http://ex/p", O: rdf.NewInteger(7)}
 	st := updStore(t, a, b)
-	res, err := ExecUpdate(st, `PREFIX ex: <http://ex/>
-		DELETE DATA { ex:a ex:p ex:b . ex:missing ex:p ex:b }`)
+	res, err := ExecUpdateCtx(context.Background(), st, `PREFIX ex: <http://ex/>
+		DELETE DATA { ex:a ex:p ex:b . ex:missing ex:p ex:b }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +93,8 @@ func TestDeleteWhere(t *testing.T) {
 	st := updStore(t, triples...)
 
 	// Joined pattern: both patterns of every matching solution are deleted.
-	res, err := ExecUpdate(st, `PREFIX ex: <http://ex/>
-		DELETE WHERE { ?e ex:cat "c1" . ?e ex:num ?v }`)
+	res, err := ExecUpdateCtx(context.Background(), st, `PREFIX ex: <http://ex/>
+		DELETE WHERE { ?e ex:cat "c1" . ?e ex:num ?v }`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestDeleteWhere(t *testing.T) {
 	}
 
 	// Non-matching pattern deletes nothing and is not an error.
-	res, err = ExecUpdate(st, `DELETE WHERE { ?s <http://nowhere/p> ?o }`)
+	res, err = ExecUpdateCtx(context.Background(), st, `DELETE WHERE { ?s <http://nowhere/p> ?o }`, Options{})
 	if err != nil || res.Deleted != 0 {
 		t.Fatalf("empty DELETE WHERE: %+v, %v", res, err)
 	}
@@ -120,10 +121,10 @@ func TestDeleteWhere(t *testing.T) {
 
 func TestMultiOpUpdate(t *testing.T) {
 	st := updStore(t)
-	res, err := ExecUpdate(st, `PREFIX ex: <http://ex/>
+	res, err := ExecUpdateCtx(context.Background(), st, `PREFIX ex: <http://ex/>
 		INSERT DATA { ex:a ex:p ex:b . ex:a ex:p ex:c } ;
 		DELETE DATA { ex:a ex:p ex:b } ;
-		INSERT DATA { ex:a ex:p ex:d } ;`)
+		INSERT DATA { ex:a ex:p ex:d } ;`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +162,14 @@ func TestUpdateParseErrors(t *testing.T) {
 func TestUpdateGenerationInvalidation(t *testing.T) {
 	st := updStore(t, rdf.Triple{S: rdf.IRI("http://ex/a"), P: "http://ex/p", O: rdf.IRI("http://ex/b")})
 	gen := st.Generation()
-	if _, err := ExecUpdate(st, `INSERT DATA { <http://ex/x> <http://ex/p> 1 }`); err != nil {
+	if _, err := ExecUpdateCtx(context.Background(), st, `INSERT DATA { <http://ex/x> <http://ex/p> 1 }`, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Generation() == gen {
 		t.Fatal("effective insert did not advance the generation")
 	}
 	gen = st.Generation()
-	if _, err := ExecUpdate(st, `DELETE WHERE { <http://ex/x> <http://ex/p> ?v }`); err != nil {
+	if _, err := ExecUpdateCtx(context.Background(), st, `DELETE WHERE { <http://ex/x> <http://ex/p> ?v }`, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Generation() == gen {

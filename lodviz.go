@@ -17,9 +17,9 @@
 // internal/ subpackages. Start with:
 //
 //	ds, err := lodviz.LoadTurtle(src)
-//	res, err := ds.Query(`SELECT ?s WHERE { ?s a <http://...> }`)
+//	res, err := ds.QueryCtx(ctx, `SELECT ?s WHERE { ?s a <http://...> }`, lodviz.QueryOptions{})
 //	ex := ds.Explore(lodviz.DefaultPreferences())
-//	spec, svg, err := ex.Visualize(`SELECT ?label ?population WHERE { ... }`)
+//	spec, svg, err := ex.Visualize(ctx, `SELECT ?label ?population WHERE { ... }`)
 package lodviz
 
 import (
@@ -230,25 +230,16 @@ type QueryOptions struct {
 	Endpoints []string
 }
 
-// Query runs a SPARQL SELECT or ASK query with default options: triple
+// QueryCtx runs a SPARQL SELECT or ASK query under a context: triple
 // patterns are cost-reordered using the store's cardinality statistics and
-// evaluated by a parallel worker pool sized to runtime.NumCPU(). SERVICE
-// clauses are answered by the dataset's federation mesh (see Federate).
-func (d *Dataset) Query(q string) (*Results, error) {
-	return sparql.ExecOpts(d.st, q, d.sparqlOptions(QueryOptions{}))
-}
-
-// QueryOpts runs a SPARQL query with explicit options:
+// evaluated by a worker pool sized by opt.Parallelism; SERVICE clauses are
+// answered by the dataset's federation mesh (see Federate). Evaluation
+// stops promptly when ctx is cancelled or its deadline expires, returning an
+// error that matches both ErrQueryEval and the context error under
+// errors.Is.
 //
-//	res, err := ds.QueryOpts(q, lodviz.QueryOptions{Parallelism: 1}) // sequential
-//	res, err := ds.QueryOpts(q, lodviz.QueryOptions{})               // NumCPU workers
-func (d *Dataset) QueryOpts(q string, opt QueryOptions) (*Results, error) {
-	return sparql.ExecOpts(d.st, q, d.sparqlOptions(opt))
-}
-
-// QueryCtx runs a SPARQL query under a context: evaluation stops promptly
-// when ctx is cancelled or its deadline expires, returning an error that
-// matches both ErrQueryEval and the context error under errors.Is.
+//	res, err := ds.QueryCtx(ctx, q, lodviz.QueryOptions{})               // NumCPU workers
+//	res, err := ds.QueryCtx(ctx, q, lodviz.QueryOptions{Parallelism: 1}) // sequential
 func (d *Dataset) QueryCtx(ctx context.Context, q string, opt QueryOptions) (*Results, error) {
 	return sparql.ExecCtx(ctx, d.st, q, d.sparqlOptions(opt))
 }
@@ -262,7 +253,7 @@ type QueryStreamResult struct {
 	// Ask is the answer of an ASK query.
 	Ask bool
 	// Incremental reports whether rows were delivered while evaluation was
-	// still in progress — the early-termination fast path, where a LIMIT
+	// still in progress — the paged source without ORDER BY, where a LIMIT
 	// also stops the scan as soon as enough rows are out. False means the
 	// query's shape (ORDER BY, DISTINCT, grouping, UNION, SERVICE) forced
 	// full evaluation before the first row.
@@ -366,7 +357,7 @@ func (d *Dataset) lazyKeyword() *keyword.Lazy {
 	return d.kw
 }
 
-// Query error classes: every error returned by Query/QueryOpts/QueryCtx
+// Query error classes: every error returned by QueryCtx/QueryStream
 // matches exactly one of these under errors.Is, so callers can distinguish a
 // malformed query (the caller's fault) from an evaluation failure without
 // string matching.

@@ -1,6 +1,7 @@
 package lodviz
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -17,7 +18,7 @@ ex:b ex:p ex:c .
 	if ds.Len() != 2 {
 		t.Errorf("Len = %d", ds.Len())
 	}
-	res, err := ds.Query(`SELECT ?x WHERE { ?x <http://example.org/p> ?y }`)
+	res, err := ds.QueryCtx(context.Background(), `SELECT ?x WHERE { ?x <http://example.org/p> ?y }`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +71,9 @@ func TestDynamicAdd(t *testing.T) {
 	if ds.Len() != before+1 {
 		t.Error("dynamic add failed")
 	}
-	res, _ := ds.Query(`
+	res, _ := ds.QueryCtx(context.Background(), `
 PREFIX ex: <http://lodviz.example.org/mini/>
-SELECT ?c WHERE { ?c a ex:City }`)
+SELECT ?c WHERE { ?c a ex:City }`, QueryOptions{})
 	if len(res.Rows) != 6 {
 		t.Errorf("cities after add = %d", len(res.Rows))
 	}
@@ -159,7 +160,7 @@ func TestClassHierarchy(t *testing.T) {
 func TestVisualizeEndToEnd(t *testing.T) {
 	ds := MiniLOD()
 	ex := ds.Explore(DefaultPreferences())
-	spec, svg, err := ex.Visualize(`
+	spec, svg, err := ex.Visualize(context.Background(), `
 PREFIX ex: <http://lodviz.example.org/mini/>
 PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
 SELECT ?label ?population WHERE { ?c a ex:City ; rdfs:label ?label ; ex:population ?population . }`)
@@ -180,15 +181,15 @@ func TestQueryOptsParallelismEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := `SELECT ?e ?c WHERE { ?e a ?c . ?e <http://lodviz.example.org/prop/cat0> ?v . }`
-	seq, err := ds.QueryOpts(q, QueryOptions{Parallelism: 1})
+	seq, err := ds.QueryCtx(context.Background(), q, QueryOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ds.QueryOpts(q, QueryOptions{})
+	par, err := ds.QueryCtx(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := ds.Query(q)
+	def, err := ds.QueryCtx(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func waitForServer(t *testing.T, url string) {
 
 func TestQueryTypedErrors(t *testing.T) {
 	ds := MiniLOD()
-	if _, err := ds.Query("SELECT nope {{{"); !errors.Is(err, ErrQueryParse) {
+	if _, err := ds.QueryCtx(context.Background(), "SELECT nope {{{", QueryOptions{}); !errors.Is(err, ErrQueryParse) {
 		t.Fatalf("malformed query error %v does not match ErrQueryParse", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -15,7 +15,7 @@ func TestQueryStreamMatchesQuery(t *testing.T) {
 		`SELECT ?s ?o WHERE { ?s ?p ?o } ORDER BY ?o ?s LIMIT 3`,
 		`SELECT DISTINCT ?p WHERE { ?s ?p ?o } LIMIT 4`,
 	} {
-		ref, err := ds.Query(q)
+		ref, err := ds.QueryCtx(context.Background(), q, QueryOptions{})
 		if err != nil {
 			t.Fatalf("Query(%q): %v", q, err)
 		}
