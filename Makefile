@@ -58,14 +58,16 @@ cover-server:
 
 # Short coverage-guided fuzz smoke over the text-format parsers, the term
 # syntax they share (FuzzTermText: every reader reads back what Term.String
-# wrote) and the federation results decoder (it consumes untrusted remote
-# bytes).
+# wrote), the federation results decoder (it consumes untrusted remote
+# bytes) and the JSON string appender (FuzzAppendJSONString: byte for byte
+# what encoding/json writes).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzNTriples -fuzztime=10s ./internal/ntriples
 	$(GO) test -fuzz=FuzzTermText -fuzztime=10s ./internal/rdf
 	$(GO) test -fuzz=FuzzDecodeResults -fuzztime=10s ./internal/federation
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
+	$(GO) test -fuzz=FuzzAppendJSONString -fuzztime=10s ./internal/sparql
 
 # Run the exploration server on the embedded demo dataset.
 serve:
@@ -94,7 +96,9 @@ bench:
 # decoders a request body goes through (a bulk_ingest-sized N-Triples body,
 # the session_cold query shapes and an INSERT DATA), and the store's
 # statistics tally (a summary read at 110k triples; a 2000-triple add+delete
-# with the tally not built and built): verifies the
+# with the tally not built and built), and the two progressive streams
+# (/sparql/stream at 600 rows and /facets/stream, allocations per stream):
+# verifies the
 # benchmark paths execute,
 # without timing noise gating CI. Timing regressions are gated separately
 # by bench-regression against the committed baseline.
@@ -107,6 +111,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='FromSource|LevelOverSharedBase' -benchtime=1x -benchmem ./internal/hetree
 	$(GO) test -run='^$$' -bench=ReadAll -benchtime=1x -benchmem ./internal/ntriples
 	$(GO) test -run='^$$' -bench=ParseQuery -benchtime=1x -benchmem ./internal/sparql
+	$(GO) test -run='^$$' -bench='SPARQLStream|FacetsStream' -benchtime=1x -benchmem ./internal/server
 
 # The end-to-end benchmark (bench/e2e) is its own module, which the root
 # `go test ./...` does not see: vet it, run its unit tests, and play every

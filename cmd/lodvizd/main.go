@@ -1,8 +1,8 @@
 // Command lodvizd serves a lodviz dataset over HTTP: a SPARQL 1.1 Protocol
 // endpoint (/sparql, JSON results), a chunked streaming variant
-// (/sparql/stream, NDJSON — rows are flushed as the engine finds them, so
-// the first row of a LIMIT query arrives while the scan is still running
-// and the scan stops once the limit is filled), plus the exploration
+// (/sparql/stream, NDJSON — the first row is flushed as soon as the engine
+// finds it, so it arrives while the scan is still running, the rest within
+// 5 ms, and the scan stops once a LIMIT is filled), plus the exploration
 // endpoints /facets, /graph/neighborhood, /hetree, /stats — with NDJSON
 // twins: /facets/stream emits CLT-bounded approximate batches mid-scan
 // before converging to the exact answer, /stats/stream answers exactly in

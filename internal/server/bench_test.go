@@ -138,3 +138,37 @@ func BenchmarkSPARQLCacheHit(b *testing.B) {
 		timedGet(b, client, u, "HIT")
 	}
 }
+
+// discardWriter is a ResponseWriter that keeps nothing: the stream
+// benchmarks measure the handler and its encoding, not a recorder's buffer.
+type discardWriter struct{ h http.Header }
+
+func (d discardWriter) Header() http.Header         { return d.h }
+func (d discardWriter) WriteHeader(int)             {}
+func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d discardWriter) Flush()                      {}
+
+// benchStream serves target b.N times over st; -benchmem's allocs/op is
+// the allocations of one whole stream.
+func benchStream(b *testing.B, target string) {
+	s := New(synthStore(b, 5000), Config{CacheCapacity: -1, Logger: discardLogger()})
+	h := s.Handler()
+	r := httptest.NewRequest(http.MethodGet, target, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(discardWriter{h: http.Header{}}, r)
+	}
+}
+
+// BenchmarkSPARQLStream streams 600 rows of the item → hub → name join, the
+// size of a session's /sparql/stream in the end-to-end benchmark.
+func BenchmarkSPARQLStream(b *testing.B) {
+	benchStream(b, "/sparql/stream?query="+url.QueryEscape(benchQuery+" LIMIT 600"))
+}
+
+// BenchmarkFacetsStream streams the unfiltered facet distribution: its
+// approximate batches and the exact done line.
+func BenchmarkFacetsStream(b *testing.B) {
+	benchStream(b, "/facets/stream")
+}

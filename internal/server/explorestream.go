@@ -3,73 +3,75 @@ package server
 import (
 	"errors"
 	"net/http"
+	"strconv"
 
 	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/facet"
 	"github.com/lodviz/lodviz/internal/progressive"
 	"github.com/lodviz/lodviz/internal/sparql"
-	"github.com/lodviz/lodviz/internal/store"
 )
 
-// estimateJSON carries one CLT-bounded progressive estimate on the wire:
-// value ± ci95 covers the exact answer with 95% confidence, fraction is the
-// share of the dataset scanned when it was taken.
-type estimateJSON struct {
-	Value    float64 `json:"value"`
-	CI95     float64 `json:"ci95"`
-	Fraction float64 `json:"fraction"`
-}
-
-func encodeEstimate(e progressive.Estimate) estimateJSON {
-	return estimateJSON{Value: e.Value, CI95: e.CI95, Fraction: e.Fraction}
-}
-
-// facetsStreamBatch is one approximate NDJSON line of /facets/stream.
-type facetsStreamBatch struct {
-	Fraction float64             `json:"fraction"`
-	Scanned  int                 `json:"scanned"`
-	Count    int                 `json:"count"`
-	Facets   []facetEstimateJSON `json:"facets"`
-}
-
-type facetEstimateJSON struct {
-	Predicate string                   `json:"predicate"`
-	Total     estimateJSON             `json:"total"`
-	Values    []facetValueEstimateJSON `json:"values"`
-}
-
-type facetValueEstimateJSON struct {
-	Term  sparql.JSONTerm `json:"term"`
-	Count estimateJSON    `json:"count"`
-}
-
-// exploreStreamFinal is the last NDJSON line of a progressive exploration
-// stream: the exact result (identical to the buffered endpoint's body) or a
-// mid-stream error.
-type exploreStreamFinal struct {
-	Done     bool    `json:"done"`
-	Fraction float64 `json:"fraction"`
-	Result   any     `json:"result,omitempty"`
-	Error    string  `json:"error,omitempty"`
-}
-
-// streamLiner sets up NDJSON streaming on w and returns the per-line writer
-// (false once the client is gone) — the chunked plumbing the SPARQL
-// streaming endpoint established.
-func streamLiner(w http.ResponseWriter) func(v any) bool {
-	h := w.Header()
-	h.Set("Content-Type", streamContentType)
-	h.Set("X-Cache", "BYPASS")
-	w.WriteHeader(http.StatusOK)
-	return ndjsonLiner(w)
+// appendFacetBatch appends one approximate /facets/stream line: the batch's
+// fraction, scanned and count, then per facet its predicate, total and
+// values, each count a CLT-bounded estimate {"value","ci95","fraction"} —
+// value ± ci95 covers the exact answer with 95% confidence, fraction is
+// the share of the dataset scanned when it was taken. A non-finite float
+// fails the line, as encoding/json fails it.
+func appendFacetBatch(dst []byte, b facet.Batch) ([]byte, error) {
+	var err error
+	float := func(f float64) {
+		if err == nil {
+			dst, err = sparql.AppendJSONFloat(dst, f)
+		}
+	}
+	estimate := func(e progressive.Estimate) {
+		dst = append(dst, `{"value":`...)
+		float(e.Value)
+		dst = append(dst, `,"ci95":`...)
+		float(e.CI95)
+		dst = append(dst, `,"fraction":`...)
+		float(e.Fraction)
+		dst = append(dst, '}')
+	}
+	dst = append(dst, `{"fraction":`...)
+	float(b.Fraction)
+	dst = append(dst, `,"scanned":`...)
+	dst = strconv.AppendInt(dst, int64(b.Scanned), 10)
+	dst = append(dst, `,"count":`...)
+	dst = strconv.AppendInt(dst, int64(b.Count), 10)
+	dst = append(dst, `,"facets":[`...)
+	for i, fe := range b.Facets {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"predicate":`...)
+		dst = sparql.AppendJSONString(dst, string(fe.Predicate))
+		dst = append(dst, `,"total":`...)
+		estimate(fe.Total)
+		dst = append(dst, `,"values":[`...)
+		for j, v := range fe.Values {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"term":`...)
+			dst = sparql.AppendTerm(dst, v.Term)
+			dst = append(dst, `,"count":`...)
+			estimate(v.Count)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, "]}"...)
+	}
+	return append(dst, "]}"...), err
 }
 
 // handleFacetsStream serves the facet distribution progressively as NDJSON:
 // approximate batches (exact count, CLT-scaled value estimates) while the
 // ID walk is still running, then a final done line whose result field is
-// byte-equivalent to /facets. Parameters are exactly /facets'. A completed
-// stream also fills the buffered endpoint's cache entry, so the next
-// /facets request for the same view is a HIT.
+// byte-equivalent to /facets. Parameters are exactly /facets'. The first
+// batch is flushed as soon as it is written, later ones in 32 KiB runs or
+// 5 ms after they were written, the done line at once. A completed stream
+// also fills the buffered endpoint's cache entry, so the next /facets
+// request for the same view is a HIT.
 func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 	max, filters, rawFilters, errStatus, errMsg := s.facetParams(r)
 	if errStatus != 0 {
@@ -87,48 +89,31 @@ func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, msg)
 		return
 	}
-	line := streamLiner(w)
+	st := s.startStream(w, "/facets/stream")
+	defer st.close()
 	lines := 0
 	count, fs, err := sess.Stream(ctx, 0, 1, func(b facet.Batch) bool {
-		out := facetsStreamBatch{
-			Fraction: b.Fraction,
-			Scanned:  b.Scanned,
-			Count:    b.Count,
-			Facets:   []facetEstimateJSON{},
-		}
-		for _, fe := range b.Facets {
-			fj := facetEstimateJSON{
-				Predicate: string(fe.Predicate),
-				Total:     encodeEstimate(fe.Total),
-				Values:    []facetValueEstimateJSON{},
-			}
-			for _, v := range fe.Values {
-				fj.Values = append(fj.Values, facetValueEstimateJSON{
-					Term:  sparql.EncodeTerm(v.Term),
-					Count: encodeEstimate(v.Count),
-				})
-			}
-			out.Facets = append(out.Facets, fj)
-		}
-		if !line(out) {
+		line, err := appendFacetBatch(st.buf[:0], b)
+		if err != nil || !st.line(line, true) {
 			return false
 		}
 		lines++
 		return true
 	})
-	finishExploreStream(w, line, lines, err, func() any {
-		resp := encodeFacetsResponse(count, fs)
-		s.fillCache(s.facetsKey(max, rawFilters), gen, sess.Footprint(), resp)
-		return resp
+	finishExploreStream(w, st, lines, err, func() result {
+		res := jsonResult(encodeFacetsResponse(count, fs), sess.Footprint())
+		s.fillCache(s.facetsKey(max, rawFilters), gen, res)
+		return res
 	})
 }
 
 // finishExploreStream ends a progressive exploration stream whose scan
 // returned err after lines batches were written. publish encodes the exact
-// result and fills the buffered endpoint's cache entry with it; it runs
-// before the done trailer is written, because a client that reads done and
-// at once asks the buffered endpoint for the same view must find the entry.
-func finishExploreStream(w http.ResponseWriter, line func(v any) bool, lines int, err error, publish func() any) {
+// result — the buffered endpoint's body — and fills that endpoint's cache
+// entry with it; it runs before the done line is written, because a client
+// that reads done and at once asks the buffered endpoint for the same view
+// must find the entry. The done line carries the body as encoded, once.
+func finishExploreStream(w http.ResponseWriter, st *ndjsonStream, lines int, err error, publish func() result) {
 	if errors.Is(err, explore.ErrStopped) {
 		// Client gone mid-stream: the batches delivered so far still count.
 		markStream(w, lines, streamAborted)
@@ -136,10 +121,13 @@ func finishExploreStream(w http.ResponseWriter, line func(v any) bool, lines int
 	}
 	if err != nil {
 		_, msg := queryError(err)
-		markStream(w, lines, trailerOutcome(streamFailed, line(exploreStreamFinal{Error: msg})))
+		line := sparql.AppendJSONString(append(st.buf[:0], `{"done":false,"fraction":0,"error":`...), msg)
+		markStream(w, lines, trailerOutcome(streamFailed, st.end(append(line, '}'))))
 		return
 	}
-	if line(exploreStreamFinal{Done: true, Fraction: 1, Result: publish()}) {
+	res := publish()
+	line := append(append(st.buf[:0], `{"done":true,"fraction":1,"result":`...), res.body...)
+	if res.status == http.StatusOK && st.end(append(line, '}')) {
 		markStream(w, lines+1, streamCompleted)
 	} else {
 		markStream(w, lines, streamAborted)
@@ -155,10 +143,12 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.queryCtx(r)
 	defer cancel()
 	gen := s.st.Generation()
-	finishExploreStream(w, streamLiner(w), 0, ctx.Err(), func() any {
-		resp := encodeStatsResponse(s.st.ComputeStats())
-		s.fillCache(statsKey, gen, wholeStore, resp)
-		return resp
+	st := s.startStream(w, "/stats/stream")
+	defer st.close()
+	finishExploreStream(w, st, 0, ctx.Err(), func() result {
+		res := jsonResult(encodeStatsResponse(s.st.ComputeStats()), wholeStore)
+		s.fillCache(statsKey, gen, res)
+		return res
 	})
 }
 
@@ -166,13 +156,11 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 // endpoint's cache key, as computed from generation gen on (read before the
 // scan): a stream that raced a write is found out like any other entry,
 // when it is next looked up. A result that read the whole store and has
-// been raced already is not worth encoding.
-func (s *Server) fillCache(key string, gen uint64, reads store.Footprint, resp any) {
-	if s.cache == nil || reads.Whole() && s.st.Generation() != gen {
+// been raced already is not worth an entry.
+func (s *Server) fillCache(key string, gen uint64, res result) {
+	if s.cache == nil || res.status != http.StatusOK || res.reads.Whole() && s.st.Generation() != gen {
 		return
 	}
-	if res := jsonResult(resp, reads); res.status == http.StatusOK {
-		s.cache.Put(key, res.entry(gen))
-		s.met.cacheFills.Inc()
-	}
+	s.cache.Put(key, res.entry(gen))
+	s.met.cacheFills.Inc()
 }

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -13,8 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lodviz/lodviz/internal/facet"
 	"github.com/lodviz/lodviz/internal/gen"
+	"github.com/lodviz/lodviz/internal/progressive"
 	"github.com/lodviz/lodviz/internal/rdf"
+	"github.com/lodviz/lodviz/internal/sparql"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
@@ -158,10 +163,11 @@ func TestStreamFillsBufferedCache(t *testing.T) {
 }
 
 // pageGatedSource wraps the store's ID-space surface, capping every page at a few
-// triples and blocking all pages after the first until released — the
+// triples and blocking all pages after the first free until released — the
 // deterministic way to hold a progressive stream mid-scan.
 type pageGatedSource struct {
 	*store.Store
+	free    int
 	mu      sync.Mutex
 	pages   int
 	release chan struct{}
@@ -172,7 +178,7 @@ func (g *pageGatedSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(
 	n := g.pages
 	g.pages++
 	g.mu.Unlock()
-	if n >= 1 {
+	if n >= g.free {
 		<-g.release
 	}
 	if max > 8 {
@@ -187,7 +193,7 @@ func (g *pageGatedSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(
 // intervals) — then, once the gate opens, the stream converges to done.
 func TestFacetsStreamFirstBatchArrivesMidScan(t *testing.T) {
 	st := gen.MiniLODStore()
-	gated := &pageGatedSource{Store: st, release: make(chan struct{})}
+	gated := &pageGatedSource{Store: st, free: 1, release: make(chan struct{})}
 	s := New(st, Config{Logger: discardLogger(), CacheCapacity: -1, source: gated})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -421,5 +427,139 @@ func TestStatsClassOrderDeterministic(t *testing.T) {
 		if string(again) != string(body) || resp.Header.Get("ETag") != first.Header.Get("ETag") {
 			t.Fatalf("request %d: body or ETag differs:\n%s\n%s", i, body, again)
 		}
+	}
+}
+
+// TestFacetsStreamTimerFlushesStalledBatch: a batch that is not the first
+// waits for a flush, and when the scan stalls right after it, the flush
+// timer, not the next batch, sends it: with every page after the second
+// gated shut, the client reads both batches while the gate stays shut.
+func TestFacetsStreamTimerFlushesStalledBatch(t *testing.T) {
+	st := gen.MiniLODStore()
+	gated := &pageGatedSource{Store: st, free: 2, release: make(chan struct{})}
+	s := New(st, Config{Logger: discardLogger(), CacheCapacity: -1, source: gated})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	released := false
+	defer func() {
+		if !released {
+			close(gated.release)
+		}
+	}()
+
+	resp, err := http.Get(ts.URL + "/facets/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for want := 8; want <= 16; want += 8 {
+		linec := make(chan []byte, 1)
+		go func() {
+			line, _ := br.ReadBytes('\n')
+			linec <- line
+		}()
+		var line []byte
+		select {
+		case line = <-linec:
+		case <-time.After(time.Second):
+			t.Fatalf("batch %d did not arrive within 1s while the scan was gated", want/8)
+		}
+		var batch struct {
+			Scanned int  `json:"scanned"`
+			Done    bool `json:"done"`
+		}
+		if err := json.Unmarshal(line, &batch); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		if batch.Done || batch.Scanned != want {
+			t.Fatalf("line %s: want an approximate batch over %d triples", line, want)
+		}
+	}
+	close(gated.release)
+	released = true
+	if _, final := readStream(t, br); !final.Done {
+		t.Fatalf("final = %+v, want done", final)
+	}
+}
+
+// The /facets/stream batch encoding before appendFacetBatch: the reference
+// it is held to byte for byte.
+type (
+	refEstimate struct {
+		Value    float64 `json:"value"`
+		CI95     float64 `json:"ci95"`
+		Fraction float64 `json:"fraction"`
+	}
+	refFacetBatch struct {
+		Fraction float64          `json:"fraction"`
+		Scanned  int              `json:"scanned"`
+		Count    int              `json:"count"`
+		Facets   []refFacetValues `json:"facets"`
+	}
+	refFacetValues struct {
+		Predicate string          `json:"predicate"`
+		Total     refEstimate     `json:"total"`
+		Values    []refFacetValue `json:"values"`
+	}
+	refFacetValue struct {
+		Term  sparql.JSONTerm `json:"term"`
+		Count refEstimate     `json:"count"`
+	}
+)
+
+func refBatch(b facet.Batch) refFacetBatch {
+	est := func(e progressive.Estimate) refEstimate {
+		return refEstimate{Value: e.Value, CI95: e.CI95, Fraction: e.Fraction}
+	}
+	out := refFacetBatch{Fraction: b.Fraction, Scanned: b.Scanned, Count: b.Count, Facets: []refFacetValues{}}
+	for _, fe := range b.Facets {
+		fj := refFacetValues{Predicate: string(fe.Predicate), Total: est(fe.Total), Values: []refFacetValue{}}
+		for _, v := range fe.Values {
+			fj.Values = append(fj.Values, refFacetValue{Term: sparql.EncodeTerm(v.Term), Count: est(v.Count)})
+		}
+		out.Facets = append(out.Facets, fj)
+	}
+	return out
+}
+
+// TestAppendFacetBatchMatchesEncoder: a facet batch appends exactly as
+// json.Encoder wrote the struct tree it replaced — floats at 0, just below
+// 1e-6 and at 1e21 included — and a non-finite estimate fails the line.
+func TestAppendFacetBatchMatchesEncoder(t *testing.T) {
+	below := math.Nextafter(1e-6, 0)
+	e := func(v, ci, f float64) progressive.Estimate {
+		return progressive.Estimate{Value: v, CI95: ci, Fraction: f}
+	}
+	batches := []facet.Batch{
+		{},
+		{Scanned: 3, Fraction: below, Count: 1, Facets: []facet.FacetEstimate{{Predicate: "http://e/p"}}},
+		{Scanned: 1 << 20, Fraction: 1, Count: 42, Facets: []facet.FacetEstimate{
+			{Predicate: "http://e/p?a=<1>&b=2", Total: e(1e21, 0, below), Values: []facet.ValueEstimate{
+				{Term: rdf.IRI("http://e/<o>&"), Count: e(0, 0, 0)},
+				{Term: rdf.NewLangLiteral("chat \u2028 <b>", "fr"), Count: e(12.5, 3.25, 0.125)},
+				{Term: rdf.NewLiteral("bad \xff utf-8"), Count: e(-below, 1e22, 1e-7)},
+				{Term: rdf.NewInteger(7), Count: e(1.0/3, 2e-7, 0.5)},
+				{Term: rdf.BlankNode("b0"), Count: e(math.Nextafter(1e21, 0), 100, 1)},
+			}},
+			{Predicate: "http://e/q", Total: e(2, 0.5, 0.25)},
+		}},
+	}
+	for _, b := range batches {
+		got, err := appendFacetBatch([]byte("x"), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(refBatch(b)); err != nil {
+			t.Fatal(err)
+		}
+		if string(got[1:])+"\n" != want.String() {
+			t.Errorf("batch %+v:\n got %s\nwant %s", b, got[1:], want.Bytes())
+		}
+	}
+	bad := facet.Batch{Facets: []facet.FacetEstimate{{Predicate: "http://e/p", Total: e(math.NaN(), 0, 1)}}}
+	if _, err := appendFacetBatch(nil, bad); err == nil {
+		t.Fatal("a NaN estimate encoded without error")
 	}
 }

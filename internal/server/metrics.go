@@ -21,9 +21,11 @@ type serverMetrics struct {
 	shed     *obs.CounterVec
 	// streams counts NDJSON streams by route and outcome ("completed" or
 	// "aborted" — the client disconnected mid-stream); streamRows counts
-	// the lines they delivered either way.
-	streams    *obs.CounterVec
-	streamRows *obs.CounterVec
+	// the lines they delivered either way; streamFlushes counts the flushes
+	// their flush policy made.
+	streams       *obs.CounterVec
+	streamRows    *obs.CounterVec
+	streamFlushes *obs.CounterVec
 	// cacheFills counts buffered-endpoint cache entries filled by a
 	// completed stream (the fill-from-stream path); slowQueries counts
 	// queries over Config.SlowQueryThreshold.
@@ -48,6 +50,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		shed:             r.CounterVec("lodviz_http_shed_total", "Requests shed with 429 at the concurrency limiter.", "route"),
 		streams:          r.CounterVec("lodviz_http_streams_total", "NDJSON streams by outcome (completed or aborted).", "route", "outcome"),
 		streamRows:       r.CounterVec("lodviz_http_stream_rows_total", "NDJSON lines delivered by streaming endpoints.", "route"),
+		streamFlushes:    r.CounterVec("lodviz_http_stream_flushes_total", "Flushes of NDJSON streams: the first payload line, every 32 KiB, 5 ms after an unflushed line, and the trailer.", "route"),
 		cacheFills:       r.Counter("lodviz_cache_fill_from_stream_total", "Response-cache entries filled by completed streams."),
 		slowQueries:      r.Counter("lodviz_slow_queries_total", "Queries slower than the slow-query threshold."),
 		cacheRevalidated: r.Counter("lodviz_cache_revalidated_total", "Response-cache entries carried across a store generation: no write since touched their footprint."),

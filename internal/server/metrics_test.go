@@ -99,6 +99,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`lodviz_http_requests_total{route="/sparql",method="GET",class="2xx"} 2`,
 		`lodviz_http_streams_total{route="/sparql/stream",outcome="completed"} 1`,
+		`lodviz_http_stream_flushes_total{route="/sparql/stream"} `,
+		`lodviz_http_stream_flushes_total{route="/stats/stream"} 1` + "\n",
 		"lodviz_store_triples ",
 		"lodviz_store_stats_tally_entries ",
 		"lodviz_store_stats_tally_builds_total 1\n",

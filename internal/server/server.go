@@ -176,9 +176,10 @@ type Server struct {
 	// limiterHook, when set by tests, runs while the request holds its
 	// concurrency slot — the deterministic way to saturate an endpoint.
 	limiterHook func(route string)
-	// streamRowHook, when set by tests, runs after each streamed row is
-	// written and flushed (the argument is the rows-so-far count).
-	streamRowHook func(rows int)
+	// flushDelay is how long a streamed line may wait for a flush:
+	// streamFlushDelay, unless a test needs the timer out of the way or
+	// racing the handler's end.
+	flushDelay time.Duration
 	// warmHook, when set by tests, runs after a facet warm job has built
 	// and cached a view (argument: its cache key).
 	warmHook func(key string)
@@ -186,7 +187,7 @@ type Server struct {
 
 // New builds a Server over st.
 func New(st *store.Store, cfg Config) *Server {
-	s := &Server{st: st, cfg: cfg.withDefaults(), started: time.Now()}
+	s := &Server{st: st, cfg: cfg.withDefaults(), started: time.Now(), flushDelay: streamFlushDelay}
 	if cfg.CacheCapacity >= 0 {
 		s.cache = cache.New(cfg.CacheCapacity)
 	}
@@ -383,13 +384,15 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Flush forwards to the underlying writer so the streaming endpoint can
-// push each NDJSON line to the client as it is produced.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
+// FlushError forwards to the underlying writer, so the streaming endpoints
+// push their lines to the client and learn when it is gone: net/http's
+// writer reports a failed flush, which http.Flusher cannot.
+func (r *statusRecorder) FlushError() error {
+	return http.NewResponseController(r.ResponseWriter).Flush()
 }
+
+// Unwrap lets http.ResponseController reach the underlying writer.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // errorBody is the JSON error envelope every non-2xx response carries.
 type errorBody struct {

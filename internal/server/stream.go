@@ -2,10 +2,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
+	"sync"
+	"time"
 
+	"github.com/lodviz/lodviz/internal/obs"
 	"github.com/lodviz/lodviz/internal/sparql"
 	"github.com/lodviz/lodviz/internal/store"
 )
@@ -14,31 +17,150 @@ import (
 // format: one JSON document per line (NDJSON).
 const streamContentType = "application/x-ndjson"
 
-// streamHead is the first NDJSON line of a streamed SELECT response; it
-// plays the role of the "head" object in the SPARQL JSON format.
-type streamHead struct {
-	Vars []string `json:"vars"`
+// The flush policy of every NDJSON stream. Lines go straight into the
+// ResponseWriter, whose own buffer holds them until a flush: at once after
+// the first payload line (the time to the first row or estimate is what a
+// progressive stream is for), whenever streamFlushBytes are pending,
+// streamFlushDelay after the first line not yet flushed (so a line written
+// before a stalled scan still leaves), and with the trailer.
+const (
+	streamFlushBytes = 32 << 10
+	streamFlushDelay = 5 * time.Millisecond
+)
+
+// ndjsonStream is the one output path of the streaming endpoints: it writes
+// their lines and flushes them by the policy above. Handlers build each
+// line in buf[:0] with the append encoders, hand it to line or end, and
+// defer close. Every method reports false once the client is gone — a
+// write or a flush failed — which is the signal to stop evaluating.
+type ndjsonStream struct {
+	buf []byte // the line being built, reused; the handler's alone
+
+	// mu serializes the handler's writes with the timer's flush.
+	mu      sync.Mutex
+	w       http.ResponseWriter
+	rc      *http.ResponseController
+	flushes *obs.Counter
+	delay   time.Duration
+	timer   *time.Timer
+	pending int  // bytes written since the last flush
+	armed   bool // the timer runs for the pending bytes
+	payload bool // the first payload line is out
+	gone    bool // a write or flush failed
 }
 
-// streamTrailer is the last NDJSON line: done marks a complete result set,
-// error a mid-stream failure (the HTTP status is long gone by then).
-type streamTrailer struct {
-	Done  bool   `json:"done"`
-	Rows  int    `json:"rows"`
-	Error string `json:"error,omitempty"`
+// startStream commits a 200 NDJSON response on w (cache-bypassing, like
+// every stream) and returns its line writer; route labels its flushes.
+func (s *Server) startStream(w http.ResponseWriter, route string) *ndjsonStream {
+	h := w.Header()
+	h.Set("Content-Type", streamContentType)
+	h.Set("X-Cache", "BYPASS")
+	w.WriteHeader(http.StatusOK)
+	return &ndjsonStream{w: w, rc: http.NewResponseController(w), flushes: s.met.streamFlushes.With(route), delay: s.flushDelay}
 }
 
-// streamAsk is the single NDJSON payload line of a streamed ASK response.
-type streamAsk struct {
-	Boolean bool `json:"boolean"`
+// line writes b, one JSON document, as the next line. payload is false for
+// the SPARQL head line alone: the first payload line is flushed at once,
+// later ones when the policy says.
+func (st *ndjsonStream) line(b []byte, payload bool) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.writeLocked(b) {
+		return false
+	}
+	switch {
+	case payload && !st.payload, st.pending >= streamFlushBytes:
+		st.payload = st.payload || payload
+		return st.flushLocked()
+	case !st.armed:
+		st.armed = true
+		if st.timer == nil {
+			st.timer = time.AfterFunc(st.delay, st.flushLate)
+		} else {
+			st.timer.Reset(st.delay)
+		}
+	}
+	return true
+}
+
+// end writes the trailer b, the stream's last line, and flushes.
+func (st *ndjsonStream) end(b []byte) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.writeLocked(b) && st.flushLocked()
+}
+
+// close stops the timer and flushes what is still pending (nothing after
+// a trailer), so nothing touches the writer once the handler has returned:
+// a timer callback already under way finds nothing to flush.
+func (st *ndjsonStream) close() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.timer != nil {
+		st.timer.Stop()
+	}
+	if !st.gone && st.pending > 0 {
+		st.flushLocked()
+	}
+}
+
+// flushLate is the timer's flush of lines that have waited streamFlushDelay.
+func (st *ndjsonStream) flushLate() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.armed = false
+	if !st.gone && st.pending > 0 {
+		st.flushLocked()
+	}
+}
+
+func (st *ndjsonStream) writeLocked(b []byte) bool {
+	st.buf = append(b, '\n')
+	if st.gone {
+		return false
+	}
+	if _, err := st.w.Write(st.buf); err != nil {
+		st.gone = true
+		return false
+	}
+	st.pending += len(st.buf)
+	return true
+}
+
+func (st *ndjsonStream) flushLocked() bool {
+	st.pending = 0
+	if st.armed {
+		st.armed = false
+		st.timer.Stop()
+	}
+	st.flushes.Inc()
+	if err := st.rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		st.gone = true
+	}
+	return !st.gone
+}
+
+// appendTrailer appends the last line of a SPARQL stream: done with the row
+// count, or the error that ended it (the HTTP status is long gone by then).
+func appendTrailer(dst []byte, rows int, errMsg string) []byte {
+	dst = append(dst, `{"done":`...)
+	dst = strconv.AppendBool(dst, errMsg == "")
+	dst = append(dst, `,"rows":`...)
+	dst = strconv.AppendInt(dst, int64(rows), 10)
+	if errMsg != "" {
+		dst = append(dst, `,"error":`...)
+		dst = sparql.AppendJSONString(dst, errMsg)
+	}
+	return append(dst, '}')
 }
 
 // handleSPARQLStream implements chunked streaming query results: the query
 // arrives exactly as on /sparql, the response is NDJSON — a head line with
 // the projected variables, one results.bindings-shaped line per row, and a
-// done/error trailer. Rows are written and flushed as the engine finds
-// them, so the first row of a plain LIMIT/OFFSET query arrives while the
-// scan is still running (and the scan stops once the limit is filled).
+// done/error trailer. The first row is flushed as soon as the engine finds
+// it, so it arrives while the scan is still running (and the scan stops
+// once a LIMIT is filled); later rows leave in 32 KiB runs, or 5 ms after
+// they were written if the engine pauses, and the trailer at once.
 // Responses always bypass the generation cache, like SERVICE queries on
 // /sparql: buffering a stream to cache it would forfeit the point.
 func (s *Server) handleSPARQLStream(w http.ResponseWriter, r *http.Request) {
@@ -60,48 +182,45 @@ func (s *Server) handleSPARQLStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	h := w.Header()
-	h.Set("Content-Type", streamContentType)
-	h.Set("X-Cache", "BYPASS")
-	h.Set("X-Stream-Incremental", strconv.FormatBool(stm.Incremental()))
-	w.WriteHeader(http.StatusOK)
-	line := ndjsonLiner(w)
+	w.Header().Set("X-Stream-Incremental", strconv.FormatBool(stm.Incremental()))
+	st := s.startStream(w, "/sparql/stream")
+	defer st.close()
 
 	if stm.Form() == sparql.FormAsk {
 		ans, err := stm.Ask()
 		if err != nil {
 			_, msg := queryError(err)
-			markStream(w, 0, trailerOutcome(streamFailed, line(streamTrailer{Error: msg})))
+			markStream(w, 0, trailerOutcome(streamFailed, st.end(appendTrailer(st.buf[:0], 0, msg))))
 			return
 		}
-		if line(streamAsk{Boolean: ans}) {
-			markStream(w, 1, trailerOutcome(streamCompleted, line(streamTrailer{Done: true})))
+		line := strconv.AppendBool(append(st.buf[:0], `{"boolean":`...), ans)
+		if st.line(append(line, '}'), true) {
+			markStream(w, 1, trailerOutcome(streamCompleted, st.end(appendTrailer(st.buf[:0], 0, ""))))
 		} else {
 			markStream(w, 0, streamAborted)
 		}
 		return
 	}
 
-	if !line(streamHead{Vars: stm.Vars()}) {
+	head := sparql.AppendJSONStrings(append(st.buf[:0], `{"vars":`...), stm.Vars())
+	if !st.line(append(head, '}'), false) {
 		markStream(w, 0, streamAborted)
 		return
 	}
+	names := sparql.SortedVars(stm.Vars())
 	rows := 0
 	clientGone := false
 	runErr := stm.Run(func(row sparql.Binding) bool {
-		if !line(sparql.EncodeBinding(row)) {
+		if !st.line(sparql.AppendRow(st.buf[:0], names, row), true) {
 			clientGone = true
 			return false
 		}
 		rows++
-		if s.streamRowHook != nil {
-			s.streamRowHook(rows)
-		}
 		return true
 	})
 	if runErr != nil {
 		_, msg := queryError(runErr)
-		markStream(w, rows, trailerOutcome(streamFailed, line(streamTrailer{Rows: rows, Error: msg})))
+		markStream(w, rows, trailerOutcome(streamFailed, st.end(appendTrailer(st.buf[:0], rows, msg))))
 		return
 	}
 	if clientGone {
@@ -110,24 +229,7 @@ func (s *Server) handleSPARQLStream(w http.ResponseWriter, r *http.Request) {
 		markStream(w, rows, streamAborted)
 		return
 	}
-	markStream(w, rows, trailerOutcome(streamCompleted, line(streamTrailer{Done: true, Rows: rows})))
-}
-
-// ndjsonLiner returns the per-line NDJSON writer over w: encode, newline,
-// flush — so each line reaches the client as it is produced. It reports
-// false once the client is gone (the signal to stop evaluating).
-func ndjsonLiner(w http.ResponseWriter) func(v any) bool {
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	return func(v any) bool {
-		if err := enc.Encode(v); err != nil {
-			return false // client gone; stop evaluating
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
+	markStream(w, rows, trailerOutcome(streamCompleted, st.end(appendTrailer(st.buf[:0], rows, ""))))
 }
 
 // queryCtx bounds one request's evaluation by the configured timeout.

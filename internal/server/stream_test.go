@@ -2,7 +2,10 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"github.com/lodviz/lodviz/internal/gen"
+	"github.com/lodviz/lodviz/internal/sparql"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
@@ -244,6 +248,177 @@ func TestStreamMatchesBufferedAcrossShapes(t *testing.T) {
 		gotRows := len(lines) - 2
 		if gotRows != len(doc.Results.Bindings) {
 			t.Errorf("%s: streamed %d rows, buffered %d", q, gotRows, len(doc.Results.Bindings))
+		}
+	}
+}
+
+// flushRecorder is a ResponseRecorder that counts its flushes, fails them
+// when failFlush is set (a client gone with its writes still buffered), and
+// counts every write or flush made after returned is set.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	failFlush bool
+	flushes   atomic.Int64
+	returned  atomic.Bool
+	late      atomic.Int64
+}
+
+func (f *flushRecorder) Write(p []byte) (int, error) {
+	if f.returned.Load() {
+		f.late.Add(1)
+	}
+	return f.ResponseRecorder.Write(p)
+}
+
+func (f *flushRecorder) FlushError() error {
+	if f.returned.Load() {
+		f.late.Add(1)
+	}
+	f.flushes.Add(1)
+	if f.failFlush {
+		return errors.New("client gone")
+	}
+	f.ResponseRecorder.Flush()
+	return nil
+}
+
+// TestSPARQLStreamBytesMatchEncoder: every line of /sparql/stream is the
+// json.Encoder encoding of the value the endpoint used to build for it —
+// the head, a map per row over the rows the buffered query returns, the
+// trailer, the ASK line.
+func TestSPARQLStreamBytesMatchEncoder(t *testing.T) {
+	s, _, st := newTestServer(t, Config{})
+	enc := func(b *bytes.Buffer, v any) {
+		if err := json.NewEncoder(b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []string{
+		`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`,
+		`SELECT * WHERE { ?s ?p ?o } LIMIT 7`,
+		`SELECT ?o ?s WHERE { ?s ?p ?o } ORDER BY DESC(?o) LIMIT 20`,
+		`SELECT ?s ?missing WHERE { ?s ?p ?o OPTIONAL { ?s <http://nowhere/p> ?missing } } LIMIT 5`,
+		`SELECT ?s WHERE { ?s <http://nowhere/p> ?o }`,
+		`ASK { ?s ?p ?o }`,
+		`ASK { ?s <http://nowhere/p> ?o }`,
+	} {
+		res, err := sparql.ExecCtx(context.Background(), st, q, sparql.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if res.Form == sparql.FormAsk {
+			enc(&want, struct {
+				Boolean bool `json:"boolean"`
+			}{res.Ask})
+			enc(&want, struct {
+				Done bool `json:"done"`
+				Rows int  `json:"rows"`
+			}{true, 0})
+		} else {
+			enc(&want, struct {
+				Vars []string `json:"vars"`
+			}{res.Vars})
+			for _, row := range res.Rows {
+				m := map[string]sparql.JSONTerm{}
+				for name, term := range row {
+					if term != nil {
+						m[name] = sparql.EncodeTerm(term)
+					}
+				}
+				enc(&want, m)
+			}
+			enc(&want, struct {
+				Done bool `json:"done"`
+				Rows int  `json:"rows"`
+			}{true, len(res.Rows)})
+		}
+		rec := httptest.NewRecorder()
+		s.handleSPARQLStream(rec, httptest.NewRequest(http.MethodGet, "/sparql/stream?query="+url.QueryEscape(q), nil))
+		if got := rec.Body.String(); got != want.String() {
+			t.Errorf("%s:\n got %s\nwant %s", q, got, want.String())
+		}
+	}
+}
+
+// TestStreamFlushPolicy: a 600-row stream flushes with its first row,
+// once per 32 KiB and with its trailer — not once per line — and
+// lodviz_http_stream_flushes_total counts those flushes. The timer is
+// pushed out of the way; TestFacetsStreamTimerFlushesStalledBatch tests it.
+func TestStreamFlushPolicy(t *testing.T) {
+	s := New(synthStore(t, 300), Config{Logger: discardLogger(), CacheCapacity: -1})
+	s.flushDelay = time.Hour
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	q := `SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 600`
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql/stream?query="+url.QueryEscape(q), nil))
+	body := rec.Body.Bytes()
+	if lines := bytes.Count(body, []byte("\n")); lines != 602 || !bytes.HasSuffix(body, []byte(`{"done":true,"rows":600}`+"\n")) {
+		t.Fatalf("%d lines ending %q, want head, 600 rows and the done trailer", lines, body[len(body)-40:])
+	}
+	flushes := rec.flushes.Load()
+	t.Logf("%d flushes for %d bytes in 602 lines", flushes, len(body))
+	if bound := int64((len(body)+streamFlushBytes-1)/streamFlushBytes + 2); flushes < 2 || flushes > bound {
+		t.Fatalf("%d flushes for %d bytes in 602 lines, want 2..%d", flushes, len(body), bound)
+	}
+	if got := s.met.streamFlushes.With("/sparql/stream").Value(); got != uint64(flushes) {
+		t.Errorf("lodviz_http_stream_flushes_total = %d, want the %d flushes made", got, flushes)
+	}
+}
+
+// TestStreamFlushFailureAborts: a client whose writes still land in the
+// buffer but whose flush fails is gone. The stream stops evaluating at
+// that flush and reports aborted, as after a failed write.
+func TestStreamFlushFailureAborts(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{CacheCapacity: -1})
+	s.flushDelay = time.Hour // the first row's flush is the first flush
+	for _, tc := range []struct {
+		target   string
+		maxLines int
+		handle   http.HandlerFunc
+	}{
+		{"/sparql/stream?query=" + url.QueryEscape(`SELECT ?s WHERE { ?s ?p ?o }`), 2, s.handleSPARQLStream},
+		{"/facets/stream", 1, s.handleFacetsStream},
+		{"/stats/stream", 1, s.handleStatsStream},
+	} {
+		fr := &flushRecorder{ResponseRecorder: httptest.NewRecorder(), failFlush: true}
+		rec := &statusRecorder{ResponseWriter: fr, status: http.StatusOK}
+		tc.handle(rec, httptest.NewRequest(http.MethodGet, tc.target, nil))
+		if rec.streamOutcome != streamAborted || rec.streamRows != 0 {
+			t.Errorf("%s: outcome %q after %d rows, want aborted after 0", tc.target, rec.streamOutcome, rec.streamRows)
+		}
+		if lines := strings.Count(fr.Body.String(), "\n"); lines > tc.maxLines || fr.flushes.Load() != 1 {
+			t.Errorf("%s: %d lines and %d flushes written, want evaluation stopped at the first failed flush", tc.target, lines, fr.flushes.Load())
+		}
+	}
+}
+
+// TestStreamNoWriteAfterReturn: with the flush timer racing the handlers'
+// end, none of many short streams — completed or with the client gone
+// mid-stream — writes or flushes after its handler has returned (run it
+// under -race: the timer's flush and the handler's writes share a writer).
+func TestStreamNoWriteAfterReturn(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{CacheCapacity: -1})
+	s.flushDelay = 20 * time.Microsecond
+	targets := []string{
+		"/sparql/stream?query=" + url.QueryEscape(`SELECT ?s ?p ?o WHERE { ?s ?p ?o } LIMIT 40`),
+		"/sparql/stream?query=" + url.QueryEscape(`ASK { ?s ?p ?o }`),
+		"/facets/stream",
+		"/stats/stream",
+	}
+	var recs []*flushRecorder
+	for i := 0; i < 200; i++ {
+		rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder(), failFlush: i%5 == 4}
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, targets[i%len(targets)], nil))
+		rec.returned.Store(true)
+		recs = append(recs, rec)
+	}
+	time.Sleep(10 * time.Millisecond) // long past every timer's delay
+	for i, rec := range recs {
+		if n := rec.late.Load(); n != 0 {
+			t.Errorf("stream %d (%s): %d writes or flushes after the handler returned", i, targets[i%len(targets)], n)
+		}
+		if i%5 != 4 && !strings.Contains(rec.Body.String(), `"done":true`) {
+			t.Errorf("stream %d (%s) did not complete: %q", i, targets[i%len(targets)], rec.Body.String())
 		}
 	}
 }

@@ -1,7 +1,11 @@
 package sparql
 
 import (
-	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 
 	"github.com/lodviz/lodviz/internal/rdf"
 )
@@ -16,20 +20,6 @@ type JSONTerm struct {
 	Value    string `json:"value"`
 	Lang     string `json:"xml:lang,omitempty"`
 	Datatype string `json:"datatype,omitempty"`
-}
-
-type jsonHead struct {
-	Vars []string `json:"vars,omitempty"`
-}
-
-type jsonResults struct {
-	Bindings []map[string]JSONTerm `json:"bindings"`
-}
-
-type jsonDoc struct {
-	Head    jsonHead     `json:"head"`
-	Boolean *bool        `json:"boolean,omitempty"`
-	Results *jsonResults `json:"results,omitempty"`
 }
 
 // EncodeTerm maps an rdf.Term to the wire representation: IRIs become
@@ -56,34 +46,185 @@ func EncodeTerm(t rdf.Term) JSONTerm {
 	}
 }
 
-// EncodeBinding maps one solution row to its wire representation — the
-// same shape as an entry of results.bindings in the SPARQL JSON format.
-// The streaming endpoint emits one of these per NDJSON line.
-func EncodeBinding(row Binding) map[string]JSONTerm {
-	enc := make(map[string]JSONTerm, len(row))
-	for name, term := range row {
-		if term == nil {
+// The appenders below write JSON without reflection, byte for byte as
+// encoding/json writes the same values: object keys in its order (struct
+// fields as declared, map keys sorted), strings HTML-escaped, floats in its
+// 'f'/'e' notation.
+
+// AppendTerm appends t's wire representation (EncodeTerm's JSONTerm as
+// encoding/json writes it) to dst.
+func AppendTerm(dst []byte, t rdf.Term) []byte {
+	jt := EncodeTerm(t)
+	dst = append(dst, `{"type":`...)
+	dst = AppendJSONString(dst, jt.Type)
+	dst = append(dst, `,"value":`...)
+	dst = AppendJSONString(dst, jt.Value)
+	if jt.Lang != "" {
+		dst = append(dst, `,"xml:lang":`...)
+		dst = AppendJSONString(dst, jt.Lang)
+	}
+	if jt.Datatype != "" {
+		dst = append(dst, `,"datatype":`...)
+		dst = AppendJSONString(dst, jt.Datatype)
+	}
+	return append(dst, '}')
+}
+
+// SortedVars returns the projected variable names as AppendRow takes them:
+// sorted, each once. Sort them once per query, not once per row.
+func SortedVars(vars []string) []string {
+	names := append([]string(nil), vars...)
+	slices.Sort(names)
+	return slices.Compact(names)
+}
+
+// AppendRow appends one solution row as an entry of results.bindings: an
+// object of the row's bound variables among names (SortedVars of the
+// projection, which is every variable a result row binds), each mapped to
+// its term. The streaming endpoint writes one of these per NDJSON line.
+func AppendRow(dst []byte, names []string, row Binding) []byte {
+	dst = append(dst, '{')
+	first := true
+	for _, name := range names {
+		t := row[name]
+		if t == nil {
 			continue
 		}
-		enc[name] = EncodeTerm(term)
+		if !first {
+			dst = append(dst, ',')
+		}
+		first = false
+		dst = AppendJSONString(dst, name)
+		dst = append(dst, ':')
+		dst = AppendTerm(dst, t)
 	}
-	return enc
+	return append(dst, '}')
+}
+
+// AppendJSONStrings appends ss as a JSON array of strings.
+func AppendJSONStrings(dst []byte, ss []string) []byte {
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendJSONString(dst, s)
+	}
+	return append(dst, ']')
+}
+
+const hexDigits = "0123456789abcdef"
+
+// jsonSafe marks the ASCII bytes a JSON string holds as they are: all but
+// '"', '\\', the C0 controls and the HTML-special '<', '>' and '&'.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		safe[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return safe
+}()
+
+// AppendJSONString appends s as a JSON string, escaped as encoding/json
+// escapes it: \" and \\, the C0 controls as \b, \f, \n, \r, \t or \u00XX,
+// '<', '>' and '&' as \u00XX, U+2028 and U+2029 as \u2028 and \u2029, and
+// each byte of invalid UTF-8 as \ufffd.
+func AppendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if jsonSafe[b] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// AppendJSONFloat appends f as encoding/json writes a float64: 'f' notation,
+// or 'e' below 1e-6 and from 1e21 up, with a one-digit negative exponent
+// unpadded (1e-7, not 1e-07). JSON has no NaN or infinity: for those it
+// returns dst unchanged and an error, as encoding/json fails the value.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	start := len(dst)
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(dst); n-start >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
 }
 
 // JSON renders the results in the SPARQL 1.1 Query Results JSON Format:
 // SELECT results carry head.vars plus results.bindings, ASK results carry a
 // boolean. The output is deterministic for a given Results value.
 func (r *Results) JSON() ([]byte, error) {
-	doc := jsonDoc{Head: jsonHead{Vars: r.Vars}}
+	dst := append(make([]byte, 0, 64+96*len(r.Rows)), `{"head":{`...)
+	if len(r.Vars) > 0 {
+		dst = append(dst, `"vars":`...)
+		dst = AppendJSONStrings(dst, r.Vars)
+	}
+	dst = append(dst, '}')
 	if r.Form == FormAsk {
-		b := r.Ask
-		doc.Boolean = &b
-		return json.Marshal(doc)
+		dst = append(dst, `,"boolean":`...)
+		dst = append(strconv.AppendBool(dst, r.Ask), '}')
+	} else {
+		dst = append(dst, `,"results":{"bindings":[`...)
+		names := SortedVars(r.Vars)
+		for i, row := range r.Rows {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = AppendRow(dst, names, row)
+		}
+		dst = append(dst, "]}}"...)
 	}
-	res := jsonResults{Bindings: make([]map[string]JSONTerm, 0, len(r.Rows))}
-	for _, row := range r.Rows {
-		res.Bindings = append(res.Bindings, EncodeBinding(row))
-	}
-	doc.Results = &res
-	return json.Marshal(doc)
+	// Bodies are kept (the response cache holds them): return one without
+	// the spare capacity appending left behind.
+	return append([]byte(nil), dst...), nil
 }
