@@ -97,7 +97,9 @@ bench:
 # the session_cold query shapes and an INSERT DATA), and the store's
 # statistics tally (a summary read at 110k triples; a 2000-triple add+delete
 # with the tally not built and built), and the two progressive streams
-# (/sparql/stream at 600 rows and /facets/stream, allocations per stream):
+# (/sparql/stream at 600 rows; /facets/stream unfiltered, which walks the
+# store, and filtered to 10 entities, which probes them and sends one exact
+# line; allocations per stream):
 # verifies the
 # benchmark paths execute,
 # without timing noise gating CI. Timing regressions are gated separately

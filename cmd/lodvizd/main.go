@@ -5,7 +5,9 @@
 // 5 ms, and the scan stops once a LIMIT is filled), plus the exploration
 // endpoints /facets, /graph/neighborhood, /hetree, /stats — with NDJSON
 // twins: /facets/stream emits CLT-bounded approximate batches mid-scan
-// before converging to the exact answer, /stats/stream answers exactly in
+// before converging to the exact answer (a drilled-down view, fewer entities
+// than one per 32 statements, gets the exact answer alone, at once),
+// /stats/stream answers exactly in
 // one line from the statistics the store maintains as writes arrive — and
 // sample=/seed= parameters on /graph/neighborhood for bounded
 // reservoir-sampled expansions — an N-Triples ingestion endpoint

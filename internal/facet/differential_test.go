@@ -153,10 +153,22 @@ func TestFacetsProbePathMatchesReference(t *testing.T) {
 	}
 }
 
+// probeSide reports which side of the probe-or-walk rule sess's selection is
+// on, so a test that needs one side fails loudly when its data moves it.
+func probeSide(t *testing.T, sess *Session) bool {
+	t.Helper()
+	matches, err := sess.matchIDs(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return probes(len(matches), sess.src.EstimateCountIDs(0, 0, 0))
+}
+
 // TestStreamFinalMatchesFacets checks the progressive path's convergence
 // contract: the final (count, facets) pair returned by Stream must equal what
 // FacetsCtx computes, while at least one approximate batch was emitted
-// mid-scan with the exact count and a fraction below 1.
+// mid-scan with the exact count and a fraction below 1. Both selections are
+// on the walk side of the probe rule.
 func TestStreamFinalMatchesFacets(t *testing.T) {
 	st := entityStore(t)
 	ctx := context.Background()
@@ -167,6 +179,9 @@ func TestStreamFinalMatchesFacets(t *testing.T) {
 		sess := NewSession(st)
 		for _, f := range filters {
 			sess.Apply(f)
+		}
+		if probeSide(t, sess) {
+			t.Fatalf("filters %v: selection is on the probe side; this test needs the walk", filters)
 		}
 		wantFacets, err := sess.FacetsCtx(ctx)
 		if err != nil {
@@ -210,16 +225,127 @@ func TestStreamFinalMatchesFacets(t *testing.T) {
 	}
 }
 
+// TestStreamStopAndCancel: on the walk side, an emit returning false stops
+// the stream with explore.ErrStopped; on either side a cancelled context
+// returns context.Canceled.
 func TestStreamStopAndCancel(t *testing.T) {
 	st := entityStore(t)
 	sess := NewSession(st)
+	if probeSide(t, sess) {
+		t.Fatal("the unfiltered selection is on the probe side; this test needs the walk")
+	}
 	if _, _, err := sess.Stream(context.Background(), 16, 1, func(Batch) bool { return false }); !errors.Is(err, explore.ErrStopped) {
 		t.Fatalf("err = %v, want explore.ErrStopped", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := sess.Stream(ctx, 16, 1, func(Batch) bool { return true }); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		t.Fatalf("walk side: err = %v, want context.Canceled", err)
+	}
+	// No filter: matchIDs checks nothing, so the probe loop must notice.
+	probed := NewSessionOver(st, []rdf.Term{gen.Res("entity", 1), gen.Res("entity", 2)})
+	if !probeSide(t, probed) {
+		t.Fatal("two explicit entities are on the walk side; this test needs the probe")
+	}
+	if _, _, err := probed.Stream(ctx, 16, 1, func(Batch) bool { return true }); err != context.Canceled {
+		t.Fatalf("probe side: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestStreamProbeSideIsExact: a selection under the probe threshold — two
+// categorical filters, as a drilled-down session sends — streams no batch
+// and returns what CountCtx, FacetsCtx and the term-space reference return.
+func TestStreamProbeSideIsExact(t *testing.T) {
+	st := entityStore(t)
+	ctx := context.Background()
+	filters := []Filter{
+		{Predicate: gen.Prop("cat1"), Value: rdf.NewLiteral("category-2")},
+		{Predicate: gen.Prop("cat2"), Value: rdf.NewLiteral("category-0")},
+	}
+	sess := NewSession(st)
+	sess.MaxValuesPerFacet = 3
+	for _, f := range filters {
+		sess.Apply(f)
+	}
+	if !probeSide(t, sess) {
+		t.Fatal("two filters are on the walk side; this test needs the probe")
+	}
+	batches := 0
+	count, fs, err := sess.Stream(ctx, 16, 1, func(Batch) bool { batches++; return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batches != 0 {
+		t.Fatalf("probe side emitted %d batches, want 0", batches)
+	}
+	wantCount, err := sess.CountCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFacets, err := sess.FacetsCtx(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != wantCount || count == 0 {
+		t.Fatalf("Stream count = %d, CountCtx = %d (want equal and non-zero)", count, wantCount)
+	}
+	if !reflect.DeepEqual(fs, wantFacets) {
+		t.Fatalf("Stream facets diverge from FacetsCtx:\n got %+v\nwant %+v", fs, wantFacets)
+	}
+	if want := ReferenceFacets(st, NewSession(st).BaseEntities(), filters, 3); !reflect.DeepEqual(fs, want) {
+		t.Fatalf("Stream facets diverge from the reference:\n got %+v\nwant %+v", fs, want)
+	}
+}
+
+// TestStreamProbeWalkBoundary pins the rule's edge on a store of exactly
+// 256 statements: 7 entities (7·32 < 256) are probed with no batch, 8
+// (8·32 == 256) already walk with batches; both answer like FacetsCtx and
+// the reference.
+func TestStreamProbeWalkBoundary(t *testing.T) {
+	const entities = 64
+	var triples []rdf.Triple
+	for i := 0; i < entities; i++ {
+		e := gen.Res("entity", i)
+		triples = append(triples,
+			rdf.T(e, rdf.RDFType, gen.Res("class", i%2)),
+			rdf.T(e, gen.Prop("cat0"), rdf.NewLiteral(fmt.Sprintf("category-%d", i%3))),
+			rdf.T(e, gen.Prop("cat1"), rdf.NewLiteral(fmt.Sprintf("category-%d", i%5))),
+			rdf.T(e, gen.Prop("rel0"), gen.Res("entity", (i+1)%entities)),
+		)
+	}
+	st, err := store.Load(triples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	population := st.EstimateCountIDs(0, 0, 0)
+	if population != 4*entities || population%probeThreshold != 0 {
+		t.Fatalf("population = %d, want %d, a multiple of %d", population, 4*entities, probeThreshold)
+	}
+	ctx := context.Background()
+	for _, n := range []int{population/probeThreshold - 1, population / probeThreshold} {
+		var selected []rdf.Term
+		for i := 0; i < n; i++ {
+			selected = append(selected, gen.Res("entity", i))
+		}
+		sess := NewSessionOver(st, selected)
+		batches := 0
+		count, fs, err := sess.Stream(ctx, 16, 1, func(Batch) bool { batches++; return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if walk := n*probeThreshold == population; walk != (batches > 0) {
+			t.Fatalf("%d entities of %d statements: %d batches, want a walk: %v", n, population, batches, walk)
+		}
+		wantFacets, err := sess.FacetsCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if count != n || !reflect.DeepEqual(fs, wantFacets) {
+			t.Fatalf("%d entities: Stream = (%d, %+v), want (%d, %+v)", n, count, fs, n, wantFacets)
+		}
+		if want := ReferenceFacets(st, selected, nil, 0); !reflect.DeepEqual(fs, want) {
+			t.Fatalf("%d entities: Stream facets diverge from the reference:\n got %+v\nwant %+v", n, fs, want)
+		}
 	}
 }
 

@@ -282,11 +282,17 @@ func (s *Session) CountCtx(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := len(ids)
+	return s.count(ids), nil
+}
+
+// count is the size of the entity set whose dictionary IDs matchIDs
+// returned: the explicit terms outside the dictionary match only while no
+// filter is active.
+func (s *Session) count(matches []store.ID) int {
 	if len(s.filters) == 0 {
-		n += len(s.extra)
+		return len(matches) + len(s.extra)
 	}
-	return n, nil
+	return len(matches)
 }
 
 // Count returns the size of the current entity set.
@@ -313,30 +319,54 @@ func (d distribution) get(p store.ID) *pagg {
 	return a
 }
 
-// probeThreshold picks the aggregation strategy: a match set small relative
-// to the dataset is served by per-entity ID probes; otherwise one merged SPO
-// walk with a two-pointer membership test beats O(matches) index lookups.
+// probeThreshold is how many dataset statements per matched entity it takes
+// for probing to win; see probes.
 const probeThreshold = 32
+
+// probes is the one probe-or-walk rule, read by FacetsCtx and Stream alike.
+// A match set small relative to the dataset (population statements) is
+// aggregated by per-entity ID probes, which touch only its own statements:
+// the exact answer then costs less than one page of estimates, so Stream
+// returns it at once. A larger one is aggregated by a walk over the whole
+// store — one merged SPO run with a two-pointer membership test, which beats
+// O(matches) index lookups, or, in Stream, pages that yield estimates.
+func probes(matches, population int) bool {
+	return matches*probeThreshold < population
+}
 
 // FacetsCtx computes the facet distributions over the current entity set —
 // the counts shown beside each facet value, which refine after every click.
 func (s *Session) FacetsCtx(ctx context.Context) ([]Facet, error) {
+	_, fs, err := s.CountAndFacetsCtx(ctx)
+	return fs, err
+}
+
+// CountAndFacetsCtx returns what CountCtx and FacetsCtx return, from one
+// intersection of the filter runs.
+func (s *Session) CountAndFacetsCtx(ctx context.Context) (int, []Facet, error) {
 	matches, err := s.matchIDs(ctx)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
+	return s.exact(ctx, matches, s.src.EstimateCountIDs(0, 0, 0))
+}
+
+// exact aggregates the distribution of the match set by the probe-or-walk
+// rule and returns the entity count with the assembled facets.
+func (s *Session) exact(ctx context.Context, matches []store.ID, population int) (int, []Facet, error) {
 	per := distribution{}
 	if len(matches) > 0 {
-		if len(matches)*probeThreshold < s.src.EstimateCountIDs(0, 0, 0) {
+		var err error
+		if probes(len(matches), population) {
 			err = s.aggregateProbe(ctx, matches, per)
 		} else {
 			err = s.aggregateWalk(ctx, matches, per)
 		}
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 	}
-	return s.assemble(per), nil
+	return s.count(matches), s.assemble(per), nil
 }
 
 // Facets computes the facet distributions over the current entity set.

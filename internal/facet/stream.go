@@ -23,10 +23,12 @@ type FacetEstimate struct {
 	Values    []ValueEstimate
 }
 
-// Batch is one refining approximate answer from Session.Stream. Count is
-// exact from the start (the match set is an index intersection, cheap to
-// compute upfront); the distributions carry CLT-scaled estimates whose
-// intervals shrink with Fraction.
+// Batch is one refining approximate answer from Session.Stream, emitted only
+// while it walks the whole store (a selection the probe rule leaves to the
+// walk, such as the unfiltered view); a drilled-down selection is answered
+// exactly with no Batch at all. Count is exact from the start (the match set
+// is an index intersection, cheap to compute upfront); the distributions
+// carry CLT-scaled estimates whose intervals shrink with Fraction.
 type Batch struct {
 	// Scanned is the number of statements visited so far.
 	Scanned int
@@ -41,14 +43,17 @@ type Batch struct {
 	Facets []FacetEstimate
 }
 
-// Stream computes the facet distributions progressively: the exact match
-// set is intersected upfront, then one paged ID walk aggregates the
-// distribution, emitting an approximate Batch every batchPages pages and
-// finally returning the exact count and facets — the same values FacetsCtx
-// produces, because both paths share the accumulator and assembler. emit
-// returning false aborts with explore.ErrStopped; a layout-epoch restart
-// resets the aggregation (Fraction drops back, then re-grows). pageSize <=
-// 0 selects explore.DefaultPageSize; batchPages < 1 is treated as 1.
+// Stream computes the facet distributions, progressively where that pays.
+// The exact match set is intersected upfront. A selection the probe-or-walk
+// rule probes is answered at once on FacetsCtx's probe path, with no Batch:
+// estimates would cost more than the answer. Otherwise one paged ID walk
+// aggregates the distribution, emitting an approximate Batch every
+// batchPages pages. Either way Stream returns the exact count and facets —
+// what CountCtx and FacetsCtx return, because all paths share the
+// accumulator and assembler. emit returning false aborts with
+// explore.ErrStopped; a layout-epoch restart resets the aggregation
+// (Fraction drops back, then re-grows). pageSize <= 0 selects
+// explore.DefaultPageSize; batchPages < 1 is treated as 1.
 func (s *Session) Stream(ctx context.Context, pageSize, batchPages int, emit func(Batch) bool) (int, []Facet, error) {
 	if batchPages < 1 {
 		batchPages = 1
@@ -57,15 +62,15 @@ func (s *Session) Stream(ctx context.Context, pageSize, batchPages int, emit fun
 	if err != nil {
 		return 0, nil, err
 	}
-	count := len(matches)
-	if len(s.filters) == 0 {
-		count += len(s.extra)
+	population := s.src.EstimateCountIDs(0, 0, 0)
+	if probes(len(matches), population) {
+		return s.exact(ctx, matches, population)
 	}
+	count := s.count(matches)
 	member := make(map[store.ID]struct{}, len(matches))
 	for _, id := range matches {
 		member[id] = struct{}{}
 	}
-	population := s.src.EstimateCountIDs(0, 0, 0)
 
 	// Walk pages interleave the sorted base region with unsorted delta
 	// entries, so coverage totals use a (subject, predicate) pair set
@@ -74,47 +79,45 @@ func (s *Session) Stream(ctx context.Context, pageSize, batchPages int, emit fun
 	pairs := map[uint64]struct{}{}
 	pages := 0
 	stopped := false
-	if len(matches) > 0 {
-		err = explore.Walk(ctx, s.src, 0, 0, 0, pageSize, explore.WalkHandler{
-			Visit: func(t store.IDTriple) bool {
-				if _, ok := member[t.S]; !ok {
-					return true
-				}
-				a := per.get(t.P)
-				a.counts[t.O]++
-				pair := store.PackPair(t.S, t.P)
-				if _, seen := pairs[pair]; !seen {
-					pairs[pair] = struct{}{}
-					a.total++
-				}
+	err = explore.Walk(ctx, s.src, 0, 0, 0, pageSize, explore.WalkHandler{
+		Visit: func(t store.IDTriple) bool {
+			if _, ok := member[t.S]; !ok {
 				return true
-			},
-			Page: func(scanned int, done bool) bool {
-				if done {
-					return true
-				}
-				pages++
-				if pages%batchPages != 0 {
-					return true
-				}
-				if !emit(s.batch(per, count, scanned, population)) {
-					stopped = true
-					return false
-				}
+			}
+			a := per.get(t.P)
+			a.counts[t.O]++
+			pair := store.PackPair(t.S, t.P)
+			if _, seen := pairs[pair]; !seen {
+				pairs[pair] = struct{}{}
+				a.total++
+			}
+			return true
+		},
+		Page: func(scanned int, done bool) bool {
+			if done {
 				return true
-			},
-			Reset: func() {
-				per = distribution{}
-				pairs = map[uint64]struct{}{}
-				pages = 0
-			},
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		if stopped {
-			return 0, nil, explore.ErrStopped
-		}
+			}
+			pages++
+			if pages%batchPages != 0 {
+				return true
+			}
+			if !emit(s.batch(per, count, scanned, population)) {
+				stopped = true
+				return false
+			}
+			return true
+		},
+		Reset: func() {
+			per = distribution{}
+			pairs = map[uint64]struct{}{}
+			pages = 0
+		},
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	if stopped {
+		return 0, nil, explore.ErrStopped
 	}
 	return count, s.assemble(per), nil
 }

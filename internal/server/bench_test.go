@@ -167,8 +167,12 @@ func BenchmarkSPARQLStream(b *testing.B) {
 	benchStream(b, "/sparql/stream?query="+url.QueryEscape(benchQuery+" LIMIT 600"))
 }
 
-// BenchmarkFacetsStream streams the unfiltered facet distribution: its
-// approximate batches and the exact done line.
+// BenchmarkFacetsStream streams the facet distribution on both sides of the
+// probe rule: unfiltered, 5 000 entities walk the store; filtered to one
+// hub's 10 items, the view is probed and its exact done line is the stream.
 func BenchmarkFacetsStream(b *testing.B) {
-	benchStream(b, "/facets/stream")
+	b.Run("unfiltered", func(b *testing.B) { benchStream(b, "/facets/stream") })
+	b.Run("filtered", func(b *testing.B) {
+		benchStream(b, "/facets/stream?filter="+url.QueryEscape("<http://bench.example/ref>=<http://bench.example/hub/3>"))
+	})
 }

@@ -67,11 +67,14 @@ func appendFacetBatch(dst []byte, b facet.Batch) ([]byte, error) {
 // handleFacetsStream serves the facet distribution progressively as NDJSON:
 // approximate batches (exact count, CLT-scaled value estimates) while the
 // ID walk is still running, then a final done line whose result field is
-// byte-equivalent to /facets. Parameters are exactly /facets'. The first
-// batch is flushed as soon as it is written, later ones in 32 KiB runs or
-// 5 ms after they were written, the done line at once. A completed stream
-// also fills the buffered endpoint's cache entry, so the next /facets
-// request for the same view is a HIT.
+// byte-equivalent to /facets. A view that facet.Session.Stream answers by
+// per-entity probes instead of a walk — fewer matched entities than one per
+// 32 statements in the store, as a drilled-down selection usually has — gets
+// the done line alone, as /stats/stream does. Parameters are exactly
+// /facets'. The first batch is flushed as soon as it is written, later ones
+// in 32 KiB runs or 5 ms after they were written, the done line at once. A
+// completed stream also fills the buffered endpoint's cache entry, so the
+// next /facets request for the same view is a HIT.
 func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
 	max, filters, rawFilters, errStatus, errMsg := s.facetParams(r)
 	if errStatus != 0 {

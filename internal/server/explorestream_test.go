@@ -162,6 +162,49 @@ func TestStreamFillsBufferedCache(t *testing.T) {
 	}
 }
 
+// TestFacetsStreamProbedViewIsOneLine: on a store of 18 600 statements, a
+// view of 10 entities is under the probe threshold, so /facets/stream sends
+// its done line alone — byte-equal to /facets on a cache-off server — fills
+// the cache for the next /facets and counts one line delivered; the
+// unfiltered view (6 000 entities) still sends estimates before done.
+func TestFacetsStreamProbedViewIsOneLine(t *testing.T) {
+	st := synthStore(t, 6000)
+	s := New(st, Config{Logger: discardLogger()})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	uncached := httptest.NewServer(New(st, Config{Logger: discardLogger(), CacheCapacity: -1}).Handler())
+	t.Cleanup(uncached.Close)
+
+	filter := "?filter=" + url.QueryEscape("<http://bench.example/ref>=<http://bench.example/hub/3>")
+	rows := s.met.streamRows.With("/facets/stream")
+	before := rows.Value()
+	_, stream := getBody(t, ts.URL+"/facets/stream"+filter)
+	_, want := getBody(t, uncached.URL+"/facets"+filter)
+	if line := `{"done":true,"fraction":1,"result":` + strings.TrimSpace(string(want)) + "}\n"; string(stream) != line {
+		t.Fatalf("probed view streamed\n%s\nwant the one line\n%s", stream, line)
+	}
+	if !strings.Contains(string(want), `"count":10,`) {
+		t.Fatalf("/facets body %s, want a count of 10", want)
+	}
+	if got := rows.Value() - before; got != 1 {
+		t.Errorf("lodviz_http_stream_rows_total moved by %d, want 1", got)
+	}
+	if resp, body := getBody(t, ts.URL+"/facets"+filter); resp.Header.Get("X-Cache") != "HIT" || string(body) != string(want) {
+		t.Fatalf("/facets after the stream: X-Cache %q, body equal: %v; want HIT with the same body",
+			resp.Header.Get("X-Cache"), string(body) == string(want))
+	}
+
+	resp, err := http.Get(ts.URL + "/facets/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	batches, final := readStream(t, resp.Body)
+	if len(batches) == 0 || !final.Done {
+		t.Fatalf("unfiltered stream: %d batches, done %v; want estimates before done", len(batches), final.Done)
+	}
+}
+
 // pageGatedSource wraps the store's ID-space surface, capping every page at a few
 // triples and blocking all pages after the first free until released — the
 // deterministic way to hold a progressive stream mid-scan.

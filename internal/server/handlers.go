@@ -364,11 +364,7 @@ func (s *Server) buildFacets(ctx context.Context, max int, filters []facet.Filte
 	if err != nil {
 		return errorResult(queryError(err))
 	}
-	count, err := sess.CountCtx(ctx)
-	if err != nil {
-		return errorResult(queryError(err))
-	}
-	fs, err := sess.FacetsCtx(ctx)
+	count, fs, err := sess.CountAndFacetsCtx(ctx)
 	if err != nil {
 		return errorResult(queryError(err))
 	}

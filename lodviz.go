@@ -424,7 +424,9 @@ type ServerConfig = server.Config
 // (/sparql/stream, first rows before evaluation finishes), the exploration
 // endpoints (/facets, /graph/neighborhood, /hetree, /stats) with NDJSON
 // twins (/facets/stream: approximate batches that converge to the exact
-// answer; /stats/stream: the exact answer in one line, read from the
+// answer, or, for a drilled-down view that per-entity probes answer more
+// cheaply than a walk, the exact answer in one line; /stats/stream: the
+// exact answer in one line, read from the
 // statistics the store maintains), keyword search
 // (/search, /complete), federation health (/federation), N-Triples
 // ingestion (POST /triples), and /healthz. Responses are cached in a sharded LRU keyed by
