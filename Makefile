@@ -28,25 +28,29 @@ loc:
 
 # Race-detector pass over the concurrent packages: query engine (the
 # dictionary-ID executor and its worker pool), store (including the
-# snapshot round-trip under concurrent writers and the permutation ID
-# scans with epoch restarts), snapshot format, the federation mesh
+# snapshot round-trip under concurrent writers, the permutation ID scans
+# with epoch restarts, and readers iterating runs lent from the index
+# beside a compacting writer), snapshot format, the federation mesh
 # (parallel bind-join batches, circuit breakers, TTL cache), HTTP server,
 # the sharded response cache, the metrics registry (sharded histograms
-# and vec instantiation under concurrent scrapes), and the keyword index
-# (searches sharing the live index while refreshes follow a writer); plus
-# a focused rerun of the dictionary/permutation paths under writers and
-# the multi-node federation smoke (two httptest lodvizd instances
-# answering one SERVICE query).
+# and vec instantiation under concurrent scrapes), the keyword index
+# (searches sharing the live index while refreshes follow a writer) and
+# the facet sessions (sharing one kept typed-subject base while a writer
+# moves it); plus a focused rerun of the dictionary/permutation paths,
+# the lent runs and the shared facet base under writers, and the
+# multi-node federation smoke (two httptest lodvizd instances answering
+# one SERVICE query).
 race:
 	$(GO) test -race ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/prefetch/... ./internal/obs/... ./internal/keyword/...
-	$(GO) test -race -count=2 -run 'ScanIDs|IDJoin|StreamConcurrentWriters' ./internal/store ./internal/sparql
+	$(GO) test -race -count=2 -run 'ScanIDs|IDJoin|StreamConcurrentWriters|TypedBase' ./internal/store ./internal/sparql ./internal/facet
 	$(GO) test -race -run 'Federated|ServiceSilent' .
 
 # Flake detection: twenty runs under the race detector of the packages
 # whose tests share state with background goroutines or concurrent writers
-# (about ten minutes on two cores).
+# (about ten minutes on two cores). The facet package is among them: its
+# sessions share one kept base across goroutines.
 flake:
-	$(GO) test -race -count=20 ./internal/server/... ./internal/store/... ./internal/keyword/... ./internal/explore/... ./internal/hetree/... ./internal/sparql/...
+	$(GO) test -race -count=20 ./internal/server/... ./internal/store/... ./internal/keyword/... ./internal/explore/... ./internal/hetree/... ./internal/sparql/... ./internal/facet/...
 
 # Coverage gate for the HTTP server subsystem and the metrics registry it
 # exposes (the CI threshold applies to the combined profile).
@@ -96,7 +100,9 @@ bench:
 # decoders a request body goes through (a bulk_ingest-sized N-Triples body,
 # the session_cold query shapes and an INSERT DATA), and the store's
 # statistics tally (a summary read at 110k triples; a 2000-triple add+delete
-# with the tally not built and built), and the two progressive streams
+# with the tally not built and built), a sorted ID run at 110k triples (the
+# 10 000-entry rdf:type run lent from the index, and copied out of it past
+# one tombstone; allocations per run), and the two progressive streams
 # (/sparql/stream at 600 rows; /facets/stream unfiltered, which walks the
 # store, and filtered to 10 entities, which probes them and sends one exact
 # line; allocations per stream):
@@ -107,7 +113,7 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BGP -benchtime=1x .
 	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite' -benchtime=1x ./internal/store
-	$(GO) test -run='^$$' -bench='ComputeStats|AddDeleteBatch2000' -benchtime=1x -benchmem ./internal/store
+	$(GO) test -run='^$$' -bench='ComputeStats|AddDeleteBatch2000|ScanIDs' -benchtime=1x -benchmem ./internal/store
 	$(GO) test -run='^$$' -bench=BindJoin -benchtime=1x ./internal/federation
 	$(GO) test -run='^$$' -bench=LimitPushdown -benchtime=1x .
 	$(GO) test -run='^$$' -bench='FromSource|LevelOverSharedBase' -benchtime=1x -benchmem ./internal/hetree

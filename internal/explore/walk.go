@@ -33,8 +33,8 @@ type WalkHandler struct {
 // a long aggregation never holds up writers. Between pages it honors ctx
 // cancellation and watches the source's layout epoch: a compaction shifts
 // positional cursors, so the walk restarts from scratch (calling h.Reset);
-// after walkRestartAttempts restarts it falls back to one materialized
-// sorted scan, which cannot be invalidated. pageSize <= 0 selects
+// after walkRestartAttempts restarts it falls back to one sorted ScanIDs
+// run, which cannot be invalidated. pageSize <= 0 selects
 // DefaultPageSize.
 func Walk(ctx context.Context, src store.Source, s, p, o store.ID, pageSize int, h WalkHandler) error {
 	if pageSize <= 0 {
@@ -49,8 +49,10 @@ func Walk(ctx context.Context, src store.Source, s, p, o store.ID, pageSize int,
 			h.Reset()
 		}
 	}
-	// Fallback: one consistent materialized run, still honoring ctx between
-	// page-sized slices of the copy.
+	// Fallback: one consistent run, still honoring ctx between page-sized
+	// slices of it. ScanIDs lends the index's own range when the store holds
+	// no tombstones and copies the live entries when it does; either way the
+	// run is read here, never written.
 	run, ok := src.ScanIDs(s, p, o, store.PosAny)
 	if !ok {
 		return nil

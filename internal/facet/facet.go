@@ -10,10 +10,19 @@
 // come from either per-entity ID probes or one merged SPO walk — terms are
 // decoded once, at emission. The previous per-entity term-space algorithm is
 // preserved as ReferenceFacets for differential tests and benchmarks.
+//
+// Every session starts from the same base set, the typed subjects, and a
+// server does not collect it per request: a TypedBase keeps it across
+// requests, following the store's change log like the response cache and
+// the hierarchy bases do, and hands every session the one immutable slice.
+// Nothing a session reads is written — neither that base nor the store runs
+// it intersects, which the store lends rather than copies when it can
+// (store.IDRun is read-only) — so concurrent sessions share both freely.
 package facet
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"github.com/lodviz/lodviz/internal/rdf"
@@ -70,22 +79,29 @@ type Session struct {
 
 // NewSessionCtx starts a session over all entities with an rdf:type; when
 // the dataset declares no types, all subjects become the base set. The base
-// collection scan honors ctx; a cancelled context aborts with its error.
+// is collected from the store on every call, and kept by nobody: whoever
+// opens sessions repeatedly keeps it in a TypedBase, which collects it the
+// same way. The collection scan honors ctx; a cancelled context aborts with
+// its error.
 func NewSessionCtx(ctx context.Context, src store.Source) (*Session, error) {
-	if typeID, ok := src.LookupTermID(rdf.RDFType); ok {
-		base, err := distinctSubjects(ctx, src, typeID)
-		if err != nil {
-			return nil, err
-		}
-		if len(base) > 0 {
-			return &Session{src: src, base: base, typeID: typeID}, nil
-		}
-	}
-	base, err := distinctSubjects(ctx, src, 0)
+	base, typeID, err := collectBase(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{src: src, base: base}, nil
+	return &Session{src: src, base: base, typeID: typeID}, nil
+}
+
+// collectBase is the one collection of a session's base: the typed subjects
+// with rdf:type's ID, or, when no subject has a type, all subjects with 0.
+func collectBase(ctx context.Context, src store.Source) ([]store.ID, store.ID, error) {
+	if typeID, ok := src.LookupTermID(rdf.RDFType); ok {
+		base, err := distinctSubjects(ctx, src, typeID)
+		if err != nil || len(base) > 0 {
+			return base, typeID, err
+		}
+	}
+	base, err := distinctSubjects(ctx, src, 0)
+	return base, 0, err
 }
 
 // Footprint returns what the session's counts and distributions read under
@@ -147,7 +163,8 @@ func NewSessionOver(src store.Source, entities []rdf.Term) *Session {
 // distinctSubjects returns the ascending distinct subject IDs of statements
 // with predicate pid (0 = any). Both the PSO run (pid bound) and the SPO run
 // (unbound) yield subjects in ascending order, so deduplication is one
-// consecutive comparison per statement.
+// consecutive comparison per statement. The slice is clipped: sessions share
+// it, and an append must copy.
 func distinctSubjects(ctx context.Context, src store.Source, pid store.ID) ([]store.ID, error) {
 	lead := store.PosS
 	if pid == 0 {
@@ -177,7 +194,7 @@ func distinctSubjects(ctx context.Context, src store.Source, pid store.ID) ([]st
 	if stop != nil {
 		return nil, stop
 	}
-	return out, nil
+	return slices.Clip(out), nil
 }
 
 func sortTerms(ts []rdf.Term) {

@@ -343,9 +343,10 @@ func (s *Server) facetsKey(max int, rawFilters []string) string {
 	return fmt.Sprintf("facets|m%d|%s", max, strings.Join(rawFilters, "\x00"))
 }
 
-// facetSession opens a facet session with the request's cap and filters.
+// facetSession opens a facet session over the kept typed-subject base with
+// the request's cap and filters.
 func (s *Server) facetSession(ctx context.Context, max int, filters []facet.Filter) (*facet.Session, error) {
-	sess, err := facet.NewSessionCtx(ctx, s.source())
+	sess, err := s.typed.Session(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -60,8 +60,8 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 }
 
 // registerCollectors wires the obs-free subsystems (store, response cache,
-// keyword index, hetree bases, ledger, WAL frontier, federation mesh) into
-// the registry as func-backed collectors sampled at scrape time.
+// keyword index, hetree bases, facet base, ledger, WAL frontier, federation
+// mesh) into the registry as func-backed collectors sampled at scrape time.
 func (s *Server) registerCollectors(r *obs.Registry) {
 	st := s.st
 	r.GaugeFunc("lodviz_store_triples", "Live triples in the store.",
@@ -78,6 +78,14 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 		func() float64 { return float64(st.Observe().LayoutEpoch) })
 	r.CounterFunc("lodviz_store_scan_pages_total", "Paged-scan pages served by the store.",
 		func() float64 { return float64(st.Observe().ScanPages) })
+	r.CounterVecFunc("lodviz_store_scan_runs_total", "Sorted ID runs served by the store, by mode: lent hands out the index's own range (no tombstones), copied copies its live entries.",
+		[]string{"mode"}, func() []obs.Sample {
+			o := st.Observe()
+			return []obs.Sample{
+				{Labels: []string{"lent"}, Value: float64(o.ScanRunsLent)},
+				{Labels: []string{"copied"}, Value: float64(o.ScanRunsCopied)},
+			}
+		})
 	r.GaugeFunc("lodviz_store_stats_tally_entries", "Map entries of the store's statistics tally (0 before it is built).",
 		func() float64 { return float64(st.Observe().TallyEntries) })
 	r.CounterFunc("lodviz_store_stats_tally_builds_total", "Whole-store walks that built the statistics tally (1 once anything asked for statistics).",
@@ -125,6 +133,18 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 		})
 	r.CounterFunc("lodviz_hetree_base_build_seconds", "Cumulative seconds spent building /hetree value runs.",
 		func() float64 { return bases.Stats().BuildSeconds })
+
+	typed := s.typed
+	r.CounterVecFunc("lodviz_facet_base_total", "Facet sessions by how their base was had: built collects the typed subjects (or, with none, all subjects) from the store, reused opens over the kept base.",
+		[]string{"outcome"}, func() []obs.Sample {
+			ts := typed.Stats()
+			return []obs.Sample{
+				{Labels: []string{"built"}, Value: float64(ts.Built)},
+				{Labels: []string{"reused"}, Value: float64(ts.Reused)},
+			}
+		})
+	r.CounterFunc("lodviz_facet_base_build_seconds", "Cumulative seconds spent collecting facet session bases.",
+		func() float64 { return typed.Stats().BuildSeconds })
 
 	if led := s.cfg.Ledger; led != nil {
 		r.GaugeFunc("lodviz_ledger_leaves", "Mutation-ledger leaves covered by the current root.",

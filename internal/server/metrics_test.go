@@ -113,12 +113,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lodviz_hetree_base_total{outcome="built"} 1`,
 		`lodviz_hetree_base_total{outcome="reused"} 1`,
 		"lodviz_hetree_base_build_seconds ",
+		`lodviz_facet_base_total{outcome="built"} 1`,
+		`lodviz_facet_base_total{outcome="reused"} 0`,
+		"lodviz_facet_base_build_seconds ",
+		`lodviz_store_scan_runs_total{mode="lent"} `,
+		`lodviz_store_scan_runs_total{mode="copied"} 0`,
 		"lodviz_engine_queries_materialized_total",
 		"lodviz_http_request_seconds_bucket",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// Nothing was written, so the facet base, the hierarchy's value run and
+	// every other sorted run were lent from the index.
+	if strings.Contains(text, `lodviz_store_scan_runs_total{mode="lent"} 0`+"\n") {
+		t.Error("no scan run was lent on a store without tombstones")
 	}
 }
 

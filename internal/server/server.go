@@ -158,6 +158,9 @@ type Server struct {
 	// bases keeps each numeric property's sorted values under the /hetree
 	// responses: a request at a budget not yet cached cuts the kept base.
 	bases *hetree.Bases
+	// typed keeps the typed-subject base every facet session starts from:
+	// /facets, /facets/stream and warm jobs open their sessions over it.
+	typed *facet.TypedBase
 	mux   *http.ServeMux
 
 	// reg is the metrics registry /metrics serves; met and engineMet are
@@ -203,6 +206,7 @@ func New(st *store.Store, cfg Config) *Server {
 		s.kw = keyword.NewLazy(st)
 	}
 	s.bases = hetree.NewBases(s.source(), st)
+	s.typed = facet.NewTypedBase(s.source(), st)
 	if s.cfg.FacetWarming && s.cache != nil {
 		s.warmSem = make(chan struct{}, 2)
 	}

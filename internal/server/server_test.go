@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/lodviz/lodviz/internal/facet"
 	"github.com/lodviz/lodviz/internal/gen"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/sparql"
@@ -620,6 +621,62 @@ func TestFacets(t *testing.T) {
 		getJSON(t, ts.URL+"/facets?filter="+url.QueryEscape(pred+"=<"+exNS+"greece>"), &bracketed)
 		if bracketed.Count != filtered.Count {
 			t.Errorf("filter on %s: count = %d, want the bare spelling's %d", pred, bracketed.Count, filtered.Count)
+		}
+	}
+}
+
+// TestFacetsBaseCarriedAcrossUntypedWrite: a POST /triples that names no
+// rdf:type leaves the kept typed-subject base standing. The /facets entry
+// the write touched is rebuilt over the kept base, and answers what a base
+// collected from scratch answers; typing a subject collects it again.
+func TestFacetsBaseCarriedAcrossUntypedWrite(t *testing.T) {
+	s, ts, st := newTestServer(t, Config{})
+	post := func(nt string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/triples", "application/n-triples", strings.NewReader(nt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /triples: status %d", resp.StatusCode)
+		}
+	}
+	facets := func(step string, built, reused uint64) facetsResponse {
+		t.Helper()
+		var resp facetsResponse
+		if r := getJSON(t, ts.URL+"/facets", &resp); r.StatusCode != http.StatusOK || r.Header.Get("X-Cache") != "MISS" {
+			t.Fatalf("%s: status %d, X-Cache %q; want a 200 MISS", step, r.StatusCode, r.Header.Get("X-Cache"))
+		}
+		fresh, err := facet.NewSessionCtx(context.Background(), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := fresh.Count(); resp.Count != n {
+			t.Fatalf("%s: /facets counts %d entities, a base collected now holds %d", step, resp.Count, n)
+		}
+		if bs := s.typed.Stats(); bs.Built != built || bs.Reused != reused {
+			t.Fatalf("%s: facet base built %d, reused %d; want %d, %d", step, bs.Built, bs.Reused, built, reused)
+		}
+		return resp
+	}
+
+	first := facets("first request", 1, 0)
+	// About a typed subject, so the cached view is touched, and about a new
+	// untyped one; neither names rdf:type.
+	post("<" + exNS + "athens> <http://www.w3.org/2000/01/rdf-schema#comment> \"old town\" .\n" +
+		"<" + exNS + "nowhere> <http://www.w3.org/2000/01/rdf-schema#label> \"Nowhere\" .\n")
+	if got := facets("untyped write", 1, 1); got.Count != first.Count {
+		t.Fatalf("untyped write: count %d, want %d", got.Count, first.Count)
+	}
+	post("<" + exNS + "atlantis> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <" + exNS + "City> .\n")
+	if got := facets("typed write", 2, 1); got.Count != first.Count+1 {
+		t.Fatalf("typed write: count %d, want %d", got.Count, first.Count+1)
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{`lodviz_facet_base_total{outcome="built"} 2`, `lodviz_facet_base_total{outcome="reused"} 1`} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics missing %q", want)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/lodviz/lodviz/internal/facet"
 	"github.com/lodviz/lodviz/internal/gen"
 	"github.com/lodviz/lodviz/internal/hetree"
 	"github.com/lodviz/lodviz/internal/rdf"
@@ -325,9 +326,11 @@ func newDifferential(t *testing.T, st *store.Store, vocab []diffRequest) *differ
 }
 
 // reference serves target from the store as it is now: the non-caching
-// server, with the sorted values it keeps under /hetree thrown away too.
+// server, with the sorted values it keeps under /hetree and the facet base
+// thrown away too.
 func (d *differential) reference(target string) (int, string) {
 	d.off.bases = hetree.NewBases(d.st, d.st)
+	d.off.typed = facet.NewTypedBase(d.st, d.st)
 	code, _, body := serve(d.off, target)
 	return code, body
 }

@@ -3,12 +3,12 @@ package store
 import "slices"
 
 // Change log. Everything derived from the store — a cached response, the
-// sorted values under a hierarchy, the keyword index — asks one question when
-// the generation has moved: did a write since touch what I read? The store
-// already computes exactly what each write changed (the effective sub-batch
-// it hands the WAL), so it keeps the most recent of those in memory, each
-// under the generation it produced, and that is the one place the question
-// is answered. A follower that remembers a generation asks DigestsSince for
+// sorted values under a hierarchy, the typed subjects facet sessions start
+// from, the keyword index — asks one question when the generation has moved:
+// did a write since touch what I read? The store already computes exactly
+// what each write changed (the effective sub-batch it hands the WAL), so it
+// keeps the most recent of those in memory, each under the generation it
+// produced, and that is the one place the question is answered. A follower that remembers a generation asks DigestsSince for
 // the batches in between, as Digests: the sorted sets a Footprint is tested
 // against (TouchedBy) and the subjects to revisit (Digest.Subjects). A digest
 // is built once, by the first follower that reaches it and outside the store

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/lodviz/lodviz/internal/rdf"
@@ -8,7 +9,8 @@ import (
 
 // This file is the store's dictionary-ID scan surface: everything the SPARQL
 // engine needs to run joins entirely in uint32 ID space — permutation
-// selection, sorted range materialization with lock-free gaps between pages,
+// selection, sorted runs (the index's own range lent when no tombstone can
+// hide an entry of it, otherwise copied with lock-free gaps between pages),
 // batch ID→term decoding — so terms are only materialized once per emitted
 // solution instead of once per probe.
 
@@ -326,6 +328,10 @@ func (st *Store) EstimateCountIDs(s, p, o ID) int {
 // Order, then the not-yet-compacted delta matches in insertion order.
 // Concatenating Sorted and Tail reproduces exactly the sequence ForEachID
 // emits for the same pattern (modulo mutations between pages; see ScanIDs).
+//
+// A run is read-only. Sorted may be the index's own range, lent rather than
+// copied (see ScanIDs): writing to it would change what every other reader
+// of the store sees. It is clipped, so an append copies instead.
 type IDRun struct {
 	Sorted []IDTriple
 	Tail   []IDTriple
@@ -348,10 +354,20 @@ const scanIDsRestartAttempts = 3
 // ScanIDs materializes the matches for a bound mask (0 = wildcard) through
 // the permutation PermutationFor selects for lead; ok=false means no
 // permutation yields the requested lead order and the caller must probe
-// instead. The copy is paged: the read lock is released between pages so a
-// long scan never holds up writers, and a layout-epoch change (compaction
-// reshuffles positions) restarts the scan; after scanIDsRestartAttempts
-// restarts it degrades to a single-lock scan, which cannot be invalidated.
+// instead.
+//
+// When the store holds no tombstones, every entry of the index range is
+// live, and the run lends it: Sorted is the range itself, taken under one
+// read lock with the delta tail, and nothing is copied. The store never
+// writes to an index it has installed — compaction, bulk loads and snapshot
+// restore install freshly allocated ones — so a lent range holds still; the
+// price is that it keeps the index it was cut from alive until the run is
+// dropped, though the store may have replaced that index since. With
+// tombstones present the live entries are copied, in pages: the read lock is
+// released between pages so a long scan never holds up writers, and a
+// layout-epoch change (compaction reshuffles positions) restarts the scan;
+// after scanIDsRestartAttempts restarts it degrades to a single-lock scan,
+// which cannot be invalidated.
 func (st *Store) ScanIDs(s, p, o ID, lead Position) (IDRun, bool) {
 	ord, ok := PermutationFor(s != 0, p != 0, o != 0, lead)
 	if !ok {
@@ -370,12 +386,14 @@ func (st *Store) ScanIDs(s, p, o ID, lead Position) (IDRun, bool) {
 	return run, true
 }
 
-// scanIDsPaged copies the matching range in pages of at most page live
-// entries (0: all in one), dropping the lock between pages. ok=false reports
-// a layout-epoch change invalidating the positional cursor.
+// scanIDsPaged is one attempt at a run. If the store holds no tombstones
+// when it starts, it lends the range; otherwise it copies the live entries
+// in pages of at most page (0: all in one), dropping the lock between pages.
+// ok=false reports a layout-epoch change invalidating the positional cursor.
 func (st *Store) scanIDsPaged(m IDTriple, ord ScanOrder, page int) (IDRun, bool) {
 	run := IDRun{Order: ord}
 	var epoch uint64
+	lent := false
 	for pos := 0; ; {
 		st.mu.RLock()
 		if pos == 0 {
@@ -385,15 +403,29 @@ func (st *Store) scanIDsPaged(m IDTriple, ord ScanOrder, page int) (IDRun, bool)
 			return IDRun{}, false
 		}
 		base := ord.find(st.index[ord], m)
-		if run.Sorted == nil && len(base) > 0 {
-			run.Sorted = make([]IDTriple, 0, len(base))
+		if pos == 0 && len(st.deleted) == 0 {
+			// Every entry of the range is live: lend it whole. An empty run
+			// lends nothing, so it pins no index.
+			lent, pos = true, len(base)
+			if len(base) > 0 {
+				run.Sorted = slices.Clip(base)
+			}
+		} else {
+			if run.Sorted == nil && len(base) > 0 {
+				run.Sorted = make([]IDTriple, 0, len(base))
+			}
+			pos, _ = st.walkLocked(base, nil, m, pos, page, appendTo(&run.Sorted))
 		}
-		pos, _ = st.walkLocked(base, nil, m, pos, page, appendTo(&run.Sorted))
 		if pos >= len(base) {
 			// The delta is captured under the same view as the final page,
 			// exactly where ForEachID switches from base to delta.
 			st.walkLocked(nil, st.delta, m, 0, 0, appendTo(&run.Tail))
 			st.mu.RUnlock()
+			if lent {
+				st.scanRunsLent.Add(1)
+			} else {
+				st.scanRunsCopied.Add(1)
+			}
 			return run, true
 		}
 		st.mu.RUnlock()

@@ -35,7 +35,8 @@ type Source interface {
 	// Store.ForEachIDPage for the contract.
 	ForEachIDPage(s, p, o ID, pos, max int, fn func(IDTriple) bool) (next int, done bool)
 	// ScanIDs materializes the matches through the permutation sorted on
-	// lead; ok=false means no permutation serves that lead order.
+	// lead; ok=false means no permutation serves that lead order. The run
+	// is read-only: it may be the index's own range (see Store.ScanIDs).
 	ScanIDs(s, p, o ID, lead Position) (IDRun, bool)
 	// EstimateCountIDs sizes a mask without scanning it.
 	EstimateCountIDs(s, p, o ID) int

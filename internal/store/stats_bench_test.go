@@ -44,6 +44,37 @@ func BenchmarkComputeStats(b *testing.B) {
 	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)), "tally-B")
 }
 
+// BenchmarkScanIDs takes the rdf:type run (10 000 entries) sorted by subject,
+// as a facet session's base collection does: lent, from a store with no
+// tombstones, and copied, with one rdf:type statement deleted.
+func BenchmarkScanIDs(b *testing.B) {
+	for _, mode := range []string{"lent", "copied"} {
+		b.Run(mode, func(b *testing.B) {
+			st := entityStore(b)
+			pid, _ := st.LookupTermID(rdf.RDFType)
+			want := 10000
+			if mode == "copied" {
+				if n, err := st.DeleteBatch(st.Match(store.Pattern{P: rdf.RDFType})[:1]); err != nil || n != 1 {
+					b.Fatalf("DeleteBatch = %d, %v", n, err)
+				}
+				want--
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if run, ok := st.ScanIDs(0, pid, 0, store.PosS); !ok || len(run.Sorted)+len(run.Tail) != want {
+					b.Fatalf("ScanIDs = %d entries, %v; want %d", len(run.Sorted)+len(run.Tail), ok, want)
+				}
+			}
+			b.StopTimer()
+			o := st.Observe()
+			if runs := map[string]uint64{"lent": o.ScanRunsLent, "copied": o.ScanRunsCopied}; runs[mode] != uint64(b.N) {
+				b.Fatalf("%d of %d runs %s", runs[mode], b.N, mode)
+			}
+		})
+	}
+}
+
 // BenchmarkAddDeleteBatch2000 inserts and deletes one bulk_ingest-sized
 // batch, with the statistics tally not built (writes pay nothing for it)
 // and built (writes count into it).

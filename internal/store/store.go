@@ -7,7 +7,8 @@
 // What runs on the store sees it as Source (source.go): ten ID-space
 // methods. Those are the primitives — LookupTermID and Terms between terms
 // and IDs; ForEachID (one read view), ForEachIDPage (resumable, one lock hold
-// a page) and ScanIDs (a sorted run) to scan; EstimateCountIDs and
+// a page) and ScanIDs (a sorted run, read-only: with no tombstones it is the
+// index's own range, lent, not copied) to scan; EstimateCountIDs and
 // Cardinalities to plan; Generation and LayoutEpoch to know what moved. The
 // term-space calls (ForEach, ForEachPage, Match, Count, Subjects, Objects,
 // Predicates, Triples) are sugar: each resolves its pattern's constants,
@@ -24,7 +25,11 @@
 // from a position on, then the matching live entries of the delta, at most
 // so many": every scan entry point, Statements, the statistics tally's one
 // build and the compaction copy are calls of it, so the tombstone check and
-// the positional cursor exist in one place.
+// the positional cursor exist in one place. The one scan that skips it is a
+// ScanIDs run with no tombstone to check, which lends the range instead:
+// an installed index array is never written (writes install new ones and
+// bump the layout epoch), so a range cut from it holds still for as long as
+// a reader keeps it — and keeps that array alive as long.
 //
 // The survey's "large & dynamic data" challenge (Section 2) rules out a
 // heavyweight preprocessing phase, so the store is built for incremental
@@ -36,9 +41,10 @@
 // the generation it produced, so an index or view that remembers a
 // generation asks DigestsSince whether a write since touched what it read,
 // and which subjects to revisit, instead of rescanning — the response cache,
-// the hierarchy bases and the keyword index all share the one digest of each
-// batch; the dataset statistics are counted from the same batches by the
-// store itself (stats.go), so no summary read costs a scan after a write.
+// the hierarchy bases, the facet sessions' typed-subject base and the keyword
+// index all share the one digest of each batch; the dataset statistics are
+// counted from the same batches by the store itself (stats.go), so no summary
+// read costs a scan after a write.
 package store
 
 import (
@@ -116,10 +122,12 @@ type Store struct {
 	// is applied (see walsink.go for the ordering contract).
 	wal WALSink
 
-	// scanPages counts paged-scan calls (ForEachPage/ForEachIDPage) for
-	// the observability snapshot; atomic so page scans don't write under
-	// the read lock's shared hold.
-	scanPages atomic.Uint64
+	// scanPages counts paged-scan calls (ForEachPage/ForEachIDPage), and
+	// scanRunsLent and scanRunsCopied the ScanIDs runs that lent an index
+	// range or copied it, for the observability snapshot; atomic so scans
+	// don't write under the read lock's shared hold.
+	scanPages                    atomic.Uint64
+	scanRunsLent, scanRunsCopied atomic.Uint64
 }
 
 // New returns an empty store.
