@@ -104,8 +104,9 @@ bench:
 # 10 000-entry rdf:type run lent from the index, and copied out of it past
 # one tombstone; allocations per run), and the two progressive streams
 # (/sparql/stream at 600 rows; /facets/stream unfiltered, which walks the
-# store, and filtered to 10 entities, which probes them and sends one exact
-# line; allocations per stream):
+# store — under one page, and past two pages with two estimates — and
+# filtered to 10 entities, which probes them and sends one exact line;
+# allocations per stream):
 # verifies the
 # benchmark paths execute,
 # without timing noise gating CI. Timing regressions are gated separately

@@ -78,25 +78,6 @@ func run(pass *analysis.Pass) error {
 					}
 				}
 			}
-			// explore.Walk's Visit handler runs inside the page; Page and
-			// Reset run between pages and are exempt.
-			if fn.Name() == "Walk" && fn.Pkg() != nil && analysis.PkgIs(fn.Pkg(), "internal/explore") {
-				for _, arg := range call.Args {
-					if h, ok := ast.Unparen(arg).(*ast.CompositeLit); ok && analysis.IsNamed(pass.TypesInfo.TypeOf(h), "internal/explore", "WalkHandler") {
-						for _, elt := range h.Elts {
-							kv, ok := elt.(*ast.KeyValueExpr)
-							if !ok {
-								continue
-							}
-							if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Visit" {
-								if lit, ok := ast.Unparen(kv.Value).(*ast.FuncLit); ok {
-									checkCallback(pass, lit, "explore.Walk Visit")
-								}
-							}
-						}
-					}
-				}
-			}
 			return true
 		})
 	}
@@ -140,8 +121,6 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, scan string) {
 		pass.Reportf(call.Pos(), "store mutation %s inside a %s page callback (the page holds the store read lock; mutate between pages)", name, scan)
 	case lockedReads[name] && analysis.IsStoreSource(recv):
 		pass.Reportf(call.Pos(), "nested store access %s inside a %s page callback (a nested RLock behind a queued writer deadlocks; read between pages)", name, scan)
-	case name == "Walk" && fn.Pkg() != nil && analysis.PkgIs(fn.Pkg(), "internal/explore"):
-		pass.Reportf(call.Pos(), "nested explore.Walk inside a %s page callback (a nested RLock behind a queued writer deadlocks)", scan)
 	case (name == "Lock" || name == "RLock") && isSyncMutex(recv):
 		if base := selectorBase(call); base != nil && touchesStore(pass.TypesInfo, base) {
 			pass.Reportf(call.Pos(), "%s on the store's mutex inside a %s page callback (the page already holds the read lock)", name, scan)

@@ -1,10 +1,8 @@
 package pagelocktest
 
 import (
-	"context"
 	"sync"
 
-	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
@@ -28,19 +26,6 @@ func goroutineEscapesPage(st *store.Store) {
 			st.Add(t)
 		}()
 		return true
-	})
-}
-
-func walkVisitInsidePage(ctx context.Context, src store.Source, st *store.Store) {
-	_ = explore.Walk(ctx, src, 0, 0, 0, 128, explore.WalkHandler{
-		Visit: func(t store.IDTriple) bool {
-			st.Delete(t) // want `store mutation Delete inside a explore.Walk Visit page callback`
-			return true
-		},
-		Page: func(scanned int, done bool) bool {
-			st.Compact() // Page runs between pages: mutation is legal here.
-			return true
-		},
 	})
 }
 

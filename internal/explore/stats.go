@@ -14,6 +14,10 @@ import (
 // answer was reached.
 var ErrStopped = errors.New("explore: stream stopped by consumer")
 
+// DefaultPageSize is how many statements a progressive stream visits
+// between context checks and, every so many pages, estimates.
+const DefaultPageSize = 1 << 14
+
 // PredEstimate is one predicate's mid-scan summary: a CLT-bounded estimate
 // of its statement count plus the distinct subject/object counts observed so
 // far (observed counts only ever grow toward the exact value, so they are
@@ -104,68 +108,67 @@ func statsBatch(a *store.StatsAccumulator, src store.Source, population int) Sta
 	return b
 }
 
-// StreamStats computes dataset statistics progressively: it drives one paged
-// ID-space walk over the whole store and, every batchPages pages, emits an
-// approximate StatsBatch whose counts are CLT-scaled population estimates.
-// When the scan completes it returns the exact store.Stats assembled from a
-// store.StatsAccumulator, the type the store keeps its own tally in, so on
-// a store nobody writes to it equals ComputeStats. emit returning false
-// aborts with ErrStopped; ctx cancellation aborts with the context error; a
-// layout-epoch restart resets the accumulator (consumers see Fraction drop
-// back, then re-grow). pageSize <= 0 selects DefaultPageSize; batchPages < 1
-// is treated as 1.
+// StreamStats computes dataset statistics progressively: it reads one
+// store.ScanIDs run over the whole store in pages of pageSize statements
+// and, every batchPages pages, emits an approximate StatsBatch whose counts
+// are CLT-scaled population estimates. When the run is exhausted it returns
+// the exact store.Stats assembled from a store.StatsAccumulator, the type
+// the store keeps its own tally in, so it equals ComputeStats as of the run.
+// The run is taken before the first statement — lent from the index when
+// the store holds no tombstones, copied whole before the first batch when it
+// does — and holds still, so Fraction only grows and a write made meanwhile
+// (from emit, even) is not counted. ctx is checked before the run is taken
+// and at every page boundary; cancellation aborts with the context error,
+// emit returning false with ErrStopped. pageSize <= 0 selects
+// DefaultPageSize; batchPages < 1 is treated as 1.
 func StreamStats(ctx context.Context, src store.Source, pageSize, batchPages int, emit func(StatsBatch) bool) (store.Stats, error) {
+	if pageSize <= 0 {
+		pageSize = DefaultPageSize
+	}
 	if batchPages < 1 {
 		batchPages = 1
 	}
+	if err := ctx.Err(); err != nil {
+		return store.Stats{}, err
+	}
 	typeID, _ := src.LookupTermID(rdf.RDFType)
 	population := src.EstimateCountIDs(0, 0, 0)
+	run, _ := src.ScanIDs(0, 0, 0, store.PosAny)
+	numTerms := src.NumTerms()
 	agg := store.NewStatsAccumulator(typeID)
+	// Whether an object is a literal needs its term, so statements are
+	// counted a page at a time, with the page's objects decoded in one batch.
 	var page []store.IDTriple
+	var objs []store.ID
+	count := func() {
+		objs = objs[:0]
+		for _, t := range page {
+			objs = append(objs, t.O)
+		}
+		for i, o := range src.Terms(objs) {
+			agg.Add(page[i], o.Kind() == rdf.KindLiteral)
+		}
+		page = page[:0]
+	}
 	pages := 0
-	var stopped bool
-	err := Walk(ctx, src, 0, 0, 0, pageSize, WalkHandler{
-		Visit: func(t store.IDTriple) bool {
-			page = append(page, t)
+	var err error
+	run.ForEachSorted(func(t store.IDTriple) bool {
+		if page = append(page, t); len(page) < pageSize {
 			return true
-		},
-		Page: func(scanned int, done bool) bool {
-			// Whether an object is a literal needs its term, so a page is
-			// counted here, outside the page's read lock, with its objects
-			// decoded in one batch.
-			objs := make([]store.ID, len(page))
-			for i, t := range page {
-				objs[i] = t.O
-			}
-			for i, o := range src.Terms(objs) {
-				agg.Add(page[i], o.Kind() == rdf.KindLiteral)
-			}
-			page = page[:0]
-			if done {
-				return true
-			}
-			pages++
-			if pages%batchPages != 0 {
-				return true
-			}
-			if !emit(statsBatch(agg, src, population)) {
-				stopped = true
-				return false
-			}
-			return true
-		},
-		Reset: func() {
-			agg = store.NewStatsAccumulator(typeID)
-			page = page[:0]
-			pages = 0
-		},
+		}
+		count()
+		if err = ctx.Err(); err != nil {
+			return false
+		}
+		if pages++; pages%batchPages == 0 && !emit(statsBatch(agg, src, population)) {
+			err = ErrStopped
+		}
+		return err == nil
 	})
 	if err != nil {
 		return store.Stats{}, err
 	}
-	if stopped {
-		return store.Stats{}, ErrStopped
-	}
+	count()
 	// Stats resolves only the predicates and classes, a handful of IDs.
-	return agg.Stats(src.NumTerms(), func(id store.ID) rdf.Term { return src.Terms([]store.ID{id})[0] }), nil
+	return agg.Stats(numTerms, func(id store.ID) rdf.Term { return src.Terms([]store.ID{id})[0] }), nil
 }

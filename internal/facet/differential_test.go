@@ -164,63 +164,134 @@ func probeSide(t *testing.T, sess *Session) bool {
 	return probes(len(matches), sess.src.EstimateCountIDs(0, 0, 0))
 }
 
+// tombstonedStore is entityStore with one base triple deleted: its ScanIDs
+// runs are copied past the tombstone rather than lent from the index.
+func tombstonedStore(t testing.TB) *store.Store {
+	t.Helper()
+	st := entityStore(t)
+	victim := st.Match(store.Pattern{S: gen.Res("entity", 7), P: gen.Prop("cat2")})
+	if len(victim) != 1 || !st.Delete(victim[0]) {
+		t.Fatalf("entity 7 has cat2 triples %v; want one to delete", victim)
+	}
+	return st
+}
+
 // TestStreamFinalMatchesFacets checks the progressive path's convergence
 // contract: the final (count, facets) pair returned by Stream must equal what
-// FacetsCtx computes, while at least one approximate batch was emitted
-// mid-scan with the exact count and a fraction below 1. Both selections are
-// on the walk side of the probe rule.
+// FacetsCtx and the term-space reference compute, while at least one
+// approximate batch was emitted mid-scan with the exact count and a fraction
+// below 1. Both selections are on the walk side of the probe rule, and both
+// are streamed over a store whose run is lent and over one whose run is
+// copied past a tombstone.
 func TestStreamFinalMatchesFacets(t *testing.T) {
-	st := entityStore(t)
 	ctx := context.Background()
-	for _, filters := range [][]Filter{
-		nil,
-		{{Predicate: gen.Prop("cat1"), Value: rdf.NewLiteral("category-2")}},
-	} {
+	for _, st := range []*store.Store{entityStore(t), tombstonedStore(t)} {
+		for _, filters := range [][]Filter{
+			nil,
+			{{Predicate: gen.Prop("cat1"), Value: rdf.NewLiteral("category-2")}},
+		} {
+			sess := NewSession(st)
+			for _, f := range filters {
+				sess.Apply(f)
+			}
+			if probeSide(t, sess) {
+				t.Fatalf("filters %v: selection is on the probe side; this test needs the walk", filters)
+			}
+			wantFacets, err := sess.FacetsCtx(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCount, err := sess.CountCtx(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var batches []Batch
+			count, fs, err := sess.Stream(ctx, 32, 1, func(b Batch) bool {
+				batches = append(batches, b)
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if count != wantCount {
+				t.Fatalf("Stream count = %d, want %d", count, wantCount)
+			}
+			if !reflect.DeepEqual(fs, wantFacets) {
+				t.Fatalf("Stream final facets diverge from FacetsCtx:\n got %+v\nwant %+v", fs, wantFacets)
+			}
+			if want := ReferenceFacets(st, NewSession(st).BaseEntities(), filters, 0); !reflect.DeepEqual(fs, want) {
+				t.Fatalf("Stream final facets diverge from the reference:\n got %+v\nwant %+v", fs, want)
+			}
+			if len(batches) < 2 {
+				t.Fatalf("got %d approximate batches, want >= 2", len(batches))
+			}
+			for i, b := range batches {
+				if b.Count != wantCount {
+					t.Fatalf("batch %d: count %d, want exact %d from the first batch on", i, b.Count, wantCount)
+				}
+				if b.Scanned != 32*(i+1) {
+					t.Fatalf("batch %d: scanned %d, want %d pages of 32", i, b.Scanned, i+1)
+				}
+				if b.Fraction <= 0 || b.Fraction > 1 {
+					t.Fatalf("batch %d: fraction %v", i, b.Fraction)
+				}
+				for _, fe := range b.Facets {
+					if fe.Total.Value < 0 || fe.Total.CI95 < 0 {
+						t.Fatalf("batch %d: bad estimate %+v", i, fe.Total)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamIgnoresWritesFromEmit: the walk's run is taken before the first
+// statement, so an AddBatch and a Compact made from emit between batches —
+// a new typed entity, a new value on a matched one, a rebuilt index — leave
+// the final answer at what FacetsCtx and the reference computed before the
+// stream, on a lent run and on a copied one.
+func TestStreamIgnoresWritesFromEmit(t *testing.T) {
+	ctx := context.Background()
+	for _, st := range []*store.Store{entityStore(t), tombstonedStore(t)} {
 		sess := NewSession(st)
-		for _, f := range filters {
-			sess.Apply(f)
-		}
 		if probeSide(t, sess) {
-			t.Fatalf("filters %v: selection is on the probe side; this test needs the walk", filters)
-		}
-		wantFacets, err := sess.FacetsCtx(ctx)
-		if err != nil {
-			t.Fatal(err)
+			t.Fatal("the unfiltered selection is on the probe side; this test needs the walk")
 		}
 		wantCount, err := sess.CountCtx(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		var batches []Batch
-		count, fs, err := sess.Stream(ctx, 32, 1, func(b Batch) bool {
-			batches = append(batches, b)
+		wantFacets, err := sess.FacetsCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reference := ReferenceFacets(st, sess.BaseEntities(), nil, 0)
+		before := st.Len()
+		batches := 0
+		count, fs, err := sess.Stream(ctx, 32, 1, func(Batch) bool {
+			batches++
+			add := []rdf.Triple{
+				rdf.T(gen.Res("written", batches), rdf.RDFType, gen.Res("class", 0)),
+				rdf.T(gen.Res("entity", batches), gen.Prop("cat0"), rdf.NewLiteral(fmt.Sprintf("written-%d", batches))),
+			}
+			if n, err := st.AddBatch(add); err != nil || n != len(add) {
+				t.Errorf("AddBatch from emit: added %d, err %v", n, err)
+			}
+			st.Compact()
 			return true
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if count != wantCount {
-			t.Fatalf("Stream count = %d, want %d", count, wantCount)
+		if batches < 2 || st.Len() != before+2*batches {
+			t.Fatalf("%d batches, store grew %d -> %d; want writes between at least two batches", batches, before, st.Len())
 		}
-		if !reflect.DeepEqual(fs, wantFacets) {
-			t.Fatalf("Stream final facets diverge from FacetsCtx:\n got %+v\nwant %+v", fs, wantFacets)
+		if count != wantCount || !reflect.DeepEqual(fs, wantFacets) {
+			t.Fatalf("Stream after writes from emit = (%d, %+v), want FacetsCtx's (%d, %+v) from before", count, fs, wantCount, wantFacets)
 		}
-		if len(batches) < 2 {
-			t.Fatalf("got %d approximate batches, want >= 2", len(batches))
-		}
-		for i, b := range batches {
-			if b.Count != wantCount {
-				t.Fatalf("batch %d: count %d, want exact %d from the first batch on", i, b.Count, wantCount)
-			}
-			if b.Fraction <= 0 || b.Fraction > 1 {
-				t.Fatalf("batch %d: fraction %v", i, b.Fraction)
-			}
-			for _, fe := range b.Facets {
-				if fe.Total.Value < 0 || fe.Total.CI95 < 0 {
-					t.Fatalf("batch %d: bad estimate %+v", i, fe.Total)
-				}
-			}
+		if !reflect.DeepEqual(fs, reference) {
+			t.Fatalf("Stream after writes from emit diverges from the reference:\n got %+v\nwant %+v", fs, reference)
 		}
 	}
 }
@@ -241,6 +312,14 @@ func TestStreamStopAndCancel(t *testing.T) {
 	cancel()
 	if _, _, err := sess.Stream(ctx, 16, 1, func(Batch) bool { return true }); err != context.Canceled {
 		t.Fatalf("walk side: err = %v, want context.Canceled", err)
+	}
+	// A store smaller than one default page reaches no page boundary: the
+	// walk must check before its first statement.
+	if _, _, err := sess.Stream(ctx, 0, 1, func(Batch) bool { return true }); err != context.Canceled {
+		t.Fatalf("walk side, one page: err = %v, want context.Canceled", err)
+	}
+	if _, err := sess.FacetsCtx(ctx); err != context.Canceled {
+		t.Fatalf("FacetsCtx: err = %v, want context.Canceled", err)
 	}
 	// No filter: matchIDs checks nothing, so the probe loop must notice.
 	probed := NewSessionOver(st, []rdf.Term{gen.Res("entity", 1), gen.Res("entity", 2)})

@@ -25,6 +25,7 @@ import (
 	"slices"
 	"sort"
 
+	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/sampling"
 	"github.com/lodviz/lodviz/internal/store"
@@ -346,7 +347,7 @@ const probeThreshold = 32
 // the exact answer then costs less than one page of estimates, so Stream
 // returns it at once. A larger one is aggregated by a walk over the whole
 // store — one merged SPO run with a two-pointer membership test, which beats
-// O(matches) index lookups, or, in Stream, pages that yield estimates.
+// O(matches) index lookups and, in Stream, yields estimates page by page.
 func probes(matches, population int) bool {
 	return matches*probeThreshold < population
 }
@@ -377,7 +378,7 @@ func (s *Session) exact(ctx context.Context, matches []store.ID, population int)
 		if probes(len(matches), population) {
 			err = s.aggregateProbe(ctx, matches, per)
 		} else {
-			err = s.aggregateWalk(ctx, matches, per)
+			err = s.aggregateWalk(ctx, matches, per, 0, nil)
 		}
 		if err != nil {
 			return 0, nil, err
@@ -424,8 +425,20 @@ func (s *Session) aggregateProbe(ctx context.Context, matches []store.ID, per di
 // aggregateWalk merges one globally sorted SPO run against the sorted match
 // set: subjects arrive grouped, so membership is a two-pointer advance and
 // the coverage total increments exactly on (subject, predicate) group
-// transitions — no per-triple term or map-of-sets work at all.
-func (s *Session) aggregateWalk(ctx context.Context, matches []store.ID, per distribution) error {
+// transitions — no per-triple term or map-of-sets work at all. It is the one
+// walk, behind FacetsCtx and Stream alike. ctx is checked before the first
+// statement and after every pageSize statements visited (pageSize <= 0
+// selects explore.DefaultPageSize); page, if set, runs at those boundaries
+// with the count visited so far, and returning false stops the walk with
+// explore.ErrStopped. The run is lent or copied whole before the first
+// statement, so page may do anything, writes to the store included.
+func (s *Session) aggregateWalk(ctx context.Context, matches []store.ID, per distribution, pageSize int, page func(scanned int) bool) error {
+	if pageSize <= 0 {
+		pageSize = explore.DefaultPageSize
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	run, ok := s.src.ScanIDs(0, 0, 0, store.PosAny)
 	if !ok {
 		return nil
@@ -434,30 +447,29 @@ func (s *Session) aggregateWalk(ctx context.Context, matches []store.ID, per dis
 	mi := 0
 	var lastS, lastP store.ID
 	first := true
-	visited := 0
+	scanned := 0
 	run.ForEachSorted(func(t store.IDTriple) bool {
-		visited++
-		if visited%8192 == 0 {
-			if err = ctx.Err(); err != nil {
-				return false
-			}
-		}
 		for mi < len(matches) && matches[mi] < t.S {
 			mi++
 		}
 		if mi == len(matches) {
 			return false
 		}
-		if matches[mi] != t.S {
+		if matches[mi] == t.S {
+			a := per.get(t.P)
+			a.counts[t.O]++
+			if first || t.S != lastS || t.P != lastP {
+				a.total++
+			}
+			lastS, lastP, first = t.S, t.P, false
+		}
+		if scanned++; scanned%pageSize != 0 {
 			return true
 		}
-		a := per.get(t.P)
-		a.counts[t.O]++
-		if first || t.S != lastS || t.P != lastP {
-			a.total++
+		if err = ctx.Err(); err == nil && page != nil && !page(scanned) {
+			err = explore.ErrStopped
 		}
-		lastS, lastP, first = t.S, t.P, false
-		return true
+		return err == nil
 	})
 	return err
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 
-	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/progressive"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
@@ -24,11 +23,12 @@ type FacetEstimate struct {
 }
 
 // Batch is one refining approximate answer from Session.Stream, emitted only
-// while it walks the whole store (a selection the probe rule leaves to the
-// walk, such as the unfiltered view); a drilled-down selection is answered
-// exactly with no Batch at all. Count is exact from the start (the match set
-// is an index intersection, cheap to compute upfront); the distributions
-// carry CLT-scaled estimates whose intervals shrink with Fraction.
+// while it walks the store's one sorted run (a selection the probe rule
+// leaves to the walk, such as the unfiltered view); a drilled-down selection
+// is answered exactly with no Batch at all. Count is exact from the start
+// (the match set is an index intersection, cheap to compute upfront); the
+// distributions carry CLT-scaled estimates whose intervals shrink as
+// Fraction grows, which it only does: the run never restarts.
 type Batch struct {
 	// Scanned is the number of statements visited so far.
 	Scanned int
@@ -46,14 +46,17 @@ type Batch struct {
 // Stream computes the facet distributions, progressively where that pays.
 // The exact match set is intersected upfront. A selection the probe-or-walk
 // rule probes is answered at once on FacetsCtx's probe path, with no Batch:
-// estimates would cost more than the answer. Otherwise one paged ID walk
-// aggregates the distribution, emitting an approximate Batch every
-// batchPages pages. Either way Stream returns the exact count and facets —
-// what CountCtx and FacetsCtx return, because all paths share the
-// accumulator and assembler. emit returning false aborts with
-// explore.ErrStopped; a layout-epoch restart resets the aggregation
-// (Fraction drops back, then re-grows). pageSize <= 0 selects
-// explore.DefaultPageSize; batchPages < 1 is treated as 1.
+// estimates would cost more than the answer. Otherwise FacetsCtx's walk
+// aggregates the distribution, and Stream emits an approximate Batch every
+// batchPages pages of pageSize statements. Either way Stream returns the
+// exact count and facets — what CountCtx and FacetsCtx return, because both
+// run the same aggregation and assembler. The walk reads one store.ScanIDs
+// run, taken before the first statement: lent from the index when the store
+// holds no tombstones, copied whole before the first Batch when it does. A
+// run holds still, so Fraction only grows, and a write made meanwhile — from
+// emit, even — is not in the answer. emit returning false aborts with
+// explore.ErrStopped. pageSize <= 0 selects explore.DefaultPageSize;
+// batchPages < 1 is treated as 1.
 func (s *Session) Stream(ctx context.Context, pageSize, batchPages int, emit func(Batch) bool) (int, []Facet, error) {
 	if batchPages < 1 {
 		batchPages = 1
@@ -67,57 +70,14 @@ func (s *Session) Stream(ctx context.Context, pageSize, batchPages int, emit fun
 		return s.exact(ctx, matches, population)
 	}
 	count := s.count(matches)
-	member := make(map[store.ID]struct{}, len(matches))
-	for _, id := range matches {
-		member[id] = struct{}{}
-	}
-
-	// Walk pages interleave the sorted base region with unsorted delta
-	// entries, so coverage totals use a (subject, predicate) pair set
-	// rather than group transitions.
 	per := distribution{}
-	pairs := map[uint64]struct{}{}
 	pages := 0
-	stopped := false
-	err = explore.Walk(ctx, s.src, 0, 0, 0, pageSize, explore.WalkHandler{
-		Visit: func(t store.IDTriple) bool {
-			if _, ok := member[t.S]; !ok {
-				return true
-			}
-			a := per.get(t.P)
-			a.counts[t.O]++
-			pair := store.PackPair(t.S, t.P)
-			if _, seen := pairs[pair]; !seen {
-				pairs[pair] = struct{}{}
-				a.total++
-			}
-			return true
-		},
-		Page: func(scanned int, done bool) bool {
-			if done {
-				return true
-			}
-			pages++
-			if pages%batchPages != 0 {
-				return true
-			}
-			if !emit(s.batch(per, count, scanned, population)) {
-				stopped = true
-				return false
-			}
-			return true
-		},
-		Reset: func() {
-			per = distribution{}
-			pairs = map[uint64]struct{}{}
-			pages = 0
-		},
+	err = s.aggregateWalk(ctx, matches, per, pageSize, func(scanned int) bool {
+		pages++
+		return pages%batchPages != 0 || emit(s.batch(per, count, scanned, population))
 	})
 	if err != nil {
 		return 0, nil, err
-	}
-	if stopped {
-		return 0, nil, explore.ErrStopped
 	}
 	return count, s.assemble(per), nil
 }

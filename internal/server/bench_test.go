@@ -148,10 +148,10 @@ func (d discardWriter) WriteHeader(int)             {}
 func (d discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (d discardWriter) Flush()                      {}
 
-// benchStream serves target b.N times over st; -benchmem's allocs/op is
-// the allocations of one whole stream.
-func benchStream(b *testing.B, target string) {
-	s := New(synthStore(b, 5000), Config{CacheCapacity: -1, Logger: discardLogger()})
+// benchStream serves target b.N times over synthStore(items); -benchmem's
+// allocs/op is the allocations of one whole stream.
+func benchStream(b *testing.B, items int, target string) {
+	s := New(synthStore(b, items), Config{CacheCapacity: -1, Logger: discardLogger()})
 	h := s.Handler()
 	r := httptest.NewRequest(http.MethodGet, target, nil)
 	b.ReportAllocs()
@@ -164,15 +164,19 @@ func benchStream(b *testing.B, target string) {
 // BenchmarkSPARQLStream streams 600 rows of the item → hub → name join, the
 // size of a session's /sparql/stream in the end-to-end benchmark.
 func BenchmarkSPARQLStream(b *testing.B) {
-	benchStream(b, "/sparql/stream?query="+url.QueryEscape(benchQuery+" LIMIT 600"))
+	benchStream(b, 5000, "/sparql/stream?query="+url.QueryEscape(benchQuery+" LIMIT 600"))
 }
 
 // BenchmarkFacetsStream streams the facet distribution on both sides of the
-// probe rule: unfiltered, 5 000 entities walk the store; filtered to one
-// hub's 10 items, the view is probed and its exact done line is the stream.
+// probe rule. Unfiltered, 5 000 entities walk the store's 15 500 statements,
+// less than one page, so the stream is its done line alone; 12 000 entities
+// walk 37 200 statements, past two 16 384-statement pages, so the stream
+// sends two estimates before done. Filtered to one hub's 10 items, the view
+// is probed and its exact done line is the stream.
 func BenchmarkFacetsStream(b *testing.B) {
-	b.Run("unfiltered", func(b *testing.B) { benchStream(b, "/facets/stream") })
+	b.Run("unfiltered", func(b *testing.B) { benchStream(b, 5000, "/facets/stream") })
+	b.Run("unfiltered_multipage", func(b *testing.B) { benchStream(b, 12000, "/facets/stream") })
 	b.Run("filtered", func(b *testing.B) {
-		benchStream(b, "/facets/stream?filter="+url.QueryEscape("<http://bench.example/ref>=<http://bench.example/hub/3>"))
+		benchStream(b, 5000, "/facets/stream?filter="+url.QueryEscape("<http://bench.example/ref>=<http://bench.example/hub/3>"))
 	})
 }

@@ -11,10 +11,11 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/facet"
 	"github.com/lodviz/lodviz/internal/gen"
 	"github.com/lodviz/lodviz/internal/progressive"
@@ -82,34 +83,42 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 
 // TestFacetsStreamFinalMatchesBuffered verifies the convergence contract on
 // the wire: the stream's final result must be byte-identical to the buffered
-// /facets response. The cache is disabled so both sides compute
+// /facets response, over a store whose runs are lent and over one whose runs
+// are copied past a tombstone. The cache is disabled so both sides compute
 // independently.
 func TestFacetsStreamFinalMatchesBuffered(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{CacheCapacity: -1})
-	for _, params := range []string{"", "?max=3", "?filter=" + url.QueryEscape(exNS+"country=<"+exNS+"greece>")} {
-		resp, err := http.Get(ts.URL + "/facets/stream" + params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != streamContentType {
-			t.Fatalf("Content-Type = %q, want %q", ct, streamContentType)
-		}
-		if xc := resp.Header.Get("X-Cache"); xc != "BYPASS" {
-			t.Fatalf("X-Cache = %q, want BYPASS", xc)
-		}
-		_, final := readStream(t, resp.Body)
-		resp.Body.Close()
-		if !final.Done || final.Error != "" || final.Fraction != 1 {
-			t.Fatalf("final line = %+v, want done at fraction 1", final)
-		}
+	tombstoned := gen.MiniLODStore()
+	if !tombstoned.Delete(rdf.T(rdf.IRI(exNS+"athens"), rdf.IRI(exNS+"country"), rdf.IRI(exNS+"greece"))) {
+		t.Fatal("no athens country triple to delete")
+	}
+	for _, st := range []*store.Store{gen.MiniLODStore(), tombstoned} {
+		ts := httptest.NewServer(New(st, Config{Logger: discardLogger(), CacheCapacity: -1}).Handler())
+		t.Cleanup(ts.Close)
+		for _, params := range []string{"", "?max=3", "?filter=" + url.QueryEscape(exNS+"country=<"+exNS+"greece>")} {
+			resp, err := http.Get(ts.URL + "/facets/stream" + params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != streamContentType {
+				t.Fatalf("Content-Type = %q, want %q", ct, streamContentType)
+			}
+			if xc := resp.Header.Get("X-Cache"); xc != "BYPASS" {
+				t.Fatalf("X-Cache = %q, want BYPASS", xc)
+			}
+			_, final := readStream(t, resp.Body)
+			resp.Body.Close()
+			if !final.Done || final.Error != "" || final.Fraction != 1 {
+				t.Fatalf("final line = %+v, want done at fraction 1", final)
+			}
 
-		bresp, body := getBody(t, ts.URL+"/facets"+params)
-		if bresp.StatusCode != http.StatusOK {
-			t.Fatalf("buffered status = %d", bresp.StatusCode)
-		}
-		if string(final.Result) != strings.TrimSpace(string(body)) {
-			t.Fatalf("params %q: stream final differs from buffered body:\nstream:   %s\nbuffered: %s",
-				params, final.Result, body)
+			bresp, body := getBody(t, ts.URL+"/facets"+params)
+			if bresp.StatusCode != http.StatusOK {
+				t.Fatalf("buffered status = %d", bresp.StatusCode)
+			}
+			if string(final.Result) != strings.TrimSpace(string(body)) {
+				t.Fatalf("params %q: stream final differs from buffered body:\nstream:   %s\nbuffered: %s",
+					params, final.Result, body)
+			}
 		}
 	}
 }
@@ -205,46 +214,40 @@ func TestFacetsStreamProbedViewIsOneLine(t *testing.T) {
 	}
 }
 
-// pageGatedSource wraps the store's ID-space surface, capping every page at a few
-// triples and blocking all pages after the first free until released — the
-// deterministic way to hold a progressive stream mid-scan.
-type pageGatedSource struct {
+// termsGatedSource wraps the store and holds every Terms call after the
+// first free until released. A walk-side /facets/stream decodes once per
+// batch it emits and once more for its final answer, so with free batches
+// let through the stream is provably held right after the last of them.
+type termsGatedSource struct {
 	*store.Store
-	free    int
-	mu      sync.Mutex
-	pages   int
+	free    int64
+	calls   atomic.Int64
 	release chan struct{}
 }
 
-func (g *pageGatedSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(store.IDTriple) bool) (int, bool) {
-	g.mu.Lock()
-	n := g.pages
-	g.pages++
-	g.mu.Unlock()
-	if n >= g.free {
+func (g *termsGatedSource) Terms(ids []store.ID) []rdf.Term {
+	if g.calls.Add(1) > g.free {
 		<-g.release
 	}
-	if max > 8 {
-		max = 8
-	}
-	return g.Store.ForEachIDPage(s, p, o, pos, max, fn)
+	return g.Store.Terms(ids)
 }
 
 // TestFacetsStreamFirstBatchArrivesMidScan is the progressive-delivery proof:
-// with every page after the first gated shut, the client still receives a
-// parseable approximate batch (fraction < 1, exact count, estimates with
-// intervals) — then, once the gate opens, the stream converges to done.
+// over 6 000 entities in 18 600 statements — more than one 16 384-statement
+// page — with every decode after the first batch's held, the client still
+// receives a parseable approximate batch (0 < fraction < 1, one page
+// scanned, the exact count), then, once the gate opens, the stream
+// converges to done.
 func TestFacetsStreamFirstBatchArrivesMidScan(t *testing.T) {
-	st := gen.MiniLODStore()
-	gated := &pageGatedSource{Store: st, free: 1, release: make(chan struct{})}
+	st := synthStore(t, 6000)
+	gated := &termsGatedSource{Store: st, free: 1, release: make(chan struct{})}
 	s := New(st, Config{Logger: discardLogger(), CacheCapacity: -1, source: gated})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	released := false
 	defer func() {
-		// Unblock any straggling pages even if an assertion bails out early.
-		select {
-		case <-gated.release:
-		default:
+		// Unblock a held decode even if an assertion bails out early.
+		if !released {
 			close(gated.release)
 		}
 	}()
@@ -256,9 +259,8 @@ func TestFacetsStreamFirstBatchArrivesMidScan(t *testing.T) {
 	defer resp.Body.Close()
 	br := bufio.NewReader(resp.Body)
 
-	// The first approximate batch must arrive while the scan is provably
-	// stuck: pages >= 2 is only reachable after the gate, and the gate has
-	// not been opened yet.
+	// The first approximate batch must arrive while the stream is provably
+	// held: the final answer needs a second decode, and the gate is shut.
 	firstLine, err := br.ReadBytes('\n')
 	if err != nil {
 		t.Fatalf("reading first batch: %v", err)
@@ -279,15 +281,16 @@ func TestFacetsStreamFirstBatchArrivesMidScan(t *testing.T) {
 	if batch.Fraction <= 0 || batch.Fraction >= 1 {
 		t.Fatalf("first batch fraction = %v, want in (0,1)", batch.Fraction)
 	}
-	if batch.Scanned != 8 {
-		t.Fatalf("first batch scanned = %d, want exactly the first gated page of 8", batch.Scanned)
+	if batch.Scanned != explore.DefaultPageSize {
+		t.Fatalf("first batch scanned = %d, want exactly one page of %d", batch.Scanned, explore.DefaultPageSize)
 	}
-	if batch.Count <= 0 {
-		t.Fatalf("count = %d, want the exact match-set size from the first batch on", batch.Count)
+	if batch.Count != 6000 {
+		t.Fatalf("count = %d, want the exact match-set size 6000 from the first batch on", batch.Count)
 	}
 
 	// Open the gate; the stream must now refine to the exact final answer.
 	close(gated.release)
+	released = true
 	_, final := readStream(t, br)
 	if !final.Done || final.Error != "" {
 		t.Fatalf("final = %+v, want done", final)
@@ -474,12 +477,13 @@ func TestStatsClassOrderDeterministic(t *testing.T) {
 }
 
 // TestFacetsStreamTimerFlushesStalledBatch: a batch that is not the first
-// waits for a flush, and when the scan stalls right after it, the flush
-// timer, not the next batch, sends it: with every page after the second
-// gated shut, the client reads both batches while the gate stays shut.
+// waits for a flush, and when the stream stalls right after it, the flush
+// timer, not the next line, sends it: over 12 000 entities in 37 200
+// statements (two full pages) with every decode after the second batch's
+// held, the client reads both batches while the gate stays shut.
 func TestFacetsStreamTimerFlushesStalledBatch(t *testing.T) {
-	st := gen.MiniLODStore()
-	gated := &pageGatedSource{Store: st, free: 2, release: make(chan struct{})}
+	st := synthStore(t, 12000)
+	gated := &termsGatedSource{Store: st, free: 2, release: make(chan struct{})}
 	s := New(st, Config{Logger: discardLogger(), CacheCapacity: -1, source: gated})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -496,7 +500,7 @@ func TestFacetsStreamTimerFlushesStalledBatch(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	br := bufio.NewReader(resp.Body)
-	for want := 8; want <= 16; want += 8 {
+	for page := 1; page <= 2; page++ {
 		linec := make(chan []byte, 1)
 		go func() {
 			line, _ := br.ReadBytes('\n')
@@ -506,7 +510,7 @@ func TestFacetsStreamTimerFlushesStalledBatch(t *testing.T) {
 		select {
 		case line = <-linec:
 		case <-time.After(time.Second):
-			t.Fatalf("batch %d did not arrive within 1s while the scan was gated", want/8)
+			t.Fatalf("batch %d did not arrive within 1s while the stream was held", page)
 		}
 		var batch struct {
 			Scanned int  `json:"scanned"`
@@ -515,8 +519,8 @@ func TestFacetsStreamTimerFlushesStalledBatch(t *testing.T) {
 		if err := json.Unmarshal(line, &batch); err != nil {
 			t.Fatalf("line %q: %v", line, err)
 		}
-		if batch.Done || batch.Scanned != want {
-			t.Fatalf("line %s: want an approximate batch over %d triples", line, want)
+		if want := page * explore.DefaultPageSize; batch.Done || batch.Scanned != want {
+			t.Fatalf("line %s: want an approximate batch over %d statements", line, want)
 		}
 	}
 	close(gated.release)
