@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test loc race flake bench bench-smoke bench-e2e-smoke bench-regression bench-baseline lint analyze fmt check cover-server fuzz-smoke serve serve-cluster
+.PHONY: build test loc reach race flake bench bench-smoke bench-e2e-smoke bench-regression bench-baseline lint analyze fmt check cover-server fuzz-smoke serve serve-cluster
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,23 @@ loc:
 	@printf 'non-test Go lines, internal/{rdf,ntriples,turtle} + sparql/lexer.go: %s\n' "$$(find internal/rdf internal/ntriples internal/turtle internal/sparql/lexer.go -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, reachable from lodvizd: %s\n' "$$($(GO) list -deps -f '{{if and .Module .Module.Main}}{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}{{end}}' ./cmd/lodvizd | xargs cat | wc -l)"
 
+# Reachability (ROADMAP item 5, "delete by default"): every non-test package
+# of the module must be reached by a program — a main package (cmd/...,
+# examples/...) or the end-to-end benchmark (bench/e2e, its own module) —
+# or be imported by another package's tests (a test helper such as
+# internal/analysis/analysistest). Fails naming each package nothing
+# reaches.
+reach:
+	@mod=$$($(GO) list -m); \
+	roots=$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); \
+	helpers=$$($(GO) list -f '{{$$p := .ImportPath}}{{range .TestImports}}{{if ne . $$p}}{{.}} {{end}}{{end}}{{range .XTestImports}}{{if ne . $$p}}{{.}} {{end}}{{end}}' ./... | \
+		tr ' ' '\n' | grep "^$$mod\(/\|$$\)" | sort -u); \
+	unreached=$$( { $(GO) list -deps $$roots $$helpers; $(GO) list -C bench/e2e -deps .; echo --; $(GO) list ./...; } | \
+		awk '$$0 == "--" { all = 1; next } !all { seen[$$0] = 1; next } !seen[$$0]'); \
+	if [ -n "$$unreached" ]; then \
+		echo "no program, bench/e2e or other package's test reaches:"; echo "$$unreached"; exit 1; fi; \
+	echo "every package is reached"
+
 # Race-detector pass over the concurrent packages: query engine (the
 # dictionary-ID executor and its worker pool), store (including the
 # snapshot round-trip under concurrent writers, the permutation ID scans
@@ -41,7 +58,7 @@ loc:
 # multi-node federation smoke (two httptest lodvizd instances answering
 # one SERVICE query).
 race:
-	$(GO) test -race ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/prefetch/... ./internal/obs/... ./internal/keyword/...
+	$(GO) test -race ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/obs/... ./internal/keyword/...
 	$(GO) test -race -count=2 -run 'ScanIDs|IDJoin|StreamConcurrentWriters|TypedBase' ./internal/store ./internal/sparql ./internal/facet
 	$(GO) test -race -run 'Federated|ServiceSilent' .
 
@@ -134,8 +151,8 @@ bench-e2e-smoke:
 
 # Benchmark regression gate: replay the pinned scenarios best-of-3 and
 # fail on >25% regression against bench/baseline.json (override the ratio
-# with BENCH_GATE=1.50 etc.), or on a ratio scenario (explore, obs) leaving
-# its hard floor or ceiling. Artifacts BENCH_store.json / BENCH_stream.json are what CI
+# with BENCH_GATE=1.50 etc.), or on the obs overhead ratio leaving its hard
+# ceiling. Artifacts BENCH_store.json / BENCH_stream.json are what CI
 # uploads per run.
 bench-regression:
 	$(GO) run ./cmd/benchharness -scenarios store -out BENCH_store.json -gate
@@ -176,4 +193,4 @@ analyze:
 	$(GO) build -o bin/lodvizvet ./cmd/lodvizvet
 	$(GO) vet -vettool=$(CURDIR)/bin/lodvizvet ./...
 
-check: build lint analyze test race bench-smoke bench-e2e-smoke bench-regression cover-server
+check: build lint analyze test reach race bench-smoke bench-e2e-smoke bench-regression cover-server

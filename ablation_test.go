@@ -1,105 +1,19 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// WoD-specific indexes vs scanning, buffer-pool sizing, join-order
-// robustness, and hierarchy fan-out.
+// Ablation benchmarks for two design choices: join-order robustness (the
+// planner's selectivity reordering) and hierarchy fan-out.
 package lodviz
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/lodviz/lodviz/internal/hetree"
-	"github.com/lodviz/lodviz/internal/nanocube"
 	"github.com/lodviz/lodviz/internal/sparql"
-	"github.com/lodviz/lodviz/internal/spatial"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
-// Ablation 1 — Nanocube vs raw scan for spatio-temporal counting (the §4
-// "indexes for WoD tasks" recommendation, quantified).
-
-type stEvent struct{ x, y, t float64 }
-
-func ablationEvents(n int) []stEvent {
-	rng := rand.New(rand.NewSource(21))
-	evs := make([]stEvent, n)
-	for i := range evs {
-		evs[i] = stEvent{x: rng.Float64() * 100, y: rng.Float64() * 100, t: rng.Float64() * 10}
-	}
-	return evs
-}
-
-func BenchmarkAblationNanocubeCount(b *testing.B) {
-	evs := ablationEvents(200000)
-	nc, err := nanocube.New(nanocube.Options{
-		World: nanocube.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100},
-		TMin:  0, TMax: 10, TimeBins: 64, Depth: 8,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, e := range evs {
-		nc.Add(e.x, e.y, e.t)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nc.Count(nanocube.BBox{MinX: 10, MinY: 10, MaxX: 60, MaxY: 60}, 2, 7)
-	}
-}
-
-func BenchmarkAblationScanCount(b *testing.B) {
-	evs := ablationEvents(200000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for _, e := range evs {
-			if e.x >= 10 && e.x < 60 && e.y >= 10 && e.y < 60 && e.t >= 2 && e.t < 7 {
-				n++
-			}
-		}
-		if n == 0 {
-			b.Fatal("empty count")
-		}
-	}
-}
-
-// Ablation 2 — buffer-pool sizing for viewport queries.
-
-func poolBench(b *testing.B, poolPages int) {
-	rng := rand.New(rand.NewSource(8))
-	pts := make([]spatial.TilePoint, 100000)
-	for i := range pts {
-		pts[i] = spatial.TilePoint{ID: uint32(i), X: rng.Float64() * 4096, Y: rng.Float64() * 4096}
-	}
-	dir, err := os.MkdirTemp("", "lodviz-abl")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { os.RemoveAll(dir) })
-	ts, err := spatial.NewTileStore(filepath.Join(dir, "t.db"), spatial.NewRect(0, 0, 4096, 4096), 32, poolPages)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { ts.Close() })
-	if err := ts.AddAll(pts); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := spatial.NewRect(float64(i%8)*400, float64(i%4)*800, float64(i%8)*400+1024, float64(i%4)*800+1024)
-		if _, err := ts.Query(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationPool8Pages(b *testing.B)   { poolBench(b, 8) }
-func BenchmarkAblationPool256Pages(b *testing.B) { poolBench(b, 256) }
-
-// Ablation 3 — join-order robustness: the engine's selectivity reordering
+// Ablation 1 — join-order robustness: the engine's selectivity reordering
 // should make author order irrelevant (selective-first and selective-last
 // formulations cost the same).
 
@@ -147,7 +61,7 @@ func BenchmarkAblationJoinSelectiveLast(b *testing.B) {
   ?s <http://e/special> "yes" . }`)
 }
 
-// Ablation 4 — HETree fan-out: overview latency at degree 2 vs 16.
+// Ablation 2 — HETree fan-out: overview latency at degree 2 vs 16.
 
 func hetreeDegreeBench(b *testing.B, degree int) {
 	rng := rand.New(rand.NewSource(5))

@@ -8,7 +8,6 @@ import (
 	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/facet"
 	"github.com/lodviz/lodviz/internal/gen"
-	"github.com/lodviz/lodviz/internal/graph"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
@@ -34,30 +33,22 @@ func exploreFacetStore() *store.Store {
 	return st
 }
 
-// exploreScenarios measures the progressive exploration layer against the
-// paths it replaced: the ID-space facet distribution vs the old per-entity
-// term-space aggregation (the PR's ≥3x acceptance bar), the progressive
-// stats first-estimate latency vs the exact answer (a read of the store's
-// maintained tally), and the direct ID-space neighborhood expansion vs
-// rebuilding the whole graph per request.
+// exploreScenarios measures the exploration layer: the ID-space facet
+// distribution over every typed entity, the progressive stats
+// first-estimate latency beside the exact answer (a read of the store's
+// maintained tally), and one entity's neighborhood expanded from the
+// permutation indexes.
 func exploreScenarios() []benchResult {
 	st := benchStore()
 	ctx := context.Background()
 
-	// Facet distribution over every typed entity. Both paths produce the
-	// same facets (reference.go keeps the old algorithm as the differential
-	// oracle); the base entity set is computed once outside the timers so
-	// each measurement isolates the aggregation itself.
-	fst := exploreFacetStore()
-	sess := facet.NewSession(fst)
-	entities := sess.BaseEntities()
-	termMS := msPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if fs := facet.ReferenceFacets(fst, entities, nil, 0); len(fs) == 0 {
-				b.Fatal("no facets")
-			}
-		}
-	})
+	// Facet distribution over every typed entity. The base entity set is
+	// collected once outside the timer, so the measurement isolates the
+	// aggregation itself.
+	sess, err := facet.NewSessionCtx(ctx, exploreFacetStore())
+	if err != nil {
+		panic(err)
+	}
 	idsMS := msPerOp(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fs, err := sess.FacetsCtx(ctx)
@@ -90,9 +81,8 @@ func exploreScenarios() []benchResult {
 		}
 	})
 
-	// Neighborhood: serving one entity's immediate neighborhood from the
-	// permutation indexes (warm) vs the old handler's approach of
-	// materializing the entire term graph per request (rebuilt).
+	// Neighborhood: one entity's immediate neighborhood, from the
+	// permutation indexes.
 	start := gen.Res("entity", 0)
 	hoodIDsMS := msPerOp(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -101,27 +91,10 @@ func exploreScenarios() []benchResult {
 			}
 		}
 	})
-	hoodRebuiltMS := msPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g := graph.FromStore(st)
-			id, ok := g.Lookup(start)
-			if !ok {
-				b.Fatal("start node missing")
-			}
-			if nodes := g.Neighborhood(id, 1); len(nodes) == 0 {
-				b.Fatal("empty neighborhood")
-			}
-		}
-	})
-
 	return []benchResult{
-		{Name: "facet_dist_term_ms", Value: termMS, Unit: "ms", Better: "lower"},
 		{Name: "facet_dist_ids_ms", Value: idsMS, Unit: "ms", Better: "lower"},
-		{Name: "facet_dist_speedup", Value: termMS / idsMS, Unit: "x", Better: "higher", Min: 3},
 		{Name: "stats_first_estimate_ms", Value: statsFirstMS, Unit: "ms", Better: "lower"},
 		{Name: "stats_exact_ms", Value: statsExactMS, Unit: "ms", Better: "lower"},
 		{Name: "neighborhood_ids_ms", Value: hoodIDsMS, Unit: "ms", Better: "lower"},
-		{Name: "neighborhood_rebuilt_ms", Value: hoodRebuiltMS, Unit: "ms", Better: "lower"},
-		{Name: "neighborhood_speedup", Value: hoodRebuiltMS / hoodIDsMS, Unit: "x", Better: "higher", Min: 3},
 	}
 }

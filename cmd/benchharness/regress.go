@@ -24,8 +24,8 @@ import (
 // benchSchema identifies the artifact format.
 const benchSchema = "lodviz-bench/1"
 
-// defaultGateRatio fails a lower-is-better scenario at +25% over baseline
-// (and a higher-is-better one at -25% under). Override with BENCH_GATE.
+// defaultGateRatio fails a scenario at +25% over baseline. Override with
+// BENCH_GATE.
 const defaultGateRatio = 1.25
 
 // benchResult is one scenario's measurement.
@@ -33,10 +33,7 @@ type benchResult struct {
 	Name   string  `json:"name"`
 	Value  float64 `json:"value"`
 	Unit   string  `json:"unit"`   // "ms" or "x"
-	Better string  `json:"better"` // "lower" or "higher"
-	// Min is an absolute floor enforced regardless of baseline (speedup
-	// scenarios encode their acceptance bar here); 0 = no floor.
-	Min float64 `json:"min,omitempty"`
+	Better string  `json:"better"` // "lower": every scenario gates a cost
 	// Max is an absolute ceiling enforced regardless of baseline (overhead
 	// ratios encode their acceptance bar here); 0 = no ceiling.
 	Max float64 `json:"max,omitempty"`
@@ -64,7 +61,7 @@ func msPerOp(fn func(b *testing.B)) float64 {
 }
 
 // benchStore builds the pinned BGP-join dataset (the same shape
-// bench_test.go's E13 group uses).
+// bench_test.go's BGP join benchmarks use).
 func benchStore() *store.Store {
 	triples := gen.EntityDataset(gen.EntityOptions{
 		Entities: 20000, NumericProps: 2, CategoryProps: 2, LinkProps: 1, Seed: 13,
@@ -213,12 +210,8 @@ func runRegress(set, out, baselinePath string, updateBaseline, gate bool) int {
 	}
 
 	failed := false
-	// Absolute floors and ceilings hold regardless of any baseline.
+	// Absolute ceilings hold regardless of any baseline.
 	for _, r := range results {
-		if r.Min > 0 && r.Value < r.Min {
-			fmt.Fprintf(os.Stderr, "FAIL %s: %.3f%s below the %.1f%s floor\n", r.Name, r.Value, r.Unit, r.Min, r.Unit)
-			failed = true
-		}
 		if r.Max > 0 && r.Value > r.Max {
 			fmt.Fprintf(os.Stderr, "FAIL %s: %.3f%s above the %.2f%s ceiling\n", r.Name, r.Value, r.Unit, r.Max, r.Unit)
 			failed = true
@@ -301,35 +294,20 @@ func gateAgainstBaseline(results []benchResult, baselinePath string) bool {
 			fmt.Printf("INFO %s: no baseline entry (new scenario)\n", r.Name)
 			continue
 		}
-		switch r.Better {
-		case "higher":
-			if r.Min > 0 {
-				// Floor-gated scenario (a speedup ratio): the absolute floor
-				// is the contract; baseline-relative ratios of ratios are
-				// noise.
-				continue
-			}
-			if r.Value < b.Value/ratio {
-				fmt.Fprintf(os.Stderr, "FAIL %s: %.3f%s vs baseline %.3f%s (allowed ≥ %.3f)\n",
-					r.Name, r.Value, r.Unit, b.Value, b.Unit, b.Value/ratio)
-				failed = true
-			}
-		default:
-			if r.Max > 0 {
-				// Ceiling-gated scenario (an overhead ratio): the absolute
-				// ceiling is the contract; baseline-relative ratios of
-				// ratios are noise.
-				continue
-			}
-			allowed := b.Value * ratio
-			if r.Unit == "ms" && allowed < b.Value+msSlack {
-				allowed = b.Value + msSlack
-			}
-			if r.Value > allowed {
-				fmt.Fprintf(os.Stderr, "FAIL %s: %.3f%s vs baseline %.3f%s (allowed ≤ %.3f)\n",
-					r.Name, r.Value, r.Unit, b.Value, b.Unit, allowed)
-				failed = true
-			}
+		if r.Max > 0 {
+			// Ceiling-gated scenario (an overhead ratio): the absolute
+			// ceiling is the contract; baseline-relative ratios of ratios
+			// are noise.
+			continue
+		}
+		allowed := b.Value * ratio
+		if r.Unit == "ms" && allowed < b.Value+msSlack {
+			allowed = b.Value + msSlack
+		}
+		if r.Value > allowed {
+			fmt.Fprintf(os.Stderr, "FAIL %s: %.3f%s vs baseline %.3f%s (allowed ≤ %.3f)\n",
+				r.Name, r.Value, r.Unit, b.Value, b.Unit, allowed)
+			failed = true
 		}
 	}
 	if !failed {

@@ -1,15 +1,13 @@
 // Lodviz is the command-line front door of the framework: load RDF files,
-// run SPARQL queries, inspect dataset overviews, search, and emit
-// visualizations as SVG or terminal text.
+// run SPARQL queries, inspect dataset overviews, search, and browse facets.
 //
 // Usage:
 //
 //	lodviz -load data.ttl overview
 //	lodviz -load data.nt  query 'SELECT ?s WHERE { ?s ?p ?o } LIMIT 5'
+//	lodviz -demo -stream query 'SELECT ?s WHERE { ?s ?p ?o } LIMIT 5'
 //	lodviz -demo search Athens
-//	lodviz -demo visualize 'SELECT ?label ?population WHERE { ... }' -svg out.svg
 //	lodviz -demo facets
-//	lodviz tables
 package main
 
 import (
@@ -18,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"github.com/lodviz/lodviz"
@@ -26,7 +25,6 @@ import (
 func main() {
 	load := flag.String("load", "", "RDF file to load (.ttl or .nt)")
 	demo := flag.Bool("demo", false, "use the embedded mini-LOD dataset")
-	svgOut := flag.String("svg", "", "write visualization SVG to this file")
 	limit := flag.Int("limit", 20, "maximum rows/hits to print")
 	stream := flag.Bool("stream", false, "stream query rows as they are found (progressive delivery; LIMIT stops the scan early)")
 	flag.Parse()
@@ -38,29 +36,21 @@ func main() {
 	}
 	cmd := args[0]
 
-	if cmd == "tables" {
-		fmt.Println(lodviz.Table1())
-		fmt.Println(lodviz.Table2())
-		fmt.Println(lodviz.Observations())
-		return
-	}
-
 	ds, err := open(*load, *demo)
 	if err != nil {
 		fail(err)
 	}
-	ex := ds.Explore(lodviz.DefaultPreferences())
 	ctx := context.Background()
 
 	switch cmd {
 	case "overview":
-		o := ex.Overview()
-		fmt.Printf("triples: %d\nterms:   %d\n\nclasses:\n", o.Triples, o.Terms)
-		for _, c := range o.Classes {
-			fmt.Printf("  %-30s %d\n", c.Key, c.Count)
+		stats := ds.Stats()
+		fmt.Printf("triples: %d\nterms:   %d\n\nclasses:\n", stats.Triples, stats.Terms)
+		for _, c := range classes(stats) {
+			fmt.Printf("  %-30s %d\n", c.name, c.count)
 		}
 		fmt.Println("\ntop predicates:")
-		for i, p := range o.Predicates {
+		for i, p := range stats.Predicates {
 			if i == *limit {
 				break
 			}
@@ -100,14 +90,21 @@ func main() {
 		if len(args) < 2 {
 			fail(fmt.Errorf("search: missing keywords"))
 		}
-		for _, h := range ex.Search(strings.Join(args[1:], " "), *limit) {
+		for _, h := range ds.Search(strings.Join(args[1:], " "), *limit) {
 			fmt.Printf("%.3f  %v\n       %s\n", h.Score, h.Entity, truncate(h.Snippet, 90))
 		}
 	case "facets":
-		s := ex.Facets()
+		s, err := ds.Facets(ctx)
+		if err != nil {
+			fail(err)
+		}
 		s.MaxValuesPerFacet = 5
-		fmt.Printf("entity set: %d\n", s.Count())
-		for i, f := range s.Facets() {
+		n, facets, err := s.CountAndFacetsCtx(ctx)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Printf("entity set: %d\n", n)
+		for i, f := range facets {
 			if i == *limit {
 				break
 			}
@@ -116,26 +113,35 @@ func main() {
 				fmt.Printf("    %-50v %d\n", truncate(v.Term.String(), 48), v.Count)
 			}
 		}
-	case "visualize":
-		if len(args) < 2 {
-			fail(fmt.Errorf("visualize: missing SPARQL string"))
-		}
-		spec, svg, err := ex.Visualize(ctx, args[1])
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("visualization: %v (%d marks)\n\n", spec.Type, spec.PointCount())
-		fmt.Println(lodviz.RenderText(spec))
-		if *svgOut != "" {
-			if err := os.WriteFile(*svgOut, []byte(svg), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Printf("SVG written to %s\n", *svgOut)
-		}
 	default:
 		usage()
 		os.Exit(2)
 	}
+}
+
+type class struct {
+	name  string
+	count int
+}
+
+// classes lists the dataset's classes by instance count, most first, each
+// named by its IRI's local name.
+func classes(stats lodviz.DatasetStats) []class {
+	var out []class
+	for cls, n := range stats.Classes {
+		name := cls.String()
+		if iri, ok := cls.(lodviz.IRI); ok {
+			name = iri.LocalName()
+		}
+		out = append(out, class{name: name, count: n})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].count != out[j].count {
+			return out[i].count > out[j].count
+		}
+		return out[i].name < out[j].name
+	})
+	return out
 }
 
 // streamQuery prints rows as the engine finds them: a plain LIMIT/OFFSET
@@ -209,7 +215,7 @@ func fail(err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: lodviz [-load file | -demo] <command>
+	fmt.Fprintln(os.Stderr, `usage: lodviz [-load file | -demo] [-limit n] [-stream] <command>
 
 commands:
   overview               dataset summary (classes, predicates)
@@ -217,6 +223,7 @@ commands:
                          as they are found; LIMIT stops the scan early)
   search <keywords>      keyword search over labels and literals
   facets                 show facet distributions
-  visualize '<sparql>'   recommend + render a visualization (-svg out.svg)
-  tables                 regenerate the survey's Tables 1 and 2`)
+
+Without -load (or with -demo) the commands run on the embedded MiniLOD
+demonstration dataset. To serve a dataset over HTTP, run lodvizd.`)
 }

@@ -1,6 +1,7 @@
 // Quickstart: load the embedded mini Linked-Data dataset, run a SPARQL
-// query, get a visualization recommendation, and render the chart — the
-// five-minute tour of the lodviz API.
+// query, then follow the visual-information-seeking mantra — overview,
+// zoom and filter, details on demand — the five-minute tour of the lodviz
+// API.
 package main
 
 import (
@@ -37,48 +38,38 @@ SELECT ?label ?population WHERE {
 	}
 
 	// 3. Explore: overview first ...
-	ex := ds.Explore(lodviz.DefaultPreferences())
-	o := ex.Overview()
+	stats := ds.Stats()
 	fmt.Printf("\noverview: %d triples, %d terms, %d classes\n",
-		o.Triples, o.Terms, len(o.Classes))
-	for _, c := range o.Classes {
-		fmt.Printf("  class %-10s %d instances\n", c.Key, c.Count)
-	}
-
-	// ... then details on demand.
-	hits := ex.Search("Athens", 1)
-	if len(hits) > 0 {
-		d := ex.Details(hits[0].Entity)
-		fmt.Printf("\ndetails for %q: %d outgoing, %d incoming statements\n",
-			d.Label, len(d.Outgoing), len(d.Incoming))
-	}
-
-	// 4. Ask for a visualization: the recommender profiles the result
-	// columns and the LDVM pipeline binds + renders the best match.
-	recs, _, err := ex.RecommendFor(ctx, `
-PREFIX ex: <http://lodviz.example.org/mini/>
-PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-SELECT ?label ?population WHERE { ?c a ex:City ; rdfs:label ?label ; ex:population ?population . }`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("\ntop visualization recommendations:")
-	for i, r := range recs {
-		if i == 3 {
+		stats.Triples, stats.Terms, len(stats.Classes))
+	for i, p := range stats.Predicates {
+		if i == 5 {
 			break
 		}
-		fmt.Printf("  %.2f %-12v %s\n", r.Score, r.Type, r.Reason)
+		fmt.Printf("  %-60v %d triples\n", p.Predicate, p.Triples)
 	}
 
-	spec, svg, err := ex.Visualize(ctx, `
-PREFIX ex: <http://lodviz.example.org/mini/>
-PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-SELECT ?label ?population WHERE { ?c a ex:City ; rdfs:label ?label ; ex:population ?population . }`)
+	// ... then zoom and filter with facets ...
+	sess, err := ds.Facets(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nchosen: %v (%d marks), SVG is %d bytes\n",
-		spec.Type, spec.PointCount(), len(svg))
-	fmt.Println()
-	fmt.Println(lodviz.RenderText(spec))
+	sess.Apply(lodviz.FacetFilter{
+		Predicate: "http://www.w3.org/1999/02/22-rdf-syntax-ns#type",
+		Value:     lodviz.IRI("http://lodviz.example.org/mini/City"),
+	})
+	n, facets, err := sess.CountAndFacetsCtx(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\n%d cities carry %d facets\n", n, len(facets))
+
+	// ... then details on demand: find an entity, expand its neighbourhood.
+	hits := ds.Search("Athens", 1)
+	if len(hits) > 0 {
+		nb, err := ds.Neighborhood(ctx, hits[0].Entity, lodviz.NeighborhoodOptions{Hops: 1})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("\n%v: %d neighbours, %d edges\n", hits[0].Entity, len(nb.Nodes)-1, len(nb.Edges))
+	}
 }

@@ -42,10 +42,8 @@ var mutators = map[string]bool{
 // the same deadlock shape as a mutation.
 var lockedReads = map[string]bool{
 	"ForEach": true, "ForEachID": true, "ForEachPage": true, "ForEachIDPage": true,
-	"ScanIDs": true, "Match": true, "Count": true, "Contains": true,
-	"Subjects": true, "Objects": true, "Predicates": true, "Triples": true,
-	"EstimateCount": true, "EstimateCountIDs": true, "ComputeStats": true,
-	"Cardinalities": true, "PredicateCardinality": true, "DegreeHistogram": true,
+	"ScanIDs": true, "Match": true, "Count": true, "Contains": true, "Triples": true,
+	"EstimateCountIDs": true, "ComputeStats": true, "Cardinalities": true,
 	"Generation": true, "LayoutEpoch": true, "Observe": true, "Len": true,
 	"NumTerms": true, "Term": true, "Terms": true, "LookupTermID": true,
 	"WriteSnapshot": true, "WriteSnapshotFile": true,

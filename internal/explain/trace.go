@@ -1,14 +1,13 @@
-package explain
-
-// Per-query execution traces. A Trace is a thread-safe span tree the SPARQL
-// engine fills in while evaluating one query (sparql.Options.Trace): a
-// "parse" span, one "plan" span per reordered pattern group, and an
+// Package explain holds per-query execution traces. A Trace is a
+// thread-safe span tree the SPARQL engine fills in while evaluating one
+// query (sparql.Options.Trace): a "parse" span, one "plan" span per reordered pattern group, and an
 // "execute" span whose children are the per-pattern join stages — each
 // carrying the strategy the executor picked (id-merge, id-probe, id-cross,
 // hash, paged-scan), the rows entering and leaving the stage, and for the
 // paged streaming driver the number of store pages scanned. The HTTP layer
 // serves the tree on POST /sparql?explain=1 and summarizes it in the
 // slow-query log.
+package explain
 
 import (
 	"bytes"

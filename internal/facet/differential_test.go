@@ -61,7 +61,7 @@ func TestFacetsMatchReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sess := NewSession(st)
+			sess := newSession(t, st)
 			sess.MaxValuesPerFacet = tc.max
 			for _, f := range tc.filters {
 				sess.Apply(f)
@@ -70,7 +70,7 @@ func TestFacetsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ReferenceFacets(st, NewSession(st).BaseEntities(), tc.filters, tc.max)
+			want := ReferenceFacets(st, newSession(t, st).BaseEntities(), tc.filters, tc.max)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("ID-space facets diverge from reference:\n got %+v\nwant %+v", got, want)
 			}
@@ -79,7 +79,7 @@ func TestFacetsMatchReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantMatches := 0
-			for _, e := range NewSession(st).BaseEntities() {
+			for _, e := range newSession(t, st).BaseEntities() {
 				ok := true
 				for _, f := range tc.filters {
 					if !st.Contains(rdf.Triple{S: e, P: f.Predicate, O: f.Value}) {
@@ -111,9 +111,9 @@ func TestFacetsTopKAtCapBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	base := NewSession(st).BaseEntities()
+	base := newSession(t, st).BaseEntities()
 	for _, max := range []int{1, 2, 25, n - 1, n, n + 1, 0} {
-		sess := NewSession(st)
+		sess := newSession(t, st)
 		sess.MaxValuesPerFacet = max
 		got, err := sess.FacetsCtx(context.Background())
 		if err != nil {
@@ -190,7 +190,7 @@ func TestStreamFinalMatchesFacets(t *testing.T) {
 			nil,
 			{{Predicate: gen.Prop("cat1"), Value: rdf.NewLiteral("category-2")}},
 		} {
-			sess := NewSession(st)
+			sess := newSession(t, st)
 			for _, f := range filters {
 				sess.Apply(f)
 			}
@@ -220,7 +220,7 @@ func TestStreamFinalMatchesFacets(t *testing.T) {
 			if !reflect.DeepEqual(fs, wantFacets) {
 				t.Fatalf("Stream final facets diverge from FacetsCtx:\n got %+v\nwant %+v", fs, wantFacets)
 			}
-			if want := ReferenceFacets(st, NewSession(st).BaseEntities(), filters, 0); !reflect.DeepEqual(fs, want) {
+			if want := ReferenceFacets(st, newSession(t, st).BaseEntities(), filters, 0); !reflect.DeepEqual(fs, want) {
 				t.Fatalf("Stream final facets diverge from the reference:\n got %+v\nwant %+v", fs, want)
 			}
 			if len(batches) < 2 {
@@ -254,7 +254,7 @@ func TestStreamFinalMatchesFacets(t *testing.T) {
 func TestStreamIgnoresWritesFromEmit(t *testing.T) {
 	ctx := context.Background()
 	for _, st := range []*store.Store{entityStore(t), tombstonedStore(t)} {
-		sess := NewSession(st)
+		sess := newSession(t, st)
 		if probeSide(t, sess) {
 			t.Fatal("the unfiltered selection is on the probe side; this test needs the walk")
 		}
@@ -301,7 +301,7 @@ func TestStreamIgnoresWritesFromEmit(t *testing.T) {
 // returns context.Canceled.
 func TestStreamStopAndCancel(t *testing.T) {
 	st := entityStore(t)
-	sess := NewSession(st)
+	sess := newSession(t, st)
 	if probeSide(t, sess) {
 		t.Fatal("the unfiltered selection is on the probe side; this test needs the walk")
 	}
@@ -341,7 +341,7 @@ func TestStreamProbeSideIsExact(t *testing.T) {
 		{Predicate: gen.Prop("cat1"), Value: rdf.NewLiteral("category-2")},
 		{Predicate: gen.Prop("cat2"), Value: rdf.NewLiteral("category-0")},
 	}
-	sess := NewSession(st)
+	sess := newSession(t, st)
 	sess.MaxValuesPerFacet = 3
 	for _, f := range filters {
 		sess.Apply(f)
@@ -371,7 +371,7 @@ func TestStreamProbeSideIsExact(t *testing.T) {
 	if !reflect.DeepEqual(fs, wantFacets) {
 		t.Fatalf("Stream facets diverge from FacetsCtx:\n got %+v\nwant %+v", fs, wantFacets)
 	}
-	if want := ReferenceFacets(st, NewSession(st).BaseEntities(), filters, 3); !reflect.DeepEqual(fs, want) {
+	if want := ReferenceFacets(st, newSession(t, st).BaseEntities(), filters, 3); !reflect.DeepEqual(fs, want) {
 		t.Fatalf("Stream facets diverge from the reference:\n got %+v\nwant %+v", fs, want)
 	}
 }
@@ -446,7 +446,7 @@ func TestMaxValuesDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := func() []Facet {
-		sess := NewSession(st)
+		sess := newSession(t, st)
 		sess.MaxValuesPerFacet = 4
 		fs, err := sess.FacetsCtx(context.Background())
 		if err != nil {
@@ -460,7 +460,7 @@ func TestMaxValuesDeterministic(t *testing.T) {
 			t.Fatalf("run %d: capped facet values changed across identical computations", i)
 		}
 	}
-	if want := ReferenceFacets(st, NewSession(st).BaseEntities(), nil, 4); !reflect.DeepEqual(first, want) {
+	if want := ReferenceFacets(st, newSession(t, st).BaseEntities(), nil, 4); !reflect.DeepEqual(first, want) {
 		t.Fatalf("capped ID-space facets diverge from reference:\n got %+v\nwant %+v", first, want)
 	}
 }

@@ -9,7 +9,7 @@
 // []store.ID, filters intersect sorted permutation runs, and distributions
 // come from either per-entity ID probes or one merged SPO walk — terms are
 // decoded once, at emission. The previous per-entity term-space algorithm is
-// preserved as ReferenceFacets for differential tests and benchmarks.
+// kept in the tests, as the differential oracle ReferenceFacets.
 //
 // Every session starts from the same base set, the typed subjects, and a
 // server does not collect it per request: a TypedBase keeps it across
@@ -127,14 +127,6 @@ func (s *Session) Footprint() store.Footprint {
 		masks = append(masks, store.IDTriple{P: pid, O: vid})
 	}
 	return store.Footprint{Entities: masks}
-}
-
-// NewSession is NewSessionCtx without cancellation, for callers with no
-// request scope (CLI, tests).
-func NewSession(src store.Source) *Session {
-	//lint:allow ctxflow compat wrapper: NewSessionCtx is the cancellable form
-	s, _ := NewSessionCtx(context.Background(), src)
-	return s
 }
 
 // NewSessionOver starts a session over an explicit entity set (the pivot
@@ -287,13 +279,6 @@ func (s *Session) MatchesCtx(ctx context.Context) ([]rdf.Term, error) {
 	return out, nil
 }
 
-// Matches returns the current entity set under all filters.
-func (s *Session) Matches() []rdf.Term {
-	//lint:allow ctxflow compat wrapper: MatchesCtx is the cancellable form
-	m, _ := s.MatchesCtx(context.Background())
-	return m
-}
-
 // CountCtx returns the size of the current entity set.
 func (s *Session) CountCtx(ctx context.Context) (int, error) {
 	ids, err := s.matchIDs(ctx)
@@ -311,13 +296,6 @@ func (s *Session) count(matches []store.ID) int {
 		return len(matches) + len(s.extra)
 	}
 	return len(matches)
-}
-
-// Count returns the size of the current entity set.
-func (s *Session) Count() int {
-	//lint:allow ctxflow compat wrapper: CountCtx is the cancellable form
-	n, _ := s.CountCtx(context.Background())
-	return n
 }
 
 // pagg accumulates one predicate's distribution in ID space.
@@ -385,13 +363,6 @@ func (s *Session) exact(ctx context.Context, matches []store.ID, population int)
 		}
 	}
 	return s.count(matches), s.assemble(per), nil
-}
-
-// Facets computes the facet distributions over the current entity set.
-func (s *Session) Facets() []Facet {
-	//lint:allow ctxflow compat wrapper: FacetsCtx is the cancellable form
-	f, _ := s.FacetsCtx(context.Background())
-	return f
 }
 
 // aggregateProbe scans each matched entity's subject-bound run. The per-call
@@ -583,14 +554,4 @@ func (s *Session) PivotCtx(ctx context.Context, pred rdf.IRI) (*Session, error) 
 	}
 	sort.Slice(next.base, func(i, j int) bool { return next.base[i] < next.base[j] })
 	return next, nil
-}
-
-// Pivot is PivotCtx without cancellation, for callers with no request scope.
-func (s *Session) Pivot(pred rdf.IRI) *Session {
-	//lint:allow ctxflow compat wrapper: PivotCtx is the cancellable form
-	next, err := s.PivotCtx(context.Background(), pred)
-	if err != nil {
-		return &Session{src: s.src}
-	}
-	return next
 }

@@ -1,7 +1,9 @@
 package facet
 
 import (
+	"context"
 	"sort"
+	"testing"
 
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
@@ -9,10 +11,8 @@ import (
 
 // ReferenceFacets is the pre-refactor term-space facet algorithm: filter the
 // entity set with per-entity Contains probes, then re-scan every matched
-// entity's statements hashing interface-valued terms. It is kept as the
-// differential oracle for the ID-space Session and as the benchmark
-// baseline the exploration scenarios compare against — not for production
-// use.
+// entity's statements hashing interface-valued terms. It is the differential
+// oracle for the ID-space Session.
 func ReferenceFacets(st *store.Store, entities []rdf.Term, filters []Filter, maxValues int) []Facet {
 	matches := make([]rdf.Term, 0, len(entities))
 	for _, e := range entities {
@@ -84,4 +84,14 @@ func (s *Session) BaseEntities() []rdf.Term {
 	out = append(out, s.extra...)
 	sortTerms(out)
 	return out
+}
+
+// newSession opens a session over every typed entity of src.
+func newSession(t testing.TB, src store.Source) *Session {
+	t.Helper()
+	s, err := NewSessionCtx(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

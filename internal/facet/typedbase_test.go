@@ -177,7 +177,7 @@ func TestTypedBaseConcurrentSessions(t *testing.T) {
 	st := entityStore(t)
 	b := NewTypedBase(st, st)
 	ctx := context.Background()
-	n, err := NewSession(st).CountCtx(ctx)
+	n, err := newSession(t, st).CountCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

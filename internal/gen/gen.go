@@ -1,10 +1,10 @@
 // Package gen produces the deterministic synthetic datasets lodviz's
-// examples and experiments run on. The module is offline and the paper's
-// subject matter — live LOD endpoints like DBpedia and LinkedGeoData — is
-// unreachable by construction, so these generators synthesize datasets with
-// the same *shape*: scale-free link structure (Barabási–Albert), skewed
-// value distributions, RDF Data Cube layouts, and geo point clouds. Every
-// generator takes an explicit seed; identical seeds give identical data.
+// examples, tests and benchmarks run on. The module is offline and the
+// paper's subject matter — live LOD endpoints like DBpedia — is unreachable
+// by construction, so EntityDataset synthesizes a dataset with the same
+// *shape*: typed entities with skewed numeric values, dates, categories and
+// links. It takes an explicit seed; identical seeds give identical data.
+// MiniLOD is the small hand-written demonstration dataset.
 package gen
 
 import (
@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/lodviz/lodviz/internal/rdf"
-	"github.com/lodviz/lodviz/internal/store"
 )
 
 // NS is the namespace of all generated resources.
@@ -24,60 +23,6 @@ func res(kind string, i int) rdf.IRI {
 }
 
 func prop(name string) rdf.IRI { return rdf.IRI(NS + "prop/" + name) }
-
-// ScaleFreeGraph generates a Barabási–Albert preferential-attachment RDF
-// graph of n entities, each new node attaching m edges — the degree-skewed
-// topology of real LOD graphs (a few hubs, many leaves).
-func ScaleFreeGraph(n, m int, seed int64) []rdf.Triple {
-	if n < 2 {
-		n = 2
-	}
-	if m < 1 {
-		m = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var triples []rdf.Triple
-	// repeated holds node indexes proportional to their degree.
-	var repeated []int
-	link := func(a, b int) {
-		triples = append(triples, rdf.T(res("node", a), prop("linksTo"), res("node", b)))
-		repeated = append(repeated, a, b)
-	}
-	link(0, 1)
-	for v := 2; v < n; v++ {
-		attach := m
-		if attach >= v {
-			attach = v
-		}
-		seen := map[int]bool{}
-		for len(seen) < attach {
-			t := repeated[rng.Intn(len(repeated))]
-			if t != v && !seen[t] {
-				seen[t] = true
-				link(v, t)
-			}
-		}
-	}
-	return triples
-}
-
-// ErdosRenyiGraph generates a uniform random RDF graph with n entities and
-// approximately e edges — the unstructured baseline topology.
-func ErdosRenyiGraph(n, e int, seed int64) []rdf.Triple {
-	if n < 2 {
-		n = 2
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var triples []rdf.Triple
-	for i := 0; i < e; i++ {
-		a, b := rng.Intn(n), rng.Intn(n)
-		if a == b {
-			b = (b + 1) % n
-		}
-		triples = append(triples, rdf.T(res("node", a), prop("linksTo"), res("node", b)))
-	}
-	return triples
-}
 
 // EntityOptions configure EntityDataset.
 type EntityOptions struct {
@@ -148,128 +93,6 @@ func EntityDataset(opts EntityOptions) []rdf.Triple {
 		}
 	}
 	return triples
-}
-
-// DataCube generates an RDF Data Cube of |regions| × |years| observations
-// with one population-like measure.
-func DataCube(regions, years int, seed int64) []rdf.Triple {
-	if regions < 1 {
-		regions = 1
-	}
-	if years < 1 {
-		years = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	ds := rdf.IRI(NS + "cube/pop")
-	dsd := rdf.IRI(NS + "cube/dsd")
-	dimRegion := prop("region")
-	dimYear := prop("year")
-	measure := prop("population")
-	var triples []rdf.Triple
-	triples = append(triples,
-		rdf.T(ds, rdf.RDFType, rdf.QBDataSet),
-		rdf.T(ds, rdf.QBStructure, dsd),
-		rdf.T(dsd, rdf.RDFType, rdf.QBDataStructureDef),
-	)
-	for i, comp := range []rdf.Triple{
-		rdf.T(rdf.BlankNode("c1"), rdf.QBDimension, dimRegion),
-		rdf.T(rdf.BlankNode("c2"), rdf.QBDimension, dimYear),
-		rdf.T(rdf.BlankNode("c3"), rdf.QBMeasure, measure),
-	} {
-		b := rdf.BlankNode(fmt.Sprintf("comp%d", i))
-		triples = append(triples,
-			rdf.T(dsd, rdf.QBComponent, b),
-			rdf.T(b, comp.P, comp.O),
-		)
-	}
-	obsID := 0
-	for r := 0; r < regions; r++ {
-		base := 50000 + rng.Float64()*5e6
-		for y := 0; y < years; y++ {
-			obs := res("obs", obsID)
-			obsID++
-			pop := base * (1 + 0.01*float64(y)*(rng.Float64()-0.3))
-			triples = append(triples,
-				rdf.T(obs, rdf.QBDataSetProp, ds),
-				rdf.T(obs, dimRegion, res("region", r)),
-				rdf.T(obs, dimYear, rdf.NewYear(2000+y)),
-				rdf.T(obs, measure, rdf.NewDouble(float64(int(pop)))),
-			)
-		}
-	}
-	return triples
-}
-
-// CubeIRI returns the dataset IRI DataCube generates.
-func CubeIRI() rdf.IRI { return rdf.IRI(NS + "cube/pop") }
-
-// CubeRegionDim, CubeYearDim and CubeMeasure name the generated components.
-func CubeRegionDim() rdf.IRI { return prop("region") }
-
-// CubeYearDim returns the year dimension IRI.
-func CubeYearDim() rdf.IRI { return prop("year") }
-
-// CubeMeasure returns the measure IRI.
-func CubeMeasure() rdf.IRI { return prop("population") }
-
-// GeoPoints generates n geolocated entities clustered around c hotspots —
-// the clustered point clouds of real place datasets.
-func GeoPoints(n, c int, seed int64) []rdf.Triple {
-	if c < 1 {
-		c = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	type hotspot struct{ lat, lon float64 }
-	hs := make([]hotspot, c)
-	for i := range hs {
-		hs[i] = hotspot{lat: rng.Float64()*140 - 70, lon: rng.Float64()*340 - 170}
-	}
-	var triples []rdf.Triple
-	for i := 0; i < n; i++ {
-		h := hs[rng.Intn(c)]
-		lat := h.lat + rng.NormFloat64()*2
-		lon := h.lon + rng.NormFloat64()*2
-		if lat > 90 {
-			lat = 90
-		}
-		if lat < -90 {
-			lat = -90
-		}
-		e := res("place", i)
-		triples = append(triples,
-			rdf.T(e, rdf.RDFType, rdf.GeoPoint),
-			rdf.T(e, rdf.GeoLat, rdf.NewDouble(lat)),
-			rdf.T(e, rdf.GeoLong, rdf.NewDouble(lon)),
-			rdf.T(e, rdf.RDFSLabel, rdf.NewLiteral(fmt.Sprintf("Place %d", i))),
-		)
-	}
-	return triples
-}
-
-// LoadStore is a convenience wrapper: generate → Load.
-func LoadStore(triples []rdf.Triple) *store.Store {
-	st, err := store.Load(triples)
-	if err != nil {
-		// Generators only emit valid triples; an error here is a programming
-		// bug, not an input condition.
-		panic(fmt.Sprintf("gen: load: %v", err))
-	}
-	return st
-}
-
-// Values extracts the float values of a generated numeric property — the
-// flat array form the reduction experiments consume.
-func Values(st *store.Store, propName string) []float64 {
-	var out []float64
-	st.ForEach(store.Pattern{P: prop(propName)}, func(t rdf.Triple) bool {
-		if l, ok := t.O.(rdf.Literal); ok {
-			if v, ok := l.Float(); ok {
-				out = append(out, v)
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // Prop exposes the generated property IRI for name (for queries against

@@ -3,57 +3,9 @@ package gen
 import (
 	"testing"
 
-	"github.com/lodviz/lodviz/internal/graph"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
-
-func TestScaleFreeGraphShape(t *testing.T) {
-	triples := ScaleFreeGraph(500, 2, 1)
-	st := LoadStore(triples)
-	g := graph.FromStore(st)
-	if g.NumNodes() != 500 {
-		t.Errorf("nodes = %d, want 500", g.NumNodes())
-	}
-	// Degree skew: max degree far above the mean.
-	maxDeg, total := 0, 0
-	for i := 0; i < g.NumNodes(); i++ {
-		d := g.Degree(graph.NodeID(i))
-		total += d
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	mean := float64(total) / float64(g.NumNodes())
-	if float64(maxDeg) < mean*5 {
-		t.Errorf("max degree %d vs mean %.1f — not scale-free", maxDeg, mean)
-	}
-}
-
-func TestScaleFreeDeterministic(t *testing.T) {
-	a := ScaleFreeGraph(100, 2, 7)
-	b := ScaleFreeGraph(100, 2, 7)
-	if len(a) != len(b) {
-		t.Fatal("lengths differ")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("not deterministic")
-		}
-	}
-}
-
-func TestErdosRenyi(t *testing.T) {
-	triples := ErdosRenyiGraph(100, 300, 2)
-	if len(triples) != 300 {
-		t.Errorf("edges = %d", len(triples))
-	}
-	for _, tr := range triples {
-		if tr.S == tr.O {
-			t.Error("self loop generated")
-		}
-	}
-}
 
 func TestEntityDataset(t *testing.T) {
 	opts := EntityOptions{
@@ -61,7 +13,10 @@ func TestEntityDataset(t *testing.T) {
 		NumericProps: 2, TemporalProps: 1, CategoryProps: 1,
 		Categories: 5, LinkProps: 1, Seed: 3,
 	}
-	st := LoadStore(EntityDataset(opts))
+	st, err := store.Load(EntityDataset(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
 	stats := st.ComputeStats()
 	if stats.Triples == 0 {
 		t.Fatal("no triples")
@@ -73,41 +28,16 @@ func TestEntityDataset(t *testing.T) {
 	if n := st.Count(store.Pattern{P: rdf.RDFSLabel}); n != 200 {
 		t.Errorf("labels = %d", n)
 	}
-	vals := Values(st, "num0")
-	if len(vals) != 200 {
-		t.Errorf("num0 values = %d", len(vals))
-	}
-	for _, v := range vals {
-		if v < 0 {
-			t.Error("negative exponential value")
-		}
-	}
-}
-
-func TestDataCubeLoads(t *testing.T) {
-	st := LoadStore(DataCube(10, 5, 4))
-	// 10*5 observations.
-	if n := st.Count(store.Pattern{P: rdf.QBDataSetProp}); n != 50 {
-		t.Errorf("observations = %d, want 50", n)
-	}
-	if !st.Contains(rdf.Triple{S: CubeIRI(), P: rdf.RDFType, O: rdf.QBDataSet}) {
-		t.Error("dataset declaration missing")
-	}
-}
-
-func TestGeoPointsWithinBounds(t *testing.T) {
-	st := LoadStore(GeoPoints(300, 5, 5))
 	n := 0
-	st.ForEach(store.Pattern{P: rdf.GeoLat}, func(tr rdf.Triple) bool {
+	st.ForEach(store.Pattern{P: Prop("num0")}, func(tr rdf.Triple) bool {
 		n++
-		v, _ := tr.O.(rdf.Literal).Float()
-		if v < -90 || v > 90 {
-			t.Errorf("lat out of range: %g", v)
+		if v, ok := tr.O.(rdf.Literal).Float(); !ok || v < 0 {
+			t.Errorf("num0 value %v is not a non-negative number", tr.O)
 		}
 		return true
 	})
-	if n != 300 {
-		t.Errorf("points = %d", n)
+	if n != 200 {
+		t.Errorf("num0 values = %d", n)
 	}
 }
 

@@ -1,20 +1,13 @@
-// Package progressive implements the incremental + approximate computation
-// family the survey highlights (Section 2, refs [46,2,69,123]): aggregate
-// answers are produced over progressively larger samples, each accompanied
-// by a CLT-based confidence interval, so a visualization can render a
-// "partially right" answer immediately and refine it — the sampleAction
-// model of incremental visualization (Fisher et al., CHI 2012) and the
-// online-aggregation core of BlinkDB/VisReduce.
+// Package progressive holds the estimate the exploration layer's progressive
+// streams emit mid-scan: a count observed over a prefix of the data, scaled to
+// the population with a CLT-based confidence interval, so a view can render a
+// "partially right" answer immediately and refine it — the sampleAction model
+// of incremental visualization (Fisher et al., CHI 2012) and the
+// online-aggregation core of BlinkDB/VisReduce (survey Section 2, refs
+// [46,2,69,123]).
 package progressive
 
-import (
-	"context"
-	"errors"
-	"math"
-	"math/rand"
-
-	"github.com/lodviz/lodviz/internal/stats"
-)
+import "math"
 
 // Estimate is one progressive answer: the current aggregate value plus its
 // uncertainty.
@@ -32,143 +25,42 @@ type Estimate struct {
 	Final bool
 }
 
-// Agg selects the aggregate a progressive run computes.
-type Agg int
-
-// Supported progressive aggregates.
-const (
-	Mean Agg = iota
-	Sum
-	Count
-)
-
-// ErrBadBatch is returned for non-positive batch sizes.
-var ErrBadBatch = errors.New("progressive: batch size must be positive")
-
 // z95 is the normal 97.5th percentile used for two-sided 95% intervals.
 const z95 = 1.959963984540054
 
-// Run streams progressively refined estimates of the aggregate over values
-// to out, sampling without replacement in random order (so every prefix is a
-// uniform sample). It closes out when done or when ctx is cancelled —
-// cancellation is what gives the "anytime" property.
-func Run(ctx context.Context, values []float64, agg Agg, batch int, seed int64, out chan<- Estimate) error {
-	defer close(out)
-	if batch <= 0 {
-		return ErrBadBatch
+// CountEstimate scales a count observed over the first n items of a
+// population of known size into a population-level estimate with a CLT 95%
+// interval: the observed selectivity count/n is a binomial proportion, so
+// its standard error is sqrt(p(1-p)/n), shrunk by the finite-population
+// correction as the scan approaches completion. This is the estimator the
+// exploration layer's paged ID scans emit mid-scan — each page refines the
+// answer, and at n == population the interval collapses to zero and the
+// estimate is exact. n = 0 yields the empty estimate.
+func CountEstimate(count, n, population int) Estimate {
+	if n <= 0 || population <= 0 {
+		return Estimate{Final: population <= 0}
 	}
-	n := len(values)
-	if n == 0 {
-		select {
-		case out <- Estimate{Final: true}:
-		case <-ctx.Done():
-		}
-		return nil
+	if n > population {
+		n = population
 	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	var acc stats.Online
-	for i, idx := range perm {
-		acc.Add(values[idx])
-		if (i+1)%batch == 0 || i == n-1 {
-			est := estimate(&acc, agg, n)
-			est.Final = i == n-1
-			select {
-			case out <- est:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-		}
+	p := float64(count) / float64(n)
+	if p < 0 {
+		p = 0
+	} else if p > 1 {
+		p = 1
 	}
-	return nil
-}
-
-// Collect runs the progressive computation synchronously and returns every
-// emitted estimate — the convenient form for experiments. Cancelling ctx
-// stops the underlying Run between batches.
-func Collect(ctx context.Context, values []float64, agg Agg, batch int, seed int64) ([]Estimate, error) {
-	out := make(chan Estimate, 16)
-	errCh := make(chan error, 1)
-	go func() { errCh <- Run(ctx, values, agg, batch, seed, out) }()
-	var ests []Estimate
-	for e := range out {
-		ests = append(ests, e)
+	est := Estimate{
+		Value:      p * float64(population),
+		SampleSize: n,
+		Fraction:   float64(n) / float64(population),
+		Final:      n == population,
 	}
-	if err := <-errCh; err != nil {
-		return nil, err
+	if est.Final {
+		est.Value = float64(count)
+		return est
 	}
-	return ests, nil
-}
-
-// estimate converts the accumulator state into an Estimate with a CLT
-// confidence interval, scaled for the chosen aggregate and corrected for
-// sampling without replacement (finite population correction).
-func estimate(acc *stats.Online, agg Agg, population int) Estimate {
-	k := acc.N()
-	est := Estimate{SampleSize: k, Fraction: float64(k) / float64(population)}
-	se := 0.0
-	if k >= 2 {
-		fpc := 1 - float64(k)/float64(population)
-		if fpc < 0 {
-			fpc = 0
-		}
-		se = math.Sqrt(acc.Variance()/float64(k)) * math.Sqrt(fpc)
-	}
-	switch agg {
-	case Mean:
-		est.Value = acc.Mean()
-		est.CI95 = z95 * se
-	case Sum:
-		est.Value = acc.Mean() * float64(population)
-		est.CI95 = z95 * se * float64(population)
-	case Count:
-		// Counting a 0/1 indicator stream: the mean estimates the selectivity.
-		est.Value = acc.Mean() * float64(population)
-		est.CI95 = z95 * se * float64(population)
-	}
+	fpc := 1 - float64(n)/float64(population)
+	se := math.Sqrt(p * (1 - p) / float64(n) * fpc)
+	est.CI95 = z95 * se * float64(population)
 	return est
-}
-
-// Sampler incrementally grows a uniform sample and exposes the current
-// estimate on demand — the pull-based interface interactive front-ends use
-// (one Step per frame).
-type Sampler struct {
-	values []float64
-	perm   []int
-	next   int
-	acc    stats.Online
-	agg    Agg
-}
-
-// NewSampler prepares a progressive sampler over values.
-func NewSampler(values []float64, agg Agg, seed int64) *Sampler {
-	return &Sampler{
-		values: values,
-		perm:   rand.New(rand.NewSource(seed)).Perm(len(values)),
-		agg:    agg,
-	}
-}
-
-// Step consumes up to k more items; it reports false when the data is
-// exhausted.
-func (s *Sampler) Step(k int) bool {
-	for i := 0; i < k && s.next < len(s.perm); i++ {
-		s.acc.Add(s.values[s.perm[s.next]])
-		s.next++
-	}
-	return s.next < len(s.perm)
-}
-
-// Current returns the present estimate.
-func (s *Sampler) Current() Estimate {
-	e := estimate(&s.acc, s.agg, len(s.values))
-	e.Final = s.next == len(s.values)
-	return e
-}
-
-// Progress returns the fraction of data consumed.
-func (s *Sampler) Progress() float64 {
-	if len(s.values) == 0 {
-		return 1
-	}
-	return float64(s.next) / float64(len(s.values))
 }

@@ -1,191 +1,70 @@
 package progressive
 
 import (
-	"context"
 	"math"
-	"math/rand"
 	"testing"
 )
 
-func normalValues(seed int64, n int, mean, sd float64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = rng.NormFloat64()*sd + mean
+func TestCountEstimateExactWhenComplete(t *testing.T) {
+	e := CountEstimate(37, 100, 100)
+	if !e.Final {
+		t.Fatal("n == population should be final")
 	}
-	return vals
-}
-
-func TestCollectConvergesToExactMean(t *testing.T) {
-	vals := normalValues(1, 10000, 50, 10)
-	exact := 0.0
-	for _, v := range vals {
-		exact += v
+	if e.Value != 37 || e.CI95 != 0 {
+		t.Fatalf("final estimate = %+v, want exact 37 with CI 0", e)
 	}
-	exact /= float64(len(vals))
-
-	ests, err := Collect(context.Background(), vals, Mean, 500, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ests) != 20 {
-		t.Fatalf("estimates = %d, want 20", len(ests))
-	}
-	last := ests[len(ests)-1]
-	if !last.Final {
-		t.Error("last estimate not marked Final")
-	}
-	if math.Abs(last.Value-exact) > 1e-9 {
-		t.Errorf("final estimate %g != exact %g", last.Value, exact)
-	}
-	if last.CI95 > 1e-9 {
-		t.Errorf("final CI95 = %g, want ~0 (finite population correction)", last.CI95)
-	}
-	// Error must broadly shrink: first estimate error vs last-but-one.
-	firstErr := math.Abs(ests[0].Value - exact)
-	midErr := math.Abs(ests[10].Value - exact)
-	if firstErr < midErr/10 && midErr > 1 {
-		t.Errorf("error not shrinking: first %g, mid %g", firstErr, midErr)
+	if e.Fraction != 1 {
+		t.Fatalf("Fraction = %v, want 1", e.Fraction)
 	}
 }
 
-func TestConfidenceIntervalCoverage(t *testing.T) {
-	// Across many runs, the 95% CI at ~10% sampling should cover the true
-	// mean in the vast majority of runs.
-	vals := normalValues(7, 5000, 100, 20)
-	exact := 0.0
-	for _, v := range vals {
-		exact += v
+func TestCountEstimatePartialScales(t *testing.T) {
+	// 10 of 40 observed over a population of 400: estimate 100.
+	e := CountEstimate(10, 40, 400)
+	if e.Final {
+		t.Fatal("partial scan must not be final")
 	}
-	exact /= float64(len(vals))
+	if math.Abs(e.Value-100) > 1e-9 {
+		t.Fatalf("Value = %v, want 100", e.Value)
+	}
+	if e.CI95 <= 0 {
+		t.Fatalf("CI95 = %v, want > 0 for 0 < p < 1", e.CI95)
+	}
+	if e.SampleSize != 40 || math.Abs(e.Fraction-0.1) > 1e-9 {
+		t.Fatalf("SampleSize/Fraction = %d/%v, want 40/0.1", e.SampleSize, e.Fraction)
+	}
+	// Manual CLT check: z95 * sqrt(p(1-p)/n * fpc) * N.
+	p, n, N := 0.25, 40.0, 400.0
+	want := z95 * math.Sqrt(p*(1-p)/n*(1-n/N)) * N
+	if math.Abs(e.CI95-want) > 1e-9 {
+		t.Fatalf("CI95 = %v, want %v", e.CI95, want)
+	}
+}
 
-	covered, total := 0, 0
-	for trial := 0; trial < 100; trial++ {
-		ests, err := Collect(context.Background(), vals, Mean, 500, int64(trial))
-		if err != nil {
-			t.Fatal(err)
+func TestCountEstimateIntervalShrinks(t *testing.T) {
+	prev := math.Inf(1)
+	for _, n := range []int{50, 100, 200, 399} {
+		e := CountEstimate(n/2, n, 400)
+		if e.CI95 >= prev {
+			t.Fatalf("CI95 did not shrink at n=%d: %v >= %v", n, e.CI95, prev)
 		}
-		e := ests[0] // 10% sample
-		total++
-		if math.Abs(e.Value-exact) <= e.CI95 {
-			covered++
-		}
-	}
-	if covered < 85 {
-		t.Errorf("CI covered %d/100, want >= 85 (nominal 95)", covered)
+		prev = e.CI95
 	}
 }
 
-func TestSumAndCountScaling(t *testing.T) {
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = 2
+func TestCountEstimateEdgeCases(t *testing.T) {
+	if e := CountEstimate(0, 0, 100); e.Final || e.Value != 0 {
+		t.Fatalf("n=0: %+v, want empty non-final estimate", e)
 	}
-	ests, err := Collect(context.Background(), vals, Sum, 100, 1)
-	if err != nil {
-		t.Fatal(err)
+	if e := CountEstimate(0, 10, 0); !e.Final {
+		t.Fatalf("population=0: %+v, want final empty estimate", e)
 	}
-	final := ests[len(ests)-1]
-	if final.Value != 2000 {
-		t.Errorf("sum = %g, want 2000", final.Value)
+	// Zero observed count: estimate 0 with a collapsed interval (p = 0).
+	if e := CountEstimate(0, 10, 100); e.Value != 0 || e.CI95 != 0 {
+		t.Fatalf("count=0: %+v, want 0 +/- 0", e)
 	}
-	// Count over an indicator vector.
-	ind := make([]float64, 1000)
-	for i := 0; i < 250; i++ {
-		ind[i] = 1
-	}
-	ests, _ = Collect(context.Background(), ind, Count, 100, 1)
-	final = ests[len(ests)-1]
-	if math.Abs(final.Value-250) > 1e-6 {
-		t.Errorf("count = %g, want 250", final.Value)
-	}
-	// An intermediate estimate should be in a plausible band.
-	if ests[2].Value < 50 || ests[2].Value > 450 {
-		t.Errorf("intermediate count estimate = %g, implausible", ests[2].Value)
-	}
-}
-
-func TestRunCancellation(t *testing.T) {
-	vals := normalValues(3, 100000, 0, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	out := make(chan Estimate)
-	errCh := make(chan error, 1)
-	go func() { errCh <- Run(ctx, vals, Mean, 100, 1, out) }()
-	// Read a few estimates then cancel.
-	<-out
-	<-out
-	cancel()
-	for range out {
-		// drain until closed
-	}
-	if err := <-errCh; err != context.Canceled {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestRunEmptyInput(t *testing.T) {
-	ests, err := Collect(context.Background(), nil, Mean, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ests) != 1 || !ests[0].Final {
-		t.Errorf("empty input ests = %+v", ests)
-	}
-}
-
-func TestBadBatch(t *testing.T) {
-	if _, err := Collect(context.Background(), []float64{1}, Mean, 0, 1); err != ErrBadBatch {
-		t.Errorf("err = %v, want ErrBadBatch", err)
-	}
-}
-
-func TestSamplerStepwise(t *testing.T) {
-	vals := normalValues(5, 1000, 10, 2)
-	s := NewSampler(vals, Mean, 9)
-	if s.Progress() != 0 {
-		t.Error("initial progress != 0")
-	}
-	steps := 0
-	for s.Step(100) {
-		steps++
-		e := s.Current()
-		if e.SampleSize != (steps)*100 {
-			t.Errorf("step %d sample size = %d", steps, e.SampleSize)
-		}
-	}
-	if s.Progress() != 1 {
-		t.Errorf("final progress = %g", s.Progress())
-	}
-	final := s.Current()
-	if !final.Final {
-		t.Error("exhausted sampler not Final")
-	}
-	exact := 0.0
-	for _, v := range vals {
-		exact += v
-	}
-	exact /= float64(len(vals))
-	if math.Abs(final.Value-exact) > 1e-9 {
-		t.Errorf("final %g != exact %g", final.Value, exact)
-	}
-}
-
-func TestSamplerEmpty(t *testing.T) {
-	s := NewSampler(nil, Mean, 1)
-	if s.Step(10) {
-		t.Error("Step on empty should report done")
-	}
-	if s.Progress() != 1 {
-		t.Error("empty sampler progress != 1")
-	}
-}
-
-func TestFractionMonotone(t *testing.T) {
-	vals := normalValues(11, 2000, 0, 1)
-	ests, _ := Collect(context.Background(), vals, Mean, 250, 3)
-	for i := 1; i < len(ests); i++ {
-		if ests[i].Fraction <= ests[i-1].Fraction {
-			t.Errorf("fraction not increasing at %d: %g <= %g", i, ests[i].Fraction, ests[i-1].Fraction)
-		}
+	// n beyond population clamps to exact.
+	if e := CountEstimate(5, 150, 100); !e.Final || e.Value != 5 {
+		t.Fatalf("n > population: %+v, want final exact", e)
 	}
 }

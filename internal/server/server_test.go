@@ -652,7 +652,11 @@ func TestFacetsBaseCarriedAcrossUntypedWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := fresh.Count(); resp.Count != n {
+		n, err := fresh.CountCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Count != n {
 			t.Fatalf("%s: /facets counts %d entities, a base collected now holds %d", step, resp.Count, n)
 		}
 		if bs := s.typed.Stats(); bs.Built != built || bs.Reused != reused {

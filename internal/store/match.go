@@ -92,50 +92,6 @@ func (st *Store) resolvePatternLocked(p Pattern) (m IDTriple, ok bool) {
 	return m, true
 }
 
-// Subjects returns the distinct subjects matching a (p, o) restriction
-// (either may be nil).
-func (st *Store) Subjects(p, o rdf.Term) []rdf.Term {
-	seen := map[rdf.Term]struct{}{}
-	var out []rdf.Term
-	st.ForEach(Pattern{P: p, O: o}, func(t rdf.Triple) bool {
-		if _, dup := seen[t.S]; !dup {
-			seen[t.S] = struct{}{}
-			out = append(out, t.S)
-		}
-		return true
-	})
-	return out
-}
-
-// Objects returns the distinct objects for a (s, p) restriction (either may
-// be nil).
-func (st *Store) Objects(s, p rdf.Term) []rdf.Term {
-	seen := map[rdf.Term]struct{}{}
-	var out []rdf.Term
-	st.ForEach(Pattern{S: s, P: p}, func(t rdf.Triple) bool {
-		if _, dup := seen[t.O]; !dup {
-			seen[t.O] = struct{}{}
-			out = append(out, t.O)
-		}
-		return true
-	})
-	return out
-}
-
-// Predicates returns the distinct predicates in the store.
-func (st *Store) Predicates() []rdf.IRI {
-	seen := map[rdf.IRI]struct{}{}
-	var out []rdf.IRI
-	st.ForEach(Pattern{}, func(t rdf.Triple) bool {
-		if _, dup := seen[t.P]; !dup {
-			seen[t.P] = struct{}{}
-			out = append(out, t.P)
-		}
-		return true
-	})
-	return out
-}
-
 // Triples returns every live triple (mainly for tests and export).
 func (st *Store) Triples() []rdf.Triple {
 	return st.Match(Pattern{})

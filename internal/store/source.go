@@ -7,8 +7,8 @@ import "github.com/lodviz/lodviz/internal/rdf"
 // the server's handlers: dictionary IDs in, dictionary IDs out, terms only
 // through LookupTermID and Terms. These ten methods are the primitives;
 // every term-space call on *Store (ForEach, ForEachPage, Match, Count,
-// Subjects, …) is sugar that resolves its constants, runs the ID scan and
-// decodes under the same lock hold. *Store satisfies Source; tests wrap one
+// Triples, Contains) is sugar that resolves its constants, runs the ID scan
+// and decodes under the same lock hold. *Store satisfies Source; tests wrap one
 // to gate, count or disturb scans. Implementations must be safe for
 // concurrent use — the engine's worker pool probes from several goroutines.
 type Source interface {

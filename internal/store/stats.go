@@ -258,25 +258,3 @@ func (st *Store) Cardinalities() map[rdf.IRI]PredCardinality {
 	})
 	return out
 }
-
-// PredicateCardinality returns the cardinality record for one predicate.
-func (st *Store) PredicateCardinality(p rdf.IRI) (PredCardinality, bool) {
-	c, ok := st.Cardinalities()[p]
-	return c, ok
-}
-
-// DegreeHistogram returns, for each out-degree d present, how many subjects
-// have exactly d outgoing statements — the degree profile graph visualizers
-// need for layout and abstraction decisions.
-func (st *Store) DegreeHistogram() map[int]int {
-	deg := map[rdf.Term]int{}
-	st.ForEach(Pattern{}, func(t rdf.Triple) bool {
-		deg[t.S]++
-		return true
-	})
-	hist := map[int]int{}
-	for _, d := range deg {
-		hist[d]++
-	}
-	return hist
-}

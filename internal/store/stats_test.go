@@ -40,12 +40,6 @@ func TestCardinalities(t *testing.T) {
 			t.Errorf("Cardinalities[%s] = %+v, want %+v", p, got, w)
 		}
 	}
-	if c, ok := st.PredicateCardinality(iri("p1")); !ok || c != want[iri("p1")] {
-		t.Errorf("PredicateCardinality(p1) = %+v, %v", c, ok)
-	}
-	if _, ok := st.PredicateCardinality(iri("nosuch")); ok {
-		t.Error("PredicateCardinality(nosuch) reported ok")
-	}
 }
 
 func TestCardinalitiesInvalidatedByWrites(t *testing.T) {

@@ -10,9 +10,9 @@
 // a page) and ScanIDs (a sorted run, read-only: with no tombstones it is the
 // index's own range, lent, not copied) to scan; EstimateCountIDs and
 // Cardinalities to plan; Generation and LayoutEpoch to know what moved. The
-// term-space calls (ForEach, ForEachPage, Match, Count, Subjects, Objects,
-// Predicates, Triples) are sugar: each resolves its pattern's constants,
-// runs the ID scan and decodes, under the same single lock hold.
+// term-space calls (ForEach, ForEachPage, Match, Count, Triples, Contains)
+// are sugar: each resolves its pattern's constants, runs the ID scan and
+// decodes, under the same single lock hold.
 //
 // Inside, each thing is said once. One type, IDTriple, is what the indexes,
 // the delta buffer, the tombstone set and the change log hold and what the

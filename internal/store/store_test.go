@@ -130,24 +130,6 @@ func TestForEachEarlyStop(t *testing.T) {
 	}
 }
 
-func TestSubjectsObjectsPredicates(t *testing.T) {
-	st := New()
-	st.AddAll([]rdf.Triple{
-		tr("a", "type", "Person"),
-		tr("b", "type", "Person"),
-		tr("a", "knows", "b"),
-	})
-	if got := len(st.Subjects(iri("type"), iri("Person"))); got != 2 {
-		t.Errorf("Subjects = %d, want 2", got)
-	}
-	if got := len(st.Objects(iri("a"), nil)); got != 2 {
-		t.Errorf("Objects = %d, want 2", got)
-	}
-	if got := len(st.Predicates()); got != 2 {
-		t.Errorf("Predicates = %d, want 2", got)
-	}
-}
-
 func TestTermRoundTrip(t *testing.T) {
 	st := New()
 	st.Add(tr("s", "p", "o"))
@@ -190,18 +172,6 @@ func TestComputeStats(t *testing.T) {
 	}
 	if s.Predicates[1].LiteralObjects != 1 {
 		t.Errorf("literal count = %+v", s.Predicates[1])
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	st := New()
-	st.AddAll([]rdf.Triple{
-		tr("a", "p", "x"), tr("a", "q", "y"), // a: degree 2
-		tr("b", "p", "x"), // b: degree 1
-	})
-	h := st.DegreeHistogram()
-	if h[2] != 1 || h[1] != 1 {
-		t.Errorf("DegreeHistogram = %v", h)
 	}
 }
 

@@ -1,25 +1,23 @@
-// Package lodviz is a scalable exploration and visualization framework for
-// the Web of (Big) Linked Data.
+// Package lodviz is an exploration server for the Web of (Big) Linked Data.
 //
-// It is a full, from-scratch Go implementation of the system design argued
-// for in "Exploration and Visualization in the Web of Big Linked Data: A
-// Survey of the State of the Art" (Bikakis & Sellis, LWDM/EDBT 2016): an RDF
-// substrate (data model, N-Triples/Turtle parsers, dictionary-encoded triple
-// store, SPARQL engine) and, on top of it, every technique family the survey
-// reviews — hierarchical aggregation (HETree), sampling, binning,
-// progressive/incremental computation, adaptive indexing, disk-backed
-// spatial graph visualization, supernode abstraction, edge bundling, faceted
-// browsing, keyword search, visualization recommendation, caching and
-// prefetching, RDF Data Cubes, geospatial exploration, and ontology
-// visualization.
+// It implements the serving core argued for in "Exploration and
+// Visualization in the Web of Big Linked Data: A Survey of the State of the
+// Art" (Bikakis & Sellis, LWDM/EDBT 2016): interactive response at scale,
+// computing only what the current view needs. The stack is an RDF substrate
+// (data model, N-Triples/Turtle parsers, a dictionary-encoded triple store
+// with four permutation indexes, a SPARQL engine with streaming delivery and
+// federation) and, on top of it, faceted browsing, HETree numeric
+// hierarchies, keyword search, bounded graph neighbourhoods and progressive
+// NDJSON streams, served over HTTP with a response cache and a write-ahead
+// log.
 //
 // The root package is the curated façade; the implementation lives in
 // internal/ subpackages. Start with:
 //
 //	ds, err := lodviz.LoadTurtle(src)
 //	res, err := ds.QueryCtx(ctx, `SELECT ?s WHERE { ?s a <http://...> }`, lodviz.QueryOptions{})
-//	ex := ds.Explore(lodviz.DefaultPreferences())
-//	spec, svg, err := ex.Visualize(ctx, `SELECT ?label ?population WHERE { ... }`)
+//	sess, err := ds.Facets(ctx)
+//	err = ds.Serve(ctx, ":8080", lodviz.ServerConfig{})
 package lodviz
 
 import (
@@ -30,7 +28,6 @@ import (
 	"net/http"
 	"sync"
 
-	"github.com/lodviz/lodviz/internal/core"
 	"github.com/lodviz/lodviz/internal/explore"
 	"github.com/lodviz/lodviz/internal/facet"
 	"github.com/lodviz/lodviz/internal/federation"
@@ -38,12 +35,10 @@ import (
 	"github.com/lodviz/lodviz/internal/keyword"
 	"github.com/lodviz/lodviz/internal/progressive"
 	"github.com/lodviz/lodviz/internal/rdf"
-	"github.com/lodviz/lodviz/internal/registry"
 	"github.com/lodviz/lodviz/internal/server"
 	"github.com/lodviz/lodviz/internal/sparql"
 	"github.com/lodviz/lodviz/internal/store"
 	"github.com/lodviz/lodviz/internal/turtle"
-	"github.com/lodviz/lodviz/internal/vis"
 )
 
 // Re-exported core types. These aliases form the public vocabulary of the
@@ -63,20 +58,6 @@ type (
 	Results = sparql.Results
 	// Binding is one SPARQL solution row.
 	Binding = sparql.Binding
-	// Explorer is a stateful exploration session.
-	Explorer = core.Explorer
-	// Preferences configures an exploration session.
-	Preferences = core.Preferences
-	// VisSpec is a renderable visualization specification.
-	VisSpec = vis.Spec
-	// VisSeries is one named data series of a spec.
-	VisSeries = vis.Series
-	// VisPoint is one data point of a series.
-	VisPoint = vis.DataPoint
-	// VisType enumerates visualization types.
-	VisType = vis.Type
-	// PixelBudget models the display constraint every view must fit.
-	PixelBudget = vis.PixelBudget
 	// FacetSession is a faceted-browsing session.
 	FacetSession = facet.Session
 	// FacetFilter is one conjunctive facet restriction.
@@ -105,25 +86,6 @@ type (
 	FederationEndpoint = federation.EndpointStatus
 )
 
-// Visualization type constants (the survey's Table-1 catalogue).
-const (
-	BarChart       = vis.BarChart
-	LineChart      = vis.LineChart
-	PieChart       = vis.PieChart
-	Scatter        = vis.Scatter
-	Bubble         = vis.Bubble
-	MapVis         = vis.Map
-	Treemap        = vis.Treemap
-	Timeline       = vis.Timeline
-	TreeVis        = vis.Tree
-	GraphVis       = vis.GraphVis
-	Circles        = vis.Circles
-	ParallelCoords = vis.ParallelCoords
-	Streamgraph    = vis.Streamgraph
-	Histogram      = vis.Histogram
-	TableVis       = vis.Table
-)
-
 // NewLiteral returns a plain string literal.
 func NewLiteral(lexical string) Literal { return rdf.NewLiteral(lexical) }
 
@@ -132,9 +94,6 @@ func NewInteger(v int64) Literal { return rdf.NewInteger(v) }
 
 // NewDouble returns an xsd:double literal.
 func NewDouble(v float64) Literal { return rdf.NewDouble(v) }
-
-// DefaultPreferences returns laptop-scale exploration defaults.
-func DefaultPreferences() Preferences { return core.DefaultPreferences() }
 
 // Dataset is a loaded RDF dataset ready for querying and exploration.
 type Dataset struct {
@@ -375,14 +334,14 @@ var (
 // cache is keyed on it.
 func (d *Dataset) Generation() uint64 { return d.st.Generation() }
 
-// Explore starts an exploration session.
-func (d *Dataset) Explore(p Preferences) *Explorer { return core.NewExplorer(d.st, p) }
-
 // Facets starts a faceted-browsing session over the dataset's typed
-// entities. The session computes distributions in ID space over the store's
-// permutation indexes; use its Stream method for progressive, refining
-// estimates on large datasets.
-func (d *Dataset) Facets() *FacetSession { return facet.NewSession(d.st) }
+// entities (all subjects when nothing is typed). The session computes
+// distributions in ID space over the store's permutation indexes; use its
+// Stream method for progressive, refining estimates on large datasets.
+// Collecting the base set honors ctx.
+func (d *Dataset) Facets(ctx context.Context) (*FacetSession, error) {
+	return facet.NewSessionCtx(ctx, d.st)
+}
 
 // ErrNodeNotFound reports that a neighborhood start term does not occur as a
 // graph node in the dataset.
@@ -463,34 +422,3 @@ func (d *Dataset) serverConfig(cfg ServerConfig) ServerConfig {
 	}
 	return cfg
 }
-
-// RenderSVG renders a visualization specification to SVG.
-func RenderSVG(s *VisSpec) string { return vis.RenderSVG(s) }
-
-// RenderText renders a visualization specification as terminal text.
-func RenderText(s *VisSpec) string { return vis.RenderText(s) }
-
-// Survey-table regeneration (experiments E1 and E2).
-
-// Table1 renders the survey's Table 1 (generic visualization systems) from
-// the machine-readable registry.
-func Table1() string { return registry.RenderTable1() }
-
-// Table2 renders the survey's Table 2 (graph-based visualization systems).
-func Table2() string { return registry.RenderTable2() }
-
-// TableCSV renders a survey table as CSV (1 or 2).
-func TableCSV(n int) string {
-	switch n {
-	case 1:
-		return registry.RenderCSV(registry.Table1)
-	case 2:
-		return registry.RenderCSV(registry.Table2)
-	default:
-		return ""
-	}
-}
-
-// Observations renders the survey's Section-4 aggregate observations,
-// computed from the registry.
-func Observations() string { return registry.RenderObservations() }

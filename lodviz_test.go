@@ -46,12 +46,10 @@ func TestLoadNTriples(t *testing.T) {
 
 func TestMiniLODExploration(t *testing.T) {
 	ds := MiniLOD()
-	ex := ds.Explore(DefaultPreferences())
-	o := ex.Overview()
-	if o.Triples != ds.Len() {
-		t.Errorf("overview triples = %d, want %d", o.Triples, ds.Len())
+	if st := ds.Stats(); st.Triples != ds.Len() {
+		t.Errorf("stats triples = %d, want %d", st.Triples, ds.Len())
 	}
-	hits := ex.Search("Bordeaux", 3)
+	hits := ds.Search("Bordeaux", 3)
 	if len(hits) == 0 {
 		t.Error("search found nothing")
 	}
@@ -76,102 +74,6 @@ PREFIX ex: <http://lodviz.example.org/mini/>
 SELECT ?c WHERE { ?c a ex:City }`, QueryOptions{})
 	if len(res.Rows) != 6 {
 		t.Errorf("cities after add = %d", len(res.Rows))
-	}
-}
-
-func TestTablesRender(t *testing.T) {
-	t1 := Table1()
-	if !strings.Contains(t1, "SynopsViz") || !strings.Contains(t1, "Rhizomer") {
-		t.Error("Table1 incomplete")
-	}
-	t2 := Table2()
-	if !strings.Contains(t2, "graphVizdb") || !strings.Contains(t2, "Gephi") {
-		t.Error("Table2 incomplete")
-	}
-	if TableCSV(1) == "" || TableCSV(2) == "" || TableCSV(3) != "" {
-		t.Error("TableCSV behavior wrong")
-	}
-	if !strings.Contains(Observations(), "SynopsViz") {
-		t.Error("Observations incomplete")
-	}
-}
-
-func TestGenerators(t *testing.T) {
-	ds, err := GenerateScaleFree(200, 2, 1)
-	if err != nil || ds.Len() == 0 {
-		t.Fatalf("scale-free: %v", err)
-	}
-	g := ds.BuildGraph()
-	if g.NumNodes() != 200 {
-		t.Errorf("nodes = %d", g.NumNodes())
-	}
-	cube, err := GenerateDataCube(5, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cubes := cube.Cubes()
-	if len(cubes) != 1 {
-		t.Fatalf("cubes = %v", cubes)
-	}
-	c, err := cube.LoadCube(cubes[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Observations) != 15 {
-		t.Errorf("observations = %d", len(c.Observations))
-	}
-	geoDs, err := GenerateGeoPoints(100, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := geoDs.GeoPoints()
-	if len(pts) != 100 {
-		t.Errorf("geo points = %d", len(pts))
-	}
-	bins := GeoBins(pts, 2)
-	if len(bins) == 0 || len(bins) > 100 {
-		t.Errorf("geo bins = %d", len(bins))
-	}
-}
-
-func TestGraphPipeline(t *testing.T) {
-	ds, _ := GenerateScaleFree(150, 2, 3)
-	g := ds.BuildGraph()
-	pos := ForceLayout(g, LayoutOptions{Iterations: 10, Seed: 1})
-	if len(pos) != g.NumNodes() {
-		t.Fatalf("layout size = %d", len(pos))
-	}
-	h := BuildSupernodes(g, 8, 1)
-	v := h.NewView()
-	v.ExpandToBudget(30)
-	if len(v.Visible) > 30 {
-		t.Errorf("budget exceeded: %d", len(v.Visible))
-	}
-}
-
-func TestClassHierarchy(t *testing.T) {
-	ds := MiniLOD()
-	h := ds.ClassHierarchy()
-	if h.Depth() < 2 {
-		t.Errorf("depth = %d", h.Depth())
-	}
-}
-
-func TestVisualizeEndToEnd(t *testing.T) {
-	ds := MiniLOD()
-	ex := ds.Explore(DefaultPreferences())
-	spec, svg, err := ex.Visualize(context.Background(), `
-PREFIX ex: <http://lodviz.example.org/mini/>
-PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-SELECT ?label ?population WHERE { ?c a ex:City ; rdfs:label ?label ; ex:population ?population . }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if RenderSVG(spec) != svg {
-		t.Error("RenderSVG disagrees with pipeline output")
-	}
-	if RenderText(spec) == "" {
-		t.Error("text rendering empty")
 	}
 }
 
