@@ -30,17 +30,25 @@ loc:
 # of the module must be reached by a program — a main package (cmd/...,
 # examples/...) or the end-to-end benchmark (bench/e2e, its own module) —
 # or be imported by another package's tests (a test helper such as
-# internal/analysis/analysistest). Fails naming each package nothing
-# reaches.
+# internal/analysis/analysistest), or be named in CATALOGUE. Fails naming
+# each package none of these reaches.
+#
+# CATALOGUE is the README's catalogue table: survey-technique packages kept
+# as a tested library with no program. It only shrinks — each entry leaves
+# by deletion with its tests, or by promotion to a served route with a
+# workload step.
+CATALOGUE := aggregate bundling cluster crack disk graph layout nanocube prefetch recommend registry stats vis
+
 reach:
 	@mod=$$($(GO) list -m); \
+	catalogue=$$(for p in $(CATALOGUE); do echo $$mod/internal/$$p; done); \
 	roots=$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); \
 	helpers=$$($(GO) list -f '{{$$p := .ImportPath}}{{range .TestImports}}{{if ne . $$p}}{{.}} {{end}}{{end}}{{range .XTestImports}}{{if ne . $$p}}{{.}} {{end}}{{end}}' ./... | \
 		tr ' ' '\n' | grep "^$$mod\(/\|$$\)" | sort -u); \
-	unreached=$$( { $(GO) list -deps $$roots $$helpers; $(GO) list -C bench/e2e -deps .; echo --; $(GO) list ./...; } | \
+	unreached=$$( { $(GO) list -deps $$roots $$helpers; $(GO) list -C bench/e2e -deps .; echo "$$catalogue"; echo --; $(GO) list ./...; } | \
 		awk '$$0 == "--" { all = 1; next } !all { seen[$$0] = 1; next } !seen[$$0]'); \
 	if [ -n "$$unreached" ]; then \
-		echo "no program, bench/e2e or other package's test reaches:"; echo "$$unreached"; exit 1; fi; \
+		echo "no program, bench/e2e, other package's test or CATALOGUE reaches:"; echo "$$unreached"; exit 1; fi; \
 	echo "every package is reached"
 
 # Race-detector pass over the concurrent packages: query engine (the
@@ -58,7 +66,7 @@ reach:
 # multi-node federation smoke (two httptest lodvizd instances answering
 # one SERVICE query).
 race:
-	$(GO) test -race ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/obs/... ./internal/keyword/...
+	$(GO) test -race ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/prefetch/... ./internal/obs/... ./internal/keyword/...
 	$(GO) test -race -count=2 -run 'ScanIDs|IDJoin|StreamConcurrentWriters|TypedBase' ./internal/store ./internal/sparql ./internal/facet
 	$(GO) test -race -run 'Federated|ServiceSilent' .
 

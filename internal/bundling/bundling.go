@@ -2,8 +2,7 @@
 // as the second pillar of large-graph readability (Section 4, refs
 // [48,44,63,107,90,34]): hierarchical edge bundling (Holten) routed through
 // a cluster tree, and a simplified force-directed edge bundling (FDEB).
-// Both report ink-reduction metrics so the E9 experiment can quantify the
-// benefit.
+// Both report ink-reduction metrics that quantify the benefit.
 package bundling
 
 import (
@@ -245,7 +244,7 @@ func edgeCompatibility(p1, p2, q1, q2 Point) float64 {
 // InkRatio compares total bundled ink (approximated by the length of the
 // union of drawn segments, discretized to a grid) against the straight-line
 // drawing. Values < 1 mean the bundling saved ink — the clutter-reduction
-// measure E9 reports.
+// measure.
 func InkRatio(straight, bundled []Polyline, gridCells int) float64 {
 	si := inkCells(straight, gridCells)
 	bi := inkCells(bundled, gridCells)

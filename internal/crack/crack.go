@@ -4,8 +4,8 @@
 // of the queries actually asked, so the first query pays almost nothing and
 // hot regions of the data get progressively more organized.
 //
-// The package also ships the two baselines the E6 experiment compares
-// against: a full scan and a fully sorted index built up front.
+// The package also ships the two baselines cracking is compared against: a
+// full scan and a fully sorted index built up front.
 package crack
 
 import (

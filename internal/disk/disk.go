@@ -3,9 +3,8 @@
 // Section 4: a file-backed page store with fixed 4 KiB pages and a buffer
 // manager with LRU eviction and pin/unpin semantics.
 //
-// graphVizdb-style visualization tiles (package spatial) store their records
-// through this layer, so only the pages backing the current viewport are
-// resident.
+// A graphVizdb-style tile index can store its records through this layer,
+// so only the pages backing the current viewport are resident.
 package disk
 
 import (

@@ -213,7 +213,7 @@ func (p *Prefetcher) Observe(t Tile) []Tile {
 	return preds
 }
 
-// SessionStats summarizes a simulated exploration session for E10.
+// SessionStats summarizes a simulated exploration session.
 type SessionStats struct {
 	Requests   int
 	Hits       int

@@ -1,4 +1,4 @@
-// Package stats provides the descriptive statistics lodviz surfaces next to
+// Package stats provides the descriptive statistics shown next to
 // visualizations (the "Statistics" capability column of the survey's Table 1)
 // and that the reduction techniques rely on: moments, quantiles, histograms,
 // correlation, and an online (Welford) accumulator for streaming/progressive
