@@ -88,8 +88,9 @@ cover-server:
 # Short coverage-guided fuzz smoke over the text-format parsers, the term
 # syntax they share (FuzzTermText: every reader reads back what Term.String
 # wrote), the federation results decoder (it consumes untrusted remote
-# bytes) and the JSON string appender (FuzzAppendJSONString: byte for byte
-# what encoding/json writes).
+# bytes), the JSON string appender (FuzzAppendJSONString: byte for byte
+# what encoding/json writes) and keyword search (FuzzSearch: the pruned
+# top-k equals scoring every match).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzNTriples -fuzztime=10s ./internal/ntriples
@@ -97,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeResults -fuzztime=10s ./internal/federation
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzAppendJSONString -fuzztime=10s ./internal/sparql
+	$(GO) test -fuzz=FuzzSearch -fuzztime=10s ./internal/keyword
 
 # Run the exploration server on the embedded demo dataset.
 serve:

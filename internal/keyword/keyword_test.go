@@ -143,3 +143,17 @@ func TestDeterministicTieBreak(t *testing.T) {
 		t.Errorf("tie-break not deterministic: %v", hits)
 	}
 }
+
+func TestReindexDocumentWithRepeatedUniqueToken(t *testing.T) {
+	// "zeta" is in one document, twice: removing the document drops the
+	// token at its first occurrence, and the second must find it gone.
+	st := store.New()
+	st.Add(rdf.T(ex("x"), ex("label"), rdf.NewLiteral("zeta zeta")))
+	idx := BuildIndex(st)
+	x, _ := st.LookupTermID(ex("x"))
+	st.Add(rdf.T(ex("x"), ex("desc"), rdf.NewLiteral("eta")))
+	idx.reindex(st, []store.ID{x})
+	if hits := idx.Search("zeta eta", 5); len(hits) != 1 || hits[0].Snippet != "x zeta zeta eta" {
+		t.Errorf("hits = %+v", hits)
+	}
+}

@@ -19,9 +19,11 @@ var words = []string{"alpha", "beta", "gamma", "delta", "capital", "city", "cat"
 
 // queries is the fixed vocabulary the maintained and the fresh index are
 // compared over: every word, pairs (including a repeated token), a term only
-// local names hold, and one nothing matches.
+// local names hold, the serving workload's shape (a common and a rare
+// token, in both orders: a score is a float sum in query-token order), and
+// one nothing matches.
 var queries = append(append([]string{}, words...),
-	"alpha beta", "city capital city", "gamma 42 cat", "entity", "e3", "node", "zebra")
+	"alpha beta", "city capital city", "gamma 42 cat", "entity", "e3", "entity e3", "e3 entity", "node", "zebra")
 
 var prefixes = []string{"", "a", "ca", "c", "4", "e", "en", "z"}
 
@@ -104,15 +106,24 @@ func (s *schedule) about(subj rdf.Term) []rdf.Triple {
 }
 
 // check compares the maintained index with a fresh build on every query and
-// prefix: entities, scores and snippets, bit for bit.
+// prefix, and its searches with searchReference over its own postings:
+// entities, scores and snippets, bit for bit. Its impact orders must be its
+// ID orders sorted.
 func (s *schedule) check(step string) {
 	s.t.Helper()
 	fresh := BuildIndex(s.st)
+	s.lazy.refresh()
+	if err := checkOrders(s.lazy.idx); err != nil {
+		s.t.Fatalf("after %s: %v", step, err)
+	}
 	for _, q := range queries {
 		for _, limit := range []int{3, 100} {
 			got, want := s.lazy.Search(q, limit), fresh.Search(q, limit)
 			if !reflect.DeepEqual(got, want) {
 				s.t.Fatalf("after %s: Search(%q, %d)\nmaintained %+v\nfresh      %+v", step, q, limit, got, want)
+			}
+			if ref := searchReference(s.lazy.idx, q, limit); !reflect.DeepEqual(got, ref) {
+				s.t.Fatalf("after %s: Search(%q, %d)\nmaintained %+v\nreference  %+v", step, q, limit, got, ref)
 			}
 		}
 	}

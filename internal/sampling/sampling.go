@@ -117,6 +117,18 @@ func (t *TopK[T]) Offer(v T) {
 	}
 }
 
+// Worst returns the element a newcomer must sort before to be kept: the
+// worst of the k kept, once k are. It reports false while every newcomer is
+// kept (fewer than k kept, or k <= 0). A stream consumed best first can stop
+// at the first element that does not sort before it.
+func (t *TopK[T]) Worst() (T, bool) {
+	if t.k <= 0 || len(t.heap) < t.k {
+		var zero T
+		return zero, false
+	}
+	return t.heap[0], true
+}
+
 // Sorted returns the kept elements best first. The selector must not be
 // offered to afterwards: the returned slice is its own storage, reordered.
 func (t *TopK[T]) Sorted() []T {

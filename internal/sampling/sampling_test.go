@@ -99,3 +99,30 @@ func TestTopKMatchesSortAndTruncate(t *testing.T) {
 		}
 	}
 }
+
+func TestTopKWorst(t *testing.T) {
+	less := func(a, b int) bool { return a < b }
+	if _, ok := NewTopK(0, less).Worst(); ok {
+		t.Error("a selector keeping everything reported a worst")
+	}
+	rng := rand.New(rand.NewSource(4))
+	const k = 3
+	top := NewTopK(k, less)
+	var seen []int
+	for i := 0; i < 50; i++ {
+		v := rng.Intn(20)
+		top.Offer(v)
+		seen = append(seen, v)
+		sort.Ints(seen)
+		worst, ok := top.Worst()
+		if len(seen) < k {
+			if ok {
+				t.Fatalf("after %d offers: Worst = %d with room left", len(seen), worst)
+			}
+			continue
+		}
+		if !ok || worst != seen[k-1] {
+			t.Fatalf("after %d offers: Worst = %d, %v; want %d", len(seen), worst, ok, seen[k-1])
+		}
+	}
+}

@@ -121,6 +121,10 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 				{Labels: []string{"rebuild"}, Value: ks.Rebuild.Seconds},
 			}
 		})
+	r.CounterFunc("lodviz_keyword_search_total", "Keyword searches served by the index.",
+		func() float64 { return float64(kw.Stats().Searches) })
+	r.CounterFunc("lodviz_keyword_search_postings_total", "Postings keyword searches read: merged by subject ID, probed by galloping, walked in impact order. Divided by lodviz_keyword_search_total, the work of one search.",
+		func() float64 { return float64(kw.Stats().SearchPostings) })
 
 	bases := s.bases
 	r.CounterVecFunc("lodviz_hetree_base_total", "Sorted value runs under /hetree by outcome: built collects and sorts the property's values from the store, reused cuts the kept run.",

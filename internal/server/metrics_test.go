@@ -110,6 +110,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lodviz_cache_invalidated_total{cause="log"} 0`,
 		`lodviz_keyword_refresh_total{mode="incremental"} 0`,
 		`lodviz_keyword_refresh_seconds{mode="rebuild"} 0`,
+		"lodviz_keyword_search_total 0\n",
+		"lodviz_keyword_search_postings_total 0\n",
 		`lodviz_hetree_base_total{outcome="built"} 1`,
 		`lodviz_hetree_base_total{outcome="reused"} 1`,
 		"lodviz_hetree_base_build_seconds ",
@@ -129,6 +131,26 @@ func TestMetricsEndpoint(t *testing.T) {
 	// every other sorted run were lent from the index.
 	if strings.Contains(text, `lodviz_store_scan_runs_total{mode="lent"} 0`+"\n") {
 		t.Error("no scan run was lent on a store without tombstones")
+	}
+
+	// A search moves both keyword search counters.
+	for _, u := range []string{ts.URL + "/search?q=athens", ts.URL + "/metrics"} {
+		resp, err := http.Get(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	text = string(body)
+	if !strings.Contains(text, "lodviz_keyword_search_total 1\n") {
+		t.Error("a search did not count in lodviz_keyword_search_total")
+	}
+	if strings.Contains(text, "lodviz_keyword_search_postings_total 0\n") {
+		t.Error("a search that found athens read no postings")
 	}
 }
 
