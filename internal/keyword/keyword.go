@@ -98,14 +98,7 @@ func impactOrder(a, b posting) int {
 // while the statements are copied out, not while they are tokenized.
 func BuildIndex(st *store.Store) *Index {
 	idx := &Index{docs: map[store.ID]*doc{}, postings: map[string]*postingList{}}
-	stmts := st.Statements()
-	subjects := 0
-	for i := range stmts {
-		if i == 0 || stmts[i].S != stmts[i-1].S {
-			subjects++
-		}
-	}
-	idx.addAll(st, stmts, &build{tokens: map[store.ID][]string{}, docs: make([]doc, subjects)})
+	idx.addAll(st, st.Statements(), &build{tokens: map[store.ID][]string{}})
 	idx.sortImpacts()
 	return idx
 }
@@ -116,15 +109,13 @@ type build struct {
 	// recur across subjects (categories, units, small numbers), and each
 	// distinct one is tokenized once per build.
 	tokens map[store.ID][]string
-	// docs is one block to cut the documents from, in subject-ID order, so
-	// that merging posting lists by ID reads the documents in address order.
-	docs []doc
 }
 
 // sortImpacts fills every token's impact order from its ID order. The
 // documents are ranked by rdf.Compare once, so sorting a list compares
-// impacts and ranks, never entities. The orders share one allocation, each
-// capped at its own length so that an insert moves it out.
+// impacts and ranks, never entities. The orders are cut from one allocation,
+// each capped at its own length so that an insert copies it out; the part it
+// leaves keeps its postings, and their documents, until the next build.
 func (idx *Index) sortImpacts() {
 	ranked := make([]*doc, 0, len(idx.docs))
 	for _, d := range idx.docs {
@@ -134,36 +125,32 @@ func (idx *Index) sortImpacts() {
 	for i, d := range ranked {
 		d.rank = int32(i)
 	}
-	total := 0
-	for _, pl := range idx.postings {
-		total += len(pl.byID)
-	}
-	all := make([]posting, 0, total)
 	type key struct {
 		impact float64
 		rank   int32
 		at     int32 // the posting's position in byID
 	}
+	total := 0
+	for _, pl := range idx.postings {
+		total += len(pl.byID)
+	}
+	all := make([]posting, total)
 	var keys []key
 	for _, pl := range idx.postings {
-		if len(pl.byID) == 1 {
-			all = append(all, pl.byID[0])
-		} else {
-			keys = keys[:0]
-			for i, p := range pl.byID {
-				keys = append(keys, key{p.impact(), p.doc.rank, int32(i)})
-			}
-			slices.SortFunc(keys, func(a, b key) int {
-				if c := cmp.Compare(b.impact, a.impact); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.rank, b.rank)
-			})
-			for _, k := range keys {
-				all = append(all, pl.byID[k.at])
-			}
+		keys = keys[:0]
+		for i, p := range pl.byID {
+			keys = append(keys, key{p.impact(), p.doc.rank, int32(i)})
 		}
-		pl.byImpact = all[len(all)-len(pl.byID) : len(all) : len(all)]
+		slices.SortFunc(keys, func(a, b key) int {
+			if c := cmp.Compare(b.impact, a.impact); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.rank, b.rank)
+		})
+		pl.byImpact, all = all[:len(keys):len(keys)], all[len(keys):]
+		for i, k := range keys {
+			pl.byImpact[i] = pl.byID[k.at]
+		}
 	}
 }
 
@@ -203,11 +190,7 @@ func (idx *Index) add(st *store.Store, stmts []store.IDTriple, b *build) {
 		ids = append(ids, t.O)
 	}
 	terms := st.Terms(ids)
-	d := new(doc)
-	if b != nil {
-		d, b.docs = &b.docs[0], b.docs[1:]
-	}
-	d.id, d.entity = ids[0], terms[0]
+	d := &doc{id: ids[0], entity: terms[0]}
 	var text strings.Builder
 	var toks []string
 	part := func(s string, ts []string) {
@@ -256,7 +239,9 @@ func (idx *Index) add(st *store.Store, stmts []store.IDTriple, b *build) {
 		p, pl := posting{d, d.id, int32(tf)}, idx.postings[toks[0]]
 		if pl == nil {
 			pl = &postingList{}
-			idx.postings[toks[0]] = pl
+			// A token is a slice of the text it came from; a copy keeps the
+			// key from holding the rest.
+			idx.postings[strings.Clone(toks[0])] = pl
 		}
 		pl.byID = insertPosting(pl.byID, p)
 		if b == nil {
@@ -295,9 +280,6 @@ func (idx *Index) remove(s store.ID) {
 		pl.byID = slices.Delete(pl.byID, i, i+1)
 		pl.byImpact = slices.Delete(pl.byImpact, j, j+1)
 	}
-	// A document cut from a build's block stays reachable through the
-	// block; clearing it lets its text and entity go.
-	*d = doc{}
 }
 
 func findPosting(list []posting, s store.ID) (int, bool) {
@@ -336,21 +318,20 @@ func (idx *Index) Len() int { return len(idx.docs) }
 // Tokenize lowercases and splits text on non-alphanumeric runes.
 func Tokenize(text string) []string {
 	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, strings.ToLower(cur.String()))
-			cur.Reset()
-		}
-	}
-	for _, r := range text {
+	start := -1 // the current token's first byte, or -1 between tokens
+	for i, r := range text {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			cur.WriteRune(r)
-		} else {
-			flush()
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			out = append(out, strings.ToLower(text[start:i]))
+			start = -1
 		}
 	}
-	flush()
+	if start >= 0 {
+		out = append(out, strings.ToLower(text[start:]))
+	}
 	return out
 }
 
@@ -415,13 +396,10 @@ func (idx *Index) search(query string, limit int) ([]Hit, int) {
 	for i, pl := range lists {
 		heads[i] = pl.byID
 	}
-	read := total // every posting of a merged list is read once
-	if long < 0 {
-		merge(heads, idfs, top)
-	} else {
-		read -= len(heads[long])
-		read += mergeGalloping(heads, idfs, long, top)
-		read += walkImpact(lists, idfs, long, top)
+	read := total + merge(heads, idfs, long, top) // every posting of a merged list is read once
+	if long >= 0 {
+		// The galloped list was probed, not read through.
+		read += walkImpact(lists, idfs, long, top) - len(lists[long].byID)
 	}
 	best := top.Sorted()
 	if len(best) == 0 {
@@ -434,19 +412,28 @@ func (idx *Index) search(query string, limit int) ([]Hit, int) {
 	return hits, read
 }
 
-// merge offers every document the lists hold, stepping through them by
-// subject ID together so that each document is scored once, with no score
-// table.
-func merge(lists [][]posting, idfs []float64, top *sampling.TopK[scored]) {
+// merge offers every document the lists hold but for lists[long], stepping
+// through them by subject ID together so that each document is scored once,
+// with no score table. It reads a document's tf in lists[long] by galloping
+// that list forward, and returns the number of postings the gallops probed;
+// long < 0 gallops no list and merges them all.
+func merge(lists [][]posting, idfs []float64, long int, top *sampling.TopK[scored]) int {
+	probes := 0
 	for {
 		var next *doc
-		for _, l := range lists {
-			if len(l) > 0 && (next == nil || l[0].doc.id < next.id) {
-				next = l[0].doc
+		var nextID store.ID
+		for i, l := range lists {
+			if i != long && len(l) > 0 && (next == nil || l[0].id < nextID) {
+				next, nextID = l[0].doc, l[0].id
 			}
 		}
 		if next == nil {
-			return
+			return probes
+		}
+		if long >= 0 {
+			var n int
+			lists[long], n = gallop(lists[long], nextID)
+			probes += n
 		}
 		score, length := 0.0, float64(next.length)
 		for i, l := range lists {
@@ -455,48 +442,11 @@ func merge(lists [][]posting, idfs []float64, top *sampling.TopK[scored]) {
 				lists[i] = l[1:]
 			}
 		}
-		offer(top, scored{next, score})
-	}
-}
-
-// mergeGalloping is merge over every list but lists[long], reading a
-// document's tf in lists[long] by galloping that list forward. It returns
-// the number of postings the gallops probed.
-func mergeGalloping(lists [][]posting, idfs []float64, long int, top *sampling.TopK[scored]) int {
-	probes := 0
-	for {
-		var next *doc
-		for i, l := range lists {
-			if i != long && len(l) > 0 && (next == nil || l[0].doc.id < next.id) {
-				next = l[0].doc
-			}
+		// Most documents score below the worst kept: skip the call that
+		// would reject them.
+		if worst, full := top.Worst(); !full || score >= worst.score {
+			top.Offer(scored{next, score})
 		}
-		if next == nil {
-			return probes
-		}
-		score, length := 0.0, float64(next.length)
-		for i, l := range lists {
-			if i == long {
-				var n int
-				l, n = gallop(l, next.id)
-				lists[i], probes = l, probes+n
-			}
-			if len(l) > 0 && l[0].doc == next {
-				score += float64(l[0].tf) / length * idfs[i]
-				if i != long {
-					lists[i] = l[1:]
-				}
-			}
-		}
-		offer(top, scored{next, score})
-	}
-}
-
-// offer is top.Offer, skipping the call for a document that scores below
-// the worst kept.
-func offer(top *sampling.TopK[scored], s scored) {
-	if worst, full := top.Worst(); !full || s.score >= worst.score {
-		top.Offer(s)
 	}
 }
 

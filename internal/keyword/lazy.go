@@ -134,8 +134,8 @@ func (l *Lazy) refresh() {
 // orders of the posting list of each of its tokens, some of them as long as
 // the dataset; a rebuild appends its way through one sorted pass and sorts
 // each impact order once. Measured at 10 000 entities on a 2-CPU Xeon:
-// ~175µs a subject against ~2.4µs a triple, so the pass wins past about one
-// touched subject per 73 triples in the store. The rule below switches at
+// ~86µs a subject against ~1.1µs a triple, so the pass wins past about one
+// touched subject per 78 triples in the store. The rule below switches at
 // one per 64, slightly early.
 func (l *Lazy) follow(span []*store.Digest) bool {
 	var touched []store.ID
