@@ -129,7 +129,8 @@ bench:
 # statistics tally (a summary read at 110k triples; a 2000-triple add+delete
 # with the tally not built and built), a sorted ID run at 110k triples (the
 # 10 000-entry rdf:type run lent from the index, and copied out of it past
-# one tombstone; allocations per run), and the two progressive streams
+# one tombstone; allocations per run), a term lookup in a 190 000-term
+# dictionary, and the two progressive streams
 # (/sparql/stream at 600 rows; /facets/stream unfiltered, which walks the
 # store — under one page, and past two pages with two estimates — and
 # filtered to 10 entities, which probes them and sends one exact line;
@@ -141,7 +142,7 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BGP -benchtime=1x .
 	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite' -benchtime=1x ./internal/store
-	$(GO) test -run='^$$' -bench='ComputeStats|AddDeleteBatch2000|ScanIDs' -benchtime=1x -benchmem ./internal/store
+	$(GO) test -run='^$$' -bench='ComputeStats|AddDeleteBatch2000|ScanIDs|LookupTerm' -benchtime=1x -benchmem ./internal/store
 	$(GO) test -run='^$$' -bench=BindJoin -benchtime=1x ./internal/federation
 	$(GO) test -run='^$$' -bench=LimitPushdown -benchtime=1x .
 	$(GO) test -run='^$$' -bench='FromSource|LevelOverSharedBase' -benchtime=1x -benchmem ./internal/hetree

@@ -68,6 +68,8 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 		func() float64 { return float64(st.Observe().Triples) })
 	r.GaugeFunc("lodviz_store_terms", "Dictionary terms in the store.",
 		func() float64 { return float64(st.Observe().Terms) })
+	r.GaugeFunc("lodviz_store_dict_slots", "Slots of the dictionary's term-to-ID hash table (8 B each; the table grows past half full).",
+		func() float64 { return float64(st.Observe().DictSlots) })
 	r.GaugeFunc("lodviz_store_delta_triples", "Inserted triples awaiting merge into the sorted indexes.",
 		func() float64 { return float64(st.Observe().Delta) })
 	r.GaugeFunc("lodviz_store_tombstones", "Deleted triples awaiting physical removal.",

@@ -127,6 +127,20 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// The dictionary's table has a power-of-two slot count, at most half
+	// of it holding the store's terms.
+	value := func(name string) float64 {
+		_, rest, ok := strings.Cut(text, "\n"+name+" ")
+		v, err := strconv.ParseFloat(strings.SplitN(rest, "\n", 2)[0], 64)
+		if !ok || err != nil {
+			t.Fatalf("exposition has no %s sample", name)
+		}
+		return v
+	}
+	terms, slots := value("lodviz_store_terms"), value("lodviz_store_dict_slots")
+	if n := int(slots); terms == 0 || 2*terms > slots || n&(n-1) != 0 || n != s.st.Observe().DictSlots {
+		t.Errorf("lodviz_store_dict_slots %v for %v terms", slots, terms)
+	}
 	// Nothing was written, so the facet base, the hierarchy's value run and
 	// every other sorted run were lent from the index.
 	if strings.Contains(text, `lodviz_store_scan_runs_total{mode="lent"} 0`+"\n") {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/lodviz/lodviz/internal/rdf"
@@ -75,6 +76,37 @@ func BenchmarkAddSequential(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(ingestN*b.N)/b.Elapsed().Seconds(), "triples/s")
+}
+
+// BenchmarkLookupTerm resolves terms of a 190 000-term dictionary of
+// bulk_ingest's shape — entity IRIs, xsd:double literals and plain literals —
+// one lookup an op, in a shuffled order.
+func BenchmarkLookupTerm(b *testing.B) {
+	terms := make([]rdf.Term, 190_000)
+	for i := range terms {
+		switch i % 3 {
+		case 0:
+			terms[i] = rdf.IRI(fmt.Sprintf("http://lodviz.example.org/entity/%d", i))
+		case 1:
+			terms[i] = rdf.NewTypedLiteral(fmt.Sprintf("%d.%03d", i/1000, i%1000), rdf.XSDDouble)
+		default:
+			terms[i] = rdf.NewLiteral(fmt.Sprintf("Entity %d of class %d", i, i%6))
+		}
+	}
+	st := New()
+	st.mu.Lock()
+	for _, t := range terms {
+		st.intern(t)
+	}
+	st.mu.Unlock()
+	rand.New(rand.NewSource(1)).Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := st.lookup(terms[i%len(terms)]); !ok {
+			b.Fatal("term not found")
+		}
+	}
 }
 
 // BenchmarkSnapshotWrite serializes a 100k-triple store.

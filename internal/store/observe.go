@@ -7,9 +7,12 @@ package store
 
 // Observed is a point-in-time instrumentation view of the store.
 type Observed struct {
-	// Triples is the live triple count; Terms the dictionary size.
-	Triples int
-	Terms   int
+	// Triples is the live triple count; Terms the dictionary size, and
+	// DictSlots the slots of its term → ID table (dict.go): 8 bytes each,
+	// at most half of them holding a term.
+	Triples   int
+	Terms     int
+	DictSlots int
 	// Delta counts inserted triples not yet merged into the sorted
 	// indexes; Tombstones counts deletes awaiting physical removal.
 	Delta      int
@@ -39,6 +42,7 @@ func (st *Store) Observe() Observed {
 	return Observed{
 		Triples:        st.size,
 		Terms:          len(st.terms) - 1,
+		DictSlots:      len(st.dict.slots),
 		Delta:          len(st.delta),
 		Tombstones:     len(st.deleted),
 		Generation:     st.gen,

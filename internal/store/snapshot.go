@@ -83,17 +83,14 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 	}
 	const maxHint = 1 << 20
 	s.terms = make([]rdf.Term, 1, min(numTerms+1, maxHint))
-	s.dict = make(map[rdf.Term]ID, min(numTerms, maxHint))
 	for i := uint64(0); i < numTerms; i++ {
 		t, err := sr.Term()
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := s.dict[t]; dup {
+		if s.intern(t) != ID(len(s.terms)-1) {
 			return nil, fmt.Errorf("%w: duplicate dictionary term %v", snapshot.ErrCorrupt, t)
 		}
-		s.dict[t] = ID(len(s.terms))
-		s.terms = append(s.terms, t)
 	}
 	spo := make([]IDTriple, 0, min(numTriples, maxHint))
 	var prev IDTriple

@@ -79,8 +79,8 @@ func PackPair(a, b ID) uint64 { return uint64(a)<<32 | uint64(b) }
 // The zero value is not usable; call New.
 type Store struct {
 	mu    sync.RWMutex
-	dict  map[rdf.Term]ID
-	terms []rdf.Term // index = ID (terms[0] unused)
+	dict  termTable  // term → ID (dict.go)
+	terms []rdf.Term // ID → term (terms[0] unused)
 
 	// index holds the base indexes, one per ScanOrder, each sorted in its
 	// permutation's key order (see permutations in idscan.go). PSO exists
@@ -133,7 +133,7 @@ type Store struct {
 // New returns an empty store.
 func New() *Store {
 	return &Store{
-		dict:    make(map[rdf.Term]ID),
+		dict:    newTermTable(),
 		terms:   make([]rdf.Term, 1),
 		deleted: make(map[IDTriple]struct{}),
 	}
@@ -192,19 +192,63 @@ func (st *Store) LayoutEpoch() uint64 {
 
 // intern returns the ID for t, creating one if needed. Caller holds mu.
 func (st *Store) intern(t rdf.Term) ID {
-	if id, ok := st.dict[t]; ok {
+	tag := st.dict.tag(t)
+	id, slot := st.dict.find(st.terms, t, tag)
+	if id != 0 {
 		return id
 	}
-	id := ID(len(st.terms))
-	st.dict[t] = id
+	id = ID(len(st.terms))
 	st.terms = append(st.terms, t)
+	st.dict.put(slot, tag, id)
 	return id
 }
 
 // lookup returns the ID for t without creating one.
 func (st *Store) lookup(t rdf.Term) (ID, bool) {
-	id, ok := st.dict[t]
-	return id, ok
+	id, _ := st.dict.find(st.terms, t, st.dict.tag(t))
+	return id, id != 0
+}
+
+// encodeLocked resolves a batch to ID triples in input order: interning its
+// terms when create is set, otherwise dropping every triple that names a
+// term the dictionary lacks (it cannot be in the store). Predicates repeat
+// heavily within a batch, so their IDs are remembered by the concrete IRI
+// type, which also spares boxing each one into an interface per triple; and
+// N-Triples dumps group statements by subject, so remembering the previous
+// subject skips most subject lookups. Caller holds mu.
+func (st *Store) encodeLocked(triples []rdf.Triple, create bool) []IDTriple {
+	resolve := func(t rdf.Term) ID {
+		if create {
+			return st.intern(t)
+		}
+		id, _ := st.lookup(t)
+		return id
+	}
+	out := make([]IDTriple, 0, len(triples))
+	pids := make(map[rdf.IRI]ID) // no size hint: a map of up to 8 stays on the stack
+	var lastS rdf.Term
+	var lastSID ID
+	for _, t := range triples {
+		pid, ok := pids[t.P]
+		if !ok {
+			// The IRI boxed for the lookup stays on the stack; only the one
+			// interned is kept, so only that one is allocated.
+			if pid, _ = st.lookup(rdf.Term(t.P)); pid == 0 && create {
+				pid = st.intern(rdf.Term(t.P))
+			}
+			pids[t.P] = pid
+		}
+		if lastS == nil || t.S != lastS {
+			lastS, lastSID = t.S, resolve(t.S)
+		}
+		if pid == 0 || lastSID == 0 {
+			continue
+		}
+		if oid := resolve(t.O); oid != 0 {
+			out = append(out, IDTriple{lastSID, pid, oid})
+		}
+	}
+	return out
 }
 
 // Term returns the term for a dictionary ID.
@@ -285,36 +329,7 @@ func (st *Store) AddBatch(triples []rdf.Triple) (int, error) {
 // number of live-set changes and the WAL sequence to sync (0 when nothing
 // changed or no WAL is attached). Caller holds mu.
 func (st *Store) addBatchLocked(triples []rdf.Triple) (int, uint64, error) {
-	// Bulk load into a fresh dictionary: size it for the incoming terms up
-	// front, since growing a map incrementally rehashes every key at every
-	// doubling (most of the cost of interning a large batch).
-	if len(st.dict) == 0 && len(triples) > 1024 {
-		st.dict = make(map[rdf.Term]ID, 2*len(triples))
-		st.terms = slices.Grow(st.terms, 2*len(triples))
-	}
-
-	batch := make([]IDTriple, 0, len(triples))
-	// Predicates repeat heavily within a batch; caching their IDs by the
-	// concrete IRI type avoids boxing each one into an interface per triple.
-	pids := make(map[rdf.IRI]ID, 16)
-	var lastS rdf.Term
-	var lastSID ID
-	for _, t := range triples {
-		pid, ok := pids[t.P]
-		if !ok {
-			pid = st.intern(rdf.Term(t.P))
-			pids[t.P] = pid
-		}
-		// N-Triples dumps group statements by subject; remembering the
-		// previous subject skips most dictionary lookups.
-		sid := lastSID
-		if t.S != lastS || lastSID == 0 {
-			sid = st.intern(t.S)
-			lastS, lastSID = t.S, sid
-		}
-		batch = append(batch, IDTriple{sid, pid, st.intern(t.O)})
-	}
-	batch = st.sortSPOLocked(batch)
+	batch := st.sortSPOLocked(st.encodeLocked(triples, true))
 	batch = slices.Compact(batch)
 
 	// Bulk load into an empty store: the sorted, deduplicated batch IS the
@@ -417,15 +432,9 @@ func (st *Store) DeleteBatch(triples []rdf.Triple) (int, error) {
 // plan/log/apply split mirrors addBatchLocked. Caller holds mu.
 func (st *Store) deleteBatchLocked(triples []rdf.Triple) (int, uint64, error) {
 	seen := make(map[IDTriple]struct{}, len(triples))
-	present := make([]IDTriple, 0, len(triples))
-	for _, t := range triples {
-		sid, ok1 := st.lookup(t.S)
-		pid, ok2 := st.lookup(rdf.Term(t.P))
-		oid, ok3 := st.lookup(t.O)
-		if !ok1 || !ok2 || !ok3 {
-			continue
-		}
-		e := IDTriple{sid, pid, oid}
+	encoded := st.encodeLocked(triples, false)
+	present := encoded[:0]
+	for _, e := range encoded {
 		if _, dup := seen[e]; dup {
 			continue
 		}
