@@ -88,14 +88,17 @@ cover-server:
 # Short coverage-guided fuzz smoke over the text-format parsers, the term
 # syntax they share (FuzzTermText: every reader reads back what Term.String
 # wrote), the federation results decoder (it consumes untrusted remote
-# bytes), the JSON string appender (FuzzAppendJSONString: byte for byte
-# what encoding/json writes) and keyword search (FuzzSearch: the pruned
-# top-k equals scoring every match).
+# bytes), the store's term dictionary round-trip (every term a snapshot
+# restore decodes flows through it), the WAL record decoder, the JSON
+# string appender (FuzzAppendJSONString: byte for byte what encoding/json
+# writes) and keyword search (FuzzSearch: the pruned top-k equals scoring
+# every match). CI's fuzz-smoke job runs this target.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzNTriples -fuzztime=10s ./internal/ntriples
 	$(GO) test -fuzz=FuzzTermText -fuzztime=10s ./internal/rdf
 	$(GO) test -fuzz=FuzzDecodeResults -fuzztime=10s ./internal/federation
+	$(GO) test -fuzz=FuzzDictionaryRoundTrip -fuzztime=10s ./internal/store
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzAppendJSONString -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzSearch -fuzztime=10s ./internal/keyword
@@ -125,7 +128,9 @@ bench:
 # streaming LIMIT-pushdown pair, the store→hierarchy path (a base
 # collected from scratch, and a cut over a kept one), and the two text
 # decoders a request body goes through (a bulk_ingest-sized N-Triples body,
-# the session_cold query shapes and an INSERT DATA), and the store's
+# the session_cold query shapes and an INSERT DATA), session_cold's
+# /sparql/stream join run through Stream.Run (about 600 rows; allocations
+# per query), and the store's
 # statistics tally (a summary read at 110k triples; a 2000-triple add+delete
 # with the tally not built and built), a sorted ID run at 110k triples (the
 # 10 000-entry rdf:type run lent from the index, and copied out of it past
@@ -147,7 +152,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=LimitPushdown -benchtime=1x .
 	$(GO) test -run='^$$' -bench='FromSource|LevelOverSharedBase' -benchtime=1x -benchmem ./internal/hetree
 	$(GO) test -run='^$$' -bench=ReadAll -benchtime=1x -benchmem ./internal/ntriples
-	$(GO) test -run='^$$' -bench=ParseQuery -benchtime=1x -benchmem ./internal/sparql
+	$(GO) test -run='^$$' -bench='ParseQuery|StreamJoinRows' -benchtime=1x -benchmem ./internal/sparql
 	$(GO) test -run='^$$' -bench='SPARQLStream|FacetsStream' -benchtime=1x -benchmem ./internal/server
 
 # The end-to-end benchmark (bench/e2e) is its own module, which the root

@@ -121,6 +121,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lodviz_store_scan_runs_total{mode="lent"} `,
 		`lodviz_store_scan_runs_total{mode="copied"} 0`,
 		"lodviz_engine_queries_materialized_total",
+		// Both queries are paged and their rows final: no Binding is built.
+		"lodviz_engine_bindings_total 0\n",
 		"lodviz_http_request_seconds_bucket",
 	} {
 		if !strings.Contains(text, want) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/lodviz/lodviz/internal/obs"
+	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/sparql"
 	"github.com/lodviz/lodviz/internal/store"
 )
@@ -207,11 +208,11 @@ func (s *Server) handleSPARQLStream(w http.ResponseWriter, r *http.Request) {
 		markStream(w, 0, streamAborted)
 		return
 	}
-	names := sparql.SortedVars(stm.Vars())
+	order := sparql.NewColumnOrder(stm.Vars())
 	rows := 0
 	clientGone := false
-	runErr := stm.Run(func(row sparql.Binding) bool {
-		if !st.line(sparql.AppendRow(st.buf[:0], names, row), true) {
+	runErr := stm.RunRows(func(row []rdf.Term) bool {
+		if !st.line(sparql.AppendColumns(st.buf[:0], order, row), true) {
 			clientGone = true
 			return false
 		}

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -243,11 +245,21 @@ func TestStreamMatchesBufferedAcrossShapes(t *testing.T) {
 		`SELECT DISTINCT ?p WHERE { ?s ?p ?o } LIMIT 5`,
 	} {
 		lines := streamGet(t, ts.URL, q)
-		var doc sparqlDoc
+		var doc struct {
+			Results struct {
+				Bindings []map[string]json.RawMessage `json:"bindings"`
+			} `json:"results"`
+		}
 		getJSON(t, ts.URL+"/sparql?query="+url.QueryEscape(q), &doc)
 		gotRows := len(lines) - 2
 		if gotRows != len(doc.Results.Bindings) {
 			t.Errorf("%s: streamed %d rows, buffered %d", q, gotRows, len(doc.Results.Bindings))
+			continue
+		}
+		for i, want := range doc.Results.Bindings {
+			if got := lines[1+i].raw; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: row %d streamed %s, buffered %s", q, i, got, want)
+			}
 		}
 	}
 }
@@ -299,6 +311,21 @@ func TestSPARQLStreamBytesMatchEncoder(t *testing.T) {
 		`SELECT ?o ?s WHERE { ?s ?p ?o } ORDER BY DESC(?o) LIMIT 20`,
 		`SELECT ?s ?missing WHERE { ?s ?p ?o OPTIONAL { ?s <http://nowhere/p> ?missing } } LIMIT 5`,
 		`SELECT ?s WHERE { ?s <http://nowhere/p> ?o }`,
+		// session_cold's shape: a 2-pattern join on a literal, no LIMIT.
+		`SELECT ?s ?v WHERE { ?s <http://www.w3.org/2000/01/rdf-schema#label> "Athens"@en . ?s <` + exNS + `population> ?v }`,
+		`SELECT ?c ?pop WHERE { ?c <` + exNS + `country> <` + exNS + `greece> . ?c <` + exNS + `population> ?pop }`,
+		// A VALUES or BIND prefix seeds the run.
+		`SELECT ?c ?pop ?tag WHERE { VALUES (?c ?tag) { (<` + exNS + `athens> "a") (UNDEF "u") (<` + exNS + `nowhere> "n") } ?c <` + exNS + `population> ?pop }`,
+		`SELECT ?k ?s ?o WHERE { BIND("k" AS ?k) ?s <` + exNS + `country> ?o }`,
+		// A FILTER after the run.
+		`SELECT ?s ?v WHERE { ?s <` + exNS + `population> ?v FILTER(?v > 1000000) }`,
+		// ORDER BY a variable that is not projected, with LIMIT.
+		`SELECT ?s WHERE { ?s <` + exNS + `population> ?v } ORDER BY DESC(?v) LIMIT 3`,
+		`SELECT DISTINCT ?o WHERE { ?s <` + exNS + `country> ?o } OFFSET 1`,
+		`SELECT ?s (STR(?o) AS ?x) WHERE { ?s <http://xmlns.com/foaf/0.1/name> ?o }`,
+		`SELECT ?o (COUNT(?s) AS ?n) WHERE { ?s <` + exNS + `country> ?o } GROUP BY ?o`,
+		// SELECT * leaves out a _-prefixed variable.
+		`SELECT * WHERE { ?p <` + exNS + `livesIn> ?_city . ?_city <` + exNS + `country> ?c }`,
 		`ASK { ?s ?p ?o }`,
 		`ASK { ?s <http://nowhere/p> ?o }`,
 	} {
@@ -338,6 +365,39 @@ func TestSPARQLStreamBytesMatchEncoder(t *testing.T) {
 		if got := rec.Body.String(); got != want.String() {
 			t.Errorf("%s:\n got %s\nwant %s", q, got, want.String())
 		}
+	}
+}
+
+// TestSPARQLStreamBuildsNoBindings: session_cold's stream, a 2-pattern
+// join on a category literal without LIMIT, leaves the engine as result
+// columns — lodviz_engine_bindings_total does not move while its rows
+// stream — and the same query with a FILTER after the run does build them.
+func TestSPARQLStreamBuildsNoBindings(t *testing.T) {
+	st, err := store.Load(gen.EntityDataset(gen.EntityOptions{
+		Entities: 2000, NumericProps: 1, CategoryProps: 1, Categories: 20, Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(st, Config{Logger: discardLogger(), CacheCapacity: -1})
+	join := `SELECT ?s ?v WHERE { ?s <` + string(gen.Prop("cat0")) + `> "category-7" . ?s <` + string(gen.Prop("num0")) + `> ?v }`
+	stream := func(q string) (rows int) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql/stream?query="+url.QueryEscape(q), nil))
+		body := rec.Body.String()
+		if !strings.HasSuffix(body, `"done":true,"rows":`+strconv.Itoa(strings.Count(body, "\n")-2)+"}\n") {
+			t.Fatalf("%s: stream did not complete: %.200s", q, body)
+		}
+		return strings.Count(body, "\n") - 2
+	}
+	if rows := stream(join); rows < 50 {
+		t.Fatalf("%d rows, want about 100", rows)
+	}
+	if got := s.engineMet.BindingsBuilt.Value(); got != 0 {
+		t.Errorf("lodviz_engine_bindings_total = %d after the join's stream, want 0", got)
+	}
+	filtered := strings.TrimSuffix(join, " }") + ` FILTER(?v >= 0) }`
+	if rows := stream(filtered); rows < 50 || s.engineMet.BindingsBuilt.Value() != uint64(rows) {
+		t.Errorf("filtered stream: %d rows, %d Bindings built", rows, s.engineMet.BindingsBuilt.Value())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
@@ -13,7 +14,8 @@ import (
 // into a flat uint32 arena, each pattern either merge-joins a sorted
 // permutation run (equal-prefix joins), probes the indexes per row, or
 // cross-joins one shared scan, and terms are decoded in one batch only when
-// the run's survivors become Bindings. Every strategy below emits, for each
+// the run's survivors become Bindings or, as the paged source's final rows,
+// result columns. Every strategy below emits, for each
 // input row in input order, that row's matches in exactly the order a
 // per-row scan of the PosAny permutation would give, so which strategy ran
 // never shows in the output; the differential tests hold all of them to a
@@ -538,4 +540,55 @@ func (r *patternRun) decode(rows idRows) []Binding {
 		out = append(out, nb)
 	}
 	return out
+}
+
+// colSeed marks a result column no run slot holds: a final row reads it
+// from its input binding, where a BIND/VALUES prefix ahead of the run put
+// the variable if anything did.
+const colSeed = -1
+
+// columnSources maps each result column (vars) to the run slot it reads,
+// or to colSeed.
+func (r *patternRun) columnSources(vars []string) []int {
+	src := make([]int, len(vars))
+	for c, v := range vars {
+		if s, ok := r.slotOf[v]; ok {
+			src[c] = s
+		} else {
+			src[c] = colSeed
+		}
+	}
+	return src
+}
+
+// columns turns final rows into result columns laid out by src, row after
+// row in one slice: the slot IDs are gathered in column order (buf is the
+// reusable gather buffer) and decoded by one Terms call, and the other
+// columns copy the row's input binding. No Binding is built.
+func (r *patternRun) columns(rows idRows, src []int, vars []string, buf []store.ID) ([]rdf.Term, []store.ID) {
+	if rows.n() == 0 {
+		return nil, buf
+	}
+	buf = buf[:0]
+	for i := 0; i < rows.n(); i++ {
+		row := rows.row(i)
+		for _, s := range src {
+			var id store.ID // 0 decodes to nil
+			if s >= 0 {
+				id = row[s]
+			}
+			buf = append(buf, id)
+		}
+	}
+	cols := r.e.st.Terms(buf)
+	w := len(src)
+	for c, s := range src {
+		if s != colSeed {
+			continue
+		}
+		for i := 0; i < rows.n(); i++ {
+			cols[i*w+c] = r.input[rows.parents[i]][vars[c]]
+		}
+	}
+	return cols, buf
 }

@@ -78,15 +78,36 @@ func SortedVars(vars []string) []string {
 	return slices.Compact(names)
 }
 
-// AppendRow appends one solution row as an entry of results.bindings: an
-// object of the row's bound variables among names (SortedVars of the
-// projection, which is every variable a result row binds), each mapped to
-// its term. The streaming endpoint writes one of these per NDJSON line.
-func AppendRow(dst []byte, names []string, row Binding) []byte {
+// ColumnOrder is the order AppendColumns writes a row's columns in: the
+// names of results.bindings entries (SortedVars), each with the column it
+// is read from. Build it once per query.
+type ColumnOrder struct {
+	names []string
+	cols  []int
+}
+
+// NewColumnOrder orders the columns of rows laid out by vars (a query's
+// projected variables, as Stream.Vars names them): sorted by name, and a
+// name listed twice read from its first column.
+func NewColumnOrder(vars []string) ColumnOrder {
+	o := ColumnOrder{names: SortedVars(vars)}
+	o.cols = make([]int, len(o.names))
+	for i, name := range o.names {
+		o.cols[i] = slices.Index(vars, name)
+	}
+	return o
+}
+
+// AppendColumns appends one result row as an entry of results.bindings: an
+// object of the row's bound columns, in order's names, each mapped to its
+// term (nil columns are unbound and left out). It is the one row encoder:
+// /sparql bodies (Results.JSON) and /sparql/stream lines both write
+// through it.
+func AppendColumns(dst []byte, order ColumnOrder, row []rdf.Term) []byte {
 	dst = append(dst, '{')
 	first := true
-	for _, name := range names {
-		t := row[name]
+	for i, name := range order.names {
+		t := row[order.cols[i]]
 		if t == nil {
 			continue
 		}
@@ -99,6 +120,19 @@ func AppendRow(dst []byte, names []string, row Binding) []byte {
 		dst = AppendTerm(dst, t)
 	}
 	return append(dst, '}')
+}
+
+// AppendRow is AppendColumns over a Binding: row's terms for names (SortedVars
+// of the projection, which is every variable a result row binds), written
+// in that order.
+func AppendRow(dst []byte, names []string, row Binding) []byte {
+	order := ColumnOrder{names: names, cols: make([]int, len(names))}
+	cols := make([]rdf.Term, len(names))
+	for i, name := range names {
+		order.cols[i] = i
+		cols[i] = row[name]
+	}
+	return AppendColumns(dst, order, cols)
 }
 
 // AppendJSONStrings appends ss as a JSON array of strings.
@@ -215,12 +249,16 @@ func (r *Results) JSON() ([]byte, error) {
 		dst = append(strconv.AppendBool(dst, r.Ask), '}')
 	} else {
 		dst = append(dst, `,"results":{"bindings":[`...)
-		names := SortedVars(r.Vars)
+		order := NewColumnOrder(r.Vars)
+		cols := make([]rdf.Term, len(r.Vars))
 		for i, row := range r.Rows {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = AppendRow(dst, names, row)
+			for c, v := range r.Vars {
+				cols[c] = row[v]
+			}
+			dst = AppendColumns(dst, order, cols)
 		}
 		dst = append(dst, "]}}"...)
 	}

@@ -22,6 +22,10 @@ type Metrics struct {
 	PushdownHits *obs.Counter
 	// RowsOut counts solution rows emitted by pattern stages.
 	RowsOut *obs.Counter
+	// BindingsBuilt counts solutions materialized as a Binding because a
+	// stage needed term values by name; the paged source's final rows
+	// become result columns without one.
+	BindingsBuilt *obs.Counter
 	// MatchesScanned counts index entries visited by pattern executors.
 	MatchesScanned *obs.Counter
 	// PagesScanned counts store pages pulled by the streaming driver.
@@ -38,6 +42,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		QueriesMaterialized: r.Counter("lodviz_engine_queries_materialized_total", "Query evaluations served by the materialized solution source."),
 		PushdownHits:        r.Counter("lodviz_engine_limit_pushdown_total", "Evaluations whose LIMIT bounded the scan (early termination)."),
 		RowsOut:             r.Counter("lodviz_engine_rows_total", "Solution rows emitted by pattern stages."),
+		BindingsBuilt:       r.Counter("lodviz_engine_bindings_total", "Solutions materialized as a Binding because a stage needed term values."),
 		MatchesScanned:      r.Counter("lodviz_engine_matches_scanned_total", "Index entries visited by pattern executors."),
 		PagesScanned:        r.Counter("lodviz_engine_pages_scanned_total", "Store pages pulled by the streaming driver."),
 		Updates:             r.Counter("lodviz_engine_updates_total", "SPARQL UPDATE evaluations."),

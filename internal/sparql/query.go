@@ -53,12 +53,14 @@ func EvalCtx(ctx context.Context, st store.Source, q *Query, opt Options) (*Resu
 }
 
 // evalWithEngine is the query driver (stream.go) with its rows collected
-// into Results. A restart discards what was collected, so no collected row
-// is ever irrevocable; ASK's answer is whether the chain emitted its one row.
+// into Results, each as a Binding of its bound columns. A restart discards
+// what was collected, so no collected row is ever irrevocable; ASK's answer
+// is whether the chain emitted its one row.
 func evalWithEngine(e *engine, q *Query) (*Results, error) {
+	vars := streamVars(q)
 	var rows []Binding
-	collect := func(r Binding) bool {
-		rows = append(rows, r)
+	collect := func(row []rdf.Term) bool {
+		rows = append(rows, rowBinding(vars, row))
 		return true
 	}
 	if err := e.execute(q, collect, func() { rows = nil }); err != nil {
@@ -67,7 +69,7 @@ func evalWithEngine(e *engine, q *Query) (*Results, error) {
 	if q.Form == FormAsk {
 		return &Results{Form: FormAsk, Ask: len(rows) > 0}, nil
 	}
-	return &Results{Form: FormSelect, Vars: streamVars(q), Rows: rows}, nil
+	return &Results{Form: FormSelect, Vars: vars, Rows: rows}, nil
 }
 
 // grouped reports whether q's solutions pass through the group stage:
@@ -102,35 +104,11 @@ func exprHasAggregate(e Expr) bool {
 	return false
 }
 
-// projectSolution builds one projected result row from a solution: the
-// star columns (vars) or the explicit projection.
-func projectSolution(q *Query, vars []string, s Binding) Binding {
-	row := Binding{}
-	if q.Star {
-		for _, v := range vars {
-			if t, ok := s[v]; ok {
-				row[v] = t
-			}
-		}
-		return row
-	}
-	for _, item := range q.Projection {
-		if item.Expr == nil {
-			if t, ok := s[item.Var]; ok {
-				row[item.Var] = t
-			}
-		} else if t, err := evalExpr(item.Expr, s); err == nil {
-			row[item.Var] = t
-		}
-	}
-	return row
-}
-
 // evalGrouped is the chain's group stage: it partitions the solutions by
 // their GROUP BY key (one implicit group for aggregates without GROUP BY)
 // and hands next, in first-seen group order, one projected row per group
 // that passes HAVING, with its ORDER BY keys evaluated over the group.
-func evalGrouped(q *Query, sols []Binding, next func(entry) bool) {
+func evalGrouped(q *Query, cols resultCols, sols []Binding, next func(entry) bool) {
 	type grp struct {
 		key  []rdf.Term
 		rows []Binding
@@ -175,8 +153,8 @@ func evalGrouped(q *Query, sols []Binding, next func(entry) bool) {
 		if !having(q, g.rows, rep) {
 			continue
 		}
-		row := Binding{}
-		for _, item := range q.Projection {
+		row := make([]rdf.Term, len(cols.vars))
+		for i, item := range q.Projection {
 			var t rdf.Term
 			var err error
 			if item.Expr == nil {
@@ -189,12 +167,13 @@ func evalGrouped(q *Query, sols []Binding, next func(entry) bool) {
 			} else {
 				t, err = evalAggExpr(item.Expr, g.rows, rep)
 			}
-			if err == nil && t != nil {
-				row[item.Var] = t
+			if err == nil {
+				row[i] = t
 			}
 		}
+		cols.settle(row)
 		keys := sortKeys(q.OrderBy, func(e Expr) (rdf.Term, error) { return evalAggExpr(e, g.rows, rep) })
-		if !next(entry{sol: row, keys: keys}) {
+		if !next(entry{row: row, keys: keys}) {
 			return
 		}
 	}

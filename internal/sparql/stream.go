@@ -17,8 +17,16 @@ import (
 
 // The query driver. Every query form runs the same way: one solution source
 // followed by one fixed chain of solution modifiers. EvalCtx collects the
-// chain's rows into Results, Stream.Run hands them to a live consumer, and
-// ASK is the chain stopped at its first solution.
+// chain's rows into Results, Stream.RunRows hands them to a live consumer,
+// and ASK is the chain stopped at its first solution.
+//
+// A row leaves the chain as a column vector: []rdf.Term in streamVars
+// order, nil for unbound. A Binding (a map from name to term) is built only
+// where a stage needs term values by name: the rows after a run that
+// something follows (FILTER, OPTIONAL, BIND), the materialized source,
+// grouping, projection expressions and ORDER BY keys. The paged source's
+// final rows need none of that and go from dictionary IDs to columns by a
+// slot permutation.
 //
 // The source is one of two:
 //
@@ -33,12 +41,13 @@ import (
 //     buffered SELECT without LIMIT, which needs every solution anyway.
 //
 // The chain runs in SPARQL order: group/aggregate + HAVING when present,
-// ORDER BY, project, DISTINCT, the OFFSET/LIMIT window, emit. ORDER BY is
-// one keyed selection (sampling.TopK) bounded at offset+limit when a LIMIT
-// caps the window and no DISTINCT can drop rows after it, so a top-k query
-// keeps k candidates, not the result set; ties keep arrival order.
-// Every solution enters the chain with its own sort keys (the group stage
-// evaluates them over the group), so projection never has to carry them.
+// ORDER BY, DISTINCT, the OFFSET/LIMIT window, emit. ORDER BY is one keyed
+// selection (sampling.TopK) bounded at offset+limit when a LIMIT caps the
+// window and no DISTINCT can drop rows after it, so a top-k query keeps k
+// candidates, not the result set; ties keep arrival order. Every solution
+// enters the chain already projected to its result row, with its own sort
+// keys (the group stage evaluates them over the group), so the rows never
+// have to carry the variables only ORDER BY reads.
 // Without ORDER BY, the window's LIMIT rides into the paged source as a
 // budget: work then scales with k, not with the dataset.
 //
@@ -162,22 +171,27 @@ const (
 )
 
 // streamSolutions evaluates g, delivering every complete solution (after
-// the group's filters) to emit in exactly the order the materialized
-// source produces, until emit returns false. budget >= 0 is the caller's
-// expected row need; it rides into the executor as a probe bound but emit
-// alone decides when delivery stops. budget < 0 streams the full solution
-// set.
+// the group's filters) in exactly the order the materialized source
+// produces, until the receiver returns false. budget >= 0 is the caller's
+// expected row need; it rides into the executor as a probe bound but the
+// receiver alone decides when delivery stops. budget < 0 streams the full
+// solution set.
+//
+// With rows set, solutions that are final when the run ends (nothing
+// follows it, no filter) go to rows as result columns laid out by vars,
+// and no Binding is built for them; every other solution goes to sols as a
+// Binding.
 //
 // The driver pages the suspended scan of the group's first pattern: each
 // ForEachIDPage call does nothing under the store's read lock but
 // unify-and-collect ID rows, and the page is then joined through the rest
-// of its pattern run, decoded, put through whatever follows the run and
-// handed to emit with the lock released — a nested scan inside the outer
+// of its pattern run, decoded (one Terms call per page), put through
+// whatever follows the run and handed on with the lock released — a nested scan inside the outer
 // one would deadlock behind a queued writer, and a slow network consumer
 // must not stall the store's writers. The flip side is isolation: a write
 // landing between two pages is visible to the remainder of the scan (the
 // materialized source keeps its one-snapshot-per-scan semantics).
-func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) error {
+func (e *engine) streamSolutions(g *Group, budget int, vars []string, rows func([]rdf.Term) bool, sols func(Binding) bool) error {
 	g = unwrapGroup(g)
 	elems := g.Elems
 	if !e.noReorder {
@@ -211,11 +225,16 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 	if !ok {
 		seeds = idRows{} // a constant of the scanned pattern occurs nowhere
 	}
+	var src []int // where each result column of a final row comes from
+	asColumns := final && rows != nil
+	if asColumns {
+		src = r.columnSources(vars)
+	}
 
-	// Driver accounting: pages pulled and scan matches produced, flushed
-	// once on the way out (every return path) to metrics and — as one
-	// "paged-scan" pattern span — to the trace.
-	var pages, scanned int
+	// Driver accounting: pages pulled, scan matches produced and Bindings
+	// built, flushed once on the way out (every return path) to metrics
+	// and — as one "paged-scan" pattern span — to the trace.
+	var pages, scanned, built int
 	var driverStart time.Time
 	if e.trace != nil {
 		driverStart = time.Now()
@@ -225,6 +244,7 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 			e.met.PagesScanned.Add(uint64(pages))
 			e.met.MatchesScanned.Add(uint64(scanned))
 			e.met.RowsOut.Add(uint64(scanned))
+			e.met.BindingsBuilt.Add(uint64(built))
 		}
 		if e.trace != nil {
 			sp := e.trace.Add(e.exec, "pattern")
@@ -237,6 +257,7 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 	epoch := e.st.LayoutEpoch()
 	batchCap := streamBatchInit
 	scratch := make([]store.ID, seeds.stride)
+	var colIDs []store.ID
 	for i := 0; i < seeds.n(); i++ {
 		seed := seeds.row(i)
 		ms, mp, mo := maskFor(ps, seed)
@@ -255,17 +276,17 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 					return nil
 				}
 			}
-			rows := idRows{stride: seeds.stride}
+			page := idRows{stride: seeds.stride}
 			pos, done = e.st.ForEachIDPage(ms, mp, mo, pos, pageMax, func(m store.IDTriple) bool {
 				copy(scratch, seed)
 				if idUnify(ps, scratch, m) {
-					rows.ids = append(rows.ids, scratch...)
-					rows.parents = append(rows.parents, seeds.parents[i])
+					page.ids = append(page.ids, scratch...)
+					page.parents = append(page.parents, seeds.parents[i])
 				}
 				return true
 			})
 			pages++
-			scanned += rows.n()
+			scanned += page.n()
 			// A compaction between pages reshuffles positions: the page
 			// just read may duplicate or skip triples, so discard it and
 			// let the caller restart or abort.
@@ -277,19 +298,32 @@ func (e *engine) streamSolutions(g *Group, budget int, emit func(Binding) bool) 
 			if final {
 				limit = remainingBudget(budget, emitted)
 			}
-			if rows, err = r.extend(rows, run[1:], limit); err != nil {
+			if page, err = r.extend(page, run[1:], limit); err != nil {
 				return err
 			}
-			sols := r.decode(rows)
-			if !final && len(sols) > 0 {
-				if sols, err = e.evalElems(rest, g.Filters, sols); err != nil {
-					return err
+			if asColumns {
+				var cols []rdf.Term
+				cols, colIDs = r.columns(page, src, vars, colIDs)
+				w := len(src)
+				for j := 0; j < page.n(); j++ {
+					emitted++
+					if !rows(cols[j*w : (j+1)*w : (j+1)*w]) {
+						return nil
+					}
 				}
-			}
-			for _, sol := range sols {
-				emitted++
-				if !emit(sol) {
-					return nil
+			} else {
+				out := r.decode(page)
+				built += len(out)
+				if !final && len(out) > 0 {
+					if out, err = e.evalElems(rest, g.Filters, out); err != nil {
+						return err
+					}
+				}
+				for _, sol := range out {
+					emitted++
+					if !sols(sol) {
+						return nil
+					}
 				}
 			}
 			if batchCap < streamBatchMax {
@@ -307,11 +341,10 @@ func remainingBudget(budget, emitted int) int {
 	return max(budget-emitted, 0)
 }
 
-// entry is one solution in the modifier chain: the solution (for a
-// grouped query, its projected group row), its ORDER BY key values and its
-// arrival sequence, the stable-sort tiebreaker.
+// entry is one row in the modifier chain: its result columns, its ORDER BY
+// key values and its arrival sequence, the stable-sort tiebreaker.
 type entry struct {
-	sol  Binding
+	row  []rdf.Term
 	keys []rdf.Term
 	seq  int
 }
@@ -368,16 +401,16 @@ func retryShifted(attempt func() error) (done bool, err error) {
 // hands the windowed rows to emit in order until emit declines. restart
 // discards everything emit has received; nil means a delivered row is
 // irrevocable (a live consumer).
-func (e *engine) execute(q *Query, emit func(Binding) bool, restart func()) error {
+func (e *engine) execute(q *Query, emit func([]rdf.Term) bool, restart func()) error {
 	strategy, rows := "materialized", 0
 	if e.trace != nil {
 		start := time.Now()
 		e.exec = e.trace.Add(nil, "execute")
 		defer func() { e.exec.Set("", strategy, 0, rows, start) }()
 	}
-	count := func(r Binding) bool {
+	count := func(row []rdf.Term) bool {
 		rows++
-		return emit(r)
+		return emit(row)
 	}
 	reset := func() {
 		rows = 0
@@ -420,7 +453,7 @@ func (e *engine) pages(q *Query, live bool) bool {
 
 // chain runs one attempt: the source, then the modifier stages in SPARQL
 // order into emit.
-func (e *engine) chain(q *Query, paged bool, emit func(Binding) bool) error {
+func (e *engine) chain(q *Query, paged bool, emit func([]rdf.Term) bool) error {
 	limit := q.Limit
 	if q.Form == FormAsk {
 		limit = 1
@@ -429,10 +462,9 @@ func (e *engine) chain(q *Query, paged bool, emit func(Binding) bool) error {
 		return nil // ahead of the order stage: a TopK bound of 0 keeps everything
 	}
 
-	// The stages after ORDER BY, built back to front: window, DISTINCT,
-	// project.
+	// The stages after ORDER BY, built back to front: window, DISTINCT.
 	skipped, taken := 0, 0
-	out := func(row Binding) bool {
+	out := func(row []rdf.Term) bool {
 		if skipped < q.Offset {
 			skipped++
 			return true
@@ -440,14 +472,13 @@ func (e *engine) chain(q *Query, paged bool, emit func(Binding) bool) error {
 		taken++
 		return emit(row) && (limit < 0 || taken < limit)
 	}
-	vars := streamVars(q)
 	if q.Distinct {
 		window, seen := out, map[string]struct{}{}
 		var sig strings.Builder
-		out = func(row Binding) bool {
+		out = func(row []rdf.Term) bool {
 			sig.Reset()
-			for _, v := range vars {
-				writeSig(&sig, row[v])
+			for _, t := range row {
+				writeSig(&sig, t)
 			}
 			if _, dup := seen[sig.String()]; dup {
 				return true
@@ -456,17 +487,10 @@ func (e *engine) chain(q *Query, paged bool, emit func(Binding) bool) error {
 			return window(row)
 		}
 	}
-	group := grouped(q)
-	project := func(ent entry) bool {
-		if group {
-			return out(ent.sol) // the group stage projects
-		}
-		return out(projectSolution(q, vars, ent.sol))
-	}
 
 	// ORDER BY: bounded at offset+limit unless DISTINCT may still drop rows
 	// after it (an overflowing bound means unbounded too).
-	next := project
+	next := func(ent entry) bool { return out(ent.row) }
 	var top *sampling.TopK[entry]
 	if len(q.OrderBy) > 0 {
 		k := 0
@@ -483,7 +507,10 @@ func (e *engine) chain(q *Query, paged bool, emit func(Binding) bool) error {
 		}
 	}
 
-	// The source, through the group stage when there is one.
+	// The source, through the group stage when there is one; a solution
+	// that arrives as a Binding is projected to its columns here.
+	cols := newResultCols(q)
+	group := grouped(q)
 	var sols []Binding
 	feed := func(s Binding) bool {
 		if group {
@@ -491,7 +518,7 @@ func (e *engine) chain(q *Query, paged bool, emit func(Binding) bool) error {
 			return true
 		}
 		keys := sortKeys(q.OrderBy, func(ex Expr) (rdf.Term, error) { return evalExpr(ex, s) })
-		return next(entry{sol: s, keys: keys})
+		return next(entry{row: cols.project(q, s), keys: keys})
 	}
 	if paged {
 		// planStream keeps DISTINCT and grouping off this source, so without
@@ -504,13 +531,22 @@ func (e *engine) chain(q *Query, paged bool, emit func(Binding) bool) error {
 				e.met.PushdownHits.Inc()
 			}
 		}
-		if err := e.streamSolutions(q.Where, budget, feed); err != nil {
+		// Without ORDER BY keys or projection expressions a final row needs
+		// no term by name: it enters the window as columns.
+		var rows func([]rdf.Term) bool
+		if len(q.OrderBy) == 0 && !slices.ContainsFunc(q.Projection, func(item SelectItem) bool { return item.Expr != nil }) {
+			rows = out
+		}
+		if err := e.streamSolutions(q.Where, budget, cols.vars, rows, feed); err != nil {
 			return err
 		}
 	} else {
 		all, err := e.evalGroup(q.Where, []Binding{{}})
 		if err != nil {
 			return err
+		}
+		if e.met != nil {
+			e.met.BindingsBuilt.Add(uint64(len(all)))
 		}
 		for _, s := range all {
 			if !feed(s) {
@@ -519,16 +555,91 @@ func (e *engine) chain(q *Query, paged bool, emit func(Binding) bool) error {
 		}
 	}
 	if group {
-		evalGrouped(q, sols, next)
+		evalGrouped(q, cols, sols, next)
 	}
 	if top != nil {
 		for _, ent := range top.Sorted() {
-			if !project(ent) {
+			if !out(ent.row) {
 				break
 			}
 		}
 	}
 	return nil
+}
+
+// resultCols is a query's result-column layout: streamVars, plus the
+// column groups of each name the projection lists more than once (nil
+// when every name is unique).
+type resultCols struct {
+	vars []string
+	dups [][]int
+}
+
+func newResultCols(q *Query) resultCols {
+	c := resultCols{vars: streamVars(q)}
+	at := map[string]int{} // name → its group in dups, or -1 while seen once
+	for i, v := range c.vars {
+		g, seen := at[v]
+		switch {
+		case !seen:
+			at[v] = -1
+		case g < 0:
+			at[v] = len(c.dups)
+			c.dups = append(c.dups, []int{slices.Index(c.vars, v), i})
+		default:
+			c.dups[g] = append(c.dups[g], i)
+		}
+	}
+	return c
+}
+
+// project turns one solution into its result row: the star columns, or
+// each projection item's variable or expression value (nil when unbound,
+// or when the expression errs).
+func (c resultCols) project(q *Query, s Binding) []rdf.Term {
+	row := make([]rdf.Term, len(c.vars))
+	if q.Star {
+		for i, v := range c.vars {
+			row[i] = s[v]
+		}
+		return row
+	}
+	for i, item := range q.Projection {
+		if item.Expr == nil {
+			row[i] = s[item.Var]
+		} else if t, err := evalExpr(item.Expr, s); err == nil {
+			row[i] = t
+		}
+	}
+	c.settle(row)
+	return row
+}
+
+// settle gives every column of a repeated name the value of the last item
+// that bound it, so the row reads as one value per name.
+func (c resultCols) settle(row []rdf.Term) {
+	for _, group := range c.dups {
+		var t rdf.Term
+		for _, i := range group {
+			if row[i] != nil {
+				t = row[i]
+			}
+		}
+		for _, i := range group {
+			row[i] = t
+		}
+	}
+}
+
+// rowBinding is a result row as a Binding of its bound columns.
+func rowBinding(vars []string, row []rdf.Term) Binding {
+	b := make(Binding, len(vars))
+	for i, v := range vars {
+		if row[i] != nil {
+			b[v] = row[i]
+		}
+	}
+	return b
 }
 
 // streamVars resolves the projected column names without evaluating: the
@@ -560,7 +671,8 @@ func streamVars(q *Query) []string {
 
 // Stream is a prepared streaming query evaluation: parsing and planning
 // happen at construction, so the column header is known before the first
-// row, and Run delivers rows through a callback as the driver emits them.
+// row, and RunRows delivers rows through a callback as the driver emits
+// them.
 // The HTTP /sparql/stream endpoint and Dataset.QueryStream are built on it.
 type Stream struct {
 	e    *engine
@@ -587,7 +699,8 @@ func PrepareStreamQuery(ctx context.Context, src store.Source, q *Query, opt Opt
 	return s
 }
 
-// Vars returns the projected column names (nil for ASK).
+// Vars returns the projected column names (nil for ASK): the names of a
+// RunRows row's columns, in order.
 func (s *Stream) Vars() []string { return s.vars }
 
 // Form returns the query form (FormSelect streams rows via Run, FormAsk
@@ -604,14 +717,20 @@ func (s *Stream) Incremental() bool {
 	return s.q.Form == FormSelect && len(s.q.OrderBy) == 0 && s.e.pages(s.q, true)
 }
 
-// Run evaluates a SELECT stream, calling emit for every result row in
-// order — the rows EvalCtx returns — until emit returns false. Errors match
-// ErrEval.
-func (s *Stream) Run(emit func(Binding) bool) error {
+// RunRows evaluates a SELECT stream, calling emit for every result row in
+// order — the rows EvalCtx returns, as columns named by Vars with nil for
+// unbound — until emit returns false. Each row is emit's to keep. Errors
+// match ErrEval.
+func (s *Stream) RunRows(emit func([]rdf.Term) bool) error {
 	if s.q.Form != FormSelect {
 		return wrapEval(fmt.Errorf("sparql: Run on an ASK query; use Ask"))
 	}
 	return wrapEval(s.e.execute(s.q, emit, nil))
+}
+
+// Run is RunRows with each row as a Binding of its bound columns.
+func (s *Stream) Run(emit func(Binding) bool) error {
+	return s.RunRows(func(row []rdf.Term) bool { return emit(rowBinding(s.vars, row)) })
 }
 
 // Ask answers an ASK stream, stopping at the first matching solution when
