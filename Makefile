@@ -43,7 +43,7 @@ loc:
 # an entry that a program, bench/e2e or another package's test reaches (a
 # promoted package leaves the list). A catalogue package reaches nothing:
 # its own tests are not counted as importing a helper.
-CATALOGUE := crack graph layout nanocube stats
+CATALOGUE := bundling crack graph layout nanocube stats
 
 # pick 1|0 reads two lists split by a "--" line and prints the lines of the
 # second that are (1) or are not (0) in the first.
