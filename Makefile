@@ -14,58 +14,33 @@ test:
 # The tracked size of the code (ROADMAP, "quality of design"): lines of
 # non-test Go outside bench/ and testdata/, for the tree, for the three
 # packages between the store and what runs on it, for the store alone, for
-# everything that reads or writes RDF terms as text, for this module's
-# packages in the server's import closure (`go list -deps ./cmd/lodvizd`),
-# and for the packages named in CATALOGUE (0 once it is empty).
+# everything that reads or writes RDF terms as text, and for this module's
+# packages in the server's import closure (`go list -deps ./cmd/lodvizd`).
 # CI puts the numbers, and their difference against the merge base, into the
 # job summary of every PR (it runs this recipe in a checkout of the base with
-# `make -f <this file> -C <that tree> loc CATALOGUE=<the base's list>`, so the
-# paths stay relative and each tree is measured by its own catalogue).
+# `make -f <this file> -C <that tree> loc`, so the paths stay relative).
 loc:
 	@printf 'non-test Go lines, tree: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, internal/{sparql,store,explore}: %s\n' "$$(find internal/sparql internal/store internal/explore -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, internal/store: %s\n' "$$(find internal/store -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, internal/{rdf,ntriples,turtle} + sparql/lexer.go: %s\n' "$$(find internal/rdf internal/ntriples internal/turtle internal/sparql/lexer.go -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, reachable from lodvizd: %s\n' "$$($(GO) list -deps -f '{{if and .Module .Module.Main}}{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}{{end}}' ./cmd/lodvizd | xargs cat | wc -l)"
-	@printf 'non-test Go lines, CATALOGUE packages: %s\n' "$(if $(strip $(CATALOGUE)),$$(find $(addprefix internal/,$(CATALOGUE)) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l),0)"
 
 # Reachability (ROADMAP item 5, "delete by default"): every non-test package
 # of the module must be reached by a program — a main package (cmd/...,
 # examples/...) or the end-to-end benchmark (bench/e2e, its own module) —
 # or be imported by another package's tests (a test helper such as
-# internal/analysis/analysistest), or be named in CATALOGUE. Fails naming
-# each package none of these reaches.
-#
-# CATALOGUE is the README's catalogue table: survey-technique packages kept
-# as a tested library with no program. It only shrinks — each entry leaves
-# by deletion with its tests, or by promotion to a served route with a
-# workload step. So reach also fails naming an entry that is no package, and
-# an entry that a program, bench/e2e or another package's test reaches (a
-# promoted package leaves the list). A catalogue package reaches nothing:
-# its own tests are not counted as importing a helper.
-CATALOGUE := bundling crack graph layout nanocube stats
-
-# pick 1|0 reads two lists split by a "--" line and prints the lines of the
-# second that are (1) or are not (0) in the first.
+# internal/analysis/analysistest). Fails naming each package none of these
+# reaches. The awk prints the lines after "--" that are not before it.
 reach:
-	@pick() { awk -v keep=$$1 '$$0 == "--" { b = 1; next } !b { a[$$0] = 1; next } NF && ($$0 in a) == keep'; }; \
-	mod=$$($(GO) list -m); \
-	pkgs=$$($(GO) list ./...); \
-	catalogue=$$(for p in $(CATALOGUE); do echo $$mod/internal/$$p; done); \
+	@mod=$$($(GO) list -m); \
 	roots=$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); \
-	helpers=$$($(GO) list -f '{{$$p := .ImportPath}}{{range .TestImports}}{{if ne . $$p}}{{.}} {{end}}{{end}}{{range .XTestImports}}{{if ne . $$p}}{{.}} {{end}}{{end}}' \
-		$$( { echo "$$catalogue"; echo --; echo "$$pkgs"; } | pick 0) | tr ' ' '\n' | grep "^$$mod\(/\|$$\)" | sort -u); \
-	reached=$$( { $(GO) list -deps $$roots $$helpers; $(GO) list -C bench/e2e -deps .; } | sort -u); \
-	missing=$$( { echo "$$pkgs"; echo --; echo "$$catalogue"; } | pick 0); \
-	promoted=$$( { echo "$$reached"; echo --; echo "$$catalogue"; } | pick 1); \
-	unreached=$$( { echo "$$reached"; echo "$$catalogue"; echo --; echo "$$pkgs"; } | pick 0); \
-	if [ -n "$$missing" ]; then \
-		echo "CATALOGUE names no package:"; echo "$$missing" | sed "s|^$$mod/internal/||"; fi; \
-	if [ -n "$$promoted" ]; then \
-		echo "CATALOGUE names a package that a program, bench/e2e or other package's test reaches:"; echo "$$promoted" | sed "s|^$$mod/internal/||"; fi; \
+	helpers=$$($(GO) list -f '{{$$p := .ImportPath}}{{range .TestImports}}{{if ne . $$p}}{{.}} {{end}}{{end}}{{range .XTestImports}}{{if ne . $$p}}{{.}} {{end}}{{end}}' ./... | \
+		tr ' ' '\n' | grep "^$$mod\(/\|$$\)" | sort -u); \
+	unreached=$$( { $(GO) list -deps $$roots $$helpers; $(GO) list -C bench/e2e -deps .; echo --; $(GO) list ./...; } | \
+		awk '$$0 == "--" { b = 1; next } !b { a[$$0] = 1; next } NF && !($$0 in a)'); \
 	if [ -n "$$unreached" ]; then \
-		echo "no program, bench/e2e, other package's test or CATALOGUE reaches:"; echo "$$unreached"; fi; \
-	if [ -n "$$missing$$promoted$$unreached" ]; then exit 1; fi; \
+		echo "no program, bench/e2e or other package's test reaches:"; echo "$$unreached"; exit 1; fi; \
 	echo "every package is reached"
 
 # Race-detector pass over the concurrent packages: query engine (the
