@@ -83,8 +83,10 @@ cover-server:
 # bytes), the store's term dictionary round-trip (every term a snapshot
 # restore decodes flows through it), the WAL record decoder, the JSON
 # string appender (FuzzAppendJSONString: byte for byte what encoding/json
-# writes) and keyword search (FuzzSearch: the pruned top-k equals scoring
-# every match). CI's fuzz-smoke job runs this target.
+# writes), keyword search (FuzzSearch: the pruned top-k equals scoring
+# every match) and the response cache's SPARQL key (FuzzNormalizeQuery: a
+# query and its key parse to the same query). CI's fuzz-smoke job runs this
+# target.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzNTriples -fuzztime=10s ./internal/ntriples
@@ -94,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzAppendJSONString -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzSearch -fuzztime=10s ./internal/keyword
+	$(GO) test -fuzz=FuzzNormalizeQuery -fuzztime=10s ./internal/server
 
 # Run the exploration server on the embedded demo dataset.
 serve:
@@ -114,28 +117,31 @@ serve-cluster:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-# One-iteration smoke of the BGP join benchmarks, the ingestion benchmarks (bulk AddBatch vs the per-triple
-# Add loop at 100k triples), the federation bind-join benchmarks (batched
-# VALUES dispatch vs one-request-per-binding at 1k bindings), the
-# streaming LIMIT-pushdown pair, the store→hierarchy path (a base
-# collected from scratch, and a cut over a kept one), and the two text
-# decoders a request body goes through (a bulk_ingest-sized N-Triples body,
-# the session_cold query shapes and an INSERT DATA), session_cold's
-# /sparql/stream join run through Stream.Run (about 600 rows; allocations
-# per query), and the store's
-# statistics tally (a summary read at 110k triples; a 2000-triple add+delete
-# with the tally not built and built), a sorted ID run at 110k triples (the
-# 10 000-entry rdf:type run lent from the index, and copied out of it past
-# one tombstone; allocations per run), a term lookup in a 190 000-term
-# dictionary, and the two progressive streams
-# (/sparql/stream at 600 rows; /facets/stream unfiltered, which walks the
-# store — under one page, and past two pages with two estimates — and
-# filtered to 10 entities, which probes them and sends one exact line;
-# allocations per stream):
-# verifies the
-# benchmark paths execute,
-# without timing noise gating CI. Timing regressions are gated separately
-# by bench-regression against the committed baseline.
+# One-iteration smoke of the microbenchmarks, so their paths keep compiling
+# and running without timing noise gating CI (bench-regression gates timing
+# against the committed baseline). -benchmem where allocations are the point.
+#   - BGP joins;
+#   - bulk ingestion (AddBatch vs the per-triple Add loop at 100k triples)
+#     and the snapshot write;
+#   - the store's statistics tally (a summary read at 110k triples; a
+#     2000-triple add+delete with the tally not built and built), a sorted
+#     ID run at 110k triples (the 10 000-entry rdf:type run lent from the
+#     index, and copied out of it past one tombstone) and a term lookup in a
+#     190 000-term dictionary;
+#   - federation bind joins (batched VALUES dispatch vs one request per
+#     binding at 1k bindings);
+#   - the streaming LIMIT-pushdown pair;
+#   - the store→hierarchy path (a base collected from scratch, and a cut
+#     over a kept one);
+#   - the N-Triples decoder on a bulk_ingest-sized body;
+#   - the SPARQL parser on the session_cold query shapes and an INSERT DATA,
+#     and session_cold's /sparql/stream join through Stream.Run (about 600
+#     rows);
+#   - the server's two progressive streams (/sparql/stream at 600 rows;
+#     /facets/stream unfiltered, which walks the store — under one page, and
+#     past two pages with two estimates — and filtered to 10 entities, which
+#     probes them and sends one exact line), and the cache key of the
+#     /sparql shapes session_warm sends (NormalizeQuery).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BGP -benchtime=1x .
 	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite' -benchtime=1x ./internal/store
@@ -145,7 +151,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='FromSource|LevelOverSharedBase' -benchtime=1x -benchmem ./internal/hetree
 	$(GO) test -run='^$$' -bench=ReadAll -benchtime=1x -benchmem ./internal/ntriples
 	$(GO) test -run='^$$' -bench='ParseQuery|StreamJoinRows' -benchtime=1x -benchmem ./internal/sparql
-	$(GO) test -run='^$$' -bench='SPARQLStream|FacetsStream' -benchtime=1x -benchmem ./internal/server
+	$(GO) test -run='^$$' -bench='SPARQLStream|FacetsStream|NormalizeQuery' -benchtime=1x -benchmem ./internal/server
 
 # The end-to-end benchmark (bench/e2e) is its own module, which the root
 # `go test ./...` does not see: vet it, run its unit tests, and play every

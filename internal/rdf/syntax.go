@@ -54,29 +54,58 @@ func ScanIRIRef(s string, i int) (IRI, int, error) {
 	if i >= len(s) || s[i] != '<' {
 		return "", i, errors.New("expected '<'")
 	}
-	escaped := false
-	for j := i + 1; j < len(s); j++ {
-		if !notIRI[s[j]] {
-			continue
-		}
-		switch s[j] {
-		case '>':
-			body := s[i+1 : j]
-			if escaped {
-				var at int
-				var err error
-				if body, at, err = unescape(body, false); err != nil {
-					return "", i + 1 + at, err
-				}
-			}
-			return IRI(body), j + 1, nil
-		case '\\':
-			escaped = true
-		default:
-			return "", j, fmt.Errorf("character %q in IRI", s[j])
+	j, escaped := iriBodyEnd(s, i+1)
+	switch {
+	case j == len(s):
+		return "", i, errors.New("unterminated IRI")
+	case s[j] != '>':
+		return "", j, fmt.Errorf("character %q in IRI", s[j])
+	}
+	body := s[i+1 : j]
+	if escaped {
+		var at int
+		var err error
+		if body, at, err = unescape(body, false); err != nil {
+			return "", i + 1 + at, err
 		}
 	}
-	return "", i, errors.New("unterminated IRI")
+	return IRI(body), j + 1, nil
+}
+
+// IRIRefEnd returns the offset just past the <iri> at s[i], or -1 where
+// ScanIRIRef would fail. It builds no error value, so it is the cheap way to
+// tell the '<' of an IRI from less-than.
+func IRIRefEnd(s string, i int) int {
+	if i >= len(s) || s[i] != '<' {
+		return -1
+	}
+	j, escaped := iriBodyEnd(s, i+1)
+	if j == len(s) || s[j] != '>' {
+		return -1
+	}
+	if escaped {
+		if _, _, err := unescape(s[i+1:j], false); err != nil {
+			return -1
+		}
+	}
+	return j + 1
+}
+
+// iriBodyEnd returns the offset of the first byte at or after s[i] that an
+// IRIREF's body may not hold (the closing '>' when the reference is well
+// formed; len(s) when there is none), and whether a backslash came first.
+func iriBodyEnd(s string, i int) (int, bool) {
+	escaped := false
+	for ; i < len(s); i++ {
+		if !notIRI[s[i]] {
+			continue
+		}
+		if s[i] != '\\' {
+			break
+		}
+		escaped = true
+	}
+	return i, escaped
 }
 
 // unescape resolves the backslash escapes of s: \uXXXX and \UXXXXXXXX
@@ -130,33 +159,54 @@ func unescape(s string, inString bool) (string, int, error) {
 // triples the quote character and may hold single ones — and returns its
 // unescaped body.
 func scanString(s string, i int) (string, int, error) {
+	start, end, escaped := stringSpan(s, i)
+	if end < 0 {
+		return "", i, errors.New("unterminated string")
+	}
+	body := s[start:end]
+	if escaped {
+		var at int
+		var err error
+		if body, at, err = unescape(body, true); err != nil {
+			return "", start + at, err
+		}
+	}
+	return body, end + start - i, nil
+}
+
+// StringEnd returns the offset just past the quoted string at s[i], or -1
+// when it is unterminated. It builds nothing: escapes are skipped, not
+// resolved or checked.
+func StringEnd(s string, i int) int {
+	start, end, _ := stringSpan(s, i)
+	if end < 0 {
+		return -1
+	}
+	return end + start - i
+}
+
+// stringSpan finds the quoted string at s[i]: its body runs from start to
+// end, where a closing delimiter as long as the opening one starts (end is
+// -1 when there is none), and escaped says whether the body holds a
+// backslash.
+func stringSpan(s string, i int) (start, end int, escaped bool) {
 	quote, delim := s[i], s[i:i+1]
 	if i+2 < len(s) && s[i+1] == quote && s[i+2] == quote {
 		delim = s[i : i+3]
 	}
-	start := i + len(delim)
-	escaped := false
+	start = i + len(delim)
 	for j := start; j < len(s); j++ {
 		switch s[j] {
 		case '\\':
 			escaped = true
 			j++ // whatever follows is not the closing quote
 		case quote:
-			if !strings.HasPrefix(s[j:], delim) {
-				continue
+			if strings.HasPrefix(s[j:], delim) {
+				return start, j, escaped
 			}
-			body := s[start:j]
-			if escaped {
-				var at int
-				var err error
-				if body, at, err = unescape(body, true); err != nil {
-					return "", start + at, err
-				}
-			}
-			return body, j + len(delim), nil
 		}
 	}
-	return "", i, errors.New("unterminated string")
+	return start, -1, escaped
 }
 
 // ScanLiteral reads a quoted string with its optional @lang or ^^datatype

@@ -112,6 +112,36 @@ func TestScanNameAndExpand(t *testing.T) {
 	}
 }
 
+// TestScanEnds holds the span-only scanners to the scanners that share
+// their rules: IRIRefEnd is -1 exactly where ScanIRIRef fails and otherwise
+// ends where it ends, and StringEnd ends where a literal's string ends,
+// escapes skipped but not checked.
+func TestScanEnds(t *testing.T) {
+	for _, s := range []string{"<http://e/a> .", "<>", "< 3", "<= 3>", "<a<b>", `<a\u0041>`, `<a\u0020>`, `<a\x>`, `<a"b>`, "<abc", "<a>b>", "x"} {
+		_, want, err := rdf.ScanIRIRef(s, 0)
+		if err != nil {
+			want = -1
+		}
+		if got := rdf.IRIRefEnd(s, 0); got != want {
+			t.Errorf("IRIRefEnd(%q) = %d, want %d", s, got, want)
+		}
+	}
+	for _, c := range []struct {
+		s    string
+		want int
+	}{
+		{`"a" x`, 3}, {`'a'`, 3}, {`"" x`, 2}, {`"""a"b""c""" x`, 12}, {`'''it's'''`, 10},
+		{`"a\"b" x`, 6}, {`"a\\" x`, 5}, {`"a\qb" x`, 6}, {`"unterminated`, -1}, {`"""a""`, -1},
+	} {
+		if got := rdf.StringEnd(c.s, 0); got != c.want {
+			t.Errorf("StringEnd(%q) = %d, want %d", c.s, got, c.want)
+		}
+		if _, end, err := rdf.ScanLiteral(c.s, 0, nil); err == nil && end != c.want {
+			t.Errorf("ScanLiteral(%q) ends at %d, StringEnd at %d", c.s, end, c.want)
+		}
+	}
+}
+
 func TestSkipSpace(t *testing.T) {
 	for in, rest := range map[string]string{
 		"":                    "",

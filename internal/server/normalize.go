@@ -1,108 +1,73 @@
 package server
 
-import "strings"
+import (
+	"strings"
+
+	"github.com/lodviz/lodviz/internal/rdf"
+)
 
 // NormalizeQuery canonicalizes a SPARQL query's insignificant lexical
 // variation so textually different spellings of the same query share one
-// cache entry: runs of whitespace outside quoted strings and IRIs collapse to
-// a single space, comments (# to end of line, outside strings) are dropped,
-// and the result is trimmed. Content inside string literals (single- and
-// double-quoted, short and triple-quoted long forms) and IRIREFs is
-// preserved byte-for-byte, so two queries that normalize equally are the
-// same query — the property the cache key depends on.
+// cache entry: each run of white space and comments between tokens becomes
+// a single space, and the result is trimmed. It reads the text as the SPARQL
+// lexer does, with the same scanners of internal/rdf:
+//   - white space and comments are what rdf.SkipSpace skips;
+//   - a '<' opens an IRI only where rdf.ScanIRIRef would read one, and is
+//     less-than otherwise;
+//   - a string ends where the string scanner ends it, and an unterminated
+//     one runs to the end;
+//   - elsewhere a backslash escapes the byte after it, as in a prefixed name.
+//
+// IRIs and strings are copied byte for byte, so two queries that normalize
+// equally are the same query — the property the cache key depends on. A
+// query that is already normal comes back as it is.
 func NormalizeQuery(q string) string {
 	var b strings.Builder
-	b.Grow(len(q))
-	i := 0
-	pendingSpace := false
-	emit := func(s string) {
-		if pendingSpace && b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		pendingSpace = false
-		b.WriteString(s)
-	}
-	for i < len(q) {
+	done := 0 // q[:done] is written to b, or is kept as it is while b is empty
+	for i := 0; i < len(q); {
 		c := q[i]
 		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f':
-			pendingSpace = true
-			i++
-		case c == '#':
-			// Comment to end of line.
-			for i < len(q) && q[i] != '\n' {
-				i++
-			}
-			pendingSpace = true
 		case c == '<':
-			// IRIREF: copy verbatim through the closing '>' (IRIs cannot
-			// contain whitespace, but copying verbatim is simplest and safe).
-			end := strings.IndexByte(q[i:], '>')
-			if end < 0 {
-				emit(q[i:])
+			if end := rdf.IRIRefEnd(q, i); end >= 0 {
+				i = end
+			} else {
+				i++ // less-than
+			}
+		case c == '"' || c == '\'':
+			if i = rdf.StringEnd(q, i); i < 0 {
 				i = len(q)
-				break
 			}
-			emit(q[i : i+end+1])
-			i += end + 1
-		case c == '\'' || c == '"':
-			emit(copyString(q, &i))
+		case c == '\\':
+			// A prefixed name's escape: the byte after it is the name's
+			// (rdf.ScanName), whatever it would start elsewhere.
+			i = min(i+2, len(q))
+		case c > ' ' && c != '#':
+			// Only a control byte, a space or '#' can start what SkipSpace skips.
+			i++
 		default:
-			// A run of ordinary characters up to the next delimiter.
-			j := i
-			for j < len(q) {
-				d := q[j]
-				if d == ' ' || d == '\t' || d == '\n' || d == '\r' || d == '\f' ||
-					d == '#' || d == '<' || d == '\'' || d == '"' {
-					break
-				}
-				j++
-			}
-			emit(q[i:j])
-			i = j
-		}
-	}
-	return b.String()
-}
-
-// copyString copies a quoted string (short or long form) starting at *i,
-// advancing *i past it, honoring backslash escapes. Unterminated strings are
-// copied to the end of input.
-func copyString(q string, i *int) string {
-	start := *i
-	quote := q[start]
-	// Long form: ''' or """.
-	if strings.HasPrefix(q[start:], strings.Repeat(string(quote), 3)) {
-		delim := strings.Repeat(string(quote), 3)
-		j := start + 3
-		for j < len(q) {
-			if q[j] == '\\' && j+1 < len(q) {
-				j += 2
+			end := rdf.SkipSpace(q, i)
+			between := i > 0 && end < len(q)
+			switch {
+			case end == i:
+				i++
+				continue
+			case between && end == i+1 && c == ' ':
+				i = end
 				continue
 			}
-			if strings.HasPrefix(q[j:], delim) {
-				j += 3
-				*i = j
-				return q[start:j]
+			if b.Cap() == 0 {
+				b.Grow(len(q))
 			}
-			j++
+			b.WriteString(q[done:i])
+			if between {
+				b.WriteByte(' ')
+			}
+			done, i = end, end
 		}
-		*i = len(q)
-		return q[start:]
 	}
-	j := start + 1
-	for j < len(q) {
-		if q[j] == '\\' && j+1 < len(q) {
-			j += 2
-			continue
-		}
-		if q[j] == quote {
-			j++
-			*i = j
-			return q[start:j]
-		}
-		j++
+	if done == 0 {
+		return q
 	}
-	*i = len(q)
-	return q[start:]
+	b.WriteString(q[done:])
+	return b.String()
 }

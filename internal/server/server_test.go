@@ -244,6 +244,34 @@ func TestCacheNormalizedQueryShared(t *testing.T) {
 	}
 }
 
+// TestCacheKeyReadsStringAfterLessThan: a '<' that is less-than opens no
+// IRI, so the string after it is read whole, '>' and '#' included. Two
+// queries that differ only after that string keep their own entries, and a
+// SERVICE clause there still bypasses the cache.
+func TestCacheKeyReadsStringAfterLessThan(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	for _, limit := range []int{1, 2} {
+		q := fmt.Sprintf("SELECT ?s WHERE { %s} LIMIT %d", lessThanThenString, limit)
+		var doc sparqlDoc
+		resp := getJSON(t, ts.URL+"/sparql?query="+url.QueryEscape(q), &doc)
+		if got := len(doc.Results.Bindings); got != limit {
+			t.Errorf("LIMIT %d: %d rows (X-Cache %s)", limit, got, resp.Header.Get("X-Cache"))
+		}
+	}
+	_, remote, _ := newTestServer(t, Config{})
+	q := fmt.Sprintf("SELECT ?s WHERE { %sSERVICE <%s/sparql> { ?s ?p ?o } } LIMIT 1", lessThanThenString, remote.URL)
+	for i := 0; i < 2; i++ {
+		var doc sparqlDoc
+		resp := getJSON(t, ts.URL+"/sparql?query="+url.QueryEscape(q), &doc)
+		if resp.StatusCode != http.StatusOK || len(doc.Results.Bindings) != 1 {
+			t.Fatalf("SERVICE query %d: status %d, %d rows", i, resp.StatusCode, len(doc.Results.Bindings))
+		}
+		if got := resp.Header.Get("X-Cache"); got == "HIT" {
+			t.Errorf("SERVICE query %d answered from the cache", i)
+		}
+	}
+}
+
 func TestETag304RoundTrip(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	u := ts.URL + "/stats"

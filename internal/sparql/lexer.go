@@ -254,11 +254,7 @@ func (lx *lexer) next() (tok, error) {
 	case '_':
 		return lx.term(rdf.ScanBlankLabel(lx.src, start))
 	case '[':
-		j := lx.pos + 1
-		for j < len(lx.src) && (lx.src[j] == ' ' || lx.src[j] == '\t') {
-			j++
-		}
-		if j < len(lx.src) && lx.src[j] == ']' {
+		if j := rdf.SkipSpace(lx.src, lx.pos+1); j < len(lx.src) && lx.src[j] == ']' {
 			lx.pos = j + 1
 			return tok{kind: tAnon, pos: start}, nil
 		}

@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/lodviz/lodviz/internal/rdf"
@@ -515,6 +516,24 @@ func TestParseErrors(t *testing.T) {
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", q)
+		}
+	}
+}
+
+// TestAnonSpacing: the white space inside [] is the white space between
+// tokens, newlines and comments included, so a query reads the same after
+// the server's cache key has collapsed it.
+func TestAnonSpacing(t *testing.T) {
+	want, err := Parse("SELECT ?s WHERE { ?s ?p [] }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"SELECT ?s WHERE { ?s ?p [ ] }", "SELECT ?s WHERE { ?s ?p [\n\t] }", "SELECT ?s WHERE { ?s ?p [ # none\n] }"} {
+		got, err := Parse(q)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", q, err)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("Parse(%q) = %+v, want %+v", q, got, want)
 		}
 	}
 }
