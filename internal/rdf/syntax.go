@@ -73,8 +73,8 @@ func ScanIRIRef(s string, i int) (IRI, int, error) {
 }
 
 // IRIRefEnd returns the offset just past the <iri> at s[i], or -1 where
-// ScanIRIRef would fail. It builds no error value, so it is the cheap way to
-// tell the '<' of an IRI from less-than.
+// ScanIRIRef would fail. Short of a malformed escape it builds no error
+// value, so it is the cheap way to tell the '<' of an IRI from less-than.
 func IRIRefEnd(s string, i int) int {
 	if i >= len(s) || s[i] != '<' {
 		return -1
