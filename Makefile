@@ -14,7 +14,8 @@ test:
 # The tracked size of the code (ROADMAP, "quality of design"): lines of
 # non-test Go outside bench/ and testdata/, for the tree, for the three
 # packages between the store and what runs on it, for the store alone, for
-# everything that reads or writes RDF terms as text, and for this module's
+# everything that reads or writes RDF terms as text or in the binary spelling
+# the WAL and the snapshot share (internal/rdf), and for this module's
 # packages in the server's import closure (`go list -deps ./cmd/lodvizd`).
 # CI puts the numbers, and their difference against the merge base, into the
 # job summary of every PR (it runs this recipe in a checkout of the base with
@@ -81,7 +82,9 @@ cover-server:
 # syntax they share (FuzzTermText: every reader reads back what Term.String
 # wrote), the federation results decoder (it consumes untrusted remote
 # bytes), the store's term dictionary round-trip (every term a snapshot
-# restore decodes flows through it), the WAL record decoder, the JSON
+# restore decodes flows through it), the binary term codec the WAL and the
+# snapshot share (FuzzBinaryTerm: what it accepts re-encodes to the same
+# bytes, and every term round-trips), the WAL record decoder, the JSON
 # string appender (FuzzAppendJSONString: byte for byte what encoding/json
 # writes), keyword search (FuzzSearch: the pruned top-k equals scoring
 # every match) and the response cache's SPARQL key (FuzzNormalizeQuery: a
@@ -93,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTermText -fuzztime=10s ./internal/rdf
 	$(GO) test -fuzz=FuzzDecodeResults -fuzztime=10s ./internal/federation
 	$(GO) test -fuzz=FuzzDictionaryRoundTrip -fuzztime=10s ./internal/store
+	$(GO) test -fuzz=FuzzBinaryTerm -fuzztime=10s ./internal/rdf
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=10s ./internal/wal
 	$(GO) test -fuzz=FuzzAppendJSONString -fuzztime=10s ./internal/sparql
 	$(GO) test -fuzz=FuzzSearch -fuzztime=10s ./internal/keyword
@@ -121,8 +125,9 @@ bench:
 # and running without timing noise gating CI (bench-regression gates timing
 # against the committed baseline). -benchmem where allocations are the point.
 #   - BGP joins;
-#   - bulk ingestion (AddBatch vs the per-triple Add loop at 100k triples)
-#     and the snapshot write;
+#   - bulk ingestion (AddBatch vs the per-triple Add loop at 100k triples),
+#     the snapshot write and restore of that store, and the decode of one
+#     WAL record of a bulk_ingest batch (2 000 triples);
 #   - the store's statistics tally (a summary read at 110k triples; a
 #     2000-triple add+delete with the tally not built and built), a sorted
 #     ID run at 110k triples (the 10 000-entry rdf:type run lent from the
@@ -144,7 +149,8 @@ bench:
 #     /sparql shapes session_warm sends (NormalizeQuery).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BGP -benchtime=1x .
-	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite' -benchtime=1x ./internal/store
+	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite|SnapshotRead' -benchtime=1x ./internal/store
+	$(GO) test -run='^$$' -bench=DecodePayload -benchtime=1x -benchmem ./internal/wal
 	$(GO) test -run='^$$' -bench='ComputeStats|AddDeleteBatch2000|ScanIDs|LookupTerm' -benchtime=1x -benchmem ./internal/store
 	$(GO) test -run='^$$' -bench=BindJoin -benchtime=1x ./internal/federation
 	$(GO) test -run='^$$' -bench=LimitPushdown -benchtime=1x .

@@ -6,7 +6,7 @@
 // Two tiers:
 //
 //   - Acknowledgement-bearing calls — (*wal.Log).Append / Sync / Close,
-//     snapshot writer calls ((*snapshot.Writer).Term/Triple/Stats/Close),
+//     snapshot writer calls ((*snapshot.Writer).Term/Triple/Close),
 //     and the store's WriteSnapshot / WriteSnapshotFile — must have their
 //     error consumed, period. Even an explicit `_ =` is a finding: if the
 //     error truly cannot matter at a site, say why with //lint:allow.
@@ -109,7 +109,7 @@ func checkDropped(pass *analysis.Pass, call *ast.CallExpr, strict, explicitBlank
 	case analysis.IsNamed(recv, "internal/wal", "Log") && (name == "Append" || name == "Sync" || name == "Close"):
 		pass.Reportf(pos, "error from (*wal.Log).%s discarded: an unobserved WAL %s is acknowledged-write loss", name, verb(name))
 		return
-	case analysis.IsNamed(recv, "internal/snapshot", "Writer") && (name == "Term" || name == "Triple" || name == "Stats" || name == "Close"):
+	case analysis.IsNamed(recv, "internal/snapshot", "Writer") && (name == "Term" || name == "Triple" || name == "Close"):
 		pass.Reportf(pos, "error from (*snapshot.Writer).%s discarded: a torn snapshot write must surface at the call site", name)
 		return
 	case analysis.IsNamed(recv, "internal/store", "Store") && (name == "WriteSnapshot" || name == "WriteSnapshotFile"):

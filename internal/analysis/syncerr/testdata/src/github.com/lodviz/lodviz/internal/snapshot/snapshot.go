@@ -5,5 +5,4 @@ type Writer struct{}
 
 func (w *Writer) Term(s string) error   { return nil }
 func (w *Writer) Triple(s string) error { return nil }
-func (w *Writer) Stats() error          { return nil }
 func (w *Writer) Close() error          { return nil }

@@ -12,7 +12,8 @@
 // labels, numeric shorthands, prefixed names, white space and comments — for
 // every consumer: internal/ntriples, internal/turtle, internal/sparql and the
 // server's URL parameters scan no terminal of their own, so a term loaded one
-// way is spelled the same way, and found, through the others.
+// way is spelled the same way, and found, through the others. binary.go is the
+// one binary spelling, which internal/wal and internal/snapshot both write.
 package rdf
 
 import (

@@ -2,21 +2,19 @@
 // checksummed binary encoding of a dictionary-encoded triple store
 // (dictionary terms followed by the sorted SPO index).
 //
-// The format is deliberately dumb and sequential — one pass to write, one
-// pass to read, no seeking — so snapshots stream through bounded buffers and
-// a partial write can never masquerade as a complete snapshot:
+// The format is sequential — one pass to write, one pass to read, no
+// seeking. The writer streams through a bounded buffer; the reader holds the
+// whole image in memory and checks its checksum before it decodes a byte, so
+// a partial or damaged file never reaches the decoder:
 //
 //	offset 0   magic   "LODVSNAP" (8 bytes)
-//	offset 8   version uint32 LE
+//	offset 8   version uint32 LE (Version)
 //	offset 12  terms   uint64 LE (dictionary entries; IDs are 1..terms)
 //	offset 20  triples uint64 LE
-//	           dictionary: per term a kind byte (rdf.TermKind) and its
-//	           length-prefixed string fields (IRI/blank: one field;
-//	           literal: lexical, datatype, lang)
-//	           SPO index (version 1): per triple uvarint(s - prevS),
-//	           uvarint(p), uvarint(o) — subjects are non-decreasing in SPO
-//	           order, so delta coding keeps hub-heavy graphs compact
-//	           SPO index (version 2): full (s,p,o) delta coding. Per triple
+//	           dictionary: per term its rdf.AppendBinary spelling, a kind
+//	           byte (rdf.TermKind) and its length-prefixed string fields
+//	           (IRI/blank: one field; literal: lexical, datatype, lang)
+//	           SPO index: full (s,p,o) delta coding. Per triple
 //	           uvarint(ds = s - prevS); if ds > 0, uvarint(p) and
 //	           uvarint(o) follow plain. If ds == 0 the subject repeats, so
 //	           uvarint(dp = p - prevP); if dp > 0, uvarint(o) follows
@@ -25,25 +23,21 @@
 //	           every delta on a repeated prefix ≥ 1, so nothing is lost.
 //	           Hub subjects with one multi-valued predicate (the common LOD
 //	           shape) collapse to ~1 byte per triple.
-//	           stats (version 2 only): uvarint(count), then per predicate —
-//	           ascending uvarint(pid), uvarint(triples),
-//	           uvarint(distinct subjects), uvarint(distinct objects) — the
-//	           per-predicate cardinality table, persisted so a restored
-//	           store starts with a warm query planner instead of an O(n)
-//	           rescan.
+//	           stats: uvarint(count), then count entries of four uvarints.
+//	           The writer writes count 0; the reader skips the entries an
+//	           older writer filled in.
 //	trailer    crc32   uint32 LE, IEEE, over every preceding byte
 //
-// This package owns only the wire format; the store package layers
-// Store.WriteSnapshot / ReadSnapshot on top of it. Readers accept both
-// versions; the writer produces the current one only.
+// Every uvarint has one spelling (rdf.Uvarint). The version rule: a reader
+// accepts exactly Version, the version the writer writes; any other version
+// is ErrVersion. This package owns only the wire format; the store package
+// layers Store.WriteSnapshot / ReadSnapshot on top of it.
 package snapshot
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 
@@ -53,21 +47,14 @@ import (
 // Magic identifies a lodviz snapshot file.
 const Magic = "LODVSNAP"
 
-// Version is the current (default) format version.
+// Version is the format version the writer writes and the reader accepts.
 const Version = 2
 
-// VersionV1 is the legacy format: subject-only delta coding, no stats
-// section. Readers still accept it (the tests restore committed images of
-// it); nothing writes it any more.
-const VersionV1 = 1
-
-// maxStringLen bounds one decoded string field; longer lengths are treated
-// as corruption rather than honored as allocations.
-const maxStringLen = 1 << 30
-
-// maxStatsEntries bounds the decoded stats table; the count is unverified
-// until the trailing checksum, so it must not drive allocations.
-const maxStatsEntries = 1 << 26
+// headerLen and trailerLen frame the body of an image.
+const (
+	headerLen  = 28
+	trailerLen = 4
+)
 
 // Format errors. Read-side failures wrap one of these.
 var (
@@ -77,60 +64,51 @@ var (
 	ErrCorrupt  = errors.New("snapshot: corrupt payload")
 )
 
-// PredStat is one persisted per-predicate cardinality record (version 2).
-type PredStat struct {
-	// Pred is the predicate's dictionary ID.
-	Pred uint32
-	// Triples, DistinctSubjects and DistinctObjects mirror
-	// store.PredCardinality.
-	Triples          uint64
-	DistinctSubjects uint64
-	DistinctObjects  uint64
-}
-
 // Writer serializes one snapshot. Use NewWriter, then exactly the declared
-// number of Term and Triple calls, optionally Stats, then Close.
+// number of Term and Triple calls, then Close.
 type Writer struct {
-	bw       *bufio.Writer
-	crc      hash.Hash32
-	out      io.Writer // bw and crc
-	prevS    uint32
-	prevP    uint32
-	prevO    uint32
-	anyT     bool
-	statsSet bool
-	scratch  [binary.MaxVarintLen64]byte
+	w     io.Writer
+	crc   uint32
+	buf   []byte // encoded, not yet written
+	prevS uint32
+	prevP uint32
+	prevO uint32
+	anyT  bool
 }
 
-// NewWriter starts a current-version snapshot on w and writes the header,
-// declaring the dictionary and triple counts up front.
+// flushAt is the buffered size at which the writer passes its buffer on.
+const flushAt = 1 << 16
+
+// NewWriter starts a snapshot on w and writes the header, declaring the
+// dictionary and triple counts up front.
 func NewWriter(w io.Writer, numTerms, numTriples int) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	sw := &Writer{bw: bw, crc: crc32.NewIEEE()}
-	sw.out = io.MultiWriter(bw, sw.crc)
-	var hdr [28]byte
-	copy(hdr[:8], Magic)
-	binary.LittleEndian.PutUint32(hdr[8:12], Version)
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(numTerms))
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(numTriples))
-	if _, err := sw.out.Write(hdr[:]); err != nil {
+	// Room past flushAt for the entry that crosses it, so a typical
+	// snapshot never grows the buffer.
+	sw := &Writer{w: w, buf: make([]byte, 0, flushAt+1<<10)}
+	sw.buf = append(sw.buf, Magic...)
+	sw.buf = binary.LittleEndian.AppendUint32(sw.buf, Version)
+	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, uint64(numTerms))
+	sw.buf = binary.LittleEndian.AppendUint64(sw.buf, uint64(numTriples))
+	if err := sw.flush(); err != nil {
 		return nil, fmt.Errorf("snapshot: writing header: %w", err)
 	}
 	return sw, nil
 }
 
-func (sw *Writer) writeUvarint(v uint64) error {
-	n := binary.PutUvarint(sw.scratch[:], v)
-	_, err := sw.out.Write(sw.scratch[:n])
+// flush checksums the buffer and writes it out.
+func (sw *Writer) flush() error {
+	sw.crc = crc32.Update(sw.crc, crc32.IEEETable, sw.buf)
+	_, err := sw.w.Write(sw.buf)
+	sw.buf = sw.buf[:0]
 	return err
 }
 
-func (sw *Writer) writeString(s string) error {
-	if err := sw.writeUvarint(uint64(len(s))); err != nil {
-		return err
+// spill flushes once the buffer has reached flushAt.
+func (sw *Writer) spill() error {
+	if len(sw.buf) < flushAt {
+		return nil
 	}
-	_, err := io.WriteString(sw.out, s)
-	return err
+	return sw.flush()
 }
 
 // Term appends one dictionary entry. Terms must be written in ID order.
@@ -138,26 +116,8 @@ func (sw *Writer) Term(t rdf.Term) error {
 	if t == nil {
 		return fmt.Errorf("snapshot: nil term")
 	}
-	kind := t.Kind()
-	if _, err := sw.out.Write([]byte{byte(kind)}); err != nil {
-		return err
-	}
-	switch v := t.(type) {
-	case rdf.IRI:
-		return sw.writeString(string(v))
-	case rdf.BlankNode:
-		return sw.writeString(string(v))
-	case rdf.Literal:
-		if err := sw.writeString(v.Lexical); err != nil {
-			return err
-		}
-		if err := sw.writeString(string(v.Datatype)); err != nil {
-			return err
-		}
-		return sw.writeString(v.Lang)
-	default:
-		return fmt.Errorf("snapshot: unsupported term kind %v", kind)
-	}
+	sw.buf = rdf.AppendBinary(sw.buf, t)
+	return sw.spill()
 }
 
 // Triple appends one SPO entry. Triples must arrive in SPO-sorted order,
@@ -167,8 +127,7 @@ func (sw *Writer) Triple(s, p, o uint32) error {
 	if s < sw.prevS {
 		return fmt.Errorf("snapshot: triples out of SPO order (subject %d after %d)", s, sw.prevS)
 	}
-	ds := s - sw.prevS
-	if ds == 0 && sw.anyT {
+	if ds := s - sw.prevS; ds == 0 && sw.anyT {
 		if p < sw.prevP {
 			return fmt.Errorf("snapshot: triples out of SPO order (predicate %d after %d under subject %d)", p, sw.prevP, s)
 		}
@@ -176,18 +135,12 @@ func (sw *Writer) Triple(s, p, o uint32) error {
 		if dp == 0 && o <= sw.prevO {
 			return fmt.Errorf("snapshot: triples out of SPO order (object %d after %d under subject %d predicate %d)", o, sw.prevO, s, p)
 		}
-		if err := sw.writeUvarint(0); err != nil {
-			return err
-		}
-		if err := sw.writeUvarint(uint64(dp)); err != nil {
-			return err
-		}
+		sw.buf = append(sw.buf, 0)
+		sw.buf = binary.AppendUvarint(sw.buf, uint64(dp))
 		if dp == 0 {
-			if err := sw.writeUvarint(uint64(o - sw.prevO)); err != nil {
-				return err
-			}
-		} else if err := sw.writeUvarint(uint64(o)); err != nil {
-			return err
+			sw.buf = binary.AppendUvarint(sw.buf, uint64(o-sw.prevO))
+		} else {
+			sw.buf = binary.AppendUvarint(sw.buf, uint64(o))
 		}
 	} else {
 		// New subject (the very first triple lands here too: its delta from
@@ -195,133 +148,68 @@ func (sw *Writer) Triple(s, p, o uint32) error {
 		if s == 0 {
 			return fmt.Errorf("snapshot: triple subject 0 is not a valid ID")
 		}
-		if err := sw.writeUvarint(uint64(ds)); err != nil {
-			return err
-		}
-		if err := sw.writeUvarint(uint64(p)); err != nil {
-			return err
-		}
-		if err := sw.writeUvarint(uint64(o)); err != nil {
-			return err
-		}
+		sw.buf = binary.AppendUvarint(sw.buf, uint64(ds))
+		sw.buf = binary.AppendUvarint(sw.buf, uint64(p))
+		sw.buf = binary.AppendUvarint(sw.buf, uint64(o))
 	}
 	sw.prevS, sw.prevP, sw.prevO, sw.anyT = s, p, o, true
-	return nil
+	return sw.spill()
 }
 
-// Stats appends the per-predicate cardinality table (at most once, after the
-// triples). Entries must arrive sorted by ascending Pred.
-func (sw *Writer) Stats(stats []PredStat) error {
-	if sw.statsSet {
-		return fmt.Errorf("snapshot: stats written twice")
-	}
-	sw.statsSet = true
-	if err := sw.writeUvarint(uint64(len(stats))); err != nil {
-		return err
-	}
-	prev := uint32(0)
-	for i, st := range stats {
-		if st.Pred == 0 || (i > 0 && st.Pred <= prev) {
-			return fmt.Errorf("snapshot: stats not sorted by predicate ID at entry %d", i)
-		}
-		prev = st.Pred
-		if err := sw.writeUvarint(uint64(st.Pred)); err != nil {
-			return err
-		}
-		if err := sw.writeUvarint(st.Triples); err != nil {
-			return err
-		}
-		if err := sw.writeUvarint(st.DistinctSubjects); err != nil {
-			return err
-		}
-		if err := sw.writeUvarint(st.DistinctObjects); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close seals the snapshot: an empty stats section is streamed if none was
-// written, then the checksum trailer is appended and flushed. It does not
-// close the underlying writer.
+// Close seals the snapshot: it writes the empty stats section and the
+// checksum trailer. It does not close the underlying writer.
 func (sw *Writer) Close() error {
-	if !sw.statsSet {
-		if err := sw.Stats(nil); err != nil {
-			return err
-		}
-	}
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], sw.crc.Sum32())
-	if _, err := sw.bw.Write(tr[:]); err != nil {
+	sw.buf = append(sw.buf, 0) // stats count
+	sw.crc = crc32.Update(sw.crc, crc32.IEEETable, sw.buf)
+	sw.buf = binary.LittleEndian.AppendUint32(sw.buf, sw.crc)
+	if _, err := sw.w.Write(sw.buf); err != nil {
 		return fmt.Errorf("snapshot: writing checksum: %w", err)
 	}
-	if err := sw.bw.Flush(); err != nil {
-		return fmt.Errorf("snapshot: flush: %w", err)
-	}
 	return nil
 }
 
-// crcReader feeds every byte read through the running checksum.
-type crcReader struct {
-	r   *bufio.Reader
-	crc hash.Hash32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.crc.Write(p[:n])
-	}
-	return n, err
-}
-
-func (c *crcReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.crc.Write([]byte{b})
-	}
-	return b, err
-}
-
-// Reader deserializes one snapshot. Use NewReader, then exactly NumTerms
-// Term calls and NumTriples Triple calls, optionally Stats (version 2), then
-// Close to verify the checksum.
+// Reader decodes one snapshot image held in memory. Use NewReader, then
+// exactly NumTerms Term calls and NumTriples Triple calls, then Close.
 type Reader struct {
-	raw       *bufio.Reader
-	cr        *crcReader
-	version   uint32
-	terms     uint64
-	tris      uint64
-	prevS     uint32
-	prevP     uint32
-	prevO     uint32
-	anyT      bool
-	statsRead bool
+	body  []byte // between header and trailer
+	off   int    // next byte of body to decode
+	terms uint64
+	tris  uint64
+	prevS uint32
+	prevP uint32
+	prevO uint32
+	anyT  bool
 }
 
-// NewReader reads and validates the snapshot header on r. Both format
-// versions are accepted; Version reports which one the stream uses.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	sr := &Reader{raw: br, cr: &crcReader{r: br, crc: crc32.NewIEEE()}}
-	var hdr [28]byte
-	if _, err := io.ReadFull(sr.cr, hdr[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: reading header: %w", err)
-	}
-	if string(hdr[:8]) != Magic {
+// NewReader checks image's magic, version and checksum, in that order, before
+// anything is decoded. It bounds the header's counts by the image's length (a
+// term takes at least two bytes, a triple at least three) and the terms by
+// the uint32 IDs that name them, so a caller may allocate by the counts.
+func NewReader(image []byte) (*Reader, error) {
+	if len(image) >= 8 && string(image[:8]) != Magic {
 		return nil, ErrBadMagic
 	}
-	sr.version = binary.LittleEndian.Uint32(hdr[8:12])
-	if sr.version != VersionV1 && sr.version != Version {
-		return nil, fmt.Errorf("%w: got %d, support %d and %d", ErrVersion, sr.version, VersionV1, Version)
+	if len(image) < headerLen+trailerLen {
+		return nil, fmt.Errorf("%w: image of %d bytes is shorter than header and trailer", ErrChecksum, len(image))
 	}
-	sr.terms = binary.LittleEndian.Uint64(hdr[12:20])
-	sr.tris = binary.LittleEndian.Uint64(hdr[20:28])
+	if v := binary.LittleEndian.Uint32(image[8:12]); v != Version {
+		return nil, fmt.Errorf("%w: got %d, support %d", ErrVersion, v, Version)
+	}
+	end := len(image) - trailerLen
+	if got, want := binary.LittleEndian.Uint32(image[end:]), crc32.ChecksumIEEE(image[:end]); got != want {
+		return nil, fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, got, want)
+	}
+	sr := &Reader{
+		body:  image[headerLen:end],
+		terms: binary.LittleEndian.Uint64(image[12:20]),
+		tris:  binary.LittleEndian.Uint64(image[20:28]),
+	}
+	room := uint64(len(sr.body))
+	if sr.terms > min(room/2, 1<<32-2) || sr.tris > (room-2*sr.terms)/3 {
+		return nil, corrupt("header claims %d terms and %d triples in a %d-byte body", sr.terms, sr.tris, room)
+	}
 	return sr, nil
 }
-
-// Version returns the stream's format version.
-func (sr *Reader) Version() int { return int(sr.version) }
 
 // NumTerms returns the declared dictionary size.
 func (sr *Reader) NumTerms() uint64 { return sr.terms }
@@ -329,120 +217,57 @@ func (sr *Reader) NumTerms() uint64 { return sr.terms }
 // NumTriples returns the declared triple count.
 func (sr *Reader) NumTriples() uint64 { return sr.tris }
 
-func (sr *Reader) readString() (string, error) {
-	n, err := binary.ReadUvarint(sr.cr)
-	if err != nil {
-		return "", corrupt("string length: %v", err)
-	}
-	if n > maxStringLen {
-		return "", corrupt("string length %d exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(sr.cr, buf); err != nil {
-		return "", corrupt("string body: %v", err)
-	}
-	return string(buf), nil
-}
-
-// Term reads the next dictionary entry.
+// Term decodes the next dictionary entry.
 func (sr *Reader) Term() (rdf.Term, error) {
-	kind, err := sr.cr.ReadByte()
+	t, n, err := rdf.DecodeBinary(sr.body[sr.off:])
 	if err != nil {
-		return nil, corrupt("term kind: %v", err)
+		return nil, corrupt("term at offset %d: %v", headerLen+sr.off, err)
 	}
-	switch rdf.TermKind(kind) {
-	case rdf.KindIRI:
-		s, err := sr.readString()
-		if err != nil {
-			return nil, err
-		}
-		return rdf.IRI(s), nil
-	case rdf.KindBlank:
-		s, err := sr.readString()
-		if err != nil {
-			return nil, err
-		}
-		return rdf.BlankNode(s), nil
-	case rdf.KindLiteral:
-		lex, err := sr.readString()
-		if err != nil {
-			return nil, err
-		}
-		dt, err := sr.readString()
-		if err != nil {
-			return nil, err
-		}
-		lang, err := sr.readString()
-		if err != nil {
-			return nil, err
-		}
-		return rdf.Literal{Lexical: lex, Datatype: rdf.IRI(dt), Lang: lang}, nil
-	default:
-		return nil, corrupt("unknown term kind %d", kind)
-	}
+	sr.off += n
+	return t, nil
 }
 
-// Triple reads the next SPO entry, undoing the version's delta coding.
+func (sr *Reader) uvarint(what string) (uint64, error) {
+	v, n := rdf.Uvarint(sr.body[sr.off:])
+	if n == 0 {
+		return 0, corrupt("%s: bad uvarint at offset %d", what, headerLen+sr.off)
+	}
+	sr.off += n
+	return v, nil
+}
+
+// Triple decodes the next SPO entry, undoing the delta coding.
 func (sr *Reader) Triple() (s, p, o uint32, err error) {
-	ds, err := binary.ReadUvarint(sr.cr)
+	ds, err := sr.uvarint("triple subject")
 	if err != nil {
-		return 0, 0, 0, corrupt("triple subject: %v", err)
+		return 0, 0, 0, err
 	}
-	if sr.version == VersionV1 {
-		pv, err := binary.ReadUvarint(sr.cr)
-		if err != nil {
-			return 0, 0, 0, corrupt("triple predicate: %v", err)
-		}
-		ov, err := binary.ReadUvarint(sr.cr)
-		if err != nil {
-			return 0, 0, 0, corrupt("triple object: %v", err)
-		}
-		sv := uint64(sr.prevS) + ds
-		if sv > 1<<32-1 || pv > 1<<32-1 || ov > 1<<32-1 {
-			return 0, 0, 0, corrupt("triple ID overflows uint32")
-		}
-		sr.prevS = uint32(sv)
-		return uint32(sv), uint32(pv), uint32(ov), nil
-	}
+	sv, pv := uint64(sr.prevS)+ds, uint64(sr.prevP)
+	var ov uint64
 	if ds == 0 && sr.anyT {
 		// Repeated subject: predicate delta follows.
-		dp, err := binary.ReadUvarint(sr.cr)
+		dp, err := sr.uvarint("triple predicate delta")
 		if err != nil {
-			return 0, 0, 0, corrupt("triple predicate delta: %v", err)
+			return 0, 0, 0, err
 		}
-		var ov uint64
-		if dp == 0 {
-			do, err := binary.ReadUvarint(sr.cr)
-			if err != nil {
-				return 0, 0, 0, corrupt("triple object delta: %v", err)
-			}
-			if do == 0 {
+		if ov, err = sr.uvarint("triple object"); err != nil {
+			return 0, 0, 0, err
+		}
+		if pv += dp; dp == 0 {
+			if ov == 0 {
 				return 0, 0, 0, corrupt("duplicate triple in SPO stream")
 			}
-			ov = uint64(sr.prevO) + do
-		} else {
-			ov, err = binary.ReadUvarint(sr.cr)
-			if err != nil {
-				return 0, 0, 0, corrupt("triple object: %v", err)
-			}
+			ov += uint64(sr.prevO)
 		}
-		pv := uint64(sr.prevP) + dp
-		if pv > 1<<32-1 || ov > 1<<32-1 {
-			return 0, 0, 0, corrupt("triple ID overflows uint32")
+	} else {
+		// New subject: predicate and object arrive plain.
+		if pv, err = sr.uvarint("triple predicate"); err != nil {
+			return 0, 0, 0, err
 		}
-		sr.prevP, sr.prevO = uint32(pv), uint32(ov)
-		return sr.prevS, sr.prevP, sr.prevO, nil
+		if ov, err = sr.uvarint("triple object"); err != nil {
+			return 0, 0, 0, err
+		}
 	}
-	// New subject: predicate and object arrive plain.
-	pv, err := binary.ReadUvarint(sr.cr)
-	if err != nil {
-		return 0, 0, 0, corrupt("triple predicate: %v", err)
-	}
-	ov, err := binary.ReadUvarint(sr.cr)
-	if err != nil {
-		return 0, 0, 0, corrupt("triple object: %v", err)
-	}
-	sv := uint64(sr.prevS) + ds
 	if sv > 1<<32-1 || pv > 1<<32-1 || ov > 1<<32-1 {
 		return 0, 0, 0, corrupt("triple ID overflows uint32")
 	}
@@ -450,70 +275,23 @@ func (sr *Reader) Triple() (s, p, o uint32, err error) {
 	return sr.prevS, sr.prevP, sr.prevO, nil
 }
 
-// Stats reads the version-2 per-predicate cardinality table; it must be
-// called after the declared triples. Version-1 streams have none and return
-// nil. Entries arrive sorted by ascending predicate ID referencing the
-// declared dictionary.
-func (sr *Reader) Stats() ([]PredStat, error) {
-	if sr.version == VersionV1 {
-		return nil, nil
-	}
-	if sr.statsRead {
-		return nil, corrupt("stats section read twice")
-	}
-	sr.statsRead = true
-	count, err := binary.ReadUvarint(sr.cr)
-	if err != nil {
-		return nil, corrupt("stats count: %v", err)
-	}
-	if count > maxStatsEntries {
-		return nil, corrupt("stats count %d exceeds limit", count)
-	}
-	const maxHint = 1 << 16
-	out := make([]PredStat, 0, min(count, maxHint))
-	prev := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		pid, err := binary.ReadUvarint(sr.cr)
-		if err != nil {
-			return nil, corrupt("stats predicate: %v", err)
-		}
-		if pid == 0 || pid <= prev || pid > sr.terms {
-			return nil, corrupt("stats predicate ID %d invalid at entry %d", pid, i)
-		}
-		prev = pid
-		var vals [3]uint64
-		for j := range vals {
-			if vals[j], err = binary.ReadUvarint(sr.cr); err != nil {
-				return nil, corrupt("stats entry %d: %v", i, err)
-			}
-		}
-		out = append(out, PredStat{
-			Pred:             uint32(pid),
-			Triples:          vals[0],
-			DistinctSubjects: vals[1],
-			DistinctObjects:  vals[2],
-		})
-	}
-	return out, nil
-}
-
-// Close reads the checksum trailer and verifies it against everything read
-// so far. It must be called after the declared terms and triples have been
-// consumed; a version-2 stats section not consumed via Stats is read and
-// discarded so the checksum still covers the whole stream.
+// Close skips the stats section, which follows the declared triples, and
+// checks that the trailer comes right after it.
 func (sr *Reader) Close() error {
-	if sr.version != VersionV1 && !sr.statsRead {
-		if _, err := sr.Stats(); err != nil {
+	count, err := sr.uvarint("stats count")
+	if err != nil {
+		return err
+	}
+	if count > uint64(len(sr.body)-sr.off)/4 {
+		return corrupt("stats count %d exceeds the image", count)
+	}
+	for i := uint64(0); i < 4*count; i++ {
+		if _, err := sr.uvarint("stats entry"); err != nil {
 			return err
 		}
 	}
-	want := sr.cr.crc.Sum32()
-	var tr [4]byte
-	if _, err := io.ReadFull(sr.raw, tr[:]); err != nil {
-		return fmt.Errorf("%w: missing checksum trailer: %v", ErrChecksum, err)
-	}
-	if got := binary.LittleEndian.Uint32(tr[:]); got != want {
-		return fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, got, want)
+	if rest := len(sr.body) - sr.off; rest != 0 {
+		return corrupt("%d bytes after the stats section", rest)
 	}
 	return nil
 }

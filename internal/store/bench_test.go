@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -120,6 +121,30 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := st.WriteSnapshot(discard{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnapshotRead restores the 100k-triple store BenchmarkSnapshotWrite
+// serializes, from an image in memory.
+func BenchmarkSnapshotRead(b *testing.B) {
+	st := New()
+	if _, err := st.AddBatch(ingestBatch(ingestN)); err != nil {
+		b.Fatal(err)
+	}
+	var image bytes.Buffer
+	if err := st.WriteSnapshot(&image); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := ReadSnapshot(bytes.NewReader(image.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.Len() != ingestN {
+			b.Fatalf("Len = %d", got.Len())
 		}
 	}
 }

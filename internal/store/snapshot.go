@@ -6,38 +6,25 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/snapshot"
 )
 
 // WriteSnapshot serializes the store to w in the versioned, checksummed
-// snapshot format (see internal/snapshot): the full term dictionary, the
-// sorted SPO index, and (format v2) the per-predicate cardinality table,
-// read from the store's statistics tally.
+// snapshot format (see internal/snapshot): the full term dictionary and the
+// sorted SPO index.
 //
 // The snapshot is a consistent point-in-time image: pending deltas and
-// tombstones are compacted first, then the dictionary, index, and
-// cardinalities are captured under the lock and serialized outside it
-// (merges never mutate a published index slice in place, so concurrent
-// writers cannot corrupt the capture).
+// tombstones are compacted first, then the dictionary and index are captured
+// under the lock and serialized outside it (merges never mutate a published
+// index slice in place, so concurrent writers cannot corrupt the capture).
 func (st *Store) WriteSnapshot(w io.Writer) error {
 	st.mu.Lock()
 	st.mergeLocked()
 	terms := st.terms[:len(st.terms):len(st.terms)]
 	spo := slices.Clip(st.index[OrderSPO])
-	var stats []snapshot.PredStat
-	st.tallyLocked().Predicates(func(pid ID, c PredCardinality) {
-		stats = append(stats, snapshot.PredStat{
-			Pred:             uint32(pid),
-			Triples:          uint64(c.Triples),
-			DistinctSubjects: uint64(c.DistinctSubjects),
-			DistinctObjects:  uint64(c.DistinctObjects),
-		})
-	})
 	st.mu.Unlock()
-	sort.Slice(stats, func(i, j int) bool { return stats[i].Pred < stats[j].Pred })
 
 	sw, err := snapshot.NewWriter(w, len(terms)-1, len(spo))
 	if err != nil {
@@ -53,36 +40,36 @@ func (st *Store) WriteSnapshot(w io.Writer) error {
 			return err
 		}
 	}
-	if err := sw.Stats(stats); err != nil {
-		return err
-	}
 	return sw.Close()
 }
 
-// ReadSnapshot reconstructs a store from a snapshot stream, verifying its
-// checksum. The restored store answers queries identically to the one that
-// wrote the snapshot; its generation restarts (non-zero iff it holds
-// triples), like a freshly loaded store.
+// ReadSnapshot reconstructs a store from a snapshot stream, which it reads
+// into memory whole. The image's checksum is verified before anything is
+// decoded, so the checks on the dictionary and the index see a file as its
+// writer wrote it: a valid checksum over a duplicate term, an out-of-range
+// ID, an unsorted index or a triple AddBatch would refuse means a faulty
+// writer, and the image is refused all the same. The restored store answers
+// queries identically to the one that wrote the snapshot; its generation
+// restarts (non-zero iff it holds triples), like a freshly loaded store.
 func ReadSnapshot(r io.Reader) (*Store, error) {
-	sr, err := snapshot.NewReader(r)
+	image, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: reading snapshot: %w", err)
+	}
+	return restoreSnapshot(image)
+}
+
+// restoreSnapshot is ReadSnapshot of an image already in memory.
+func restoreSnapshot(image []byte) (*Store, error) {
+	sr, err := snapshot.NewReader(image)
 	if err != nil {
 		return nil, err
 	}
 	s := New()
 	numTerms := sr.NumTerms()
 	numTriples := sr.NumTriples()
-	// Header counts are unverified until the checksum at the end of the
-	// stream, so they must not drive allocations directly: a corrupt header
-	// claiming 2^60 terms would abort the process before the checksum ever
-	// ran. IDs are uint32, which bounds any legitimate count; capacity
-	// hints are additionally capped and grown by append, so a lying header
-	// runs out of input (ErrCorrupt) instead of memory.
-	const maxCount = 1<<32 - 2
-	if numTerms > maxCount || numTriples > maxCount {
-		return nil, fmt.Errorf("%w: header claims %d terms / %d triples", snapshot.ErrCorrupt, numTerms, numTriples)
-	}
-	const maxHint = 1 << 20
-	s.terms = make([]rdf.Term, 1, min(numTerms+1, maxHint))
+	// NewReader bounds both counts by the image's length.
+	s.terms = make([]rdf.Term, 1, numTerms+1)
 	for i := uint64(0); i < numTerms; i++ {
 		t, err := sr.Term()
 		if err != nil {
@@ -92,7 +79,7 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 			return nil, fmt.Errorf("%w: duplicate dictionary term %v", snapshot.ErrCorrupt, t)
 		}
 	}
-	spo := make([]IDTriple, 0, min(numTriples, maxHint))
+	spo := make([]IDTriple, 0, numTriples)
 	var prev IDTriple
 	for i := uint64(0); i < numTriples; i++ {
 		sv, pv, ov, err := sr.Triple()
@@ -105,8 +92,9 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 			e.O == 0 || uint64(e.O) > numTerms {
 			return nil, fmt.Errorf("%w: triple %d references term outside dictionary", snapshot.ErrCorrupt, i)
 		}
-		if _, ok := s.terms[e.P].(rdf.IRI); !ok {
-			return nil, fmt.Errorf("%w: triple %d predicate is not an IRI", snapshot.ErrCorrupt, i)
+		// The rule AddBatch and WAL replay apply to every triple.
+		if p, ok := s.terms[e.P].(rdf.IRI); !ok || !(rdf.Triple{S: s.terms[e.S], P: p, O: s.terms[e.O]}).Valid() {
+			return nil, fmt.Errorf("%w: invalid triple %d", snapshot.ErrCorrupt, i)
 		}
 		if i > 0 && !OrderSPO.Less(prev, e) {
 			return nil, fmt.Errorf("%w: SPO index not strictly sorted at triple %d", snapshot.ErrCorrupt, i)
@@ -114,26 +102,10 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		prev = e
 		spo = append(spo, e)
 	}
-	s.index[OrderSPO] = spo
-	// A v2 snapshot carries the per-predicate cardinality table. It is
-	// checked, not used: the restored store builds its statistics tally on
-	// first use like any other store. Close verifies the checksum over the
-	// whole stream, stats included.
-	stats, err := sr.Stats()
-	if err != nil {
-		return nil, err
-	}
 	if err := sr.Close(); err != nil {
 		return nil, err
 	}
-	for _, ps := range stats {
-		if _, ok := s.terms[ps.Pred].(rdf.IRI); !ok {
-			return nil, fmt.Errorf("%w: stats predicate %d is not an IRI", snapshot.ErrCorrupt, ps.Pred)
-		}
-		if ps.Triples > numTriples || ps.DistinctSubjects > ps.Triples || ps.DistinctObjects > ps.Triples {
-			return nil, fmt.Errorf("%w: stats entry for predicate %d exceeds its triples", snapshot.ErrCorrupt, ps.Pred)
-		}
-	}
+	s.index[OrderSPO] = spo
 
 	s.rebuildDerivedLocked()
 	s.size = len(spo)
@@ -178,13 +150,12 @@ func (st *Store) WriteSnapshotFile(path string) (err error) {
 	return nil
 }
 
-// ReadSnapshotFile reconstructs a store from a snapshot file.
+// ReadSnapshotFile reconstructs a store from a snapshot file, like
+// ReadSnapshot.
 func ReadSnapshotFile(path string) (*Store, error) {
-	f, err := os.Open(path)
+	image, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	// Read-only fd: close errors cannot lose data, discard explicitly.
-	defer func() { _ = f.Close() }()
-	return ReadSnapshot(f)
+	return restoreSnapshot(image)
 }

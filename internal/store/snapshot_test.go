@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -223,86 +224,69 @@ func TestSnapshotConcurrentWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSnapshotV1Restore pins the migration path: a snapshot written in the
-// pre-v2 format (subject-only delta coding, no stats section) restores to an
-// identical store through the current reader.
-func TestSnapshotV1Restore(t *testing.T) {
+// TestSnapshotRestoresStatsImage: an image whose stats section is filled in
+// restores to an identical store, and this build writes the same store as the
+// same bytes up to that section, which it leaves empty. The image,
+// testdata/mixed-stats.snap, is this store as the last writer of a filled
+// section wrote it.
+func TestSnapshotRestoresStatsImage(t *testing.T) {
 	st := buildMixedStore(t)
 	st.Compact()
-
-	// testdata/mixed-v1.snap is this store as the last commit with a v1
-	// writer wrote it: dictionary in ID order, then the sorted SPO index.
-	image, err := os.Open("testdata/mixed-v1.snap")
+	image, err := os.ReadFile("testdata/mixed-stats.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer image.Close()
-
-	got, err := ReadSnapshot(image)
+	got, err := ReadSnapshotFile("testdata/mixed-stats.snap")
 	if err != nil {
-		t.Fatalf("restoring v1 snapshot: %v", err)
+		t.Fatalf("restoring the image: %v", err)
 	}
 	snapshotEqual(t, st, got)
-	// v1 carries no stats, and a restore builds no tally: the restored store
-	// counts on first use, like any other store.
+	// A restore builds no tally: the restored store counts on first use,
+	// like any other store.
 	if got.Observe().TallyBuilds != 0 {
-		t.Fatal("v1 restore built a statistics tally nobody asked for")
+		t.Fatal("restore built a statistics tally nobody asked for")
 	}
 	if !reflect.DeepEqual(got.Cardinalities(), recountCardinalities(got)) {
 		t.Fatal("restored store's cardinalities differ from a recount")
 	}
-}
 
-// TestSnapshotV2WarmStats pins that the stats section a v2 snapshot carries
-// equals a from-scratch recount of the store that wrote it, and that the
-// restored store, which does not use the section, agrees with it.
-func TestSnapshotV2WarmStats(t *testing.T) {
-	st := buildMixedStore(t)
 	var buf bytes.Buffer
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshotEqual(t, st, got)
-
-	section := snapshotStats(t, buf.Bytes(), got)
-	if want := recountCardinalities(st); !reflect.DeepEqual(section, want) {
-		t.Fatalf("stats section %+v, recount %+v", section, want)
-	}
-	if !reflect.DeepEqual(got.Cardinalities(), section) {
-		t.Fatalf("restored store's cardinalities %+v, section %+v", got.Cardinalities(), section)
+	mine := buf.Bytes()
+	n := len(mine) - 5 // before the empty stats section and the trailer
+	if !bytes.Equal(mine[:n], image[:n]) || mine[n] != 0 || image[n] == 0 {
+		t.Fatalf("image differs before the stats section:\n got  %x\n want %x", mine, image)
 	}
 }
 
-// snapshotStats reads the stats section of a snapshot image, naming its
-// predicates through st's dictionary.
-func snapshotStats(t *testing.T, image []byte, st *Store) map[rdf.IRI]PredCardinality {
-	t.Helper()
-	sr, err := snapshot.NewReader(bytes.NewReader(image))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < sr.NumTerms(); i++ {
-		if _, err := sr.Term(); err != nil {
+// TestSnapshotRejectsInvalidTriple: restore refuses, under a valid checksum,
+// the triples AddBatch and WAL replay refuse — a literal subject, an empty
+// predicate.
+func TestSnapshotRejectsInvalidTriple(t *testing.T) {
+	for _, terms := range [][]rdf.Term{
+		{rdf.NewLiteral("x"), iri("p"), iri("o")},
+		{iri("s"), rdf.IRI(""), iri("o")},
+	} {
+		var buf bytes.Buffer
+		sw, err := snapshot.NewWriter(&buf, len(terms), 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for i := uint64(0); i < sr.NumTriples(); i++ {
-		if _, _, _, err := sr.Triple(); err != nil {
+		for _, tm := range terms {
+			if err := sw.Term(tm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sw.Triple(1, 2, 3); err != nil {
 			t.Fatal(err)
 		}
+		if err := sw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadSnapshot(&buf); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("%v: ReadSnapshot = %v; want ErrCorrupt", terms, err)
+		}
 	}
-	stats, err := sr.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[rdf.IRI]PredCardinality{}
-	for _, ps := range stats {
-		p, _ := st.Term(ID(ps.Pred))
-		out[p.(rdf.IRI)] = PredCardinality{int(ps.Triples), int(ps.DistinctSubjects), int(ps.DistinctObjects)}
-	}
-	return out
 }

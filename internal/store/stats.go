@@ -6,8 +6,8 @@ import (
 	"github.com/lodviz/lodviz/internal/rdf"
 )
 
-// Statistics. Every dataset summary — /stats, the planner's cardinalities,
-// a snapshot's stats section — is one sum over the live triples, which the
+// Statistics. Every dataset summary — /stats and the planner's
+// cardinalities — is one sum over the live triples, which the
 // store keeps itself: a StatsAccumulator built by one POS walk when first
 // asked for, then moved by ±1 per triple of the effective batches
 // commitLocked publishes (no-ops, duplicates and undeletes are sorted out

@@ -10,9 +10,16 @@
 //	payload  uint64 LE sequence number | op byte (OpAdd/OpDelete) |
 //	         uvarint triple count | count × (subject term, predicate term,
 //	         object term)
-//	term     kind byte (rdf.TermKind) followed by uvarint-length-prefixed
-//	         string fields — IRI/blank: one field; literal: lexical,
-//	         datatype, lang — the same codec the snapshot dictionary uses
+//	term     rdf.AppendBinary: a kind byte (rdf.TermKind) followed by
+//	         uvarint-length-prefixed string fields — IRI/blank: one field;
+//	         literal: lexical, datatype, lang — the codec the snapshot
+//	         dictionary uses too
+//
+// Every uvarint has one spelling (rdf.Uvarint refuses a padded one), so a
+// payload that decodes re-encodes to the same bytes, and the ledger's hashes
+// over payloads are the same at append and at replay. The log carries no
+// version: a change to this format changes those hashes too. Replay holds
+// one frame's payload in memory at a time and decodes it from there.
 //
 // Sequence numbers are assigned at append time and increase by exactly one
 // per record; after TruncateThrough the file starts at an arbitrary sequence
@@ -479,31 +486,11 @@ func encodePayload(seq uint64, op Op, triples []rdf.Triple) []byte {
 	buf = append(buf, byte(op))
 	buf = binary.AppendUvarint(buf, uint64(len(triples)))
 	for _, t := range triples {
-		buf = appendTerm(buf, t.S)
-		buf = appendTerm(buf, t.P)
-		buf = appendTerm(buf, t.O)
+		buf = rdf.AppendBinary(buf, t.S)
+		buf = rdf.AppendBinary(buf, t.P)
+		buf = rdf.AppendBinary(buf, t.O)
 	}
 	return buf
-}
-
-func appendTerm(buf []byte, t rdf.Term) []byte {
-	buf = append(buf, byte(t.Kind()))
-	switch v := t.(type) {
-	case rdf.IRI:
-		buf = appendString(buf, string(v))
-	case rdf.BlankNode:
-		buf = appendString(buf, string(v))
-	case rdf.Literal:
-		buf = appendString(buf, v.Lexical)
-		buf = appendString(buf, string(v.Datatype))
-		buf = appendString(buf, v.Lang)
-	}
-	return buf
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
 }
 
 // DecodePayload decodes one record payload (the bytes between a frame's
@@ -524,109 +511,39 @@ func DecodePayload(payload []byte) (Record, error) {
 	if rec.Op != OpAdd && rec.Op != OpDelete {
 		return Record{}, fmt.Errorf("%w: unknown op %d", ErrCorrupt, payload[8])
 	}
-	d := &payloadDecoder{buf: payload, off: 9}
-	count, err := d.uvarint()
-	if err != nil {
-		return Record{}, err
+	count, n := rdf.Uvarint(payload[9:])
+	if n == 0 {
+		return Record{}, fmt.Errorf("%w: bad triple count", ErrCorrupt)
 	}
+	off := 9 + n
 	if count > uint64(len(payload)) { // every triple takes ≥ 6 bytes
 		return Record{}, fmt.Errorf("%w: triple count %d exceeds payload", ErrCorrupt, count)
 	}
 	rec.Triples = make([]rdf.Triple, 0, count)
+	var spo [3]rdf.Term
 	for i := uint64(0); i < count; i++ {
-		s, err := d.term()
-		if err != nil {
-			return Record{}, err
+		for j := range spo {
+			t, n, err := rdf.DecodeBinary(payload[off:])
+			if err != nil {
+				return Record{}, fmt.Errorf("%w: term at offset %d: %v", ErrCorrupt, off, err)
+			}
+			spo[j] = t
+			off += n
 		}
-		p, err := d.term()
-		if err != nil {
-			return Record{}, err
-		}
-		o, err := d.term()
-		if err != nil {
-			return Record{}, err
-		}
-		pred, ok := p.(rdf.IRI)
+		pred, ok := spo[1].(rdf.IRI)
 		if !ok {
 			return Record{}, fmt.Errorf("%w: predicate is not an IRI", ErrCorrupt)
 		}
-		t := rdf.Triple{S: s, P: pred, O: o}
+		t := rdf.Triple{S: spo[0], P: pred, O: spo[2]}
 		if !t.Valid() {
 			return Record{}, fmt.Errorf("%w: invalid triple at index %d", ErrCorrupt, i)
 		}
 		rec.Triples = append(rec.Triples, t)
 	}
-	if d.off != len(payload) {
-		return Record{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(payload)-d.off)
+	if off != len(payload) {
+		return Record{}, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(payload)-off)
 	}
 	return rec, nil
-}
-
-type payloadDecoder struct {
-	buf []byte
-	off int
-}
-
-func (d *payloadDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	// A final zero byte after others pads the value: the encoder never
-	// writes that, and the ledger hashes payloads, so there is one spelling.
-	if n <= 0 || n > 1 && d.buf[d.off+n-1] == 0 {
-		return 0, fmt.Errorf("%w: bad uvarint at offset %d", ErrCorrupt, d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *payloadDecoder) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		return "", fmt.Errorf("%w: string length %d exceeds payload", ErrCorrupt, n)
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-func (d *payloadDecoder) term() (rdf.Term, error) {
-	if d.off >= len(d.buf) {
-		return nil, fmt.Errorf("%w: truncated term", ErrCorrupt)
-	}
-	kind := d.buf[d.off]
-	d.off++
-	switch rdf.TermKind(kind) {
-	case rdf.KindIRI:
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		return rdf.IRI(s), nil
-	case rdf.KindBlank:
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		return rdf.BlankNode(s), nil
-	case rdf.KindLiteral:
-		lex, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		dt, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		lang, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		return rdf.Literal{Lexical: lex, Datatype: rdf.IRI(dt), Lang: lang}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown term kind %d", ErrCorrupt, kind)
-	}
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is

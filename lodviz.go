@@ -165,8 +165,9 @@ func (d *Dataset) AddBatch(triples []Triple) (int, error) { return d.st.AddBatch
 // ReadSnapshot restores to an identically answering dataset.
 func (d *Dataset) WriteSnapshot(w io.Writer) error { return d.st.WriteSnapshot(w) }
 
-// ReadSnapshot restores a dataset previously serialized with WriteSnapshot,
-// verifying the embedded checksum.
+// ReadSnapshot restores a dataset previously serialized with WriteSnapshot.
+// It reads the image into memory whole and verifies the embedded checksum
+// before it decodes anything.
 func ReadSnapshot(r io.Reader) (*Dataset, error) {
 	st, err := store.ReadSnapshot(r)
 	if err != nil {
