@@ -46,21 +46,22 @@ reach:
 
 # Race-detector pass over the concurrent packages: query engine (the
 # dictionary-ID executor and its worker pool), store (including the
-# snapshot round-trip under concurrent writers, the permutation ID scans
-# with epoch restarts, and readers iterating runs lent from the index
-# beside a compacting writer), snapshot format, the federation mesh
+# snapshot round-trip under concurrent writers, and readers iterating runs
+# lent from the index beside a writer that tombstones and compacts),
+# snapshot format, the federation mesh
 # (parallel bind-join batches, circuit breakers, TTL cache), HTTP server,
 # the sharded response cache, the metrics registry (sharded histograms
 # and vec instantiation under concurrent scrapes), the keyword index
 # (searches sharing the live index while refreshes follow a writer) and
 # the facet sessions (sharing one kept typed-subject base while a writer
 # moves it); plus a focused rerun of the dictionary/permutation paths,
-# the lent runs and the shared facet base under writers, and the
+# the lent runs, a stream reading one run while its store is written and
+# compacted, and the shared facet base under writers, and the
 # multi-node federation smoke (two httptest lodvizd instances answering
 # one SERVICE query).
 race:
 	$(GO) test -race ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/obs/... ./internal/keyword/...
-	$(GO) test -race -count=2 -run 'ScanIDs|IDJoin|StreamConcurrentWriters|TypedBase' ./internal/store ./internal/sparql ./internal/facet
+	$(GO) test -race -count=2 -run 'ScanIDs|IDJoin|StreamConcurrentWriters|StreamReadsOneRunAcrossCompaction|TypedBase' ./internal/store ./internal/sparql ./internal/facet
 	$(GO) test -race -run 'Federated|ServiceSilent' .
 
 # Flake detection: twenty runs under the race detector of the packages
@@ -130,8 +131,8 @@ bench:
 #     WAL record of a bulk_ingest batch (2 000 triples);
 #   - the store's statistics tally (a summary read at 110k triples; a
 #     2000-triple add+delete with the tally not built and built), a sorted
-#     ID run at 110k triples (the 10 000-entry rdf:type run lent from the
-#     index, and copied out of it past one tombstone) and a term lookup in a
+#     ID run at 110k triples (the 10 000-entry rdf:type run from a clean
+#     store, and from one with a tombstone in it) and a term lookup in a
 #     190 000-term dictionary;
 #   - federation bind joins (batched VALUES dispatch vs one request per
 #     binding at 1k bindings);

@@ -49,9 +49,8 @@
 //	                    Peers answer SERVICE clauses and show up on
 //	                    /federation with live health state
 //	-federation-probe duration
-//	                    peer health-probe interval (default 30s); every
-//	                    10th probe also refreshes the per-predicate
-//	                    capability summaries; 0 disables background upkeep
+//	                    peer health-probe interval (default 30s); 0
+//	                    disables background upkeep
 //	-federation-restrict
 //	                    refuse SERVICE dispatch to endpoints not listed
 //	                    with -peer — recommended when /sparql is exposed
@@ -150,7 +149,7 @@ func main() {
 		peers = append(peers, v)
 		return nil
 	})
-	probeInterval := flag.Duration("federation-probe", 30*time.Second, "peer health-probe interval; capabilities refresh every 10th probe (0 disables background upkeep)")
+	probeInterval := flag.Duration("federation-probe", 30*time.Second, "peer health-probe interval (0 disables background upkeep)")
 	restrictPeers := flag.Bool("federation-restrict", false, "refuse SERVICE dispatch to endpoints not listed with -peer (SSRF hardening for exposed deployments)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); empty disables")
 	slowQuery := flag.Duration("slow-query", 0, "log /sparql queries at or over this duration with their execution plan (0 disables)")
@@ -235,8 +234,8 @@ func main() {
 	if len(peers) > 0 {
 		logger.Info("federation enabled", "peers", len(peers), "probeInterval", probeInterval.String())
 		if *probeInterval > 0 {
-			// Background upkeep: health-probe peers (closing open circuits
-			// without live traffic) and refresh capability summaries.
+			// Background upkeep: health-probe peers, closing open circuits
+			// without live traffic.
 			go mesh.Maintain(ctx, *probeInterval)
 		}
 	}

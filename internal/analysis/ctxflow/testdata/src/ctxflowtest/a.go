@@ -30,6 +30,10 @@ func driveScan(st *store.Store) { // want `driveScan drives a paged store scan \
 	_, _ = st.ScanIDs(0, 0, 0, 0)
 }
 
+func driveSource(src store.Source) { // want `driveSource drives a paged store scan \(ScanIDs\)`
+	_, _ = src.ScanIDs(0, 0, 0, 0)
+}
+
 func drivePage(st *store.Store) { // want `drivePage drives a paged store scan \(ForEachPage\)`
 	st.ForEachPage(0, 0, 0, func(store.IDTriple) bool { return true })
 }
@@ -50,8 +54,6 @@ func (e *executor) drive() {
 }
 
 type wrapper struct{ st *store.Store }
-
-func (w *wrapper) LayoutEpoch() uint64 { return 0 }
 
 // Interface plumbing: a scan method wrapping an inner scan method has its
 // signature fixed by the Source interface; its callers hold the context.

@@ -7,7 +7,10 @@ type IDTriple struct{ S, P, O ID }
 
 type Store struct{}
 
-func (s *Store) LayoutEpoch() uint64 { return 0 }
+// Source is the store's read contract, recognized by its ScanIDs method.
+type Source interface {
+	ScanIDs(sub, pred, obj ID, lead int) (int, bool)
+}
 
 func (s *Store) ScanIDs(sub, pred, obj ID, lead int) (int, bool) { return 0, false }
 

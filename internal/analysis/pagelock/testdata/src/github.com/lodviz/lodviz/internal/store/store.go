@@ -18,8 +18,8 @@ type Store struct {
 func New() *Store { return &Store{} }
 
 type Source interface {
-	LayoutEpoch() uint64
-	ForEachIDPage(sub, pred, obj ID, limit, resume int, fn func(IDTriple) bool)
+	ScanIDs(sub, pred, obj ID, lead int) (int, bool)
+	ForEachID(sub, pred, obj ID, fn func(IDTriple) bool)
 }
 
 func (s *Store) LayoutEpoch() uint64 { return 0 }

@@ -56,3 +56,12 @@ func suppressedMutation(st *store.Store) {
 		return false
 	})
 }
+
+// A source interface is recognized by its ScanIDs method: its ForEachID
+// callback holds the read lock like the store's own.
+func nestedThroughSource(src store.Source) {
+	src.ForEachID(0, 0, 0, func(store.IDTriple) bool {
+		_, _ = src.ScanIDs(0, 0, 0, 0) // want `nested store access ScanIDs inside a ForEachID page callback`
+		return true
+	})
+}

@@ -15,8 +15,8 @@ import (
 // Three filters sit between an analyzer's Reportf and the returned set:
 //
 //   - diagnostics in _test.go files are dropped: tests deliberately
-//     violate engine invariants (mutating mid-scan to prove epoch
-//     restarts, dropping sync errors to prove recovery), and gating them
+//     violate engine invariants (writing mid-scan to prove a run holds
+//     still, dropping sync errors to prove recovery), and gating them
 //     would train people to sprinkle suppressions;
 //   - diagnostics waived by a justified //lint:allow are dropped;
 //   - a //lint:allow with no justification is converted into a finding of

@@ -8,6 +8,4 @@ type IDTriple struct{ S, P, O ID }
 
 type Store struct{}
 
-func (s *Store) LayoutEpoch() uint64 { return 0 }
-
 func (s *Store) ScanIDs(sub, pred, obj ID, lead int) (int, bool) { return 0, false }

@@ -92,8 +92,8 @@ func RecvType(f *types.Func) types.Type {
 // IsStoreSource reports whether t is the concrete store (internal/store's
 // Store) or a store-shaped source interface. The source interface
 // (store.Source, and test doubles wrapping it) is recognized structurally
-// by the LayoutEpoch method — the epoch contract is what makes a type a
-// paged-scan source in this codebase.
+// by the ScanIDs method — taking a run is what makes a type a scan source
+// in this codebase.
 func IsStoreSource(t types.Type) bool {
 	if t == nil {
 		return false
@@ -106,7 +106,7 @@ func IsStoreSource(t types.Type) bool {
 		return false
 	}
 	for i := 0; i < iface.NumMethods(); i++ {
-		if iface.Method(i).Name() == "LayoutEpoch" {
+		if iface.Method(i).Name() == "ScanIDs" {
 			return true
 		}
 	}

@@ -114,10 +114,10 @@ func statsBatch(a *store.StatsAccumulator, src store.Source, population int) Sta
 // are CLT-scaled population estimates. When the run is exhausted it returns
 // the exact store.Stats assembled from a store.StatsAccumulator, the type
 // the store keeps its own tally in, so it equals ComputeStats as of the run.
-// The run is taken before the first statement — lent from the index when
-// the store holds no tombstones, copied whole before the first batch when it
-// does — and holds still, so Fraction only grows and a write made meanwhile
-// (from emit, even) is not counted. ctx is checked before the run is taken
+// The run is taken before the first statement — lent from the index, with
+// the tombstones in its range listed beside it — and holds still, so
+// Fraction only grows and a write made meanwhile (from emit, even) is not
+// counted. ctx is checked before the run is taken
 // and at every page boundary; cancellation aborts with the context error,
 // emit returning false with ErrStopped. pageSize <= 0 selects
 // DefaultPageSize; batchPages < 1 is treated as 1.

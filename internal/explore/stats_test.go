@@ -14,8 +14,8 @@ import (
 
 // statsStore builds a small mixed dataset: typed entities with labels,
 // categorical literals, and entity links. With tombstone set it also holds
-// delta adds and one deleted triple, so its ScanIDs run is copied rather
-// than lent and covers all three regions.
+// delta adds and one deleted triple, so its ScanIDs run lists a Dead entry
+// and covers all three regions.
 func statsStore(t testing.TB, entities int, tombstone bool) *store.Store {
 	t.Helper()
 	triples := gen.EntityDataset(gen.EntityOptions{
@@ -91,7 +91,8 @@ func TestStreamStatsConvergesToExact(t *testing.T) {
 // TestStreamStatsIgnoresWritesFromEmit: the run is taken before the first
 // statement, so an AddBatch and a Compact made from emit between batches —
 // new terms, new triples, a new index — leave the final answer at
-// ComputeStats as of the stream's start, on a lent run and a copied one.
+// ComputeStats as of the stream's start, on a clean store and a tombstoned
+// one.
 func TestStreamStatsIgnoresWritesFromEmit(t *testing.T) {
 	for _, tombstone := range []bool{false, true} {
 		st := statsStore(t, 120, tombstone)

@@ -165,7 +165,7 @@ func probeSide(t *testing.T, sess *Session) bool {
 }
 
 // tombstonedStore is entityStore with one base triple deleted: its ScanIDs
-// runs are copied past the tombstone rather than lent from the index.
+// runs list the tombstone as Dead beside the range they lend.
 func tombstonedStore(t testing.TB) *store.Store {
 	t.Helper()
 	st := entityStore(t)

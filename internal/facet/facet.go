@@ -401,8 +401,8 @@ func (s *Session) aggregateProbe(ctx context.Context, matches []store.ID, per di
 // statement and after every pageSize statements visited (pageSize <= 0
 // selects explore.DefaultPageSize); page, if set, runs at those boundaries
 // with the count visited so far, and returning false stops the walk with
-// explore.ErrStopped. The run is lent or copied whole before the first
-// statement, so page may do anything, writes to the store included.
+// explore.ErrStopped. The run is taken before the first statement and holds
+// still, so page may do anything, writes to the store included.
 func (s *Session) aggregateWalk(ctx context.Context, matches []store.ID, per distribution, pageSize int, page func(scanned int) bool) error {
 	if pageSize <= 0 {
 		pageSize = explore.DefaultPageSize

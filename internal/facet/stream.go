@@ -51,9 +51,8 @@ type Batch struct {
 // batchPages pages of pageSize statements. Either way Stream returns the
 // exact count and facets — what CountCtx and FacetsCtx return, because both
 // run the same aggregation and assembler. The walk reads one store.ScanIDs
-// run, taken before the first statement: lent from the index when the store
-// holds no tombstones, copied whole before the first Batch when it does. A
-// run holds still, so Fraction only grows, and a write made meanwhile — from
+// run, taken before the first statement: lent from the index, with the
+// tombstones in its range listed beside it. A run holds still, so Fraction only grows, and a write made meanwhile — from
 // emit, even — is not in the answer. emit returning false aborts with
 // explore.ErrStopped. pageSize <= 0 selects explore.DefaultPageSize;
 // batchPages < 1 is treated as 1.

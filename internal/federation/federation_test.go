@@ -382,6 +382,8 @@ func TestMeshCircuitBreaksDeadEndpoint(t *testing.T) {
 	}
 }
 
+// TestMeshProbeAndCapabilities: one Probe health-checks the peer and records
+// its latency.
 func TestMeshProbeAndCapabilities(t *testing.T) {
 	remote := mustStore(t, countriesTTL)
 	peer := sparqlEndpoint(t, remote, nil)
@@ -398,15 +400,6 @@ func TestMeshProbeAndCapabilities(t *testing.T) {
 		t.Errorf("latency EWMA not recorded: %+v", st[0])
 	}
 
-	mesh.RefreshCapabilities(ctx)
-	name := rdf.IRI("http://example.org/name")
-	eps := mesh.Registry().EndpointsFor(name)
-	if len(eps) != 1 || eps[0] != peer.URL {
-		t.Errorf("EndpointsFor(name) = %v", eps)
-	}
-	if caps := mesh.Registry().Capabilities(peer.URL); caps[name] != 3 {
-		t.Errorf("capabilities = %v, want name→3", caps)
-	}
 }
 
 func TestMeshRestrictToPeers(t *testing.T) {
@@ -446,21 +439,21 @@ func TestMeshMaintainProbesAndRefreshes(t *testing.T) {
 	done := make(chan struct{})
 	go func() { mesh.Maintain(ctx, time.Hour); close(done) }()
 
-	// The initial capability sweep runs immediately, before the first tick.
+	// The first health probe runs immediately, before the first tick.
 	deadline := time.After(5 * time.Second)
 	for {
-		if caps := mesh.Registry().Capabilities(peer.URL); caps != nil {
+		if st := mesh.Status(); len(st) == 1 && st[0].Requests > 0 {
 			break
 		}
 		select {
 		case <-deadline:
-			t.Fatal("Maintain never refreshed capabilities")
+			t.Fatal("Maintain never probed the peer")
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
 	st := mesh.Status()
-	if len(st) != 1 || st[0].State != StateClosed || st[0].Predicates == 0 {
-		t.Errorf("status after initial sweep = %+v", st)
+	if len(st) != 1 || st[0].State != StateClosed || st[0].Requests != 1 {
+		t.Errorf("status after the first probe = %+v", st)
 	}
 	cancel()
 	select {

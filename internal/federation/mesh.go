@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
-	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/sparql"
 )
 
@@ -107,7 +105,7 @@ func (m *Mesh) allowed(endpoint string) bool {
 // Peers returns the registered endpoint URLs, sorted.
 func (m *Mesh) Peers() []string { return m.reg.Endpoints() }
 
-// Registry exposes the endpoint registry (health, capabilities, routing).
+// Registry exposes the endpoint registry (health and circuit state).
 func (m *Mesh) Registry() *Registry { return m.reg }
 
 // Status snapshots every known endpoint's health.
@@ -208,70 +206,22 @@ func (m *Mesh) Probe(ctx context.Context) {
 	})
 }
 
-// capabilityRefreshEvery is how many Maintain ticks pass between capability
-// sweeps: health probes are a cheap ASK, the capability query aggregates
-// the whole remote store, so it runs an order of magnitude less often.
-const capabilityRefreshEvery = 10
-
-// Maintain runs the mesh's background upkeep until ctx is cancelled: every
-// interval it health-probes all registered endpoints (closing open circuits
-// without waiting for live traffic), and on the first tick plus every
-// tenth it refreshes the per-predicate capability summaries. lodvizd runs
-// this when peers are configured; embedders may call it themselves.
+// Maintain runs the mesh's background upkeep until ctx is cancelled: at
+// once and then every interval it health-probes all registered endpoints,
+// closing open circuits without waiting for live traffic. lodvizd runs this
+// when peers are configured; embedders may call it themselves.
 func (m *Mesh) Maintain(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		interval = 30 * time.Second
 	}
-	m.RefreshCapabilities(ctx) // doubles as the initial health probe
 	t := time.NewTicker(interval)
 	defer t.Stop()
-	for tick := 1; ; tick++ {
+	for {
+		m.Probe(ctx)
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
 		}
-		if tick%capabilityRefreshEvery == 0 {
-			m.RefreshCapabilities(ctx)
-		} else {
-			m.Probe(ctx)
-		}
 	}
-}
-
-// capabilityQuery summarizes an endpoint's per-predicate cardinalities. It
-// is plain SPARQL 1.1, so it works against any conformant endpoint, not
-// just lodvizd peers.
-const capabilityQuery = "SELECT ?p (COUNT(*) AS ?n) WHERE { ?s ?p ?o } GROUP BY ?p"
-
-// RefreshCapabilities probes each registered endpoint for its per-predicate
-// triple counts and stores the summaries in the registry. Endpoints with an
-// open circuit are skipped; individual failures are recorded and do not
-// abort the sweep.
-func (m *Mesh) RefreshCapabilities(ctx context.Context) {
-	m.forEachEndpoint(func(endpoint string) {
-		start := time.Now()
-		res, err := m.client(endpoint).Query(ctx, capabilityQuery)
-		m.reg.Report(endpoint, time.Since(start), err)
-		if err != nil {
-			return
-		}
-		caps := make(map[rdf.IRI]int, len(res.Rows))
-		for _, row := range res.Rows {
-			p, ok := row["p"].(rdf.IRI)
-			if !ok {
-				continue
-			}
-			l, ok := row["n"].(rdf.Literal)
-			if !ok {
-				continue
-			}
-			n, err := strconv.Atoi(l.Lexical)
-			if err != nil {
-				continue
-			}
-			caps[p] = n
-		}
-		m.reg.SetCapabilities(endpoint, caps)
-	})
 }

@@ -4,8 +4,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"github.com/lodviz/lodviz/internal/rdf"
 )
 
 // Circuit breaker states, in the classic three-state formulation.
@@ -74,8 +72,6 @@ type endpoint struct {
 	openUntil    time.Time
 	lastErr      string
 	lastReported time.Time
-	caps         map[rdf.IRI]int
-	capsAt       time.Time
 }
 
 // NewRegistry returns an empty registry.
@@ -167,60 +163,6 @@ func (r *Registry) Report(url string, d time.Duration, err error) {
 	}
 }
 
-// SetCapabilities stores the per-predicate triple counts advertised (or
-// probed) for url — the cardinality summary federated planning keys on.
-func (r *Registry) SetCapabilities(url string, caps map[rdf.IRI]int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ep := r.ensureLocked(url)
-	ep.caps = caps
-	ep.capsAt = r.opt.now()
-}
-
-// Capabilities returns url's per-predicate counts (nil when never set).
-func (r *Registry) Capabilities(url string) map[rdf.IRI]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ep, ok := r.eps[url]
-	if !ok || ep.caps == nil {
-		return nil
-	}
-	out := make(map[rdf.IRI]int, len(ep.caps))
-	for k, v := range ep.caps {
-		out[k] = v
-	}
-	return out
-}
-
-// EndpointsFor returns the endpoints known to hold triples for pred, highest
-// cardinality first — the routing primitive for predicate-directed
-// federation.
-func (r *Registry) EndpointsFor(pred rdf.IRI) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	type cand struct {
-		url string
-		n   int
-	}
-	var cands []cand
-	for u, ep := range r.eps {
-		if n := ep.caps[pred]; n > 0 {
-			cands = append(cands, cand{u, n})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].n != cands[j].n {
-			return cands[i].n > cands[j].n
-		}
-		return cands[i].url < cands[j].url
-	})
-	out := make([]string, len(cands))
-	for i, c := range cands {
-		out[i] = c.url
-	}
-	return out
-}
-
 // EndpointStatus is a point-in-time snapshot of one endpoint's health — the
 // /federation status endpoint serves a list of these.
 type EndpointStatus struct {
@@ -236,9 +178,6 @@ type EndpointStatus struct {
 	Failures uint64 `json:"failures"`
 	// ConsecutiveFailures is the current failure streak.
 	ConsecutiveFailures int `json:"consecutiveFailures"`
-	// Predicates is how many distinct predicates the capability summary
-	// lists (0 when unprobed).
-	Predicates int `json:"predicates"`
 	// LastError is the most recent failure message, empty when healthy.
 	LastError string `json:"lastError,omitempty"`
 }
@@ -262,7 +201,6 @@ func (r *Registry) Status() []EndpointStatus {
 			Requests:            ep.requests,
 			Failures:            ep.failures,
 			ConsecutiveFailures: ep.consecFails,
-			Predicates:          len(ep.caps),
 			LastError:           ep.lastErr,
 		})
 	}

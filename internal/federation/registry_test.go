@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"github.com/lodviz/lodviz/internal/rdf"
 )
 
 // fakeClock is a manually advanced time source.
@@ -110,33 +108,6 @@ func TestLatencyEWMA(t *testing.T) {
 	r.Report(ep, 0, errors.New("x"))
 	if got := r.Status()[0].LatencyMs; got != 150 {
 		t.Fatalf("failure changed EWMA to %v", got)
-	}
-}
-
-func TestCapabilitiesAndEndpointsFor(t *testing.T) {
-	clock := newFakeClock()
-	r := testRegistry(clock, RegistryOptions{})
-	name := rdf.IRI("http://example.org/name")
-	pop := rdf.IRI("http://example.org/population")
-	r.SetCapabilities("http://a/sparql", map[rdf.IRI]int{name: 10, pop: 5})
-	r.SetCapabilities("http://b/sparql", map[rdf.IRI]int{name: 100})
-	r.SetCapabilities("http://c/sparql", map[rdf.IRI]int{pop: 1})
-
-	got := r.EndpointsFor(name)
-	if len(got) != 2 || got[0] != "http://b/sparql" || got[1] != "http://a/sparql" {
-		t.Errorf("EndpointsFor(name) = %v (want b before a, no c)", got)
-	}
-	if got := r.EndpointsFor(rdf.IRI("http://example.org/absent")); len(got) != 0 {
-		t.Errorf("EndpointsFor(absent) = %v", got)
-	}
-	caps := r.Capabilities("http://a/sparql")
-	if caps[name] != 10 || caps[pop] != 5 {
-		t.Errorf("Capabilities = %v", caps)
-	}
-	// The returned map is a copy.
-	caps[name] = 999
-	if r.Capabilities("http://a/sparql")[name] != 10 {
-		t.Error("Capabilities returned a live reference")
 	}
 }
 

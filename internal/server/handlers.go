@@ -824,8 +824,8 @@ type federationResponse struct {
 }
 
 // handleFederation reports the health of every remote endpoint this node
-// federates with — circuit state, latency EWMA, failure counts, capability
-// coverage — plus the remote-result cache counters. Never cached: it is the
+// federates with — circuit state, latency EWMA, failure counts — plus the
+// remote-result cache counters. Never cached: it is the
 // operator's live view of the mesh.
 func (s *Server) handleFederation(w http.ResponseWriter, r *http.Request) {
 	resp := federationResponse{Endpoints: s.mesh.Status()}

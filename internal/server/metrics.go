@@ -80,14 +80,8 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 		func() float64 { return float64(st.Observe().LayoutEpoch) })
 	r.CounterFunc("lodviz_store_scan_pages_total", "Paged-scan pages served by the store.",
 		func() float64 { return float64(st.Observe().ScanPages) })
-	r.CounterVecFunc("lodviz_store_scan_runs_total", "Sorted ID runs served by the store, by mode: lent hands out the index's own range (no tombstones), copied copies its live entries.",
-		[]string{"mode"}, func() []obs.Sample {
-			o := st.Observe()
-			return []obs.Sample{
-				{Labels: []string{"lent"}, Value: float64(o.ScanRunsLent)},
-				{Labels: []string{"copied"}, Value: float64(o.ScanRunsCopied)},
-			}
-		})
+	r.CounterFunc("lodviz_store_scan_runs_total", "ID runs served by the store: each lends the index's own range, with the tombstones in it listed beside it.",
+		func() float64 { return float64(st.Observe().ScanRuns) })
 	r.GaugeFunc("lodviz_store_stats_tally_entries", "Map entries of the store's statistics tally (0 before it is built).",
 		func() float64 { return float64(st.Observe().TallyEntries) })
 	r.CounterFunc("lodviz_store_stats_tally_builds_total", "Whole-store walks that built the statistics tally (1 once anything asked for statistics).",

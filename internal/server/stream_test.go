@@ -12,11 +12,13 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/lodviz/lodviz/internal/gen"
+	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/sparql"
 	"github.com/lodviz/lodviz/internal/store"
 )
@@ -134,11 +136,11 @@ func TestStreamEndpointParseError(t *testing.T) {
 	}
 }
 
-// gatedSource wraps the store and blocks its scans — snapshot and paged
-// alike — after `free` triples total, until the gate channel is closed:
-// the deliberately slow store wrapper. Evaluation provably cannot finish
-// while the gate is shut, so anything the client has read by then was
-// delivered mid-evaluation.
+// gatedSource wraps the store and blocks its decoding — the driver's one
+// Terms call a page — once `free` IDs in all have been asked for, until the
+// gate channel is closed: the deliberately slow store wrapper. Evaluation
+// provably cannot finish while the gate is shut, so anything the client has
+// read by then was delivered mid-evaluation.
 type gatedSource struct {
 	*store.Store
 	free int64
@@ -146,37 +148,26 @@ type gatedSource struct {
 	seen atomic.Int64
 }
 
-func (g *gatedSource) step() {
-	if g.seen.Add(1) > g.free {
+func (g *gatedSource) Terms(ids []store.ID) []rdf.Term {
+	if g.seen.Add(int64(len(ids))) > g.free {
 		<-g.gate
 	}
-}
-
-func (g *gatedSource) ForEachID(s, p, o store.ID, fn func(store.IDTriple) bool) {
-	g.Store.ForEachID(s, p, o, func(t store.IDTriple) bool {
-		g.step()
-		return fn(t)
-	})
-}
-
-func (g *gatedSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(store.IDTriple) bool) (int, bool) {
-	return g.Store.ForEachIDPage(s, p, o, pos, max, func(t store.IDTriple) bool {
-		g.step()
-		return fn(t)
-	})
+	return g.Store.Terms(ids)
 }
 
 // TestStreamFirstRowBeforeEvaluationCompletes is the streaming guarantee:
 // the first NDJSON row reaches the client while the engine is still
-// mid-scan (the gated source blocks after 3 triples; the full pattern has
-// hundreds).
+// mid-scan (the gated source blocks after the first page's decode; the
+// full pattern has hundreds of rows).
 func TestStreamFirstRowBeforeEvaluationCompletes(t *testing.T) {
 	st := gen.MiniLODStore()
 	gate := make(chan struct{})
-	// free covers the driver's first page (streamBatchInit matches) and
-	// nothing more: the scan blocks mid-second-page while the client must
-	// already hold the first rows.
-	src := &gatedSource{Store: st, free: 6, gate: gate}
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // a failing test must not leave the handler blocked
+	// free covers the driver's first page (streamBatchInit rows of three
+	// columns) and nothing more: decoding blocks at the second page while
+	// the client must already hold the first rows.
+	src := &gatedSource{Store: st, free: 12, gate: gate}
 	s := New(st, Config{Logger: discardLogger(), source: src})
 	ts := newHTTPTestServer(t, s)
 
@@ -219,7 +210,7 @@ func TestStreamFirstRowBeforeEvaluationCompletes(t *testing.T) {
 	}
 	// The gate is still shut: evaluation cannot have completed, yet the
 	// client holds a row. Release the scan and drain the rest.
-	close(gate)
+	release()
 	sawDone := false
 	for sc.Scan() {
 		if strings.Contains(sc.Text(), `"done":true`) {

@@ -56,12 +56,6 @@ func (m *midBuildSource) ForEachID(s, p, o store.ID, fn func(store.IDTriple) boo
 	m.fire()
 }
 
-func (m *midBuildSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(store.IDTriple) bool) (int, bool) {
-	next, done := m.Store.ForEachIDPage(s, p, o, pos, max, fn)
-	m.fire()
-	return next, done
-}
-
 // TestWriteDuringBuildIsFoundOut pins what replaces the old "orphan until
 // the next write": a write that touches a view's footprint while the view
 // is being built. The build may or may not have seen it, and the entry is

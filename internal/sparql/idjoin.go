@@ -294,11 +294,12 @@ func (r *patternRun) extendOne(tp TriplePattern, rows idRows, boundAll, boundAny
 }
 
 // idMergeJoin answers a single-join-variable pattern with one sorted range
-// scan: ScanIDs materializes the matches ordered by the join position, the
+// scan: ScanIDs takes the matches ordered by the join position, the
 // distinct row keys merge against that run in one pass, and each row then
-// emits its key's span (plus delta-tail matches) — the same matches, in the
-// same order, the per-row probe would produce. ok=false (no permutation for
-// the lead, or an outsized delta tail) sends the caller to the probe path.
+// emits its key's span (its Dead entries skipped, delta-tail matches after)
+// — the same matches, in the same order, the per-row probe would produce.
+// ok=false (no permutation for the lead, or an outsized delta tail) sends
+// the caller to the probe path.
 func (e *engine) idMergeJoin(ps [3]idPos, cs, cp, co store.ID, boundSlot int, lead store.Position, rows idRows) (idRows, bool, error) {
 	scan, ok := e.st.ScanIDs(cs, cp, co, lead)
 	if !ok {
@@ -335,11 +336,17 @@ func (e *engine) idMergeJoin(ps [3]idPos, cs, cp, co store.ID, boundSlot int, le
 	uniq = slices.Compact(uniq)
 
 	// One linear merge: ascending distinct keys against the ascending run.
-	// spans[j] is uniq[j]'s [lo,hi) window in Sorted; rows find theirs by
-	// binary-searching uniq (cheaper than a hash map at these sizes).
+	// spans[j] is uniq[j]'s [lo,hi) window in Sorted, and deads[j] its
+	// window in Dead (which ascends by key too, being a subsequence of
+	// Sorted) when the run has any; rows find theirs by binary-searching
+	// uniq (cheaper than a hash map at these sizes).
 	type span struct{ lo, hi int32 }
 	spans := make([]span, len(uniq))
-	i := 0
+	var deads []span
+	if len(scan.Dead) > 0 {
+		deads = make([]span, len(uniq))
+	}
+	i, d := 0, 0
 	for u, k := range uniq {
 		for i < len(scan.Sorted) && keyOf(scan.Sorted[i]) < k {
 			i++
@@ -349,6 +356,16 @@ func (e *engine) idMergeJoin(ps [3]idPos, cs, cp, co store.ID, boundSlot int, le
 			i++
 		}
 		spans[u] = span{int32(lo), int32(i)}
+		if deads != nil {
+			for d < len(scan.Dead) && keyOf(scan.Dead[d]) < k {
+				d++
+			}
+			lo := d
+			for d < len(scan.Dead) && keyOf(scan.Dead[d]) == k {
+				d++
+			}
+			deads[u] = span{int32(lo), int32(d)}
+		}
 	}
 
 	out := idRows{stride: rows.stride}
@@ -357,7 +374,15 @@ func (e *engine) idMergeJoin(ps [3]idPos, cs, cp, co store.ID, boundSlot int, le
 	for r := 0; r < rows.n(); r++ {
 		k := keys[r]
 		u, _ := slices.BinarySearch(uniq, k)
+		var dead []store.IDTriple
+		if deads != nil {
+			dead = scan.Dead[deads[u].lo:deads[u].hi]
+		}
 		for _, m := range scan.Sorted[spans[u].lo:spans[u].hi] {
+			if len(dead) > 0 && dead[0] == m {
+				dead = dead[1:]
+				continue
+			}
 			steps++
 			if steps%cancelCheckInterval == 0 {
 				if err := e.cancelled(); err != nil {

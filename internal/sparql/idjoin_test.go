@@ -98,7 +98,7 @@ func TestIDJoinDifferential(t *testing.T) {
 // while writers add and delete triples that never match the queried
 // predicates but continually bump the store's layout epoch (delta growth,
 // compaction). Every result must still equal the quiescent answer — this
-// drives the ScanIDs epoch-restart path from the executor's side.
+// drives ScanIDs runs taken across merges from the executor's side.
 func TestIDJoinUnderConcurrentWrites(t *testing.T) {
 	st := idJoinStore(t)
 	queries := []string{

@@ -28,7 +28,7 @@ type Metrics struct {
 	BindingsBuilt *obs.Counter
 	// MatchesScanned counts index entries visited by pattern executors.
 	MatchesScanned *obs.Counter
-	// PagesScanned counts store pages pulled by the streaming driver.
+	// PagesScanned counts the pages the streaming driver cuts from its runs.
 	PagesScanned *obs.Counter
 	// Updates counts SPARQL UPDATE evaluations.
 	Updates *obs.Counter
@@ -44,7 +44,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		RowsOut:             r.Counter("lodviz_engine_rows_total", "Solution rows emitted by pattern stages."),
 		BindingsBuilt:       r.Counter("lodviz_engine_bindings_total", "Solutions materialized as a Binding because a stage needed term values."),
 		MatchesScanned:      r.Counter("lodviz_engine_matches_scanned_total", "Index entries visited by pattern executors."),
-		PagesScanned:        r.Counter("lodviz_engine_pages_scanned_total", "Store pages pulled by the streaming driver."),
+		PagesScanned:        r.Counter("lodviz_engine_pages_scanned_total", "Pages the streaming driver cut from its store runs."),
 		Updates:             r.Counter("lodviz_engine_updates_total", "SPARQL UPDATE evaluations."),
 	}
 }

@@ -53,9 +53,8 @@ func EvalCtx(ctx context.Context, st store.Source, q *Query, opt Options) (*Resu
 }
 
 // evalWithEngine is the query driver (stream.go) with its rows collected
-// into Results, each as a Binding of its bound columns. A restart discards
-// what was collected, so no collected row is ever irrevocable; ASK's answer
-// is whether the chain emitted its one row.
+// into Results, each as a Binding of its bound columns; ASK's answer is
+// whether the chain emitted its one row.
 func evalWithEngine(e *engine, q *Query) (*Results, error) {
 	vars := streamVars(q)
 	var rows []Binding
@@ -63,7 +62,7 @@ func evalWithEngine(e *engine, q *Query) (*Results, error) {
 		rows = append(rows, rowBinding(vars, row))
 		return true
 	}
-	if err := e.execute(q, collect, func() { rows = nil }); err != nil {
+	if err := e.execute(q, collect, false); err != nil {
 		return nil, err
 	}
 	if q.Form == FormAsk {

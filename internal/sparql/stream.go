@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -30,7 +29,7 @@ import (
 //
 // The source is one of two:
 //
-//   - paged (streamSolutions): the first pattern's scan is suspended and
+//   - paged (streamSolutions): the first pattern's scan is one store run,
 //     read page by page, each page joined through the rest of the group and
 //     handed on before the next is read, so delivery can start — and
 //     evaluation stop — before the scan is done. planStream admits a query
@@ -50,17 +49,6 @@ import (
 // have to carry the variables only ORDER BY reads.
 // Without ORDER BY, the window's LIMIT rides into the paged source as a
 // budget: work then scales with k, not with the dataset.
-//
-// The restart rule: a compaction between two pages invalidates the paged
-// scan's cursor (errScanShifted). The attempt restarts when nothing
-// irrevocable has left the driver — rows collected for Results never are,
-// rows handed to a live consumer always are, and then the conflict surfaces
-// as an ErrEval. After scanRestartAttempts shifted attempts the
-// materialized source answers.
-
-// errScanShifted reports that the store compacted its indexes between two
-// pages of a paged scan, invalidating the positional cursor.
-var errScanShifted = errors.New("sparql: store layout changed during streamed scan")
 
 // planStream reports whether the paged source can serve q with exactly the
 // rows, in order, the materialized source gives: the group must be row-local
@@ -182,15 +170,15 @@ const (
 // and no Binding is built for them; every other solution goes to sols as a
 // Binding.
 //
-// The driver pages the suspended scan of the group's first pattern: each
-// ForEachIDPage call does nothing under the store's read lock but
-// unify-and-collect ID rows, and the page is then joined through the rest
-// of its pattern run, decoded (one Terms call per page), put through
-// whatever follows the run and handed on with the lock released — a nested scan inside the outer
-// one would deadlock behind a queued writer, and a slow network consumer
-// must not stall the store's writers. The flip side is isolation: a write
-// landing between two pages is visible to the remainder of the scan (the
-// materialized source keeps its one-snapshot-per-scan semantics).
+// The driver takes one store run (ScanIDs) of the group's first pattern per
+// seed and cuts it into pages: each page is unified into ID rows, joined
+// through the rest of its pattern run, decoded (one Terms call per page),
+// put through whatever follows the run and handed on. The run is read with
+// no lock held and holds still, so a slow network consumer never stalls the
+// store's writers, a consumer may even write to the store, and a write or a
+// merge landing between two pages changes nothing the scan reads: every page
+// of a seed's scan reads the store as it was when the run was taken. The
+// patterns joined to a page are probed against the store as it is then.
 func (e *engine) streamSolutions(g *Group, budget int, vars []string, rows func([]rdf.Term) bool, sols func(Binding) bool) error {
 	g = unwrapGroup(g)
 	elems := g.Elems
@@ -254,81 +242,87 @@ func (e *engine) streamSolutions(g *Group, budget int, vars []string, rows func(
 	}()
 
 	emitted := 0
-	epoch := e.st.LayoutEpoch()
 	batchCap := streamBatchInit
 	scratch := make([]store.ID, seeds.stride)
 	var colIDs []store.ID
+	// deliver joins, decodes and hands on one page; false means the
+	// receiver is done or err is set.
+	deliver := func(page idRows) bool {
+		pages++
+		scanned += page.n()
+		limit := -1
+		if final {
+			limit = remainingBudget(budget, emitted)
+		}
+		if page, err = r.extend(page, run[1:], limit); err != nil {
+			return false
+		}
+		if batchCap < streamBatchMax {
+			batchCap *= 2
+		}
+		if asColumns {
+			var cols []rdf.Term
+			cols, colIDs = r.columns(page, src, vars, colIDs)
+			w := len(src)
+			for j := 0; j < page.n(); j++ {
+				emitted++
+				if !rows(cols[j*w : (j+1)*w : (j+1)*w]) {
+					return false
+				}
+			}
+			return true
+		}
+		out := r.decode(page)
+		built += len(out)
+		if !final && len(out) > 0 {
+			if out, err = e.evalElems(rest, g.Filters, out); err != nil {
+				return false
+			}
+		}
+		for _, sol := range out {
+			emitted++
+			if !sols(sol) {
+				return false
+			}
+		}
+		return true
+	}
+	// open starts the next page, sized by the geometrically growing batch,
+	// clamped in direct mode to the rows still owed (each match there is a
+	// final solution, so scanning further is pure waste); false ends the
+	// query: nothing more is owed, or err is set.
+	var page idRows
+	taken, size := 0, 0
+	open := func() bool {
+		page, taken, size = idRows{stride: seeds.stride}, 0, batchCap
+		if direct && budget >= 0 {
+			size = min(size, remainingBudget(budget, emitted))
+		}
+		if size == 0 {
+			return false
+		}
+		err = e.cancelled()
+		return err == nil
+	}
 	for i := 0; i < seeds.n(); i++ {
 		seed := seeds.row(i)
 		ms, mp, mo := maskFor(ps, seed)
-		pos := 0
-		for done := false; !done; {
-			if err := e.cancelled(); err != nil {
-				return err
+		scan, _ := e.st.ScanIDs(ms, mp, mo, store.PosAny)
+		if !open() || !scan.ForEach(func(m store.IDTriple) bool {
+			copy(scratch, seed)
+			if idUnify(ps, scratch, m) {
+				page.ids = append(page.ids, scratch...)
+				page.parents = append(page.parents, seeds.parents[i])
 			}
-			// Page size: the geometrically growing batch, clamped in
-			// direct mode to the rows still owed (each match there is a
-			// final solution, so scanning further is pure waste).
-			pageMax := batchCap
-			if direct && budget >= 0 {
-				pageMax = min(pageMax, remainingBudget(budget, emitted))
-				if pageMax == 0 {
-					return nil
-				}
-			}
-			page := idRows{stride: seeds.stride}
-			pos, done = e.st.ForEachIDPage(ms, mp, mo, pos, pageMax, func(m store.IDTriple) bool {
-				copy(scratch, seed)
-				if idUnify(ps, scratch, m) {
-					page.ids = append(page.ids, scratch...)
-					page.parents = append(page.parents, seeds.parents[i])
-				}
+			if taken++; taken < size {
 				return true
-			})
-			pages++
-			scanned += page.n()
-			// A compaction between pages reshuffles positions: the page
-			// just read may duplicate or skip triples, so discard it and
-			// let the caller restart or abort.
-			if e.st.LayoutEpoch() != epoch {
-				return errScanShifted
 			}
-			// Lock released: join, decode and deliver this page's matches.
-			limit := -1
-			if final {
-				limit = remainingBudget(budget, emitted)
-			}
-			if page, err = r.extend(page, run[1:], limit); err != nil {
-				return err
-			}
-			if asColumns {
-				var cols []rdf.Term
-				cols, colIDs = r.columns(page, src, vars, colIDs)
-				w := len(src)
-				for j := 0; j < page.n(); j++ {
-					emitted++
-					if !rows(cols[j*w : (j+1)*w : (j+1)*w]) {
-						return nil
-					}
-				}
-			} else {
-				out := r.decode(page)
-				built += len(out)
-				if !final && len(out) > 0 {
-					if out, err = e.evalElems(rest, g.Filters, out); err != nil {
-						return err
-					}
-				}
-				for _, sol := range out {
-					emitted++
-					if !sols(sol) {
-						return nil
-					}
-				}
-			}
-			if batchCap < streamBatchMax {
-				batchCap *= 2
-			}
+			return deliver(page) && open()
+		}) {
+			return err
+		}
+		if taken > 0 && !deliver(page) {
+			return err
 		}
 	}
 	return nil
@@ -380,28 +374,10 @@ func sortKeys(keys []OrderKey, eval func(Expr) (rdf.Term, error)) []rdf.Term {
 	return out
 }
 
-// scanRestartAttempts bounds how often a paged scan the store compacted
-// under is restarted; past it, the snapshot-consistent materialized source
-// takes over (correct at any write rate, just not early-terminating).
-const scanRestartAttempts = 3
-
-// retryShifted runs attempt until one ends without the store having
-// compacted under its paged scan, scanRestartAttempts times at most.
-// done=false means every attempt was shifted.
-func retryShifted(attempt func() error) (done bool, err error) {
-	for i := 0; i < scanRestartAttempts; i++ {
-		if err = attempt(); !errors.Is(err, errScanShifted) {
-			return true, err
-		}
-	}
-	return false, nil
-}
-
 // execute is the driver's root: it picks the source, runs the chain and
-// hands the windowed rows to emit in order until emit declines. restart
-// discards everything emit has received; nil means a delivered row is
-// irrevocable (a live consumer).
-func (e *engine) execute(q *Query, emit func([]rdf.Term) bool, restart func()) error {
+// hands the windowed rows to emit in order until emit declines. live says
+// emit is a consumer that takes rows as they come, not a buffer.
+func (e *engine) execute(q *Query, emit func([]rdf.Term) bool, live bool) error {
 	strategy, rows := "materialized", 0
 	if e.trace != nil {
 		start := time.Now()
@@ -412,35 +388,18 @@ func (e *engine) execute(q *Query, emit func([]rdf.Term) bool, restart func()) e
 		rows++
 		return emit(row)
 	}
-	reset := func() {
-		rows = 0
-		if restart != nil {
-			restart()
-		}
-	}
-	if e.pages(q, restart == nil) {
-		done, err := retryShifted(func() error {
-			reset()
-			err := e.chain(q, true, count)
-			if restart == nil && rows > 0 && errors.Is(err, errScanShifted) {
-				// A restart would deliver these rows twice.
-				return fmt.Errorf("%v; re-run the query", err)
-			}
-			return err
-		})
-		if done {
-			if e.met != nil {
-				e.met.QueriesStreamed.Inc()
-			}
-			strategy = "streamed"
-			return err
-		}
-		reset()
+	paged := e.pages(q, live)
+	if paged {
+		strategy = "streamed"
 	}
 	if e.met != nil {
-		e.met.QueriesMaterialized.Inc()
+		if paged {
+			e.met.QueriesStreamed.Inc()
+		} else {
+			e.met.QueriesMaterialized.Inc()
+		}
 	}
-	return e.chain(q, false, count)
+	return e.chain(q, paged, count)
 }
 
 // pages is the source-choice rule: the paged source serves what planStream
@@ -451,7 +410,7 @@ func (e *engine) pages(q *Query, live bool) bool {
 	return e.runOracle == nil && planStream(q) && (live || q.Limit >= 0 || q.Form == FormAsk)
 }
 
-// chain runs one attempt: the source, then the modifier stages in SPARQL
+// chain runs the query: the source, then the modifier stages in SPARQL
 // order into emit.
 func (e *engine) chain(q *Query, paged bool, emit func([]rdf.Term) bool) error {
 	limit := q.Limit
@@ -725,7 +684,7 @@ func (s *Stream) RunRows(emit func([]rdf.Term) bool) error {
 	if s.q.Form != FormSelect {
 		return wrapEval(fmt.Errorf("sparql: Run on an ASK query; use Ask"))
 	}
-	return wrapEval(s.e.execute(s.q, emit, nil))
+	return wrapEval(s.e.execute(s.q, emit, true))
 }
 
 // Run is RunRows with each row as a Binding of its bound columns.

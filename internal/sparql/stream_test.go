@@ -2,12 +2,10 @@ package sparql
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,35 +14,15 @@ import (
 	"github.com/lodviz/lodviz/internal/store"
 )
 
-// countingSource wraps a store and counts every triple the engine's scans
-// visit — the snapshot scan, the paged scan and the materialized sorted run
-// — the observable that proves LIMIT pushdown actually stops scanning
-// instead of just truncating a full result.
-type countingSource struct {
-	*store.Store
-	visited atomic.Int64
-}
-
-func (c *countingSource) ForEachID(s, p, o store.ID, fn func(store.IDTriple) bool) {
-	c.Store.ForEachID(s, p, o, func(t store.IDTriple) bool {
-		c.visited.Add(1)
-		return fn(t)
-	})
-}
-
-func (c *countingSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(store.IDTriple) bool) (int, bool) {
-	return c.Store.ForEachIDPage(s, p, o, pos, max, func(t store.IDTriple) bool {
-		c.visited.Add(1)
-		return fn(t)
-	})
-}
-
-func (c *countingSource) ScanIDs(s, p, o store.ID, lead store.Position) (store.IDRun, bool) {
-	run, ok := c.Store.ScanIDs(s, p, o, lead)
-	if ok {
-		c.visited.Add(int64(len(run.Sorted) + len(run.Tail)))
-	}
-	return run, ok
+// scannedBy runs q and returns its results with the index entries its
+// pattern executors visited (Metrics.MatchesScanned) — the observable that
+// proves LIMIT pushdown actually stops scanning instead of just truncating
+// a full result.
+func scannedBy(t *testing.T, src store.Source, q string, opt Options) (*Results, uint64) {
+	t.Helper()
+	opt.Metrics = NewMetrics(obs.NewRegistry())
+	res := execOpts(t, src, q, opt)
+	return res, opt.Metrics.MatchesScanned.Value()
 }
 
 // streamStore builds a dataset big enough that full evaluation is clearly
@@ -210,18 +188,14 @@ func TestLimitPushdownStopsScanning(t *testing.T) {
 	st := streamStore(t, 50000) // 100k triples
 	q := `SELECT ?s ?o WHERE { ?s <http://s/value> ?o } LIMIT 10`
 	for _, par := range []int{1, 4} {
-		src := &countingSource{Store: st}
-		res := execOpts(t, src, q, Options{Parallelism: par})
+		res, pushed := scannedBy(t, st, q, Options{Parallelism: par})
 		if len(res.Rows) != 10 {
 			t.Fatalf("par=%d: got %d rows, want 10", par, len(res.Rows))
 		}
-		pushed := src.visited.Load()
 
 		// The same pattern without LIMIT is a buffered SELECT that needs
 		// every solution: the materialized source's full scan.
-		src2 := &countingSource{Store: st}
-		execOpts(t, src2, `SELECT ?s ?o WHERE { ?s <http://s/value> ?o }`, Options{Parallelism: par})
-		full := src2.visited.Load()
+		_, full := scannedBy(t, st, `SELECT ?s ?o WHERE { ?s <http://s/value> ?o }`, Options{Parallelism: par})
 		if !reflect.DeepEqual(res.Rows, oracleExec(t, st, q).Rows) {
 			t.Fatalf("par=%d: pushdown rows differ from the oracle", par)
 		}
@@ -237,12 +211,10 @@ func TestLimitPushdownJoinCapped(t *testing.T) {
 	st := streamStore(t, 20000)
 	q := `SELECT ?s ?v WHERE { ?s <http://s/link> ?o . ?o <http://s/value> ?v } LIMIT 7`
 	for _, par := range []int{1, 8} {
-		src := &countingSource{Store: st}
-		res := execOpts(t, src, q, Options{Parallelism: par})
+		res, pushed := scannedBy(t, st, q, Options{Parallelism: par})
 		if len(res.Rows) != 7 {
 			t.Fatalf("par=%d: got %d rows, want 7", par, len(res.Rows))
 		}
-		pushed := src.visited.Load()
 		ref := oracleExec(t, st, q)
 		if !reflect.DeepEqual(res.Rows, ref.Rows) {
 			t.Fatalf("par=%d: capped join rows differ from the oracle", par)
@@ -263,12 +235,11 @@ func TestNestedGroupPushdown(t *testing.T) {
 		`SELECT ?s ?o WHERE { { ?s <http://s/value> ?o } } LIMIT 10`,
 		`SELECT ?s ?o WHERE { { { ?s <http://s/value> ?o FILTER(?o >= 0) } } FILTER(?o < 1000) } LIMIT 10`,
 	} {
-		src := &countingSource{Store: st}
-		res := execOpts(t, src, q, Options{Parallelism: 1})
+		res, v := scannedBy(t, st, q, Options{Parallelism: 1})
 		if len(res.Rows) != 10 {
 			t.Fatalf("%s: got %d rows, want 10", q, len(res.Rows))
 		}
-		if v := src.visited.Load(); v > 1000 {
+		if v > 1000 {
 			t.Errorf("%s: visited %d triples, want early termination", q, v)
 		}
 		ref := oracleExec(t, st, q)
@@ -329,12 +300,11 @@ func TestSubgroupPrefixNotIncremental(t *testing.T) {
 // TestAskShortCircuits: ASK stops at the first matching solution.
 func TestAskShortCircuits(t *testing.T) {
 	st := streamStore(t, 50000)
-	src := &countingSource{Store: st}
-	res := execOpts(t, src, `ASK { ?s <http://s/value> ?o }`, Options{Parallelism: 1})
+	res, v := scannedBy(t, st, `ASK { ?s <http://s/value> ?o }`, Options{Parallelism: 1})
 	if !res.Ask {
 		t.Fatal("ask = false, want true")
 	}
-	if v := src.visited.Load(); v > 16 {
+	if v > 16 {
 		t.Errorf("ASK visited %d triples, want a handful", v)
 	}
 }
@@ -475,8 +445,8 @@ SELECT ?_ord0 WHERE { ?p foaf:name ?_ord0 ; foaf:age ?a } ORDER BY DESC(?a)`, Op
 // without error (the client-disconnect path).
 func TestStreamStopEarly(t *testing.T) {
 	st := streamStore(t, 10000)
-	src := &countingSource{Store: st}
-	stm, err := PrepareStream(context.Background(), src, `SELECT ?s WHERE { ?s <http://s/value> ?o }`, Options{Parallelism: 1})
+	met := NewMetrics(obs.NewRegistry())
+	stm, err := PrepareStream(context.Background(), st, `SELECT ?s WHERE { ?s <http://s/value> ?o }`, Options{Parallelism: 1, Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +463,7 @@ func TestStreamStopEarly(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("delivered %d rows, want 3", n)
 	}
-	if v := src.visited.Load(); v > 16 {
+	if v := met.MatchesScanned.Value(); v > 16 {
 		t.Errorf("visited %d triples after consumer stop, want a handful", v)
 	}
 }
@@ -589,139 +559,80 @@ func TestStreamConcurrentWriters(t *testing.T) {
 	}
 }
 
-// compactingSource compacts the store once, right after the Nth scanned
-// page — simulating a concurrent writer crossing the merge threshold mid-
-// stream, which reshuffles every positional cursor.
+// compactingSource writes to the store and compacts it once the driver has
+// decoded `after` pages (it calls Terms once a page), then once per page
+// again when every is set: a writer crossing the merge threshold mid-stream.
+// Each write deletes a matching triple the scan has not reached yet and adds
+// a matching triple, so a scan that read the live store would miss the one
+// and meet the other.
 type compactingSource struct {
 	*store.Store
-	afterPages int // compact after this many ForEachIDPage calls
-	pages      int
-	compacted  bool
+	after  int
+	every  bool
+	pages  int
+	writes int
 }
 
-func (c *compactingSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(store.IDTriple) bool) (int, bool) {
-	next, done := c.Store.ForEachIDPage(s, p, o, pos, max, fn)
-	c.pages++
-	if !c.compacted && c.pages >= c.afterPages {
-		c.compacted = true
+func (c *compactingSource) Terms(ids []store.ID) []rdf.Term {
+	out := c.Store.Terms(ids)
+	if c.pages++; c.pages >= c.after && (c.every || c.writes == 0) {
+		c.writes++
+		gone := 1000 + 2 + c.writes // a value the first page does not reach
+		if !c.Store.Delete(rdf.Triple{S: rdf.IRI(fmt.Sprintf("http://s/e%d", gone)), P: "http://s/value", O: rdf.NewInteger(int64(gone % 1000))}) {
+			panic("compactingSource: nothing to delete")
+		}
+		if err := c.Store.Add(rdf.Triple{S: rdf.IRI(fmt.Sprintf("http://s/late%d", c.writes)), P: "http://s/value", O: rdf.NewInteger(int64(5000 + c.writes))}); err != nil {
+			panic(err)
+		}
 		c.Store.Compact()
 	}
-	return next, done
+	return out
 }
 
-// TestStreamRestartsOnCompaction: a buffered query on the paged source
-// detects the epoch change, discards the possibly-corrupt pages, restarts,
-// and still returns exactly the oracle's rows.
-func TestStreamRestartsOnCompaction(t *testing.T) {
-	st := streamStore(t, 2000)
-	// A pending non-matching delta entry so Compact actually reshuffles.
-	if err := st.Add(rdf.Triple{S: rdf.IRI("http://s/pending"), P: "http://s/other", O: rdf.NewInteger(1)}); err != nil {
-		t.Fatal(err)
-	}
-	src := &compactingSource{Store: st, afterPages: 1}
-	q := `SELECT ?s ?v WHERE { ?s <http://s/value> ?v } LIMIT 50`
-	res := execOpts(t, src, q, Options{Parallelism: 1})
-	if !src.compacted {
-		t.Fatal("test did not exercise mid-scan compaction")
-	}
-	ref := oracleExec(t, st, q)
-	if !reflect.DeepEqual(res.Rows, ref.Rows) {
-		t.Fatalf("restarted scan rows differ from the oracle: %d vs %d rows", len(res.Rows), len(ref.Rows))
-	}
-}
-
-// churningSource compacts the store after every scanned page, adding a
-// fresh non-matching triple first so each Compact has a delta to merge and
-// moves LayoutEpoch: no paged scan over it completes an attempt.
-type churningSource struct {
-	*store.Store
-	pages int
-}
-
-func (c *churningSource) ForEachIDPage(s, p, o store.ID, pos, max int, fn func(store.IDTriple) bool) (int, bool) {
-	next, done := c.Store.ForEachIDPage(s, p, o, pos, max, fn)
-	c.pages++
-	if err := c.Store.Add(rdf.Triple{S: rdf.IRI(fmt.Sprintf("http://s/churn%d", c.pages)), P: "http://s/other", O: rdf.NewInteger(1)}); err != nil {
-		panic(err)
-	}
-	c.Store.Compact()
-	return next, done
-}
-
-// TestStreamFallsBackToMaterialized: when every restart of the paged scan
-// is shifted again, the materialized source answers — for EvalCtx (LIMIT
-// and ORDER BY ... LIMIT) and for a Stream.Run that has delivered nothing —
-// with the oracle's rows, and the query counts as materialized.
-func TestStreamFallsBackToMaterialized(t *testing.T) {
-	st := streamStore(t, 500)
-	limited := `SELECT ?s ?v WHERE { ?s <http://s/value> ?v } LIMIT 50`
-	topk := `SELECT ?s ?v WHERE { ?s <http://s/value> ?v } ORDER BY DESC(?v) ?s LIMIT 5`
-	met := NewMetrics(obs.NewRegistry())
-	src := &churningSource{Store: st}
-	opt := Options{Parallelism: 1, Metrics: met}
-	for _, q := range []string{limited, topk} {
-		got := execOpts(t, src, q, opt)
-		if d := firstDiff(oracleExec(t, st, q).Rows, got.Rows); d != "" {
-			t.Errorf("EvalCtx %s: %s", q, d)
+// TestStreamReadsOneRunAcrossCompaction: a store written and compacted
+// after the first page, or after every page, changes nothing a paged query
+// returns — buffered (EvalCtx) or live (Stream.RunRows): every case returns
+// the oracle's rows for the store as it was when the run was taken, with no
+// error, from the paged source.
+func TestStreamReadsOneRunAcrossCompaction(t *testing.T) {
+	const limited, whole = `SELECT ?s ?v WHERE { ?s <http://s/value> ?v } LIMIT 1000`, `SELECT ?s ?v WHERE { ?s <http://s/value> ?v }`
+	for _, every := range []bool{false, true} {
+		for _, live := range []bool{false, true} {
+			t.Run(fmt.Sprintf("every=%v/live=%v", every, live), func(t *testing.T) {
+				st := streamStore(t, 2000)
+				q := limited
+				if live {
+					q = whole
+				}
+				want := oracleExec(t, st, q).Rows
+				src := &compactingSource{Store: st, after: 1, every: every}
+				met := NewMetrics(obs.NewRegistry())
+				opt := Options{Parallelism: 1, Metrics: met}
+				var got []Binding
+				if live {
+					stm, err := PrepareStream(context.Background(), src, q, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := stm.Run(func(b Binding) bool { got = append(got, b); return true }); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					got = execOpts(t, src, q, opt).Rows
+				}
+				if src.writes == 0 || (every && src.writes < 3) {
+					t.Fatalf("the store was written %d times, want once after the first page or after every page", src.writes)
+				}
+				if d := firstDiff(want, got); d != "" {
+					t.Fatalf("%d writes: %s", src.writes, d)
+				}
+				if s, m := met.QueriesStreamed.Value(), met.QueriesMaterialized.Value(); s != 1 || m != 0 {
+					t.Fatalf("QueriesStreamed=%d QueriesMaterialized=%d, want the paged source", s, m)
+				}
+			})
 		}
 	}
-	stm, err := PrepareStream(context.Background(), src, limited, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []Binding
-	if err := stm.Run(func(r Binding) bool {
-		rows = append(rows, r)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if d := firstDiff(oracleExec(t, st, limited).Rows, rows); d != "" {
-		t.Errorf("Stream.Run: %s", d)
-	}
-	if src.pages < 3*scanRestartAttempts {
-		t.Errorf("scanned %d pages, want every attempt of 3 queries shifted", src.pages)
-	}
-	if m, s := met.QueriesMaterialized.Value(), met.QueriesStreamed.Value(); m != 3 || s != 0 {
-		t.Errorf("QueriesMaterialized=%d QueriesStreamed=%d, want 3 and 0", m, s)
-	}
 }
-
-// TestStreamRunAbortsAfterDeliveryOnCompaction: an incremental stream that
-// already handed rows to the consumer cannot restart without duplicating
-// them; a mid-scan compaction surfaces as an evaluation error instead of
-// silent corruption.
-func TestStreamRunAbortsAfterDeliveryOnCompaction(t *testing.T) {
-	st := streamStore(t, 2000)
-	if err := st.Add(rdf.Triple{S: rdf.IRI("http://s/pending"), P: "http://s/other", O: rdf.NewInteger(1)}); err != nil {
-		t.Fatal(err)
-	}
-	// Compact after the second page: the first page's rows have already
-	// reached the consumer by then, so a transparent restart is off the
-	// table.
-	src := &compactingSource{Store: st, afterPages: 2}
-	stm, err := PrepareStream(context.Background(), src,
-		`SELECT ?s ?v WHERE { ?s <http://s/value> ?v }`, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	delivered := 0
-	err = stm.Run(func(Binding) bool {
-		delivered++
-		return true
-	})
-	if err == nil {
-		t.Fatal("want an error after mid-stream compaction with rows delivered")
-	}
-	if !errorsIsEval(err) {
-		t.Fatalf("error %v should classify as ErrEval", err)
-	}
-	if delivered == 0 {
-		t.Fatal("expected some rows before the abort")
-	}
-}
-
-func errorsIsEval(err error) bool { return errors.Is(err, ErrEval) }
 
 // TestStreamAPIForms: form mismatches error, ASK streams, Incremental is
 // false for shapes that must materialize.

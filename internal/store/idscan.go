@@ -9,10 +9,10 @@ import (
 
 // This file is the store's dictionary-ID scan surface: everything the SPARQL
 // engine needs to run joins entirely in uint32 ID space — permutation
-// selection, sorted runs (the index's own range lent when no tombstone can
-// hide an entry of it, otherwise copied with lock-free gaps between pages),
-// batch ID→term decoding — so terms are only materialized once per emitted
-// solution instead of once per probe.
+// selection, sorted runs (the index's own range, lent, with the tombstones
+// that hide entries of it listed beside it), batch ID→term decoding — so
+// terms are only materialized once per emitted solution instead of once per
+// probe.
 
 // IDTriple is one triple in dictionary-ID space: what the indexes, the delta
 // buffer, the tombstone set and the change log hold and what every ID scan
@@ -324,130 +324,93 @@ func (st *Store) EstimateCountIDs(s, p, o ID) int {
 	return max(n, 0)
 }
 
-// IDRun is one materialized ID-space scan: the base-index matches sorted in
-// Order, then the not-yet-compacted delta matches in insertion order.
-// Concatenating Sorted and Tail reproduces exactly the sequence ForEachID
-// emits for the same pattern (modulo mutations between pages; see ScanIDs).
+// IDRun is one ID-space scan, taken under one read lock: the base-index
+// matches sorted in Order, the tombstoned ones among them (Dead, a sorted
+// subsequence of Sorted), then the not-yet-compacted live delta matches in
+// insertion order. ForEach reproduces exactly the sequence ForEachID emits
+// for the same pattern at the moment the run was taken.
 //
-// A run is read-only. Sorted may be the index's own range, lent rather than
-// copied (see ScanIDs): writing to it would change what every other reader
-// of the store sees. It is clipped, so an append copies instead.
+// A run is read-only and holds still. Sorted is the index's own range, lent
+// rather than copied (see ScanIDs): writing to it would change what every
+// other reader of the store sees. It is clipped, so an append copies
+// instead. Dead and Tail are the run's own.
 type IDRun struct {
 	Sorted []IDTriple
+	Dead   []IDTriple
 	Tail   []IDTriple
 	Order  ScanOrder
 }
 
-// scanIDsPageSize is how many base-index entries one ScanIDs page copies per
-// lock acquisition; a variable so tests can force multi-page scans on small
-// stores.
-var scanIDsPageSize = 1 << 16
-
-// scanIDsBetweenPages, when non-nil, runs between ScanIDs pages with no lock
-// held — a test hook for forcing compactions mid-scan.
-var scanIDsBetweenPages func()
-
-// scanIDsRestartAttempts bounds how many times a paged scan restarts after a
-// layout-epoch change before falling back to one scan under a full lock.
-const scanIDsRestartAttempts = 3
-
-// ScanIDs materializes the matches for a bound mask (0 = wildcard) through
-// the permutation PermutationFor selects for lead; ok=false means no
+// ScanIDs takes the matches for a bound mask (0 = wildcard) through the
+// permutation PermutationFor selects for lead; ok=false means no
 // permutation yields the requested lead order and the caller must probe
 // instead.
 //
-// When the store holds no tombstones, every entry of the index range is
-// live, and the run lends it: Sorted is the range itself, taken under one
-// read lock with the delta tail, and nothing is copied. The store never
-// writes to an index it has installed — compaction, bulk loads and snapshot
-// restore install freshly allocated ones — so a lent range holds still; the
-// price is that it keeps the index it was cut from alive until the run is
-// dropped, though the store may have replaced that index since. With
-// tombstones present the live entries are copied, in pages: the read lock is
-// released between pages so a long scan never holds up writers, and a
-// layout-epoch change (compaction reshuffles positions) restarts the scan;
-// after scanIDsRestartAttempts restarts it degrades to a single-lock scan,
-// which cannot be invalidated.
+// Under one read lock it lends the index range as Sorted, lists the
+// tombstones that fall in it as Dead, and copies the live delta matches as
+// Tail; no scan ever copies the range. The store never writes to an index it
+// has installed — compaction, bulk loads and snapshot restore install
+// freshly allocated ones — and the run's Dead and Tail are copies, so the
+// run reads one fixed state of the store however it is written meanwhile,
+// and needs no lock while it is read. The price is that it keeps the index
+// it was cut from alive until the run is dropped, though the store may have
+// replaced that index since.
 func (st *Store) ScanIDs(s, p, o ID, lead Position) (IDRun, bool) {
 	ord, ok := PermutationFor(s != 0, p != 0, o != 0, lead)
 	if !ok {
 		return IDRun{}, false
 	}
 	m := IDTriple{s, p, o}
-	for attempt := 0; attempt < scanIDsRestartAttempts; attempt++ {
-		if run, ok := st.scanIDsPaged(m, ord, scanIDsPageSize); ok {
-			return run, true
-		}
+	run := IDRun{Order: ord}
+	st.mu.RLock()
+	// An empty run lends nothing, so it pins no index.
+	if base := ord.find(st.index[ord], m); len(base) > 0 {
+		run.Sorted = slices.Clip(base)
+		run.Dead = st.deadLocked(base, ord, m)
 	}
-	// Writers keep compacting underneath the paged scan; take one read lock
-	// for the whole range — a single unbounded page — instead of restarting
-	// forever.
-	run, _ := st.scanIDsPaged(m, ord, 0)
+	st.walkLocked(nil, st.delta, m, 0, 0, appendTo(&run.Tail))
+	st.mu.RUnlock()
+	st.scanRuns.Add(1)
 	return run, true
 }
 
-// scanIDsPaged is one attempt at a run. If the store holds no tombstones
-// when it starts, it lends the range; otherwise it copies the live entries
-// in pages of at most page (0: all in one), dropping the lock between pages.
-// ok=false reports a layout-epoch change invalidating the positional cursor.
-func (st *Store) scanIDsPaged(m IDTriple, ord ScanOrder, page int) (IDRun, bool) {
-	run := IDRun{Order: ord}
-	var epoch uint64
-	lent := false
-	for pos := 0; ; {
-		st.mu.RLock()
-		if pos == 0 {
-			epoch = st.layout
-		} else if st.layout != epoch {
-			st.mu.RUnlock()
-			return IDRun{}, false
-		}
-		base := ord.find(st.index[ord], m)
-		if pos == 0 && len(st.deleted) == 0 {
-			// Every entry of the range is live: lend it whole. An empty run
-			// lends nothing, so it pins no index.
-			lent, pos = true, len(base)
-			if len(base) > 0 {
-				run.Sorted = slices.Clip(base)
+// deadLocked returns the tombstoned entries of base, the range of the ord
+// index that matches m, sorted in ord. It takes whichever is shorter:
+// probing the range against the tombstones, or filtering the tombstones by
+// the mask and looking each up in the range (a tombstone may shadow a delta
+// entry instead). Caller holds mu.
+func (st *Store) deadLocked(base []IDTriple, ord ScanOrder, m IDTriple) []IDTriple {
+	var dead []IDTriple
+	if len(base) <= len(st.deleted) {
+		for _, e := range base {
+			if _, ok := st.deleted[e]; ok {
+				dead = append(dead, e)
 			}
-		} else {
-			if run.Sorted == nil && len(base) > 0 {
-				run.Sorted = make([]IDTriple, 0, len(base))
-			}
-			pos, _ = st.walkLocked(base, nil, m, pos, page, appendTo(&run.Sorted))
 		}
-		if pos >= len(base) {
-			// The delta is captured under the same view as the final page,
-			// exactly where ForEachID switches from base to delta.
-			st.walkLocked(nil, st.delta, m, 0, 0, appendTo(&run.Tail))
-			st.mu.RUnlock()
-			if lent {
-				st.scanRunsLent.Add(1)
-			} else {
-				st.scanRunsCopied.Add(1)
-			}
-			return run, true
-		}
-		st.mu.RUnlock()
-		if hook := scanIDsBetweenPages; hook != nil {
-			hook()
+		return dead
+	}
+	for e := range st.deleted {
+		if e.matches(m) && len(ord.find(base, e)) > 0 {
+			dead = append(dead, e)
 		}
 	}
+	slices.SortFunc(dead, ord.compare)
+	return dead
 }
 
 // ForEachIDPage streams up to max matching triples in ID space to fn,
 // starting at scan position pos (0 starts a new scan), and returns the
 // position the next page should resume from plus whether the scan is
-// exhausted. The read lock is held only for one page, so callers may do
-// arbitrary work between pages — evaluate joins, write to the network, even
-// mutate the store — without holding up writers. The cursor is positional
-// over the PosAny permutation for the bound mask: positions in the base
-// index are stable until a compaction, so callers must watch LayoutEpoch
-// between pages and restart when it moves (delta appends don't shift the
-// base, and the delta itself is append-only between compactions); a paged
-// scan observes the live store rather than one snapshot (ForEachID gives
-// that). fn returning false ends the scan (done=true). max < 1 returns
-// immediately with done=false.
+// exhausted. The read lock is held only for one page. The cursor is
+// positional over the PosAny permutation for the bound mask: positions in
+// the base index are stable until a compaction, so a caller must watch
+// LayoutEpoch between pages and restart when it moves (delta appends don't
+// shift the base, and the delta itself is append-only between compactions);
+// a paged scan observes the live store rather than one state of it. fn
+// returning false ends the scan (done=true). max < 1 returns immediately
+// with done=false. Nothing in the server pages the store — the query driver
+// and the exploration walks read ScanIDs runs — so this and ForEachPage are
+// kept for the benchmark harness's traced source and the tests.
 func (st *Store) ForEachIDPage(s, p, o ID, pos, max int, fn func(IDTriple) bool) (next int, done bool) {
 	if max < 1 {
 		return pos, false
@@ -459,39 +422,57 @@ func (st *Store) ForEachIDPage(s, p, o ID, pos, max int, fn func(IDTriple) bool)
 	return st.walkLocked(st.rangeLocked(m), st.delta, m, pos, max, fn)
 }
 
-// ForEachSorted streams the run in full Order-sorted sequence: the delta
-// tail (captured in insertion order) is sorted and merged into the sorted
-// base matches on the fly, so span-counting consumers see one globally
-// grouped sequence even before the next compaction folds the delta in.
-// Iteration stops early when fn returns false; the return value reports
-// whether the full run was visited.
+// ForEach calls fn with the run's live entries in scan order — Sorted
+// without Dead, then Tail — until fn returns false; it reports whether the
+// whole run was visited.
+func (r IDRun) ForEach(fn func(IDTriple) bool) bool {
+	if !r.merge(nil, fn) {
+		return false
+	}
+	for _, e := range r.Tail {
+		if !fn(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// ForEachSorted streams the run's live entries in full Order-sorted
+// sequence: the delta tail (captured in insertion order) is sorted and
+// merged into the live base matches on the fly, so span-counting consumers
+// see one globally grouped sequence even before the next compaction folds
+// the delta in. Iteration stops early when fn returns false; the return
+// value reports whether the full run was visited.
 func (r IDRun) ForEachSorted(fn func(IDTriple) bool) bool {
 	tail := r.Tail
 	if len(tail) > 1 {
-		tail = append([]IDTriple(nil), tail...)
-		sort.Slice(tail, func(i, j int) bool { return r.Order.Less(tail[i], tail[j]) })
+		tail = slices.Clone(tail)
+		slices.SortFunc(tail, r.Order.compare)
 	}
-	i, j := 0, 0
-	for i < len(r.Sorted) && j < len(tail) {
-		var t IDTriple
-		if r.Order.Less(tail[j], r.Sorted[i]) {
-			t = tail[j]
-			j++
-		} else {
-			t = r.Sorted[i]
-			i++
+	return r.merge(tail, fn)
+}
+
+// merge calls fn with the live entries of Sorted — Dead skipped by walking
+// both in step — and those of tail, which is sorted in Order, interleaved in
+// Order; ties go to Sorted first.
+func (r IDRun) merge(tail []IDTriple, fn func(IDTriple) bool) bool {
+	dead := r.Dead
+	for _, e := range r.Sorted {
+		if len(dead) > 0 && dead[0] == e {
+			dead = dead[1:]
+			continue
 		}
-		if !fn(t) {
+		for ; len(tail) > 0 && r.Order.Less(tail[0], e); tail = tail[1:] {
+			if !fn(tail[0]) {
+				return false
+			}
+		}
+		if !fn(e) {
 			return false
 		}
 	}
-	for ; i < len(r.Sorted); i++ {
-		if !fn(r.Sorted[i]) {
-			return false
-		}
-	}
-	for ; j < len(tail); j++ {
-		if !fn(tail[j]) {
+	for _, e := range tail {
+		if !fn(e) {
 			return false
 		}
 	}

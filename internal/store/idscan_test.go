@@ -107,97 +107,9 @@ func TestScanIDsMatchesForEachID(t *testing.T) {
 	checkScansAgainstModel(t, st, model)
 }
 
-// TestScanIDsEpochRestart forces a compaction between the pages of a copied
-// run — a tombstone keeps the store from lending the range — so the scan
-// must notice the layout-epoch bump, restart, and still produce the right
-// result; when every attempt is invalidated it must fall back to the
-// single-lock scan.
-func TestScanIDsEpochRestart(t *testing.T) {
-	st := New()
-	original := func(i int) rdf.Triple { return tr(fmt.Sprint("s", i), "p", fmt.Sprint("o", i%5)) }
-	var batch []rdf.Triple
-	for i := 0; i < 300; i++ {
-		batch = append(batch, original(i))
-	}
-	if err := st.AddAll(batch); err != nil {
-		t.Fatal(err)
-	}
-	st.Compact()
-	if !st.Delete(original(0)) {
-		t.Fatal("Delete(s0) = false")
-	}
-	pid, _ := st.LookupTermID(iri("p"))
-
-	oldPage := scanIDsPageSize
-	scanIDsPageSize = 64
-	defer func() { scanIDsPageSize = oldPage; scanIDsBetweenPages = nil }()
-
-	// churn adds a triple and compacts, which drops every tombstone, then
-	// deletes an original, so the attempt after it copies again.
-	churn := func(n int) {
-		st.Add(tr(fmt.Sprint("extra", n), "p", "oX"))
-		st.Compact()
-		st.Delete(original(n))
-	}
-	runs := func() (lent, copied uint64) {
-		o := st.Observe()
-		return o.ScanRunsLent, o.ScanRunsCopied
-	}
-
-	// One mid-scan compaction: restart then succeed.
-	bumps := 0
-	scanIDsBetweenPages = func() {
-		if bumps == 0 {
-			bumps++
-			churn(1)
-		}
-	}
-	lent0, copied0 := runs()
-	run, ok := st.ScanIDs(0, pid, 0, PosS)
-	if !ok {
-		t.Fatal("ScanIDs declined")
-	}
-	if got := len(run.Sorted) + len(run.Tail); got != 299 {
-		t.Fatalf("after one epoch bump: got %d triples, want 299", got)
-	}
-	if bumps != 1 {
-		t.Fatalf("hook ran %d times, want 1", bumps)
-	}
-	if lent, copied := runs(); lent != lent0 || copied != copied0+1 {
-		t.Fatalf("runs lent %d, copied %d; want the one restarted run copied", lent-lent0, copied-copied0)
-	}
-
-	// Perpetual compactions: every paged attempt is invalidated, the
-	// single-lock fallback must still answer (the hook runs lock-free, so
-	// the fallback scan itself cannot trigger it).
-	n := 2
-	scanIDsBetweenPages = func() {
-		churn(n)
-		n++
-	}
-	run, ok = st.ScanIDs(0, pid, 0, PosS)
-	if !ok {
-		t.Fatal("ScanIDs declined under perpetual compaction")
-	}
-	if n != 2+scanIDsRestartAttempts {
-		t.Fatalf("hook ran %d times, want one per paged attempt (%d)", n-2, scanIDsRestartAttempts)
-	}
-	if got := len(run.Sorted) + len(run.Tail); got != 299 || got != st.Len() {
-		t.Fatalf("fallback scan: got %d triples, want 299 (the store holds %d)", got, st.Len())
-	}
-	for i := 1; i < len(run.Sorted); i++ {
-		if compareByName(run.Order, run.Sorted[i-1], run.Sorted[i]) >= 0 {
-			t.Fatalf("fallback Sorted not ordered at %d", i)
-		}
-	}
-	if lent, copied := runs(); lent != lent0 || copied != copied0+2 {
-		t.Fatalf("runs lent %d, copied %d; want the fallback run copied too", lent-lent0, copied-copied0)
-	}
-}
-
 // TestScanIDsConcurrentWriters hammers ScanIDs from readers while writers
-// add, delete, and compact — primarily a race-detector target for the paged
-// scan's lock discipline.
+// add, delete, and compact — primarily a race-detector target for the
+// run's lock discipline.
 func TestScanIDsConcurrentWriters(t *testing.T) {
 	st := New()
 	var batch []rdf.Triple
@@ -209,10 +121,6 @@ func TestScanIDsConcurrentWriters(t *testing.T) {
 	}
 	st.Compact()
 	pid, _ := st.LookupTermID(iri("p1"))
-
-	oldPage := scanIDsPageSize
-	scanIDsPageSize = 128
-	defer func() { scanIDsPageSize = oldPage }()
 
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -249,10 +157,16 @@ func TestScanIDsConcurrentWriters(t *testing.T) {
 				}
 				for j := 1; j < len(run.Sorted); j++ {
 					if compareByName(run.Order, run.Sorted[j-1], run.Sorted[j]) >= 0 {
-						t.Error("unsorted page result")
+						t.Error("unsorted run")
 						return
 					}
 				}
+				run.ForEach(func(e IDTriple) bool {
+					if e.P != pid {
+						t.Errorf("run holds %v, not under p1", e)
+					}
+					return true
+				})
 			}
 		}()
 	}
@@ -261,12 +175,14 @@ func TestScanIDsConcurrentWriters(t *testing.T) {
 	writers.Wait()
 }
 
-// TestScanIDsLentRunHoldsStill: with no tombstones ScanIDs lends the index's
-// own range, so the store must never write to an array it has installed.
-// Runs lent from every permutation, and the index arrays themselves, are
-// taken at every step and held across the ones after — writes that stay in
-// the delta, writes that trigger merges, deletes, an explicit Compact and a
-// snapshot round-trip — and must hold exactly what they held.
+// TestScanIDsLentRunHoldsStill: ScanIDs lends the index's own range, so the
+// store must never write to an array it has installed, and a run's live set
+// is fixed when it is taken. Runs lent from every permutation, and the index
+// arrays themselves, are taken at every step and held across the ones after
+// — writes that stay in the delta, writes that trigger merges, deletes that
+// leave tombstones, an undelete, an explicit Compact and a snapshot
+// round-trip — and must hold exactly what they held, and iterate the live
+// entries they iterated when taken.
 func TestScanIDsLentRunHoldsStill(t *testing.T) {
 	var batch []rdf.Triple
 	for i := 0; i < 2000; i++ {
@@ -277,26 +193,34 @@ func TestScanIDsLentRunHoldsStill(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	live := func(run IDRun) []IDTriple {
+		var out []IDTriple
+		run.ForEach(func(e IDTriple) bool { out = append(out, e); return true })
+		return out
+	}
 	type held struct {
 		name       string
-		run, clone []IDTriple
+		arr, clone []IDTriple // a lent range or an index array, and a copy
+		run        IDRun      // the run the range was lent to (zero for an index)
+		live       []IDTriple // the run's live entries when it was taken
 	}
 	var holds []held
-	hold := func(name string, s, p, o ID, lead Position) {
+	hold := func(name string, s, p, o ID, lead Position) IDRun {
 		t.Helper()
-		before := st.Observe().ScanRunsLent
+		before := st.Observe().ScanRuns
 		run, ok := st.ScanIDs(s, p, o, lead)
 		if !ok {
 			t.Fatalf("%s: ScanIDs declined", name)
 		}
-		if st.Observe().ScanRunsLent != before+1 || len(run.Sorted) == 0 || cap(run.Sorted) != len(run.Sorted) {
+		if st.Observe().ScanRuns != before+1 || len(run.Sorted) == 0 || cap(run.Sorted) != len(run.Sorted) {
 			t.Fatalf("%s: want a lent, non-empty, clipped run; got %d entries, cap %d", name, len(run.Sorted), cap(run.Sorted))
 		}
-		holds = append(holds, held{name, run.Sorted, slices.Clone(run.Sorted)})
+		holds = append(holds, held{name, run.Sorted, slices.Clone(run.Sorted), run, live(run)})
+		return run
 	}
 	// holdAll lends a run of every shape from the store as it is now, and
-	// holds its index arrays. Call it only when there are no tombstones.
-	holdAll := func(step string) {
+	// holds its index arrays; it returns how many tombstones the runs list.
+	holdAll := func(step string) (dead int) {
 		t.Helper()
 		id := func(name string) ID {
 			t.Helper()
@@ -307,28 +231,36 @@ func TestScanIDsLentRunHoldsStill(t *testing.T) {
 			return v
 		}
 		p1, p3, s1999, o3 := id("p1"), id("p3"), id("s1999"), id("o3")
-		hold(step+": all by S", 0, 0, 0, PosS)
-		hold(step+": all by P", 0, 0, 0, PosP)
-		hold(step+": all by O", 0, 0, 0, PosO)
-		hold(step+": p1 by S", 0, p1, 0, PosS)
-		hold(step+": p1 by O", 0, p1, 0, PosO)
-		hold(step+": s1999", s1999, 0, 0, PosAny)
-		hold(step+": o3", 0, 0, o3, PosAny)
-		hold(step+": p3 o3 by S", 0, p3, o3, PosS)
-		for ord, idx := range st.index {
-			holds = append(holds, held{step + ": index " + ScanOrder(ord).String(), idx, slices.Clone(idx)})
+		for _, run := range []IDRun{
+			hold(step+": all by S", 0, 0, 0, PosS),
+			hold(step+": all by P", 0, 0, 0, PosP),
+			hold(step+": all by O", 0, 0, 0, PosO),
+			hold(step+": p1 by S", 0, p1, 0, PosS),
+			hold(step+": p1 by O", 0, p1, 0, PosO),
+			hold(step+": s1999", s1999, 0, 0, PosAny),
+			hold(step+": o3", 0, 0, o3, PosAny),
+			hold(step+": p3 o3 by S", 0, p3, o3, PosS),
+		} {
+			dead += len(run.Dead)
 		}
+		for ord, idx := range st.index {
+			holds = append(holds, held{name: step + ": index " + ScanOrder(ord).String(), arr: idx, clone: slices.Clone(idx)})
+		}
+		return dead
 	}
 	// check compares everything held so far, then holds what the store has
 	// now, so every array it installs is held across the steps after.
-	check := func(step string) {
+	check := func(step string) (dead int) {
 		t.Helper()
 		for _, h := range holds {
-			if !slices.Equal(h.run, h.clone) {
+			if !slices.Equal(h.arr, h.clone) {
 				t.Fatalf("after %s: %s changed under its reader", step, h.name)
 			}
+			if got := live(h.run); !slices.Equal(got, h.live) {
+				t.Fatalf("after %s: %s iterates %d live entries, %d when taken", step, h.name, len(got), len(h.live))
+			}
 		}
-		holdAll(step)
+		return holdAll(step)
 	}
 	holdAll("loaded")
 
@@ -366,7 +298,26 @@ func TestScanIDsLentRunHoldsStill(t *testing.T) {
 	}
 	check("a delete that merges")
 
-	st.Delete(batch[1500])
+	// A tombstoned store: the runs held from here on list Dead entries.
+	if _, err := st.DeleteBatch(batch[1500:1540]); err != nil {
+		t.Fatal(err)
+	}
+	st.Delete(bulk[3]) // o3, under p3
+	if st.Observe().Tombstones == 0 {
+		t.Fatal("the deletes left no tombstones")
+	}
+	if dead := check("deletes that leave tombstones"); dead == 0 {
+		t.Fatal("no run taken from the tombstoned store lists a Dead entry")
+	}
+	st.Add(batch[1500])
+	st.Add(bulk[3])
+	check("an undelete")
+	if _, err := st.DeleteBatch(batch[1540:1560]); err != nil {
+		t.Fatal(err)
+	}
+	check("further deletes")
+
+	st.Delete(batch[1560])
 	st.Add(tr("late", "p1", "o3"))
 	st.Compact()
 	check("Compact")
@@ -386,9 +337,10 @@ func TestScanIDsLentRunHoldsStill(t *testing.T) {
 }
 
 // TestScanIDsLentRunsBesideCompactingWriter iterates lent runs from several
-// readers while an add-only writer (no tombstones, so every run is lent)
-// grows the store and compacts it; run under -race, a write to an array a
-// reader was lent is a reported race.
+// readers while a writer grows the store, tombstones some of its own earlier
+// writes (merged into the base by then, so runs list them as Dead) and
+// compacts it; run under -race, a write to an array a reader was lent is a
+// reported race.
 func TestScanIDsLentRunsBesideCompactingWriter(t *testing.T) {
 	st := New()
 	var batch []rdf.Triple
@@ -412,6 +364,9 @@ func TestScanIDsLentRunsBesideCompactingWriter(t *testing.T) {
 			default:
 			}
 			st.Add(tr(fmt.Sprint("w", i), "p1", fmt.Sprint("o", i%100)))
+			if i%3 == 0 && i >= 60 {
+				st.Delete(tr(fmt.Sprint("w", i-60), "p1", fmt.Sprint("o", (i-60)%100)))
+			}
 			if i%40 == 0 {
 				st.Compact()
 			}
@@ -452,8 +407,8 @@ func TestScanIDsLentRunsBesideCompactingWriter(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	<-writerDone
-	if o := st.Observe(); o.ScanRunsCopied != 0 || o.ScanRunsLent != 800 {
-		t.Fatalf("runs lent %d, copied %d; want all 800 lent", o.ScanRunsLent, o.ScanRunsCopied)
+	if o := st.Observe(); o.ScanRuns != 800 {
+		t.Fatalf("%d runs taken, want 800", o.ScanRuns)
 	}
 }
 

@@ -24,10 +24,8 @@ type Observed struct {
 	// ScanPages counts ForEachPage/ForEachIDPage calls since startup —
 	// each call pulls one page under the read lock.
 	ScanPages uint64
-	// ScanRunsLent and ScanRunsCopied count the ScanIDs runs since startup
-	// that lent the index's own range (no tombstones) or copied the live
-	// entries out of it.
-	ScanRunsLent, ScanRunsCopied uint64
+	// ScanRuns counts the ScanIDs runs since startup.
+	ScanRuns uint64
 	// TallyEntries is the size of the statistics tally (stats.go) in map
 	// entries, 0 before it is built; TallyBuilds counts the walks that built
 	// it, which stays at 1 once anything has asked for statistics.
@@ -40,17 +38,16 @@ func (st *Store) Observe() Observed {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return Observed{
-		Triples:        st.size,
-		Terms:          len(st.terms) - 1,
-		DictSlots:      len(st.dict.slots),
-		Delta:          len(st.delta),
-		Tombstones:     len(st.deleted),
-		Generation:     st.gen,
-		LayoutEpoch:    st.layout,
-		ScanPages:      st.scanPages.Load(),
-		ScanRunsLent:   st.scanRunsLent.Load(),
-		ScanRunsCopied: st.scanRunsCopied.Load(),
-		TallyEntries:   st.tally.entries(),
-		TallyBuilds:    st.tallyBuilds,
+		Triples:      st.size,
+		Terms:        len(st.terms) - 1,
+		DictSlots:    len(st.dict.slots),
+		Delta:        len(st.delta),
+		Tombstones:   len(st.deleted),
+		Generation:   st.gen,
+		LayoutEpoch:  st.layout,
+		ScanPages:    st.scanPages.Load(),
+		ScanRuns:     st.scanRuns.Load(),
+		TallyEntries: st.tally.entries(),
+		TallyBuilds:  st.tallyBuilds,
 	}
 }

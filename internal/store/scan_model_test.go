@@ -213,7 +213,8 @@ func checkScansAgainstModel(t *testing.T, st *Store, model map[rdf.Triple]struct
 			if run.Order != ord {
 				t.Errorf("%s: order %v, want %v", what, run.Order, ord)
 			}
-			both := append(slices.Clone(run.Sorted), run.Tail...)
+			var both []IDTriple
+			run.ForEach(func(e IDTriple) bool { both = append(both, e); return true })
 			sameSet(what, both, want)
 			for i := 1; i < len(run.Sorted); i++ {
 				if compareByName(ord, run.Sorted[i-1], run.Sorted[i]) >= 0 {

@@ -4,15 +4,15 @@
 // scan, and — through the ID-space scan API in idscan.go — serving sorted
 // uint32 runs the SPARQL engine merge-joins without decoding terms.
 //
-// What runs on the store sees it as Source (source.go): ten ID-space
+// What runs on the store sees it as Source (source.go): eight ID-space
 // methods. Those are the primitives — LookupTermID and Terms between terms
-// and IDs; ForEachID (one read view), ForEachIDPage (resumable, one lock hold
-// a page) and ScanIDs (a sorted run, read-only: with no tombstones it is the
-// index's own range, lent, not copied) to scan; EstimateCountIDs and
-// Cardinalities to plan; Generation and LayoutEpoch to know what moved. The
-// term-space calls (ForEach, ForEachPage, Match, Count, Triples, Contains)
-// are sugar: each resolves its pattern's constants, runs the ID scan and
-// decodes, under the same single lock hold.
+// and IDs; ForEachID (one read view) and ScanIDs (a run: the index's own
+// range, lent, with its tombstones beside it and the delta matches copied,
+// that holds still however the store is written) to scan; EstimateCountIDs
+// and Cardinalities to plan; Generation to know what moved. The term-space
+// calls (ForEach, ForEachPage, Match, Count, Triples, Contains) are sugar:
+// each resolves its pattern's constants, runs the ID scan and decodes, under
+// the same single lock hold.
 //
 // Inside, each thing is said once. One type, IDTriple, is what the indexes,
 // the delta buffer, the tombstone set and the change log hold and what the
@@ -23,13 +23,14 @@
 // (ScanOrder.find) and the index rebuild read it, and nothing else switches
 // on a ScanOrder. One walk, walkLocked, is "the live entries of a base range
 // from a position on, then the matching live entries of the delta, at most
-// so many": every scan entry point, Statements, the statistics tally's one
-// build and the compaction copy are calls of it, so the tombstone check and
-// the positional cursor exist in one place. The one scan that skips it is a
-// ScanIDs run with no tombstone to check, which lends the range instead:
-// an installed index array is never written (writes install new ones and
-// bump the layout epoch), so a range cut from it holds still for as long as
-// a reader keeps it — and keeps that array alive as long.
+// so many": every locked scan entry point, Statements, the statistics
+// tally's one build and the compaction copy are calls of it, so the
+// tombstone check and the positional cursor exist in one place. A ScanIDs
+// run skips it: it lends the range instead, and its reader skips the
+// tombstones the run lists. An installed index array is never written
+// (writes install new ones and bump the layout epoch), so a range cut from
+// it holds still for as long as a reader keeps it — and keeps that array
+// alive as long.
 //
 // The survey's "large & dynamic data" challenge (Section 2) rules out a
 // heavyweight preprocessing phase, so the store is built for incremental
@@ -123,11 +124,9 @@ type Store struct {
 	wal WALSink
 
 	// scanPages counts paged-scan calls (ForEachPage/ForEachIDPage), and
-	// scanRunsLent and scanRunsCopied the ScanIDs runs that lent an index
-	// range or copied it, for the observability snapshot; atomic so scans
-	// don't write under the read lock's shared hold.
-	scanPages                    atomic.Uint64
-	scanRunsLent, scanRunsCopied atomic.Uint64
+	// scanRuns the ScanIDs runs, for the observability snapshot; atomic so
+	// scans don't write under the read lock's shared hold.
+	scanPages, scanRuns atomic.Uint64
 }
 
 // New returns an empty store.
