@@ -61,7 +61,7 @@ reach:
 # one SERVICE query).
 race:
 	$(GO) test -race ./internal/store/... ./internal/snapshot/... ./internal/sparql/... ./internal/federation/... ./internal/server/... ./internal/wal/... ./internal/ledger/... ./internal/explore/... ./internal/facet/... ./internal/hetree/... ./internal/progressive/... ./internal/sampling/... ./internal/obs/... ./internal/keyword/...
-	$(GO) test -race -count=2 -run 'ScanIDs|IDJoin|StreamConcurrentWriters|StreamReadsOneRunAcrossCompaction|TypedBase' ./internal/store ./internal/sparql ./internal/facet
+	$(GO) test -race -count=2 -run 'ScanIDs|IDJoin|StreamConcurrentWriters|StreamRestartsOnCompaction|StreamRunAbortsAfterDeliveryOnCompaction|TypedBase' ./internal/store ./internal/sparql ./internal/facet
 	$(GO) test -race -run 'Federated|ServiceSilent' .
 
 # Flake detection: twenty runs under the race detector of the packages

@@ -589,48 +589,60 @@ func (c *compactingSource) Terms(ids []store.ID) []rdf.Term {
 	return out
 }
 
-// TestStreamReadsOneRunAcrossCompaction: a store written and compacted
-// after the first page, or after every page, changes nothing a paged query
-// returns — buffered (EvalCtx) or live (Stream.RunRows): every case returns
-// the oracle's rows for the store as it was when the run was taken, with no
+// compactionRows runs q over a store written and compacted after the first
+// page, or after every page when every is set — buffered (EvalCtx) or live
+// (Stream.Run) — and checks that nothing a paged query returns changes: the
+// oracle's rows for the store as it was when the run was taken, with no
 // error, from the paged source.
-func TestStreamReadsOneRunAcrossCompaction(t *testing.T) {
-	const limited, whole = `SELECT ?s ?v WHERE { ?s <http://s/value> ?v } LIMIT 1000`, `SELECT ?s ?v WHERE { ?s <http://s/value> ?v }`
-	for _, every := range []bool{false, true} {
-		for _, live := range []bool{false, true} {
-			t.Run(fmt.Sprintf("every=%v/live=%v", every, live), func(t *testing.T) {
-				st := streamStore(t, 2000)
-				q := limited
-				if live {
-					q = whole
-				}
-				want := oracleExec(t, st, q).Rows
-				src := &compactingSource{Store: st, after: 1, every: every}
-				met := NewMetrics(obs.NewRegistry())
-				opt := Options{Parallelism: 1, Metrics: met}
-				var got []Binding
-				if live {
-					stm, err := PrepareStream(context.Background(), src, q, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := stm.Run(func(b Binding) bool { got = append(got, b); return true }); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					got = execOpts(t, src, q, opt).Rows
-				}
-				if src.writes == 0 || (every && src.writes < 3) {
-					t.Fatalf("the store was written %d times, want once after the first page or after every page", src.writes)
-				}
-				if d := firstDiff(want, got); d != "" {
-					t.Fatalf("%d writes: %s", src.writes, d)
-				}
-				if s, m := met.QueriesStreamed.Value(), met.QueriesMaterialized.Value(); s != 1 || m != 0 {
-					t.Fatalf("QueriesStreamed=%d QueriesMaterialized=%d, want the paged source", s, m)
-				}
-			})
+func compactionRows(t *testing.T, q string, every, live bool) {
+	t.Helper()
+	st := streamStore(t, 2000)
+	want := oracleExec(t, st, q).Rows
+	src := &compactingSource{Store: st, after: 1, every: every}
+	met := NewMetrics(obs.NewRegistry())
+	opt := Options{Parallelism: 1, Metrics: met}
+	var got []Binding
+	if live {
+		stm, err := PrepareStream(context.Background(), src, q, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := stm.Run(func(b Binding) bool { got = append(got, b); return true }); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		got = execOpts(t, src, q, opt).Rows
+	}
+	if src.writes == 0 || (every && src.writes < 3) {
+		t.Fatalf("the store was written %d times, want once after the first page or after every page", src.writes)
+	}
+	if d := firstDiff(want, got); d != "" {
+		t.Fatalf("%d writes: %s", src.writes, d)
+	}
+	if s, m := met.QueriesStreamed.Value(), met.QueriesMaterialized.Value(); s != 1 || m != 0 {
+		t.Fatalf("QueriesStreamed=%d QueriesMaterialized=%d, want the paged source", s, m)
+	}
+}
+
+// TestStreamRestartsOnCompaction: a buffered query on the paged source
+// beside a compaction needs no restart — it returns exactly the rows of the
+// run it took.
+func TestStreamRestartsOnCompaction(t *testing.T) {
+	for _, every := range []bool{false, true} {
+		t.Run(fmt.Sprintf("every=%v", every), func(t *testing.T) {
+			compactionRows(t, `SELECT ?s ?v WHERE { ?s <http://s/value> ?v } LIMIT 1000`, every, false)
+		})
+	}
+}
+
+// TestStreamRunAbortsAfterDeliveryOnCompaction: a live Stream.Run that has
+// delivered rows when the store compacts no longer aborts — it completes
+// with every row of its run.
+func TestStreamRunAbortsAfterDeliveryOnCompaction(t *testing.T) {
+	for _, every := range []bool{false, true} {
+		t.Run(fmt.Sprintf("every=%v", every), func(t *testing.T) {
+			compactionRows(t, `SELECT ?s ?v WHERE { ?s <http://s/value> ?v }`, every, true)
+		})
 	}
 }
 
