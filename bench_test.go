@@ -135,6 +135,22 @@ func BenchmarkBGPJoinParallel(b *testing.B) { benchBGPJoin(b, 0) }
 // NumCPU is large enough that scheduling noise dominates.
 func BenchmarkBGPJoinParallel4(b *testing.B) { benchBGPJoin(b, 4) }
 
+// optionalQuery is the shape the worker pool pays on: an OPTIONAL over the
+// entities of one category, which evalOptional fans out per chunk of
+// bindings. The plain joins above run id-merge, which never enters the pool.
+func optionalQuery() string {
+	return fmt.Sprintf(`SELECT ?e ?o ?v WHERE { ?e <%s> "category-2" OPTIONAL { ?e <%s> ?o . ?o <%s> ?v } }`,
+		string(gen.Prop("cat0")), string(gen.Prop("rel0")), string(gen.Prop("num0")))
+}
+
+func BenchmarkBGPOptionalSequential(b *testing.B) {
+	benchBGPJoinOpts(b, optionalQuery(), sparql.Options{Parallelism: 1})
+}
+
+func BenchmarkBGPOptionalParallel(b *testing.B) {
+	benchBGPJoinOpts(b, optionalQuery(), sparql.Options{})
+}
+
 // E13b — the pattern executor on two join shapes, isolated at Parallelism 1
 // so the numbers measure the executor, not the pool. cmd/benchharness
 // -scenarios store records the same shapes in BENCH_store.json and the CI

@@ -12,7 +12,7 @@ import (
 
 // benchFixture builds a remote endpoint holding n entities with names, and
 // n local bindings referencing them.
-func benchFixture(b *testing.B, n int) (*Mesh, string, *sparql.Group, []sparql.Binding) {
+func benchFixture(b *testing.B, n int) (string, *sparql.Group, []sparql.Binding) {
 	b.Helper()
 	var ttl strings.Builder
 	ttl.WriteString("@prefix ex: <http://example.org/> .\n")
@@ -30,9 +30,7 @@ func benchFixture(b *testing.B, n int) (*Mesh, string, *sparql.Group, []sparql.B
 	for i := range bindings {
 		bindings[i] = sparql.Binding{"e": rdf.IRI(fmt.Sprintf("http://example.org/e%d", i))}
 	}
-	// Caching disabled: every iteration must pay the real network cost.
-	mesh := NewMesh(Options{CacheCapacity: -1, Retries: -1})
-	return mesh, peer.URL, q.Where, bindings
+	return peer.URL, q.Where, bindings
 }
 
 // BenchmarkBindJoin contrasts the two federated join strategies at 1k local
@@ -43,9 +41,15 @@ func benchFixture(b *testing.B, n int) (*Mesh, string, *sparql.Group, []sparql.B
 func BenchmarkBindJoin(b *testing.B) {
 	const n = 1000
 	run := func(b *testing.B, batchSize, parallel int) {
-		mesh, url, pattern, bindings := benchFixture(b, n)
+		url, pattern, bindings := benchFixture(b, n)
+		// The fetch bypasses the mesh's result cache: every iteration must
+		// pay the real network cost.
 		fetch := func(ctx context.Context, query string) ([]sparql.Binding, error) {
-			return mesh.Fetch(ctx, url, query)
+			res, err := queryEndpoint(ctx, url, query)
+			if err != nil {
+				return nil, err
+			}
+			return res.Rows, nil
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -59,6 +63,6 @@ func BenchmarkBindJoin(b *testing.B) {
 		}
 		b.ReportMetric(float64(n)/float64(batchSize), "requests/op")
 	}
-	b.Run("Batched64", func(b *testing.B) { run(b, 64, DefaultParallel) })
-	b.Run("PerBinding", func(b *testing.B) { run(b, 1, DefaultParallel) })
+	b.Run("Batched64", func(b *testing.B) { run(b, 64, batchesInFlight) })
+	b.Run("PerBinding", func(b *testing.B) { run(b, 1, batchesInFlight) })
 }

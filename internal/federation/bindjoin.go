@@ -28,12 +28,12 @@ import (
 // that ordinal. The result is precisely eval(pattern) ⋈ bindings, each pair
 // contributing once.
 
-// DefaultBatchSize is the VALUES rows shipped per remote request.
-const DefaultBatchSize = 64
+// batchRows is the number of VALUES rows one remote request carries.
+const batchRows = 64
 
-// DefaultParallel is the bounded number of concurrent batch requests one
-// SERVICE evaluation dispatches.
-const DefaultParallel = 4
+// batchesInFlight is how many batch requests one SERVICE evaluation keeps in
+// flight.
+const batchesInFlight = 4
 
 // fetchFunc executes one remote subquery and returns its decoded rows.
 type fetchFunc func(ctx context.Context, query string) ([]sparql.Binding, error)
@@ -45,13 +45,6 @@ func bindJoin(ctx context.Context, fetch fetchFunc, pattern *sparql.Group, bindi
 	if len(bindings) == 0 {
 		return nil, nil
 	}
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	if parallel <= 0 {
-		parallel = DefaultParallel
-	}
-
 	shared := sharedVars(pattern, bindings)
 	patternText := sparql.FormatGroup(pattern)
 

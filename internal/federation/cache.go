@@ -2,9 +2,7 @@ package federation
 
 import (
 	"container/list"
-	"hash/fnv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/lodviz/lodviz/internal/sparql"
@@ -18,31 +16,23 @@ import (
 // generates canonical subquery text, so identical SERVICE work hits
 // identical keys.
 
-// rcShards is the shard count of the remote-result cache.
-const rcShards = 16
+// cacheCapacity is the number of entries the remote-result cache holds.
+const cacheCapacity = 1024
 
-// DefaultCacheCapacity is the entry capacity used for non-positive values.
-const DefaultCacheCapacity = 1024
+// cacheTTL is how long after insertion a remote result may be served.
+const cacheTTL = 30 * time.Second
 
-// DefaultCacheTTL is the entry lifetime used for non-positive values.
-const DefaultCacheTTL = 30 * time.Second
-
-// ResultCache is a sharded LRU of decoded remote results with TTL expiry.
-// Safe for concurrent use. Cached rows are shared between readers and must
-// be treated as immutable.
+// ResultCache is an LRU of decoded remote results with TTL expiry. Safe for
+// concurrent use. Cached rows are shared between readers and must be treated
+// as immutable.
 type ResultCache struct {
-	ttl    time.Duration
-	now    func() time.Time
-	shards [rcShards]rcShard
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
+	now func() time.Time
 
-type rcShard struct {
-	mu    sync.Mutex
-	ll    *list.List
-	items map[string]*list.Element
-	cap   int
+	mu     sync.Mutex
+	ll     *list.List // most recently used at the front
+	items  map[string]*list.Element
+	hits   uint64
+	misses uint64
 }
 
 type rcItem struct {
@@ -51,23 +41,9 @@ type rcItem struct {
 	expires time.Time
 }
 
-// NewResultCache returns a cache of at most capacity entries whose entries
-// expire ttl after insertion.
-func NewResultCache(capacity int, ttl time.Duration) *ResultCache {
-	if capacity <= 0 {
-		capacity = DefaultCacheCapacity
-	}
-	if ttl <= 0 {
-		ttl = DefaultCacheTTL
-	}
-	perShard := (capacity + rcShards - 1) / rcShards
-	c := &ResultCache{ttl: ttl, now: time.Now}
-	for i := range c.shards {
-		c.shards[i].ll = list.New()
-		c.shards[i].items = make(map[string]*list.Element)
-		c.shards[i].cap = perShard
-	}
-	return c
+// NewResultCache returns an empty cache.
+func NewResultCache() *ResultCache {
+	return &ResultCache{now: time.Now, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
 // Key builds the cache key for a subquery against an endpoint.
@@ -75,81 +51,56 @@ func Key(endpoint, query string) string {
 	return endpoint + "\x00" + query
 }
 
-func (c *ResultCache) shard(key string) *rcShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()%rcShards]
-}
-
 // Get returns the cached rows for key if present and unexpired. Expired
 // entries are removed on access.
 func (c *ResultCache) Get(key string) ([]sparql.Binding, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	el, ok := s.items[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if ok && c.now().After(el.Value.(*rcItem).expires) {
+		c.ll.Remove(el)
+		delete(c.items, key)
+		ok = false
+	}
 	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
+		c.misses++
 		return nil, false
 	}
-	it := el.Value.(*rcItem)
-	if c.now().After(it.expires) {
-		s.ll.Remove(el)
-		delete(s.items, key)
-		s.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	rows := it.rows
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return rows, true
+	c.ll.MoveToFront(el)
+	c.hits++
+	return el.Value.(*rcItem).rows, true
 }
 
-// Put stores rows under key with the cache's TTL, evicting LRU entries from
-// the key's shard as needed.
+// Put stores rows under key with the cache's TTL, evicting the least
+// recently used entry once the cache is full.
 func (c *ResultCache) Put(key string, rows []sparql.Binding) {
-	s := c.shard(key)
-	expires := c.now().Add(c.ttl)
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
+	expires := c.now().Add(cacheTTL)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
 		it := el.Value.(*rcItem)
 		it.rows, it.expires = rows, expires
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
+		c.ll.MoveToFront(el)
 		return
 	}
-	s.items[key] = s.ll.PushFront(&rcItem{key: key, rows: rows, expires: expires})
-	for s.ll.Len() > s.cap {
-		back := s.ll.Back()
-		s.ll.Remove(back)
-		delete(s.items, back.Value.(*rcItem).key)
+	c.items[key] = c.ll.PushFront(&rcItem{key: key, rows: rows, expires: expires})
+	if c.ll.Len() > cacheCapacity {
+		back := c.ll.Back()
+		c.ll.Remove(back)
+		delete(c.items, back.Value.(*rcItem).key)
 	}
-	s.mu.Unlock()
-}
-
-// Len returns the number of cached entries (expired ones included until
-// touched).
-func (c *ResultCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // CacheStats is a snapshot of remote-result cache effectiveness.
 type CacheStats struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
-	Entries int    `json:"entries"`
+	Entries int    `json:"entries"` // expired ones included until touched
 }
 
 // Stats returns the cache counters.
 func (c *ResultCache) Stats() CacheStats {
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: c.Len()}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.ll.Len()}
 }

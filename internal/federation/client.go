@@ -13,34 +13,12 @@ import (
 	"github.com/lodviz/lodviz/internal/sparql"
 )
 
-// ClientOptions tune one endpoint client. The zero value selects the
-// defaults documented on each field.
-type ClientOptions struct {
-	// HTTPClient is the transport (nil = http.DefaultClient).
-	HTTPClient *http.Client
-	// Timeout bounds one request attempt, connect-to-last-byte
-	// (non-positive = 10s).
-	Timeout time.Duration
-	// Retries is how many times a failed request is retried on transient
-	// failures — network errors, 429s and 5xx responses (negative = 0,
-	// zero value = 2).
-	Retries int
-}
+// attemptTimeout bounds one request attempt, connect to last byte.
+const attemptTimeout = 10 * time.Second
 
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.HTTPClient == nil {
-		o.HTTPClient = http.DefaultClient
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 10 * time.Second
-	}
-	if o.Retries == 0 {
-		o.Retries = 2
-	} else if o.Retries < 0 {
-		o.Retries = 0
-	}
-	return o
-}
+// retries is how many times a request is retried on a transient failure: a
+// network error, a 429 or a 5xx response.
+const retries = 2
 
 // maxResponseBytes bounds one remote response body. Remote endpoints are
 // untrusted input just like POSTed triples (which share the same 64 MiB
@@ -48,22 +26,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // endless bindings array would grow res.Rows until the process dies. A
 // response cut off at the cap fails decoding with a truncation error.
 const maxResponseBytes = 64 << 20
-
-// Client speaks the SPARQL 1.1 Protocol query operation against one remote
-// endpoint: queries go out as POSTed forms, results come back as SPARQL-JSON
-// and are decoded streamingly. Safe for concurrent use.
-type Client struct {
-	endpoint string
-	opt      ClientOptions
-}
-
-// NewClient returns a client for the endpoint URL.
-func NewClient(endpoint string, opt ClientOptions) *Client {
-	return &Client{endpoint: endpoint, opt: opt.withDefaults()}
-}
-
-// Endpoint returns the endpoint URL the client targets.
-func (c *Client) Endpoint() string { return c.endpoint }
 
 // errStatus is a non-2xx protocol response; transient() decides retry.
 type errStatus struct {
@@ -82,13 +44,14 @@ func (e *errStatus) transient() bool {
 	return e.code == http.StatusTooManyRequests || e.code >= 500
 }
 
-// Query executes one SPARQL query against the endpoint and decodes the
-// SPARQL-JSON response. Each attempt runs under its own timeout; transient
-// failures are retried with a short backoff until the retry budget or ctx
-// runs out.
-func (c *Client) Query(ctx context.Context, query string) (*sparql.Results, error) {
+// queryEndpoint speaks the SPARQL 1.1 Protocol query operation against one
+// remote endpoint: the query goes out as a POSTed form, and the SPARQL-JSON
+// response is decoded streamingly. Each attempt runs under its own timeout;
+// transient failures are retried with a short backoff until the retry budget
+// or ctx runs out.
+func queryEndpoint(ctx context.Context, endpoint, query string) (*sparql.Results, error) {
 	var lastErr error
-	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			backoff := time.Duration(attempt) * 50 * time.Millisecond
 			select {
@@ -97,7 +60,7 @@ func (c *Client) Query(ctx context.Context, query string) (*sparql.Results, erro
 			case <-time.After(backoff):
 			}
 		}
-		res, err := c.queryOnce(ctx, query)
+		res, err := queryOnce(ctx, endpoint, query)
 		if err == nil {
 			return res, nil
 		}
@@ -110,15 +73,15 @@ func (c *Client) Query(ctx context.Context, query string) (*sparql.Results, erro
 			break // the endpoint understood us and said no; retrying won't help
 		}
 	}
-	return nil, fmt.Errorf("federation: querying %s: %w", c.endpoint, lastErr)
+	return nil, fmt.Errorf("federation: querying %s: %w", endpoint, lastErr)
 }
 
-func (c *Client) queryOnce(ctx context.Context, query string) (*sparql.Results, error) {
-	actx, cancel := context.WithTimeout(ctx, c.opt.Timeout)
+func queryOnce(ctx context.Context, endpoint, query string) (*sparql.Results, error) {
+	actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 
 	form := url.Values{"query": {query}}
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.endpoint, strings.NewReader(form.Encode()))
+	req, err := http.NewRequestWithContext(actx, http.MethodPost, endpoint, strings.NewReader(form.Encode()))
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +89,7 @@ func (c *Client) queryOnce(ctx context.Context, query string) (*sparql.Results, 
 	req.Header.Set("Accept", sparql.JSONContentType)
 	req.Header.Set("User-Agent", "lodviz-federation/1.0")
 
-	resp, err := c.opt.HTTPClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -4,16 +4,16 @@
 // local dataset into a remote one) needs exactly four things, and this
 // package layers them:
 //
-//   - a SPARQL Protocol client (Client) with a streaming SPARQL-JSON
+//   - a SPARQL Protocol query function with a streaming SPARQL-JSON
 //     decoder — the inverse of the sparql package's serializer — plus
-//     retries and per-request timeouts;
-//   - an endpoint registry (Registry) tracking health, a latency EWMA, and
-//     per-predicate cardinality summaries, with circuit breakers that eject
-//     failing endpoints and probe them back in;
+//     retries and per-attempt timeouts;
+//   - an endpoint registry (Registry) tracking health and a latency EWMA,
+//     with circuit breakers that eject failing endpoints and probe them
+//     back in;
 //   - a bind-join executor that batches local bindings into VALUES-injected
 //     remote subqueries and streams the merged solutions back, dispatching
 //     batches with bounded parallelism;
-//   - a sharded remote-result cache keyed by (endpoint, subquery) with TTL
+//   - an LRU remote-result cache keyed by (endpoint, subquery) with TTL
 //     expiry — remote data has no generation counter to key on, so staleness
 //     is bounded by time instead.
 //

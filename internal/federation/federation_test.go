@@ -295,7 +295,7 @@ func TestMeshResultCacheDeduplicatesRequests(t *testing.T) {
 	var hits atomic.Int64
 	peer := sparqlEndpoint(t, remote, &hits)
 
-	mesh := NewMesh(Options{CacheTTL: time.Minute})
+	mesh := NewMesh(Options{})
 	local := mustStore(t, citiesTTL)
 	q := fmt.Sprintf(`PREFIX ex: <http://example.org/>
 		SELECT ?city ?name WHERE {
@@ -322,8 +322,8 @@ func TestMeshResultCacheDeduplicatesRequests(t *testing.T) {
 	if n := hits.Load(); n != 1 {
 		t.Errorf("remote endpoint saw %d requests, want 1 (TTL cache)", n)
 	}
-	if cs, ok := mesh.CacheStats(); !ok || cs.Hits == 0 {
-		t.Errorf("cache stats = %+v ok=%v", cs, ok)
+	if cs := mesh.CacheStats(); cs.Hits == 0 {
+		t.Errorf("cache stats = %+v", cs)
 	}
 }
 
@@ -362,11 +362,12 @@ func TestMeshCircuitBreaksDeadEndpoint(t *testing.T) {
 	var hits atomic.Int64
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		http.Error(w, "no", http.StatusInternalServerError)
+		http.Error(w, "no", http.StatusNotFound) // not transient: one request per fetch
 	}))
 	t.Cleanup(dead.Close)
 
-	mesh := NewMesh(Options{Retries: -1, FailureThreshold: 3, Cooldown: time.Hour, CacheCapacity: -1})
+	mesh := NewMesh(Options{})
+	mesh.reg.now = newFakeClock().now // the cooldown never elapses
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		if _, err := mesh.Fetch(ctx, dead.URL, "SELECT * WHERE { ?s ?p ?o }"); err == nil {
@@ -483,8 +484,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}))
 	t.Cleanup(flaky.Close)
 
-	c := NewClient(flaky.URL, ClientOptions{Retries: 2})
-	res, err := c.Query(context.Background(), "ASK { }")
+	res, err := queryEndpoint(context.Background(), flaky.URL, "ASK { }")
 	if err != nil {
 		t.Fatalf("Query after retries: %v", err)
 	}
@@ -503,11 +503,91 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 		http.Error(w, "bad query", http.StatusBadRequest)
 	}))
 	t.Cleanup(srv.Close)
-	c := NewClient(srv.URL, ClientOptions{Retries: 3})
-	if _, err := c.Query(context.Background(), "nonsense"); err == nil {
+	if _, err := queryEndpoint(context.Background(), srv.URL, "nonsense"); err == nil {
 		t.Fatal("expected error")
 	}
 	if hits.Load() != 1 {
 		t.Errorf("endpoint saw %d requests, want 1 (400 is not transient)", hits.Load())
+	}
+}
+
+// TestCancelledBatchesAreNotFailures: when one bind-join batch fails, its
+// siblings are cancelled, and a cancelled request says nothing about the
+// endpoint. The peer fails one batch once all four are in flight and holds
+// the others until they are cancelled; the join fails, the endpoint has one
+// failure and its circuit stays closed.
+func TestCancelledBatchesAreNotFailures(t *testing.T) {
+	var arrived atomic.Int64
+	all := make(chan struct{})
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.ParseForm()
+		if arrived.Add(1) == batchesInFlight {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second):
+		}
+		if strings.Contains(r.Form.Get("query"), " 0) ") { // the batch holding ordinal 0
+			http.Error(w, "no", http.StatusBadRequest)
+			return
+		}
+		select {
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second):
+			http.Error(w, "never cancelled", http.StatusBadRequest)
+		}
+	}))
+	t.Cleanup(peer.Close)
+
+	mesh := NewMesh(Options{})
+	bindings := make([]sparql.Binding, batchesInFlight*batchRows)
+	for i := range bindings {
+		bindings[i] = sparql.Binding{"e": rdf.IRI(fmt.Sprintf("http://example.org/e%d", i))}
+	}
+	_, err := mesh.EvalService(context.Background(), &sparql.ServiceCall{
+		Endpoint: peer.URL,
+		Pattern:  parsePattern(t, `{ ?e <http://example.org/name> ?n }`),
+		Bindings: bindings,
+	})
+	if err == nil {
+		t.Fatal("the join succeeded although one batch failed")
+	}
+	if n := arrived.Load(); n != batchesInFlight {
+		t.Fatalf("peer saw %d requests, want %d", n, batchesInFlight)
+	}
+	st := mesh.Status()
+	if len(st) != 1 || st[0].State != StateClosed || st[0].ConsecutiveFailures != 1 || st[0].Requests != 1 {
+		t.Errorf("status = %+v, want one closed endpoint with one failed request", st)
+	}
+}
+
+// TestProbeSkipsAdHocEndpoints: Probe health-checks the peers, not every
+// endpoint a query has named.
+func TestProbeSkipsAdHocEndpoints(t *testing.T) {
+	remote := mustStore(t, countriesTTL)
+	var peerHits, adHocHits atomic.Int64
+	peer := sparqlEndpoint(t, remote, &peerHits)
+	adHoc := sparqlEndpoint(t, remote, &adHocHits)
+	mesh := NewMesh(Options{})
+	mesh.AddPeer(peer.URL)
+
+	q := fmt.Sprintf(`PREFIX ex: <http://example.org/>
+		SELECT ?name WHERE {
+			?city ex:locatedIn ?country .
+			SERVICE <%s> { ?country ex:name ?name }
+		}`, adHoc.URL)
+	if _, err := sparql.ExecCtx(context.Background(), mustStore(t, citiesTTL), q, sparql.Options{Service: mesh}); err != nil {
+		t.Fatal(err)
+	}
+	if adHocHits.Load() != 1 || peerHits.Load() != 0 {
+		t.Fatalf("before the probe: ad-hoc %d, peer %d requests", adHocHits.Load(), peerHits.Load())
+	}
+	mesh.Probe(context.Background())
+	if n := adHocHits.Load(); n != 1 {
+		t.Errorf("Probe sent %d requests to an endpoint only a query named", n-1)
+	}
+	if n := peerHits.Load(); n != 1 {
+		t.Errorf("Probe sent the peer %d requests, want 1", n)
 	}
 }

@@ -18,65 +18,41 @@ const (
 	StateHalfOpen = "half-open"
 )
 
-// RegistryOptions tune the circuit breaker and latency tracking.
-type RegistryOptions struct {
-	// FailureThreshold is how many consecutive failures open the circuit
-	// (non-positive = 3).
-	FailureThreshold int
-	// Cooldown is how long an open circuit refuses requests before letting
-	// a probe through (non-positive = 5s).
-	Cooldown time.Duration
-	// EWMAAlpha weighs the newest latency sample in the moving average
-	// (outside (0,1] = 0.2).
-	EWMAAlpha float64
+// failureThreshold is how many consecutive failures open a circuit.
+const failureThreshold = 3
 
-	// now overrides time.Now in tests.
-	now func() time.Time
-}
+// cooldown is how long an open circuit refuses requests before it lets a
+// probe through.
+const cooldown = 5 * time.Second
 
-func (o RegistryOptions) withDefaults() RegistryOptions {
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = 3
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 5 * time.Second
-	}
-	if o.EWMAAlpha <= 0 || o.EWMAAlpha > 1 {
-		o.EWMAAlpha = 0.2
-	}
-	if o.now == nil {
-		o.now = time.Now
-	}
-	return o
-}
+// ewmaAlpha weighs the newest latency sample in the moving average.
+const ewmaAlpha = 0.2
 
 // Registry tracks the endpoints a node federates with: circuit-breaker
-// health, an exponentially weighted moving average of request latency, and
-// per-predicate cardinality summaries used to pick endpoints for a
-// predicate. Safe for concurrent use.
+// health and an exponentially weighted moving average of request latency.
+// Safe for concurrent use.
 type Registry struct {
-	opt RegistryOptions
+	now func() time.Time
 
 	mu  sync.Mutex
 	eps map[string]*endpoint
 }
 
 type endpoint struct {
-	url          string
-	state        string
-	consecFails  int
-	requests     uint64
-	failures     uint64
-	ewmaMs       float64
-	haveLatency  bool
-	openUntil    time.Time
-	lastErr      string
-	lastReported time.Time
+	url         string
+	state       string
+	consecFails int
+	requests    uint64
+	failures    uint64
+	ewmaMs      float64
+	haveLatency bool
+	openUntil   time.Time
+	lastErr     string
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry(opt RegistryOptions) *Registry {
-	return &Registry{opt: opt.withDefaults(), eps: map[string]*endpoint{}}
+func NewRegistry() *Registry {
+	return &Registry{now: time.Now, eps: map[string]*endpoint{}}
 }
 
 // Ensure registers url if it is not yet known. Newly added endpoints start
@@ -96,18 +72,6 @@ func (r *Registry) ensureLocked(url string) *endpoint {
 	return ep
 }
 
-// Endpoints returns the registered endpoint URLs, sorted.
-func (r *Registry) Endpoints() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.eps))
-	for u := range r.eps {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Allow reports whether a request to url may proceed right now. A closed
 // circuit always allows; an open circuit refuses until its cooldown has
 // elapsed, at which point exactly one caller is let through as the half-open
@@ -122,7 +86,7 @@ func (r *Registry) Allow(url string) bool {
 	case StateHalfOpen:
 		return false // one probe is already in flight
 	default: // StateOpen
-		if r.opt.now().Before(ep.openUntil) {
+		if r.now().Before(ep.openUntil) {
 			return false
 		}
 		ep.state = StateHalfOpen
@@ -139,15 +103,13 @@ func (r *Registry) Report(url string, d time.Duration, err error) {
 	defer r.mu.Unlock()
 	ep := r.ensureLocked(url)
 	ep.requests++
-	ep.lastReported = r.opt.now()
 	if err == nil {
 		ms := float64(d) / float64(time.Millisecond)
 		if !ep.haveLatency {
 			ep.ewmaMs = ms
 			ep.haveLatency = true
 		} else {
-			a := r.opt.EWMAAlpha
-			ep.ewmaMs = a*ms + (1-a)*ep.ewmaMs
+			ep.ewmaMs = ewmaAlpha*ms + (1-ewmaAlpha)*ep.ewmaMs
 		}
 		ep.consecFails = 0
 		ep.state = StateClosed
@@ -157,9 +119,21 @@ func (r *Registry) Report(url string, d time.Duration, err error) {
 	ep.failures++
 	ep.consecFails++
 	ep.lastErr = err.Error()
-	if ep.state == StateHalfOpen || ep.consecFails >= r.opt.FailureThreshold {
+	if ep.state == StateHalfOpen || ep.consecFails >= failureThreshold {
 		ep.state = StateOpen
-		ep.openUntil = r.opt.now().Add(r.opt.Cooldown)
+		ep.openUntil = r.now().Add(cooldown)
+	}
+}
+
+// Release records that a request to url ended without an outcome because its
+// caller gave up: nothing is counted, and a half-open probe hands its turn
+// back, so the circuit is open with its cooldown elapsed and the next Allow
+// probes again.
+func (r *Registry) Release(url string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ep := r.ensureLocked(url); ep.state == StateHalfOpen {
+		ep.state = StateOpen
 	}
 }
 
@@ -191,7 +165,7 @@ func (r *Registry) Status() []EndpointStatus {
 		st := ep.state
 		// An open circuit whose cooldown has elapsed is half-open in
 		// spirit: the next Allow will probe.
-		if st == StateOpen && !r.opt.now().Before(ep.openUntil) {
+		if st == StateOpen && !r.now().Before(ep.openUntil) {
 			st = StateHalfOpen
 		}
 		out = append(out, EndpointStatus{

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -12,16 +13,17 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1700000000, 0)} }
-func testRegistry(c *fakeClock, opt RegistryOptions) *Registry {
-	opt.now = c.now
-	return NewRegistry(opt)
+func testRegistry(c *fakeClock) *Registry {
+	r := NewRegistry()
+	r.now = c.now
+	return r
 }
 
 const ep = "http://peer.example/sparql"
 
 func TestCircuitBreakerOpensAndProbesBackIn(t *testing.T) {
 	clock := newFakeClock()
-	r := testRegistry(clock, RegistryOptions{FailureThreshold: 3, Cooldown: 5 * time.Second})
+	r := testRegistry(clock)
 	fail := errors.New("connection refused")
 
 	if !r.Allow(ep) {
@@ -81,7 +83,7 @@ func TestCircuitBreakerOpensAndProbesBackIn(t *testing.T) {
 
 func TestSuccessResetsFailureStreak(t *testing.T) {
 	clock := newFakeClock()
-	r := testRegistry(clock, RegistryOptions{FailureThreshold: 3})
+	r := testRegistry(clock)
 	fail := errors.New("boom")
 	r.Report(ep, 0, fail)
 	r.Report(ep, 0, fail)
@@ -95,29 +97,66 @@ func TestSuccessResetsFailureStreak(t *testing.T) {
 
 func TestLatencyEWMA(t *testing.T) {
 	clock := newFakeClock()
-	r := testRegistry(clock, RegistryOptions{EWMAAlpha: 0.5})
+	r := testRegistry(clock)
 	r.Report(ep, 100*time.Millisecond, nil)
 	if got := r.Status()[0].LatencyMs; got != 100 {
 		t.Fatalf("first sample seeds the EWMA: got %v, want 100", got)
 	}
 	r.Report(ep, 200*time.Millisecond, nil)
-	if got := r.Status()[0].LatencyMs; got != 150 {
-		t.Fatalf("EWMA after 100,200 at alpha 0.5 = %v, want 150", got)
+	want := r.Status()[0].LatencyMs
+	if math.Abs(want-120) > 1e-9 {
+		t.Fatalf("EWMA after 100,200 at alpha 0.2 = %v, want 120", want)
 	}
 	// Failures leave the latency estimate untouched.
 	r.Report(ep, 0, errors.New("x"))
-	if got := r.Status()[0].LatencyMs; got != 150 {
+	if got := r.Status()[0].LatencyMs; got != want {
 		t.Fatalf("failure changed EWMA to %v", got)
 	}
 }
 
 func TestRegistryStatusSorted(t *testing.T) {
 	clock := newFakeClock()
-	r := testRegistry(clock, RegistryOptions{})
+	r := testRegistry(clock)
 	r.Ensure("http://b/")
 	r.Ensure("http://a/")
 	st := r.Status()
 	if len(st) != 2 || st[0].URL != "http://a/" || st[1].URL != "http://b/" {
 		t.Errorf("Status order: %v", st)
+	}
+}
+
+// TestReleasedProbeProbesAgain: a half-open probe whose caller gave up
+// counts nothing and leaves the circuit open with its cooldown elapsed, so
+// the next caller is the probe; the circuit never sticks half-open.
+func TestReleasedProbeProbesAgain(t *testing.T) {
+	clock := newFakeClock()
+	r := testRegistry(clock)
+	fail := errors.New("boom")
+	for i := 0; i < failureThreshold; i++ {
+		r.Report(ep, 0, fail)
+	}
+	clock.advance(cooldown)
+	if !r.Allow(ep) {
+		t.Fatal("cooldown elapsed: the first caller should be the probe")
+	}
+	r.Release(ep)
+	st := r.Status()[0]
+	if st.State != StateHalfOpen || st.Requests != failureThreshold || st.ConsecutiveFailures != failureThreshold {
+		t.Fatalf("after a released probe: %+v, want open with cooldown elapsed and nothing counted", st)
+	}
+	if !r.Allow(ep) {
+		t.Fatal("the next caller after a released probe should probe again")
+	}
+	if r.Allow(ep) {
+		t.Fatal("only one probe at a time")
+	}
+	r.Report(ep, time.Millisecond, nil)
+	if st := r.Status()[0]; st.State != StateClosed {
+		t.Fatalf("a successful probe should close the circuit: %+v", st)
+	}
+	// Released requests on a closed circuit count nothing either.
+	r.Release(ep)
+	if st := r.Status()[0]; st.State != StateClosed || st.Requests != failureThreshold+1 {
+		t.Fatalf("a released request on a closed circuit: %+v", st)
 	}
 }

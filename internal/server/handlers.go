@@ -820,7 +820,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 // federationResponse is the /federation JSON shape.
 type federationResponse struct {
 	Endpoints []federation.EndpointStatus `json:"endpoints"`
-	Cache     *federation.CacheStats      `json:"cache,omitempty"`
+	Cache     federation.CacheStats       `json:"cache"`
 }
 
 // handleFederation reports the health of every remote endpoint this node
@@ -828,11 +828,7 @@ type federationResponse struct {
 // remote-result cache counters. Never cached: it is the
 // operator's live view of the mesh.
 func (s *Server) handleFederation(w http.ResponseWriter, r *http.Request) {
-	resp := federationResponse{Endpoints: s.mesh.Status()}
-	if cs, ok := s.mesh.CacheStats(); ok {
-		resp.Cache = &cs
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, federationResponse{Endpoints: s.mesh.Status(), Cache: s.mesh.CacheStats()})
 }
 
 // healthzResponse is the /healthz JSON shape: liveness plus the store,

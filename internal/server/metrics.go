@@ -191,12 +191,10 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 			}
 			return out
 		})
-	if _, ok := mesh.CacheStats(); ok {
-		r.CounterFunc("lodviz_federation_cache_hits_total", "Federation remote-result cache hits.",
-			func() float64 { cs, _ := mesh.CacheStats(); return float64(cs.Hits) })
-		r.CounterFunc("lodviz_federation_cache_misses_total", "Federation remote-result cache misses.",
-			func() float64 { cs, _ := mesh.CacheStats(); return float64(cs.Misses) })
-	}
+	r.CounterFunc("lodviz_federation_cache_hits_total", "Federation remote-result cache hits.",
+		func() float64 { return float64(mesh.CacheStats().Hits) })
+	r.CounterFunc("lodviz_federation_cache_misses_total", "Federation remote-result cache misses.",
+		func() float64 { return float64(mesh.CacheStats().Misses) })
 }
 
 // statusClass buckets an HTTP status for the requests metric ("2xx", "4xx",

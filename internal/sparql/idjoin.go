@@ -61,7 +61,21 @@ type patternRun struct {
 	slotOf   map[string]int
 	slotVars []string
 	input    []Binding
+
+	merge mergeBuf
 }
+
+// mergeBuf holds idMergeJoin's buffers. Each run keeps one, so every merge
+// of the run reuses them, page after page (the paged source joins each page
+// through the same run).
+type mergeBuf struct {
+	uniq         []store.ID
+	keyIdx       []int32
+	spans, deads []idSpan
+}
+
+// idSpan is a [lo,hi) window of a sorted run.
+type idSpan struct{ lo, hi int32 }
 
 // evalPatternRun evaluates a maximal run of consecutive triple patterns.
 func (e *engine) evalPatternRun(run []TriplePattern, input []Binding) ([]Binding, error) {
@@ -269,7 +283,7 @@ func (r *patternRun) extendOne(tp TriplePattern, rows idRows, boundAll, boundAny
 				if p.slot < 0 || !boundAll[p.slot] {
 					continue
 				}
-				out, ok, err := e.idMergeJoin(ps, cs, cp, co, p.slot, positionOf[i], rows)
+				out, ok, err := e.idMergeJoin(&r.merge, ps, cs, cp, co, p.slot, positionOf[i], rows)
 				if err != nil || ok {
 					return out, "id-merge", err
 				}
@@ -283,7 +297,7 @@ func (r *patternRun) extendOne(tp TriplePattern, rows idRows, boundAll, boundAny
 		// combination whose per-key order differs. Probe keeps parity.
 		!(lead == store.PosP && cs == 0 && co == 0) {
 		if est := src.EstimateCountIDs(cs, cp, co); est <= rows.n()*mergeScanFactor {
-			out, ok, err := e.idMergeJoin(ps, cs, cp, co, boundSlot, lead, rows)
+			out, ok, err := e.idMergeJoin(&r.merge, ps, cs, cp, co, boundSlot, lead, rows)
 			if err != nil || ok {
 				return out, "id-merge", err
 			}
@@ -300,7 +314,7 @@ func (r *patternRun) extendOne(tp TriplePattern, rows idRows, boundAll, boundAny
 // — the same matches, in the same order, the per-row probe would produce.
 // ok=false (no permutation for the lead, or an outsized delta tail) sends
 // the caller to the probe path.
-func (e *engine) idMergeJoin(ps [3]idPos, cs, cp, co store.ID, boundSlot int, lead store.Position, rows idRows) (idRows, bool, error) {
+func (e *engine) idMergeJoin(buf *mergeBuf, ps [3]idPos, cs, cp, co store.ID, boundSlot int, lead store.Position, rows idRows) (idRows, bool, error) {
 	scan, ok := e.st.ScanIDs(cs, cp, co, lead)
 	if !ok {
 		return idRows{}, false, nil
@@ -319,32 +333,39 @@ func (e *engine) idMergeJoin(ps [3]idPos, cs, cp, co store.ID, boundSlot int, le
 		}
 	}
 
-	keys := make([]store.ID, rows.n())
-	sorted := true
-	for r := range keys {
-		keys[r] = rows.row(r)[boundSlot]
-		if r > 0 && keys[r-1] > keys[r] {
-			sorted = false
+	// The distinct row keys, ascending. Rows that came out of an earlier
+	// merge or an index scan already ascend by this slot, and their keys
+	// are collected in one pass; only genuinely shuffled inputs pay the
+	// sort.
+	uniq := slices.Grow(buf.uniq[:0], rows.n())
+	for i := 0; i < rows.n(); i++ {
+		k := rows.row(i)[boundSlot]
+		if n := len(uniq); n > 0 && uniq[n-1] >= k {
+			if uniq[n-1] == k {
+				continue
+			}
+			uniq = uniq[:0]
+			for j := 0; j < rows.n(); j++ {
+				uniq = append(uniq, rows.row(j)[boundSlot])
+			}
+			slices.Sort(uniq)
+			uniq = slices.Compact(uniq)
+			break
 		}
+		uniq = append(uniq, k)
 	}
-	uniq := slices.Clone(keys)
-	if !sorted {
-		// Rows that came out of an earlier merge or an index scan already
-		// ascend by this slot; only genuinely shuffled inputs pay the sort.
-		slices.Sort(uniq)
-	}
-	uniq = slices.Compact(uniq)
+	buf.uniq = uniq
 
 	// One linear merge: ascending distinct keys against the ascending run.
 	// spans[j] is uniq[j]'s [lo,hi) window in Sorted, and deads[j] its
 	// window in Dead (which ascends by key too, being a subsequence of
-	// Sorted) when the run has any; rows find theirs by binary-searching
-	// uniq (cheaper than a hash map at these sizes).
-	type span struct{ lo, hi int32 }
-	spans := make([]span, len(uniq))
-	var deads []span
+	// Sorted) when the run has any.
+	spans := slices.Grow(buf.spans[:0], len(uniq))[:len(uniq)]
+	buf.spans = spans
+	var deads []idSpan
 	if len(scan.Dead) > 0 {
-		deads = make([]span, len(uniq))
+		deads = slices.Grow(buf.deads[:0], len(uniq))[:len(uniq)]
+		buf.deads = deads
 	}
 	i, d := 0, 0
 	for u, k := range uniq {
@@ -355,7 +376,7 @@ func (e *engine) idMergeJoin(ps [3]idPos, cs, cp, co store.ID, boundSlot int, le
 		for i < len(scan.Sorted) && keyOf(scan.Sorted[i]) == k {
 			i++
 		}
-		spans[u] = span{int32(lo), int32(i)}
+		spans[u] = idSpan{int32(lo), int32(i)}
 		if deads != nil {
 			for d < len(scan.Dead) && keyOf(scan.Dead[d]) < k {
 				d++
@@ -364,16 +385,36 @@ func (e *engine) idMergeJoin(ps [3]idPos, cs, cp, co store.ID, boundSlot int, le
 			for d < len(scan.Dead) && keyOf(scan.Dead[d]) == k {
 				d++
 			}
-			deads[u] = span{int32(lo), int32(d)}
+			deads[u] = idSpan{int32(lo), int32(d)}
 		}
 	}
 
-	out := idRows{stride: rows.stride}
+	// Each row's key, found by binary-searching uniq (cheaper than a hash
+	// map at these sizes), and the live matches all rows can take, so the
+	// output is allocated once (delta-tail matches aside). A pattern whose
+	// every variable is bound (the caller's existence merge) matches at
+	// most one triple per row.
+	keyIdx := slices.Grow(buf.keyIdx[:0], rows.n())
+	most := 0
+	for ri := 0; ri < rows.n(); ri++ {
+		u, _ := slices.BinarySearch(uniq, rows.row(ri)[boundSlot])
+		keyIdx = append(keyIdx, int32(u))
+		most += int(spans[u].hi - spans[u].lo)
+		if deads != nil {
+			most -= int(deads[u].hi - deads[u].lo)
+		}
+	}
+	buf.keyIdx = keyIdx
+	if most > rows.n() && !slices.ContainsFunc(ps[:], func(p idPos) bool { return p.slot >= 0 && rows.row(0)[p.slot] == 0 }) {
+		most = rows.n()
+	}
+
+	out := idRows{stride: rows.stride, ids: make([]store.ID, 0, most*rows.stride), parents: make([]int32, 0, most)}
 	scratch := make([]store.ID, rows.stride)
 	steps := 0
-	for r := 0; r < rows.n(); r++ {
-		k := keys[r]
-		u, _ := slices.BinarySearch(uniq, k)
+	for ri, u := range keyIdx {
+		row := rows.row(ri)
+		k := uniq[u]
 		var dead []store.IDTriple
 		if deads != nil {
 			dead = scan.Dead[deads[u].lo:deads[u].hi]
@@ -389,20 +430,20 @@ func (e *engine) idMergeJoin(ps [3]idPos, cs, cp, co store.ID, boundSlot int, le
 					return idRows{}, true, err
 				}
 			}
-			copy(scratch, rows.row(r))
+			copy(scratch, row)
 			if idUnify(ps, scratch, m) {
 				out.ids = append(out.ids, scratch...)
-				out.parents = append(out.parents, rows.parents[r])
+				out.parents = append(out.parents, rows.parents[ri])
 			}
 		}
 		for _, m := range scan.Tail {
 			if keyOf(m) != k {
 				continue
 			}
-			copy(scratch, rows.row(r))
+			copy(scratch, row)
 			if idUnify(ps, scratch, m) {
 				out.ids = append(out.ids, scratch...)
-				out.parents = append(out.parents, rows.parents[r])
+				out.parents = append(out.parents, rows.parents[ri])
 			}
 		}
 	}
