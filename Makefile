@@ -143,6 +143,8 @@ bench:
 #   - the SPARQL parser on the session_cold query shapes and an INSERT DATA,
 #     and session_cold's /sparql/stream join through Stream.Run (about 600
 #     rows);
+#   - buffered /sparql with the cache off (a 5 000-row join on the paged
+#     source, its body appended row by row);
 #   - the server's two progressive streams (/sparql/stream at 600 rows;
 #     /facets/stream unfiltered, which walks the store — under one page, and
 #     past two pages with two estimates — and filtered to 10 entities, which
@@ -158,7 +160,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='FromSource|LevelOverSharedBase' -benchtime=1x -benchmem ./internal/hetree
 	$(GO) test -run='^$$' -bench=ReadAll -benchtime=1x -benchmem ./internal/ntriples
 	$(GO) test -run='^$$' -bench='ParseQuery|StreamJoinRows' -benchtime=1x -benchmem ./internal/sparql
-	$(GO) test -run='^$$' -bench='SPARQLStream|FacetsStream|NormalizeQuery' -benchtime=1x -benchmem ./internal/server
+	$(GO) test -run='^$$' -bench='SPARQLCold|SPARQLStream|FacetsStream|NormalizeQuery' -benchtime=1x -benchmem ./internal/server
 
 # The end-to-end benchmark (bench/e2e) is its own module, which the root
 # `go test ./...` does not see: vet it, run its unit tests, and play every

@@ -137,7 +137,9 @@ func BenchmarkBGPJoinParallel4(b *testing.B) { benchBGPJoin(b, 4) }
 
 // optionalQuery is the shape the worker pool pays on: an OPTIONAL over the
 // entities of one category, which evalOptional fans out per chunk of
-// bindings. The plain joins above run id-merge, which never enters the pool.
+// bindings — on the paged source, page by page, so the pages under
+// parallelThreshold rows run inline. The plain joins above run id-merge,
+// which never enters the pool.
 func optionalQuery() string {
 	return fmt.Sprintf(`SELECT ?e ?o ?v WHERE { ?e <%s> "category-2" OPTIONAL { ?e <%s> ?o . ?o <%s> ?v } }`,
 		string(gen.Prop("cat0")), string(gen.Prop("rel0")), string(gen.Prop("num0")))
@@ -201,8 +203,10 @@ func BenchmarkBGPJoinBoundOIDs(b *testing.B) {
 
 // E14 — streaming LIMIT pushdown: a first-page exploration query
 // (LIMIT 10) over a BGP with >100k solutions, which stops scanning after 10
-// solutions, beside the same query without its LIMIT, which materializes
-// them all. The first one's cost scales with the limit, not the dataset —
+// solutions, beside the same query without its LIMIT, which pages through
+// all of them and collects every row into Results (the "Materialized"
+// benchmark keeps its name; its query no longer takes the materialized
+// source). The first one's cost scales with the limit, not the dataset —
 // expect several orders of magnitude between the two.
 
 func limitPushdownStore(b *testing.B) *store.Store {

@@ -156,8 +156,9 @@ func streamStoreRegress(n int) *store.Store {
 }
 
 // streamScenarios measures the streaming pipeline: LIMIT pushdown, the same
-// query without its LIMIT (which materializes every solution) beside it,
-// and the bounded ORDER BY top-k heap.
+// query without its LIMIT (which collects every solution; the scenario
+// keeps its "materialized" name) beside it, and the bounded ORDER BY top-k
+// heap.
 func streamScenarios() []benchResult {
 	st := streamStoreRegress(120000)
 	all := `SELECT ?s ?v WHERE { ?s <http://bench/value> ?v }`

@@ -3,8 +3,9 @@
 // query (sparql.Options.Trace): a "parse" span, one "plan" span per reordered pattern group, and an
 // "execute" span whose children are the per-pattern join stages — each
 // carrying the strategy the executor picked (id-merge, id-probe, id-cross,
-// hash, paged-scan), the rows entering and leaving the stage, and for the
-// paged streaming driver the number of store pages scanned. The HTTP layer
+// id-empty, paged-scan), the rows entering and leaving the stage, and for
+// the paged source the number of store pages: that source records one span
+// per pattern however many pages it joins (Span.AddPage). The HTTP layer
 // serves the tree on POST /sparql?explain=1 and summarizes it in the
 // slow-query log.
 package explain
@@ -32,18 +33,22 @@ type Span struct {
 	// text; for plan spans, the join order chosen.
 	Detail string `json:"detail,omitempty"`
 	// Strategy is how a pattern span was executed: "id-merge", "id-probe",
-	// "id-cross", "id-empty", or "paged-scan".
+	// "id-cross", "id-empty", or "paged-scan"; on the paged source, every
+	// strategy its pages chose, joined by "+".
 	Strategy string `json:"strategy,omitempty"`
 	// RowsIn and RowsOut count the solution rows entering and leaving the
 	// stage.
 	RowsIn  int `json:"rowsIn,omitempty"`
 	RowsOut int `json:"rowsOut,omitempty"`
-	// Pages counts store pages a paged scan pulled (streaming driver only).
+	// Pages counts the store pages a paged scan pulled, and on a pattern
+	// joined to them the pages that reached it (paged source only).
 	Pages int `json:"pages,omitempty"`
 	// DurationMicros is the stage's wall time in microseconds.
 	DurationMicros int64 `json:"durationMicros"`
 	// Children are sub-stages, in completion order.
 	Children []*Span `json:"children,omitempty"`
+
+	dur time.Duration // AddPage's running total behind DurationMicros
 }
 
 // Trace is one query's span tree. Safe for concurrent Add calls — parallel
@@ -105,6 +110,24 @@ func (s *Span) SetPages(n int) {
 	if s != nil {
 		s.Pages = n
 	}
+}
+
+// AddPage folds one page of a paged stage into its span: the rows are
+// summed, the page counted, the time added, and a strategy not yet named
+// joins the list ("id-probe+id-merge" when pages chose differently). A nil
+// span is a no-op.
+func (s *Span) AddPage(strategy string, rowsIn, rowsOut int, d time.Duration) {
+	if s == nil {
+		return
+	}
+	if !strings.Contains(s.Strategy, strategy) { // no strategy's name holds another's
+		s.Strategy = strings.TrimPrefix(s.Strategy+"+"+strategy, "+")
+	}
+	s.RowsIn += rowsIn
+	s.RowsOut += rowsOut
+	s.Pages++
+	s.dur += d
+	s.DurationMicros = s.dur.Microseconds()
 }
 
 // Finish closes the root span's duration.

@@ -35,40 +35,32 @@ type Mesh struct {
 	opt   Options
 	reg   *Registry
 	cache *ResultCache
-
-	mu    sync.Mutex
-	peers map[string]bool // explicitly registered endpoints (AddPeer)
 }
 
 // NewMesh builds a mesh with no peers registered yet.
 func NewMesh(opt Options) *Mesh {
-	return &Mesh{opt: opt, reg: NewRegistry(), cache: NewResultCache(), peers: map[string]bool{}}
+	return &Mesh{opt: opt, reg: NewRegistry(), cache: NewResultCache()}
 }
 
 // AddPeer registers a remote SPARQL endpoint. Registration is idempotent.
 // Unless Options.RestrictToPeers is set, SERVICE clauses may also name
-// endpoints that were never registered (they are tracked from first use,
-// but only peers are health-probed).
-func (m *Mesh) AddPeer(endpoint string) {
-	m.mu.Lock()
-	m.peers[endpoint] = true
-	m.mu.Unlock()
-	m.reg.Ensure(endpoint)
-}
+// endpoints that were never registered: they are tracked from first use
+// among a bounded number of such endpoints, never health-probed, and
+// counted together on /metrics.
+func (m *Mesh) AddPeer(endpoint string) { m.reg.AddPeer(endpoint) }
 
 // allowed reports whether SERVICE dispatch to endpoint is permitted under
 // the mesh's endpoint policy.
 func (m *Mesh) allowed(endpoint string) bool {
-	if !m.opt.RestrictToPeers {
-		return true
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.peers[endpoint]
+	return !m.opt.RestrictToPeers || m.reg.IsPeer(endpoint)
 }
 
-// Status snapshots every known endpoint's health.
+// Status snapshots the health of every endpoint the registry keeps.
 func (m *Mesh) Status() []EndpointStatus { return m.reg.Status() }
+
+// AdHocTotals returns the requests and failures of every endpoint that is
+// not a peer, ever; see Registry.AdHocTotals.
+func (m *Mesh) AdHocTotals() (requests, failures uint64) { return m.reg.AdHocTotals() }
 
 // CacheStats reports remote-result cache effectiveness.
 func (m *Mesh) CacheStats() CacheStats { return m.cache.Stats() }
@@ -115,7 +107,6 @@ func (m *Mesh) EvalService(ctx context.Context, call *sparql.ServiceCall) ([]spa
 	if !m.allowed(endpoint) {
 		return nil, fmt.Errorf("federation: endpoint %s is not a registered peer (mesh restricts SERVICE to peers)", endpoint)
 	}
-	m.reg.Ensure(endpoint)
 	fetch := func(ctx context.Context, query string) ([]sparql.Binding, error) {
 		return m.Fetch(ctx, endpoint, query)
 	}
@@ -129,15 +120,10 @@ func (m *Mesh) EvalService(ctx context.Context, call *sparql.ServiceCall) ([]spa
 // dead peer burning its full timeout-and-retry budget must not stall the
 // others.
 func (m *Mesh) Probe(ctx context.Context) {
-	m.mu.Lock()
-	peers := make([]string, 0, len(m.peers))
-	for endpoint := range m.peers {
-		peers = append(peers, endpoint)
-	}
-	m.mu.Unlock()
 	var wg sync.WaitGroup
-	for _, endpoint := range peers {
-		if !m.reg.Allow(endpoint) {
+	for _, ep := range m.reg.Status() {
+		endpoint := ep.URL
+		if !ep.Peer || !m.reg.Allow(endpoint) {
 			continue
 		}
 		wg.Add(1)

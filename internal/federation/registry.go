@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"container/list"
 	"sort"
 	"sync"
 	"time"
@@ -28,18 +29,33 @@ const cooldown = 5 * time.Second
 // ewmaAlpha weighs the newest latency sample in the moving average.
 const ewmaAlpha = 0.2
 
+// adHocCapacity is how many endpoints that only query text named (not
+// AddPeer) the registry keeps state for; past it the least recently used
+// one is forgotten.
+const adHocCapacity = 256
+
 // Registry tracks the endpoints a node federates with: circuit-breaker
 // health and an exponentially weighted moving average of request latency.
-// Safe for concurrent use.
+// Peers (AddPeer) are kept for good. An endpoint that only a SERVICE clause
+// named is kept in a least-recently-used list of adHocCapacity entries, so
+// query text cannot grow the registry, and its outcomes are also counted in
+// two registry-wide totals that eviction never lowers. Safe for concurrent
+// use.
 type Registry struct {
 	now func() time.Time
 
-	mu  sync.Mutex
-	eps map[string]*endpoint
+	mu    sync.Mutex
+	eps   map[string]*endpoint
+	adHoc *list.List // the endpoints that are not peers, most recently used first
+	// adHocRequests and adHocFailures count every outcome reported for an
+	// endpoint that is not a peer.
+	adHocRequests, adHocFailures uint64
 }
 
 type endpoint struct {
 	url         string
+	peer        bool
+	el          *list.Element // in adHoc, unless peer
 	state       string
 	consecFails int
 	requests    uint64
@@ -52,22 +68,47 @@ type endpoint struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{now: time.Now, eps: map[string]*endpoint{}}
+	return &Registry{now: time.Now, eps: map[string]*endpoint{}, adHoc: list.New()}
 }
 
-// Ensure registers url if it is not yet known. Newly added endpoints start
-// closed (healthy until proven otherwise).
-func (r *Registry) Ensure(url string) {
+// AddPeer registers url as a peer, taking over its state if query text
+// named it first. A new peer starts closed (healthy until proven
+// otherwise).
+func (r *Registry) AddPeer(url string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.ensureLocked(url)
+	switch ep, ok := r.eps[url]; {
+	case !ok:
+		r.eps[url] = &endpoint{url: url, peer: true, state: StateClosed}
+	case !ep.peer:
+		r.adHoc.Remove(ep.el)
+		ep.peer, ep.el = true, nil
+	}
 }
 
+// IsPeer reports whether url was registered with AddPeer.
+func (r *Registry) IsPeer(url string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ep, ok := r.eps[url]
+	return ok && ep.peer
+}
+
+// ensureLocked returns url's state. An unknown url is added as an ad-hoc
+// endpoint, closed, and past adHocCapacity the least recently used one is
+// forgotten; an ad-hoc endpoint moves to the front of the list.
 func (r *Registry) ensureLocked(url string) *endpoint {
 	ep, ok := r.eps[url]
-	if !ok {
+	switch {
+	case !ok:
 		ep = &endpoint{url: url, state: StateClosed}
+		ep.el = r.adHoc.PushFront(ep)
 		r.eps[url] = ep
+		if r.adHoc.Len() > adHocCapacity {
+			delete(r.eps, r.adHoc.Remove(r.adHoc.Back()).(*endpoint).url)
+		}
+	case !ep.peer:
+		r.adHoc.MoveToFront(ep.el)
 	}
 	return ep
 }
@@ -103,6 +144,9 @@ func (r *Registry) Report(url string, d time.Duration, err error) {
 	defer r.mu.Unlock()
 	ep := r.ensureLocked(url)
 	ep.requests++
+	if !ep.peer {
+		r.adHocRequests++
+	}
 	if err == nil {
 		ms := float64(d) / float64(time.Millisecond)
 		if !ep.haveLatency {
@@ -117,6 +161,9 @@ func (r *Registry) Report(url string, d time.Duration, err error) {
 		return
 	}
 	ep.failures++
+	if !ep.peer {
+		r.adHocFailures++
+	}
 	ep.consecFails++
 	ep.lastErr = err.Error()
 	if ep.state == StateHalfOpen || ep.consecFails >= failureThreshold {
@@ -142,6 +189,9 @@ func (r *Registry) Release(url string) {
 type EndpointStatus struct {
 	// URL is the endpoint URL.
 	URL string `json:"url"`
+	// Peer is true for an endpoint registered with AddPeer, false for one
+	// that only query text named.
+	Peer bool `json:"peer"`
 	// State is the circuit state: closed, open, or half-open.
 	State string `json:"state"`
 	// LatencyMs is the request-latency EWMA in milliseconds (0 until the
@@ -156,7 +206,8 @@ type EndpointStatus struct {
 	LastError string `json:"lastError,omitempty"`
 }
 
-// Status snapshots every registered endpoint, sorted by URL.
+// Status snapshots every endpoint the registry keeps — the peers and the
+// ad-hoc endpoints not yet forgotten — sorted by URL.
 func (r *Registry) Status() []EndpointStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -170,6 +221,7 @@ func (r *Registry) Status() []EndpointStatus {
 		}
 		out = append(out, EndpointStatus{
 			URL:                 ep.url,
+			Peer:                ep.peer,
 			State:               st,
 			LatencyMs:           ep.ewmaMs,
 			Requests:            ep.requests,
@@ -180,4 +232,13 @@ func (r *Registry) Status() []EndpointStatus {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out
+}
+
+// AdHocTotals returns the requests and failures reported for endpoints
+// that are not peers, since the registry was made: evicted endpoints' counts
+// included, so both only grow.
+func (r *Registry) AdHocTotals() (requests, failures uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.adHocRequests, r.adHocFailures
 }

@@ -2,7 +2,9 @@ package federation
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 )
@@ -117,8 +119,8 @@ func TestLatencyEWMA(t *testing.T) {
 func TestRegistryStatusSorted(t *testing.T) {
 	clock := newFakeClock()
 	r := testRegistry(clock)
-	r.Ensure("http://b/")
-	r.Ensure("http://a/")
+	r.AddPeer("http://b/")
+	r.AddPeer("http://a/")
 	st := r.Status()
 	if len(st) != 2 || st[0].URL != "http://a/" || st[1].URL != "http://b/" {
 		t.Errorf("Status order: %v", st)
@@ -158,5 +160,85 @@ func TestReleasedProbeProbesAgain(t *testing.T) {
 	r.Release(ep)
 	if st := r.Status()[0]; st.State != StateClosed || st.Requests != failureThreshold+1 {
 		t.Fatalf("a released request on a closed circuit: %+v", st)
+	}
+}
+
+// TestRegistryBoundsAdHocEndpoints: endpoints that only query text named
+// are kept up to adHocCapacity, least recently used out first, while a
+// peer is never evicted; the ad-hoc totals count every outcome, evicted
+// endpoints' included, and a peer's none. AddPeer takes over an ad-hoc
+// endpoint's state.
+func TestRegistryBoundsAdHocEndpoints(t *testing.T) {
+	r := testRegistry(newFakeClock())
+	r.AddPeer(ep)
+	r.Report(ep, time.Millisecond, nil)
+	fail := errors.New("boom")
+	for i := 0; i < 1000; i++ {
+		u := fmt.Sprintf("http://adhoc.example/%d", i)
+		r.Report(u, 0, fail)
+		if i%10 == 0 {
+			r.Allow("http://adhoc.example/0") // keep endpoint 0 recently used
+		}
+	}
+	st := r.Status()
+	if len(st) != adHocCapacity+1 {
+		t.Fatalf("%d endpoints kept, want %d ad-hoc and the peer", len(st), adHocCapacity)
+	}
+	urls := map[string]bool{}
+	for _, s := range st {
+		urls[s.URL] = s.Peer
+	}
+	if peer, ok := urls[ep]; !ok || !peer {
+		t.Errorf("peer kept %v, marked a peer %v", ok, peer)
+	}
+	if _, ok := urls["http://adhoc.example/0"]; !ok {
+		t.Error("the most recently used ad-hoc endpoint was evicted")
+	}
+	if _, ok := urls["http://adhoc.example/1"]; ok {
+		t.Error("a least recently used ad-hoc endpoint was kept")
+	}
+	if req, fails := r.AdHocTotals(); req != 1000 || fails != 1000 {
+		t.Errorf("ad-hoc totals %d requests, %d failures; want 1000 and 1000", req, fails)
+	}
+	const promoted = "http://adhoc.example/999"
+	r.AddPeer(promoted)
+	for _, s := range r.Status() {
+		if s.URL == promoted && (!s.Peer || s.Failures != 1) {
+			t.Errorf("promoted endpoint %+v, want a peer with its 1 failure", s)
+		}
+	}
+	if n := len(r.Status()); n != adHocCapacity+1 {
+		t.Errorf("%d endpoints after promoting one, want %d", n, adHocCapacity+1)
+	}
+}
+
+// TestRegistryAdHocConcurrent: goroutines naming distinct endpoints at once,
+// beside readers of Status and the totals, leave the list at its bound and
+// every outcome counted (run it under -race).
+func TestRegistryAdHocConcurrent(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				u := fmt.Sprintf("http://adhoc.example/%d/%d", g, i)
+				if r.Allow(u) {
+					r.Report(u, time.Millisecond, nil)
+				}
+				if i%50 == 0 {
+					_ = r.Status()
+					r.AdHocTotals()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(r.Status()); n != adHocCapacity {
+		t.Errorf("%d endpoints kept, want %d", n, adHocCapacity)
+	}
+	if req, _ := r.AdHocTotals(); req != 1600 {
+		t.Errorf("%d ad-hoc requests counted, want 1600", req)
 	}
 }

@@ -112,6 +112,9 @@ func TestCacheHitLatency(t *testing.T) {
 	}
 }
 
+// BenchmarkSPARQLCold is buffered /sparql over HTTP with the cache off:
+// benchQuery's 5 000-row join without LIMIT, which the paged source serves
+// and Stream.JSON appends into the body row by row.
 func BenchmarkSPARQLCold(b *testing.B) {
 	st := synthStore(b, 5000)
 	s := New(st, Config{CacheCapacity: -1, Logger: discardLogger()})

@@ -1,11 +1,16 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/lodviz/lodviz/internal/gen"
 	"github.com/lodviz/lodviz/internal/rdf"
 )
 
@@ -235,5 +240,65 @@ func TestFederationEndpointListsPeers(t *testing.T) {
 	}
 	if doc.Endpoints[0].State != "closed" {
 		t.Errorf("fresh peer state = %q, want closed", doc.Endpoints[0].State)
+	}
+}
+
+// TestAdHocServiceEndpointsStayBounded: 1 000 queries, each naming its own
+// SERVICE endpoint, leave the federation registry at its bound and the
+// lodviz_federation_endpoint_* series on /metrics as many as before them;
+// a peer keeps its series, and endpoint="other" counts every ad-hoc
+// request and failure, evicted endpoints' included.
+func TestAdHocServiceEndpointsStayBounded(t *testing.T) {
+	remote := httptest.NewServer(http.NotFoundHandler()) // fails fast, not retried
+	t.Cleanup(remote.Close)
+	s := New(gen.MiniLODStore(), Config{Logger: discardLogger(), CacheCapacity: -1, Peers: []string{remote.URL + "/peer"}})
+	get := func(target string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body.String())
+		}
+		return rec.Body.String()
+	}
+	series := func() []string {
+		var out []string
+		for _, line := range strings.Split(get("/metrics"), "\n") {
+			if strings.HasPrefix(line, "lodviz_federation_endpoint_") {
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+	before := series()
+	var atHalf int
+	for i := 0; i < 1000; i++ {
+		if i == 500 {
+			atHalf = len(s.mesh.Status())
+		}
+		q := fmt.Sprintf(`SELECT * WHERE { SERVICE SILENT <%s/e%d> { ?s ?p ?o } }`, remote.URL, i)
+		get("/sparql?query=" + url.QueryEscape(q))
+	}
+	if n := len(s.mesh.Status()); n != atHalf || n >= 500 {
+		t.Errorf("registry holds %d endpoints after 1 000 distinct SERVICE URLs, %d after 500; want it bounded", n, atHalf)
+	}
+	var fed struct {
+		Endpoints []json.RawMessage `json:"endpoints"`
+	}
+	if err := json.Unmarshal([]byte(get("/federation")), &fed); err != nil || len(fed.Endpoints) != atHalf {
+		t.Errorf("/federation lists %d endpoints (%v), want %d", len(fed.Endpoints), err, atHalf)
+	}
+	after := series()
+	if len(after) != len(before) {
+		t.Errorf("%d federation endpoint series before, %d after:\n%s", len(before), len(after), strings.Join(after, "\n"))
+	}
+	for _, want := range []string{
+		`lodviz_federation_endpoint_requests_total{endpoint="other"} 1000`,
+		`lodviz_federation_endpoint_failures_total{endpoint="other"} 1000`,
+		`lodviz_federation_endpoint_state{endpoint="` + remote.URL + `/peer",state="closed"} 1`,
+	} {
+		if !slices.Contains(after, want) {
+			t.Errorf("missing %s in:\n%s", want, strings.Join(after, "\n"))
+		}
 	}
 }

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -33,7 +31,10 @@ const maxIngestBytes = 64 << 20
 // handleSPARQL implements the SPARQL 1.1 Protocol query and update
 // operations on one endpoint. A query arrives as ?query= on GET, as a form
 // field on an urlencoded POST, or as the raw body with Content-Type
-// application/sparql-query; results are SPARQL JSON. An update arrives only
+// application/sparql-query; results are SPARQL JSON, written by
+// Stream.JSON: the query driver /sparql/stream runs, so a query takes the
+// same source on both routes, and its rows go into one body as the column
+// vectors the driver emits, never as Bindings. An update arrives only
 // by POST — as an `update` form field or a raw application/sparql-update
 // body — and is dispatched to handleUpdate. Query responses are cached
 // under the whitespace/comment-normalized query text, with the query's
@@ -70,27 +71,26 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		if tr != nil {
 			tr.Add(nil, "parse").Set("", "", 0, 0, start)
 		}
-		var res *sparql.Results
+		var body []byte
+		rows := 0
 		if err == nil {
-			res, err = sparql.EvalCtx(ctx, s.source(), parsed, sparql.Options{
+			body, rows, err = sparql.PrepareStreamQuery(ctx, s.source(), parsed, sparql.Options{
 				Parallelism: s.cfg.Parallelism, Service: s.mesh,
 				Metrics: s.engineMet, Trace: tr,
-			})
+			}).JSON()
 		}
 		tr.Finish()
+		s.noteSlowQuery(q, time.Since(start), rows, tr)
 		if err != nil {
-			s.noteSlowQuery(q, time.Since(start), 0, tr)
 			return errorResult(queryError(err))
 		}
-		s.noteSlowQuery(q, time.Since(start), len(res.Rows), tr)
-		body, err := res.JSON()
-		if err != nil {
-			return errorResult(http.StatusInternalServerError, "encoding results: "+err.Error())
-		}
 		if explainReq {
-			if body, err = spliceExplain(body, tr); err != nil {
+			tb, err := tr.MarshalJSON()
+			if err != nil {
 				return errorResult(http.StatusInternalServerError, "encoding trace: "+err.Error())
 			}
+			// The member goes before the document's closing brace.
+			body = append(append(append(body[:len(body)-1], `,"explain":`...), tb...), '}')
 		}
 		return result{body: body, contentType: sparql.JSONContentType, status: http.StatusOK, reads: parsed.Footprint(s.st)}
 	}
@@ -99,28 +99,6 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, "sparql|"+norm, build)
-}
-
-// spliceExplain adds an "explain" member carrying the trace to a SPARQL
-// JSON results body. HTML escaping stays off end to end so the pattern
-// details' IRI angle brackets survive readable.
-func spliceExplain(body []byte, tr *explain.Trace) ([]byte, error) {
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil, err
-	}
-	tb, err := tr.MarshalJSON()
-	if err != nil {
-		return nil, err
-	}
-	doc["explain"] = tb
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(doc); err != nil {
-		return nil, err
-	}
-	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), nil
 }
 
 // noteSlowQuery counts and logs a query at or over the slow-query

@@ -3,6 +3,7 @@ package server
 import (
 	"strconv"
 
+	"github.com/lodviz/lodviz/internal/federation"
 	"github.com/lodviz/lodviz/internal/obs"
 )
 
@@ -158,38 +159,44 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 			func() float64 { return float64(w.LastSeq()) })
 	}
 
+	// Per-endpoint series are the peers' alone: the endpoints query text
+	// names share endpoint="other" in the two counters, so no query can add
+	// a label value.
 	mesh := s.mesh
-	r.GaugeVecFunc("lodviz_federation_endpoint_state", "Circuit state per federated endpoint (1 = current state).",
+	peers := func(sample func(federation.EndpointStatus) obs.Sample) []obs.Sample {
+		var out []obs.Sample
+		for _, ep := range mesh.Status() {
+			if ep.Peer {
+				out = append(out, sample(ep))
+			}
+		}
+		return out
+	}
+	r.GaugeVecFunc("lodviz_federation_endpoint_state", "Circuit state per federation peer (1 = current state).",
 		[]string{"endpoint", "state"}, func() []obs.Sample {
-			var out []obs.Sample
-			for _, ep := range mesh.Status() {
-				out = append(out, obs.Sample{Labels: []string{ep.URL, ep.State}, Value: 1})
-			}
-			return out
+			return peers(func(ep federation.EndpointStatus) obs.Sample {
+				return obs.Sample{Labels: []string{ep.URL, ep.State}, Value: 1}
+			})
 		})
-	r.GaugeVecFunc("lodviz_federation_endpoint_latency_ms", "Request-latency EWMA per federated endpoint.",
+	r.GaugeVecFunc("lodviz_federation_endpoint_latency_ms", "Request-latency EWMA per federation peer.",
 		[]string{"endpoint"}, func() []obs.Sample {
-			var out []obs.Sample
-			for _, ep := range mesh.Status() {
-				out = append(out, obs.Sample{Labels: []string{ep.URL}, Value: ep.LatencyMs})
-			}
-			return out
+			return peers(func(ep federation.EndpointStatus) obs.Sample {
+				return obs.Sample{Labels: []string{ep.URL}, Value: ep.LatencyMs}
+			})
 		})
-	r.CounterVecFunc("lodviz_federation_endpoint_requests_total", "Requests dispatched per federated endpoint.",
+	r.CounterVecFunc("lodviz_federation_endpoint_requests_total", "Requests dispatched per federation peer; endpoint=\"other\" counts every other endpoint.",
 		[]string{"endpoint"}, func() []obs.Sample {
-			var out []obs.Sample
-			for _, ep := range mesh.Status() {
-				out = append(out, obs.Sample{Labels: []string{ep.URL}, Value: float64(ep.Requests)})
-			}
-			return out
+			requests, _ := mesh.AdHocTotals()
+			return append(peers(func(ep federation.EndpointStatus) obs.Sample {
+				return obs.Sample{Labels: []string{ep.URL}, Value: float64(ep.Requests)}
+			}), obs.Sample{Labels: []string{"other"}, Value: float64(requests)})
 		})
-	r.CounterVecFunc("lodviz_federation_endpoint_failures_total", "Failed requests per federated endpoint.",
+	r.CounterVecFunc("lodviz_federation_endpoint_failures_total", "Failed requests per federation peer; endpoint=\"other\" counts every other endpoint.",
 		[]string{"endpoint"}, func() []obs.Sample {
-			var out []obs.Sample
-			for _, ep := range mesh.Status() {
-				out = append(out, obs.Sample{Labels: []string{ep.URL}, Value: float64(ep.Failures)})
-			}
-			return out
+			_, failures := mesh.AdHocTotals()
+			return append(peers(func(ep federation.EndpointStatus) obs.Sample {
+				return obs.Sample{Labels: []string{ep.URL}, Value: float64(ep.Failures)}
+			}), obs.Sample{Labels: []string{"other"}, Value: float64(failures)})
 		})
 	r.CounterFunc("lodviz_federation_cache_hits_total", "Federation remote-result cache hits.",
 		func() float64 { return float64(mesh.CacheStats().Hits) })

@@ -288,7 +288,8 @@ func (f *flushRecorder) FlushError() error {
 // TestSPARQLStreamBytesMatchEncoder: every line of /sparql/stream is the
 // json.Encoder encoding of the value the endpoint used to build for it —
 // the head, a map per row over the rows the buffered query returns, the
-// trailer, the ASK line.
+// trailer, the ASK line — and the buffered /sparql body is the json.Marshal
+// of the document it used to build, with the ETag of those bytes.
 func TestSPARQLStreamBytesMatchEncoder(t *testing.T) {
 	s, _, st := newTestServer(t, Config{})
 	enc := func(b *bytes.Buffer, v any) {
@@ -325,7 +326,19 @@ func TestSPARQLStreamBytesMatchEncoder(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want bytes.Buffer
+		type results struct {
+			Bindings []map[string]sparql.JSONTerm `json:"bindings"`
+		}
+		var doc struct {
+			Head struct {
+				Vars []string `json:"vars,omitempty"`
+			} `json:"head"`
+			Results *results `json:"results,omitempty"`
+			Boolean *bool    `json:"boolean,omitempty"`
+		}
+		doc.Head.Vars = res.Vars
 		if res.Form == sparql.FormAsk {
+			doc.Boolean = &res.Ask
 			enc(&want, struct {
 				Boolean bool `json:"boolean"`
 			}{res.Ask})
@@ -334,6 +347,7 @@ func TestSPARQLStreamBytesMatchEncoder(t *testing.T) {
 				Rows int  `json:"rows"`
 			}{true, 0})
 		} else {
+			doc.Results = &results{Bindings: []map[string]sparql.JSONTerm{}}
 			enc(&want, struct {
 				Vars []string `json:"vars"`
 			}{res.Vars})
@@ -345,6 +359,7 @@ func TestSPARQLStreamBytesMatchEncoder(t *testing.T) {
 					}
 				}
 				enc(&want, m)
+				doc.Results.Bindings = append(doc.Results.Bindings, m)
 			}
 			enc(&want, struct {
 				Done bool `json:"done"`
@@ -356,13 +371,26 @@ func TestSPARQLStreamBytesMatchEncoder(t *testing.T) {
 		if got := rec.Body.String(); got != want.String() {
 			t.Errorf("%s:\n got %s\nwant %s", q, got, want.String())
 		}
+		wantBody, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec = httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(q), nil))
+		if got := rec.Body.Bytes(); !bytes.Equal(got, wantBody) {
+			t.Errorf("/sparql %s:\n got %s\nwant %s", q, got, wantBody)
+		}
+		if got := rec.Header().Get("ETag"); got != etagFor(wantBody) {
+			t.Errorf("/sparql %s: ETag %s, want %s", q, got, etagFor(wantBody))
+		}
 	}
 }
 
 // TestSPARQLStreamBuildsNoBindings: session_cold's stream, a 2-pattern
 // join on a category literal without LIMIT, leaves the engine as result
 // columns — lodviz_engine_bindings_total does not move while its rows
-// stream — and the same query with a FILTER after the run does build them.
+// stream, nor while buffered /sparql answers the same join from the paged
+// source — and the same query with a FILTER after the run does build them.
 func TestSPARQLStreamBuildsNoBindings(t *testing.T) {
 	st, err := store.Load(gen.EntityDataset(gen.EntityOptions{
 		Entities: 2000, NumericProps: 1, CategoryProps: 1, Categories: 20, Seed: 1}))
@@ -385,6 +413,18 @@ func TestSPARQLStreamBuildsNoBindings(t *testing.T) {
 	}
 	if got := s.engineMet.BindingsBuilt.Value(); got != 0 {
 		t.Errorf("lodviz_engine_bindings_total = %d after the join's stream, want 0", got)
+	}
+	streamed := s.engineMet.QueriesStreamed.Value()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(join), nil))
+	if rec.Code != http.StatusOK || strings.Count(rec.Body.String(), `"s":`) < 50 {
+		t.Fatalf("/sparql: status %d, body %.200s", rec.Code, rec.Body.String())
+	}
+	if got := s.engineMet.BindingsBuilt.Value(); got != 0 {
+		t.Errorf("lodviz_engine_bindings_total = %d after the buffered join, want 0", got)
+	}
+	if got := s.engineMet.QueriesStreamed.Value(); got != streamed+1 {
+		t.Errorf("lodviz_engine_queries_streamed_total moved %d → %d on the buffered join, want +1", streamed, got)
 	}
 	filtered := strings.TrimSuffix(join, " }") + ` FILTER(?v >= 0) }`
 	if rows := stream(filtered); rows < 50 || s.engineMet.BindingsBuilt.Value() != uint64(rows) {

@@ -55,20 +55,20 @@ func TestRepeatedNameReadsLastBinder(t *testing.T) {
 	if want := [][]rdf.Term{{x, x, x}}; !reflect.DeepEqual(rows, want) {
 		t.Fatalf("RunRows %v, want %v", rows, want)
 	}
-	if got, want := string(AppendColumns(nil, NewColumnOrder(stm.Vars()), rows[0])), string(AppendRow(nil, []string{"n"}, res.Rows[0])); got != want {
+	if got, want := string(AppendColumns(nil, NewColumnOrder(stm.Vars()), rows[0])), refEncode(t, refBinding(res.Rows[0])); got != want {
 		t.Errorf("AppendColumns %s, want %s", got, want)
 	}
 }
 
 // TestAppendColumnsOrder: AppendColumns writes a row laid out in projection
-// order as AppendRow writes the same row as a Binding over the sorted
-// names — sorted, unbound columns left out, a repeated name once.
+// order as encoding/json writes the same row as a map — sorted, unbound
+// columns left out, a repeated name once.
 func TestAppendColumnsOrder(t *testing.T) {
 	vars := []string{"z", "a", "m", "a"}
 	row := []rdf.Term{rdf.IRI("http://z"), rdf.NewLiteral("a"), nil, rdf.NewLiteral("a")}
 	b := Binding{"z": row[0], "a": row[1]}
 	got := string(AppendColumns(nil, NewColumnOrder(vars), row))
-	if want := string(AppendRow(nil, SortedVars(vars), b)); got != want {
+	if want := refEncode(t, refBinding(b)); got != want {
 		t.Errorf("AppendColumns %s, want %s", got, want)
 	}
 	if want := `{"a":{"type":"literal","value":"a"},"z":{"type":"uri","value":"http://z"}}`; got != want {
@@ -91,7 +91,8 @@ func TestBindingsCounter(t *testing.T) {
 		{`SELECT ?n WHERE { ?p foaf:name ?n } ORDER BY ?n LIMIT 10`, 3},                  // ORDER BY keys
 		{`SELECT (STR(?n) AS ?s) WHERE { ?p foaf:name ?n } LIMIT 10`, 3},                 // projection expression
 		{`SELECT ?n WHERE { ?p foaf:name ?n ; foaf:age ?a FILTER(?a > 0) } LIMIT 10`, 3}, // FILTER after the run
-		{`SELECT ?p ?n WHERE { ?p foaf:name ?n }`, 3},                                    // materialized
+		{`SELECT ?p ?n WHERE { ?p foaf:name ?n }`, 0},                                    // paged without LIMIT
+		{`SELECT DISTINCT ?p ?n WHERE { ?p foaf:name ?n }`, 3},                           // materialized
 	} {
 		met := NewMetrics(obs.NewRegistry())
 		res := execOpts(t, st, pre+tc.q, Options{Parallelism: 1, Metrics: met})

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"github.com/lodviz/lodviz/internal/explain"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/store"
 )
@@ -63,6 +64,11 @@ type patternRun struct {
 	input    []Binding
 
 	merge mergeBuf
+
+	// pageSpans, set by the paged source, holds one trace span per pattern
+	// extend joins to its pages; each page adds to them instead of adding
+	// spans of its own.
+	pageSpans []*explain.Span
 }
 
 // mergeBuf holds idMergeJoin's buffers. Each run keeps one, so every merge
@@ -193,7 +199,11 @@ func (r *patternRun) extend(rows idRows, pats []TriplePattern, limit int) (idRow
 		if err != nil {
 			return idRows{}, err
 		}
-		if e.trace != nil {
+		switch {
+		case e.trace == nil:
+		case r.pageSpans != nil:
+			r.pageSpans[i].AddPage(strat, before, rows.n(), time.Since(start))
+		default:
 			e.trace.Add(e.exec, "pattern").Set(patternString(tp), strat, before, rows.n(), start)
 		}
 		if e.met != nil {

@@ -70,17 +70,9 @@ func AppendTerm(dst []byte, t rdf.Term) []byte {
 	return append(dst, '}')
 }
 
-// SortedVars returns the projected variable names as AppendRow takes them:
-// sorted, each once. Sort them once per query, not once per row.
-func SortedVars(vars []string) []string {
-	names := append([]string(nil), vars...)
-	slices.Sort(names)
-	return slices.Compact(names)
-}
-
 // ColumnOrder is the order AppendColumns writes a row's columns in: the
-// names of results.bindings entries (SortedVars), each with the column it
-// is read from. Build it once per query.
+// names of results.bindings entries, sorted and each once, with the column
+// each is read from. Build it once per query.
 type ColumnOrder struct {
 	names []string
 	cols  []int
@@ -90,7 +82,9 @@ type ColumnOrder struct {
 // projected variables, as Stream.Vars names them): sorted by name, and a
 // name listed twice read from its first column.
 func NewColumnOrder(vars []string) ColumnOrder {
-	o := ColumnOrder{names: SortedVars(vars)}
+	names := slices.Clone(vars)
+	slices.Sort(names)
+	o := ColumnOrder{names: slices.Compact(names)}
 	o.cols = make([]int, len(o.names))
 	for i, name := range o.names {
 		o.cols[i] = slices.Index(vars, name)
@@ -101,8 +95,8 @@ func NewColumnOrder(vars []string) ColumnOrder {
 // AppendColumns appends one result row as an entry of results.bindings: an
 // object of the row's bound columns, in order's names, each mapped to its
 // term (nil columns are unbound and left out). It is the one row encoder:
-// /sparql bodies (Results.JSON) and /sparql/stream lines both write
-// through it.
+// /sparql bodies (Stream.JSON), Results.JSON and /sparql/stream lines all
+// write through it.
 func AppendColumns(dst []byte, order ColumnOrder, row []rdf.Term) []byte {
 	dst = append(dst, '{')
 	first := true
@@ -120,19 +114,6 @@ func AppendColumns(dst []byte, order ColumnOrder, row []rdf.Term) []byte {
 		dst = AppendTerm(dst, t)
 	}
 	return append(dst, '}')
-}
-
-// AppendRow is AppendColumns over a Binding: row's terms for names (SortedVars
-// of the projection, which is every variable a result row binds), written
-// in that order.
-func AppendRow(dst []byte, names []string, row Binding) []byte {
-	order := ColumnOrder{names: names, cols: make([]int, len(names))}
-	cols := make([]rdf.Term, len(names))
-	for i, name := range names {
-		order.cols[i] = i
-		cols[i] = row[name]
-	}
-	return AppendColumns(dst, order, cols)
 }
 
 // AppendJSONStrings appends ss as a JSON array of strings.
@@ -234,35 +215,64 @@ func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
+// appendResults writes a whole SPARQL 1.1 Query Results JSON document — the
+// one place its envelope is written, for Results.JSON and Stream.JSON: the
+// head (head.vars when there are any), then for ASK the boolean ans, and
+// otherwise results.bindings with every row each hands to its callback. It
+// returns the document without the spare capacity appending left behind
+// (bodies are kept: the response cache holds them) and the number of rows.
+func appendResults(form QueryForm, vars []string, ans bool, each func(func([]rdf.Term) bool) error) ([]byte, int, error) {
+	dst := append(make([]byte, 0, 512), `{"head":{`...)
+	if len(vars) > 0 {
+		dst = AppendJSONStrings(append(dst, `"vars":`...), vars)
+	}
+	dst = append(dst, '}')
+	if form == FormAsk {
+		return slices.Clone(append(strconv.AppendBool(append(dst, `,"boolean":`...), ans), '}')), 0, nil
+	}
+	dst = append(dst, `,"results":{"bindings":[`...)
+	order, rows := NewColumnOrder(vars), 0
+	err := each(func(row []rdf.Term) bool {
+		if rows > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendColumns(dst, order, row)
+		rows++
+		return true
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return slices.Clone(append(dst, "]}}"...)), rows, nil
+}
+
 // JSON renders the results in the SPARQL 1.1 Query Results JSON Format:
 // SELECT results carry head.vars plus results.bindings, ASK results carry a
 // boolean. The output is deterministic for a given Results value.
 func (r *Results) JSON() ([]byte, error) {
-	dst := append(make([]byte, 0, 64+96*len(r.Rows)), `{"head":{`...)
-	if len(r.Vars) > 0 {
-		dst = append(dst, `"vars":`...)
-		dst = AppendJSONStrings(dst, r.Vars)
-	}
-	dst = append(dst, '}')
-	if r.Form == FormAsk {
-		dst = append(dst, `,"boolean":`...)
-		dst = append(strconv.AppendBool(dst, r.Ask), '}')
-	} else {
-		dst = append(dst, `,"results":{"bindings":[`...)
-		order := NewColumnOrder(r.Vars)
+	body, _, err := appendResults(r.Form, r.Vars, r.Ask, func(emit func([]rdf.Term) bool) error {
 		cols := make([]rdf.Term, len(r.Vars))
-		for i, row := range r.Rows {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
+		for _, row := range r.Rows {
 			for c, v := range r.Vars {
 				cols[c] = row[v]
 			}
-			dst = AppendColumns(dst, order, cols)
+			emit(cols)
 		}
-		dst = append(dst, "]}}"...)
+		return nil
+	})
+	return body, err
+}
+
+// JSON evaluates the query and returns its whole results document, as
+// Results.JSON writes the rows EvalCtx returns, and the number of rows in
+// it. The rows go from the driver into the body as columns: no Binding is
+// built for them. Errors match ErrEval.
+func (s *Stream) JSON() (body []byte, rows int, err error) {
+	ans := false
+	if s.q.Form == FormAsk {
+		if ans, err = s.Ask(); err != nil {
+			return nil, 0, err
+		}
 	}
-	// Bodies are kept (the response cache holds them): return one without
-	// the spare capacity appending left behind.
-	return append([]byte(nil), dst...), nil
+	return appendResults(s.q.Form, s.vars, ans, s.RunRows)
 }

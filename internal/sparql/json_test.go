@@ -198,12 +198,16 @@ var jsonAgreementTerms = []rdf.Term{
 }
 
 // TestAppendRowMatchesEncoder: every term, alone and in rows with unbound,
-// nil-bound and repeated variables, appends exactly as the map-per-row
-// encoding wrote it.
+// nil-bound and repeated variables, appends through AppendColumns exactly
+// as the map-per-row encoding wrote it.
 func TestAppendRowMatchesEncoder(t *testing.T) {
 	check := func(vars []string, row Binding) {
 		t.Helper()
-		got := string(AppendRow(nil, SortedVars(vars), row))
+		cols := make([]rdf.Term, len(vars))
+		for i, v := range vars {
+			cols[i] = row[v]
+		}
+		got := string(AppendColumns(nil, NewColumnOrder(vars), cols))
 		if want := refEncode(t, refBinding(row)); got != want {
 			t.Errorf("row %v:\n got %s\nwant %s", row, got, want)
 		}

@@ -62,7 +62,7 @@ func evalWithEngine(e *engine, q *Query) (*Results, error) {
 		rows = append(rows, rowBinding(vars, row))
 		return true
 	}
-	if err := e.execute(q, collect, false); err != nil {
+	if err := e.execute(q, collect); err != nil {
 		return nil, err
 	}
 	if q.Form == FormAsk {

@@ -9,15 +9,18 @@ import (
 	"strings"
 	"time"
 
+	"github.com/lodviz/lodviz/internal/explain"
 	"github.com/lodviz/lodviz/internal/rdf"
 	"github.com/lodviz/lodviz/internal/sampling"
 	"github.com/lodviz/lodviz/internal/store"
 )
 
 // The query driver. Every query form runs the same way: one solution source
-// followed by one fixed chain of solution modifiers. EvalCtx collects the
-// chain's rows into Results, Stream.RunRows hands them to a live consumer,
-// and ASK is the chain stopped at its first solution.
+// followed by one fixed chain of solution modifiers. Stream.RunRows hands
+// the chain's rows to a consumer, Stream.JSON appends them to a results
+// body, EvalCtx collects them into Results, and ASK is the chain stopped at
+// its first solution. Which of these takes the rows never changes the
+// source.
 //
 // A row leaves the chain as a column vector: []rdf.Term in streamVars
 // order, nil for unbound. A Binding (a map from name to term) is built only
@@ -36,8 +39,7 @@ import (
 //     to it: a top-level pattern with only BIND/VALUES ahead of it, no
 //     UNION or SERVICE, and no DISTINCT or grouping.
 //   - materialized (evalGroup): every solution first, under one read view
-//     per scan. Everything planStream refuses takes it, and so does a
-//     buffered SELECT without LIMIT, which needs every solution anyway.
+//     per scan. Everything planStream refuses takes it.
 //
 // The chain runs in SPARQL order: group/aggregate + HAVING when present,
 // ORDER BY, DISTINCT, the OFFSET/LIMIT window, emit. ORDER BY is one keyed
@@ -221,11 +223,20 @@ func (e *engine) streamSolutions(g *Group, budget int, vars []string, rows func(
 
 	// Driver accounting: pages pulled, scan matches produced and Bindings
 	// built, flushed once on the way out (every return path) to metrics
-	// and — as one "paged-scan" pattern span — to the trace.
+	// and to the trace. The trace has one span per pattern of the run, in
+	// plan order: the scanned pattern's "paged-scan" span, then one for
+	// each pattern joined to the pages, which every page adds to.
 	var pages, scanned, built int
 	var driverStart time.Time
+	var scanSpan *explain.Span
 	if e.trace != nil {
 		driverStart = time.Now()
+		scanSpan = e.trace.Add(e.exec, "pattern")
+		r.pageSpans = make([]*explain.Span, len(run)-1)
+		for i, tp := range run[1:] {
+			r.pageSpans[i] = e.trace.Add(e.exec, "pattern")
+			r.pageSpans[i].Set(patternString(tp), "", 0, 0, time.Time{})
+		}
 	}
 	defer func() {
 		if e.met != nil {
@@ -235,9 +246,8 @@ func (e *engine) streamSolutions(g *Group, budget int, vars []string, rows func(
 			e.met.BindingsBuilt.Add(uint64(built))
 		}
 		if e.trace != nil {
-			sp := e.trace.Add(e.exec, "pattern")
-			sp.Set(patternString(run[0]), "paged-scan", len(input), scanned, driverStart)
-			sp.SetPages(pages)
+			scanSpan.Set(patternString(run[0]), "paged-scan", len(input), scanned, driverStart)
+			scanSpan.SetPages(pages)
 		}
 	}()
 
@@ -375,9 +385,8 @@ func sortKeys(keys []OrderKey, eval func(Expr) (rdf.Term, error)) []rdf.Term {
 }
 
 // execute is the driver's root: it picks the source, runs the chain and
-// hands the windowed rows to emit in order until emit declines. live says
-// emit is a consumer that takes rows as they come, not a buffer.
-func (e *engine) execute(q *Query, emit func([]rdf.Term) bool, live bool) error {
+// hands the windowed rows to emit in order until emit declines.
+func (e *engine) execute(q *Query, emit func([]rdf.Term) bool) error {
 	strategy, rows := "materialized", 0
 	if e.trace != nil {
 		start := time.Now()
@@ -388,7 +397,7 @@ func (e *engine) execute(q *Query, emit func([]rdf.Term) bool, live bool) error 
 		rows++
 		return emit(row)
 	}
-	paged := e.pages(q, live)
+	paged := e.pages(q)
 	if paged {
 		strategy = "streamed"
 	}
@@ -403,11 +412,10 @@ func (e *engine) execute(q *Query, emit func([]rdf.Term) bool, live bool) error 
 }
 
 // pages is the source-choice rule: the paged source serves what planStream
-// admits, except a buffered SELECT without LIMIT, which needs every
-// solution anyway. The differential tests' oracle (runOracle) always
-// materializes.
-func (e *engine) pages(q *Query, live bool) bool {
-	return e.runOracle == nil && planStream(q) && (live || q.Limit >= 0 || q.Form == FormAsk)
+// admits, whoever takes the rows. The differential tests' oracle
+// (runOracle) always materializes.
+func (e *engine) pages(q *Query) bool {
+	return e.runOracle == nil && planStream(q)
 }
 
 // chain runs the query: the source, then the modifier stages in SPARQL
@@ -666,14 +674,16 @@ func (s *Stream) Vars() []string { return s.vars }
 // answers via Ask).
 func (s *Stream) Form() QueryForm { return s.q.Form }
 
-// Incremental reports whether Run delivers rows while evaluation is still
-// in progress — and, when the query carries a LIMIT, stops scanning as soon
-// as enough rows are out. False means the query's shape forces full
-// evaluation first (ORDER BY, DISTINCT, grouping, UNION or SERVICE
-// patterns); rows still arrive through the same callback, just only after
-// the result set is complete.
+// Incremental reports whether RunRows delivers rows while evaluation is
+// still in progress — the paged source with no ORDER BY — and, when the
+// query carries a LIMIT, stops scanning as soon as enough rows are out.
+// False means the query's shape forces full evaluation first (ORDER BY,
+// DISTINCT, grouping, UNION or SERVICE patterns); rows still arrive
+// through the same callback, just only after the result set is complete.
+// Stream.JSON and EvalCtx run the same source; only their caller waits for
+// the last row.
 func (s *Stream) Incremental() bool {
-	return s.q.Form == FormSelect && len(s.q.OrderBy) == 0 && s.e.pages(s.q, true)
+	return s.q.Form == FormSelect && len(s.q.OrderBy) == 0 && s.e.pages(s.q)
 }
 
 // RunRows evaluates a SELECT stream, calling emit for every result row in
@@ -684,7 +694,7 @@ func (s *Stream) RunRows(emit func([]rdf.Term) bool) error {
 	if s.q.Form != FormSelect {
 		return wrapEval(fmt.Errorf("sparql: Run on an ASK query; use Ask"))
 	}
-	return wrapEval(s.e.execute(s.q, emit, true))
+	return wrapEval(s.e.execute(s.q, emit))
 }
 
 // Run is RunRows with each row as a Binding of its bound columns.
@@ -698,9 +708,9 @@ func (s *Stream) Ask() (bool, error) {
 	if s.q.Form != FormAsk {
 		return false, wrapEval(fmt.Errorf("sparql: Ask on a SELECT query; use Run"))
 	}
-	res, err := evalWithEngine(s.e, s.q)
-	if err != nil {
+	found := false
+	if err := s.e.execute(s.q, func([]rdf.Term) bool { found = true; return false }); err != nil {
 		return false, wrapEval(err)
 	}
-	return res.Ask, nil
+	return found, nil
 }

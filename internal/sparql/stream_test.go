@@ -193,8 +193,8 @@ func TestLimitPushdownStopsScanning(t *testing.T) {
 			t.Fatalf("par=%d: got %d rows, want 10", par, len(res.Rows))
 		}
 
-		// The same pattern without LIMIT is a buffered SELECT that needs
-		// every solution: the materialized source's full scan.
+		// The same pattern without LIMIT needs every solution: the
+		// paged source's full scan.
 		_, full := scannedBy(t, st, `SELECT ?s ?o WHERE { ?s <http://s/value> ?o }`, Options{Parallelism: par})
 		if !reflect.DeepEqual(res.Rows, oracleExec(t, st, q).Rows) {
 			t.Fatalf("par=%d: pushdown rows differ from the oracle", par)

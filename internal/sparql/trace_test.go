@@ -36,38 +36,49 @@ func traceStore(t *testing.T) *store.Store {
 
 const traceQuery = `SELECT ?a ?b ?v WHERE { ?a <http://x/cat> "c1" . ?a <http://x/link> ?b . ?b <http://x/num> ?v }`
 
-// TestTraceGolden pins the span structure for a 3-pattern BGP: a
-// scan-cross seed, then two merge joins. Durations are zeroed; everything
-// else — span nesting, pattern order after planning, strategies,
-// per-pattern row counts — must match byte for byte.
+// TestTraceGolden pins the span structure for a 3-pattern BGP on each
+// source. Paged: the scanned pattern's paged-scan span, then one span per
+// pattern joined to its pages, in plan order. Materialized (the same
+// patterns under DISTINCT, which the paged source refuses): a scan-cross
+// seed, then two merge joins. Durations are zeroed; everything else — span
+// nesting, pattern order after planning, strategies, per-pattern row and
+// page counts — must match byte for byte.
 func TestTraceGolden(t *testing.T) {
 	st := traceStore(t)
-	const plan = `?a <http://x/cat> \"c1\" . ?a <http://x/link> ?b . ?b <http://x/num> ?v`
-	const want = `{"root":{"name":"query","durationMicros":0,"children":[` +
-		`{"name":"parse","durationMicros":0},` +
-		`{"name":"execute","strategy":"materialized","rowsOut":2,"durationMicros":0,"children":[` +
-		`{"name":"plan","detail":"` + plan + `","durationMicros":0},` +
-		`{"name":"pattern","detail":"?a <http://x/cat> \"c1\"","strategy":"id-cross","rowsIn":1,"rowsOut":2,"durationMicros":0},` +
-		`{"name":"pattern","detail":"?a <http://x/link> ?b","strategy":"id-merge","rowsIn":2,"rowsOut":2,"durationMicros":0},` +
-		`{"name":"pattern","detail":"?b <http://x/num> ?v","strategy":"id-merge","rowsIn":2,"rowsOut":2,"durationMicros":0}]}]}}`
-	tr := explain.NewTrace()
-	res, err := ExecCtx(context.Background(), st, traceQuery, Options{Parallelism: 1, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Finish()
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
-	}
-	tr.ZeroDurations()
-	var sb strings.Builder
-	enc := json.NewEncoder(&sb)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(tr); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSuffix(sb.String(), "\n"); got != want {
-		t.Errorf("trace mismatch\n got: %s\nwant: %s", got, want)
+	const plan = `{"name":"plan","detail":"?a <http://x/cat> \"c1\" . ?a <http://x/link> ?b . ?b <http://x/num> ?v","durationMicros":0},`
+	const head = `{"root":{"name":"query","durationMicros":0,"children":[` +
+		`{"name":"parse","durationMicros":0},`
+	for _, tc := range []struct{ q, want string }{
+		{traceQuery, head +
+			`{"name":"execute","strategy":"streamed","rowsOut":2,"durationMicros":0,"children":[` + plan +
+			`{"name":"pattern","detail":"?a <http://x/cat> \"c1\"","strategy":"paged-scan","rowsIn":1,"rowsOut":2,"pages":1,"durationMicros":0},` +
+			`{"name":"pattern","detail":"?a <http://x/link> ?b","strategy":"id-merge","rowsIn":2,"rowsOut":2,"pages":1,"durationMicros":0},` +
+			`{"name":"pattern","detail":"?b <http://x/num> ?v","strategy":"id-merge","rowsIn":2,"rowsOut":2,"pages":1,"durationMicros":0}]}]}}`},
+		{strings.Replace(traceQuery, "SELECT", "SELECT DISTINCT", 1), head +
+			`{"name":"execute","strategy":"materialized","rowsOut":2,"durationMicros":0,"children":[` + plan +
+			`{"name":"pattern","detail":"?a <http://x/cat> \"c1\"","strategy":"id-cross","rowsIn":1,"rowsOut":2,"durationMicros":0},` +
+			`{"name":"pattern","detail":"?a <http://x/link> ?b","strategy":"id-merge","rowsIn":2,"rowsOut":2,"durationMicros":0},` +
+			`{"name":"pattern","detail":"?b <http://x/num> ?v","strategy":"id-merge","rowsIn":2,"rowsOut":2,"durationMicros":0}]}]}}`},
+	} {
+		tr := explain.NewTrace()
+		res, err := ExecCtx(context.Background(), st, tc.q, Options{Parallelism: 1, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		if len(res.Rows) != 2 {
+			t.Fatalf("%s: rows = %d, want 2", tc.q, len(res.Rows))
+		}
+		tr.ZeroDurations()
+		var sb strings.Builder
+		enc := json.NewEncoder(&sb)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(tr); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.TrimSuffix(sb.String(), "\n"); got != tc.want {
+			t.Errorf("%s: trace mismatch\n got: %s\nwant: %s", tc.q, got, tc.want)
+		}
 	}
 }
 
@@ -110,13 +121,15 @@ func TestTraceRowCountsMatchResults(t *testing.T) {
 	}
 }
 
-// TestEngineMetrics drives the executor and the streaming path, checking
-// the counters move where expected.
+// TestEngineMetrics drives the materialized source (a DISTINCT the paged
+// source refuses) and the paged one, checking the counters move where
+// expected.
 func TestEngineMetrics(t *testing.T) {
 	st := traceStore(t)
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg)
-	if _, err := ExecCtx(context.Background(), st, traceQuery, Options{Parallelism: 1, Metrics: met}); err != nil {
+	distinct := strings.Replace(traceQuery, "SELECT", "SELECT DISTINCT", 1)
+	if _, err := ExecCtx(context.Background(), st, distinct, Options{Parallelism: 1, Metrics: met}); err != nil {
 		t.Fatal(err)
 	}
 	if met.RunsIDJoin.Value() == 0 {
