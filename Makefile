@@ -148,8 +148,10 @@ bench:
 #   - the server's two progressive streams (/sparql/stream at 600 rows;
 #     /facets/stream unfiltered, which walks the store — under one page, and
 #     past two pages with two estimates — and filtered to 10 entities, which
-#     probes them and sends one exact line), and the cache key of the
-#     /sparql shapes session_warm sends (NormalizeQuery).
+#     probes them and sends one exact line), the cache key of the
+#     /sparql shapes session_warm sends (NormalizeQuery), and a /sparql
+#     cache hit over a kept-alive connection, on the 5 000-row join and on a
+#     100-row page like session_warm's (SPARQLCacheHit, SPARQLCacheHitPage).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BGP -benchtime=1x .
 	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite|SnapshotRead' -benchtime=1x ./internal/store
@@ -160,7 +162,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='FromSource|LevelOverSharedBase' -benchtime=1x -benchmem ./internal/hetree
 	$(GO) test -run='^$$' -bench=ReadAll -benchtime=1x -benchmem ./internal/ntriples
 	$(GO) test -run='^$$' -bench='ParseQuery|StreamJoinRows' -benchtime=1x -benchmem ./internal/sparql
-	$(GO) test -run='^$$' -bench='SPARQLCold|SPARQLStream|FacetsStream|NormalizeQuery' -benchtime=1x -benchmem ./internal/server
+	$(GO) test -run='^$$' -bench='SPARQLCold|SPARQLCacheHit|SPARQLStream|FacetsStream|NormalizeQuery' -benchtime=1x -benchmem ./internal/server
 
 # The end-to-end benchmark (bench/e2e) is its own module, which the root
 # `go test ./...` does not see: vet it, run its unit tests, and play every

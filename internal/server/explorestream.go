@@ -76,7 +76,7 @@ func appendFacetBatch(dst []byte, b facet.Batch) ([]byte, error) {
 // completed stream also fills the buffered endpoint's cache entry, so the
 // next /facets request for the same view is a HIT.
 func (s *Server) handleFacetsStream(w http.ResponseWriter, r *http.Request) {
-	max, filters, rawFilters, errStatus, errMsg := s.facetParams(r)
+	max, filters, rawFilters, errStatus, errMsg := s.facetParams(r.URL.Query())
 	if errStatus != 0 {
 		writeError(w, errStatus, errMsg)
 		return

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,7 +44,8 @@ const maxIngestBytes = 64 << 20
 // those bypass the response cache and rely on the federation layer's
 // TTL-bounded remote-result cache instead.
 func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
-	q, isUpdate, errStatus, errMsg := sparqlRequestText(r)
+	params := r.URL.Query()
+	q, isUpdate, errStatus, errMsg := sparqlRequestText(r, params)
 	if errStatus != 0 {
 		writeError(w, errStatus, errMsg)
 		return
@@ -55,7 +57,7 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	// ?explain=1 attaches the per-query execution trace to the response.
 	// Explained responses always bypass the cache: the trace describes the
 	// evaluation that just ran, and a cached body would carry none.
-	explainReq := r.URL.Query().Get("explain") == "1"
+	explainReq := params.Get("explain") == "1"
 	norm := NormalizeQuery(q)
 	// The query is parsed here, on a miss, rather than inside the engine:
 	// the syntax tree is also what names the entry's footprint.
@@ -138,13 +140,14 @@ func queryUsesService(norm, raw string) bool {
 }
 
 // sparqlRequestText extracts the query or update string per the SPARQL
-// Protocol; a non-zero status signals a client error. Updates ride only on
-// POST — the protocol has no GET binding for updates, so ?update= on a GET
-// is just an absent query.
-func sparqlRequestText(r *http.Request) (q string, isUpdate bool, errStatus int, errMsg string) {
+// Protocol; params are the request's URL query parameters, parsed once by
+// the caller. A non-zero status signals a client error. Updates ride only
+// on POST — the protocol has no GET binding for updates, so ?update= on a
+// GET is just an absent query.
+func sparqlRequestText(r *http.Request, params url.Values) (q string, isUpdate bool, errStatus int, errMsg string) {
 	switch r.Method {
 	case http.MethodGet:
-		q = r.URL.Query().Get("query")
+		q = params.Get("query")
 	case http.MethodPost:
 		ct := r.Header.Get("Content-Type")
 		if i := strings.IndexByte(ct, ';'); i >= 0 {
@@ -278,16 +281,16 @@ type facetValueJSON struct {
 // conjunctive restrictions arrive as repeated filter=<predicate>=<value>
 // parameters (rawFilters keeps their wire form for canonical cache keys);
 // max=<n> caps values listed per facet.
-func (s *Server) facetParams(r *http.Request) (max int, filters []facet.Filter, rawFilters []string, errStatus int, errMsg string) {
+func (s *Server) facetParams(params url.Values) (max int, filters []facet.Filter, rawFilters []string, errStatus int, errMsg string) {
 	max = s.cfg.MaxFacetValues
-	if v := r.URL.Query().Get("max"); v != "" {
+	if v := params.Get("max"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			return 0, nil, nil, http.StatusBadRequest, "max must be a positive integer"
 		}
 		max = n
 	}
-	rawFilters = append(rawFilters, r.URL.Query()["filter"]...)
+	rawFilters = append(rawFilters, params["filter"]...)
 	sort.Strings(rawFilters)
 	for _, f := range rawFilters {
 		// A bracketed predicate IRI may itself hold '=' (a query string):
@@ -318,7 +321,7 @@ func (s *Server) facetParams(r *http.Request) (max int, filters []facet.Filter, 
 // filters, so /facets, /facets?max=<default>, and a completed
 // /facets/stream all land on the same entry.
 func (s *Server) facetsKey(max int, rawFilters []string) string {
-	return fmt.Sprintf("facets|m%d|%s", max, strings.Join(rawFilters, "\x00"))
+	return "facets|m" + strconv.Itoa(max) + "|" + strings.Join(rawFilters, "\x00")
 }
 
 // facetSession opens a facet session over the kept typed-subject base with
@@ -367,7 +370,7 @@ func encodeFacetsResponse(count int, fs []facet.Facet) facetsResponse {
 // timeout) threaded into the scans. Serving a filtered view schedules
 // background warming of its ancestor views when Config.FacetWarming is on.
 func (s *Server) handleFacets(w http.ResponseWriter, r *http.Request) {
-	max, filters, rawFilters, errStatus, errMsg := s.facetParams(r)
+	max, filters, rawFilters, errStatus, errMsg := s.facetParams(r.URL.Query())
 	if errStatus != 0 {
 		writeError(w, errStatus, errMsg)
 		return
@@ -457,7 +460,8 @@ type edgeJSON struct {
 // through seed-deterministic reservoirs (seed=<n>, default 0) for
 // huge-fanout nodes; the response then reports sampled and coverage.
 func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
-	nodeParam := r.URL.Query().Get("node")
+	params := r.URL.Query()
+	nodeParam := params.Get("node")
 	if nodeParam == "" {
 		writeError(w, http.StatusBadRequest, "missing node parameter")
 		return
@@ -468,7 +472,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hops := 1
-	if v := r.URL.Query().Get("hops"); v != "" {
+	if v := params.Get("hops"); v != "" {
 		hops, err = strconv.Atoi(v)
 		if err != nil || hops < 1 || hops > 8 {
 			writeError(w, http.StatusBadRequest, "hops must be an integer in [1,8]")
@@ -476,7 +480,7 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sample := 0
-	if v := r.URL.Query().Get("sample"); v != "" {
+	if v := params.Get("sample"); v != "" {
 		sample, err = strconv.Atoi(v)
 		if err != nil || sample < 1 {
 			writeError(w, http.StatusBadRequest, "sample must be a positive integer")
@@ -484,14 +488,14 @@ func (s *Server) handleNeighborhood(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var seed int64
-	if v := r.URL.Query().Get("seed"); v != "" {
+	if v := params.Get("seed"); v != "" {
 		seed, err = strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "seed must be an integer")
 			return
 		}
 	}
-	s.serveCached(w, r, s.cacheKey(r), func() result {
+	s.serveCached(w, r, cacheKey(r.URL.Path, params), func() result {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
 		nb, err := explore.FindNeighborhood(ctx, s.source(), term, explore.NeighborhoodOptions{
@@ -547,13 +551,14 @@ type hetreeNodeJSON struct {
 // the entry's footprint — and that of the base kept under it (s.bases), so a
 // miss at a new budget materializes its nodes over values already sorted.
 func (s *Server) handleHETree(w http.ResponseWriter, r *http.Request) {
-	propParam := r.URL.Query().Get("prop")
+	params := r.URL.Query()
+	propParam := params.Get("prop")
 	if propParam == "" {
 		writeError(w, http.StatusBadRequest, "missing prop parameter")
 		return
 	}
 	budget := 64
-	if v := r.URL.Query().Get("budget"); v != "" {
+	if v := params.Get("budget"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			writeError(w, http.StatusBadRequest, "budget must be a positive integer")
@@ -566,7 +571,7 @@ func (s *Server) handleHETree(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "prop: "+err.Error())
 		return
 	}
-	s.serveCached(w, r, s.cacheKey(r), func() result {
+	s.serveCached(w, r, cacheKey(r.URL.Path, params), func() result {
 		ctx, cancel := s.queryCtx(r)
 		defer cancel()
 		tree, err := s.bases.Tree(ctx, prop, hetree.DefaultOptions())
@@ -712,8 +717,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // limitParam reads a positive ?limit= capped at 100 (default def).
-func limitParam(r *http.Request, def int) (int, error) {
-	v := r.URL.Query().Get("limit")
+func limitParam(params url.Values, def int) (int, error) {
+	v := params.Get("limit")
 	if v == "" {
 		return def, nil
 	}
@@ -744,17 +749,18 @@ type searchHitJSON struct {
 // starting node" primitive of node-centric exploration, now reachable over
 // HTTP.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if strings.TrimSpace(q) == "" {
 		writeError(w, http.StatusBadRequest, "missing q parameter")
 		return
 	}
-	limit, err := limitParam(r, 10)
+	limit, err := limitParam(params, 10)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.serveCached(w, r, s.cacheKey(r), func() result {
+	s.serveCached(w, r, cacheKey(r.URL.Path, params), func() result {
 		resp := searchResponse{Query: q, Hits: []searchHitJSON{}}
 		for _, h := range s.kw.Search(q, limit) {
 			resp.Hits = append(resp.Hits, searchHitJSON{
@@ -776,17 +782,18 @@ type completeResponse struct {
 // handleComplete serves prefix completion over the indexed tokens
 // (prefix=<text>, limit=<n> default 10) — the type-ahead primitive.
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	prefix := r.URL.Query().Get("prefix")
+	params := r.URL.Query()
+	prefix := params.Get("prefix")
 	if strings.TrimSpace(prefix) == "" {
 		writeError(w, http.StatusBadRequest, "missing prefix parameter")
 		return
 	}
-	limit, err := limitParam(r, 10)
+	limit, err := limitParam(params, 10)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.serveCached(w, r, s.cacheKey(r), func() result {
+	s.serveCached(w, r, cacheKey(r.URL.Path, params), func() result {
 		comps := s.kw.Complete(prefix, limit)
 		if comps == nil {
 			comps = []string{}

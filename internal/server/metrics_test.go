@@ -270,17 +270,20 @@ func TestSlowQueryLog(t *testing.T) {
 }
 
 // failAfterWriter fails every Write after the first n, simulating a client
-// that disconnected mid-stream.
+// that disconnected mid-stream. lines counts the lines it was handed,
+// failed Writes included.
 type failAfterWriter struct {
 	hdr    http.Header
 	writes int
 	limit  int
+	lines  int
 }
 
 func (f *failAfterWriter) Header() http.Header { return f.hdr }
 func (f *failAfterWriter) WriteHeader(int)     {}
 func (f *failAfterWriter) Write(p []byte) (int, error) {
 	f.writes++
+	f.lines += bytes.Count(p, []byte("\n"))
 	if f.writes > f.limit {
 		return 0, errors.New("client gone")
 	}
@@ -290,9 +293,13 @@ func (f *failAfterWriter) Write(p []byte) (int, error) {
 // TestStreamAbortAccounting asserts a mid-stream disconnect still records
 // the delivered rows and an "aborted" outcome on the request recorder.
 func TestStreamAbortAccounting(t *testing.T) {
-	s, _, _ := newTestServer(t, Config{})
-	// head line + 2 rows succeed, then the client vanishes.
-	fw := &failAfterWriter{hdr: make(http.Header), limit: 3}
+	// 3 100 rows, several 32 KiB flushes; the timer is kept out of the way,
+	// so the flushes are the first row's and the full buffers'.
+	s := New(synthStore(t, 1000), Config{Logger: discardLogger()})
+	s.flushDelay = time.Hour
+	// The first row's flush and the first full buffer's go out, then the
+	// client vanishes: the second full buffer's Write fails.
+	fw := &failAfterWriter{hdr: make(http.Header), limit: 2}
 	rec := &statusRecorder{ResponseWriter: fw, status: http.StatusOK}
 	r := httptest.NewRequest("GET", "/sparql/stream?query="+url.QueryEscape(`SELECT ?s WHERE { ?s ?p ?o }`), nil)
 
@@ -301,8 +308,14 @@ func TestStreamAbortAccounting(t *testing.T) {
 	if rec.streamOutcome != "aborted" {
 		t.Fatalf("streamOutcome = %q, want aborted", rec.streamOutcome)
 	}
-	if rec.streamRows != 2 {
-		t.Errorf("streamRows = %d, want 2 (rows delivered before the disconnect)", rec.streamRows)
+	if fw.writes != 3 {
+		t.Fatalf("%d Writes, want 3 (the stream stops at the failed one)", fw.writes)
+	}
+	// The rows handed over before the failing flush: every row line of the
+	// three Writes but the one whose line set the last flush off (the head
+	// line is not a row).
+	if want := fw.lines - 2; rec.streamRows != want || want < 2 {
+		t.Errorf("streamRows = %d, want %d (rows handed over before the disconnect)", rec.streamRows, want)
 	}
 	if rec.bytes == 0 {
 		t.Error("bytes = 0; delivered lines must still be accounted")

@@ -41,6 +41,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"runtime"
 	"strconv"
@@ -274,8 +275,8 @@ func (s *Server) routeWithCORS(path string, h http.HandlerFunc, cors bool, metho
 			// Permissive CORS: browser-based exploration UIs load from
 			// anywhere and call the read API cross-origin.
 			hd := rec.Header()
-			hd.Set("Access-Control-Allow-Origin", "*")
-			hd.Set("Access-Control-Expose-Headers", "ETag, X-Cache, X-Stream-Incremental")
+			hd["Access-Control-Allow-Origin"] = corsAllowOrigin
+			hd["Access-Control-Expose-Headers"] = corsExposeHeaders
 			if r.Method == http.MethodOptions {
 				hd.Set("Access-Control-Allow-Methods", allowMethods)
 				hd.Set("Access-Control-Allow-Headers", "Content-Type, If-None-Match")
@@ -291,23 +292,49 @@ func (s *Server) routeWithCORS(path string, h http.HandlerFunc, cors bool, metho
 		s.met.requests.With(path, r.Method, statusClass(rec.status)).Inc()
 		s.met.latency.With(path).Observe(dur.Seconds())
 		s.met.bytes.With(path).Add(uint64(rec.bytes))
-		attrs := []any{
-			"method", r.Method,
-			"path", r.URL.Path,
-			"status", rec.status,
-			"bytes", rec.bytes,
-			"dur", dur.Round(time.Microsecond).String(),
-			"cache", rec.Header().Get("X-Cache"),
-		}
 		if rec.streamOutcome != "" {
 			// A stream that lost its client mid-flight still logs and
 			// counts what it delivered; the outcome distinguishes the two.
 			s.met.streams.With(path, rec.streamOutcome).Inc()
 			s.met.streamRows.With(path).Add(uint64(rec.streamRows))
-			attrs = append(attrs, "rows", rec.streamRows, "stream", rec.streamOutcome)
 		}
-		s.cfg.Logger.Info("request", attrs...)
+		s.logAccess(r, rec, dur)
 	})
+}
+
+// The CORS headers every read response carries, shared by all of them
+// under their canonical keys (a header value is never written in place).
+var (
+	corsAllowOrigin   = []string{"*"}
+	corsExposeHeaders = []string{"ETag, X-Cache, X-Stream-Incremental"}
+)
+
+// logAccess writes the request's access line: method, path, status, bytes,
+// duration and cache disposition, plus rows and outcome for a stream. The
+// record is handed to the logger's handler directly, with typed attributes
+// and no caller PC (the line prints no source).
+func (s *Server) logAccess(r *http.Request, rec *statusRecorder, dur time.Duration) {
+	h := s.cfg.Logger.Handler()
+	if !h.Enabled(r.Context(), slog.LevelInfo) {
+		return
+	}
+	var cache string
+	if v := rec.Header()["X-Cache"]; len(v) > 0 {
+		cache = v[0]
+	}
+	line := slog.NewRecord(time.Now(), slog.LevelInfo, "request", 0)
+	line.AddAttrs(
+		slog.String("method", r.Method),
+		slog.String("path", r.URL.Path),
+		slog.Int("status", rec.status),
+		slog.Int("bytes", rec.bytes),
+		slog.Duration("dur", dur.Round(time.Microsecond)),
+		slog.String("cache", cache),
+	)
+	if rec.streamOutcome != "" {
+		line.AddAttrs(slog.Int("rows", rec.streamRows), slog.String("stream", rec.streamOutcome))
+	}
+	h.Handle(r.Context(), line)
 }
 
 func (s *Server) serveLimited(w http.ResponseWriter, r *http.Request, path string, limiter chan struct{}, h http.HandlerFunc, methods []string) {
@@ -510,6 +537,8 @@ func (s *Server) serveUncached(w http.ResponseWriter, r *http.Request, build fun
 	serveEntry(w, r, build().entry(0), "BYPASS")
 }
 
+// serveEntry writes e with its length declared, so the body leaves in one
+// piece, unchunked, and a 304 carries none.
 func serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry, disposition string) {
 	h := w.Header()
 	h.Set("X-Cache", disposition)
@@ -521,18 +550,19 @@ func serveEntry(w http.ResponseWriter, r *http.Request, e cache.Entry, dispositi
 			return
 		}
 	}
+	h.Set("Content-Length", strconv.Itoa(len(e.Body)))
 	w.WriteHeader(e.Status)
 	w.Write(e.Body)
 }
 
 // cacheKey builds the cache key for an exploration GET endpoint from its
-// path and its canonicalized query parameters. url.Values.Encode
-// percent-escapes names and values, so two requests whose decoded
-// parameters differ can never collide on a key, and orders the names; it
-// keeps each name's values in request order, because the handlers read the
-// first of them.
-func (s *Server) cacheKey(r *http.Request) string {
-	return r.URL.Path + "?" + r.URL.Query().Encode()
+// path and its query parameters, as the handler parsed them.
+// url.Values.Encode percent-escapes names and values, so two requests whose
+// decoded parameters differ can never collide on a key, and orders the
+// names; it keeps each name's values in request order, because the
+// handlers read the first of them.
+func cacheKey(path string, params url.Values) string {
+	return path + "?" + params.Encode()
 }
 
 // queryError maps a sparql error to an HTTP status: the caller's syntax

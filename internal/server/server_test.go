@@ -1018,19 +1018,18 @@ func TestQueryErrorMapping(t *testing.T) {
 // a cache key, even when naive '&'/'=' joining of decoded values would
 // coincide.
 func TestCacheKeyNoCollision(t *testing.T) {
-	s := New(gen.MiniLODStore(), Config{Logger: discardLogger()})
-	mk := func(rawQuery string) *http.Request {
+	key := func(rawQuery string) string {
 		req := httptest.NewRequest(http.MethodGet, "/facets?"+rawQuery, nil)
-		return req
+		return cacheKey(req.URL.Path, req.URL.Query())
 	}
 	// filter="p=v" with max=5  vs  a single filter "p=v&max=5".
-	a := s.cacheKey(mk("filter=p%3Dv&max=5"))
-	b := s.cacheKey(mk("filter=p%3Dv%26max%3D5"))
+	a := key("filter=p%3Dv&max=5")
+	b := key("filter=p%3Dv%26max%3D5")
 	if a == b {
 		t.Fatalf("distinct decoded requests share cache key %q", a)
 	}
 	// Same decoded request, different parameter order: same key.
-	c := s.cacheKey(mk("max=5&filter=p%3Dv"))
+	c := key("max=5&filter=p%3Dv")
 	if a != c {
 		t.Fatalf("equivalent requests got distinct keys %q vs %q", a, c)
 	}
@@ -1080,5 +1079,93 @@ func TestNegativeConfigDefaults(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestEntriesDeclareLength: every response served from a cache entry — a
+// cached 200 as MISS and as HIT, a BYPASS 200 and an uncached error — says
+// its length, so the body leaves in one piece and not chunked; a 304 carries
+// no body. The 200 bodies are over net/http's 2 KiB buffer, which it would
+// otherwise send chunked.
+func TestEntriesDeclareLength(t *testing.T) {
+	s := New(synthStore(t, 50), Config{Logger: discardLogger()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	get := func(target, ifNoneMatch string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+target, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	all := sparqlTarget(`SELECT * WHERE { ?s ?p ?o }`)
+	var etag string
+	for _, c := range []struct {
+		target, cache string
+		status        int
+		big           bool
+	}{
+		{all, "MISS", http.StatusOK, true},
+		{all, "HIT", http.StatusOK, true},
+		{all + "&explain=1", "BYPASS", http.StatusOK, true},
+		{sparqlTarget(`SELECT * WHERE {`), "MISS", http.StatusBadRequest, false},
+	} {
+		resp, body := get(c.target, "")
+		if resp.StatusCode != c.status || resp.Header.Get("X-Cache") != c.cache {
+			t.Fatalf("%s: status %d, X-Cache %q; want %d, %q", c.target, resp.StatusCode, resp.Header.Get("X-Cache"), c.status, c.cache)
+		}
+		if c.big && len(body) <= 2048 {
+			t.Fatalf("%s: body of %d bytes; the test needs one over 2 KiB", c.target, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s (%s): Content-Length %d, Transfer-Encoding %v; want %d, none", c.target, c.cache, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if c.cache == "HIT" {
+			etag = resp.Header.Get("ETag")
+		}
+	}
+	resp, body := get(all, etag)
+	if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+		t.Fatalf("revalidation: status %d, %d body bytes; want 304 and none", resp.StatusCode, len(body))
+	}
+}
+
+// TestAccessLogLines pins the access line's text for a buffered miss, a
+// stream (which adds rows and stream) and a 400 (no cache disposition); the
+// time and the duration, which vary, are left out.
+func TestAccessLogLines(t *testing.T) {
+	var out strings.Builder
+	logger := slog.New(slog.NewTextHandler(&out, &slog.HandlerOptions{
+		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+			if a.Key == slog.TimeKey || a.Key == "dur" {
+				return slog.Attr{}
+			}
+			return a
+		},
+	}))
+	s := New(synthStore(t, 50), Config{Logger: logger})
+	q := url.QueryEscape(`SELECT * WHERE {?s ?p ?o} LIMIT 2`)
+	for _, target := range []string{"/sparql?query=" + q, "/sparql/stream?query=" + q, "/graph/neighborhood"} {
+		s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, target, nil))
+	}
+	want := `level=INFO msg=request method=GET path=/sparql status=200 bytes=401 cache=MISS
+level=INFO msg=request method=GET path=/sparql/stream status=200 bytes=391 cache=BYPASS rows=2 stream=completed
+level=INFO msg=request method=GET path=/graph/neighborhood status=400 bytes=35 cache=""
+`
+	if got := out.String(); got != want {
+		t.Fatalf("access lines:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -18,10 +18,10 @@ import (
 // format: one JSON document per line (NDJSON).
 const streamContentType = "application/x-ndjson"
 
-// The flush policy of every NDJSON stream. Lines go straight into the
-// ResponseWriter, whose own buffer holds them until a flush: at once after
-// the first payload line (the time to the first row or estimate is what a
-// progressive stream is for), whenever streamFlushBytes are pending,
+// The flush policy of every NDJSON stream. Lines wait in the stream's own
+// buffer and go to the ResponseWriter in one Write at each flush: at once
+// after the first payload line (the time to the first row or estimate is
+// what a progressive stream is for), whenever streamFlushBytes are pending,
 // streamFlushDelay after the first line not yet flushed (so a line written
 // before a stalled scan still leaves), and with the trailer.
 const (
@@ -44,10 +44,10 @@ type ndjsonStream struct {
 	flushes *obs.Counter
 	delay   time.Duration
 	timer   *time.Timer
-	pending int  // bytes written since the last flush
-	armed   bool // the timer runs for the pending bytes
-	payload bool // the first payload line is out
-	gone    bool // a write or flush failed
+	pending []byte // lines not yet flushed, newline-terminated
+	armed   bool   // the timer runs for the pending lines
+	payload bool   // the first payload line is out
+	gone    bool   // a write or flush failed
 }
 
 // startStream commits a 200 NDJSON response on w (cache-bypassing, like
@@ -70,7 +70,7 @@ func (st *ndjsonStream) line(b []byte, payload bool) bool {
 		return false
 	}
 	switch {
-	case payload && !st.payload, st.pending >= streamFlushBytes:
+	case payload && !st.payload, len(st.pending) >= streamFlushBytes:
 		st.payload = st.payload || payload
 		return st.flushLocked()
 	case !st.armed:
@@ -100,7 +100,7 @@ func (st *ndjsonStream) close() {
 	if st.timer != nil {
 		st.timer.Stop()
 	}
-	if !st.gone && st.pending > 0 {
+	if !st.gone && len(st.pending) > 0 {
 		st.flushLocked()
 	}
 }
@@ -110,32 +110,36 @@ func (st *ndjsonStream) flushLate() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.armed = false
-	if !st.gone && st.pending > 0 {
+	if !st.gone && len(st.pending) > 0 {
 		st.flushLocked()
 	}
 }
 
+// writeLocked adds b to the pending lines; b is buf or grew from it, so
+// the handler builds its next line in what b grew to.
 func (st *ndjsonStream) writeLocked(b []byte) bool {
-	st.buf = append(b, '\n')
+	st.buf = b
 	if st.gone {
 		return false
 	}
-	if _, err := st.w.Write(st.buf); err != nil {
-		st.gone = true
-		return false
-	}
-	st.pending += len(st.buf)
+	st.pending = append(append(st.pending, b...), '\n')
 	return true
 }
 
+// flushLocked hands the pending lines to the writer in one Write and
+// flushes it.
 func (st *ndjsonStream) flushLocked() bool {
-	st.pending = 0
 	if st.armed {
 		st.armed = false
 		st.timer.Stop()
 	}
 	st.flushes.Inc()
-	if err := st.rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+	_, err := st.w.Write(st.pending)
+	st.pending = st.pending[:0]
+	if err == nil {
+		err = st.rc.Flush()
+	}
+	if err != nil && !errors.Is(err, http.ErrNotSupported) {
 		st.gone = true
 	}
 	return !st.gone
@@ -165,7 +169,7 @@ func appendTrailer(dst []byte, rows int, errMsg string) []byte {
 // Responses always bypass the generation cache, like SERVICE queries on
 // /sparql: buffering a stream to cache it would forfeit the point.
 func (s *Server) handleSPARQLStream(w http.ResponseWriter, r *http.Request) {
-	q, isUpdate, errStatus, errMsg := sparqlRequestText(r)
+	q, isUpdate, errStatus, errMsg := sparqlRequestText(r, r.URL.Query())
 	if errStatus != 0 {
 		writeError(w, errStatus, errMsg)
 		return

@@ -96,7 +96,7 @@ func (e *engine) evalGroup(g *Group, input []Binding) ([]Binding, error) {
 		elems = e.reorderTriplePatterns(elems)
 		e.tracePlan(elems)
 	}
-	return e.evalElems(elems, g.Filters, input)
+	return e.evalElems(elems, g.Filters, input, nil)
 }
 
 // tracePlan records the planned pattern order as a "plan" span. Only groups
@@ -138,8 +138,11 @@ func patternString(tp TriplePattern) string {
 // filters. The paged source calls it directly with the tail of a
 // reordered group so batched evaluation follows the exact plan the
 // materialized source would use (re-planning the tail in isolation could
-// pick a different join order and therefore a different row order).
-func (e *engine) evalElems(elems []GroupElem, filters []Expr, input []Binding) ([]Binding, error) {
+// pick a different join order and therefore a different row order). spans,
+// when not nil, holds a trace span for each triple pattern of elems (by
+// index), which its evaluation adds to instead of adding one of its own:
+// the paged source evaluates the tail once per page.
+func (e *engine) evalElems(elems []GroupElem, filters []Expr, input []Binding, spans []*explain.Span) ([]Binding, error) {
 	cur := input
 	for i := 0; i < len(elems); i++ {
 		if err := e.cancelled(); err != nil {
@@ -152,7 +155,7 @@ func (e *engine) evalElems(elems []GroupElem, filters []Expr, input []Binding) (
 			// evaluates as one unit so the executor (idjoin.go) keeps
 			// intermediate rows dictionary-encoded across the joins and
 			// decodes terms once at the end.
-			run := []TriplePattern{el}
+			run, first := []TriplePattern{el}, i
 			for i+1 < len(elems) {
 				next, ok := elems[i+1].(TriplePattern)
 				if !ok {
@@ -161,7 +164,11 @@ func (e *engine) evalElems(elems []GroupElem, filters []Expr, input []Binding) (
 				run = append(run, next)
 				i++
 			}
-			cur, err = e.evalPatternRun(run, cur)
+			var runSpans []*explain.Span
+			if spans != nil {
+				runSpans = spans[first : i+1]
+			}
+			cur, err = e.evalPatternRun(run, cur, runSpans)
 		case SubGroup:
 			cur, err = e.evalGroup(el.Inner, cur)
 		case Optional:

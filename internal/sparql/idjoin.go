@@ -66,8 +66,8 @@ type patternRun struct {
 	merge mergeBuf
 
 	// pageSpans, set by the paged source, holds one trace span per pattern
-	// extend joins to its pages; each page adds to them instead of adding
-	// spans of its own.
+	// extend joins (to its pages, or after them); each page adds to them
+	// instead of adding spans of its own.
 	pageSpans []*explain.Span
 }
 
@@ -84,11 +84,13 @@ type mergeBuf struct {
 type idSpan struct{ lo, hi int32 }
 
 // evalPatternRun evaluates a maximal run of consecutive triple patterns.
-func (e *engine) evalPatternRun(run []TriplePattern, input []Binding) ([]Binding, error) {
+// spans, when not nil, are the run's pageSpans (one per pattern).
+func (e *engine) evalPatternRun(run []TriplePattern, input []Binding, spans []*explain.Span) ([]Binding, error) {
 	if e.runOracle != nil {
 		return e.runOracle(run, input)
 	}
 	r, rows := e.newPatternRun(run, input)
+	r.pageSpans = spans
 	rows, err := r.extend(rows, run, -1)
 	if err != nil {
 		return nil, err

@@ -171,7 +171,7 @@ func TestIDJoinMergeEdgeCases(t *testing.T) {
 	}
 	run := []TriplePattern{{S: v("e"), P: c(rdf.IRI("http://x/num")), O: v("n")}}
 
-	got, err := e.evalPatternRun(run, seed)
+	got, err := e.evalPatternRun(run, seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestIDJoinMergeEdgeCases(t *testing.T) {
 	// Empty scan run: a constant mask matching nothing returns no rows,
 	// without error.
 	none := []TriplePattern{{S: v("e"), P: c(rdf.IRI("http://x/cat")), O: c(rdf.NewLiteral("missing"))}}
-	got, err = e.evalPatternRun(none, seed)
+	got, err = e.evalPatternRun(none, seed, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty run: got %d rows, err %v", len(got), err)
 	}

@@ -191,7 +191,7 @@ func (e *engine) streamSolutions(g *Group, budget int, vars []string, rows func(
 	// planStream guarantees a top-level pattern; the prefix before it
 	// (BIND/VALUES seeds only, per streamablePrefix) is tiny.
 	first := slices.IndexFunc(elems, func(el GroupElem) bool { _, ok := el.(TriplePattern); return ok })
-	input, err := e.evalElems(elems[:first], nil, []Binding{{}})
+	input, err := e.evalElems(elems[:first], nil, []Binding{{}}, nil)
 	if err != nil {
 		return err
 	}
@@ -223,19 +223,32 @@ func (e *engine) streamSolutions(g *Group, budget int, vars []string, rows func(
 
 	// Driver accounting: pages pulled, scan matches produced and Bindings
 	// built, flushed once on the way out (every return path) to metrics
-	// and to the trace. The trace has one span per pattern of the run, in
-	// plan order: the scanned pattern's "paged-scan" span, then one for
-	// each pattern joined to the pages, which every page adds to.
+	// and to the trace. The trace has one span per pattern, in plan order:
+	// the scanned pattern's "paged-scan" span, then one for each other
+	// pattern of the run and of rest, which every page adds to (patterns
+	// nested in rest, such as an OPTIONAL's, add spans per evaluation, as
+	// on the materialized source).
 	var pages, scanned, built int
 	var driverStart time.Time
 	var scanSpan *explain.Span
+	var restSpans []*explain.Span
 	if e.trace != nil {
 		driverStart = time.Now()
 		scanSpan = e.trace.Add(e.exec, "pattern")
+		pageSpan := func(tp TriplePattern) *explain.Span {
+			sp := e.trace.Add(e.exec, "pattern")
+			sp.Set(patternString(tp), "", 0, 0, time.Time{})
+			return sp
+		}
 		r.pageSpans = make([]*explain.Span, len(run)-1)
 		for i, tp := range run[1:] {
-			r.pageSpans[i] = e.trace.Add(e.exec, "pattern")
-			r.pageSpans[i].Set(patternString(tp), "", 0, 0, time.Time{})
+			r.pageSpans[i] = pageSpan(tp)
+		}
+		restSpans = make([]*explain.Span, len(rest))
+		for i, el := range rest {
+			if tp, ok := el.(TriplePattern); ok {
+				restSpans[i] = pageSpan(tp)
+			}
 		}
 	}
 	defer func() {
@@ -285,7 +298,7 @@ func (e *engine) streamSolutions(g *Group, budget int, vars []string, rows func(
 		out := r.decode(page)
 		built += len(out)
 		if !final && len(out) > 0 {
-			if out, err = e.evalElems(rest, g.Filters, out); err != nil {
+			if out, err = e.evalElems(rest, g.Filters, out, restSpans); err != nil {
 				return false
 			}
 		}

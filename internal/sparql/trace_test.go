@@ -85,39 +85,45 @@ func TestTraceGolden(t *testing.T) {
 // TestTraceRowCountsMatchResults cross-checks the trace against the
 // executed plan on a larger differential dataset: the final pattern span's
 // rowsOut must equal the result row count, and every span's rowsIn must be
-// the previous span's rowsOut.
+// the previous span's rowsOut. The second query's patterns after the BIND
+// are evaluated once per page of the scan; each still has one span, which
+// every page adds to.
 func TestTraceRowCountsMatchResults(t *testing.T) {
 	st := idJoinStore(t)
-	q := `SELECT ?e ?o ?v WHERE { ?e <http://x/cat> "c2" . ?e <http://x/link> ?o . ?o <http://x/num> ?v }`
-	tr := explain.NewTrace()
-	res, err := ExecCtx(context.Background(), st, q, Options{Parallelism: 1, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pats []*explain.Span
-	var walk func(s *explain.Span)
-	walk = func(s *explain.Span) {
-		if s.Name == "pattern" {
-			pats = append(pats, s)
+	for _, q := range []string{
+		`SELECT ?e ?o ?v WHERE { ?e <http://x/cat> "c2" . ?e <http://x/link> ?o . ?o <http://x/num> ?v }`,
+		`SELECT ?e ?o ?v WHERE { ?e <http://x/cat> "c2" . BIND(1 AS ?k) ?e <http://x/link> ?o . ?o <http://x/num> ?v }`,
+	} {
+		tr := explain.NewTrace()
+		res, err := ExecCtx(context.Background(), st, q, Options{Parallelism: 1, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, c := range s.Children {
-			walk(c)
+		var pats []*explain.Span
+		var walk func(s *explain.Span)
+		walk = func(s *explain.Span) {
+			if s.Name == "pattern" {
+				pats = append(pats, s)
+			}
+			for _, c := range s.Children {
+				walk(c)
+			}
 		}
-	}
-	walk(tr.Root())
-	if len(pats) != 3 {
-		t.Fatalf("%d pattern spans, want 3", len(pats))
-	}
-	for i := 1; i < len(pats); i++ {
-		if pats[i].RowsIn != pats[i-1].RowsOut {
-			t.Errorf("span %d rowsIn %d != prior rowsOut %d", i, pats[i].RowsIn, pats[i-1].RowsOut)
+		walk(tr.Root())
+		if len(pats) != 3 {
+			t.Fatalf("%s: %d pattern spans, want 3", q, len(pats))
 		}
-	}
-	if last := pats[len(pats)-1]; last.RowsOut != len(res.Rows) {
-		t.Errorf("final span rowsOut %d != result rows %d", last.RowsOut, len(res.Rows))
-	}
-	if s := tr.Summary(); s == "" {
-		t.Error("empty trace summary")
+		for i := 1; i < len(pats); i++ {
+			if pats[i].RowsIn != pats[i-1].RowsOut {
+				t.Errorf("%s: span %d rowsIn %d != prior rowsOut %d", q, i, pats[i].RowsIn, pats[i-1].RowsOut)
+			}
+		}
+		if last := pats[len(pats)-1]; last.RowsOut != len(res.Rows) {
+			t.Errorf("%s: final span rowsOut %d != result rows %d", q, last.RowsOut, len(res.Rows))
+		}
+		if s := tr.Summary(); s == "" {
+			t.Errorf("%s: empty trace summary", q)
+		}
 	}
 }
 
