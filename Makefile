@@ -50,7 +50,7 @@ reach:
 # lent from the index beside a writer that tombstones and compacts),
 # snapshot format, the federation mesh
 # (parallel bind-join batches, circuit breakers, TTL cache), HTTP server,
-# the sharded response cache, the metrics registry (sharded histograms
+# the response cache, the metrics registry (sharded histograms
 # and vec instantiation under concurrent scrapes), the keyword index
 # (searches sharing the live index while refreshes follow a writer) and
 # the facet sessions (sharing one kept typed-subject base while a writer
@@ -151,7 +151,9 @@ bench:
 #     probes them and sends one exact line), the cache key of the
 #     /sparql shapes session_warm sends (NormalizeQuery), and a /sparql
 #     cache hit over a kept-alive connection, on the 5 000-row join and on a
-#     100-row page like session_warm's (SPARQLCacheHit, SPARQLCacheHitPage).
+#     100-row page like session_warm's (SPARQLCacheHit, SPARQLCacheHitPage);
+#   - the response cache's hit path under parallel lookups of 512 hot keys
+#     (LookupHitParallel).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BGP -benchtime=1x .
 	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite|SnapshotRead' -benchtime=1x ./internal/store
@@ -163,6 +165,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=ReadAll -benchtime=1x -benchmem ./internal/ntriples
 	$(GO) test -run='^$$' -bench='ParseQuery|StreamJoinRows' -benchtime=1x -benchmem ./internal/sparql
 	$(GO) test -run='^$$' -bench='SPARQLCold|SPARQLCacheHit|SPARQLStream|FacetsStream|NormalizeQuery' -benchtime=1x -benchmem ./internal/server
+	$(GO) test -run='^$$' -bench=LookupHitParallel -benchtime=1x ./internal/server/cache
 
 # The end-to-end benchmark (bench/e2e) is its own module, which the root
 # `go test ./...` does not see: vet it, run its unit tests, and play every

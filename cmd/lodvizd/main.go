@@ -34,17 +34,13 @@
 //	                    write, the default) or "none" (OS decides when
 //	                    bytes hit disk)
 //	-parallelism int    SPARQL worker count (default: NumCPU)
-//	-cache int          response-cache capacity in entries; -1 disables
-//	                    (default 4096)
+//	-cache-mb int       response-cache byte budget in MiB; a response over
+//	                    an eighth of it is served uncached; negative
+//	                    disables the cache (default 32)
 //	-max-inflight int   concurrent requests allowed per endpoint before
 //	                    shedding with 429 (default 64)
 //	-timeout duration   per-query evaluation timeout (default 30s)
 //	-facet-values int   max values listed per facet on /facets (default 25)
-//	-facet-warming      pre-compute ancestor facet views (one filter removed
-//	                    at a time) into the response cache in the background
-//	                    after each /facets request, so backing out of a
-//	                    refinement is a cache hit (default true; requires
-//	                    the cache)
 //	-peer url           remote SPARQL endpoint to federate with; repeatable.
 //	                    Peers answer SERVICE clauses and show up on
 //	                    /federation with live health state
@@ -136,11 +132,10 @@ func main() {
 	walPath := flag.String("wal", "", "write-ahead log file: acknowledged writes are logged before they apply and replayed over the snapshot at startup")
 	walSync := flag.String("wal-sync", "always", "WAL durability: \"always\" fsyncs (group-committed) before acknowledging a write, \"none\" leaves flushing to the OS")
 	parallelism := flag.Int("parallelism", 0, "SPARQL worker count (0 = NumCPU)")
-	cacheSize := flag.Int("cache", 0, "response-cache capacity in entries (0 = default 4096, negative disables)")
+	cacheMB := flag.Int("cache-mb", 0, "response-cache byte budget in MiB (0 = default 32, negative disables)")
 	maxInFlight := flag.Int("max-inflight", 0, "concurrent requests per endpoint before 429 shedding (0 = default 64)")
 	timeout := flag.Duration("timeout", 0, "per-query evaluation timeout (0 = default 30s)")
 	facetValues := flag.Int("facet-values", 0, "max values listed per facet (0 = default 25)")
-	facetWarming := flag.Bool("facet-warming", true, "pre-compute ancestor facet views into the response cache after each /facets request")
 	var peers []string
 	flag.Func("peer", "remote SPARQL endpoint URL to federate with (repeatable)", func(v string) error {
 		if v == "" {
@@ -210,11 +205,10 @@ func main() {
 	}
 	cfg := server.Config{
 		Parallelism:        *parallelism,
-		CacheCapacity:      *cacheSize,
+		CacheCapacity:      *cacheMB << 20,
 		MaxInFlight:        *maxInFlight,
 		QueryTimeout:       *timeout,
 		MaxFacetValues:     *facetValues,
-		FacetWarming:       *facetWarming,
 		Logger:             logger,
 		Mesh:               mesh,
 		Ledger:             led,

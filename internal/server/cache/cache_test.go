@@ -7,7 +7,7 @@ import (
 )
 
 func TestPutGet(t *testing.T) {
-	c := New(8)
+	c := New(1 << 10)
 	if _, ok := c.Get("missing"); ok {
 		t.Fatal("empty cache returned a hit")
 	}
@@ -27,7 +27,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestUpdateReplacesEntry(t *testing.T) {
-	c := New(8)
+	c := New(1 << 10)
 	c.Put("k", Entry{Body: []byte("old")})
 	c.Put("k", Entry{Body: []byte("new")})
 	if c.Len() != 1 {
@@ -39,30 +39,22 @@ func TestUpdateReplacesEntry(t *testing.T) {
 	}
 }
 
-// TestLRUEviction pins the recency contract per shard: with a capacity of
-// numShards (one entry per shard), a second key landing in an occupied shard
-// evicts that shard's older entry.
+// tiny stores a 2-byte entry (a 1-byte key and a 1-byte body): New(16)
+// holds eight of them, each at its budget/8 limit.
+func tiny(c *Cache, key string) { c.Put(key, Entry{Body: []byte{'x'}}) }
+
+// TestLRUEviction pins the recency contract: once the budget is full, the
+// next entry evicts the oldest.
 func TestLRUEviction(t *testing.T) {
-	c := New(numShards) // 1 entry per shard
-	sh := c.shard("a")
-	// Find another key that hashes to the same shard as "a".
-	collide := ""
-	for i := 0; i < 10000; i++ {
-		k := fmt.Sprintf("key%d", i)
-		if c.shard(k) == sh {
-			collide = k
-			break
-		}
+	c := New(16)
+	for _, k := range "abcdefgh" {
+		tiny(c, string(k))
 	}
-	if collide == "" {
-		t.Fatal("no colliding key found")
-	}
-	c.Put("a", Entry{Body: []byte("a")})
-	c.Put(collide, Entry{Body: []byte("b")})
+	tiny(c, "i")
 	if _, ok := c.Get("a"); ok {
-		t.Fatal("oldest entry survived past shard capacity")
+		t.Fatal("oldest entry survived past capacity")
 	}
-	if _, ok := c.Get(collide); !ok {
+	if _, ok := c.Get("i"); !ok {
 		t.Fatal("newest entry was evicted")
 	}
 	if c.Stats().Evictions == 0 {
@@ -73,41 +65,107 @@ func TestLRUEviction(t *testing.T) {
 // TestLRURecency verifies that a Get refreshes recency: the re-read entry
 // survives an insert that evicts, the untouched one goes.
 func TestLRURecency(t *testing.T) {
-	c := New(numShards * 2) // 2 entries per shard
-	sh := c.shard("seed")
-	var keys []string
-	for i := 0; len(keys) < 3 && i < 100000; i++ {
-		k := fmt.Sprintf("key%d", i)
-		if c.shard(k) == sh {
-			keys = append(keys, k)
-		}
+	c := New(16)
+	for _, k := range "abcdefgh" {
+		tiny(c, string(k))
 	}
-	if len(keys) < 3 {
-		t.Fatal("not enough colliding keys found")
-	}
-	c.Put(keys[0], Entry{})
-	c.Put(keys[1], Entry{})
-	c.Get(keys[0])          // refresh keys[0]
-	c.Put(keys[2], Entry{}) // evicts keys[1], the LRU
-	if _, ok := c.Get(keys[0]); !ok {
+	c.Get("a")   // refresh a
+	tiny(c, "i") // evicts b, the LRU
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("recently-read entry was evicted")
 	}
-	if _, ok := c.Get(keys[1]); ok {
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("least-recently-used entry survived")
+	}
+}
+
+// TestFullBudgetEvictsNothing: entries costing exactly the budget are all
+// kept, and the next Put evicts exactly the least recently used one.
+func TestFullBudgetEvictsNothing(t *testing.T) {
+	const n, size = 64, 64
+	c := New(n * size)
+	key := func(i int) string { return fmt.Sprintf("/facets?filter=%03d", i) }
+	put := func(i int) bool { k := key(i); return c.Put(k, Entry{Body: make([]byte, size-len(k))}) }
+	for i := 0; i < n; i++ {
+		if !put(i) {
+			t.Fatalf("entry %d of budget/%d refused", i, n)
+		}
+	}
+	if st := c.Stats(); st.Entries != n || st.Bytes != n*size || st.Evictions != 0 {
+		t.Fatalf("full cache: %+v, want %d entries, %d bytes, no evictions", st, n, n*size)
+	}
+	put(n)
+	if st := c.Stats(); st.Entries != n || st.Bytes != n*size || st.Evictions != 1 {
+		t.Fatalf("one past full: %+v, want %d entries, %d bytes, 1 eviction", st, n, n*size)
+	}
+	if _, ok := c.Get(key(0)); ok {
+		t.Fatal("least recently used entry survived")
+	}
+	for i := 1; i <= n; i++ {
+		if _, ok := c.Get(key(i)); !ok {
+			t.Fatalf("entry %d was evicted", i)
+		}
+	}
+}
+
+// TestByteBudgetHolds: a stream of distinct large entries never takes the
+// cache past its budget, and a small entry read between them survives
+// them all. An entry costing more than budget/8 is not stored.
+func TestByteBudgetHolds(t *testing.T) {
+	const budget = 1 << 16
+	c := New(budget)
+	c.Put("hot", Entry{Body: []byte("small")})
+	for i := 0; i < 1000; i++ {
+		k := fmt.Sprintf("SELECT * WHERE { ?s ?p ?o } # %d", i)
+		if !c.Put(k, Entry{Body: make([]byte, budget/8-len(k)-i%100)}) {
+			t.Fatalf("entry %d within budget/8 refused", i)
+		}
+		if st := c.Stats(); st.Bytes > budget {
+			t.Fatalf("after %d puts the cache holds %d bytes, over its budget of %d", i+1, st.Bytes, budget)
+		}
+		if _, ok := c.Get("hot"); !ok {
+			t.Fatalf("hot entry evicted by large entry %d", i)
+		}
+	}
+	before := c.Stats()
+	if c.Put("huge", Entry{Body: make([]byte, budget/8)}) {
+		t.Fatal("entry over budget/8 reported stored")
+	}
+	if _, ok := c.Get("huge"); ok {
+		t.Fatal("entry over budget/8 was stored")
+	}
+	if after := c.Stats(); after.Entries != before.Entries || after.Bytes != before.Bytes || after.Evictions != before.Evictions {
+		t.Fatalf("refused Put changed the cache: %+v -> %+v", before, after)
+	}
+}
+
+// TestEntryCap: however small its entries, the cache keeps at most
+// maxEntries of them, dropping the least recently used.
+func TestEntryCap(t *testing.T) {
+	c := New(0)
+	for i := 0; i <= maxEntries; i++ {
+		c.Put(fmt.Sprint(i), Entry{})
+	}
+	if st := c.Stats(); st.Entries != maxEntries || st.Evictions != 1 {
+		t.Fatalf("%d entries put: %+v, want %d entries and 1 eviction", maxEntries+1, st, maxEntries)
+	}
+	if _, ok := c.Get("0"); ok {
+		t.Fatal("least recently used entry survived the entry cap")
 	}
 }
 
 func TestDefaultCapacity(t *testing.T) {
 	c := New(0)
-	if c.Stats().Capacity < DefaultCapacity {
-		t.Fatalf("Capacity = %d, want >= %d", c.Stats().Capacity, DefaultCapacity)
+	if c.Stats().Capacity != DefaultCapacity {
+		t.Fatalf("Capacity = %d, want %d", c.Stats().Capacity, DefaultCapacity)
 	}
 }
 
-// TestConcurrentAccess hammers Get/Put/Lookup/Holds/Len/Stats from many
-// goroutines; run under -race this pins the sharded locking discipline.
+// TestConcurrentAccess hammers Get/Put/Lookup/Len/Stats from many
+// goroutines; run under -race this pins the locking discipline, and the
+// byte count must come out equal to the entries left.
 func TestConcurrentAccess(t *testing.T) {
-	c := New(128)
+	c := New(128 * 16)
 	const goroutines = 16
 	const ops = 2000
 	var wg sync.WaitGroup
@@ -140,14 +198,21 @@ func TestConcurrentAccess(t *testing.T) {
 			key := fmt.Sprintf("key%d", i%257)
 			gen := uint64(i / 257)
 			keep := func(Entry, uint64) bool { return i%3 != 0 }
-			if i%2 == 0 {
-				c.Lookup(key, gen, keep)
-			} else {
-				c.Holds(key, gen, keep)
-			}
+			c.Lookup(key, gen, keep)
 		}
 	}()
 	wg.Wait()
+	st := c.Stats()
+	bytes := 0
+	for i := 0; i < 257; i++ {
+		key := fmt.Sprintf("key%d", i)
+		if e, ok := c.Get(key); ok {
+			bytes += len(key) + len(e.Body)
+		}
+	}
+	if st.Bytes != bytes || st.Bytes > st.Capacity {
+		t.Fatalf("cache counts %d bytes, its entries cost %d, budget %d", st.Bytes, bytes, st.Capacity)
+	}
 }
 
 // TestLookupValidates pins the contract the server relies on: an entry as
@@ -193,39 +258,21 @@ func TestLookupValidates(t *testing.T) {
 	}
 }
 
-// TestHoldsCountsNothing: Holds judges like Lookup but leaves the counters
-// and the LRU order alone.
-func TestHoldsCountsNothing(t *testing.T) {
-	c := New(numShards) // one entry per shard
-	keep := func(Entry, uint64) bool { return true }
-	c.Put("a", Entry{Gen: 1})
-	if !c.Holds("a", 2, keep) {
-		t.Fatal("Holds rejected an unchanged entry")
-	}
-	if e, _ := c.Get("a"); e.Gen != 2 {
-		t.Fatalf("Holds left the entry at generation %d, want 2", e.Gen)
-	}
-	if c.Holds("a", 3, func(Entry, uint64) bool { return false }) {
-		t.Fatal("Holds accepted a changed entry")
-	}
-	if c.Holds("a", 3, keep) {
-		t.Fatal("the changed entry was kept")
-	}
-	if cs := c.Stats(); cs.Hits != 1 || cs.Misses != 0 {
-		t.Fatalf("hits=%d misses=%d; only the Get may count", cs.Hits, cs.Misses)
-	}
-}
-
-func BenchmarkGetHit(b *testing.B) {
-	c := New(1024)
-	for i := 0; i < 512; i++ {
-		c.Put(fmt.Sprintf("key%d", i), Entry{Body: make([]byte, 256)})
+// BenchmarkLookupHitParallel is the serving hot path under contention: every
+// goroutine looks up one of 512 hot keys, all current, so each call is a hit
+// that takes the cache's lock.
+func BenchmarkLookupHitParallel(b *testing.B) {
+	c := New(0)
+	keys := make([]string, 512)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("/facets?filter=%d", i)
+		c.Put(keys[i], Entry{Body: make([]byte, 256), Gen: 1})
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			c.Get(fmt.Sprintf("key%d", i%512))
+			c.Lookup(keys[i%len(keys)], 1, nil)
 			i++
 		}
 	})

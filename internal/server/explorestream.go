@@ -159,11 +159,13 @@ func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 // endpoint's cache key, as computed from generation gen on (read before the
 // scan): a stream that raced a write is found out like any other entry,
 // when it is next looked up. A result that read the whole store and has
-// been raced already is not worth an entry.
+// been raced already is not worth an entry; one the cache refuses as too
+// large is not counted.
 func (s *Server) fillCache(key string, gen uint64, res result) {
 	if s.cache == nil || res.status != http.StatusOK || res.reads.Whole() && s.st.Generation() != gen {
 		return
 	}
-	s.cache.Put(key, res.entry(gen))
-	s.met.cacheFills.Inc()
+	if s.cache.Put(key, res.entry(gen)) {
+		s.met.cacheFills.Inc()
+	}
 }

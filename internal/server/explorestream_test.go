@@ -366,45 +366,6 @@ func TestNeighborhoodSampling(t *testing.T) {
 	}
 }
 
-// TestFacetWarming: serving a filtered /facets view must build its ancestor
-// views (each filter prefix, down to the unfiltered root) into the response
-// cache in the background, so zooming out is a HIT.
-func TestFacetWarming(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{FacetWarming: true})
-	warmed := make(chan string, 8)
-	s.warmHook = func(key string) { warmed <- key }
-
-	params := url.Values{}
-	params.Add("filter", exNS+"country=<"+exNS+"greece>")
-	params.Add("filter", exNS+"population=664046")
-	resp, body := getBody(t, ts.URL+"/facets?"+params.Encode())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("filtered request status = %d: %s", resp.StatusCode, body)
-	}
-
-	// Two filters -> two ancestor views (one-filter prefix and the root).
-	for i := 0; i < 2; i++ {
-		select {
-		case <-warmed:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("warm job %d never finished", i)
-		}
-	}
-
-	uresp, _ := getBody(t, ts.URL+"/facets")
-	if xc := uresp.Header.Get("X-Cache"); xc != "HIT" {
-		t.Fatalf("unfiltered /facets after warming: X-Cache = %q, want HIT", xc)
-	}
-
-	// The same filtered view again must not schedule duplicate warm jobs.
-	getBody(t, ts.URL+"/facets?"+params.Encode())
-	select {
-	case key := <-warmed:
-		t.Fatalf("duplicate warm job for %q", key)
-	case <-time.After(100 * time.Millisecond):
-	}
-}
-
 // TestStatsStreamAfterWrite: the store keeps its statistics, so after a
 // write /stats/stream answers with its done line alone, and that line's
 // result is the body of /stats on the same server and on a cache-off server

@@ -338,9 +338,9 @@ func (s *Server) facetSession(ctx context.Context, max int, filters []facet.Filt
 	return sess, nil
 }
 
-// buildFacets runs the ID-space facet computation; shared by the buffered
-// handler and warm jobs (the streaming handler's exact final batch goes
-// through the same encoder), so all three produce byte-identical JSON.
+// buildFacets runs the ID-space facet computation for the buffered handler;
+// the streaming handler's exact final batch goes through the same encoder,
+// so both produce byte-identical JSON.
 func (s *Server) buildFacets(ctx context.Context, max int, filters []facet.Filter) result {
 	sess, err := s.facetSession(ctx, max, filters)
 	if err != nil {
@@ -367,8 +367,7 @@ func encodeFacetsResponse(count int, fs []facet.Facet) facetsResponse {
 
 // handleFacets computes facet distributions over the dataset's entity set —
 // in dictionary-ID space, with the request context (bounded by the query
-// timeout) threaded into the scans. Serving a filtered view schedules
-// background warming of its ancestor views when Config.FacetWarming is on.
+// timeout) threaded into the scans.
 func (s *Server) handleFacets(w http.ResponseWriter, r *http.Request) {
 	max, filters, rawFilters, errStatus, errMsg := s.facetParams(r.URL.Query())
 	if errStatus != 0 {
@@ -380,55 +379,6 @@ func (s *Server) handleFacets(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		return s.buildFacets(ctx, max, filters)
 	})
-	s.warmFacetAncestors(max, filters, rawFilters)
-}
-
-// warmFacetAncestors schedules background builds of the filter-prefix views
-// of a just-served facet request: a browsing session that drilled down is
-// one click from zooming back out, so those responses are built off the
-// request path and put in the response cache. A view that is cached and
-// still valid is left alone — which, entries surviving unrelated writes, is
-// the usual case — as is one whose job is already queued or running. Jobs
-// are bounded by a small semaphore and take their turn on the key like any
-// request, so a view is never built twice at once.
-func (s *Server) warmFacetAncestors(max int, filters []facet.Filter, rawFilters []string) {
-	if s.warmSem == nil || len(filters) == 0 {
-		return
-	}
-	gen := s.st.Generation()
-	for i := len(filters) - 1; i >= 0; i-- {
-		key := s.facetsKey(max, rawFilters[:i])
-		if s.cache.Holds(key, gen, s.unchanged) {
-			continue
-		}
-		if _, first := s.warming.join(key); !first {
-			continue
-		}
-		prefix := filters[:i]
-		go func() {
-			defer s.warming.leave(key)
-			s.warmSem <- struct{}{}
-			defer func() { <-s.warmSem }()
-			gen := s.st.Generation()
-			if s.cache.Holds(key, gen, s.unchanged) {
-				return
-			}
-			if _, leader := s.builds.join(key); !leader {
-				return // a request is building it
-			}
-			e := s.buildAndCache(key, gen, func() result {
-				// Warm jobs deliberately outlive the request that spawned
-				// them; their lifetime is the query timeout, not the request.
-				//lint:allow ctxflow detached cache-warm job: bounded by QueryTimeout, must survive the originating request
-				ctx, cancel := context.WithTimeout(context.Background(), s.cfg.QueryTimeout)
-				defer cancel()
-				return s.buildFacets(ctx, max, prefix)
-			})
-			if e.Status == http.StatusOK && s.warmHook != nil {
-				s.warmHook(key)
-			}
-		}()
-	}
 }
 
 // neighborhoodResponse is the /graph/neighborhood JSON shape: nodes carries
@@ -838,7 +788,10 @@ type cacheHealth struct {
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
+	// Bytes and Capacity are the resident entries' cost and the byte
+	// budget it is held to.
+	Bytes    int `json:"bytes"`
+	Capacity int `json:"capacity"`
 }
 
 type walHealth struct {
@@ -879,7 +832,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		cs := s.cache.Stats()
 		resp.Cache = &cacheHealth{
 			Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions,
-			Entries: cs.Entries, Capacity: cs.Capacity,
+			Entries: cs.Entries, Bytes: cs.Bytes, Capacity: cs.Capacity,
 		}
 	}
 	if s.cfg.WAL != nil {

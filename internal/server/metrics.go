@@ -97,7 +97,9 @@ func (s *Server) registerCollectors(r *obs.Registry) {
 			func() float64 { return float64(c.Stats().Evictions) })
 		r.GaugeFunc("lodviz_cache_entries", "Response-cache entries resident.",
 			func() float64 { return float64(c.Stats().Entries) })
-		r.GaugeFunc("lodviz_cache_capacity", "Response-cache entry capacity.",
+		r.GaugeFunc("lodviz_cache_bytes", "Response-cache bytes resident: len(key)+len(body) over the entries.",
+			func() float64 { return float64(c.Stats().Bytes) })
+		r.GaugeFunc("lodviz_cache_capacity", "Response-cache byte budget.",
 			func() float64 { return float64(c.Stats().Capacity) })
 	}
 

@@ -105,6 +105,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lodviz_store_stats_tally_entries ",
 		"lodviz_store_stats_tally_builds_total 1\n",
 		"lodviz_cache_hits_total 1",
+		"lodviz_cache_bytes ",
+		"lodviz_cache_capacity ",
 		"lodviz_cache_revalidated_total 0",
 		`lodviz_cache_invalidated_total{cause="footprint"} 0`,
 		`lodviz_cache_invalidated_total{cause="log"} 0`,

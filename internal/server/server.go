@@ -11,21 +11,22 @@
 //   - per-endpoint concurrency limits: each route has a fixed budget of
 //     in-flight requests and sheds the excess with 429 + Retry-After, so one
 //     expensive endpoint cannot starve the others;
-//   - a sharded LRU response cache keyed by the normalized request, whose
-//     entries are validated views of the store: each records the store
-//     generation read before it was computed and the footprint of what the
-//     computation read (the query's triple patterns, a facet view's entity
-//     set, a hierarchy's property, a neighborhood's reached nodes). A write
-//     does not touch the cache. The next request for an entry older than
-//     the store checks the footprint against the store's change log
-//     (validate.go): untouched, the entry moves up to the current
-//     generation and is a HIT; touched, or the log no longer covers the
-//     span, it is dropped and rebuilt. So a write costs the readers only
-//     the views it could have changed — exploration is read-heavy bursts
-//     over a slowly changing dataset, and most writes are about something
-//     else than what is on screen. /stats, /search and /complete read the
-//     whole store and so last one generation. Concurrent requests for one
-//     uncached view share a single build;
+//   - an LRU response cache under a byte budget, keyed by the normalized
+//     request, whose entries are validated views of the store: each
+//     records the store generation read before it was computed and the
+//     footprint of what the computation read (the query's triple patterns,
+//     a facet view's entity set, a hierarchy's property, a neighborhood's
+//     reached nodes). A write does not touch the cache. The next request
+//     for an entry older than the store checks the footprint against the
+//     store's change log (validate.go): untouched, the entry moves up to
+//     the current generation and is a HIT; touched, or the log no longer
+//     covers the span, it is dropped and rebuilt. So a write costs the
+//     readers only the views it could have changed — exploration is
+//     read-heavy bursts over a slowly changing dataset, and most writes are
+//     about something else than what is on screen. /stats, /search and
+//     /complete read the whole store and so last one generation.
+//     Concurrent requests for one uncached view share a single build; a
+//     body costing more than an eighth of the budget is served uncached;
 //   - strong ETags on cacheable responses with If-None-Match/304 handling,
 //     so clients and proxies revalidate for free;
 //   - per-request timeouts threaded as context cancellation into the SPARQL
@@ -61,13 +62,16 @@ import (
 )
 
 // Config tunes a Server. The zero value is production-usable: NumCPU query
-// parallelism, a 4096-entry cache, 64 in-flight requests per endpoint, and a
-// 30-second query timeout.
+// parallelism, a 32 MiB response cache, 64 in-flight requests per endpoint,
+// and a 30-second query timeout.
 type Config struct {
 	// Parallelism is the SPARQL engine worker count (0 = NumCPU).
 	Parallelism int
-	// CacheCapacity is the response cache size in entries; 0 selects
-	// cache.DefaultCapacity and negative values disable caching.
+	// CacheCapacity is the response cache's byte budget, counting
+	// len(key)+len(body) per entry; 0 selects cache.DefaultCapacity and
+	// negative values disable caching. A response costing more than an
+	// eighth of it is served uncached (X-Cache: BYPASS). Whatever the
+	// budget, the cache keeps at most 4 096 entries.
 	CacheCapacity int
 	// MaxInFlight caps concurrently served requests per endpoint; excess
 	// requests are shed with 429. Non-positive values select 64.
@@ -112,11 +116,8 @@ type Config struct {
 	// duration, row count, and execution-plan summary.
 	SlowQueryThreshold time.Duration
 
-	// FacetWarming enables prefetch-driven warming of the facet response
-	// cache: serving a filtered /facets view schedules background builds of
-	// its ancestor views (each filter prefix), so the zoom-out steps a
-	// browsing session takes next are already cached. Off by default;
-	// lodvizd enables it unless -facet-warming=false.
+	// FacetWarming has no effect. It remains only because
+	// bench/e2e/replay.go sets it.
 	FacetWarming bool
 
 	// source, when set by tests, replaces the store as what every read
@@ -160,7 +161,7 @@ type Server struct {
 	// responses: a request at a budget not yet cached cuts the kept base.
 	bases *hetree.Bases
 	// typed keeps the typed-subject base every facet session starts from:
-	// /facets, /facets/stream and warm jobs open their sessions over it.
+	// /facets and /facets/stream open their sessions over it.
 	typed *facet.TypedBase
 	mux   *http.ServeMux
 
@@ -172,11 +173,6 @@ type Server struct {
 	engineMet *sparql.Metrics
 	started   time.Time
 
-	// warming holds the facet warm jobs queued or running, by target cache
-	// key; warmSem (nil when warming is off) bounds concurrent warm builds.
-	warming flights
-	warmSem chan struct{}
-
 	// limiterHook, when set by tests, runs while the request holds its
 	// concurrency slot — the deterministic way to saturate an endpoint.
 	limiterHook func(route string)
@@ -184,9 +180,6 @@ type Server struct {
 	// streamFlushDelay, unless a test needs the timer out of the way or
 	// racing the handler's end.
 	flushDelay time.Duration
-	// warmHook, when set by tests, runs after a facet warm job has built
-	// and cached a view (argument: its cache key).
-	warmHook func(key string)
 }
 
 // New builds a Server over st.
@@ -208,9 +201,6 @@ func New(st *store.Store, cfg Config) *Server {
 	}
 	s.bases = hetree.NewBases(s.source(), st)
 	s.typed = facet.NewTypedBase(s.source(), st)
-	if s.cfg.FacetWarming && s.cache != nil {
-		s.warmSem = make(chan struct{}, 2)
-	}
 	s.reg = s.cfg.Metrics
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
@@ -487,12 +477,13 @@ func (res result) entry(gen uint64) cache.Entry {
 }
 
 // serveCached answers from the response cache under key, or builds the
-// response, caches it if it is a 200, and serves it. The generation an
-// entry is filed under is read before its build starts, so a write that
-// lands during the build is among those the entry is later checked against.
-// While one request builds a key, others for the same key wait and are
-// served what it cached. ETag/If-None-Match revalidation applies to hits
-// and misses alike; X-Cache reports the disposition.
+// response, caches it if it is a 200 within the cache's per-entry limit,
+// and serves it. The generation an entry is filed under is read before its
+// build starts, so a write that lands during the build is among those the
+// entry is later checked against. While one request builds a key, others
+// for the same key wait and look it up again: served what it cached, or
+// building in turn what the cache refused. ETag/If-None-Match revalidation
+// applies to hits and misses alike; X-Cache reports the disposition.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, build func() result) {
 	if s.cache == nil {
 		serveEntry(w, r, build().entry(0), "MISS")
@@ -506,7 +497,8 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 		}
 		wait, leader := s.builds.join(key)
 		if leader {
-			serveEntry(w, r, s.buildAndCache(key, gen, build), "MISS")
+			e, disposition := s.buildAndCache(key, gen, build)
+			serveEntry(w, r, e, disposition)
 			return
 		}
 		select {
@@ -520,14 +512,15 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 }
 
 // buildAndCache is the leader's turn on key: it builds the response, caches
-// it if it is a 200, and lets the waiters go — also when build panics.
-func (s *Server) buildAndCache(key string, gen uint64, build func() result) cache.Entry {
+// it if it is a 200, and lets the waiters go — also when build panics. The
+// disposition is BYPASS for a 200 too large for the cache to take.
+func (s *Server) buildAndCache(key string, gen uint64, build func() result) (cache.Entry, string) {
 	defer s.builds.leave(key)
 	e := build().entry(gen)
-	if e.Status == http.StatusOK {
-		s.cache.Put(key, e)
+	if e.Status == http.StatusOK && !s.cache.Put(key, e) {
+		return e, "BYPASS"
 	}
-	return e
+	return e, "MISS"
 }
 
 // serveUncached builds and serves a response without consulting or filling

@@ -881,6 +881,14 @@ func TestHealthz(t *testing.T) {
 	if resp.Status != "ok" || resp.Triples != st.Len() || resp.Cache == nil {
 		t.Fatalf("healthz = %+v", resp)
 	}
+	if resp.Cache.Capacity != 32<<20 || resp.Cache.Bytes != 0 {
+		t.Fatalf("empty cache: capacity %d bytes %d, want the 32 MiB budget and 0", resp.Cache.Capacity, resp.Cache.Bytes)
+	}
+	_, body := getBody(t, ts.URL+"/stats")
+	getJSON(t, ts.URL+"/healthz", &resp)
+	if want := len(statsKey) + len(body); resp.Cache.Entries != 1 || resp.Cache.Bytes != want {
+		t.Fatalf("one /stats entry: entries %d bytes %d, want 1 and %d", resp.Cache.Entries, resp.Cache.Bytes, want)
+	}
 }
 
 func TestCacheDisabled(t *testing.T) {
@@ -890,6 +898,49 @@ func TestCacheDisabled(t *testing.T) {
 	resp := getJSON(t, u, nil)
 	if got := resp.Header.Get("X-Cache"); got != "MISS" {
 		t.Fatalf("X-Cache = %q with caching disabled, want MISS", got)
+	}
+}
+
+// TestOversizeBodyBypassesCache: a response costing more than an eighth of
+// the cache's byte budget is served 200 and uncached on every request
+// (X-Cache: BYPASS, never HIT), byte for byte what a cache-off server sends,
+// while a small one is cached as usual. A completed stream whose result is
+// over the limit fills nothing and is not counted as a fill.
+func TestOversizeBodyBypassesCache(t *testing.T) {
+	const budget = 8 << 10
+	st := gen.MiniLODStore()
+	s := New(st, Config{Logger: discardLogger(), CacheCapacity: budget})
+	off := New(st, Config{Logger: discardLogger(), CacheCapacity: -1})
+
+	for _, target := range []string{sparqlTarget("SELECT * WHERE { ?s ?p ?o }"), "/facets"} {
+		_, _, want := serve(off, target)
+		if len(want) <= budget/8 {
+			t.Fatalf("%s: body of %d bytes is within the per-entry limit of %d", target, len(want), budget/8)
+		}
+		for i := 0; i < 2; i++ {
+			code, xc, body := serve(s, target)
+			if code != http.StatusOK || xc != "BYPASS" || body != want {
+				t.Fatalf("%s request %d: status %d, X-Cache %q, identical body %v; want 200, BYPASS, true",
+					target, i+1, code, xc, body == want)
+			}
+		}
+	}
+
+	small := sparqlTarget("ASK { ?s ?p ?o }")
+	serve(s, small)
+	if _, xc, _ := serve(s, small); xc != "HIT" {
+		t.Fatalf("small response under a %d-byte budget: X-Cache = %q, want HIT", budget, xc)
+	}
+
+	fills := s.met.cacheFills.Value()
+	if code, _, _ := serve(s, "/facets/stream"); code != http.StatusOK {
+		t.Fatalf("/facets/stream status %d", code)
+	}
+	if got := s.met.cacheFills.Value(); got != fills {
+		t.Fatalf("an oversize stream result counted as a cache fill (%d -> %d)", fills, got)
+	}
+	if _, xc, _ := serve(s, "/facets"); xc != "BYPASS" {
+		t.Fatalf("/facets after an oversize stream: X-Cache = %q, want BYPASS", xc)
 	}
 }
 

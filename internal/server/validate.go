@@ -40,9 +40,8 @@ func (s *Server) unchanged(e cache.Entry, gen uint64) bool {
 }
 
 // flights lets one caller at a time work on a key while the others wait
-// for it: two requests for one uncached view, or a request and a warm job,
-// would otherwise build the same response side by side, doubling its
-// working memory for nothing.
+// for it: two requests for one uncached view would otherwise build the same
+// response side by side, doubling its working memory for nothing.
 type flights struct {
 	mu sync.Mutex
 	m  map[string]chan struct{}

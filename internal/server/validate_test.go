@@ -314,7 +314,7 @@ type differential struct {
 func newDifferential(t *testing.T, st *store.Store, vocab []diffRequest) *differential {
 	return &differential{
 		t: t, st: st, vocab: vocab,
-		on:  New(st, Config{Logger: discardLogger(), FacetWarming: true}),
+		on:  New(st, Config{Logger: discardLogger()}),
 		off: New(st, Config{Logger: discardLogger(), CacheCapacity: -1}),
 	}
 }
