@@ -1,9 +1,10 @@
 # Development targets mirroring the CI jobs (.github/workflows/ci.yml).
-# `make check` runs everything CI runs, locally.
+# `make check` runs everything CI runs, locally; its bench-regression step
+# needs an origin/main to take the merge base from.
 
 GO ?= go
 
-.PHONY: build test loc reach race flake bench bench-smoke bench-e2e-smoke bench-regression bench-baseline lint analyze fmt check cover-server fuzz-smoke serve serve-cluster
+.PHONY: build test loc reach race flake bench bench-smoke bench-e2e-smoke bench-compare bench-regression bench-obs lint analyze fmt check cover-server fuzz-smoke serve serve-cluster
 
 build:
 	$(GO) build ./...
@@ -12,7 +13,8 @@ test:
 	$(GO) test ./...
 
 # The tracked size of the code (ROADMAP, "quality of design"): lines of
-# non-test Go outside bench/ and testdata/, for the tree, for the three
+# non-test Go outside bench/, .bench_build/ (the trees bench-compare
+# exports) and testdata/, for the tree, for the three
 # packages between the store and what runs on it, for the store alone, for
 # everything that reads or writes RDF terms as text or in the binary spelling
 # the WAL and the snapshot share (internal/rdf), and for this module's
@@ -21,7 +23,7 @@ test:
 # job summary of every PR (it runs this recipe in a checkout of the base with
 # `make -f <this file> -C <that tree> loc`, so the paths stay relative).
 loc:
-	@printf 'non-test Go lines, tree: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
+	@printf 'non-test Go lines, tree: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, internal/{sparql,store,explore}: %s\n' "$$(find internal/sparql internal/store internal/explore -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, internal/store: %s\n' "$$(find internal/store -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 	@printf 'non-test Go lines, internal/{rdf,ntriples,turtle} + sparql/lexer.go: %s\n' "$$(find internal/rdf internal/ntriples internal/turtle internal/sparql/lexer.go -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
@@ -123,12 +125,14 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
 # One-iteration smoke of the microbenchmarks, so their paths keep compiling
-# and running without timing noise gating CI (bench-regression gates timing
-# against the committed baseline). -benchmem where allocations are the point.
+# and running without timing noise gating CI (bench-regression judges their
+# timing against the merge base). -benchmem where allocations are the point.
 #   - BGP joins;
 #   - bulk ingestion (AddBatch vs the per-triple Add loop at 100k triples),
-#     the snapshot write and restore of that store, and the decode of one
-#     WAL record of a bulk_ingest batch (2 000 triples);
+#     the snapshot write and restore of that store, the write session (bare,
+#     through the WAL with and without fsync, and synced beside readers),
+#     and the decode of one WAL record of a bulk_ingest batch (2 000
+#     triples);
 #   - the store's statistics tally (a summary read at 110k triples; a
 #     2000-triple add+delete with the tally not built and built), a sorted
 #     ID run at 110k triples (the 10 000-entry rdf:type run from a clean
@@ -141,8 +145,11 @@ bench:
 #     over a kept one);
 #   - the N-Triples decoder on a bulk_ingest-sized body;
 #   - the SPARQL parser on the session_cold query shapes and an INSERT DATA,
-#     and session_cold's /sparql/stream join through Stream.Run (about 600
-#     rows);
+#     session_cold's /sparql/stream join through Stream.Run (about 600
+#     rows), and the chain join bare beside instrumented (ObsOverhead);
+#   - the facet distribution over 20k typed entities, and the progressive
+#     stats walk to its first estimate, the exact stats and one entity's
+#     neighbourhood;
 #   - buffered /sparql with the cache off (a 5 000-row join on the paged
 #     source, its body appended row by row);
 #   - the server's two progressive streams (/sparql/stream at 600 rows;
@@ -156,14 +163,16 @@ bench:
 #     (LookupHitParallel).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BGP -benchtime=1x .
-	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite|SnapshotRead' -benchtime=1x ./internal/store
+	$(GO) test -run='^$$' -bench='AddBatch|AddAll|AddSequential|SnapshotWrite|SnapshotRead|WriteSession' -benchtime=1x ./internal/store
 	$(GO) test -run='^$$' -bench=DecodePayload -benchtime=1x -benchmem ./internal/wal
 	$(GO) test -run='^$$' -bench='ComputeStats|AddDeleteBatch2000|ScanIDs|LookupTerm' -benchtime=1x -benchmem ./internal/store
 	$(GO) test -run='^$$' -bench=BindJoin -benchtime=1x ./internal/federation
 	$(GO) test -run='^$$' -bench=LimitPushdown -benchtime=1x .
 	$(GO) test -run='^$$' -bench='FromSource|LevelOverSharedBase' -benchtime=1x -benchmem ./internal/hetree
 	$(GO) test -run='^$$' -bench=ReadAll -benchtime=1x -benchmem ./internal/ntriples
-	$(GO) test -run='^$$' -bench='ParseQuery|StreamJoinRows' -benchtime=1x -benchmem ./internal/sparql
+	$(GO) test -run='^$$' -bench='ParseQuery|StreamJoinRows|ObsOverhead' -benchtime=1x -benchmem ./internal/sparql
+	$(GO) test -run='^$$' -bench=FacetDistribution -benchtime=1x -benchmem ./internal/facet
+	$(GO) test -run='^$$' -bench='StatsFirstEstimate|StatsExact|Neighborhood' -benchtime=1x -benchmem ./internal/explore
 	$(GO) test -run='^$$' -bench='SPARQLCold|SPARQLCacheHit|SPARQLStream|FacetsStream|NormalizeQuery' -benchtime=1x -benchmem ./internal/server
 	$(GO) test -run='^$$' -bench=LookupHitParallel -benchtime=1x ./internal/server/cache
 
@@ -177,26 +186,39 @@ bench-e2e-smoke:
 	$(GO) test -C bench/e2e ./...
 	bash bench/e2e/run.sh -smoke
 
-# Benchmark regression gate: replay the pinned scenarios best-of-3 and
-# fail on >25% regression against bench/baseline.json (override the ratio
-# with BENCH_GATE=1.50 etc.), or on the obs overhead ratio leaving its hard
-# ceiling. Artifacts BENCH_store.json / BENCH_stream.json are what CI
-# uploads per run.
-bench-regression:
-	$(GO) run ./cmd/benchharness -scenarios store -out BENCH_store.json -gate
-	$(GO) run ./cmd/benchharness -scenarios stream -out BENCH_stream.json -gate
-	$(GO) run ./cmd/benchharness -scenarios write -out BENCH_write.json -gate
-	$(GO) run ./cmd/benchharness -scenarios explore -out BENCH_explore.json -gate
-	$(GO) run ./cmd/benchharness -scenarios obs -out BENCH_obs.json -gate
+# The paired benchmark gate (cmd/benchharness): exports BASE and HEAD under
+# .bench_build/compare/, builds each package of PKG once per side with
+# `go test -c`, runs the benchmarks BENCH matches in 10 pairs, the side that
+# goes first swapped each pair, and fails when a benchmark's median
+# head/base ns/op over the pairs is above 1.25. It prints and writes to
+# .bench_build/compare/verdict.json, per benchmark, that ratio, the pairs
+# head won and the B/op and allocs/op medians. A benchmark only HEAD has is
+# new and not judged; one HEAD lacks fails. BENCH and PKG default to the
+# benchmarks that bench-regression judges: the BGP joins, store load,
+# snapshot write, the LIMIT pushdown trio, the write session, facet
+# distribution, stats (first estimate, exact), neighbourhood and the
+# observability overhead pair.
+HEAD = HEAD
+BENCH = ^Benchmark(BGPJoinSequential|BGPJoinBound[PO]IDs|E12StoreLoad|LimitPushdown(Streamed|Materialized|OrderByTopK)|SnapshotWrite|WriteSession|FacetDistribution|Stats(FirstEstimate|Exact)|Neighborhood|ObsOverhead)$$
+PKG = . ./internal/store ./internal/facet ./internal/explore ./internal/sparql
+bench-compare:
+	@test -n '$(BASE)' || { echo 'usage: make bench-compare BASE=<rev> [HEAD=<rev>] [BENCH=<regexp>] [PKG=<packages>]'; exit 2; }
+	$(GO) run ./cmd/benchharness -base '$(BASE)' -head '$(HEAD)' -bench '$(BENCH)' $(PKG)
 
-# Refresh the committed baseline after an intentional perf change; commit
-# the resulting bench/baseline.json diff alongside the change.
-bench-baseline:
-	$(GO) run ./cmd/benchharness -scenarios store -update-baseline
-	$(GO) run ./cmd/benchharness -scenarios stream -update-baseline
-	$(GO) run ./cmd/benchharness -scenarios write -update-baseline
-	$(GO) run ./cmd/benchharness -scenarios explore -update-baseline
-	$(GO) run ./cmd/benchharness -scenarios obs -update-baseline
+# The observability ceiling: instrumented over bare time of the chain join
+# (BenchmarkObsOverhead's overhead-x), median of three runs, at most 1.05.
+bench-obs:
+	@out=$$($(GO) test -run='^$$' -bench='^BenchmarkObsOverhead$$' -count=3 ./internal/sparql) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | awk '$$1 ~ /^BenchmarkObsOverhead/ { print; for (i = 3; i < NF; i++) if ($$(i+1) == "overhead-x") v[n++] = $$i } \
+		END { if (n != 3) { print "bench-obs: want 3 overhead-x values, got " n; exit 1 } \
+			for (i = 0; i < n; i++) for (j = i + 1; j < n; j++) if (v[j] < v[i]) { t = v[i]; v[i] = v[j]; v[j] = t } \
+			printf "overhead-x median of 3: %.4f (ceiling 1.05)\n", v[1]; exit !(v[1] <= 1.05) }'
+
+# CI's benchmark gate: the paired comparison against the merge base with
+# origin/main, over the benchmarks above, then the observability ceiling.
+bench-regression:
+	$(MAKE) bench-compare BASE=$$(git merge-base HEAD origin/main)
+	$(MAKE) bench-obs
 
 # go vet + gofmt always; staticcheck/gosimple/unused etc. run via
 # golangci-lint when it is installed (CI always runs it — see the lint

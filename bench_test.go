@@ -1,8 +1,8 @@
 // Benchmarks of the serving core: HETree construction (E5), store load and
 // pattern matching (E12), the BGP join engine (E13) and streaming LIMIT
 // pushdown. The E numbers name the workloads the survey's experiments
-// measure; cmd/benchharness replays the join and streaming ones as gated
-// regression scenarios.
+// measure; `make bench-regression` judges the join, store-load and
+// streaming ones against the merge base (cmd/benchharness).
 package lodviz
 
 import (
@@ -154,9 +154,8 @@ func BenchmarkBGPOptionalParallel(b *testing.B) {
 }
 
 // E13b — the pattern executor on two join shapes, isolated at Parallelism 1
-// so the numbers measure the executor, not the pool. cmd/benchharness
-// -scenarios store records the same shapes in BENCH_store.json and the CI
-// bench-regression job gates on them.
+// so the numbers measure the executor, not the pool. The CI
+// bench-regression job judges both against the merge base.
 
 func benchBGPJoinOpts(b *testing.B, query string, opt sparql.Options) {
 	st := bgpJoinStore(b)

@@ -3,15 +3,13 @@
 // discipline, context threading, durability error handling, dictionary-ID
 // hygiene, and nil-safe metric handles — into build-time failures.
 //
-// Two modes share the same analyzers:
+// It speaks the go vet tool protocol, so it runs under go vet, which
+// caches results per package and covers test variants of every package:
 //
-//	go vet -vettool=$(pwd)/bin/lodvizvet ./...   # vet protocol (make analyze)
-//	lodvizvet ./...                              # standalone driver
+//	go vet -vettool=$(pwd)/bin/lodvizvet ./...   # make analyze
 //
-// The vet mode integrates with cmd/go's caching and test-variant
-// coverage; the standalone mode needs nothing but a module directory and
-// prints every finding with the invariant it violates. Suppress a
-// finding, with a justification, via a trailing comment:
+// Run bare, it prints its usage and the analyzers. Suppress a finding,
+// with a justification, via a trailing comment:
 //
 //	st.Compact() //lint:allow pagelock scan already ended: fn returned false above
 //
@@ -20,59 +18,26 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"github.com/lodviz/lodviz/internal/analysis/all"
-	"github.com/lodviz/lodviz/internal/analysis/driver"
 	"github.com/lodviz/lodviz/internal/analysis/unitchecker"
 )
 
 func main() {
 	args := os.Args[1:]
-	// The vet protocol probes (-V=full, -flags) and config files take
-	// precedence so `go vet -vettool` always works regardless of flag
-	// parsing below.
+	// go vet probes the tool (-V=full, -flags), then hands it one config
+	// file per package.
 	if isVetInvocation(args) {
 		os.Exit(unitchecker.Main("lodvizvet", args, all.Analyzers(), os.Stdout, os.Stderr))
 	}
-
-	fs := flag.NewFlagSet("lodvizvet", flag.ExitOnError)
-	list := fs.Bool("list", false, "list the analyzers and exit")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: lodvizvet [packages]\n       go vet -vettool=lodvizvet [packages]\n\nAnalyzers:\n")
-		for _, a := range all.Analyzers() {
-			fmt.Fprintf(fs.Output(), "  %-10s %s\n", a.Name, a.Doc)
-		}
-		fs.PrintDefaults()
+	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(pwd)/bin/lodvizvet [packages]\n\nAnalyzers:\n")
+	for _, a := range all.Analyzers() {
+		fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 	}
-	_ = fs.Parse(args)
-	if *list {
-		for _, a := range all.Analyzers() {
-			fmt.Printf("%-10s %s\n  invariant: %s\n  docs:      %s\n", a.Name, a.Doc, a.Invariant, a.DocSection)
-		}
-		return
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lodvizvet:", err)
-		os.Exit(1)
-	}
-	n, err := driver.Run(all.Analyzers(), driver.ModuleRoot(wd), patterns, os.Stdout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lodvizvet:", err)
-		os.Exit(1)
-	}
-	if n > 0 {
-		fmt.Fprintf(os.Stderr, "lodvizvet: %d finding(s)\n", n)
-		os.Exit(2)
-	}
+	os.Exit(2)
 }
 
 func isVetInvocation(args []string) bool {

@@ -5,10 +5,10 @@
 //
 // The vendored x/tools module is unavailable in the hermetic build
 // environment, so the framework is built on the standard library only:
-// go/ast + go/types for the analyses themselves, `go list -export` plus
-// go/importer's gc-export-data mode for offline package loading (see the
-// driver subpackage), and the cmd/vet unitchecker protocol for
-// `go vet -vettool` integration (see the unitchecker subpackage).
+// go/ast + go/types for the analyses themselves, go/importer's
+// gc-export-data mode for offline type-checking, and the cmd/vet
+// unitchecker protocol for `go vet -vettool` integration (see the
+// unitchecker subpackage), which is the suite's one entry point.
 //
 // Every analyzer names the invariant it enforces and the document section
 // that explains it; diagnostics carry both so a build-time failure points

@@ -1,8 +1,8 @@
 package analysis_test
 
-// Integration coverage for the two lodvizvet entry points: the standalone
-// driver and the `go vet -vettool` protocol, both run as a real child
-// process over the fixture module in testdata/fixture.
+// Integration coverage for lodvizvet's one entry point, the `go vet
+// -vettool` protocol, run as a real child process over the fixture module
+// in testdata/fixture.
 
 import (
 	"os/exec"
@@ -36,18 +36,22 @@ func fixtureDir(t *testing.T) string {
 	return dir
 }
 
-func TestStandaloneDriverOnFixtureModule(t *testing.T) {
+func TestVettoolProtocolOnFixtureModule(t *testing.T) {
 	bin := buildLodvizvet(t)
 	fixture := fixtureDir(t)
 
-	cmd := exec.Command(bin, "./...")
-	cmd.Dir = fixture
-	out, err := cmd.CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("want exit 2 on the violating fixture, got %v\n%s", err, out)
+	// Run bare, the tool prints its usage and the analyzers.
+	out, err := exec.Command(bin).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "go vet -vettool=") || !strings.Contains(string(out), "pagelock") {
+		t.Errorf("bare lodvizvet: want exit 2 with usage and analyzers, got %v\n%s", err, out)
 	}
-	text := string(out)
+
+	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
+	vet.Dir = fixture
+	out, err = vet.CombinedOutput()
+	if err == nil {
+		t.Fatalf("want go vet to fail on the violating fixture\n%s", out)
+	}
 	for _, frag := range []string{
 		"store.ID converted to int",
 		"arithmetic (+) on store.ID",
@@ -55,30 +59,9 @@ func TestStandaloneDriverOnFixtureModule(t *testing.T) {
 		"[idspace:",
 		"[ctxflow:",
 	} {
-		if !strings.Contains(text, frag) {
-			t.Errorf("driver output missing %q:\n%s", frag, text)
+		if !strings.Contains(string(out), frag) {
+			t.Errorf("vet output missing %q:\n%s", frag, out)
 		}
-	}
-
-	clean := exec.Command(bin, "./clean")
-	clean.Dir = fixture
-	if out, err := clean.CombinedOutput(); err != nil {
-		t.Fatalf("want exit 0 on the clean fixture package, got %v\n%s", err, out)
-	}
-}
-
-func TestVettoolProtocolOnFixtureModule(t *testing.T) {
-	bin := buildLodvizvet(t)
-	fixture := fixtureDir(t)
-
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = fixture
-	out, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("want go vet to fail on the violating fixture\n%s", out)
-	}
-	if !strings.Contains(string(out), "store.ID converted to int") {
-		t.Errorf("vet output missing the idspace diagnostic:\n%s", out)
 	}
 
 	clean := exec.Command("go", "vet", "-vettool="+bin, "./clean")

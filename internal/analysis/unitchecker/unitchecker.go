@@ -1,5 +1,5 @@
-// Package unitchecker implements the `go vet -vettool` side of lodvizvet:
-// the cmd/vet driver protocol, reimplemented on the standard library.
+// Package unitchecker implements lodvizvet's one entry point, the `go vet -vettool`
+// protocol: the cmd/vet driver protocol, reimplemented on the standard library.
 //
 // go vet probes the tool twice (`-V=full` for a cache-keying version
 // string, `-flags` for the supported flag set) and then invokes it once

@@ -1,4 +1,4 @@
-package main
+package store_test
 
 import (
 	"context"
@@ -14,13 +14,59 @@ import (
 	"github.com/lodviz/lodviz/internal/wal"
 )
 
-// The "write" scenario set measures the durable write path: a fixed
-// commit session bare, through the WAL without fsync, and through the full
+// BenchmarkWriteSession measures the durable write path: a fixed commit
+// session bare, through the WAL without fsync, and through the full
 // group-committed fsync pipeline — plus the same synced session while
 // concurrent readers keep querying the store, the shape a live exploration
 // endpoint sees (reads invalidated by every generation bump). Each timed
 // operation is one complete session over a fresh store, so the measurement
-// does not drift with the iteration count the harness happens to pick.
+// does not drift with the iteration count the benchmark happens to pick.
+func BenchmarkWriteSession(b *testing.B) {
+	b.Run("bare", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			commitSession(b, store.New())
+		}
+	})
+	b.Run("wal_nosync", benchWALSession(wal.SyncNone))
+	b.Run("wal_sync", benchWALSession(wal.SyncAlways))
+
+	// The same synced session while two readers each run a fixed number of
+	// queries concurrently — each effective batch bumps the generation, so
+	// every read replans against fresh state. The reader work is a fixed
+	// count (not free-running until the writer finishes) so every timed
+	// operation performs identical total work; otherwise the measurement
+	// swings with however many reads the scheduler happens to fit in.
+	const readerQueries = 60
+	b.Run("wal_sync_readers", func(b *testing.B) {
+		dir := b.TempDir()
+		query, err := sparql.Parse(`SELECT ?s ?v WHERE { ?s <http://bench/value> ?v } LIMIT 20`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < b.N; i++ {
+			st, log := newWALStore(b, dir, wal.SyncAlways)
+			var wg sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for q := 0; q < readerQueries; q++ {
+						if _, err := sparql.EvalCtx(context.Background(), st, query, sparql.Options{Parallelism: 1}); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			commitSession(b, st)
+			wg.Wait()
+			if err := log.Close(); err != nil {
+				b.Fatal(err)
+			}
+			os.Remove(filepath.Join(dir, "bench.wal"))
+		}
+	})
+}
 
 const (
 	// writeBatchSize triples per committed batch, writeBatches batches per
@@ -77,62 +123,5 @@ func benchWALSession(policy wal.SyncPolicy) func(b *testing.B) {
 			}
 			os.Remove(filepath.Join(dir, "bench.wal"))
 		}
-	}
-}
-
-// writeScenarios measures sustained write throughput, alone and under
-// concurrent query load. Values are ms per session (writeBatches batches of
-// writeBatchSize triples).
-func writeScenarios() []benchResult {
-	bare := msPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			commitSession(b, store.New())
-		}
-	})
-	nosync := msPerOp(benchWALSession(wal.SyncNone))
-	synced := msPerOp(benchWALSession(wal.SyncAlways))
-
-	// The same synced session while two readers each run a fixed number of
-	// queries concurrently — each effective batch bumps the generation, so
-	// every read replans against fresh state. The reader work is a fixed
-	// count (not free-running until the writer finishes) so every timed
-	// operation performs identical total work; otherwise the measurement
-	// swings with however many reads the scheduler happens to fit in.
-	const readerQueries = 60
-	mixed := msPerOp(func(b *testing.B) {
-		dir := b.TempDir()
-		query, err := sparql.Parse(`SELECT ?s ?v WHERE { ?s <http://bench/value> ?v } LIMIT 20`)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			st, log := newWALStore(b, dir, wal.SyncAlways)
-			var wg sync.WaitGroup
-			for r := 0; r < 2; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for q := 0; q < readerQueries; q++ {
-						if _, err := sparql.EvalCtx(context.Background(), st, query, sparql.Options{Parallelism: 1}); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			commitSession(b, st)
-			wg.Wait()
-			if err := log.Close(); err != nil {
-				b.Fatal(err)
-			}
-			os.Remove(filepath.Join(dir, "bench.wal"))
-		}
-	})
-
-	return []benchResult{
-		{Name: "write_session_bare_ms", Value: bare, Unit: "ms", Better: "lower"},
-		{Name: "write_session_wal_nosync_ms", Value: nosync, Unit: "ms", Better: "lower"},
-		{Name: "write_session_wal_sync_ms", Value: synced, Unit: "ms", Better: "lower"},
-		{Name: "write_session_mixed_load_ms", Value: mixed, Unit: "ms", Better: "lower"},
 	}
 }
